@@ -38,15 +38,13 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +86,6 @@ __all__ = [
 
 SPEC_VERSION = "1"
 MODES = ("frenet", "verify-frenet", "toda-solve", "verify-toda", "gauss", "grading")
-THREADS_VAR = "TODAFRAMES_THREADS"
 RANK_DROP_RADIUS = 1e-3
 
 
@@ -377,26 +374,6 @@ def parse_config(raw: dict) -> JobConfig:
     return cfg
 
 
-def _thread_count() -> int:
-    value = os.environ.get(THREADS_VAR, "")
-    if not value:
-        return 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ConfigError(THREADS_VAR, f"not an integer: {value!r}") from None
-    if threads < 1:
-        raise ConfigError(THREADS_VAR, "must be at least 1")
-    return threads
-
-
-def _map_indexed(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -583,7 +560,7 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
         except TodaframesError as exc:
             return PointRecord(z, f"failed: {type(exc).__name__}: {exc}", {}, {})
 
-    records = _map_indexed(one, cfg.grid.points(), _thread_count())
+    records = [one(z) for z in cfg.grid.points()]
     summary = {
         "partition": list(seq.partition.sizes),
         "linear_full": linear_fullness(seq, n),
@@ -678,12 +655,15 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
             return PointRecord(z, f"failed: {sol.failures[i]}", {}, {})
         gamma, phi = sol.gamma[i], sol.phi[i]
         scale = max(1e-300, float(np.linalg.norm(gamma)))
-        residuals = {
+        # both identities hold only in hermitian mode; elsewhere they are
+        # reported, not gated
+        checks = {
             "hermiticity": float(np.linalg.norm(gamma - gamma.conj().T)) / scale,
             "phi_relation": float(np.linalg.norm(phi.conj().T @ h_eff @ phi - gamma))
             / scale,
         }
-        values: dict[str, float] = {}
+        residuals = checks if cfg.hermitian_mode else {}
+        values: dict[str, float] = {} if cfg.hermitian_mode else dict(checks)
         betas = [gamma[blocks.slice(a), blocks.slice(a)] for a in range(count)]
         for a in range(count):
             values[f"ln_det_beta_{a}"] = _ln_det(betas[a])
@@ -710,7 +690,7 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
             )
         return PointRecord(z, "ok", residuals, values)
 
-    records = _map_indexed(one, range(len(pts)), _thread_count())
+    records = [one(i) for i in range(len(pts))]
     summary = {
         "hermitian_mode": cfg.hermitian_mode,
         "failure_fraction": sum(1 for r in records if not r.ok) / max(1, len(records)),
@@ -755,7 +735,7 @@ def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         )
         return PointRecord(z, "ok", {"recompose": rel}, {})
 
-    records = _map_indexed(one, range(len(mats)), _thread_count())
+    records = [one(i) for i in range(len(mats))]
     summary = {
         "blocks": list(blocks.sizes),
         "residual_tol": cfg.tolerances.residual_tol,
@@ -782,7 +762,7 @@ def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
             complex(a, 0.0), "ok", {"eigen": worst}, {"rho": float(op.rho[a])}
         )
 
-    records = _map_indexed(one, range(spec.count), _thread_count())
+    records = [one(a) for a in range(spec.count)]
     cartan = cartan_grading_operator(spec)
     summary = {
         "rho": [[r.numerator, r.denominator] for r in op.rho],

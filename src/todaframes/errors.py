@@ -42,7 +42,8 @@ class NotConstantRank(TodaframesError):
 
 
 class IntegrationDiverged(TodaframesError):
-    """A transport factor exceeded the norm guard during path integration."""
+    """Path transport failed: a leg stayed unresolved within the allowed
+    pieces, met a singular seed, or exceeded the norm guard."""
 
 
 class ConfigError(TodaframesError):

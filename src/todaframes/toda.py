@@ -7,10 +7,15 @@ are stored as polynomial matrices in the conjugate variable: a stored
 matrix q represents the map z -> q(zbar), which keeps every coefficient
 exact and plays well with conjugate transposition of polynomial matrices.
 
-The solution procedure transports two triangular factors from a basepoint
-(a matrix linear ODE integrated with the classical fourth order scheme),
+The solution procedure transports two triangular factors from a basepoint,
 Gauss decomposes their quotient, and assembles gamma together with the
-frame map phi.  In hermitian mode the plus data is derived from the minus
+frame map phi.  Transport solves the matrix linear ODE mu' = mu A with
+A = gamma c gamma^{-1}.  A has pure nonzero degree, so it is strictly
+block triangular and nilpotent, and the Picard series of mu ends after
+count - 1 terms (count is the number of blocks).  Each term is a nested
+integral along a straight leg, taken on Gauss-Legendre nodes; a leg
+whose integrand the nodes do not resolve is cut in halves, and a leg
+still unresolved after the allowed number of pieces fails its endpoint.  In hermitian mode the plus data is derived from the minus
 data, the quotient is hermitian positive definite, and the assembled
 gamma is hermitian with phi^dagger h phi = gamma.
 
@@ -20,6 +25,7 @@ is d/dz, the plus derivative is d/dzbar.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +55,11 @@ __all__ = [
 ]
 
 MU_NORM_LIMIT = 1e12
+# Gauss-Legendre nodes per straight piece of a transport leg, and the
+# relative size of the last two Legendre coefficients of the integrand
+# below which a piece counts as resolved.
+NODES = 32
+TAIL_TOL = 1e-13
 
 
 def _nonzero_blocks_pure_degree(m: PolyMatrix, spec: GradationSpec, degree: int, name: str):
@@ -164,72 +175,126 @@ class TodaProblem:
         return self.c_plus.evaluate(np.conj(z))
 
 
+@functools.cache
+def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], with two node matrices.
+
+    integrate maps values at the nodes to the integral from 0 up to each
+    node of their interpolant; analysis maps them to the interpolant's
+    Legendre coefficients.  Both are exact for polynomials of degree
+    below NODES.
+    """
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(NODES)
+    analysis = legendre.legvander(x, NODES - 1).T * w * (np.arange(NODES) + 0.5)[:, None]
+    antiderivatives = legendre.legval(x, legendre.legint(np.eye(NODES), lbnd=-1)).T
+    return 0.5 * (x + 1.0), 0.5 * w, 0.5 * antiderivatives @ analysis, analysis
+
+
+def _panels(
+    gamma_rep: PolyMatrix,
+    c_rep: PolyMatrix,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    depth: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transport over each straight panel lo[p] -> hi[p], from the identity.
+
+    Returns the panel factors with two masks: panels whose integrand the
+    nodes do not resolve, and panels where gamma is singular at a node.
+    Arrays are laid out node first, (NODES, panels, k, k), so every node
+    contraction is one matrix product on a reshaped array.
+    """
+    s, w, integrate, analysis = _rule()
+    k = gamma_rep.rows
+    size = lo.size
+    delta = hi - lo
+    nodes = (lo[None, :] + s[:, None] * delta[None, :]).ravel()
+    gm = gamma_rep.evaluate_many(nodes)
+    cm = c_rep.evaluate_many(nodes)
+    det = np.linalg.det(gm)
+    singular = ~np.isfinite(det) | (det == 0)
+    gm[singular] = np.eye(k)
+    a = (gm @ cm @ np.linalg.inv(gm)).reshape(NODES, size, k, k)
+    a *= delta[None, :, None, None]
+    coeffs = np.abs(analysis @ a.reshape(NODES, -1)).reshape(NODES, size, k * k)
+    unresolved = coeffs[-2:].max(axis=(0, 2)) > TAIL_TOL * coeffs.max(axis=(0, 2))
+    mu = np.broadcast_to(np.eye(k, dtype=complex), (size, k, k)).copy()
+    term = np.broadcast_to(np.eye(k, dtype=complex), a.shape)
+    for _ in range(depth):
+        integrand = (term @ a).reshape(NODES, -1)
+        if not integrand.any():
+            break
+        mu += (w @ integrand).reshape(size, k, k)
+        term = (integrate @ integrand).reshape(a.shape)
+    return mu, unresolved, singular.reshape(NODES, size).any(axis=0)
+
+
 def _transport_many(
     gamma_rep: PolyMatrix,
     c_rep: PolyMatrix,
-    start: complex,
-    ends: np.ndarray,
+    starts,
+    ends,
     steps: int,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Transport factors along straight paths, batched over endpoints.
+    depth: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transport factors along straight legs starts[p] -> ends[p], batched.
 
-    Solves mu' = mu * A with A = gamma c gamma^{-1} evaluated along the
-    segment, mu(start) = I, by the classical fourth order scheme with the
-    midpoint node shared between the two middle stages.
+    Solves mu' = mu A with A = gamma c gamma^{-1} along each leg, mu = I
+    at its start, by depth Picard sweeps on Gauss-Legendre nodes (exact
+    once depth reaches the nilpotency index of A minus one).  A leg whose
+    integrand is not resolved is cut into 2, 4, 8, ... equal pieces whose
+    factors compose by right multiplication.  Returns (mu, failed): an
+    endpoint fails when its leg needs more than steps pieces, when gamma
+    is singular at a node, or when the factor leaves the norm guard; its
+    factor is then NaN, and the other endpoints are unaffected.
     """
-    ends = np.asarray(ends, dtype=complex).ravel()
-    total = ends.size
+    starts, ends = np.broadcast_arrays(
+        np.asarray(starts, dtype=complex).ravel(), np.asarray(ends, dtype=complex).ravel()
+    )
     k = gamma_rep.rows
-    out = np.empty((total, k, k), dtype=complex)
-    svals = np.linspace(0.0, 1.0, 2 * steps + 1)
-    hstep = 1.0 / steps
-    eye = np.eye(k, dtype=complex)
-    for lo in range(0, total, chunk):
-        sub = ends[lo : lo + chunk]
-        nodes = start + svals[None, :] * (sub - start)[:, None]
-        flat = nodes.ravel()
-        gm = gamma_rep.evaluate_many(flat)
-        cm = c_rep.evaluate_many(flat)
-        try:
-            gminv = np.linalg.inv(gm)
-        except np.linalg.LinAlgError as exc:
-            raise IntegrationDiverged(
-                "transport coefficient matrix is singular on the path"
-            ) from exc
-        coeff = (gm @ cm @ gminv).reshape(sub.size, 2 * steps + 1, k, k)
-        coeff = coeff * (sub - start)[:, None, None, None]
-        mu = np.broadcast_to(eye, (sub.size, k, k)).copy()
-        for i in range(steps):
-            a0 = coeff[:, 2 * i]
-            a1 = coeff[:, 2 * i + 1]
-            a2 = coeff[:, 2 * i + 2]
-            k1 = mu @ a0
-            k2 = (mu + (0.5 * hstep) * k1) @ a1
-            k3 = (mu + (0.5 * hstep) * k2) @ a1
-            k4 = (mu + hstep * k3) @ a2
-            mu = mu + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(mu)) or np.abs(mu).max() > MU_NORM_LIMIT:
-            raise IntegrationDiverged(
-                f"transport norm exceeded {MU_NORM_LIMIT:g} before the endpoint"
-            )
-        out[lo : lo + sub.size] = mu
-    return out
+    mu = np.full((ends.size, k, k), np.nan, dtype=complex)
+    failed = np.zeros(ends.size, dtype=bool)
+    todo = np.arange(ends.size)
+    pieces = 1
+    while todo.size and pieces <= steps:
+        frac = np.linspace(0.0, 1.0, pieces + 1)
+        cuts = starts[todo, None] + frac[None, :] * (ends[todo] - starts[todo])[:, None]
+        cuts[:, -1] = ends[todo]
+        legs, unresolved, singular = _panels(
+            gamma_rep, c_rep, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), depth
+        )
+        legs = legs.reshape(todo.size, pieces, k, k)
+        singular = singular.reshape(todo.size, pieces).any(axis=1)
+        retry = unresolved.reshape(todo.size, pieces).any(axis=1) & ~singular
+        done = ~singular & ~retry
+        product = legs[done, 0]
+        for j in range(1, pieces):
+            product = product @ legs[done, j]
+        mu[todo[done]] = product
+        failed[todo[singular]] = True
+        todo = todo[retry]
+        pieces *= 2
+    failed[todo] = True
+    failed |= ~(np.abs(mu).max(axis=(1, 2)) <= MU_NORM_LIMIT)
+    mu[failed] = np.nan
+    return mu, failed
 
 
-def _mu_minus_path(problem, gamma_minus, waypoints, steps) -> np.ndarray:
-    mu = np.eye(problem.n, dtype=complex)
-    for p, q in zip(waypoints[:-1], waypoints[1:]):
-        leg = _transport_many(gamma_minus, problem.c_minus, p, np.array([q]), steps)[0]
-        mu = mu @ leg
-    return mu
+def _diverged(steps: int) -> str:
+    return (
+        f"transport diverged: a leg unresolved in {steps} pieces, a singular "
+        f"seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
+    )
 
 
-def _mu_plus_path(problem, gamma_plus, waypoints, steps) -> np.ndarray:
-    mu = np.eye(problem.n, dtype=complex)
-    conj_points = [np.conj(p) for p in waypoints]
-    for p, q in zip(conj_points[:-1], conj_points[1:]):
-        leg = _transport_many(gamma_plus, problem.c_plus, p, np.array([q]), steps)[0]
+def _mu_path(gamma_rep: PolyMatrix, c_rep: PolyMatrix, waypoints, steps: int, depth: int) -> np.ndarray:
+    """Transport along the polygon through the waypoints, legs composed in order."""
+    legs, failed = _transport_many(gamma_rep, c_rep, waypoints[:-1], waypoints[1:], steps, depth)
+    if failed.any():
+        raise IntegrationDiverged(_diverged(steps))
+    mu = np.eye(gamma_rep.rows, dtype=complex)
+    for leg in legs:
         mu = mu @ leg
     return mu
 
@@ -246,24 +311,29 @@ def integrate_mu(
     """Both transport factors at z, integrated from the basepoint.
 
     The path is straight unless intermediate waypoints are given, in which
-    case the legs are integrated in order and composed; the holomorphic
+    case the legs are integrated and composed in order; the holomorphic
     integrand makes the result path independent, which the tests exercise.
-    In hermitian mode the plus factor is the inverse conjugate transpose
-    of the minus factor; otherwise a block diagonal antiholomorphic seed
-    gamma_plus (stored in the conjugate variable) is required.
+    steps is the most pieces one straight leg may be cut into; a leg that
+    is still unresolved then, or that meets a singular seed, raises
+    IntegrationDiverged.  In hermitian mode the plus factor is the inverse
+    conjugate transpose of the minus factor; otherwise a block diagonal
+    antiholomorphic seed gamma_plus (stored in the conjugate variable) is
+    required, and the plus factor is transported in the conjugate variable
+    along the conjugated waypoints.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
-    waypoints = [complex(basepoint), *map(complex, via), complex(z)]
-    mu_minus = _mu_minus_path(problem, gamma_minus, waypoints, steps)
+    waypoints = np.array([basepoint, *via, z], dtype=complex)
+    depth = problem.blocks.count - 1
+    mu_minus = _mu_path(gamma_minus, problem.c_minus, waypoints, steps, depth)
     if problem.hermitian_mode:
         mu_plus = np.linalg.inv(mu_minus.conj().T)
     else:
         if gamma_plus is None:
             raise ValueError("gamma_plus is required outside hermitian mode")
         _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
-        mu_plus = _mu_plus_path(problem, gamma_plus, waypoints, steps)
+        mu_plus = _mu_path(gamma_plus, problem.c_plus, waypoints.conj(), steps, depth)
     return mu_minus, mu_plus
 
 
@@ -338,13 +408,16 @@ def solve(
 ) -> TodaSolution:
     """Run the full solution procedure over a grid of points.
 
-    Transports are batched over the grid (straight paths from the
-    basepoint), the quotient of the factors is Gauss decomposed per point,
-    and gamma and phi are assembled from the outputs.  The constant g0 is
-    a factor of the metric, g0^dagger g0 = h (defaulting to the Cholesky
-    factor); phi is built with its inverse on the left, which is what
-    makes phi^dagger h phi = gamma in hermitian mode.  Gauss cell failures
-    are recorded per point and leave the other points intact.
+    Each factor is transported in one batch over the grid (straight paths
+    from the basepoint, the plus factor in the conjugate variable), the
+    quotient of the factors is Gauss decomposed per point, and gamma and
+    phi are assembled from the outputs.  The constant g0 is a factor of
+    the metric, g0^dagger g0 = h (defaulting to the Cholesky factor); phi
+    is built with its inverse on the left, which is what makes phi^dagger
+    h phi = gamma in hermitian mode.  steps is the most pieces one path
+    may be cut into (see integrate_mu).  Transport and Gauss cell failures
+    are recorded per point, as "integration: ..." and "gauss: ...", and
+    leave the other points intact.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if not problem.hermitian_mode:
@@ -360,45 +433,24 @@ def solve(
     g0inv = np.linalg.inv(g0)
 
     pts = [complex(p) for p in grid]
-    mu_m_all: list[np.ndarray | None] = [None] * len(pts)
-    mu_p_all: list[np.ndarray | None] = [None] * len(pts)
-    failures: list[str | None] = [None] * len(pts)
-    try:
-        batch = _transport_many(
-            gamma_minus, problem.c_minus, complex(basepoint), np.array(pts), steps
-        )
-        for i in range(len(pts)):
-            mu_m_all[i] = batch[i]
-    except IntegrationDiverged:
-        # isolate the failing points
-        for i, p in enumerate(pts):
-            try:
-                mu_m_all[i] = _mu_minus_path(problem, gamma_minus, [complex(basepoint), p], steps)
-            except IntegrationDiverged as exc:
-                failures[i] = f"integration: {exc}"
+    ends = np.array(pts, dtype=complex)
+    depth = problem.blocks.count - 1
+    minus, failed = _transport_many(
+        gamma_minus, problem.c_minus, complex(basepoint), ends, steps, depth
+    )
     if problem.hermitian_mode:
-        for i, mu in enumerate(mu_m_all):
-            if mu is not None:
-                mu_p_all[i] = np.linalg.inv(mu.conj().T)
+        plus = np.full_like(minus, np.nan)
+        plus[~failed] = np.linalg.inv(minus[~failed].conj().transpose(0, 2, 1))
     else:
-        try:
-            batch = _transport_many(
-                gamma_plus,
-                problem.c_plus,
-                np.conj(complex(basepoint)),
-                np.conj(np.array(pts)),
-                steps,
-            )
-            for i in range(len(pts)):
-                mu_p_all[i] = batch[i]
-        except IntegrationDiverged:
-            for i, p in enumerate(pts):
-                if failures[i] is not None:
-                    continue
-                try:
-                    mu_p_all[i] = _mu_plus_path(problem, gamma_plus, [complex(basepoint), p], steps)
-                except IntegrationDiverged as exc:
-                    failures[i] = f"integration: {exc}"
+        plus, failed_plus = _transport_many(
+            gamma_plus, problem.c_plus, np.conj(complex(basepoint)), ends.conj(), steps, depth
+        )
+        failed |= failed_plus
+    failures: list[str | None] = [
+        f"integration: {_diverged(steps)}" if f else None for f in failed
+    ]
+    mu_m_all = [None if f else m for f, m in zip(failed, minus)]
+    mu_p_all = [None if f else m for f, m in zip(failed, plus)]
 
     gammas: list[np.ndarray | None] = [None] * len(pts)
     phis: list[np.ndarray | None] = [None] * len(pts)
@@ -443,10 +495,12 @@ def solution_gamma_field(
     """The solution gamma as a cached field for derivative stencils.
 
     The returned callable solves per point on demand; its warm(points)
-    attribute batch transports many points at once and fills the cache,
-    which turns residual grids from hundreds of integrations into a
-    handful of vectorized ones.  Failures inside a stencil raise rather
-    than record: a field with holes cannot be differentiated honestly.
+    attribute solves many points in one batch and fills the cache, which
+    turns residual grids from hundreds of transports into a handful of
+    batched ones.  steps has the meaning it has in solve.  Failures inside
+    a stencil raise rather than record, since a field with holes cannot be
+    differentiated honestly; warm caches every point of its batch that
+    did solve before it raises for the first one that did not.
     """
     sol_kwargs = dict(basepoint=basepoint, steps=steps, gamma_plus=gamma_plus)
     cache: dict[complex, np.ndarray] = {}
@@ -456,12 +510,14 @@ def solution_gamma_field(
         if not fresh:
             return
         sol = solve(problem, gamma_minus, fresh, **sol_kwargs)
-        for p, g, fail in zip(sol.grid, sol.gamma, sol.failures):
+        for p, g in zip(sol.grid, sol.gamma):
+            if g is not None:
+                cache[p] = g
+        for p, fail in zip(sol.grid, sol.failures):
             if fail is not None:
                 raise GaussDecompositionFailed(
                     -1, f"gamma field undefined at {p:g} ({fail})"
                 )
-            cache[p] = g
 
     def field(z: complex) -> np.ndarray:
         key = complex(z)

@@ -369,20 +369,24 @@ class TestMain:
         assert main(["frenet", "--config", path, "--out", str(out)]) == 1
 
 
-class TestThreads:
-    def test_thread_count_changes_nothing(self, monkeypatch):
-        cfg = {
-            "mode": "verify-frenet",
-            "curve": LINE_CURVE,
-            "grid": {"radius": 0.5, "nx": 3, "ny": 3},
-        }
-        monkeypatch.delenv("TODAFRAMES_THREADS", raising=False)
-        serial = run(cfg)
-        monkeypatch.setenv("TODAFRAMES_THREADS", "4")
-        threaded = run(cfg)
-        assert serial == threaded
-
-    def test_invalid_thread_count(self, monkeypatch):
-        monkeypatch.setenv("TODAFRAMES_THREADS", "zero")
-        with pytest.raises(ConfigError, match="THREADS"):
-            run({"mode": "frenet", "curve": LINE_CURVE})
+    def test_non_hermitian_job_gates_only_toda_residuals(self, tmp_path, capsys):
+        # gamma is not hermitian here, so hermiticity and the frame relation
+        # are large; outside hermitian mode they are values, not residuals
+        cfg = dict(
+            LINE_TODA,
+            hermitian_mode=False,
+            seeds={
+                "gamma_minus": [[[1, 0.25], [0]], [[0], [1]]],
+                "gamma_plus": [[[1], [0]], [[0], [1]]],
+                "c_minus": [[[0], [0]], [[1], [0]]],
+                "c_plus": [[[0], [-1]], [[0], [0]]],
+            },
+        )
+        out = tmp_path / "r.json"
+        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert max(p["values"]["hermiticity"] for p in points) > 0.1
+        for p in points:
+            assert p["status"] == "ok"
+            assert set(p["residuals"]) == {"toda_0", "toda_1"}
+            assert "hermiticity" in p["values"] and "phi_relation" in p["values"]

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from test_acceptance import random_gamma_seed, subdiagonal_lowering
 
+from todaframes import toda
 from todaframes.errors import IntegrationDiverged, SingularBeta
 from todaframes.frenet import build_osculating, frame_at
 from todaframes.grading import GradationSpec
@@ -43,6 +45,35 @@ def line_lowering() -> PolyMatrix:
 
 def line_problem(h=None) -> TodaProblem:
     return TodaProblem.hermitian_problem(line_gradation(), 1, line_lowering(), h)
+
+
+def chain_spec() -> GradationSpec:
+    return GradationSpec(BlockStructure((1, 1, 1)), (1, 1))
+
+
+def chain_lowering() -> PolyMatrix:
+    return PolyMatrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+def rk4_transport(gamma_rep, c_rep, start, ends, steps):
+    """Classical fourth order reference for mu' = mu gamma c gamma^{-1} on
+    straight legs from start, batched over the ends."""
+    ends = np.asarray(ends, dtype=complex)
+    k = gamma_rep.rows
+    nodes = start + np.linspace(0.0, 1.0, 2 * steps + 1)[:, None] * (ends - start)[None, :]
+    g = gamma_rep.evaluate_many(nodes.ravel())
+    a = (g @ c_rep.evaluate_many(nodes.ravel()) @ np.linalg.inv(g)).reshape(*nodes.shape, k, k)
+    a *= (ends - start)[None, :, None, None]
+    mu = np.broadcast_to(np.eye(k, dtype=complex), (ends.size, k, k))
+    h = 1.0 / steps
+    for i in range(steps):
+        a0, a1, a2 = a[2 * i], a[2 * i + 1], a[2 * i + 2]
+        k1 = mu @ a0
+        k2 = (mu + 0.5 * h * k1) @ a1
+        k3 = (mu + 0.5 * h * k2) @ a1
+        k4 = (mu + h * k3) @ a2
+        mu = mu + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return mu
 
 
 def line_gamma(z: complex) -> np.ndarray:
@@ -116,6 +147,57 @@ class TestIntegrateMu:
         assert np.linalg.norm(mu_m - expected) < 1e-12
         expected_plus = np.array([[1, -np.conj(z)], [0, 1]], dtype=complex)
         assert np.linalg.norm(mu_p - expected_plus) < 1e-12
+
+    def test_three_level_transport_is_exponential(self):
+        # c_minus = N with N^3 = 0: mu_minus = exp(zN) needs the depth two term
+        nil = np.diag([1.0, 1.0], -1)
+        p = TodaProblem.hermitian_problem(chain_spec(), 1, chain_lowering())
+        z = 0.8 - 0.6j
+        mu_m, _ = integrate_mu(p, PolyMatrix.identity(3), 0.0, z)
+        assert np.linalg.norm(mu_m - (np.eye(3) + z * nil + z * z * nil @ nil / 2)) < 1e-14
+
+    def test_plus_factor_runs_in_the_conjugate_variable(self):
+        # c_plus = -N^T stored in w = zbar: mu_plus = exp(-zbar N^T)
+        up = np.diag([1.0, 1.0], 1)
+        p = TodaProblem(
+            gradation=chain_spec(),
+            gap=1,
+            c_minus=chain_lowering(),
+            c_plus=PolyMatrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]]),
+            h=HermitianMetric.identity(3),
+            hermitian_mode=False,
+        )
+        z = 0.8 - 0.6j
+        eye = PolyMatrix.identity(3)
+        _, mu_p = integrate_mu(p, eye, 0.0, z, gamma_plus=eye)
+        w = np.conj(z)
+        assert np.linalg.norm(mu_p - (np.eye(3) - w * up + w * w * up @ up / 2)) < 1e-14
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 1)])
+    def test_random_seeds_match_rk4(self, sizes):
+        # the rng-77 seeds of the acceptance test and the benchmark; the
+        # (1, 2, 1) problem also transports a second seed as gamma_plus
+        rng = np.random.default_rng(77)
+        blocks = BlockStructure(sizes)
+        spec = GradationSpec(blocks, (1,) * (blocks.count - 1))
+        c_minus = subdiagonal_lowering(blocks)
+        gamma_minus = random_gamma_seed(rng, blocks)
+        gamma_plus = random_gamma_seed(rng, blocks)
+        p = TodaProblem(
+            gradation=spec,
+            gap=1,
+            c_minus=c_minus,
+            c_plus=c_minus.conjugate_transpose().scale(-1),
+            h=HermitianMetric.identity(blocks.n),
+            hermitian_mode=False,
+        )
+        ends = [0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, -0.5 - 0.5j]
+        want_m = rk4_transport(gamma_minus, p.c_minus, 0.0, ends, 4000)
+        want_p = rk4_transport(gamma_plus, p.c_plus, 0.0, np.conj(ends), 4000)
+        for z, wm, wp in zip(ends, want_m, want_p):
+            mu_m, mu_p = integrate_mu(p, gamma_minus, 0.0, z, gamma_plus=gamma_plus)
+            assert np.abs(mu_m - wm).max() < 1e-11
+            assert np.abs(mu_p - wp).max() < 1e-11
 
     def test_path_independence(self):
         p = line_problem()
@@ -242,6 +324,37 @@ class TestSolve:
         assert sol.gamma[0] is not None and sol.gamma[1] is None
         assert sol.ok_indices == (0,)
         assert sol.failure_fraction == pytest.approx(0.5)
+
+    def test_one_transport_batch_per_factor(self, monkeypatch):
+        # a path through the pole of gamma_minus fails its point only, and
+        # batching changes no other point
+        p = TodaProblem(
+            gradation=line_gradation(),
+            gap=1,
+            c_minus=line_lowering(),
+            c_plus=PolyMatrix([[0, -1], [0, 0]]),
+            h=HermitianMetric.identity(2),
+            hermitian_mode=False,
+        )
+        seed = PolyMatrix([[[1, -2], 0], [0, 1]])  # singular at z = 1/2
+        plus = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])
+        grid = [0.25, 1.0, -0.3 + 0.2j, 0.6j]
+        calls = []
+        kernel = toda._transport_many
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(toda, "_transport_many", counted)
+        sol = solve(p, seed, grid, gamma_plus=plus)
+        assert len(calls) == 2
+        assert [f is None for f in sol.failures] == [True, False, True, True]
+        assert sol.failures[1].startswith("integration:")
+        for i in (0, 2, 3):
+            alone = solve(p, seed, [grid[i]], gamma_plus=plus)
+            assert np.linalg.norm(sol.gamma[i] - alone.gamma[0]) < 1e-14
+            assert np.linalg.norm(sol.phi[i] - alone.phi[0]) < 1e-14
 
     def test_solution_diagnostics(self):
         p = line_problem()
