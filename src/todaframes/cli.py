@@ -109,7 +109,6 @@ class GridSpec:
 
 @dataclass
 class Tolerances:
-    rank_tol: float = 1e-10
     fd_step: float = 1e-4
     residual_tol: float = 1e-5
 
@@ -298,17 +297,16 @@ def parse_config(raw: dict) -> JobConfig:
         t = raw["tolerances"]
         if not isinstance(t, dict):
             raise ConfigError("tolerances", "expected an object")
-        unknown = set(t) - {"rank_tol", "fd_step", "residual_tol"}
+        unknown = set(t) - {"fd_step", "residual_tol"}
         if unknown:
             raise ConfigError(f"tolerances.{sorted(unknown)[0]}", "unknown key")
         cfg.tolerances = Tolerances(
-            rank_tol=_as_number(t.get("rank_tol", 1e-10), "tolerances.rank_tol"),
             fd_step=_as_number(t.get("fd_step", 1e-4), "tolerances.fd_step"),
             residual_tol=_as_number(
                 t.get("residual_tol", 1e-5), "tolerances.residual_tol"
             ),
         )
-        for name in ("rank_tol", "fd_step", "residual_tol"):
+        for name in ("fd_step", "residual_tol"):
             if getattr(cfg.tolerances, name) <= 0:
                 raise ConfigError(f"tolerances.{name}", "must be positive")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -77,6 +78,11 @@ class OsculatingSequence:
     @property
     def t(self) -> int:
         return len(self.xis) - 1
+
+    @cached_property
+    def derivatives(self) -> tuple[PolyMatrix, ...]:
+        """The z derivative of every level, built once per sequence."""
+        return tuple(x.derivative() for x in self.xis)
 
     @property
     def n(self) -> int:
@@ -173,17 +179,6 @@ class ConnectionCoefficients:
     big_lambda_plus: np.ndarray
 
 
-def _minor_gcd_at_rank(m: PolyMatrix, r: int) -> Poly:
-    """Monic gcd of all r by r minors of m."""
-    if r <= 0 or r > min(m.rows, m.cols):
-        raise ValueError(f"no {r} by {r} minors in a {m.rows} by {m.cols} matrix")
-    minors = []
-    for rows_idx in combinations(range(m.rows), r):
-        for cols_idx in combinations(range(m.cols), r):
-            minors.append(m.submatrix(rows_idx, cols_idx).det())
-    return poly_gcd_many(minors)
-
-
 def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     """Osculating sequence of a polynomial column set.
 
@@ -197,7 +192,7 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     cols = xi.columns()
     if all(c.is_zero for c in cols):
         raise ZeroFunction("cannot build an osculating sequence of the zero curve")
-    cert = minor_gcd(cols) if len(cols) <= xi.rows else Poly.zero()
+    cert = minor_gcd(cols)
     reduction = None
     if cert == Poly.one():
         gs = cols
@@ -210,7 +205,7 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     if len(gs) == len(cols) and cert == Poly.one():
         rank_drop = Poly.one()
     else:
-        rank_drop = _minor_gcd_at_rank(xi, len(gs))
+        rank_drop = poly_gcd_many(minor_gcd(sub) for sub in combinations(cols, len(gs)))
 
     levels: list[list[PolyMatrix]] = [list(gs)]
     cumulative: list[PolyMatrix] = list(gs)
@@ -258,9 +253,7 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     )
 
 
-def frame_at(
-    seq: OsculatingSequence, h: HermitianMetric, z: complex, cond_limit: float = COND_LIMIT
-) -> FrenetPointData:
+def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetPointData:
     """Frenet frame data at a single point.
 
     phi_0 is xi_0 itself and each later block is the previous projector
@@ -283,7 +276,7 @@ def frame_at(
         phi_a = xs[a] if a == 0 else proj @ xs[a]
         beta_a = phi_a.conj().T @ hm @ phi_a
         cond = np.linalg.cond(beta_a)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularBeta(
                 f"gram block {a} at z={z:g} has condition {cond:.3e}"
             )
@@ -295,7 +288,7 @@ def frame_at(
     solve_residual = 0.0
     for a in range(t):
         stacked = np.hstack(xs[: a + 2])
-        rhs = seq.xis[a].derivative().evaluate(z)
+        rhs = seq.derivatives[a].evaluate(z)
         sol, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
         solve_residual = max(solve_residual, float(np.linalg.norm(stacked @ sol - rhs)))
         lo = seq.partition.offsets[a + 1]
@@ -314,8 +307,8 @@ def frame_at(
     )
 
 
-def _frame_field(seq, h, cond_limit=COND_LIMIT) -> Callable[[complex], FrenetPointData]:
-    return memoized(lambda w: frame_at(seq, h, w, cond_limit=cond_limit))
+def _frame_field(seq, h) -> Callable[[complex], FrenetPointData]:
+    return memoized(lambda w: frame_at(seq, h, w))
 
 
 def verify_frame_equations(

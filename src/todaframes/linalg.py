@@ -176,12 +176,12 @@ def _invert_block_upper_unitriangular(u: np.ndarray, blocks: BlockStructure) -> 
     return x
 
 
-def gauss_decompose(g, blocks: BlockStructure, cond_limit: float = COND_LIMIT) -> GaussFactors:
+def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
     """Block LDU decomposition g = n_minus eta n_plus^{-1}.
 
     Runs sequential block elimination so a failure names the first diagonal
     block whose Schur complement pivot is singular or has condition number
-    beyond ``cond_limit``.
+    beyond ``COND_LIMIT``.
     """
     gm = as_cmatrix(g, "matrix")
     n = blocks.n
@@ -199,7 +199,7 @@ def gauss_decompose(g, blocks: BlockStructure, cond_limit: float = COND_LIMIT) -
             cond = np.linalg.cond(pivot)
         except np.linalg.LinAlgError:
             raise GaussDecompositionFailed(a, "pivot condition estimate failed")
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise GaussDecompositionFailed(a, f"pivot condition {cond:.3e}")
         pinv = np.linalg.inv(pivot)
         eta[sa, sa] = pivot

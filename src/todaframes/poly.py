@@ -13,6 +13,14 @@ needed to manufacture constant rank column sets:
   determinant is a nonzero constant,
 * ``dual_frame`` returns the exact inverse rows of a full frame.
 
+All exact elimination runs on two kernels.  Over the polynomial ring it is
+``PolyMatrix.det``, fraction free (Bareiss) elimination: minors, minor
+gcds, and the coefficients of a column in the span of a constant rank set,
+which are Cramer quotients of one nonzero maximal minor, divided exactly.
+Over the Gaussian rationals it is ``_solve_exact_gaussian``, Gauss-Jordan
+elimination for the interpolation systems of the reduction loop and for
+rank tests at a point.
+
 Constant rank of a set of l columns is certified exactly: the monic gcd of
 all l by l minors must equal 1, which rules out a common zero anywhere in
 the plane.  The reduction loop repairs a candidate column by subtracting an
@@ -39,7 +47,6 @@ __all__ = [
     "RationalFunc",
     "PolyMatrix",
     "RationalMatrix",
-    "differentiate",
     "factor_zeros",
     "adjoin_columns",
     "constant_rank_reduce",
@@ -736,11 +743,6 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def differentiate(m: PolyMatrix) -> PolyMatrix:
-    """Entrywise formal derivative."""
-    return m.derivative()
-
-
 def _require_column(f: PolyMatrix, name: str = "column"):
     if f.cols != 1:
         raise ValueError(f"{name} must have a single column, got {f.cols}")
@@ -772,10 +774,6 @@ def _maximal_minors(columns: Sequence[PolyMatrix]) -> list[Poly]:
     return out
 
 
-def _minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
-    return poly_gcd_many(_maximal_minors(columns))
-
-
 def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
     """Monic gcd of all maximal minors of the stacked columns.
 
@@ -788,7 +786,7 @@ def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
         raise ValueError("need at least one column")
     for c in cols:
         _require_column(c)
-    return _minor_gcd(cols)
+    return poly_gcd_many(_maximal_minors(cols))
 
 
 def _solve_exact_gaussian(a_rows, rhs):
@@ -829,43 +827,29 @@ def _solve_exact_gaussian(a_rows, rhs):
 def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix) -> list[Poly]:
     """Exact coefficients writing f as a combination of the columns.
 
-    Solved over the rational function field; the result must reduce to
-    polynomials, which holds whenever the columns form a constant rank set
-    containing f in its span.
+    The caller has certified that f lies in the span (every maximal minor of
+    the columns together with f vanishes), so Cramer's rule on the first
+    nonzero maximal minor of the columns gives the unique coefficients.
+    They must divide out to polynomials, which holds whenever the columns
+    form a constant rank set.
     """
-    n = f.rows
-    j = len(columns)
-    a = [[RationalFunc(columns[b].entry(i, 0)) for b in range(j)] for i in range(n)]
-    rhs = [RationalFunc(f.entry(i, 0)) for i in range(n)]
-    rows = [row + [r] for row, r in zip(a, rhs)]
-    pivots = []
-    r = 0
-    for c in range(j):
-        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if not rows[i][j].is_zero:
-            raise NotConstantRank("dependent column solve hit an inconsistent system")
-    x = [RationalFunc(Poly())] * j
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][j]
+    m = PolyMatrix.from_columns(columns)
+    size = m.cols
+    for rows_idx in combinations(range(m.rows), size):
+        den = m.submatrix(rows_idx, range(size)).det()
+        if not den.is_zero:
+            break
+    else:
+        raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
     out = []
-    for v in x:
-        if not v.is_polynomial:
+    for b in range(size):
+        replaced = PolyMatrix.from_columns([*columns[:b], f, *columns[b + 1 :]])
+        quo, rem = divmod(replaced.submatrix(rows_idx, range(size)).det(), den)
+        if not rem.is_zero:
             raise NotConstantRank(
                 "combination coefficients are not polynomial; the base set is not constant rank"
             )
-        out.append(v.to_poly())
+        out.append(quo)
     return out
 
 
@@ -913,12 +897,15 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
     j = len(columns)
     if f.is_zero:
         return "dependent", [Poly()] * j
-    if j >= f.rows or all(m.is_zero for m in _maximal_minors(columns + [f])):
+    minors = _maximal_minors(columns + [f])
+    if all(m.is_zero for m in minors):
         return "dependent", _solve_in_span(columns, f)
     g, d = factor_zeros(f)
     coeffs = [Poly()] * j
     prefix = d
-    e = _minor_gcd(columns + [g])
+    # minors are linear in the last column and d is monic, so the minor gcd
+    # of columns + [g] is that of columns + [f] divided by d
+    e = poly_gcd_many(minors).exact_div(d)
     cap = e.degree + 1
     passes = 0
     while e.degree > 0:
@@ -938,7 +925,7 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
         for i, b in enumerate(bs):
             coeffs[i] = coeffs[i] + prefix * b
         prefix = prefix * dprime
-        e = _minor_gcd(columns + [g])
+        e = minor_gcd(columns + [g])
     return "independent", g, coeffs, prefix
 
 
@@ -985,7 +972,7 @@ def constant_rank_reduce(
     if all(f.is_zero for f in fs):
         raise ZeroFunction("all columns are identically zero")
     gs, coeff_cols = adjoin_columns([], fs)
-    cert = _minor_gcd(gs)
+    cert = minor_gcd(gs)
     if cert != Poly.one():
         raise NotConstantRank(f"certificate gcd is {cert!r}, expected 1")
     d = RationalMatrix(
@@ -1010,7 +997,7 @@ def rank_complete(gs: Sequence[PolyMatrix], n: int) -> list[PolyMatrix]:
         raise AlreadyFull(f"set already spans C^{n}")
     if k > n:
         raise ValueError("more columns than the ambient dimension")
-    if _minor_gcd(gs) != Poly.one():
+    if minor_gcd(gs) != Poly.one():
         raise NotConstantRank("base set is not constant rank")
     origin = GaussianRational()
     basis_rows = [[g.entry(i, 0).evaluate_exact(origin) for g in gs] for i in range(n)]
@@ -1019,13 +1006,11 @@ def rank_complete(gs: Sequence[PolyMatrix], n: int) -> list[PolyMatrix]:
     for i in range(n):
         if len(columns) == n:
             break
-        candidate_rows = [
-            row + [(_GR_ONE if r == i else _GR_ZERO)] for r, row in enumerate(basis_rows)
-        ]
-        if _exact_rank(candidate_rows) <= _exact_rank(basis_rows):
+        # e_i is worth adjoining only when it adds rank at the origin
+        unit = [_GR_ONE if r == i else _GR_ZERO for r in range(n)]
+        if _solve_exact_gaussian(basis_rows, unit) is not None:
             continue
-        unit = PolyMatrix([[Poly.one() if r == i else Poly.zero()] for r in range(n)])
-        result = _adjoin_one(columns, unit)
+        result = _adjoin_one(columns, PolyMatrix.column(unit))
         if result[0] != "independent":
             raise NotConstantRank("completion candidate unexpectedly dependent")
         g_new = result[1]
@@ -1040,29 +1025,6 @@ def rank_complete(gs: Sequence[PolyMatrix], n: int) -> list[PolyMatrix]:
     if full_det.degree != 0:
         raise NotConstantRank(f"completed frame determinant {full_det!r} is not constant")
     return chosen
-
-
-def _exact_rank(rows) -> int:
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if not m[i][c].is_zero), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        inv = _GR_ONE / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and not m[i][c].is_zero:
-                factor = m[i][c]
-                m[i] = [v - factor * w for v, w in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def dual_frame(fs: Sequence[PolyMatrix]) -> RationalMatrix:

@@ -62,6 +62,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="fd_step"):
             parse_config({"mode": "frenet", "tolerances": {"fd_step": 0}})
 
+    def test_rank_tol_is_no_longer_accepted(self):
+        # no rank is decided numerically, so the knob was removed
+        with pytest.raises(ConfigError, match=r"tolerances\.rank_tol"):
+            parse_config({"mode": "frenet", "tolerances": {"rank_tol": 1e-10}})
+
     def test_float_coefficients_are_rationalized(self):
         cfg = parse_config({"mode": "frenet", "curve": [[[0.5]], [[0, 1]]]})
         assert cfg.curve.entry(0, 0).coeffs[0] == GaussianRational(Fraction(1, 2))

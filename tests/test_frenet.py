@@ -92,6 +92,21 @@ class TestBuildOsculating:
         assert seq.reduction is not None
         assert seq.partition.sizes == (1, 1)
 
+    def test_generic_rank_below_column_count(self):
+        # three columns of generic rank 2 that drop to rank 1 at z = 0
+        xi = PolyMatrix.from_columns(
+            [
+                PolyMatrix.column([1, Z, 0]),
+                PolyMatrix.column([Z, Z * Z, Z]),
+                PolyMatrix.column([Z * Z, Z * Z * Z, Z * Z - Z]),
+            ]
+        )
+        with pytest.warns(UserWarning):
+            seq = build_osculating(xi)
+        assert seq.partition.sizes == (2, 1)
+        assert seq.rank_drop == Z
+        assert seq.reduction is not None
+
     def test_derivative_relation_holds_exactly(self):
         rng = np.random.default_rng(31)
         for _ in range(5):

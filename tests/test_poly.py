@@ -309,6 +309,18 @@ class TestAdjoinColumns:
         # f = 2 e0 + 3z (e0 z + e1) => coefficients (2 - 3z^2, 3z)
         assert coeffs[0] == [Poly.of(2, 0, -3), Poly.of(0, 3)]
 
+    def test_non_polynomial_coefficient_raises(self):
+        # col(1, z) = (1/z) col(z, z^2): in the span, but not over the ring
+        with pytest.raises(NotConstantRank):
+            adjoin_columns([col(Z, Z * Z)], [col(1, Z)])
+
+    def test_base_without_nonzero_maximal_minor_raises(self):
+        # the base columns are dependent, so every 2 by 2 minor vanishes and
+        # the coefficients of a column in their span are not unique
+        base = [col(1, Z, 0), col(Z, Z * Z, 0)]
+        with pytest.raises(NotConstantRank):
+            adjoin_columns(base, [col(1, Z, 0)])
+
 
 class TestRankComplete:
     def test_line_completion(self):
