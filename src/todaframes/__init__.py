@@ -28,6 +28,7 @@ from .frenet import (
     build_osculating,
     connection_coefficients,
     frame_at,
+    frame_checks,
     induced_metric,
     kahler_check,
     linear_fullness,

@@ -52,10 +52,9 @@ from .errors import ConfigError, GaussDecompositionFailed, TodaframesError
 from .frenet import (
     build_osculating,
     frame_at,
+    frame_checks,
     induced_metric,
-    kahler_check,
     linear_fullness,
-    verify_frame_equations,
 )
 from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
 from .linalg import BlockStructure, HermitianMetric, gauss_decompose
@@ -540,7 +539,10 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
         if roots.size and np.min(np.abs(roots - z)) < RANK_DROP_RADIUS:
             return PointRecord(z, "excluded: near a rank drop point", {}, {})
         try:
-            data = frame_at(seq, h, z)
+            if verify:
+                data, frame, kahler = frame_checks(seq, h, z, fd)
+            else:
+                data = frame_at(seq, h, z)
             residuals = {"b_solve": data.b_solve_residual}
             values: dict[str, float] = {}
             for a in range(t):
@@ -548,11 +550,10 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
             for a in range(t + 1):
                 values[f"ln_det_beta_{a}"] = _ln_det(data.betas[a])
             if verify:
-                frame = verify_frame_equations(seq, h, z, fd)
                 for a in range(t + 1):
                     residuals[f"frame_minus_{a}"] = frame.minus[a]
                     residuals[f"frame_plus_{a}"] = frame.plus[a]
-                for a, v in enumerate(kahler_check(seq, h, z, fd)):
+                for a, v in enumerate(kahler):
                     residuals[f"kahler_{a}"] = v
             return PointRecord(z, "ok", residuals, values)
         except TodaframesError as exc:

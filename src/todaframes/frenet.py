@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "build_osculating",
     "connection_coefficients",
     "frame_at",
+    "frame_checks",
     "induced_metric",
     "kahler_check",
     "linear_fullness",
@@ -307,27 +308,29 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     )
 
 
-def _frame_field(seq, h) -> Callable[[complex], FrenetPointData]:
-    return memoized(lambda w: frame_at(seq, h, w))
-
-
-def verify_frame_equations(
+def frame_checks(
     seq: OsculatingSequence,
     h: HermitianMetric,
     z: complex,
     fd_step: float = DEFAULT_STEP,
-) -> FrameResiduals:
-    """Defect norms of the two frame equations at a point.
+) -> tuple[FrenetPointData, FrameResiduals, tuple[float, ...]]:
+    """Frame data, frame equation defects and potential defects at a point.
 
-    The minus equation expresses the z derivative of each block through
-    its own gram block and the next block; the plus equation (zbar
+    One memoized frame field serves all three: the point's own data and
+    both stencils read it, so the frame is computed once at each of the
+    five stencil points z, z +- fd_step and z +- i fd_step.
+
+    The minus frame equation expresses the z derivative of each block
+    through its own gram block and the next block; the plus equation (zbar
     derivative) reaches back to the previous block through D.  Both are
-    checked with central difference Wirtinger stencils, every stencil
-    point sharing one frame evaluation.
+    checked with central difference Wirtinger stencils.  The potential
+    identity asks the mixed second derivative of ln det beta_a, a five
+    point Laplacian, to equal g_a - g_{a-1}, with the boundary values
+    g_{-1} = g_t = 0.
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    field = _frame_field(seq, h)
+    field = memoized(lambda w: frame_at(seq, h, w))
     data = field(z)
     t = data.t
 
@@ -352,8 +355,31 @@ def verify_frame_equations(
                 @ data.betas[a]
             )
         res_plus.append(float(np.linalg.norm(dphi_p - rhs_p)))
+    frame = FrameResiduals(z=complex(z), minus=tuple(res_minus), plus=tuple(res_plus))
 
-    return FrameResiduals(z=complex(z), minus=tuple(res_minus), plus=tuple(res_plus))
+    gs = [induced_metric(data, a) for a in range(t)]
+    kahler = []
+    for a in range(t + 1):
+        lhs = d_plus_d_minus(
+            lambda w, a=a: float(np.linalg.slogdet(field(w).betas[a])[1]), z, fd_step
+        )
+        rhs = (gs[a] if a < t else 0.0) - (gs[a - 1] if a >= 1 else 0.0)
+        kahler.append(abs(float(np.real(lhs)) - rhs))
+    return data, frame, tuple(kahler)
+
+
+def verify_frame_equations(
+    seq: OsculatingSequence,
+    h: HermitianMetric,
+    z: complex,
+    fd_step: float = DEFAULT_STEP,
+) -> FrameResiduals:
+    """Defect norms of the two frame equations at a point.
+
+    The middle part of ``frame_checks``; it evaluates the frame at the five
+    stencil points of z, once each.
+    """
+    return frame_checks(seq, h, z, fd_step)[1]
 
 
 def induced_metric(data: FrenetPointData, a: int) -> float:
@@ -379,25 +405,10 @@ def kahler_check(
 ) -> tuple[float, ...]:
     """Per level defect of the potential identity at a point.
 
-    The mixed second derivative of ln det beta_a must equal g_a − g_{a−1},
-    with the boundary values g_{−1} = g_t = 0.  The mixed derivative uses
-    the five point Laplacian over a shared memoized frame field.
+    The last part of ``frame_checks``; it evaluates the frame at the five
+    stencil points of z, once each.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    field = _frame_field(seq, h)
-    data = field(z)
-    t = data.t
-    gs = [induced_metric(data, a) for a in range(t)]
-
-    out = []
-    for a in range(t + 1):
-        lhs = d_plus_d_minus(
-            lambda w, a=a: float(np.linalg.slogdet(field(w).betas[a])[1]), z, fd_step
-        )
-        rhs = (gs[a] if a < t else 0.0) - (gs[a - 1] if a >= 1 else 0.0)
-        out.append(abs(float(np.real(lhs)) - rhs))
-    return tuple(out)
+    return frame_checks(seq, h, z, fd_step)[2]
 
 
 def connection_coefficients(

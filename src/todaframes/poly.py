@@ -180,9 +180,14 @@ def _as_scalar(value) -> GaussianRational:
 
 
 class Poly:
-    """A polynomial in one variable over the Gaussian rationals."""
+    """A polynomial in one variable over the Gaussian rationals.
 
-    __slots__ = ("coeffs",)
+    The coefficients as Python complex numbers are converted on the first
+    numerical evaluation and kept in a private slot, so repeated
+    evaluation does no ``Fraction`` work.
+    """
+
+    __slots__ = ("coeffs", "_complex")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_scalar(c) for c in coeffs]
@@ -307,10 +312,19 @@ class Poly:
             return self.monic()
         return self.exact_div(poly_gcd(self, self.derivative())).monic()
 
+    def _complex_coeffs(self) -> tuple[complex, ...]:
+        """The coefficients as complex numbers, ascending, converted once."""
+        try:
+            return self._complex
+        except AttributeError:
+            cs = tuple(c.to_complex() for c in self.coeffs)
+            object.__setattr__(self, "_complex", cs)
+            return cs
+
     def evaluate(self, z: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.to_complex()
+        for c in reversed(self._complex_coeffs()):
+            acc = acc * z + c
         return acc
 
     def evaluate_exact(self, c: GaussianRational) -> GaussianRational:
@@ -580,8 +594,8 @@ class PolyMatrix:
         coeff = np.zeros((deg + 1, self.rows, self.cols), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                for m, c in enumerate(e.coeffs):
-                    coeff[m, i, j] = c.to_complex()
+                for m, c in enumerate(e._complex_coeffs()):
+                    coeff[m, i, j] = c
         for m in range(deg, -1, -1):
             out = out * pts[:, None, None] + coeff[m]
         return out

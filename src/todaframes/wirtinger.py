@@ -45,9 +45,12 @@ def d_plus_d_minus(f: Callable, z: complex, step: float = DEFAULT_STEP):
 def memoized(f: Callable) -> Callable:
     """Cache field values by evaluation point.
 
-    Derivative stencils at neighbouring grid points share evaluations;
-    caching makes composite checks over a grid close to free.  The cache
-    lives for the lifetime of the returned callable.
+    Several stencils around one point read the same field values: the
+    frame checks of a grid point build one memoized field and reuse it
+    for the point's own data, the frame equations and the potential
+    identity.  Stencils around different grid points share no values
+    unless the grid spacing is as small as the step.  The cache lives for
+    the lifetime of the returned callable.
     """
     cache: dict[complex, object] = {}
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from todaframes import cli, frenet
 from todaframes.cli import (
     GridSpec,
     PointRecord,
@@ -136,6 +137,29 @@ class TestFrenetModes:
             assert name in p.residuals
         assert report.max_residual < 1e-5
         assert report.exit_code() == 0
+
+    def test_one_frame_evaluation_per_stencil_point(self, monkeypatch):
+        # verify-frenet reads a point and its four stencil neighbours from
+        # one frame field; plain frenet evaluates each point once
+        calls = []
+        original = frenet.frame_at
+
+        def counted(seq, h, z):
+            calls.append(complex(z))
+            return original(seq, h, z)
+
+        monkeypatch.setattr(frenet, "frame_at", counted)
+        monkeypatch.setattr(cli, "frame_at", counted)
+        cubic = [[[1]], [[0, 1]], [[0, 0, 1]], [[0, 0, 0, 1]]]
+        grid = {"radius": 0.5, "nx": 2, "ny": 2}
+        report = run({"mode": "verify-frenet", "curve": cubic, "grid": grid})
+        assert report.summary["points_ok"] == 4
+        assert len(calls) == 5 * 4
+        assert len(set(calls)) == len(calls)
+        calls.clear()
+        report = run({"mode": "frenet", "curve": cubic, "grid": grid})
+        assert report.summary["points_ok"] == 4
+        assert calls == [p.z for p in report.points]
 
     def test_rank_drop_points_are_excluded(self):
         # (z, z^2) drops rank at the origin, which the default grid contains

@@ -13,6 +13,7 @@ from todaframes.frenet import (
     build_osculating,
     connection_coefficients,
     frame_at,
+    frame_checks,
     induced_metric,
     kahler_check,
     linear_fullness,
@@ -259,6 +260,50 @@ class TestFrameEquations:
         h = HermitianMetric(np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
         rep = verify_frame_equations(seq, h, 0.25 - 0.3j, 1e-4)
         assert rep.max_residual < 1e-6
+
+
+def normal_curve(degree: int) -> PolyMatrix:
+    """The rational normal curve (1, z, ..., z^degree)."""
+    return PolyMatrix([[[0] * m + [1]] for m in range(degree + 1)])
+
+
+def same_frame_data(a, b) -> bool:
+    arrays = ("phis", "betas", "b_sub", "d_super")
+    return (
+        a.z == b.z
+        and a.partition == b.partition
+        and a.b_solve_residual == b.b_solve_residual
+        and all(
+            len(getattr(a, f)) == len(getattr(b, f))
+            and all(np.array_equal(x, y) for x, y in zip(getattr(a, f), getattr(b, f)))
+            for f in arrays
+        )
+    )
+
+
+class TestFrameChecks:
+    """One frame field per point gives the same numbers as separate checks."""
+
+    @pytest.mark.parametrize("which", ["normal4", "lift57"])
+    def test_equals_standalone_checks(self, which):
+        if which == "normal4":
+            xi, h = normal_curve(4), HermitianMetric.identity(5)
+        else:
+            xi, h = random_lift(np.random.default_rng(57), 4, 2, 2), HermitianMetric.identity(4)
+        seq = build_osculating(xi)
+        for z in (0.3 + 0.2j, -0.25 + 0.1j, 0.4j, 0.0):
+            data, frame, kahler = frame_checks(seq, h, z, 1e-4)
+            assert same_frame_data(data, frame_at(seq, h, z))
+            assert frame == verify_frame_equations(seq, h, z, 1e-4)
+            assert kahler == kahler_check(seq, h, z, 1e-4)
+            assert len(frame.minus) == len(frame.plus) == len(kahler) == seq.t + 1
+
+    @pytest.mark.parametrize("check", [frame_checks, verify_frame_equations, kahler_check])
+    @pytest.mark.parametrize("step", [0.0, -1.0])
+    def test_rejects_nonpositive_step(self, check, step):
+        seq = build_osculating(line_curve())
+        with pytest.raises(ValueError, match="fd_step"):
+            check(seq, I2, 0.1, step)
 
 
 class TestInducedMetric:

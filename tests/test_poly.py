@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,80 @@ class TestPolyMatrix:
         m = PolyMatrix.from_columns([c0, c1])
         assert m.shape == (2, 2)
         assert m.column_at(0) == c0 and m.column_at(1) == c1
+
+
+def random_gaussian_poly(rng, degree) -> Poly:
+    """Random Gaussian rational coefficients; degree -1 is the zero polynomial."""
+    coeffs = [
+        GaussianRational(
+            Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40))),
+            Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 40))),
+        )
+        for _ in range(degree + 1)
+    ]
+    if coeffs and coeffs[-1].is_zero:
+        coeffs[-1] = GaussianRational(1)
+    return Poly(coeffs)
+
+
+def reference_evaluate(p: Poly, z) -> complex:
+    """Horner's rule converting every coefficient at every step."""
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * z + c.to_complex()
+    return acc
+
+
+def reference_evaluate_many(m: PolyMatrix, points) -> np.ndarray:
+    pts = np.asarray(points, dtype=complex).ravel()
+    deg = max((e.degree for row in m.entries for e in row), default=-1)
+    out = np.zeros((pts.size, m.rows, m.cols), dtype=complex)
+    if deg < 0:
+        return out
+    coeff = np.zeros((deg + 1, m.rows, m.cols), dtype=complex)
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            for k, c in enumerate(e.coeffs):
+                coeff[k, i, j] = c.to_complex()
+    for k in range(deg, -1, -1):
+        out = out * pts[:, None, None] + coeff[k]
+    return out
+
+
+def bits(z) -> bytes:
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+EVAL_POINTS = (0.0, 1.0, -0.37, 2.5, 1e-3, 0.3 + 0.7j, -1.2 - 0.45j, 1e-3j, 1 / 3 + 2j, np.complex128(0.6 - 0.2j))
+
+
+class TestNumericEvaluation:
+    """Evaluation reads coefficients converted once, with unchanged results."""
+
+    def test_evaluate_is_bit_identical_to_reference(self):
+        rng = np.random.default_rng(2024)
+        polys = [Poly(), Poly.one(), Poly.of(Fraction(-2, 3)), Poly.of((0, 1))]
+        polys += [random_gaussian_poly(rng, d) for d in range(7) for _ in range(4)]
+        for p in polys:
+            for z in EVAL_POINTS:
+                expected = bits(reference_evaluate(p, z))
+                assert bits(p.evaluate(z)) == expected
+                assert bits(p.evaluate(z)) == expected  # read from the cache
+
+    def test_matrix_evaluation_is_bit_identical_to_reference(self):
+        rng = np.random.default_rng(2025)
+        for rows, cols in ((1, 1), (3, 2), (2, 4)):
+            m = PolyMatrix(
+                [[random_gaussian_poly(rng, int(rng.integers(-1, 7))) for _ in range(cols)] for _ in range(rows)]
+            )
+            pts = np.array([complex(z) for z in EVAL_POINTS])
+            expected = reference_evaluate_many(m, pts)
+            for _ in range(2):
+                assert m.evaluate_many(pts).tobytes() == expected.tobytes()
+            for z in EVAL_POINTS:
+                pointwise = np.array([[reference_evaluate(e, z) for e in row] for row in m.entries])
+                assert m.evaluate(z).tobytes() == pointwise.astype(complex).tobytes()
 
 
 class TestFactorZeros:
