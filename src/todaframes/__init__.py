@@ -17,7 +17,6 @@ from .errors import (
     IntegrationDiverged,
     NotConstantRank,
     SingularBeta,
-    SingularFrame,
     TodaframesError,
     ZeroFunction,
 )
@@ -55,11 +54,8 @@ from .poly import (
     GaussianRational,
     Poly,
     PolyMatrix,
-    RationalFunc,
-    RationalMatrix,
     adjoin_columns,
     constant_rank_reduce,
-    dual_frame,
     factor_zeros,
     minor_gcd,
     rank_complete,
@@ -69,7 +65,6 @@ from .toda import (
     TodaSolution,
     check_phi_relation,
     integrate_mu,
-    solution_gamma_field,
     solve,
     toda_residual,
     zero_curvature_check,

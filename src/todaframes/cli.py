@@ -62,7 +62,6 @@ from .poly import GaussianRational, Poly, PolyMatrix
 from .toda import (
     TodaProblem,
     residual_stencil,
-    solution_gamma_field,
     solve,
     toda_residual,
     zero_curvature_check,
@@ -610,29 +609,24 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
         raise ConfigError("seeds.gamma_plus", "required outside hermitian mode")
     pts = cfg.grid.points()
     fd = cfg.tolerances.fd_step
-    bp, steps = cfg.integration.basepoint, cfg.integration.steps
+    # one batch solves the grid points with every stencil point their
+    # residual checks read; each stencil starts with its own grid point
+    stencils = {z: residual_stencil(z, fd) for z in pts}
     try:
         sol = solve(
             problem,
             cfg.gamma_minus,
-            pts,
+            list(dict.fromkeys(w for stencil in stencils.values() for w in stencil)),
             g0=cfg.g0,
-            basepoint=bp,
-            steps=steps,
+            basepoint=cfg.integration.basepoint,
+            steps=cfg.integration.steps,
             gamma_plus=cfg.gamma_plus,
         )
     except (ValueError, TodaframesError) as exc:
         raise ConfigError("seeds", str(exc)) from None
-    field_fn = solution_gamma_field(
-        problem, cfg.gamma_minus, basepoint=bp, steps=steps, gamma_plus=cfg.gamma_plus
-    )
-    try:
-        warm_pts: list[complex] = []
-        for i in sol.ok_indices:
-            warm_pts.extend(residual_stencil(sol.grid[i], fd))
-        field_fn.warm(warm_pts)
-    except TodaframesError:
-        pass  # per point warming below isolates the failing stencils
+    failures = dict(zip(sol.grid, sol.failures))
+    gammas = dict(zip(sol.grid, sol.gamma))
+    phis = dict(zip(sol.grid, sol.phi))
 
     if cfg.g0 is not None:
         h_eff = cfg.g0.conj().T @ cfg.g0
@@ -648,11 +642,10 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
         for a in range(count - 1)
     ]
 
-    def one(i: int) -> PointRecord:
-        z = sol.grid[i]
-        if sol.failures[i] is not None:
-            return PointRecord(z, f"failed: {sol.failures[i]}", {}, {})
-        gamma, phi = sol.gamma[i], sol.phi[i]
+    def one(z: complex) -> PointRecord:
+        if failures[z] is not None:
+            return PointRecord(z, f"failed: {failures[z]}", {}, {})
+        gamma, phi = gammas[z], phis[z]
         scale = max(1e-300, float(np.linalg.norm(gamma)))
         # both identities hold only in hermitian mode; elsewhere they are
         # reported, not gated
@@ -675,13 +668,17 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
                     )
                 )
             )
+        hole = next((w for w in stencils[z] if failures[w] is not None), None)
+        if hole is not None:
+            return PointRecord(
+                z, f"failed: stencil: {hole:g}: {failures[hole]}", residuals, values
+            )
         try:
-            field_fn.warm(residual_stencil(z, fd))
-            for a, v in enumerate(toda_residual(problem, field_fn, z, fd)):
+            for a, v in enumerate(toda_residual(problem, gammas.__getitem__, z, fd)):
                 residuals[f"toda_{a}"] = v
             if with_curvature:
                 residuals["zero_curvature"] = zero_curvature_check(
-                    problem, field_fn, z, fd
+                    problem, gammas.__getitem__, z, fd
                 )
         except TodaframesError as exc:
             return PointRecord(
@@ -689,7 +686,7 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
             )
         return PointRecord(z, "ok", residuals, values)
 
-    records = [one(i) for i in range(len(pts))]
+    records = [one(z) for z in pts]
     summary = {
         "hermitian_mode": cfg.hermitian_mode,
         "failure_fraction": sum(1 for r in records if not r.ok) / max(1, len(records)),

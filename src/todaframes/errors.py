@@ -33,10 +33,6 @@ class AlreadyFull(TodaframesError):
     """A constant rank set already spans the ambient space."""
 
 
-class SingularFrame(TodaframesError):
-    """The determinant of a square polynomial frame vanishes identically."""
-
-
 class NotConstantRank(TodaframesError):
     """A set of polynomial columns fails the exact constant rank certificate."""
 

@@ -33,7 +33,6 @@ from .linalg import COND_LIMIT, BlockStructure, HermitianMetric
 from .poly import (
     Poly,
     PolyMatrix,
-    RationalMatrix,
     adjoin_columns,
     constant_rank_reduce,
     minor_gcd,
@@ -66,15 +65,16 @@ class OsculatingSequence:
     B_{t+1,t} is identically zero (the chain has terminated).  rank_drop is
     a monic polynomial whose roots are exactly the points where the input
     column set drops below its generic rank; it is 1 for constant rank
-    input.  reduction holds the exact change of basis from the input
-    columns to xi_0 when a reduction was necessary.
+    input.  reduction holds the exact change of basis when a reduction
+    was necessary: the polynomial matrix d with xi_0 @ d equal to the
+    input columns.
     """
 
     xis: tuple[PolyMatrix, ...]
     bcoeffs: tuple[tuple[PolyMatrix, ...], ...]
     partition: BlockStructure
     rank_drop: Poly
-    reduction: RationalMatrix | None = None
+    reduction: PolyMatrix | None = None
 
     @property
     def t(self) -> int:

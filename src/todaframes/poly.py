@@ -8,10 +8,10 @@ needed to manufacture constant rank column sets:
 
 * ``factor_zeros`` divides a column by the monic gcd of its entries,
 * ``constant_rank_reduce`` replaces a column set by a constant rank set
-  spanning the same module, together with the exact change of basis,
+  spanning the same module, together with the exact polynomial change of
+  basis,
 * ``rank_complete`` extends a constant rank set to a full frame whose
-  determinant is a nonzero constant,
-* ``dual_frame`` returns the exact inverse rows of a full frame.
+  determinant is a nonzero constant.
 
 All exact elimination runs on two kernels.  Over the polynomial ring it is
 ``PolyMatrix.det``, fraction free (Bareiss) elimination: minors, minor
@@ -39,19 +39,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AlreadyFull, NotConstantRank, SingularFrame, ZeroFunction
+from .errors import AlreadyFull, NotConstantRank, ZeroFunction
 
 __all__ = [
     "GaussianRational",
     "Poly",
-    "RationalFunc",
     "PolyMatrix",
-    "RationalMatrix",
     "factor_zeros",
     "adjoin_columns",
     "constant_rank_reduce",
     "rank_complete",
-    "dual_frame",
     "minor_gcd",
     "poly_gcd",
     "poly_gcd_many",
@@ -382,98 +379,6 @@ def poly_gcd_many(ps: Iterable[Poly]) -> Poly:
     return g
 
 
-class RationalFunc:
-    """A reduced ratio of polynomials with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = Poly.one() if den is None else _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Poly(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lead = den.lead
-            num, den = num.scale(_GR_ONE / lead), den.scale(_GR_ONE / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunc is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == Poly.one()
-
-    def to_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.num
-
-    def evaluate(self, z: complex) -> complex:
-        return self.num.evaluate(z) / self.den.evaluate(z)
-
-    def __add__(self, other):
-        o = _as_rational(other)
-        return RationalFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other):
-        return _as_rational(other) - self
-
-    def __mul__(self, other):
-        o = _as_rational(other)
-        return RationalFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_rational(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return _as_rational(other) / self
-
-    def __eq__(self, other):
-        try:
-            o = _as_rational(other)
-        except TypeError:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.is_polynomial:
-            return f"RF({self.num!r})"
-        return f"RF({self.num!r} / {self.den!r})"
-
-
-def _as_rational(value) -> RationalFunc:
-    if isinstance(value, RationalFunc):
-        return value
-    return RationalFunc(_as_poly(value))
-
-
 class PolyMatrix:
     """A rows by cols matrix of polynomials."""
 
@@ -683,78 +588,6 @@ def _entry_as_poly(e) -> Poly:
     if isinstance(e, (list, tuple)):
         return Poly(e)
     return _as_poly(_as_scalar(e))
-
-
-class RationalMatrix:
-    """A matrix of rational functions, mainly for dual frames."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_as_rational(e) for e in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("RationalMatrix needs at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows in RationalMatrix")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def from_poly_matrix(cls, m: PolyMatrix) -> "RationalMatrix":
-        return cls([[RationalFunc(e) for e in row] for row in m.entries])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def entry(self, i: int, j: int) -> RationalFunc:
-        return self.entries[i][j]
-
-    def evaluate(self, z: complex) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.evaluate(z)
-        return out
-
-    def __matmul__(self, other) -> "RationalMatrix":
-        if isinstance(other, PolyMatrix):
-            other = RationalMatrix.from_poly_matrix(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RationalFunc(Poly())
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RationalMatrix(out)
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zero = RationalFunc(Poly.one()), RationalFunc(Poly())
-        return all(
-            self.entries[i][j] == (one if i == j else zero)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 def _require_column(f: PolyMatrix, name: str = "column"):
@@ -970,7 +803,7 @@ def adjoin_columns(
 
 def constant_rank_reduce(
     fs: Sequence[PolyMatrix],
-) -> tuple[list[PolyMatrix], RationalMatrix]:
+) -> tuple[list[PolyMatrix], PolyMatrix]:
     """Replace columns by a constant rank set with the same span.
 
     Returns (gs, d) with every f equal to the combination of gs by the
@@ -989,9 +822,7 @@ def constant_rank_reduce(
     cert = minor_gcd(gs)
     if cert != Poly.one():
         raise NotConstantRank(f"certificate gcd is {cert!r}, expected 1")
-    d = RationalMatrix(
-        [[RationalFunc(coeff_cols[a][b]) for a in range(len(fs))] for b in range(len(gs))]
-    )
+    d = PolyMatrix([[coeff_cols[a][b] for a in range(len(fs))] for b in range(len(gs))])
     return gs, d
 
 
@@ -1039,34 +870,3 @@ def rank_complete(gs: Sequence[PolyMatrix], n: int) -> list[PolyMatrix]:
     if full_det.degree != 0:
         raise NotConstantRank(f"completed frame determinant {full_det!r} is not constant")
     return chosen
-
-
-def dual_frame(fs: Sequence[PolyMatrix]) -> RationalMatrix:
-    """Rows of the exact inverse of a full polynomial frame.
-
-    Row i pairs to 1 against column i and to 0 against the others.  Raises
-    SingularFrame when the determinant vanishes identically; a determinant
-    with isolated zeros yields rational rows with poles there.
-    """
-    fs = list(fs)
-    n = len(fs)
-    for f in fs:
-        _require_column(f)
-    if any(f.rows != n for f in fs):
-        raise ValueError("need n columns of height n")
-    frame = PolyMatrix.from_columns(fs)
-    det = frame.det()
-    if det.is_zero:
-        raise SingularFrame("frame determinant vanishes identically")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # inverse entry (i, j) is the (j, i) cofactor over the determinant
-            minor_rows = [r for r in range(n) if r != j]
-            minor_cols = [c for c in range(n) if c != i]
-            minor = frame.submatrix(minor_rows, minor_cols).det() if n > 1 else Poly.one()
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(RationalFunc(minor if sign == 1 else -minor, det))
-        rows.append(row)
-    return RationalMatrix(rows)

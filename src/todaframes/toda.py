@@ -15,9 +15,11 @@ block triangular and nilpotent, and the Picard series of mu ends after
 count - 1 terms (count is the number of blocks).  Each term is a nested
 integral along a straight leg, taken on Gauss-Legendre nodes; a leg
 whose integrand the nodes do not resolve is cut in halves, and a leg
-still unresolved after the allowed number of pieces fails its endpoint.  In hermitian mode the plus data is derived from the minus
-data, the quotient is hermitian positive definite, and the assembled
-gamma is hermitian with phi^dagger h phi = gamma.
+still unresolved after the allowed number of pieces fails its endpoint.
+
+In hermitian mode the plus data is derived from the minus data, the
+quotient is hermitian positive definite, and the assembled gamma is
+hermitian with phi^dagger h phi = gamma.
 
 Derivative convention, as everywhere in the package: the minus derivative
 is d/dz, the plus derivative is d/dzbar.
@@ -48,7 +50,6 @@ __all__ = [
     "check_phi_relation",
     "integrate_mu",
     "residual_stencil",
-    "solution_gamma_field",
     "solve",
     "toda_residual",
     "zero_curvature_check",
@@ -485,57 +486,13 @@ def solve(
     )
 
 
-def solution_gamma_field(
-    problem: TodaProblem,
-    gamma_minus: PolyMatrix,
-    basepoint: complex = 0.0,
-    steps: int = 1000,
-    gamma_plus: PolyMatrix | None = None,
-) -> Callable[[complex], np.ndarray]:
-    """The solution gamma as a cached field for derivative stencils.
-
-    The returned callable solves per point on demand; its warm(points)
-    attribute solves many points in one batch and fills the cache, which
-    turns residual grids from hundreds of transports into a handful of
-    batched ones.  steps has the meaning it has in solve.  Failures inside
-    a stencil raise rather than record, since a field with holes cannot be
-    differentiated honestly; warm caches every point of its batch that
-    did solve before it raises for the first one that did not.
-    """
-    sol_kwargs = dict(basepoint=basepoint, steps=steps, gamma_plus=gamma_plus)
-    cache: dict[complex, np.ndarray] = {}
-
-    def compute(points: Sequence[complex]) -> None:
-        fresh = list(dict.fromkeys(complex(p) for p in points if complex(p) not in cache))
-        if not fresh:
-            return
-        sol = solve(problem, gamma_minus, fresh, **sol_kwargs)
-        for p, g in zip(sol.grid, sol.gamma):
-            if g is not None:
-                cache[p] = g
-        for p, fail in zip(sol.grid, sol.failures):
-            if fail is not None:
-                raise GaussDecompositionFailed(
-                    -1, f"gamma field undefined at {p:g} ({fail})"
-                )
-
-    def field(z: complex) -> np.ndarray:
-        key = complex(z)
-        if key not in cache:
-            compute([key])
-        return cache[key]
-
-    field.warm = compute
-    return field
-
-
 def residual_stencil(z: complex, fd_step: float = DEFAULT_STEP) -> list[complex]:
     """Every point a residual check may query around z.
 
     Mirrors the nested central difference stencils used by toda_residual
     and zero_curvature_check, including the exact floating point
-    arithmetic, so warming a field over these points makes the checks pure
-    cache lookups.
+    arithmetic, so a field known at these points, such as a dict filled
+    from one solve over them, answers every query of both checks.
     """
     z = complex(z)
     outer = [z + fd_step, z - fd_step, z + 1j * fd_step, z - 1j * fd_step]

@@ -37,7 +37,6 @@ from todaframes.toda import (
     check_phi_relation,
     integrate_mu,
     residual_stencil,
-    solution_gamma_field,
     solve,
     toda_residual,
 )
@@ -217,14 +216,14 @@ def test_toda_solution_construction(capsys):
         phi_defect = check_phi_relation(sol, problem)
         assert phi_defect < 1e-8, f"phi relation defect {phi_defect:.3e}"
 
-        field = solution_gamma_field(problem, seed, steps=1000)
-        warm = []
-        for i in sol.ok_indices:
-            warm.extend(residual_stencil(sol.grid[i], 1e-4))
-        field.warm(warm)
+        ok = [sol.grid[i] for i in sol.ok_indices]
+        stencils = [residual_stencil(z, 1e-4) for z in ok]
+        union = solve(problem, seed, list(dict.fromkeys(w for s in stencils for w in s)), steps=1000)
+        gamma = dict(zip(union.grid, union.gamma))
         worst = 0.0
-        for i in sol.ok_indices:
-            worst = max(worst, max(toda_residual(problem, field, sol.grid[i], fd_step=1e-4)))
+        for z, stencil in zip(ok, stencils):
+            assert all(gamma[w] is not None for w in stencil), f"stencil failed around {z:g}"
+            worst = max(worst, max(toda_residual(problem, gamma.__getitem__, z, fd_step=1e-4)))
         assert worst < 1e-5, f"worst Toda residual {worst:.3e}"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from todaframes.cli import (
 )
 from todaframes.errors import ConfigError
 from todaframes.poly import GaussianRational
+from todaframes.toda import residual_stencil
 
 
 LINE_CURVE = [[[1]], [[0, 1]]]  # the column (1, z)
@@ -205,6 +207,67 @@ class TestTodaModes:
         for p in report.points:
             assert p.ok
             assert p.residuals["zero_curvature"] < 1e-5
+
+    def test_one_solve_per_job(self, monkeypatch):
+        # the grid points and every stencil point their residual checks read
+        # are solved together, each point once
+        batches = []
+        original = cli.solve
+
+        def counted(problem, gamma_minus, grid, **kwargs):
+            batches.append([complex(w) for w in grid])
+            return original(problem, gamma_minus, grid, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counted)
+        for mode in ("toda-solve", "verify-toda"):
+            batches.clear()
+            cfg = dict(LINE_TODA, mode=mode, grid={"radius": 0.5, "nx": 2, "ny": 2})
+            parsed = parse_config(cfg)
+            expected = []
+            for z in parsed.grid.points():
+                for w in residual_stencil(z, parsed.tolerances.fd_step):
+                    if w not in expected:
+                        expected.append(w)
+            report = run(cfg)
+            assert report.summary["points_ok"] == 4
+            assert batches == [expected]
+
+    def test_failed_stencil_point_fails_only_its_grid_point(self, monkeypatch):
+        cfg = dict(LINE_TODA, mode="verify-toda", grid={"radius": 0.5, "nx": 2, "ny": 2})
+        clean = run(cfg)
+        target = clean.points[1]
+        # z + 2 fd_step, a neighbour that no other stencil of the grid reads
+        hole = residual_stencil(target.z, parse_config(cfg).tolerances.fd_step)[5]
+        calls = []
+        original = cli.solve
+
+        def holed(problem, gamma_minus, grid, **kwargs):
+            calls.append(len(grid))
+            sol = original(problem, gamma_minus, grid, **kwargs)
+            i = sol.grid.index(hole)
+
+            def punch(values, value):
+                return values[:i] + (value,) + values[i + 1 :]
+
+            return dataclasses.replace(
+                sol,
+                gamma=punch(sol.gamma, None),
+                phi=punch(sol.phi, None),
+                failures=punch(sol.failures, "integration: transport diverged"),
+            )
+
+        monkeypatch.setattr(cli, "solve", holed)
+        report = run(cfg)
+        assert len(calls) == 1
+        broken = report.points[1]
+        assert broken.status == f"failed: stencil: {hole:g}: integration: transport diverged"
+        assert broken.values == target.values
+        assert broken.residuals == {
+            k: v for k, v in target.residuals.items() if k in ("hermiticity", "phi_relation")
+        }
+        assert report.exit_code() == 1
+        others = [p for k, p in enumerate(report.points) if k != 1]
+        assert others == [p for k, p in enumerate(clean.points) if k != 1]
 
     def test_c_plus_rejected_in_hermitian_mode(self):
         cfg = dict(LINE_TODA)

@@ -91,6 +91,7 @@ class TestBuildOsculating:
         assert seq.xis[0] == PolyMatrix([[1], [[0, 1]]])
         assert seq.rank_drop == Z
         assert seq.reduction is not None
+        assert seq.xis[0] @ seq.reduction == xi
         assert seq.partition.sizes == (1, 1)
 
     def test_generic_rank_below_column_count(self):
@@ -107,6 +108,7 @@ class TestBuildOsculating:
         assert seq.partition.sizes == (2, 1)
         assert seq.rank_drop == Z
         assert seq.reduction is not None
+        assert seq.xis[0] @ seq.reduction == xi
 
     def test_derivative_relation_holds_exactly(self):
         rng = np.random.default_rng(31)

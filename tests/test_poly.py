@@ -8,16 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from todaframes.errors import AlreadyFull, NotConstantRank, SingularFrame, ZeroFunction
+from todaframes.errors import AlreadyFull, NotConstantRank, ZeroFunction
 from todaframes.poly import (
     GaussianRational,
     Poly,
     PolyMatrix,
-    RationalFunc,
-    RationalMatrix,
     adjoin_columns,
     constant_rank_reduce,
-    dual_frame,
     factor_zeros,
     minor_gcd,
     poly_gcd,
@@ -127,32 +124,6 @@ class TestPoly:
         p = Poly.of((1, 2), (0, 1))
         z = 0.3 - 0.8j
         assert abs(p.conjugate_coeffs().evaluate(np.conj(z)) - np.conj(p.evaluate(z))) < 1e-14
-
-
-class TestRationalFunc:
-    def test_reduction_and_monic_denominator(self):
-        r = RationalFunc(Poly.of(0, 0, 2), Poly.of(0, 4))
-        assert r == RationalFunc(Poly.of(0, Fraction(1, 2)))
-        assert r.is_polynomial
-        assert r.to_poly() == Poly.of(0, Fraction(1, 2))
-
-    def test_nontrivial_denominator(self):
-        r = RationalFunc(ONE, Z)
-        assert not r.is_polynomial
-        with pytest.raises(ValueError):
-            r.to_poly()
-        assert abs(r.evaluate(2.0) - 0.5) < 1e-15
-
-    def test_field_operations(self):
-        r = RationalFunc(ONE, Z)
-        s = RationalFunc(Z)
-        assert r * s == RationalFunc(ONE)
-        assert r + r == RationalFunc(Poly.of(2), Z)
-        assert (s / r) == RationalFunc(Z * Z)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunc(ONE, Poly())
 
 
 class TestPolyMatrix:
@@ -307,20 +278,19 @@ class TestConstantRankReduce:
     def test_single_column(self):
         gs, d = constant_rank_reduce([col(Z, Z * Z)])
         assert gs == [col(1, Z)]
-        assert d.entry(0, 0) == RationalFunc(Z)
+        assert d == PolyMatrix([[Z]])
 
     def test_already_constant_rank(self):
         gs, d = constant_rank_reduce([col(1, Z)])
         assert gs == [col(1, Z)]
-        assert d.is_identity()
+        assert d == PolyMatrix.identity(1)
 
     def test_dependent_column(self):
         f0, f1 = col(1, Z, 0), col(Z, Z * Z, 0)
         gs, d = constant_rank_reduce([f0, f1])
         assert gs == [f0]
         assert d.shape == (1, 2)
-        assert d.entry(0, 0) == RationalFunc(ONE)
-        assert d.entry(0, 1) == RationalFunc(Z)
+        assert d == PolyMatrix([[ONE, Z]])
 
     def test_correction_loop_case(self):
         # the pair is independent but drops rank at z = 1
@@ -329,10 +299,7 @@ class TestConstantRankReduce:
         assert len(gs) == 2
         assert minor_gcd(gs) == ONE
         # exact reconstruction through the change of basis
-        stacked = RationalMatrix.from_poly_matrix(PolyMatrix.from_columns(gs))
-        recon = stacked @ d
-        target = RationalMatrix.from_poly_matrix(PolyMatrix.from_columns(fs))
-        assert recon == target
+        assert PolyMatrix.from_columns(gs) @ d == PolyMatrix.from_columns(fs)
         # the change of basis is triangular for ordered adjunction
         assert d.entry(1, 0).is_zero
 
@@ -352,9 +319,7 @@ class TestConstantRankReduce:
             except NotConstantRank:
                 continue
             assert minor_gcd(gs) == ONE
-            recon = RationalMatrix.from_poly_matrix(PolyMatrix.from_columns(gs)) @ d
-            target = RationalMatrix.from_poly_matrix(PolyMatrix.from_columns(base))
-            assert recon == target
+            assert PolyMatrix.from_columns(gs) @ d == PolyMatrix.from_columns(base)
             pts = spot_points(np.random.default_rng(11))
             assert numeric_rank_everywhere(gs, pts) == len(gs)
 
@@ -419,31 +384,6 @@ class TestRankComplete:
     def test_rejects_non_constant_rank_input(self):
         with pytest.raises(NotConstantRank):
             rank_complete([col(Z, Z * Z)], 2)
-
-
-class TestDualFrame:
-    def test_unimodular_frame(self):
-        dual = dual_frame([col(1, Z), col(0, 1)])
-        assert dual.entry(0, 0) == RationalFunc(ONE)
-        assert dual.entry(0, 1) == RationalFunc(Poly())
-        assert dual.entry(1, 0) == RationalFunc(-Z)
-        assert dual.entry(1, 1) == RationalFunc(ONE)
-
-    def test_pairing_is_identity(self):
-        cols = [col(1, Z, 0), col(0, 1, Z), col(1, 0, 1)]
-        dual = dual_frame(cols)
-        prod = dual @ PolyMatrix.from_columns(cols)
-        assert prod.is_identity()
-
-    def test_rational_rows_for_nonconstant_determinant(self):
-        cols = [col(1, 0), col(0, Poly.of(1, 1))]
-        dual = dual_frame(cols)
-        assert dual.entry(1, 1) == RationalFunc(ONE, Poly.of(1, 1))
-        assert (dual @ PolyMatrix.from_columns(cols)).is_identity()
-
-    def test_identically_singular(self):
-        with pytest.raises(SingularFrame):
-            dual_frame([col(1, Z), col(2, Poly.of(0, 2))])
 
 
 class TestMinorGcd:

@@ -28,7 +28,6 @@ from todaframes.toda import (
     check_phi_relation,
     integrate_mu,
     residual_stencil,
-    solution_gamma_field,
     solve,
     toda_residual,
     zero_curvature_check,
@@ -406,11 +405,12 @@ class TestResiduals:
     def test_solver_output_satisfies_equations(self):
         p = line_problem()
         seed = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])
-        field = solution_gamma_field(p, seed)
         z = 0.3 - 0.2j
-        field.warm(residual_stencil(z))
-        assert max(toda_residual(p, field, z)) < 1e-5
-        assert zero_curvature_check(p, field, z) < 1e-5
+        sol = solve(p, seed, residual_stencil(z))
+        assert sol.failures == (None,) * len(sol.grid)
+        gamma = dict(zip(sol.grid, sol.gamma))
+        assert max(toda_residual(p, gamma.__getitem__, z)) < 1e-5
+        assert zero_curvature_check(p, gamma.__getitem__, z) < 1e-5
 
     def test_stencil_covers_both_checks(self):
         p = line_problem()
@@ -419,7 +419,7 @@ class TestResiduals:
         allowed = set(residual_stencil(z, step))
 
         def strict(w):
-            assert complex(w) in allowed, f"unwarmed point {w!r}"
+            assert complex(w) in allowed, f"point {w!r} outside residual_stencil"
             return line_gamma(w)
 
         toda_residual(p, strict, z, fd_step=step)
@@ -457,16 +457,3 @@ class TestFrenetTodaBridge:
         for z in (0.4 + 0.1j, -0.2 + 0.5j):
             assert max(toda_residual(p, field, z)) < 1e-4
             assert zero_curvature_check(p, field, z) < 1e-4
-
-    def test_line_solution_field_warm_batch(self):
-        # warming many stencils at once must agree with per point solves
-        p = line_problem()
-        seed = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])
-        field = solution_gamma_field(p, seed)
-        pts = []
-        for z in (0.1 + 0.1j, -0.3 + 0.2j):
-            pts.extend(residual_stencil(z))
-        field.warm(pts)
-        fresh = solution_gamma_field(p, seed)
-        for w in pts[:5]:
-            assert np.linalg.norm(field(w) - fresh(w)) < 1e-12
