@@ -27,7 +27,6 @@ from .frenet import (
     build_osculating,
     connection_coefficients,
     frame_at,
-    frame_checks,
     induced_metric,
     kahler_check,
     linear_fullness,
@@ -69,6 +68,6 @@ from .toda import (
     toda_residual,
     zero_curvature_check,
 )
-from .wirtinger import d_minus, d_plus, d_plus_d_minus
+from .wirtinger import d_minus, d_plus
 
 __version__ = "0.1.0"

@@ -52,9 +52,10 @@ from .errors import ConfigError, GaussDecompositionFailed, TodaframesError
 from .frenet import (
     build_osculating,
     frame_at,
-    frame_checks,
     induced_metric,
+    kahler_check,
     linear_fullness,
+    verify_frame_equations,
 )
 from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
 from .linalg import BlockStructure, HermitianMetric, gauss_decompose
@@ -107,7 +108,7 @@ class GridSpec:
 
 @dataclass
 class Tolerances:
-    fd_step: float = 1e-4
+    fd_step: float = 1e-4  # step of the Toda residual stencils only
     residual_tol: float = 1e-5
 
 
@@ -531,17 +532,13 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
     if h.n != n:
         raise ConfigError("metric_h", f"size {h.n} does not match the curve ({n} rows)")
     roots = _rank_drop_roots(seq.rank_drop)
-    fd = cfg.tolerances.fd_step
     t = seq.t
 
     def one(z: complex) -> PointRecord:
         if roots.size and np.min(np.abs(roots - z)) < RANK_DROP_RADIUS:
             return PointRecord(z, "excluded: near a rank drop point", {}, {})
         try:
-            if verify:
-                data, frame, kahler = frame_checks(seq, h, z, fd)
-            else:
-                data = frame_at(seq, h, z)
+            data = frame_at(seq, h, z)
             residuals = {"b_solve": data.b_solve_residual}
             values: dict[str, float] = {}
             for a in range(t):
@@ -549,10 +546,11 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
             for a in range(t + 1):
                 values[f"ln_det_beta_{a}"] = _ln_det(data.betas[a])
             if verify:
+                frame = verify_frame_equations(data)
                 for a in range(t + 1):
                     residuals[f"frame_minus_{a}"] = frame.minus[a]
                     residuals[f"frame_plus_{a}"] = frame.plus[a]
-                for a, v in enumerate(kahler):
+                for a, v in enumerate(kahler_check(data)):
                     residuals[f"kahler_{a}"] = v
             return PointRecord(z, "ok", residuals, values)
         except TodaframesError as exc:

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .poly import (
     minor_gcd,
     poly_gcd_many,
 )
-from .wirtinger import DEFAULT_STEP, d_minus, d_plus, d_plus_d_minus, memoized
+from .wirtinger import memoized  # noqa: F401  bench/selftest.py removes and restores frenet.memoized
 
 __all__ = [
     "ConnectionCoefficients",
@@ -48,7 +47,6 @@ __all__ = [
     "build_osculating",
     "connection_coefficients",
     "frame_at",
-    "frame_checks",
     "induced_metric",
     "kahler_check",
     "linear_fullness",
@@ -120,7 +118,9 @@ class OsculatingSequence:
 
 @dataclass(frozen=True)
 class FrenetPointData:
-    """The frame and its first order data at one point."""
+    """The frame and its first order data at one point, with the exact
+    d/dz and d/dzbar of every phi_a and beta_a and the mixed d/dz d/dzbar
+    of every beta_a."""
 
     z: complex
     partition: BlockStructure
@@ -129,6 +129,11 @@ class FrenetPointData:
     b_sub: tuple[np.ndarray, ...]
     d_super: tuple[np.ndarray, ...]
     b_solve_residual: float
+    phis_dz: tuple[np.ndarray, ...]
+    phis_dzbar: tuple[np.ndarray, ...]
+    betas_dz: tuple[np.ndarray, ...]
+    betas_dzbar: tuple[np.ndarray, ...]
+    betas_dz_dzbar: tuple[np.ndarray, ...]
 
     @property
     def t(self) -> int:
@@ -254,44 +259,84 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     )
 
 
+def _jet_mul(x: tuple, y: tuple) -> tuple:
+    """Product of two jets (value, d/dz, d/dzbar, d/dz d/dzbar) by the Leibniz rule."""
+    xv, xm, xp, xmp = x
+    yv, ym, yp, ymp = y
+    return (
+        xv @ yv,
+        xm @ yv + xv @ ym,
+        xp @ yv + xv @ yp,
+        xmp @ yv + xm @ yp + xp @ ym + xv @ ymp,
+    )
+
+
+def _jet_h(x: tuple) -> tuple:
+    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts."""
+    v, m, p, mp = x
+    return v.conj().T, p.conj().T, m.conj().T, mp.conj().T
+
+
+def _jet_inv(x: tuple) -> tuple:
+    """Inverse of a jet, from d(A^-1) = -A^-1 dA A^-1 in each direction."""
+    v, m, p, mp = x
+    iv = np.linalg.inv(v)
+    return (
+        iv,
+        -iv @ m @ iv,
+        -iv @ p @ iv,
+        iv @ (p @ iv @ m + m @ iv @ p - mp) @ iv,
+    )
+
+
 def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetPointData:
-    """Frenet frame data at a single point.
+    """Frenet frame data at a single point, with its exact derivatives.
 
     phi_0 is xi_0 itself and each later block is the previous projector
-    chain applied to its level, so the blocks are h orthogonal.  The B
-    blocks are recovered numerically from the evaluated derivative
-    relation by least squares; the system is exactly solvable, so the
-    recorded solve residual stays at rounding level and large values flag
-    a broken sequence.
+    chain applied to its level, so the blocks are h orthogonal.  Every
+    product runs on jets, the truncated hyper-dual numbers of Fike and
+    Alonso (2011), seeded by the holomorphic levels and their z
+    derivatives, so the Wirtinger derivatives of the frame and gram blocks
+    come out of the same pass.  The B blocks are recovered numerically
+    from the evaluated derivative relation by least squares; the system
+    is exactly solvable, so the recorded solve residual stays at rounding
+    level and large values flag a broken sequence.
     """
     metric = h if isinstance(h, HermitianMetric) else HermitianMetric(h)
     hm = metric.matrix
     n = seq.n
     t = seq.t
     xs = [seq.xis[a].evaluate(z) for a in range(t + 1)]
+    dxs = [seq.derivatives[a].evaluate(z) for a in range(t + 1)]
 
-    phis: list[np.ndarray] = []
-    betas: list[np.ndarray] = []
-    proj = np.eye(n, dtype=complex)
+    zero = np.zeros((n, n), dtype=complex)
+    h_jet = (hm, zero, zero, zero)
+    proj = (np.eye(n, dtype=complex), zero, zero, zero)
+    phis: list[tuple] = []  # jets of the frame and gram blocks
+    betas: list[tuple] = []
     for a in range(t + 1):
-        phi_a = xs[a] if a == 0 else proj @ xs[a]
-        beta_a = phi_a.conj().T @ hm @ phi_a
-        cond = np.linalg.cond(beta_a)
+        # xi_a is holomorphic, so its d/dzbar parts vanish
+        xi = (xs[a], dxs[a], np.zeros_like(xs[a]), np.zeros_like(xs[a]))
+        phi_a = xi if a == 0 else _jet_mul(proj, xi)
+        phi_h = _jet_h(phi_a)
+        beta_a = _jet_mul(_jet_mul(phi_h, h_jet), phi_a)
+        cond = np.linalg.cond(beta_a[0])
         if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularBeta(
-                f"gram block {a} at z={z:g} has condition {cond:.3e}"
-            )
+            raise SingularBeta(f"gram block {a} at z={z:g} has condition {cond:.3e}")
         phis.append(phi_a)
         betas.append(beta_a)
-        proj = (np.eye(n, dtype=complex) - phi_a @ np.linalg.inv(beta_a) @ phi_a.conj().T @ hm) @ proj
+        if a == t:
+            break
+        p = _jet_mul(_jet_mul(_jet_mul(phi_a, _jet_inv(beta_a)), phi_h), h_jet)
+        step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
+        proj = _jet_mul(step, proj)
 
     b_sub: list[np.ndarray] = []
     solve_residual = 0.0
     for a in range(t):
         stacked = np.hstack(xs[: a + 2])
-        rhs = seq.derivatives[a].evaluate(z)
-        sol, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        solve_residual = max(solve_residual, float(np.linalg.norm(stacked @ sol - rhs)))
+        sol, *_ = np.linalg.lstsq(stacked, dxs[a], rcond=None)
+        solve_residual = max(solve_residual, float(np.linalg.norm(stacked @ sol - dxs[a])))
         lo = seq.partition.offsets[a + 1]
         hi = lo + seq.partition.sizes[a + 1]
         b_sub.append(sol[lo:hi, :])
@@ -300,86 +345,47 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     return FrenetPointData(
         z=complex(z),
         partition=seq.partition,
-        phis=tuple(phis),
-        betas=tuple(betas),
+        phis=tuple(p[0] for p in phis),
+        betas=tuple(b[0] for b in betas),
         b_sub=tuple(b_sub),
         d_super=tuple(d_super),
         b_solve_residual=solve_residual,
+        phis_dz=tuple(p[1] for p in phis),
+        phis_dzbar=tuple(p[2] for p in phis),
+        betas_dz=tuple(b[1] for b in betas),
+        betas_dzbar=tuple(b[2] for b in betas),
+        betas_dz_dzbar=tuple(b[3] for b in betas),
     )
 
 
-def frame_checks(
-    seq: OsculatingSequence,
-    h: HermitianMetric,
-    z: complex,
-    fd_step: float = DEFAULT_STEP,
-) -> tuple[FrenetPointData, FrameResiduals, tuple[float, ...]]:
-    """Frame data, frame equation defects and potential defects at a point.
+def _defect(lhs, terms) -> float:
+    """Norm of lhs minus the sum of terms, over max(1, the largest norm); the
+    floor keeps identities whose terms are all rounding noise at zero."""
+    scale = max([1.0, float(np.linalg.norm(lhs))] + [float(np.linalg.norm(x)) for x in terms])
+    return float(np.linalg.norm(lhs - sum(terms))) / scale
 
-    One memoized frame field serves all three: the point's own data and
-    both stencils read it, so the frame is computed once at each of the
-    five stencil points z, z +- fd_step and z +- i fd_step.
+
+def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
+    """Scaled defects of the two frame equations at a point.
 
     The minus frame equation expresses the z derivative of each block
     through its own gram block and the next block; the plus equation (zbar
-    derivative) reaches back to the previous block through D.  Both are
-    checked with central difference Wirtinger stencils.  The potential
-    identity asks the mixed second derivative of ln det beta_a, a five
-    point Laplacian, to equal g_a - g_{a-1}, with the boundary values
-    g_{-1} = g_t = 0.
+    derivative) reaches back to the previous block through D.  Both sides
+    are read from the exact derivatives of the point data.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    field = memoized(lambda w: frame_at(seq, h, w))
-    data = field(z)
     t = data.t
-
-    res_minus = []
-    res_plus = []
+    res_minus, res_plus = [], []
     for a in range(t + 1):
-        dphi_m = d_minus(lambda w, a=a: field(w).phis[a], z, fd_step)
-        dbeta_m = d_minus(lambda w, a=a: field(w).betas[a], z, fd_step)
-        rhs = data.phis[a] @ np.linalg.inv(data.betas[a]) @ dbeta_m
+        terms = [data.phis[a] @ np.linalg.inv(data.betas[a]) @ data.betas_dz[a]]
         if a < t:
-            rhs = rhs + data.phis[a + 1] @ data.b_sub[a]
-        res_minus.append(float(np.linalg.norm(dphi_m - rhs)))
+            terms.append(data.phis[a + 1] @ data.b_sub[a])
+        res_minus.append(_defect(data.phis_dz[a], terms))
 
-        dphi_p = d_plus(lambda w, a=a: field(w).phis[a], z, fd_step)
-        if a == 0:
-            rhs_p = np.zeros_like(dphi_p)
-        else:
-            rhs_p = (
-                data.phis[a - 1]
-                @ np.linalg.inv(data.betas[a - 1])
-                @ data.d_super[a - 1]
-                @ data.betas[a]
-            )
-        res_plus.append(float(np.linalg.norm(dphi_p - rhs_p)))
-    frame = FrameResiduals(z=complex(z), minus=tuple(res_minus), plus=tuple(res_plus))
-
-    gs = [induced_metric(data, a) for a in range(t)]
-    kahler = []
-    for a in range(t + 1):
-        lhs = d_plus_d_minus(
-            lambda w, a=a: float(np.linalg.slogdet(field(w).betas[a])[1]), z, fd_step
-        )
-        rhs = (gs[a] if a < t else 0.0) - (gs[a - 1] if a >= 1 else 0.0)
-        kahler.append(abs(float(np.real(lhs)) - rhs))
-    return data, frame, tuple(kahler)
-
-
-def verify_frame_equations(
-    seq: OsculatingSequence,
-    h: HermitianMetric,
-    z: complex,
-    fd_step: float = DEFAULT_STEP,
-) -> FrameResiduals:
-    """Defect norms of the two frame equations at a point.
-
-    The middle part of ``frame_checks``; it evaluates the frame at the five
-    stencil points of z, once each.
-    """
-    return frame_checks(seq, h, z, fd_step)[1]
+        terms = [] if a == 0 else [
+            data.phis[a - 1] @ np.linalg.inv(data.betas[a - 1]) @ data.d_super[a - 1] @ data.betas[a]
+        ]
+        res_plus.append(_defect(data.phis_dzbar[a], terms))
+    return FrameResiduals(z=data.z, minus=tuple(res_minus), plus=tuple(res_plus))
 
 
 def induced_metric(data: FrenetPointData, a: int) -> float:
@@ -397,50 +403,40 @@ def induced_metric(data: FrenetPointData, a: int) -> float:
     return float(np.real(val))
 
 
-def kahler_check(
-    seq: OsculatingSequence,
-    h: HermitianMetric,
-    z: complex,
-    fd_step: float = DEFAULT_STEP,
-) -> tuple[float, ...]:
-    """Per level defect of the potential identity at a point.
+def kahler_check(data: FrenetPointData) -> tuple[float, ...]:
+    """Per level scaled defect of the potential identity at a point.
 
-    The last part of ``frame_checks``; it evaluates the frame at the five
-    stencil points of z, once each.
+    The mixed derivative d/dz d/dzbar of ln det beta_a, the trace
+    tr(beta^-1 ddbar beta) less tr(beta^-1 dbar beta beta^-1 d beta), must
+    equal g_a - g_{a-1}, with g_{-1} = g_t = 0.  Both traces count as terms
+    in the scaling: they grow with the condition of beta_a and cancel.
     """
-    return frame_checks(seq, h, z, fd_step)[2]
+    # g_{a-1} and g_a sit at gs[a] and gs[a + 1], between the boundary zeros
+    gs = [0.0] + [induced_metric(data, a) for a in range(data.t)] + [0.0]
+    out = []
+    for a in range(data.t + 1):
+        inv = np.linalg.inv(data.betas[a])
+        lhs = np.trace(inv @ data.betas_dz_dzbar[a]).real
+        trace = np.trace(inv @ data.betas_dzbar[a] @ inv @ data.betas_dz[a]).real
+        out.append(_defect(lhs, [trace, gs[a + 1], -gs[a]]))
+    return tuple(out)
 
 
-def connection_coefficients(
-    data: FrenetPointData, dbetas: Sequence[np.ndarray] | np.ndarray
-) -> ConnectionCoefficients:
-    """Connection coefficients assembled from point data and beta slopes.
+def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
+    """Connection coefficients assembled from point data.
 
-    dbetas holds the minus derivative of every gram block, lowest level
-    first; the lowest one alone suffices only for a single level curve, so
-    a bare matrix is accepted exactly in that case.  lambda_minus carries
-    the gram slopes on the diagonal and B below it, lambda_plus carries
-    the D data above it, and the four index arrays couple the first block
-    (fiber) to the rest (horizontal).
+    lambda_minus carries the gram slopes beta_a^-1 d beta_a on the
+    diagonal and B below it, lambda_plus carries the D data above it, and
+    the four index arrays couple the first block (fiber) to the rest
+    (horizontal).
     """
-    if isinstance(dbetas, np.ndarray):
-        if data.t != 0:
-            raise ValueError(
-                "a single beta slope determines the connection only for a "
-                "single level curve; pass one slope per level"
-            )
-        dbetas = [dbetas]
-    dbetas = [np.asarray(d, dtype=complex) for d in dbetas]
-    if len(dbetas) != data.t + 1:
-        raise ValueError(f"need {data.t + 1} beta slopes, got {len(dbetas)}")
-
     part = data.partition
     k = part.n
     lam_m = np.zeros((k, k), dtype=complex)
     lam_p = np.zeros((k, k), dtype=complex)
     for a in range(data.t + 1):
         s = part.slice(a)
-        lam_m[s, s] = np.linalg.inv(data.betas[a]) @ dbetas[a]
+        lam_m[s, s] = np.linalg.inv(data.betas[a]) @ data.betas_dz[a]
     for a in range(data.t):
         lam_m[part.slice(a + 1), part.slice(a)] = data.b_sub[a]
         lam_p[part.slice(a), part.slice(a + 1)] = (
@@ -449,7 +445,7 @@ def connection_coefficients(
 
     k0 = part.sizes[0]
     nh = k - k0
-    fiber_slope = np.linalg.inv(data.betas[0]) @ dbetas[0]
+    fiber_slope = lam_m[:k0, :k0]
     lam_m_h = lam_m[k0:, k0:]
     lam_p_h = lam_p[k0:, k0:]
     eye_f = np.eye(k0, dtype=complex)

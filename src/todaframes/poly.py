@@ -533,38 +533,6 @@ class PolyMatrix:
             prev = pivot
         return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
-    def to_coeff_lists(self) -> list[list[list[list[int]]]]:
-        """Entries as lists of [re_num, re_den, im_num, im_den] coefficients."""
-        return [
-            [
-                [
-                    [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-                    for c in e.coeffs
-                ]
-                for e in row
-            ]
-            for row in self.entries
-        ]
-
-    @classmethod
-    def from_coeff_lists(cls, rows: Sequence[Sequence[Sequence]]) -> "PolyMatrix":
-        out = []
-        for row in rows:
-            out_row = []
-            for entry in row:
-                coeffs = []
-                for c in entry:
-                    if len(c) != 4:
-                        raise ValueError(
-                            "coefficient must be [re_num, re_den, im_num, im_den]"
-                        )
-                    coeffs.append(
-                        GaussianRational(Fraction(c[0], c[1]), Fraction(c[2], c[3]))
-                    )
-                out_row.append(Poly(coeffs))
-            out.append(out_row)
-        return cls(out)
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented

@@ -156,9 +156,9 @@ def test_frame_equation_residuals(random_cases, capsys):
         for n, seq in cases:
             h = HermitianMetric.identity(n)
             for z in INTERIOR_POINTS:
-                res = verify_frame_equations(seq, h, z, fd_step=1e-4)
+                res = verify_frame_equations(frame_at(seq, h, z))
                 worst = max(worst, res.max_residual)
-        assert worst < 1e-5, f"worst frame residual {worst:.3e}"
+        assert worst < 1e-10, f"worst frame residual {worst:.3e}"
     elapsed = build_time + (time.perf_counter() - start)
     assert elapsed < 10.0, f"frame criterion took {elapsed:.2f} s with lift construction"
 
@@ -234,8 +234,8 @@ def test_kahler_identity(random_cases, capsys):
         for n, seq in cases:
             h = HermitianMetric.identity(n)
             for z in INTERIOR_POINTS:
-                worst = max(worst, max(kahler_check(seq, h, z, fd_step=1e-4)))
-        assert worst < 1e-4, f"worst Kaehler defect {worst:.3e}"
+                worst = max(worst, max(kahler_check(frame_at(seq, h, z))))
+        assert worst < 1e-10, f"worst Kaehler defect {worst:.3e}"
 
 
 def test_gradation_correctness(capsys):

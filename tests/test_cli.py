@@ -141,8 +141,8 @@ class TestFrenetModes:
         assert report.exit_code() == 0
 
     def test_one_frame_evaluation_per_stencil_point(self, monkeypatch):
-        # verify-frenet reads a point and its four stencil neighbours from
-        # one frame field; plain frenet evaluates each point once
+        # both frenet modes evaluate the frame once per point: the checks of
+        # verify-frenet read the exact derivatives from that one evaluation
         calls = []
         original = frenet.frame_at
 
@@ -156,12 +156,27 @@ class TestFrenetModes:
         grid = {"radius": 0.5, "nx": 2, "ny": 2}
         report = run({"mode": "verify-frenet", "curve": cubic, "grid": grid})
         assert report.summary["points_ok"] == 4
-        assert len(calls) == 5 * 4
-        assert len(set(calls)) == len(calls)
+        assert calls == [p.z for p in report.points]
+        assert len(set(calls)) == 4
         calls.clear()
         report = run({"mode": "frenet", "curve": cubic, "grid": grid})
         assert report.summary["points_ok"] == 4
         assert calls == [p.z for p in report.points]
+
+    def test_degree_four_normal_curve_passes_tight_tolerance(self):
+        # every identity holds on (1, z, ..., z^4); finite difference
+        # residuals failed it at every step, exact ones pass at 1e-9
+        quartic = [[[0] * m + [1]] for m in range(5)]
+        report = run(
+            {
+                "mode": "verify-frenet",
+                "curve": quartic,
+                "grid": {"radius": 0.7, "nx": 7, "ny": 7},
+                "tolerances": {"residual_tol": 1e-9},
+            }
+        )
+        assert report.summary["points_ok"] == 49
+        assert report.exit_code() == 0
 
     def test_rank_drop_points_are_excluded(self):
         # (z, z^2) drops rank at the origin, which the default grid contains

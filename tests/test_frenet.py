@@ -13,7 +13,6 @@ from todaframes.frenet import (
     build_osculating,
     connection_coefficients,
     frame_at,
-    frame_checks,
     induced_metric,
     kahler_check,
     linear_fullness,
@@ -21,7 +20,7 @@ from todaframes.frenet import (
 )
 from todaframes.linalg import BlockStructure, HermitianMetric
 from todaframes.poly import Poly, PolyMatrix
-from todaframes.wirtinger import d_minus
+from todaframes.wirtinger import d_minus, d_plus
 
 Z = Poly.x()
 I2 = HermitianMetric.identity(2)
@@ -235,12 +234,12 @@ class TestFrameAt:
 class TestFrameEquations:
     def test_line_residuals(self):
         seq = build_osculating(line_curve())
-        rep = verify_frame_equations(seq, I2, 0.3 + 0.2j, 1e-4)
-        assert rep.max_residual < 1e-6
+        rep = verify_frame_equations(frame_at(seq, I2, 0.3 + 0.2j))
+        assert rep.max_residual < 1e-10
 
     def test_constant_curve_residuals_vanish(self):
         seq = build_osculating(PolyMatrix([[1], [1]]))
-        rep = verify_frame_equations(seq, I2, 0.5 + 0.1j, 1e-4)
+        rep = verify_frame_equations(frame_at(seq, I2, 0.5 + 0.1j))
         assert rep.max_residual < 1e-12
 
     def test_conic_grid(self):
@@ -248,20 +247,15 @@ class TestFrameEquations:
         worst = 0.0
         for x in np.linspace(-0.6, 0.6, 5):
             for y in np.linspace(-0.6, 0.6, 5):
-                rep = verify_frame_equations(seq, I3, complex(x, y), 1e-4)
+                rep = verify_frame_equations(frame_at(seq, I3, complex(x, y)))
                 worst = max(worst, rep.max_residual)
-        assert worst < 1e-5
-
-    def test_rejects_bad_step(self):
-        seq = build_osculating(line_curve())
-        with pytest.raises(ValueError):
-            verify_frame_equations(seq, I2, 0.0, 0.0)
+        assert worst < 1e-10
 
     def test_nontrivial_metric(self):
         seq = build_osculating(line_curve())
         h = HermitianMetric(np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
-        rep = verify_frame_equations(seq, h, 0.25 - 0.3j, 1e-4)
-        assert rep.max_residual < 1e-6
+        rep = verify_frame_equations(frame_at(seq, h, 0.25 - 0.3j))
+        assert rep.max_residual < 1e-10
 
 
 def normal_curve(degree: int) -> PolyMatrix:
@@ -269,43 +263,35 @@ def normal_curve(degree: int) -> PolyMatrix:
     return PolyMatrix([[[0] * m + [1]] for m in range(degree + 1)])
 
 
-def same_frame_data(a, b) -> bool:
-    arrays = ("phis", "betas", "b_sub", "d_super")
-    return (
-        a.z == b.z
-        and a.partition == b.partition
-        and a.b_solve_residual == b.b_solve_residual
-        and all(
-            len(getattr(a, f)) == len(getattr(b, f))
-            and all(np.array_equal(x, y) for x, y in zip(getattr(a, f), getattr(b, f)))
-            for f in arrays
-        )
-    )
-
-
-class TestFrameChecks:
-    """One frame field per point gives the same numbers as separate checks."""
+class TestJets:
+    """The exact derivatives of frame_at agree with finite differences."""
 
     @pytest.mark.parametrize("which", ["normal4", "lift57"])
-    def test_equals_standalone_checks(self, which):
+    def test_match_finite_differences(self, which):
         if which == "normal4":
             xi, h = normal_curve(4), HermitianMetric.identity(5)
         else:
             xi, h = random_lift(np.random.default_rng(57), 4, 2, 2), HermitianMetric.identity(4)
         seq = build_osculating(xi)
-        for z in (0.3 + 0.2j, -0.25 + 0.1j, 0.4j, 0.0):
-            data, frame, kahler = frame_checks(seq, h, z, 1e-4)
-            assert same_frame_data(data, frame_at(seq, h, z))
-            assert frame == verify_frame_equations(seq, h, z, 1e-4)
-            assert kahler == kahler_check(seq, h, z, 1e-4)
-            assert len(frame.minus) == len(frame.plus) == len(kahler) == seq.t + 1
 
-    @pytest.mark.parametrize("check", [frame_checks, verify_frame_equations, kahler_check])
-    @pytest.mark.parametrize("step", [0.0, -1.0])
-    def test_rejects_nonpositive_step(self, check, step):
-        seq = build_osculating(line_curve())
-        with pytest.raises(ValueError, match="fd_step"):
-            check(seq, I2, 0.1, step)
+        def close(jet, fd, tol):
+            return np.linalg.norm(jet - fd) <= tol * max(1.0, np.linalg.norm(fd))
+
+        def phi(a):
+            return lambda w: frame_at(seq, h, w).phis[a]
+
+        def beta(a):
+            return lambda w: frame_at(seq, h, w).betas[a]
+
+        for z in (0.3 + 0.2j, -0.25 + 0.1j, 0.4j, 0.0):
+            data = frame_at(seq, h, z)
+            for a in range(seq.t + 1):
+                assert close(data.phis_dz[a], d_minus(phi(a), z, 1e-4), 1e-5)
+                assert close(data.phis_dzbar[a], d_plus(phi(a), z, 1e-4), 1e-5)
+                assert close(data.betas_dz[a], d_minus(beta(a), z, 1e-4), 1e-5)
+                assert close(data.betas_dzbar[a], d_plus(beta(a), z, 1e-4), 1e-5)
+                mixed = d_plus(lambda u: d_minus(beta(a), u, 1e-3), z, 1e-3)
+                assert close(data.betas_dz_dzbar[a], mixed, 1e-3)
 
 
 class TestInducedMetric:
@@ -335,15 +321,15 @@ class TestInducedMetric:
 class TestKahlerCheck:
     def test_line_at_origin(self):
         seq = build_osculating(line_curve())
-        res = kahler_check(seq, I2, 0.0, 1e-4)
-        assert max(res) < 1e-6
+        res = kahler_check(frame_at(seq, I2, 0.0))
+        assert max(res) < 1e-10
 
     def test_line_unit_circle(self):
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 1.0)
         assert abs(induced_metric(data, 0) - 0.25) < 1e-12
-        res = kahler_check(seq, I2, 1.0, 1e-4)
-        assert max(res) < 1e-6
+        res = kahler_check(data)
+        assert max(res) < 1e-10
 
     def test_cubic_curve_grid(self):
         xi = PolyMatrix([[1], [[0, 1, 0, 1]], [[0, 0, 1]]])
@@ -351,8 +337,8 @@ class TestKahlerCheck:
         worst = 0.0
         for x in np.linspace(-0.4, 0.4, 3):
             for y in np.linspace(-0.4, 0.4, 3):
-                worst = max(worst, max(kahler_check(seq, I3, complex(x, y), 1e-4)))
-        assert worst < 1e-4
+                worst = max(worst, max(kahler_check(frame_at(seq, I3, complex(x, y)))))
+        assert worst < 1e-10
 
 
 class TestConnectionCoefficients:
@@ -360,7 +346,8 @@ class TestConnectionCoefficients:
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 0.0)
         # beta slopes at 0: d/dz (1+|z|^2) = zbar -> 0, same for the inverse
-        cc = connection_coefficients(data, [np.zeros((1, 1)), np.zeros((1, 1))])
+        assert np.allclose(data.betas_dz, 0)
+        cc = connection_coefficients(data)
         assert np.allclose(cc.lambda_minus, [[0, 0], [1, 0]])
         assert np.allclose(cc.lambda_plus, [[0, -1], [0, 0]])
         assert cc.big_lambda_plus[0, 0, 0, 0] == 0
@@ -370,40 +357,19 @@ class TestConnectionCoefficients:
         z = 0.3 - 0.2j
         r2 = abs(z) ** 2
         data = frame_at(seq, I2, z)
-        dbetas = [
-            np.array([[np.conj(z)]]),
-            np.array([[-np.conj(z) / (1 + r2) ** 2]]),
-        ]
-        cc = connection_coefficients(data, dbetas)
+        assert np.allclose(data.betas_dz[0], [[np.conj(z)]], atol=1e-12)
+        assert np.allclose(data.betas_dz[1], [[-np.conj(z) / (1 + r2) ** 2]], atol=1e-12)
+        cc = connection_coefficients(data)
         expected = -2 * np.conj(z) / (1 + r2)
         assert abs(cc.big_lambda_minus[0, 0, 0, 0] - expected) < 1e-12
-
-    def test_slopes_from_finite_differences(self):
-        seq = build_osculating(conic_curve())
-        z = 0.2 + 0.1j
-        field = lambda w: frame_at(seq, I3, w)
-        dbetas = [d_minus(lambda w, a=a: field(w).betas[a], z) for a in range(3)]
-        cc = connection_coefficients(frame_at(seq, I3, z), dbetas)
-        assert cc.lambda_plus[0, 0] == 0
-        assert np.allclose(np.tril(cc.lambda_plus), 0)
-        up = np.triu(cc.lambda_minus, 1)
-        assert np.allclose(up, 0)
 
     def test_constant_curve_all_zero(self):
         seq = build_osculating(PolyMatrix([[1], [2]]))
         data = frame_at(seq, I2, 0.3)
-        cc = connection_coefficients(data, np.zeros((1, 1)))
+        cc = connection_coefficients(data)
         assert np.allclose(cc.lambda_minus, 0)
         assert np.allclose(cc.lambda_plus, 0)
         assert cc.big_lambda_minus.shape == (0, 1, 1, 0)
-
-    def test_slope_count_enforced(self):
-        seq = build_osculating(line_curve())
-        data = frame_at(seq, I2, 0.0)
-        with pytest.raises(ValueError):
-            connection_coefficients(data, np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            connection_coefficients(data, [np.zeros((1, 1))] * 3)
 
 
 class TestLinearFullness:

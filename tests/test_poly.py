@@ -168,10 +168,6 @@ class TestPolyMatrix:
         )
         assert m3.det() == brute
 
-    def test_coeff_list_round_trip(self):
-        m = PolyMatrix([[[(1, 2), (0, -1)], 0], [Fraction(3, 7), [0, 0, 1]]])
-        assert PolyMatrix.from_coeff_lists(m.to_coeff_lists()) == m
-
     def test_from_columns(self):
         c0, c1 = col(1, Z), col(0, 1)
         m = PolyMatrix.from_columns([c0, c1])

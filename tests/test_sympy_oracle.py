@@ -2,7 +2,8 @@
 
 Test-only: the package never imports sympy, and this module is skipped when
 sympy is not installed.  The corpus is the five rng-57 4x2 degree-2 lifts of
-``test_frenet.py`` and the rational normal curves of degree 3 and 4.
+``test_frenet.py`` and the rational normal curves of degree 3 and 4, plus
+the column sets of ``test_poly.py``'s constant rank reduction tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from test_frenet import random_lift
 
 from todaframes.frenet import build_osculating
-from todaframes.poly import Poly, PolyMatrix, adjoin_columns, minor_gcd
+from todaframes.poly import Poly, PolyMatrix, adjoin_columns, constant_rank_reduce, minor_gcd
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -127,3 +128,30 @@ def test_dependent_coefficients_match_sympy_solve(name):
         assert pivots == tuple(range(j))
         solution = reduced.to_Matrix()[:j, j]
         assert [field.from_sympy(to_expr(c)) for c in coeffs[0]] == [field.from_sympy(e) for e in solution]
+
+
+def constant_rank_inputs():
+    """The column sets of TestConstantRankReduce in test_poly.py, same draws."""
+    def col(*entries):
+        return PolyMatrix.column(entries)
+
+    sets = [[col(Z, Z * Z)], [col(1, Z)], [col(1, Z, 0), col(Z, Z * Z, 0)], [col(1, Z), col(1, 1)]]
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        base = [col(*[Poly(rng.integers(-2, 3, size=3).tolist()) for _ in range(n)]) for _ in range(k)]
+        if not all(c.is_zero for c in base):
+            sets.append(base)
+    return sets
+
+
+def test_constant_rank_reduce_matches_sympy():
+    for fs in constant_rank_inputs():
+        gs, d = constant_rank_reduce(fs)
+        # the output is certified: its maximal minors have no common zero
+        assert sympy_minor_gcd(gs) == to_poly(1)
+        # and it rebuilds the input exactly through the change of basis
+        defect = (to_matrix(PolyMatrix.from_columns(gs)) * to_matrix(d)
+                  - to_matrix(PolyMatrix.from_columns(fs))).expand()
+        assert defect == sympy.zeros(*defect.shape)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from todaframes.wirtinger import d_minus, d_plus, d_plus_d_minus, memoized
+from todaframes.wirtinger import d_minus, d_plus, memoized
 
 
 class TestConvention:
@@ -25,14 +25,6 @@ class TestConvention:
         z0 = 1.1 + 0.7j
         assert abs(d_minus(f, z0) - np.conj(z0)) < 1e-7
         assert abs(d_plus(f, z0) - z0) < 1e-7
-        assert abs(d_plus_d_minus(f, z0) - 1.0) < 1e-7
-
-    def test_mixed_derivative_of_log_density(self):
-        # d/dzbar d/dz of ln(1 + |z|^2) is (1 + |z|^2)^(-2)
-        f = lambda z: np.log1p(abs(z) ** 2)
-        z0 = 0.5 + 0.25j
-        expected = (1 + abs(z0) ** 2) ** -2
-        assert abs(d_plus_d_minus(f, z0) - expected) < 1e-6
 
     def test_matrix_valued_fields(self):
         f = lambda z: np.array([[z, np.conj(z)], [z * np.conj(z), 1.0]])
