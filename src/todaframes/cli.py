@@ -60,13 +60,7 @@ from .frenet import (
 from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
 from .linalg import BlockStructure, HermitianMetric, gauss_decompose
 from .poly import GaussianRational, Poly, PolyMatrix
-from .toda import (
-    TodaProblem,
-    residual_stencil,
-    solve,
-    toda_residual,
-    zero_curvature_check,
-)
+from .toda import TodaProblem, solve, toda_residual, zero_curvature_check
 
 __all__ = [
     "SPEC_VERSION",
@@ -108,7 +102,6 @@ class GridSpec:
 
 @dataclass
 class Tolerances:
-    fd_step: float = 1e-4  # step of the Toda residual stencils only
     residual_tol: float = 1e-5
 
 
@@ -296,18 +289,14 @@ def parse_config(raw: dict) -> JobConfig:
         t = raw["tolerances"]
         if not isinstance(t, dict):
             raise ConfigError("tolerances", "expected an object")
-        unknown = set(t) - {"fd_step", "residual_tol"}
+        unknown = set(t) - {"residual_tol"}
         if unknown:
             raise ConfigError(f"tolerances.{sorted(unknown)[0]}", "unknown key")
         cfg.tolerances = Tolerances(
-            fd_step=_as_number(t.get("fd_step", 1e-4), "tolerances.fd_step"),
-            residual_tol=_as_number(
-                t.get("residual_tol", 1e-5), "tolerances.residual_tol"
-            ),
+            residual_tol=_as_number(t.get("residual_tol", 1e-5), "tolerances.residual_tol")
         )
-        for name in ("fd_step", "residual_tol"):
-            if getattr(cfg.tolerances, name) <= 0:
-                raise ConfigError(f"tolerances.{name}", "must be positive")
+        if cfg.tolerances.residual_tol <= 0:
+            raise ConfigError("tolerances.residual_tol", "must be positive")
 
     if "integration" in raw:
         it = raw["integration"]
@@ -606,15 +595,11 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
     if not cfg.hermitian_mode and cfg.gamma_plus is None:
         raise ConfigError("seeds.gamma_plus", "required outside hermitian mode")
     pts = cfg.grid.points()
-    fd = cfg.tolerances.fd_step
-    # one batch solves the grid points with every stencil point their
-    # residual checks read; each stencil starts with its own grid point
-    stencils = {z: residual_stencil(z, fd) for z in pts}
     try:
         sol = solve(
             problem,
             cfg.gamma_minus,
-            list(dict.fromkeys(w for stencil in stencils.values() for w in stencil)),
+            pts,
             g0=cfg.g0,
             basepoint=cfg.integration.basepoint,
             steps=cfg.integration.steps,
@@ -622,10 +607,6 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
         )
     except (ValueError, TodaframesError) as exc:
         raise ConfigError("seeds", str(exc)) from None
-    failures = dict(zip(sol.grid, sol.failures))
-    gammas = dict(zip(sol.grid, sol.gamma))
-    phis = dict(zip(sol.grid, sol.phi))
-
     if cfg.g0 is not None:
         h_eff = cfg.g0.conj().T @ cfg.g0
     else:
@@ -640,10 +621,10 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
         for a in range(count - 1)
     ]
 
-    def one(z: complex) -> PointRecord:
-        if failures[z] is not None:
-            return PointRecord(z, f"failed: {failures[z]}", {}, {})
-        gamma, phi = gammas[z], phis[z]
+    def one(z: complex, failure: str | None, jet: tuple | None, phi) -> PointRecord:
+        if failure is not None:
+            return PointRecord(z, f"failed: {failure}", {}, {})
+        gamma = jet[0]
         scale = max(1e-300, float(np.linalg.norm(gamma)))
         # both identities hold only in hermitian mode; elsewhere they are
         # reported, not gated
@@ -666,25 +647,16 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
                     )
                 )
             )
-        hole = next((w for w in stencils[z] if failures[w] is not None), None)
-        if hole is not None:
-            return PointRecord(
-                z, f"failed: stencil: {hole:g}: {failures[hole]}", residuals, values
-            )
         try:
-            for a, v in enumerate(toda_residual(problem, gammas.__getitem__, z, fd)):
+            for a, v in enumerate(toda_residual(problem, jet, z)):
                 residuals[f"toda_{a}"] = v
             if with_curvature:
-                residuals["zero_curvature"] = zero_curvature_check(
-                    problem, gammas.__getitem__, z, fd
-                )
+                residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
         except TodaframesError as exc:
-            return PointRecord(
-                z, f"failed: stencil: {type(exc).__name__}: {exc}", residuals, values
-            )
+            return PointRecord(z, f"failed: {type(exc).__name__}: {exc}", residuals, values)
         return PointRecord(z, "ok", residuals, values)
 
-    records = [one(z) for z in pts]
+    records = [one(*point) for point in zip(pts, sol.failures, sol.gamma_jets, sol.phi)]
     summary = {
         "hermitian_mode": cfg.hermitian_mode,
         "failure_fraction": sum(1 for r in records if not r.ok) / max(1, len(records)),

@@ -28,7 +28,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SingularBeta, ZeroFunction
-from .linalg import COND_LIMIT, BlockStructure, HermitianMetric
+from .linalg import (
+    COND_LIMIT,
+    BlockStructure,
+    HermitianMetric,
+    jet_h,
+    jet_inv,
+    jet_mul,
+    scaled_defect,
+)
 from .poly import (
     Poly,
     PolyMatrix,
@@ -147,11 +155,19 @@ class FrenetPointData:
     @property
     def gamma(self) -> np.ndarray:
         """Block diagonal of the gram blocks beta_a."""
+        return self.gamma_jet[0]
+
+    @property
+    def gamma_jet(self) -> tuple[np.ndarray, ...]:
+        """Jet (value, d/dz, d/dzbar, d/dz d/dzbar) of gamma, the field the
+        Toda residual checks read."""
         k = self.partition.n
-        out = np.zeros((k, k), dtype=complex)
-        for a, beta in enumerate(self.betas):
-            s = self.partition.slice(a)
-            out[s, s] = beta
+        out = tuple(np.zeros((k, k), dtype=complex) for _ in range(4))
+        parts = (self.betas, self.betas_dz, self.betas_dzbar, self.betas_dz_dzbar)
+        for x, blocks in zip(out, parts):
+            for a, beta in enumerate(blocks):
+                s = self.partition.slice(a)
+                x[s, s] = beta
         return out
 
 
@@ -259,36 +275,6 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     )
 
 
-def _jet_mul(x: tuple, y: tuple) -> tuple:
-    """Product of two jets (value, d/dz, d/dzbar, d/dz d/dzbar) by the Leibniz rule."""
-    xv, xm, xp, xmp = x
-    yv, ym, yp, ymp = y
-    return (
-        xv @ yv,
-        xm @ yv + xv @ ym,
-        xp @ yv + xv @ yp,
-        xmp @ yv + xm @ yp + xp @ ym + xv @ ymp,
-    )
-
-
-def _jet_h(x: tuple) -> tuple:
-    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts."""
-    v, m, p, mp = x
-    return v.conj().T, p.conj().T, m.conj().T, mp.conj().T
-
-
-def _jet_inv(x: tuple) -> tuple:
-    """Inverse of a jet, from d(A^-1) = -A^-1 dA A^-1 in each direction."""
-    v, m, p, mp = x
-    iv = np.linalg.inv(v)
-    return (
-        iv,
-        -iv @ m @ iv,
-        -iv @ p @ iv,
-        iv @ (p @ iv @ m + m @ iv @ p - mp) @ iv,
-    )
-
-
 def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetPointData:
     """Frenet frame data at a single point, with its exact derivatives.
 
@@ -299,8 +285,9 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     derivatives, so the Wirtinger derivatives of the frame and gram blocks
     come out of the same pass.  The B blocks are recovered numerically
     from the evaluated derivative relation by least squares; the system
-    is exactly solvable, so the recorded solve residual stays at rounding
-    level and large values flag a broken sequence.
+    is exactly solvable, so the recorded solve residual, scaled like every
+    other residual, stays at rounding level and large values flag a
+    broken sequence.
     """
     metric = h if isinstance(h, HermitianMetric) else HermitianMetric(h)
     hm = metric.matrix
@@ -317,9 +304,9 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     for a in range(t + 1):
         # xi_a is holomorphic, so its d/dzbar parts vanish
         xi = (xs[a], dxs[a], np.zeros_like(xs[a]), np.zeros_like(xs[a]))
-        phi_a = xi if a == 0 else _jet_mul(proj, xi)
-        phi_h = _jet_h(phi_a)
-        beta_a = _jet_mul(_jet_mul(phi_h, h_jet), phi_a)
+        phi_a = xi if a == 0 else jet_mul(proj, xi)
+        phi_h = jet_h(phi_a)
+        beta_a = jet_mul(jet_mul(phi_h, h_jet), phi_a)
         cond = np.linalg.cond(beta_a[0])
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularBeta(f"gram block {a} at z={z:g} has condition {cond:.3e}")
@@ -327,16 +314,16 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
         betas.append(beta_a)
         if a == t:
             break
-        p = _jet_mul(_jet_mul(_jet_mul(phi_a, _jet_inv(beta_a)), phi_h), h_jet)
+        p = jet_mul(jet_mul(jet_mul(phi_a, jet_inv(beta_a)), phi_h), h_jet)
         step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
-        proj = _jet_mul(step, proj)
+        proj = jet_mul(step, proj)
 
     b_sub: list[np.ndarray] = []
     solve_residual = 0.0
     for a in range(t):
         stacked = np.hstack(xs[: a + 2])
         sol, *_ = np.linalg.lstsq(stacked, dxs[a], rcond=None)
-        solve_residual = max(solve_residual, float(np.linalg.norm(stacked @ sol - dxs[a])))
+        solve_residual = max(solve_residual, scaled_defect(dxs[a], [stacked @ sol]))
         lo = seq.partition.offsets[a + 1]
         hi = lo + seq.partition.sizes[a + 1]
         b_sub.append(sol[lo:hi, :])
@@ -358,13 +345,6 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     )
 
 
-def _defect(lhs, terms) -> float:
-    """Norm of lhs minus the sum of terms, over max(1, the largest norm); the
-    floor keeps identities whose terms are all rounding noise at zero."""
-    scale = max([1.0, float(np.linalg.norm(lhs))] + [float(np.linalg.norm(x)) for x in terms])
-    return float(np.linalg.norm(lhs - sum(terms))) / scale
-
-
 def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
     """Scaled defects of the two frame equations at a point.
 
@@ -379,12 +359,12 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
         terms = [data.phis[a] @ np.linalg.inv(data.betas[a]) @ data.betas_dz[a]]
         if a < t:
             terms.append(data.phis[a + 1] @ data.b_sub[a])
-        res_minus.append(_defect(data.phis_dz[a], terms))
+        res_minus.append(scaled_defect(data.phis_dz[a], terms))
 
         terms = [] if a == 0 else [
             data.phis[a - 1] @ np.linalg.inv(data.betas[a - 1]) @ data.d_super[a - 1] @ data.betas[a]
         ]
-        res_plus.append(_defect(data.phis_dzbar[a], terms))
+        res_plus.append(scaled_defect(data.phis_dzbar[a], terms))
     return FrameResiduals(z=data.z, minus=tuple(res_minus), plus=tuple(res_plus))
 
 
@@ -418,7 +398,7 @@ def kahler_check(data: FrenetPointData) -> tuple[float, ...]:
         inv = np.linalg.inv(data.betas[a])
         lhs = np.trace(inv @ data.betas_dz_dzbar[a]).real
         trace = np.trace(inv @ data.betas_dzbar[a] @ inv @ data.betas_dz[a]).real
-        out.append(_defect(lhs, [trace, gs[a + 1], -gs[a]]))
+        out.append(scaled_defect(lhs, [trace, gs[a + 1], -gs[a]]))
     return tuple(out)
 
 

@@ -5,6 +5,12 @@ the pieces numpy does not provide directly: sesquilinear forms against a
 hermitian metric, a relative-threshold numerical rank, the block Gauss
 (block LDU) decomposition with unit triangular outer factors, and the
 projection onto a fixed degree of the block Z-gradation of gl(n, C).
+
+A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
+truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
+carry exact Wirtinger derivatives through products and inverses, and
+scaled_defect is the one residual scaling of both the frame and the Toda
+identities.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ __all__ = [
     "block_project",
     "block_degree",
     "block",
+    "jet_h",
+    "jet_inv",
+    "jet_mul",
+    "scaled_defect",
 ]
 
 COND_LIMIT = 1e12
@@ -75,6 +85,43 @@ class BlockStructure:
     def slice(self, a: int) -> slice:
         off = self.offsets[a]
         return slice(off, off + self.sizes[a])
+
+
+def jet_mul(x: tuple, y: tuple) -> tuple:
+    """Product of two jets by the Leibniz rule."""
+    xv, xm, xp, xmp = x
+    yv, ym, yp, ymp = y
+    return (
+        xv @ yv,
+        xm @ yv + xv @ ym,
+        xp @ yv + xv @ yp,
+        xmp @ yv + xm @ yp + xp @ ym + xv @ ymp,
+    )
+
+
+def jet_h(x: tuple) -> tuple:
+    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts."""
+    v, m, p, mp = x
+    return v.conj().T, p.conj().T, m.conj().T, mp.conj().T
+
+
+def jet_inv(x: tuple) -> tuple:
+    """Inverse of a jet, from d(A^-1) = -A^-1 dA A^-1 in each direction."""
+    v, m, p, mp = x
+    iv = np.linalg.inv(v)
+    return (
+        iv,
+        -iv @ m @ iv,
+        -iv @ p @ iv,
+        iv @ (p @ iv @ m + m @ iv @ p - mp) @ iv,
+    )
+
+
+def scaled_defect(lhs, terms) -> float:
+    """Norm of lhs minus the sum of terms, over max(1, the largest norm); the
+    floor keeps identities whose terms are all rounding noise at zero."""
+    scale = max([1.0, float(np.linalg.norm(lhs))] + [float(np.linalg.norm(x)) for x in terms])
+    return float(np.linalg.norm(lhs - sum(terms))) / scale
 
 
 def block(x: np.ndarray, blocks: BlockStructure, a: int, b: int) -> np.ndarray:

@@ -21,6 +21,12 @@ In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
 hermitian with phi^dagger h phi = gamma.
 
+Each factor has an exact derivative at its own endpoint, d mu_minus =
+mu_minus A_minus and dbar mu_plus = mu_plus A_plus, so the quotient, the
+Schur complements that make up its block diagonal factor, and gamma carry
+exact jets (value, d/dz, d/dzbar, d/dz d/dzbar) from the one transport per
+point; the residual checks read those jets and need no neighbouring point.
+
 Derivative convention, as everywhere in the package: the minus derivative
 is d/dz, the plus derivative is d/dzbar.
 """
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +45,18 @@ from .errors import (
     SingularBeta,
 )
 from .grading import GradationSpec, degree_of_block
-from .linalg import COND_LIMIT, BlockStructure, HermitianMetric, gauss_decompose
+from .linalg import (
+    COND_LIMIT,
+    BlockStructure,
+    HermitianMetric,
+    gauss_decompose,
+    jet_h,
+    jet_inv,
+    jet_mul,
+    scaled_defect,
+)
 from .poly import PolyMatrix
-from .wirtinger import DEFAULT_STEP, d_minus, d_plus, memoized
+from .wirtinger import memoized  # noqa: F401  bench/selftest.py removes and restores toda.memoized
 
 __all__ = [
     "MU_NORM_LIMIT",
@@ -49,7 +64,6 @@ __all__ = [
     "TodaSolution",
     "check_phi_relation",
     "integrate_mu",
-    "residual_stencil",
     "solve",
     "toda_residual",
     "zero_curvature_check",
@@ -342,19 +356,24 @@ def integrate_mu(
 class TodaSolution:
     """Per point output of the solution procedure.
 
-    Failed points keep their slot: the matrices are None there and the
-    failure string records what went wrong, so a grid report can show
-    every requested point exactly once.
+    gamma_jets holds the jet (value, d/dz, d/dzbar, d/dz d/dzbar) of gamma
+    at each point.  Failed points keep their slot: the matrices are None
+    there and the failure string records what went wrong, so a grid report
+    can show every requested point exactly once.
     """
 
     grid: tuple[complex, ...]
     blocks: BlockStructure
     hermitian_mode: bool
-    gamma: tuple[np.ndarray | None, ...]
+    gamma_jets: tuple[tuple[np.ndarray, ...] | None, ...]
     phi: tuple[np.ndarray | None, ...]
     mu_minus: tuple[np.ndarray | None, ...]
     mu_plus: tuple[np.ndarray | None, ...]
     failures: tuple[str | None, ...]
+
+    @property
+    def gamma(self) -> tuple[np.ndarray | None, ...]:
+        return tuple(None if j is None else j[0] for j in self.gamma_jets)
 
     @property
     def ok_indices(self) -> tuple[int, ...]:
@@ -366,36 +385,31 @@ class TodaSolution:
             return 0.0
         return 1.0 - len(self.ok_indices) / len(self.grid)
 
-    def hermiticity_residuals(self) -> tuple[float | None, ...]:
-        """Relative defect of gamma from being hermitian, per point."""
-        out: list[float | None] = []
-        for g in self.gamma:
-            if g is None:
-                out.append(None)
-            else:
-                scale = max(1.0, float(np.linalg.norm(g)))
-                out.append(float(np.linalg.norm(g - g.conj().T)) / scale)
-        return tuple(out)
 
-    def min_block_eigenvalues(self) -> tuple[float | None, ...]:
-        """Smallest eigenvalue over the diagonal blocks of gamma, per point.
+def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> tuple:
+    """Jet of Q = mu_plus^-1 mu_minus from the factors' slopes at the point:
+    d Q = Q A_minus, dbar Q = -A_plus Q, and A_minus is holomorphic, A_plus
+    antiholomorphic."""
+    qa = q @ a_minus
+    return q, qa, -a_plus @ q, -a_plus @ qa
 
-        Meaningful for hermitian solutions, where positivity of the blocks
-        is the geometric regularity condition; reported, never enforced.
-        """
-        out: list[float | None] = []
-        for g in self.gamma:
-            if g is None:
-                out.append(None)
-                continue
-            worst = np.inf
-            for a in range(self.blocks.count):
-                s = self.blocks.slice(a)
-                block = g[s, s]
-                sym = 0.5 * (block + block.conj().T)
-                worst = min(worst, float(np.min(np.linalg.eigvalsh(sym))))
-            out.append(worst)
-        return tuple(out)
+
+def _eta_jet(q_jet: tuple, blocks: BlockStructure) -> tuple:
+    """Jet of the block diagonal Gauss factor of Q: its block a is the Schur
+    complement of the leading a blocks of Q."""
+    eta = tuple(np.zeros_like(x) for x in q_jet)
+    for a in range(blocks.count):
+        s = blocks.slice(a)
+        part = [x[s, s] for x in q_jet]
+        if s.start:
+            lead = slice(0, s.start)
+            inner = jet_inv(tuple(x[lead, lead] for x in q_jet))
+            row = tuple(x[s, lead] for x in q_jet)
+            col = tuple(x[lead, s] for x in q_jet)
+            part = [x - y for x, y in zip(part, jet_mul(jet_mul(row, inner), col))]
+        for x, y in zip(eta, part):
+            x[s, s] = y
+    return eta
 
 
 def solve(
@@ -412,10 +426,10 @@ def solve(
     Each factor is transported in one batch over the grid (straight paths
     from the basepoint, the plus factor in the conjugate variable), the
     quotient of the factors is Gauss decomposed per point, and gamma and
-    phi are assembled from the outputs.  The constant g0 is a factor of
-    the metric, g0^dagger g0 = h (defaulting to the Cholesky factor); phi
-    is built with its inverse on the left, which is what makes phi^dagger
-    h phi = gamma in hermitian mode.  steps is the most pieces one path
+    phi are assembled from the outputs, gamma with its exact jet.  The
+    constant g0 is a factor of the metric, g0^dagger g0 = h (defaulting to
+    the Cholesky factor); phi is built with its inverse on the left, which
+    is what makes phi^dagger h phi = gamma in hermitian mode.  steps is the most pieces one path
     may be cut into (see integrate_mu).  Transport and Gauss cell failures
     are recorded per point, as "integration: ..." and "gauss: ...", and
     leave the other points intact.
@@ -453,53 +467,47 @@ def solve(
     mu_m_all = [None if f else m for f, m in zip(failed, minus)]
     mu_p_all = [None if f else m for f, m in zip(failed, plus)]
 
-    gammas: list[np.ndarray | None] = [None] * len(pts)
+    n = problem.n
+    zero = np.zeros((n, n), dtype=complex)
+    dgm = gamma_minus.derivative()
+    dgp = None if problem.hermitian_mode else gamma_plus.derivative()
+    gammas: list[tuple | None] = [None] * len(pts)
     phis: list[np.ndarray | None] = [None] * len(pts)
     for i, z in enumerate(pts):
         if failures[i] is not None:
             continue
         mu_m, mu_p = mu_m_all[i], mu_p_all[i]
-        gm_z = gamma_minus.evaluate(z)
+        gm = (gamma_minus.evaluate(z), dgm.evaluate(z), zero, zero)
         if problem.hermitian_mode:
             quotient = mu_m.conj().T @ mu_m
-            gp_inv = gm_z.conj().T
+            gp_inv = jet_h(gm)
         else:
             quotient = np.linalg.inv(mu_p) @ mu_m
-            gp_inv = np.linalg.inv(gamma_plus.evaluate(np.conj(z)))
+            w = np.conj(z)
+            gp_inv = jet_inv((gamma_plus.evaluate(w), zero, dgp.evaluate(w), zero))
         try:
             factors = gauss_decompose(quotient, problem.blocks)
         except GaussDecompositionFailed as exc:
             failures[i] = f"gauss: {exc}"
             continue
-        gammas[i] = gp_inv @ factors.eta @ gm_z
-        phis[i] = g0inv @ mu_m @ factors.n_plus @ gm_z
+        # the transport slopes: A_minus = gamma_minus c_minus gamma_minus^-1
+        # at z and A_plus = gamma_plus c_plus gamma_plus^-1 at zbar
+        a_minus = gm[0] @ problem.c_minus_at(z) @ np.linalg.inv(gm[0])
+        a_plus = np.linalg.solve(gp_inv[0], problem.c_plus_at(z) @ gp_inv[0])
+        eta = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), problem.blocks)
+        gammas[i] = jet_mul(jet_mul(gp_inv, (factors.eta, *eta[1:])), gm)
+        phis[i] = g0inv @ mu_m @ factors.n_plus @ gm[0]
 
     return TodaSolution(
         grid=tuple(pts),
         blocks=problem.blocks,
         hermitian_mode=problem.hermitian_mode,
-        gamma=tuple(gammas),
+        gamma_jets=tuple(gammas),
         phi=tuple(phis),
         mu_minus=tuple(mu_m_all),
         mu_plus=tuple(mu_p_all),
         failures=tuple(failures),
     )
-
-
-def residual_stencil(z: complex, fd_step: float = DEFAULT_STEP) -> list[complex]:
-    """Every point a residual check may query around z.
-
-    Mirrors the nested central difference stencils used by toda_residual
-    and zero_curvature_check, including the exact floating point
-    arithmetic, so a field known at these points, such as a dict filled
-    from one solve over them, answers every query of both checks.
-    """
-    z = complex(z)
-    outer = [z + fd_step, z - fd_step, z + 1j * fd_step, z - 1j * fd_step]
-    pts = [z, *outer]
-    for w in outer:
-        pts.extend([w + fd_step, w - fd_step, w + 1j * fd_step, w - 1j * fd_step])
-    return pts
 
 
 def _block_cond_guard(g: np.ndarray, blocks: BlockStructure, z: complex):
@@ -514,71 +522,56 @@ def _block_cond_guard(g: np.ndarray, blocks: BlockStructure, z: complex):
 
 def toda_residual(
     problem: TodaProblem,
-    gamma_field: Callable[[complex], np.ndarray],
+    gamma_jet: tuple[np.ndarray, ...],
     z: complex,
-    fd_step: float = DEFAULT_STEP,
 ) -> tuple[float, ...]:
-    """Defect of the Toda equations at a point, one norm per block.
+    """Defect of the Toda equations at a point, one scaled norm per block.
 
-    The equations are checked in matrix form: the plus derivative of
-    gamma^{-1} (d gamma) must match the commutator of c_minus with the
-    gamma conjugate of c_plus.  Both sides are block diagonal, and the
-    defect is reported blockwise.
+    gamma_jet is (gamma, d/dz, d/dzbar, d/dz d/dzbar gamma) at z.  The
+    equations are checked in matrix form: the plus derivative of
+    gamma^{-1} (d gamma), which is gamma^{-1} (d dbar gamma) less
+    gamma^{-1} (dbar gamma) gamma^{-1} (d gamma), must match the
+    commutator of c_minus with the gamma conjugate of c_plus.  Both sides
+    are block diagonal; each block's defect is divided by max(1, the
+    largest norm among its terms).
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    field = memoized(gamma_field)
-    center = field(z)
-    _block_cond_guard(center, problem.blocks, z)
-
-    def slope(w: complex) -> np.ndarray:
-        return np.linalg.inv(field(w)) @ d_minus(field, w, fd_step)
-
-    lhs = d_plus(slope, z, fd_step)
+    _block_cond_guard(gamma_jet[0], problem.blocks, z)
+    inv = jet_inv(gamma_jet)
     cm = problem.c_minus_at(z)
-    cx = np.linalg.inv(center) @ problem.c_plus_at(z) @ center
-    defect = lhs - (cm @ cx - cx @ cm)
+    cx = inv[0] @ problem.c_plus_at(z) @ gamma_jet[0]
+    lhs = inv[0] @ gamma_jet[3]
+    terms = [-(inv[2] @ gamma_jet[1]), cm @ cx, -(cx @ cm)]
     out = []
     for a in range(problem.blocks.count):
         s = problem.blocks.slice(a)
-        out.append(float(np.linalg.norm(defect[s, s])))
+        out.append(scaled_defect(lhs[s, s], [x[s, s] for x in terms]))
     return tuple(out)
 
 
 def zero_curvature_check(
     problem: TodaProblem,
-    gamma_field: Callable[[complex], np.ndarray],
+    gamma_jet: tuple[np.ndarray, ...],
     z: complex,
-    fd_step: float = DEFAULT_STEP,
 ) -> float:
-    """Curvature norm of the connection built from gamma and the c data.
+    """Scaled curvature of the connection built from gamma and the c data.
 
     The connection has omega_minus = gamma^{-1} (d gamma) + c_minus and
-    omega_plus = gamma^{-1} c_plus gamma; its curvature vanishes exactly
-    when the Toda equations hold, so this is an independent cross check of
-    toda_residual on the same field.
+    omega_plus = gamma^{-1} c_plus gamma; its curvature dbar omega_minus -
+    d omega_plus + [omega_plus, omega_minus] vanishes exactly when the
+    Toda equations hold, so this is an independent cross check of
+    toda_residual on the same jet.  c_minus is holomorphic and c_plus
+    antiholomorphic, so only gamma's jet enters the derivatives.  The norm
+    is divided by max(1, the largest norm among its terms).
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    field = memoized(gamma_field)
-    center = field(z)
-    _block_cond_guard(center, problem.blocks, z)
-
-    def omega_minus(w: complex) -> np.ndarray:
-        return np.linalg.inv(field(w)) @ d_minus(field, w, fd_step) + problem.c_minus_at(w)
-
-    def omega_plus(w: complex) -> np.ndarray:
-        g = field(w)
-        return np.linalg.inv(g) @ problem.c_plus_at(w) @ g
-
-    om, op = omega_minus(z), omega_plus(z)
-    curvature = (
-        d_plus(omega_minus, z, fd_step)
-        - d_minus(omega_plus, z, fd_step)
-        + op @ om
-        - om @ op
-    )
-    return float(np.linalg.norm(curvature))
+    _block_cond_guard(gamma_jet[0], problem.blocks, z)
+    g, dg = gamma_jet[0], gamma_jet[1]
+    inv = jet_inv(gamma_jet)
+    cp = problem.c_plus_at(z)
+    om = inv[0] @ dg + problem.c_minus_at(z)
+    op = inv[0] @ cp @ g
+    d_op = inv[1] @ cp @ g + inv[0] @ cp @ dg
+    lhs = inv[0] @ gamma_jet[3]
+    return scaled_defect(lhs, [-(inv[2] @ dg), d_op, om @ op, -(op @ om)])
 
 
 def check_phi_relation(

@@ -6,8 +6,9 @@ holomorphic field therefore has vanishing plus derivative.
 
 Fields are callables of a single complex argument returning scalars or
 arrays.  Central differences along the real and imaginary axes combine
-into the two Wirtinger directions.  The Toda residual checks use them;
-the frame side has exact derivatives and needs none.
+into the two Wirtinger directions.  No package code calls them: the
+frame and the Toda residuals read exact jets.  The tests use them as the
+finite-difference cross-check of those jets.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ def d_plus(f: Callable, z: complex, step: float = DEFAULT_STEP):
 def memoized(f: Callable) -> Callable:
     """Cache field values by evaluation point.
 
-    Several stencils around one point read the same field values: each
-    Toda residual check builds one memoized field and nests the Wirtinger
-    stencils on it.  Stencils around different grid points share no values
-    unless the grid spacing is as small as the step.  The cache lives for
-    the lifetime of the returned callable.
+    Nested stencils around one point read the same field values, so a
+    finite-difference check builds one memoized field and nests the
+    Wirtinger stencils on it.  The cache lives for the lifetime of the
+    returned callable.
     """
     cache: dict[complex, object] = {}
 

@@ -36,11 +36,9 @@ from todaframes.toda import (
     TodaProblem,
     check_phi_relation,
     integrate_mu,
-    residual_stencil,
     solve,
     toda_residual,
 )
-from todaframes.wirtinger import memoized
 
 INTERIOR_POINTS = [complex(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
 
@@ -171,10 +169,11 @@ def test_frame_toda_coincidence(random_cases, capsys):
             h = HermitianMetric.identity(n)
             spec = GradationSpec(seq.partition, (1,) * seq.t)
             problem = TodaProblem.hermitian_problem(spec, 1, seq.c_minus_matrix())
-            field = memoized(lambda z, s=seq, hh=h: frame_at(s, hh, z).gamma)
             for z in INTERIOR_POINTS:
-                worst = max(worst, max(toda_residual(problem, field, z, fd_step=1e-4)))
-        assert worst < 1e-4, f"worst Toda residual from frame data {worst:.3e}"
+                # gamma = blockdiag(beta_a) with the frame's exact jets
+                jet = frame_at(seq, h, z).gamma_jet
+                worst = max(worst, max(toda_residual(problem, jet, z)))
+        assert worst < 1e-10, f"worst Toda residual from frame data {worst:.3e}"
 
 
 def test_gauss_round_trip(capsys):
@@ -211,20 +210,16 @@ def test_toda_solution_construction(capsys):
         sol = solve(problem, seed, grid, steps=1000)
         assert sol.failure_fraction <= 0.10, f"{sol.failure_fraction:.0%} of points failed"
 
-        herm = [r for r in sol.hermiticity_residuals() if r is not None]
-        assert max(herm) < 1e-8, f"hermiticity defect {max(herm):.3e}"
+        ok = sol.ok_indices
+        herm = max(
+            np.linalg.norm(g - g.conj().T) / np.linalg.norm(g) for g in (sol.gamma[i] for i in ok)
+        )
+        assert herm < 1e-8, f"hermiticity defect {herm:.3e}"
         phi_defect = check_phi_relation(sol, problem)
         assert phi_defect < 1e-8, f"phi relation defect {phi_defect:.3e}"
 
-        ok = [sol.grid[i] for i in sol.ok_indices]
-        stencils = [residual_stencil(z, 1e-4) for z in ok]
-        union = solve(problem, seed, list(dict.fromkeys(w for s in stencils for w in s)), steps=1000)
-        gamma = dict(zip(union.grid, union.gamma))
-        worst = 0.0
-        for z, stencil in zip(ok, stencils):
-            assert all(gamma[w] is not None for w in stencil), f"stencil failed around {z:g}"
-            worst = max(worst, max(toda_residual(problem, gamma.__getitem__, z, fd_step=1e-4)))
-        assert worst < 1e-5, f"worst Toda residual {worst:.3e}"
+        worst = max(max(toda_residual(problem, sol.gamma_jets[i], sol.grid[i])) for i in ok)
+        assert worst < 1e-12, f"worst Toda residual {worst:.3e}"
 
 
 def test_kahler_identity(random_cases, capsys):

@@ -22,7 +22,6 @@ from todaframes.cli import (
 )
 from todaframes.errors import ConfigError
 from todaframes.poly import GaussianRational
-from todaframes.toda import residual_stencil
 
 
 LINE_CURVE = [[[1]], [[0, 1]]]  # the column (1, z)
@@ -44,7 +43,7 @@ class TestConfigParsing:
         cfg = parse_config({"mode": "frenet", "curve": LINE_CURVE})
         assert cfg.mode == "frenet"
         assert cfg.curve.shape == (2, 1)
-        assert cfg.tolerances.fd_step == 1e-4
+        assert cfg.tolerances.residual_tol == 1e-5
         assert cfg.integration.steps == 1000
 
     def test_unknown_key_rejected(self):
@@ -62,8 +61,14 @@ class TestConfigParsing:
             parse_config({"mode": "frenet", "grid": {"nx": 0}})
 
     def test_tolerance_validation(self):
-        with pytest.raises(ConfigError, match="fd_step"):
-            parse_config({"mode": "frenet", "tolerances": {"fd_step": 0}})
+        with pytest.raises(ConfigError, match="residual_tol"):
+            parse_config({"mode": "frenet", "tolerances": {"residual_tol": 0}})
+
+    def test_fd_step_is_no_longer_accepted(self):
+        # every residual reads exact jets, so no mode takes a step
+        for mode in ("frenet", "toda-solve"):
+            with pytest.raises(ConfigError, match=r"tolerances\.fd_step"):
+                parse_config({"mode": mode, "tolerances": {"fd_step": 1e-4}})
 
     def test_rank_tol_is_no_longer_accepted(self):
         # no rank is decided numerically, so the knob was removed
@@ -206,8 +211,8 @@ class TestTodaModes:
             assert p.ok
             assert p.residuals["hermiticity"] < 1e-10
             assert p.residuals["phi_relation"] < 1e-8
-            assert p.residuals["toda_0"] < 1e-5
-            assert p.residuals["toda_1"] < 1e-5
+            assert p.residuals["toda_0"] < 1e-12
+            assert p.residuals["toda_1"] < 1e-12
             r2 = abs(p.z) ** 2
             assert p.values["g_0"] == pytest.approx((1.0 + r2) ** -2, rel=1e-6)
             assert p.values["ln_det_beta_0"] == pytest.approx(
@@ -221,11 +226,11 @@ class TestTodaModes:
         report = run(cfg)
         for p in report.points:
             assert p.ok
-            assert p.residuals["zero_curvature"] < 1e-5
+            assert p.residuals["zero_curvature"] < 1e-12
 
     def test_one_solve_per_job(self, monkeypatch):
-        # the grid points and every stencil point their residual checks read
-        # are solved together, each point once
+        # the residual checks read gamma's exact jets, so the one solve of a
+        # job is over its grid points and nothing else
         batches = []
         original = cli.solve
 
@@ -237,49 +242,38 @@ class TestTodaModes:
         for mode in ("toda-solve", "verify-toda"):
             batches.clear()
             cfg = dict(LINE_TODA, mode=mode, grid={"radius": 0.5, "nx": 2, "ny": 2})
-            parsed = parse_config(cfg)
-            expected = []
-            for z in parsed.grid.points():
-                for w in residual_stencil(z, parsed.tolerances.fd_step):
-                    if w not in expected:
-                        expected.append(w)
             report = run(cfg)
             assert report.summary["points_ok"] == 4
-            assert batches == [expected]
+            assert batches == [parse_config(cfg).grid.points()]
 
-    def test_failed_stencil_point_fails_only_its_grid_point(self, monkeypatch):
+    def test_failed_grid_point_fails_only_itself(self, monkeypatch):
         cfg = dict(LINE_TODA, mode="verify-toda", grid={"radius": 0.5, "nx": 2, "ny": 2})
         clean = run(cfg)
-        target = clean.points[1]
-        # z + 2 fd_step, a neighbour that no other stencil of the grid reads
-        hole = residual_stencil(target.z, parse_config(cfg).tolerances.fd_step)[5]
         calls = []
         original = cli.solve
 
         def holed(problem, gamma_minus, grid, **kwargs):
             calls.append(len(grid))
             sol = original(problem, gamma_minus, grid, **kwargs)
-            i = sol.grid.index(hole)
 
             def punch(values, value):
-                return values[:i] + (value,) + values[i + 1 :]
+                return values[:1] + (value,) + values[2:]
 
             return dataclasses.replace(
                 sol,
-                gamma=punch(sol.gamma, None),
+                gamma_jets=punch(sol.gamma_jets, None),
                 phi=punch(sol.phi, None),
                 failures=punch(sol.failures, "integration: transport diverged"),
             )
 
         monkeypatch.setattr(cli, "solve", holed)
         report = run(cfg)
-        assert len(calls) == 1
+        assert calls == [4]
         broken = report.points[1]
-        assert broken.status == f"failed: stencil: {hole:g}: integration: transport diverged"
-        assert broken.values == target.values
-        assert broken.residuals == {
-            k: v for k, v in target.residuals.items() if k in ("hermiticity", "phi_relation")
-        }
+        assert broken.z == clean.points[1].z
+        assert broken.status == "failed: integration: transport diverged"
+        assert broken.residuals == {} and broken.values == {}
+        assert report.summary["points_ok"] == 3
         assert report.exit_code() == 1
         others = [p for k, p in enumerate(report.points) if k != 1]
         assert others == [p for k, p in enumerate(clean.points) if k != 1]
@@ -465,6 +459,11 @@ class TestMain:
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"curve": LINE_CURVE, "bogus": 1})
         assert main(["frenet", "--config", path]) == 2
+
+    def test_removed_fd_step_is_exit_2(self, tmp_path, capsys):
+        cfg = dict(LINE_TODA, tolerances={"fd_step": 1e-4})
+        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "tolerances.fd_step" in capsys.readouterr().err
 
     def test_failed_point_is_exit_1(self, tmp_path, capsys):
         cfg = {

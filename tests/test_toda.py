@@ -21,17 +21,17 @@ from todaframes import toda
 from todaframes.errors import IntegrationDiverged, SingularBeta
 from todaframes.frenet import build_osculating, frame_at
 from todaframes.grading import GradationSpec
-from todaframes.linalg import BlockStructure, HermitianMetric
+from todaframes.linalg import BlockStructure, HermitianMetric, gauss_decompose
 from todaframes.poly import GaussianRational, Poly, PolyMatrix
 from todaframes.toda import (
     TodaProblem,
     check_phi_relation,
     integrate_mu,
-    residual_stencil,
     solve,
     toda_residual,
     zero_curvature_check,
 )
+from todaframes.wirtinger import d_minus, d_plus, memoized
 
 
 def line_gradation() -> GradationSpec:
@@ -78,6 +78,25 @@ def rk4_transport(gamma_rep, c_rep, start, ends, steps):
 def line_gamma(z: complex) -> np.ndarray:
     r2 = abs(z) ** 2
     return np.diag([1.0 + r2, 1.0 / (1.0 + r2)]).astype(complex)
+
+
+def line_gamma_jet(z: complex) -> tuple[np.ndarray, ...]:
+    """line_gamma with its d/dz, d/dzbar and d/dz d/dzbar in closed form."""
+    r2 = abs(z) ** 2
+    f = 1.0 + r2
+    zb = np.conj(z)
+    return (
+        line_gamma(z),
+        np.diag([zb, -zb / f**2]).astype(complex),
+        np.diag([z, -z / f**2]).astype(complex),
+        np.diag([1.0, (r2 - 1.0) / f**3]).astype(complex),
+    )
+
+
+def constant_jet(g) -> tuple[np.ndarray, ...]:
+    g = np.asarray(g, dtype=complex)
+    zero = np.zeros_like(g)
+    return g, zero, zero, zero
 
 
 def line_phi(z: complex) -> np.ndarray:
@@ -355,15 +374,6 @@ class TestSolve:
             assert np.linalg.norm(sol.gamma[i] - alone.gamma[0]) < 1e-14
             assert np.linalg.norm(sol.phi[i] - alone.phi[0]) < 1e-14
 
-    def test_solution_diagnostics(self):
-        p = line_problem()
-        z = 0.6 + 0.2j
-        sol = solve(p, PolyMatrix.identity(2), [z])
-        herm = sol.hermiticity_residuals()[0]
-        assert herm is not None and herm < 1e-10
-        low = sol.min_block_eigenvalues()[0]
-        assert low == pytest.approx(1.0 / (1.0 + abs(z) ** 2), rel=1e-6)
-
     def test_phi_relation_requires_a_solved_point(self):
         p = line_problem()
         seed = PolyMatrix([[[1, -2], 0], [0, 1]])
@@ -372,73 +382,119 @@ class TestSolve:
             check_phi_relation(sol, p)
 
 
+class TestJets:
+    """solve's exact jets of the quotient Q, its block diagonal Gauss factor
+    eta, and gamma agree with finite differences of the solved fields."""
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_match_finite_differences(self, hermitian):
+        rng = np.random.default_rng(77)
+        blocks = BlockStructure((1, 2, 1))
+        c_minus = subdiagonal_lowering(blocks)
+        gamma_minus = random_gamma_seed(rng, blocks)
+        gamma_plus = None if hermitian else random_gamma_seed(rng, blocks)
+        p = TodaProblem(
+            gradation=GradationSpec(blocks, (1, 1)),
+            gap=1,
+            c_minus=c_minus,
+            c_plus=c_minus.conjugate_transpose().scale(-1),
+            h=HermitianMetric.identity(blocks.n),
+            hermitian_mode=hermitian,
+        )
+        solved = memoized(lambda w: solve(p, gamma_minus, [w], gamma_plus=gamma_plus))
+
+        def quotient(w):
+            sol = solved(w)
+            mu_m, mu_p = sol.mu_minus[0], sol.mu_plus[0]
+            return mu_m.conj().T @ mu_m if hermitian else np.linalg.inv(mu_p) @ mu_m
+
+        fields = {
+            "q": quotient,
+            "eta": lambda w: gauss_decompose(quotient(w), blocks).eta,
+            "gamma": lambda w: solved(w).gamma[0],
+        }
+
+        def close(jet, fd, tol):
+            return np.linalg.norm(jet - fd) <= tol * max(1.0, np.linalg.norm(fd))
+
+        for z in (0.3 + 0.2j, -0.5 + 0.1j, 0.6j):
+            gm = gamma_minus.evaluate(z)
+            a_minus = gm @ p.c_minus_at(z) @ np.linalg.inv(gm)
+            if hermitian:
+                a_plus = -a_minus.conj().T
+            else:
+                gp = gamma_plus.evaluate(np.conj(z))
+                a_plus = gp @ p.c_plus_at(z) @ np.linalg.inv(gp)
+            q = toda._quotient_jet(quotient(z), a_minus, a_plus)
+            jets = {"q": q, "eta": toda._eta_jet(q, blocks), "gamma": solved(z).gamma_jets[0]}
+            for name, f in fields.items():
+                jet = jets[name]
+                assert close(jet[0], f(z), 1e-12), name
+                assert close(jet[1], d_minus(f, z, 1e-4), 1e-6), name
+                assert close(jet[2], d_plus(f, z, 1e-4), 1e-6), name
+                mixed = d_plus(lambda u: d_minus(f, u, 1e-3), z, 1e-3)
+                assert close(jet[3], mixed, 1e-4), name
+
+
 class TestResiduals:
     def test_closed_form_field_satisfies_equations(self):
         p = line_problem()
         for z in (0.0, 0.4 - 0.3j, 1.1 + 0.2j):
-            res = toda_residual(p, line_gamma, z)
-            assert max(res) < 1e-6
-            assert zero_curvature_check(p, line_gamma, z) < 1e-6
+            jet = line_gamma_jet(z)
+            assert max(toda_residual(p, jet, z)) < 1e-15
+            assert zero_curvature_check(p, jet, z) < 1e-15
 
     def test_constant_field_fails_with_frozen_defect(self):
         # gamma = I is not a solution: the derivative side vanishes and the
         # commutator side is diag(1, -1), so the block norms are (1, 1) and
-        # the curvature norm is sqrt(2).
+        # the curvature norm is sqrt(2); no term exceeds 1, so no scaling.
         p = line_problem()
-        field = lambda z: np.eye(2, dtype=complex)
-        res = toda_residual(p, field, 0.3 + 0.1j)
-        assert res == pytest.approx((1.0, 1.0), abs=1e-8)
-        assert zero_curvature_check(p, field, 0.3 + 0.1j) == pytest.approx(
-            np.sqrt(2.0), abs=1e-8
-        )
+        jet = constant_jet(np.eye(2))
+        assert toda_residual(p, jet, 0.3 + 0.1j) == pytest.approx((1.0, 1.0), abs=1e-15)
+        assert zero_curvature_check(p, jet, 0.3 + 0.1j) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+
+    def test_each_block_is_scaled_by_its_largest_term(self):
+        # gamma = I with d dbar gamma = diag(s, 0): block 0 reads s against
+        # the commutator's 1, block 1 reads 0 against -1
+        p = line_problem()
+        s = 1e6
+        jet = constant_jet(np.eye(2))[:3] + (np.diag([s, 0.0]).astype(complex),)
+        assert toda_residual(p, jet, 0.2) == pytest.approx(((s - 1.0) / s, 1.0), abs=1e-15)
 
     def test_residual_and_curvature_agree(self):
-        # both checks measure the same matrix defect, so on a block diagonal
-        # failure the curvature norm is the euclidean norm of the block norms
+        # both checks measure the same matrix defect; with every term below
+        # 1 neither is scaled, so on a block diagonal failure the curvature
+        # norm is the euclidean norm of the block norms
         p = line_problem()
-        field = lambda z: np.diag([1.0 + abs(z) ** 2, 1.0]).astype(complex)
         z = 0.5 + 0.5j
-        res = toda_residual(p, field, z)
-        zc = zero_curvature_check(p, field, z)
-        assert zc == pytest.approx(np.sqrt(sum(r * r for r in res)), abs=1e-6)
+        r2 = abs(z) ** 2
+        jet = (
+            np.diag([1.0 + r2, 1.0]).astype(complex),
+            np.diag([np.conj(z), 0.0]).astype(complex),
+            np.diag([z, 0.0]).astype(complex),
+            np.diag([1.0, 0.0]).astype(complex),
+        )
+        res = toda_residual(p, jet, z)
+        zc = zero_curvature_check(p, jet, z)
+        assert min(res) > 0.1
+        assert zc == pytest.approx(np.sqrt(sum(r * r for r in res)), abs=1e-15)
 
     def test_solver_output_satisfies_equations(self):
         p = line_problem()
         seed = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])
         z = 0.3 - 0.2j
-        sol = solve(p, seed, residual_stencil(z))
-        assert sol.failures == (None,) * len(sol.grid)
-        gamma = dict(zip(sol.grid, sol.gamma))
-        assert max(toda_residual(p, gamma.__getitem__, z)) < 1e-5
-        assert zero_curvature_check(p, gamma.__getitem__, z) < 1e-5
-
-    def test_stencil_covers_both_checks(self):
-        p = line_problem()
-        z = 0.2 + 0.7j
-        step = 1e-4
-        allowed = set(residual_stencil(z, step))
-
-        def strict(w):
-            assert complex(w) in allowed, f"point {w!r} outside residual_stencil"
-            return line_gamma(w)
-
-        toda_residual(p, strict, z, fd_step=step)
-        zero_curvature_check(p, strict, z, fd_step=step)
+        sol = solve(p, seed, [z])
+        assert sol.failures == (None,)
+        assert max(toda_residual(p, sol.gamma_jets[0], z)) < 1e-14
+        assert zero_curvature_check(p, sol.gamma_jets[0], z) < 1e-14
 
     def test_singular_field_guarded(self):
         p = line_problem()
-        field = lambda z: np.diag([1.0, 0.0]).astype(complex)
+        jet = constant_jet(np.diag([1.0, 0.0]))
         with pytest.raises(SingularBeta):
-            toda_residual(p, field, 0.1)
+            toda_residual(p, jet, 0.1)
         with pytest.raises(SingularBeta):
-            zero_curvature_check(p, field, 0.1)
-
-    def test_bad_step_rejected(self):
-        p = line_problem()
-        with pytest.raises(ValueError, match="fd_step"):
-            toda_residual(p, line_gamma, 0.1, fd_step=0.0)
-        with pytest.raises(ValueError, match="fd_step"):
-            zero_curvature_check(p, line_gamma, 0.1, fd_step=-1.0)
+            zero_curvature_check(p, jet, 0.1)
 
 
 class TestFrenetTodaBridge:
@@ -451,9 +507,7 @@ class TestFrenetTodaBridge:
         spec = GradationSpec(seq.partition, (1,) * seq.t)
         p = TodaProblem.hermitian_problem(spec, 1, seq.c_minus_matrix(), h)
 
-        def field(z):
-            return frame_at(seq, h, z).gamma
-
         for z in (0.4 + 0.1j, -0.2 + 0.5j):
-            assert max(toda_residual(p, field, z)) < 1e-4
-            assert zero_curvature_check(p, field, z) < 1e-4
+            jet = frame_at(seq, h, z).gamma_jet
+            assert max(toda_residual(p, jet, z)) < 1e-12
+            assert zero_curvature_check(p, jet, z) < 1e-12
