@@ -14,7 +14,6 @@ from .errors import (
     AlreadyFull,
     ConfigError,
     GaussDecompositionFailed,
-    IntegrationDiverged,
     NotConstantRank,
     SingularBeta,
     TodaframesError,
@@ -62,8 +61,7 @@ from .poly import (
 from .toda import (
     TodaProblem,
     TodaSolution,
-    check_phi_relation,
-    integrate_mu,
+    phi_relation,
     solve,
     toda_residual,
     zero_curvature_check,

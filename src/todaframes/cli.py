@@ -60,7 +60,7 @@ from .frenet import (
 from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
 from .linalg import BlockStructure, HermitianMetric, gauss_decompose
 from .poly import GaussianRational, Poly, PolyMatrix
-from .toda import TodaProblem, solve, toda_residual, zero_curvature_check
+from .toda import TodaProblem, phi_relation, solve, toda_residual, zero_curvature_check
 
 __all__ = [
     "SPEC_VERSION",
@@ -108,7 +108,6 @@ class Tolerances:
 @dataclass
 class IntegrationSpec:
     basepoint: complex = 0.0
-    steps: int = 1000
 
 
 @dataclass
@@ -302,15 +301,12 @@ def parse_config(raw: dict) -> JobConfig:
         it = raw["integration"]
         if not isinstance(it, dict):
             raise ConfigError("integration", "expected an object")
-        unknown = set(it) - {"basepoint", "steps"}
+        unknown = set(it) - {"basepoint"}
         if unknown:
             raise ConfigError(f"integration.{sorted(unknown)[0]}", "unknown key")
         cfg.integration = IntegrationSpec(
             basepoint=_as_complex(it.get("basepoint", 0.0), "integration.basepoint"),
-            steps=_as_int(it.get("steps", 1000), "integration.steps"),
         )
-        if cfg.integration.steps < 1:
-            raise ConfigError("integration.steps", "must be at least 1")
 
     if "curve" in raw:
         cfg.curve = _as_poly_matrix(raw["curve"], "curve", maxden)
@@ -602,15 +598,10 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
             pts,
             g0=cfg.g0,
             basepoint=cfg.integration.basepoint,
-            steps=cfg.integration.steps,
             gamma_plus=cfg.gamma_plus,
         )
     except (ValueError, TodaframesError) as exc:
         raise ConfigError("seeds", str(exc)) from None
-    if cfg.g0 is not None:
-        h_eff = cfg.g0.conj().T @ cfg.g0
-    else:
-        h_eff = problem.h.matrix
     blocks = problem.blocks
     count = blocks.count
     c_blocks = [
@@ -630,8 +621,7 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
         # reported, not gated
         checks = {
             "hermiticity": float(np.linalg.norm(gamma - gamma.conj().T)) / scale,
-            "phi_relation": float(np.linalg.norm(phi.conj().T @ h_eff @ phi - gamma))
-            / scale,
+            "phi_relation": phi_relation(problem, phi, gamma, cfg.g0),
         }
         residuals = checks if cfg.hermitian_mode else {}
         values: dict[str, float] = {} if cfg.hermitian_mode else dict(checks)

@@ -37,11 +37,6 @@ class NotConstantRank(TodaframesError):
     """A set of polynomial columns fails the exact constant rank certificate."""
 
 
-class IntegrationDiverged(TodaframesError):
-    """Path transport failed: a leg stayed unresolved within the allowed
-    pieces, met a singular seed, or exceeded the norm guard."""
-
-
 class ConfigError(TodaframesError):
     """A job configuration is malformed.  ``field`` holds the offending path."""
 

@@ -283,11 +283,11 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     product runs on jets, the truncated hyper-dual numbers of Fike and
     Alonso (2011), seeded by the holomorphic levels and their z
     derivatives, so the Wirtinger derivatives of the frame and gram blocks
-    come out of the same pass.  The B blocks are recovered numerically
-    from the evaluated derivative relation by least squares; the system
-    is exactly solvable, so the recorded solve residual, scaled like every
-    other residual, stays at rounding level and large values flag a
-    broken sequence.
+    come out of the same pass.  The B blocks are the exact coefficients of
+    the sequence, evaluated at z; the recorded solve residual is the scaled
+    defect of the defining relation dxi_a/dz = sum of xi_b B_{ba} at every
+    level, so it stays at rounding level and large values flag a broken
+    sequence.
     """
     metric = h if isinstance(h, HermitianMetric) else HermitianMetric(h)
     hm = metric.matrix
@@ -320,13 +320,12 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
 
     b_sub: list[np.ndarray] = []
     solve_residual = 0.0
-    for a in range(t):
-        stacked = np.hstack(xs[: a + 2])
-        sol, *_ = np.linalg.lstsq(stacked, dxs[a], rcond=None)
-        solve_residual = max(solve_residual, scaled_defect(dxs[a], [stacked @ sol]))
-        lo = seq.partition.offsets[a + 1]
-        hi = lo + seq.partition.sizes[a + 1]
-        b_sub.append(sol[lo:hi, :])
+    for a in range(t + 1):
+        bs = [seq.b_block(b, a).evaluate(z) for b in range(min(a + 1, t) + 1)]
+        terms = [x @ blk for x, blk in zip(xs, bs)]
+        solve_residual = max(solve_residual, scaled_defect(dxs[a], terms))
+        if a < t:
+            b_sub.append(bs[a + 1])
     d_super = [-b.conj().T for b in b_sub]
 
     return FrenetPointData(

@@ -2,8 +2,9 @@
 
 A gradation is fixed by the block sizes (k_0, ..., k_t) and nonnegative
 integer labels (s_1, ..., s_t), one per adjacent block pair.  Block (a, b)
-sits in degree sum(s_{b+1}..s_a) below the diagonal and minus that above,
-so the labels measure how many degrees separate neighbouring blocks.
+with a < b, above the diagonal, sits in degree s_{a+1} + ... + s_b, and its
+mirror (b, a) below the diagonal in minus that, so the labels measure how
+many degrees separate neighbouring blocks.
 
 The grading operator is the traceless diagonal matrix q whose commutator
 with a block matrix of pure degree m is m times that matrix.  Its weights

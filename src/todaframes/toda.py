@@ -7,15 +7,16 @@ are stored as polynomial matrices in the conjugate variable: a stored
 matrix q represents the map z -> q(zbar), which keeps every coefficient
 exact and plays well with conjugate transposition of polynomial matrices.
 
-The solution procedure transports two triangular factors from a basepoint,
-Gauss decomposes their quotient, and assembles gamma together with the
-frame map phi.  Transport solves the matrix linear ODE mu' = mu A with
+The solution procedure, solve, transports two triangular factors from a
+basepoint, Gauss decomposes their quotient, and assembles gamma together
+with the frame map phi; it is the only entry point to transport.
+Transport solves the matrix linear ODE mu' = mu A with
 A = gamma c gamma^{-1}.  A has pure nonzero degree, so it is strictly
 block triangular and nilpotent, and the Picard series of mu ends after
 count - 1 terms (count is the number of blocks).  Each term is a nested
 integral along a straight leg, taken on Gauss-Legendre nodes; a leg
 whose integrand the nodes do not resolve is cut in halves, and a leg
-still unresolved after the allowed number of pieces fails its endpoint.
+still unresolved in MAX_PIECES pieces fails its endpoint.
 
 In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
@@ -39,11 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    GaussDecompositionFailed,
-    IntegrationDiverged,
-    SingularBeta,
-)
+from .errors import GaussDecompositionFailed, SingularBeta
 from .grading import GradationSpec, degree_of_block
 from .linalg import (
     COND_LIMIT,
@@ -62,19 +59,20 @@ __all__ = [
     "MU_NORM_LIMIT",
     "TodaProblem",
     "TodaSolution",
-    "check_phi_relation",
-    "integrate_mu",
+    "phi_relation",
     "solve",
     "toda_residual",
     "zero_curvature_check",
 ]
 
 MU_NORM_LIMIT = 1e12
-# Gauss-Legendre nodes per straight piece of a transport leg, and the
+# Gauss-Legendre nodes per straight piece of a transport leg, the
 # relative size of the last two Legendre coefficients of the integrand
-# below which a piece counts as resolved.
+# below which a piece counts as resolved, and the most pieces a leg is cut
+# into before its endpoint fails.
 NODES = 32
 TAIL_TOL = 1e-13
+MAX_PIECES = 512
 
 
 def _nonzero_blocks_pure_degree(m: PolyMatrix, spec: GradationSpec, degree: int, name: str):
@@ -250,7 +248,6 @@ def _transport_many(
     c_rep: PolyMatrix,
     starts,
     ends,
-    steps: int,
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport factors along straight legs starts[p] -> ends[p], batched.
@@ -260,7 +257,7 @@ def _transport_many(
     once depth reaches the nilpotency index of A minus one).  A leg whose
     integrand is not resolved is cut into 2, 4, 8, ... equal pieces whose
     factors compose by right multiplication.  Returns (mu, failed): an
-    endpoint fails when its leg needs more than steps pieces, when gamma
+    endpoint fails when its leg needs more than MAX_PIECES pieces, when gamma
     is singular at a node, or when the factor leaves the norm guard; its
     factor is then NaN, and the other endpoints are unaffected.
     """
@@ -272,7 +269,7 @@ def _transport_many(
     failed = np.zeros(ends.size, dtype=bool)
     todo = np.arange(ends.size)
     pieces = 1
-    while todo.size and pieces <= steps:
+    while todo.size and pieces <= MAX_PIECES:
         frac = np.linspace(0.0, 1.0, pieces + 1)
         cuts = starts[todo, None] + frac[None, :] * (ends[todo] - starts[todo])[:, None]
         cuts[:, -1] = ends[todo]
@@ -294,62 +291,6 @@ def _transport_many(
     failed |= ~(np.abs(mu).max(axis=(1, 2)) <= MU_NORM_LIMIT)
     mu[failed] = np.nan
     return mu, failed
-
-
-def _diverged(steps: int) -> str:
-    return (
-        f"transport diverged: a leg unresolved in {steps} pieces, a singular "
-        f"seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
-    )
-
-
-def _mu_path(gamma_rep: PolyMatrix, c_rep: PolyMatrix, waypoints, steps: int, depth: int) -> np.ndarray:
-    """Transport along the polygon through the waypoints, legs composed in order."""
-    legs, failed = _transport_many(gamma_rep, c_rep, waypoints[:-1], waypoints[1:], steps, depth)
-    if failed.any():
-        raise IntegrationDiverged(_diverged(steps))
-    mu = np.eye(gamma_rep.rows, dtype=complex)
-    for leg in legs:
-        mu = mu @ leg
-    return mu
-
-
-def integrate_mu(
-    problem: TodaProblem,
-    gamma_minus: PolyMatrix,
-    basepoint: complex,
-    z: complex,
-    steps: int = 1000,
-    via: Sequence[complex] = (),
-    gamma_plus: PolyMatrix | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both transport factors at z, integrated from the basepoint.
-
-    The path is straight unless intermediate waypoints are given, in which
-    case the legs are integrated and composed in order; the holomorphic
-    integrand makes the result path independent, which the tests exercise.
-    steps is the most pieces one straight leg may be cut into; a leg that
-    is still unresolved then, or that meets a singular seed, raises
-    IntegrationDiverged.  In hermitian mode the plus factor is the inverse
-    conjugate transpose of the minus factor; otherwise a block diagonal
-    antiholomorphic seed gamma_plus (stored in the conjugate variable) is
-    required, and the plus factor is transported in the conjugate variable
-    along the conjugated waypoints.
-    """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
-    waypoints = np.array([basepoint, *via, z], dtype=complex)
-    depth = problem.blocks.count - 1
-    mu_minus = _mu_path(gamma_minus, problem.c_minus, waypoints, steps, depth)
-    if problem.hermitian_mode:
-        mu_plus = np.linalg.inv(mu_minus.conj().T)
-    else:
-        if gamma_plus is None:
-            raise ValueError("gamma_plus is required outside hermitian mode")
-        _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
-        mu_plus = _mu_path(gamma_plus, problem.c_plus, waypoints.conj(), steps, depth)
-    return mu_minus, mu_plus
 
 
 @dataclass(frozen=True)
@@ -418,21 +359,26 @@ def solve(
     grid: Sequence[complex],
     g0: np.ndarray | None = None,
     basepoint: complex = 0.0,
-    steps: int = 1000,
     gamma_plus: PolyMatrix | None = None,
 ) -> TodaSolution:
     """Run the full solution procedure over a grid of points.
 
-    Each factor is transported in one batch over the grid (straight paths
-    from the basepoint, the plus factor in the conjugate variable), the
-    quotient of the factors is Gauss decomposed per point, and gamma and
-    phi are assembled from the outputs, gamma with its exact jet.  The
+    This is the one transport entry point of the package.  Each factor is
+    transported in one batch over the grid, along straight paths from the
+    basepoint: mu_minus with the seed gamma_minus, and, outside hermitian
+    mode, mu_plus with the block diagonal antiholomorphic seed gamma_plus
+    (stored in the conjugate variable) along the conjugated paths; in
+    hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
+    The quotient of the factors is Gauss decomposed per point, and gamma
+    and phi are assembled from the outputs, gamma with its exact jet.  The
     constant g0 is a factor of the metric, g0^dagger g0 = h (defaulting to
     the Cholesky factor); phi is built with its inverse on the left, which
-    is what makes phi^dagger h phi = gamma in hermitian mode.  steps is the most pieces one path
-    may be cut into (see integrate_mu).  Transport and Gauss cell failures
-    are recorded per point, as "integration: ..." and "gauss: ...", and
-    leave the other points intact.
+    is what makes phi^dagger h phi = gamma in hermitian mode.  Transport
+    and Gauss cell failures are recorded per point, as "integration: ..."
+    and "gauss: ...", and leave the other points intact.  Transport
+    factors along different legs compose by right multiplication: the
+    factor at z from basepoint 0 is the one at w from 0 times the one at
+    z from basepoint w.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if not problem.hermitian_mode:
@@ -450,20 +396,20 @@ def solve(
     pts = [complex(p) for p in grid]
     ends = np.array(pts, dtype=complex)
     depth = problem.blocks.count - 1
-    minus, failed = _transport_many(
-        gamma_minus, problem.c_minus, complex(basepoint), ends, steps, depth
-    )
+    minus, failed = _transport_many(gamma_minus, problem.c_minus, complex(basepoint), ends, depth)
     if problem.hermitian_mode:
         plus = np.full_like(minus, np.nan)
         plus[~failed] = np.linalg.inv(minus[~failed].conj().transpose(0, 2, 1))
     else:
         plus, failed_plus = _transport_many(
-            gamma_plus, problem.c_plus, np.conj(complex(basepoint)), ends.conj(), steps, depth
+            gamma_plus, problem.c_plus, np.conj(complex(basepoint)), ends.conj(), depth
         )
         failed |= failed_plus
-    failures: list[str | None] = [
-        f"integration: {_diverged(steps)}" if f else None for f in failed
-    ]
+    diverged = (
+        f"integration: transport diverged: a leg unresolved in {MAX_PIECES} pieces, "
+        f"a singular seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
+    )
+    failures: list[str | None] = [diverged if f else None for f in failed]
     mu_m_all = [None if f else m for f, m in zip(failed, minus)]
     mu_p_all = [None if f else m for f, m in zip(failed, plus)]
 
@@ -574,30 +520,17 @@ def zero_curvature_check(
     return scaled_defect(lhs, [-(inv[2] @ dg), d_op, om @ op, -(op @ om)])
 
 
-def check_phi_relation(
-    solution: TodaSolution,
+def phi_relation(
     problem: TodaProblem,
+    phi: np.ndarray,
+    gamma: np.ndarray,
     g0: np.ndarray | None = None,
 ) -> float:
-    """Worst relative defect of phi^dagger h phi = gamma over the grid.
+    """Defect of phi^dagger h phi = gamma at a point, relative to ||gamma||.
 
     The metric is recovered from g0 when one is supplied (h = g0^dagger
-    g0), matching whatever factor was used during assembly; failed points
-    are skipped.
+    g0), matching whatever factor solve used to assemble phi.
     """
-    if g0 is not None:
-        g0 = np.asarray(g0, dtype=complex)
-        h = g0.conj().T @ g0
-    else:
-        h = problem.h.matrix
-    worst = 0.0
-    seen = False
-    for i in solution.ok_indices:
-        seen = True
-        phi = solution.phi[i]
-        gamma = solution.gamma[i]
-        defect = np.linalg.norm(phi.conj().T @ h @ phi - gamma)
-        worst = max(worst, float(defect / max(1e-300, np.linalg.norm(gamma))))
-    if not seen:
-        raise ValueError("no successfully solved points to check")
-    return worst
+    h = problem.h.matrix if g0 is None else g0.conj().T @ g0
+    defect = float(np.linalg.norm(phi.conj().T @ h @ phi - gamma))
+    return defect / max(1e-300, float(np.linalg.norm(gamma)))

@@ -30,7 +30,7 @@ LINE_TODA = {
     "mode": "toda-solve",
     "gradation": {"sizes": [1, 1], "labels": [1]},
     "grid": {"center": [0, 0], "radius": 0.7, "nx": 3, "ny": 3},
-    "integration": {"steps": 400},
+    "integration": {"basepoint": [0, 0]},
     "seeds": {
         "gamma_minus": [[[1], [0]], [[0], [1]]],
         "c_minus": [[[0], [0]], [[1], [0]]],
@@ -44,7 +44,7 @@ class TestConfigParsing:
         assert cfg.mode == "frenet"
         assert cfg.curve.shape == (2, 1)
         assert cfg.tolerances.residual_tol == 1e-5
-        assert cfg.integration.steps == 1000
+        assert cfg.integration.basepoint == 0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -69,6 +69,11 @@ class TestConfigParsing:
         for mode in ("frenet", "toda-solve"):
             with pytest.raises(ConfigError, match=r"tolerances\.fd_step"):
                 parse_config({"mode": mode, "tolerances": {"fd_step": 1e-4}})
+
+    def test_steps_is_no_longer_accepted(self):
+        # the transport's bisection cap is fixed; no workload reaches it
+        with pytest.raises(ConfigError, match=r"integration\.steps"):
+            parse_config({"mode": "toda-solve", "integration": {"steps": 400}})
 
     def test_rank_tol_is_no_longer_accepted(self):
         # no rank is decided numerically, so the knob was removed
@@ -464,6 +469,11 @@ class TestMain:
         cfg = dict(LINE_TODA, tolerances={"fd_step": 1e-4})
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
         assert "tolerances.fd_step" in capsys.readouterr().err
+
+    def test_removed_steps_is_exit_2(self, tmp_path, capsys):
+        cfg = dict(LINE_TODA, integration={"steps": 400})
+        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "integration.steps" in capsys.readouterr().err
 
     def test_failed_point_is_exit_1(self, tmp_path, capsys):
         cfg = {

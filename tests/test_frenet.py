@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -149,6 +150,16 @@ class TestFrameAt:
         assert np.allclose(data.betas[1], [[1.0]])
         assert np.allclose(data.b_sub[0], [[1.0]])
         assert data.b_solve_residual < 1e-12
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_b_solve_checks_the_exact_coefficients(self, level):
+        # B_{aa} + 1 breaks the defining relation of level a, the top one too
+        seq = build_osculating(conic_curve())
+        coeffs = [list(c) for c in seq.bcoeffs]
+        coeffs[level][level] = coeffs[level][level] + PolyMatrix([[1]])
+        broken = dataclasses.replace(seq, bcoeffs=tuple(tuple(c) for c in coeffs))
+        assert frame_at(seq, I3, 0.3).b_solve_residual < 1e-14
+        assert frame_at(broken, I3, 0.3).b_solve_residual > 0.5
 
     def test_line_generic_point(self):
         seq = build_osculating(line_curve())
