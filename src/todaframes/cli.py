@@ -3,17 +3,17 @@
 A job is a JSON document with a mode and mode specific inputs.  Scalar
 conventions, shared by every mode:
 
-* complex numbers are ``[re, im]`` pairs (plain numbers are accepted
-  where the imaginary part is zero),
-* exact rationals are ``[num, den]`` pairs,
+* numbers must be finite; complex numbers are ``[re, im]`` pairs (plain
+  numbers are accepted where the imaginary part is zero),
 * polynomials are ascending coefficient lists; each coefficient is a
-  number, an ``[re, im]`` pair, or an exact quadruple
-  ``[re_num, re_den, im_num, im_den]``,
+  number, an ``[re, im]`` pair (``[a, b]`` is a + bi, never a/b), or an
+  exact quadruple ``[re_num, re_den, im_num, im_den]``, the spelling of
+  exact fractions,
 * a polynomial matrix is a list of rows of such coefficient lists.
 
 Float coefficients are turned into exact Gaussian rationals by continued
-fraction approximation with denominators bounded by ``max_denominator``
-(default one million); integer pairs and quadruples are taken exactly.
+fraction approximation with denominators bounded by ``MAX_DENOMINATOR``;
+integers, integer pairs and quadruples are taken exactly.
 
 Antiholomorphic inputs (the plus seeds of a Toda job) are written as
 polynomials in the conjugate variable, consistent with the rest of the
@@ -27,8 +27,8 @@ report exactly once; points that cannot be processed carry a status tag
 instead of data.
 
 Exit codes: 0 when every point succeeded and every residual is within
-``residual_tol``; 1 when any point failed or any residual is too large;
-2 for configuration problems.
+``residual_tol``; 1 when any point failed or any residual is too large
+or NaN; 2 for configuration problems.
 """
 
 from __future__ import annotations
@@ -65,11 +65,9 @@ from .toda import TodaProblem, phi_relation, solve, toda_residual, zero_curvatur
 __all__ = [
     "SPEC_VERSION",
     "GridSpec",
-    "IntegrationSpec",
     "JobConfig",
     "PointRecord",
     "Report",
-    "Tolerances",
     "emit",
     "main",
     "parse_config",
@@ -78,8 +76,8 @@ __all__ = [
 ]
 
 SPEC_VERSION = "1"
-MODES = ("frenet", "verify-frenet", "toda-solve", "verify-toda", "gauss", "grading")
 RANK_DROP_RADIUS = 1e-3
+MAX_DENOMINATOR = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +99,14 @@ class GridSpec:
 
 
 @dataclass
-class Tolerances:
-    residual_tol: float = 1e-5
-
-
-@dataclass
-class IntegrationSpec:
-    basepoint: complex = 0.0
-
-
-@dataclass
 class JobConfig:
     mode: str
     curve: PolyMatrix | None = None
     gradation: GradationSpec | None = None
     metric: HermitianMetric | None = None
     grid: GridSpec = field(default_factory=GridSpec)
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    integration: IntegrationSpec = field(default_factory=IntegrationSpec)
+    residual_tol: float = 1e-5
+    basepoint: complex = 0.0
     gamma_minus: PolyMatrix | None = None
     gamma_plus: PolyMatrix | None = None
     c_minus: PolyMatrix | None = None
@@ -129,13 +117,18 @@ class JobConfig:
     matrices: tuple[np.ndarray, ...] = ()
     count: int = 0
     seed: int = 0
-    max_denominator: int = 10**6
 
 
 def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
+    return x
 
 
 def _as_int(v, path: str) -> int:
@@ -144,25 +137,31 @@ def _as_int(v, path: str) -> int:
     return v
 
 
+def _as_ints(v, path: str) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(path, f"expected a list of integers, got {v!r}")
+    return tuple(_as_int(s, path) for s in v)
+
+
 def _as_complex(v, path: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_as_number(v, path))
     if isinstance(v, list) and len(v) == 2:
         return complex(_as_number(v[0], path), _as_number(v[1], path))
     raise ConfigError(path, f"expected a number or [re, im] pair, got {v!r}")
 
 
-def _as_gaussian(v, path: str, maxden: int) -> GaussianRational:
+def _as_gaussian(v, path: str) -> GaussianRational:
     if isinstance(v, bool):
         raise ConfigError(path, "booleans are not numbers")
     if isinstance(v, int):
         return GaussianRational(v)
     if isinstance(v, float):
-        return GaussianRational.from_complex(complex(v), maxden)
+        return GaussianRational.from_complex(_as_complex(v, path), MAX_DENOMINATOR)
     if isinstance(v, list) and len(v) == 2:
         if all(isinstance(x, int) and not isinstance(x, bool) for x in v):
             return GaussianRational(v[0], v[1])
-        return GaussianRational.from_complex(_as_complex(v, path), maxden)
+        return GaussianRational.from_complex(_as_complex(v, path), MAX_DENOMINATOR)
     if isinstance(v, list) and len(v) == 4:
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
             raise ConfigError(path, "exact quadruples must be integers")
@@ -175,21 +174,21 @@ def _as_gaussian(v, path: str, maxden: int) -> GaussianRational:
     )
 
 
-def _as_poly(v, path: str, maxden: int) -> Poly:
+def _as_poly(v, path: str) -> Poly:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return Poly([_as_gaussian(v, path, maxden)])
+        return Poly([_as_gaussian(v, path)])
     if isinstance(v, list):
-        return Poly([_as_gaussian(c, f"{path}[{k}]", maxden) for k, c in enumerate(v)])
+        return Poly([_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)])
     raise ConfigError(path, f"expected a coefficient list, got {v!r}")
 
 
-def _as_poly_matrix(v, path: str, maxden: int) -> PolyMatrix:
+def _as_poly_matrix(v, path: str) -> PolyMatrix:
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise ConfigError(path, "expected a list of rows")
     try:
         return PolyMatrix(
             [
-                [_as_poly(e, f"{path}[{i}][{j}]", maxden) for j, e in enumerate(row)]
+                [_as_poly(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)]
                 for i, row in enumerate(v)
             ]
         )
@@ -209,27 +208,6 @@ def _as_complex_matrix(v, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _as_gradation(v, path: str, labels_required: bool) -> GradationSpec:
-    if not isinstance(v, dict):
-        raise ConfigError(path, "expected an object with 'sizes' and 'labels'")
-    unknown = set(v) - {"sizes", "labels"}
-    if unknown:
-        raise ConfigError(path, f"unknown keys {sorted(unknown)}")
-    if "sizes" not in v:
-        raise ConfigError(f"{path}.sizes", "required")
-    sizes = tuple(_as_int(s, f"{path}.sizes") for s in v["sizes"])
-    if "labels" in v:
-        labels = tuple(_as_int(s, f"{path}.labels") for s in v["labels"])
-    elif labels_required:
-        raise ConfigError(f"{path}.labels", "required")
-    else:
-        labels = (1,) * (len(sizes) - 1)
-    try:
-        return GradationSpec(BlockStructure(sizes), labels)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
 _TOP_KEYS = {
     "mode",
     "curve",
@@ -244,8 +222,27 @@ _TOP_KEYS = {
     "matrices",
     "count",
     "seed",
-    "max_denominator",
 }
+
+# the keys each nested config object accepts; the README lists the same
+_SECTION_KEYS = {
+    "grid": ("center", "radius", "nx", "ny"),
+    "tolerances": ("residual_tol",),
+    "integration": ("basepoint",),
+    "seeds": ("gamma_minus", "gamma_plus", "c_minus", "c_plus", "g0"),
+    "gradation": ("sizes", "labels"),
+}
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The object under ``name`` (empty when absent), checked for unknown keys."""
+    v = raw.get(name, {})
+    if not isinstance(v, dict):
+        raise ConfigError(name, "expected an object")
+    unknown = set(v) - set(_SECTION_KEYS[name])
+    if unknown:
+        raise ConfigError(f"{name}.{sorted(unknown)[0]}", "unknown key")
+    return v
 
 
 def parse_config(raw: dict) -> JobConfig:
@@ -260,60 +257,42 @@ def parse_config(raw: dict) -> JobConfig:
         raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
     cfg = JobConfig(mode=mode)
 
-    if "max_denominator" in raw:
-        cfg.max_denominator = _as_int(raw["max_denominator"], "max_denominator")
-        if cfg.max_denominator < 1:
-            raise ConfigError("max_denominator", "must be positive")
-    maxden = cfg.max_denominator
+    g = _section(raw, "grid")
+    cfg.grid = GridSpec(
+        center=_as_complex(g.get("center", 0.0), "grid.center"),
+        radius=_as_number(g.get("radius", 1.0), "grid.radius"),
+        nx=_as_int(g.get("nx", 3), "grid.nx"),
+        ny=_as_int(g.get("ny", 3), "grid.ny"),
+    )
+    if cfg.grid.radius <= 0:
+        raise ConfigError("grid.radius", "must be positive")
+    if cfg.grid.nx < 1 or cfg.grid.ny < 1:
+        raise ConfigError("grid.nx", "point counts must be at least 1")
 
-    if "grid" in raw:
-        g = raw["grid"]
-        if not isinstance(g, dict):
-            raise ConfigError("grid", "expected an object")
-        unknown = set(g) - {"center", "radius", "nx", "ny"}
-        if unknown:
-            raise ConfigError(f"grid.{sorted(unknown)[0]}", "unknown key")
-        cfg.grid = GridSpec(
-            center=_as_complex(g.get("center", 0.0), "grid.center"),
-            radius=_as_number(g.get("radius", 1.0), "grid.radius"),
-            nx=_as_int(g.get("nx", 3), "grid.nx"),
-            ny=_as_int(g.get("ny", 3), "grid.ny"),
-        )
-        if cfg.grid.radius <= 0:
-            raise ConfigError("grid.radius", "must be positive")
-        if cfg.grid.nx < 1 or cfg.grid.ny < 1:
-            raise ConfigError("grid.nx", "point counts must be at least 1")
-
-    if "tolerances" in raw:
-        t = raw["tolerances"]
-        if not isinstance(t, dict):
-            raise ConfigError("tolerances", "expected an object")
-        unknown = set(t) - {"residual_tol"}
-        if unknown:
-            raise ConfigError(f"tolerances.{sorted(unknown)[0]}", "unknown key")
-        cfg.tolerances = Tolerances(
-            residual_tol=_as_number(t.get("residual_tol", 1e-5), "tolerances.residual_tol")
-        )
-        if cfg.tolerances.residual_tol <= 0:
-            raise ConfigError("tolerances.residual_tol", "must be positive")
-
-    if "integration" in raw:
-        it = raw["integration"]
-        if not isinstance(it, dict):
-            raise ConfigError("integration", "expected an object")
-        unknown = set(it) - {"basepoint"}
-        if unknown:
-            raise ConfigError(f"integration.{sorted(unknown)[0]}", "unknown key")
-        cfg.integration = IntegrationSpec(
-            basepoint=_as_complex(it.get("basepoint", 0.0), "integration.basepoint"),
-        )
+    tol = _section(raw, "tolerances").get("residual_tol", 1e-5)
+    cfg.residual_tol = _as_number(tol, "tolerances.residual_tol")
+    if cfg.residual_tol <= 0:
+        raise ConfigError("tolerances.residual_tol", "must be positive")
+    base = _section(raw, "integration").get("basepoint", 0.0)
+    cfg.basepoint = _as_complex(base, "integration.basepoint")
 
     if "curve" in raw:
-        cfg.curve = _as_poly_matrix(raw["curve"], "curve", maxden)
+        cfg.curve = _as_poly_matrix(raw["curve"], "curve")
     if "gradation" in raw:
-        cfg.gradation = _as_gradation(
-            raw["gradation"], "gradation", labels_required=(mode == "grading")
-        )
+        gr = _section(raw, "gradation")
+        if "sizes" not in gr:
+            raise ConfigError("gradation.sizes", "required")
+        sizes = _as_ints(gr["sizes"], "gradation.sizes")
+        if "labels" in gr:
+            labels = _as_ints(gr["labels"], "gradation.labels")
+        elif mode == "grading":
+            raise ConfigError("gradation.labels", "required")
+        else:
+            labels = (1,) * (len(sizes) - 1)
+        try:
+            cfg.gradation = GradationSpec(BlockStructure(sizes), labels)
+        except ValueError as exc:
+            raise ConfigError("gradation", str(exc)) from None
     if "metric_h" in raw:
         try:
             cfg.metric = HermitianMetric(_as_complex_matrix(raw["metric_h"], "metric_h"))
@@ -340,18 +319,12 @@ def parse_config(raw: dict) -> JobConfig:
             _as_complex_matrix(m, f"matrices[{i}]") for i, m in enumerate(raw["matrices"])
         )
 
-    if "seeds" in raw:
-        s = raw["seeds"]
-        if not isinstance(s, dict):
-            raise ConfigError("seeds", "expected an object")
-        unknown = set(s) - {"gamma_minus", "gamma_plus", "c_minus", "c_plus", "g0"}
-        if unknown:
-            raise ConfigError(f"seeds.{sorted(unknown)[0]}", "unknown key")
-        for name in ("gamma_minus", "gamma_plus", "c_minus", "c_plus"):
-            if name in s:
-                setattr(cfg, name, _as_poly_matrix(s[name], f"seeds.{name}", maxden))
-        if "g0" in s:
-            cfg.g0 = _as_complex_matrix(s["g0"], "seeds.g0")
+    s = _section(raw, "seeds")
+    for name in ("gamma_minus", "gamma_plus", "c_minus", "c_plus"):
+        if name in s:
+            setattr(cfg, name, _as_poly_matrix(s[name], f"seeds.{name}"))
+    if "g0" in s:
+        cfg.g0 = _as_complex_matrix(s["g0"], "seeds.g0")
 
     return cfg
 
@@ -372,24 +345,13 @@ class PointRecord:
         return self.status == "ok"
 
 
-@dataclass(eq=False)
+@dataclass
 class Report:
     spec_version: str
     mode: str
-    generated_at: str
+    generated_at: str = field(compare=False)  # presentation only
     summary: dict
     points: list[PointRecord]
-
-    def __eq__(self, other):
-        """Content comparison; the timestamp is presentation only."""
-        if not isinstance(other, Report):
-            return NotImplemented
-        return (
-            self.spec_version == other.spec_version
-            and self.mode == other.mode
-            and self.summary == other.summary
-            and self.points == other.points
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -429,17 +391,17 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        worst = 0.0
-        for p in self.points:
-            for v in p.residuals.values():
-                worst = max(worst, v)
-        return worst
+        """The worst residual; NaN when any residual is NaN."""
+        values = [v for p in self.points for v in p.residuals.values()]
+        if any(math.isnan(v) for v in values):
+            return math.nan
+        return max(values, default=0.0)
 
     def exit_code(self) -> int:
         tol = self.summary.get("residual_tol", 1e-5)
         if any(not p.ok for p in self.points):
             return 1
-        if self.max_residual > tol:
+        if not self.max_residual <= tol:
             return 1
         return 0
 
@@ -505,7 +467,14 @@ def _rank_drop_roots(poly: Poly) -> np.ndarray:
     return np.roots(list(reversed(coeffs)))
 
 
-def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
+def _metric(cfg: JobConfig, n: int, against: str) -> HermitianMetric:
+    h = cfg.metric if cfg.metric is not None else HermitianMetric.identity(n)
+    if h.n != n:
+        raise ConfigError("metric_h", f"size {h.n} does not match the {against}")
+    return h
+
+
+def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     if cfg.curve is None:
         raise ConfigError("curve", "required for frenet modes")
     try:
@@ -513,9 +482,7 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
     except TodaframesError as exc:
         raise ConfigError("curve", str(exc)) from None
     n = cfg.curve.rows
-    h = cfg.metric if cfg.metric is not None else HermitianMetric.identity(n)
-    if h.n != n:
-        raise ConfigError("metric_h", f"size {h.n} does not match the curve ({n} rows)")
+    h = _metric(cfg, n, f"curve ({n} rows)")
     roots = _rank_drop_roots(seq.rank_drop)
     t = seq.t
 
@@ -530,7 +497,7 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
                 values[f"g_{a}"] = induced_metric(data, a)
             for a in range(t + 1):
                 values[f"ln_det_beta_{a}"] = _ln_det(data.betas[a])
-            if verify:
+            if cfg.mode == "verify-frenet":
                 frame = verify_frame_equations(data)
                 for a in range(t + 1):
                     residuals[f"frame_minus_{a}"] = frame.minus[a]
@@ -549,9 +516,6 @@ def _run_frenet(cfg: JobConfig, verify: bool) -> tuple[dict, list[PointRecord]]:
             [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
             for c in seq.rank_drop.coeffs
         ],
-        "residual_tol": cfg.tolerances.residual_tol,
-        "points_total": len(records),
-        "points_ok": sum(1 for r in records if r.ok),
     }
     return summary, records
 
@@ -562,7 +526,7 @@ def _build_problem(cfg: JobConfig) -> TodaProblem:
     if cfg.c_minus is None:
         raise ConfigError("seeds.c_minus", "required for toda modes")
     n = cfg.gradation.n
-    h = cfg.metric if cfg.metric is not None else HermitianMetric.identity(n)
+    h = _metric(cfg, n, f"gradation ({n} rows)")
     try:
         if cfg.hermitian_mode:
             if cfg.c_plus is not None:
@@ -584,7 +548,7 @@ def _build_problem(cfg: JobConfig) -> TodaProblem:
         raise ConfigError("seeds", str(exc)) from None
 
 
-def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRecord]]:
+def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     problem = _build_problem(cfg)
     if cfg.gamma_minus is None:
         raise ConfigError("seeds.gamma_minus", "required for toda modes")
@@ -597,7 +561,7 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
             cfg.gamma_minus,
             pts,
             g0=cfg.g0,
-            basepoint=cfg.integration.basepoint,
+            basepoint=cfg.basepoint,
             gamma_plus=cfg.gamma_plus,
         )
     except (ValueError, TodaframesError) as exc:
@@ -640,7 +604,7 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
         try:
             for a, v in enumerate(toda_residual(problem, jet, z)):
                 residuals[f"toda_{a}"] = v
-            if with_curvature:
+            if cfg.mode == "verify-toda":
                 residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
         except TodaframesError as exc:
             return PointRecord(z, f"failed: {type(exc).__name__}: {exc}", residuals, values)
@@ -650,9 +614,6 @@ def _run_toda(cfg: JobConfig, with_curvature: bool) -> tuple[dict, list[PointRec
     summary = {
         "hermitian_mode": cfg.hermitian_mode,
         "failure_fraction": sum(1 for r in records if not r.ok) / max(1, len(records)),
-        "residual_tol": cfg.tolerances.residual_tol,
-        "points_total": len(records),
-        "points_ok": sum(1 for r in records if r.ok),
     }
     return summary, records
 
@@ -692,13 +653,7 @@ def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         return PointRecord(z, "ok", {"recompose": rel}, {})
 
     records = [one(i) for i in range(len(mats))]
-    summary = {
-        "blocks": list(blocks.sizes),
-        "residual_tol": cfg.tolerances.residual_tol,
-        "points_total": len(records),
-        "points_ok": sum(1 for r in records if r.ok),
-    }
-    return summary, records
+    return {"blocks": list(blocks.sizes)}, records
 
 
 def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
@@ -726,30 +681,28 @@ def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         "cartan_match": tuple(cartan) == tuple(op.diagonal),
         "labels": list(spec.labels),
         "blocks": list(spec.blocks.sizes),
-        "residual_tol": cfg.tolerances.residual_tol,
-        "points_total": len(records),
-        "points_ok": len(records),
     }
     return summary, records
+
+
+_RUNNERS = {
+    "frenet": _run_frenet,
+    "verify-frenet": _run_frenet,
+    "toda-solve": _run_toda,
+    "verify-toda": _run_toda,
+    "gauss": _run_gauss,
+    "grading": _run_grading,
+}
+MODES = tuple(_RUNNERS)
 
 
 def run(config: JobConfig | dict) -> Report:
     """Dispatch one job and collect its report."""
     cfg = parse_config(config) if isinstance(config, dict) else config
-    if cfg.mode == "frenet":
-        summary, records = _run_frenet(cfg, verify=False)
-    elif cfg.mode == "verify-frenet":
-        summary, records = _run_frenet(cfg, verify=True)
-    elif cfg.mode == "toda-solve":
-        summary, records = _run_toda(cfg, with_curvature=False)
-    elif cfg.mode == "verify-toda":
-        summary, records = _run_toda(cfg, with_curvature=True)
-    elif cfg.mode == "gauss":
-        summary, records = _run_gauss(cfg)
-    elif cfg.mode == "grading":
-        summary, records = _run_grading(cfg)
-    else:
-        raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
+    summary, records = _RUNNERS[cfg.mode](cfg)
+    summary["residual_tol"] = cfg.residual_tol
+    summary["points_total"] = len(records)
+    summary["points_ok"] = sum(1 for r in records if r.ok)
     return Report(
         spec_version=SPEC_VERSION,
         mode=cfg.mode,

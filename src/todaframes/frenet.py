@@ -289,8 +289,7 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     level, so it stays at rounding level and large values flag a broken
     sequence.
     """
-    metric = h if isinstance(h, HermitianMetric) else HermitianMetric(h)
-    hm = metric.matrix
+    hm = h.matrix
     n = seq.n
     t = seq.t
     xs = [seq.xis[a].evaluate(z) for a in range(t + 1)]

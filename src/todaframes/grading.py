@@ -144,13 +144,11 @@ def degree_of_block(spec: GradationSpec, a: int, b: int) -> int:
     return block_degree(spec.labels, a, b)
 
 
-def eigen_check(
-    op: GradingOperator, x: np.ndarray, degree: int, tol: float = 1e-12
-) -> float:
+def eigen_check(op: GradingOperator, x: np.ndarray, degree: int) -> float:
     """Residual of [q, x] = degree * x, normalized by the size of x.
 
     Returns the relative residual; a pure degree matrix gives a residual
-    below tol, and the caller may assert on the returned value.
+    at rounding level, and the caller may assert on the returned value.
     """
     x = np.asarray(x, dtype=complex)
     q = op.q

@@ -68,10 +68,11 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
-    def from_complex(cls, z: complex, max_denominator: int = 10**6) -> "GaussianRational":
+    def from_complex(cls, z: complex, limit: int) -> "GaussianRational":
+        """Nearest parts with denominators at most ``limit``."""
         return cls(
-            Fraction(float(np.real(z))).limit_denominator(max_denominator),
-            Fraction(float(np.imag(z))).limit_denominator(max_denominator),
+            Fraction(float(np.real(z))).limit_denominator(limit),
+            Fraction(float(np.imag(z))).limit_denominator(limit),
         )
 
     @staticmethod
@@ -280,9 +281,6 @@ class Poly:
                     rem[k + j] = rem[k + j] - c * b
         return Poly(quo), Poly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -440,11 +438,6 @@ class PolyMatrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if other.rows != self.rows:
-            raise ValueError("row count mismatch in hstack")
-        return PolyMatrix([list(a) + list(b) for a, b in zip(self.entries, other.entries)])
 
     def derivative(self) -> "PolyMatrix":
         return PolyMatrix([[e.derivative() for e in row] for row in self.entries])

@@ -389,7 +389,7 @@ def solve(
         g0 = problem.h.cholesky_factor()
     g0 = np.asarray(g0, dtype=complex)
     residual = np.linalg.norm(g0.conj().T @ g0 - problem.h.matrix)
-    if residual > 1e-9 * max(1.0, float(np.linalg.norm(problem.h.matrix))):
+    if not residual <= 1e-9 * max(1.0, float(np.linalg.norm(problem.h.matrix))):
         raise ValueError("g0 must factor the metric: g0^dagger g0 = h")
     g0inv = np.linalg.inv(g0)
 

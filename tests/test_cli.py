@@ -43,8 +43,8 @@ class TestConfigParsing:
         cfg = parse_config({"mode": "frenet", "curve": LINE_CURVE})
         assert cfg.mode == "frenet"
         assert cfg.curve.shape == (2, 1)
-        assert cfg.tolerances.residual_tol == 1e-5
-        assert cfg.integration.basepoint == 0
+        assert cfg.residual_tol == 1e-5
+        assert cfg.basepoint == 0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -190,13 +190,14 @@ class TestFrenetModes:
 
     def test_rank_drop_points_are_excluded(self):
         # (z, z^2) drops rank at the origin, which the default grid contains
-        report = run(
-            {
-                "mode": "frenet",
-                "curve": [[[0, 1]], [[0, 0, 1]]],
-                "grid": {"radius": 0.5, "nx": 3, "ny": 3},
-            }
-        )
+        with pytest.warns(UserWarning, match="constant rank"):
+            report = run(
+                {
+                    "mode": "frenet",
+                    "curve": [[[0, 1]], [[0, 0, 1]]],
+                    "grid": {"radius": 0.5, "nx": 3, "ny": 3},
+                }
+            )
         assert report.summary["rank_drop"] == [[0, 1, 0, 1], [1, 1, 0, 1]]
         statuses = [p.status for p in report.points]
         assert statuses.count("excluded: near a rank drop point") == 1
@@ -424,6 +425,15 @@ class TestReports:
         data = json.loads(emit(self.make_report(), "json"))
         assert data["spec_version"] == "1"
 
+    def test_nan_residual_fails_the_gate(self):
+        # max() would skip a NaN that comes after a number and keep one
+        # that comes first; either way the report must not pass
+        for residuals in ({"a": np.nan}, {"a": np.nan, "b": 1e-9}, {"b": 1e-9, "a": np.nan}):
+            point = PointRecord(z=0.0, status="ok", residuals=residuals, values={})
+            report = Report("1", "gauss", "now", {"residual_tol": 1e-5}, [point])
+            assert np.isnan(report.max_residual)
+            assert report.exit_code() == 1
+
 
 class TestMain:
     def write_config(self, tmp_path, cfg) -> str:
@@ -475,6 +485,31 @@ class TestMain:
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
         assert "integration.steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"tolerances": {"residual_tol": float("nan")}}, "tolerances.residual_tol"),
+            ({"grid": {"radius": float("inf")}}, "grid.radius"),
+            ({"grid": {"radius": 10**400}}, "grid.radius"),
+            ({"grid": {"center": float("nan")}}, "grid.center"),
+            ({"curve": [[[1]], [[0, float("inf")]]]}, "curve[1][0][1]"),
+            ({"curve": [[[1]], [[0, [0.5, float("nan")]]]]}, "curve[1][0][1]"),
+            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, float("nan")]]]}, "matrices[0][1][1]"),
+            ({"mode": "gauss", "gradation": {"sizes": 3}}, "gradation.sizes"),
+            ({"mode": "grading", "gradation": {"sizes": [2, 1], "labels": 1}}, "gradation.labels"),
+            ({"mode": "grading", "gradation": {"sizes": [2, 1], "levels": [1]}}, "gradation.levels"),
+            ({"max_denominator": 100}, "max_denominator"),
+            (dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
+            (dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
+            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[float("nan"), 0], [0, 1]])), "seeds.g0[0][0]"),
+        ],
+    )
+    def test_malformed_config_names_the_field(self, tmp_path, capsys, cfg, field):
+        cfg = {"mode": "frenet", "curve": LINE_CURVE, **cfg}
+        path = self.write_config(tmp_path, cfg)
+        assert main([cfg["mode"], "--config", path]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
     def test_failed_point_is_exit_1(self, tmp_path, capsys):
         cfg = {
             "curve": [[[0, 1]], [[0, 0, 1]]],
@@ -482,7 +517,8 @@ class TestMain:
         }
         path = self.write_config(tmp_path, cfg)
         out = tmp_path / "r.json"
-        assert main(["frenet", "--config", path, "--out", str(out)]) == 1
+        with pytest.warns(UserWarning, match="constant rank"):
+            assert main(["frenet", "--config", path, "--out", str(out)]) == 1
 
 
     def test_non_hermitian_job_gates_only_toda_residuals(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The README's examples and API lists stay in step with the package.
 
-The Python session block is run as written, and the list of top-level
-config keys is compared with the keys the CLI accepts.
+The Python session block is run as written, and the lists of top-level
+and section config keys are compared with the keys the CLI accepts.
 """
 
 from __future__ import annotations
@@ -35,3 +35,9 @@ def test_top_level_config_keys_match_the_cli():
     match = re.search(r"Top-level keys: (.*?)\. Unknown keys are rejected", README, re.S)
     assert match is not None
     assert set(re.findall(r"`(\w+)`", match.group(1))) == cli._TOP_KEYS
+
+
+def test_section_config_keys_match_the_cli():
+    rows = re.findall(r"^\| `(\w+)` \| (`.*?) \|$", README, re.M)
+    listed = {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows}
+    assert listed == cli._SECTION_KEYS

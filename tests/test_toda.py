@@ -311,6 +311,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="g0"):
             solve(p, PolyMatrix.identity(2), [0.1], g0=np.diag([2.0, 1.0]))
 
+    def test_nan_g0_rejected(self):
+        # a NaN factor check compares false both ways; it must not pass
+        p = line_problem()
+        with pytest.raises(ValueError, match="g0"):
+            solve(p, PolyMatrix.identity(2), [0.1], g0=np.diag([np.nan, 1.0]))
+
     def test_trivial_data_gives_constants(self):
         p = TodaProblem.hermitian_problem(line_gradation(), 1, PolyMatrix.zeros(2, 2))
         sol = solve(p, PolyMatrix.identity(2), [0.0, 0.7 - 0.1j])
