@@ -111,7 +111,6 @@ class JobConfig:
     gamma_plus: PolyMatrix | None = None
     c_minus: PolyMatrix | None = None
     c_plus: PolyMatrix | None = None
-    g0: np.ndarray | None = None
     hermitian_mode: bool = True
     gap: int = 1
     matrices: tuple[np.ndarray, ...] = ()
@@ -229,7 +228,7 @@ _SECTION_KEYS = {
     "grid": ("center", "radius", "nx", "ny"),
     "tolerances": ("residual_tol",),
     "integration": ("basepoint",),
-    "seeds": ("gamma_minus", "gamma_plus", "c_minus", "c_plus", "g0"),
+    "seeds": ("gamma_minus", "gamma_plus", "c_minus", "c_plus"),
     "gradation": ("sizes", "labels"),
 }
 
@@ -320,11 +319,9 @@ def parse_config(raw: dict) -> JobConfig:
         )
 
     s = _section(raw, "seeds")
-    for name in ("gamma_minus", "gamma_plus", "c_minus", "c_plus"):
+    for name in _SECTION_KEYS["seeds"]:
         if name in s:
             setattr(cfg, name, _as_poly_matrix(s[name], f"seeds.{name}"))
-    if "g0" in s:
-        cfg.g0 = _as_complex_matrix(s["g0"], "seeds.g0")
 
     return cfg
 
@@ -560,7 +557,6 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
             problem,
             cfg.gamma_minus,
             pts,
-            g0=cfg.g0,
             basepoint=cfg.basepoint,
             gamma_plus=cfg.gamma_plus,
         )
@@ -585,7 +581,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         # reported, not gated
         checks = {
             "hermiticity": float(np.linalg.norm(gamma - gamma.conj().T)) / scale,
-            "phi_relation": phi_relation(problem, phi, gamma, cfg.g0),
+            "phi_relation": phi_relation(problem, phi, gamma),
         }
         residuals = checks if cfg.hermitian_mode else {}
         values: dict[str, float] = {} if cfg.hermitian_mode else dict(checks)

@@ -4,15 +4,16 @@ A polynomial column set of constant rank k spans, at every point of the
 plane, a k dimensional subspace, a curve in the Grassmannian of C^n.
 Differentiating in z and adjoining the genuinely new directions yields the
 next osculating level; repeating until the rank stops growing gives the
-osculating sequence xi_0, ..., xi_t with the defining relation
+osculating sequence Xi = [xi_0 ... xi_t] with the defining relation
 
-    dxi_a/dz = sum over b <= a+1 of xi_b B_{ba},
+    dXi/dz = Xi B,  block by block  dxi_a/dz = sum over b <= a+1 of xi_b B_{ba},
 
-where the coefficients B are polynomial matrices found exactly by the
+where B is a block upper Hessenberg polynomial matrix found exactly by the
 adjunction machinery of the poly module.  Orthogonalizing the levels
 against a hermitian metric h produces the Frenet frame phi_0, ..., phi_t
 and the gram blocks beta_a; the frame satisfies first order equations in
-both Wirtinger directions whose data (beta, B, D) feed the Toda module.
+both Wirtinger directions whose data (beta, B, D = -B^dagger) feed the
+Toda module.
 
 Derivative convention, fixed package wide: the minus derivative is d/dz
 and the plus derivative is d/dzbar.
@@ -32,6 +33,7 @@ from .linalg import (
     COND_LIMIT,
     BlockStructure,
     HermitianMetric,
+    condition,
     jet_h,
     jet_inv,
     jet_mul,
@@ -64,64 +66,59 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OsculatingSequence:
-    """Levels xi_a, their derivative coefficients, and the rank partition.
+    """The osculating sequence as two polynomial matrices, xi and B.
 
-    bcoeffs[a][b] is the polynomial matrix B_{ba} (shape k_b by k_a) in the
-    expansion of the z derivative of level a; only b <= a+1 occur, and
-    B_{t+1,t} is identically zero (the chain has terminated).  rank_drop is
-    a monic polynomial whose roots are exactly the points where the input
-    column set drops below its generic rank; it is 1 for constant rank
-    input.  reduction holds the exact change of basis when a reduction
-    was necessary: the polynomial matrix d with xi_0 @ d equal to the
-    input columns.
+    xi is the n by k matrix [xi_0 ... xi_t] of the levels side by side and
+    b the k by k matrix B of the defining relation dxi/dz = xi B; the
+    blocks of partition index both, so the (b, a) block of B is B_{ba}.
+    B is block upper Hessenberg: B_{ba} vanishes for b > a+1, and its block
+    subdiagonal is the holomorphic half of the Toda connection.  rank_drop
+    is a monic polynomial whose roots are exactly the points where the
+    input column set drops below its generic rank; it is 1 for constant
+    rank input.  reduction holds the exact change of basis when a
+    reduction was necessary: the polynomial matrix d with xi_0 @ d equal
+    to the input columns.
     """
 
-    xis: tuple[PolyMatrix, ...]
-    bcoeffs: tuple[tuple[PolyMatrix, ...], ...]
+    xi: PolyMatrix
+    b: PolyMatrix
     partition: BlockStructure
     rank_drop: Poly
     reduction: PolyMatrix | None = None
 
     @property
     def t(self) -> int:
-        return len(self.xis) - 1
+        return self.partition.count - 1
 
     @cached_property
-    def derivatives(self) -> tuple[PolyMatrix, ...]:
-        """The z derivative of every level, built once per sequence."""
-        return tuple(x.derivative() for x in self.xis)
+    def dxi(self) -> PolyMatrix:
+        """The z derivative of xi, built once per sequence."""
+        return self.xi.derivative()
+
+    @property
+    def xis(self) -> tuple[PolyMatrix, ...]:
+        """The levels xi_a, read from the column blocks of xi."""
+        rows = range(self.n)
+        return tuple(
+            self.xi.submatrix(rows, range(s.start, s.stop))
+            for s in map(self.partition.slice, range(self.t + 1))
+        )
 
     @property
     def n(self) -> int:
-        return self.xis[0].rows
-
-    @property
-    def total(self) -> int:
-        return self.partition.n
-
-    def b_block(self, b: int, a: int) -> PolyMatrix:
-        """B_{ba}, the zero matrix when b > a+1 or the chain has ended."""
-        sizes = self.partition.sizes
-        if not (0 <= a <= self.t and 0 <= b <= self.t):
-            raise IndexError(f"no level pair ({b}, {a}) in a chain of length {self.t + 1}")
-        if b < len(self.bcoeffs[a]):
-            return self.bcoeffs[a][b]
-        return PolyMatrix.zeros(sizes[b], sizes[a])
+        return self.xi.rows
 
     def c_minus_matrix(self) -> PolyMatrix:
-        """Block subdiagonal matrix of the B_{a+1,a}, the holomorphic half
-        of the Toda connection for this curve."""
-        k = self.total
-        sizes = self.partition.sizes
-        entries = [[Poly.zero() for _ in range(k)] for _ in range(k)]
-        for a in range(self.t):
-            blk = self.bcoeffs[a][a + 1]
-            r0 = self.partition.offsets[a + 1]
-            c0 = self.partition.offsets[a]
-            for i in range(sizes[a + 1]):
-                for j in range(sizes[a]):
-                    entries[r0 + i][c0 + j] = blk.entry(i, j)
-        return PolyMatrix(entries)
+        """B with every block off the block subdiagonal set to zero: the
+        B_{a+1,a}, the holomorphic half of the Toda connection for this
+        curve."""
+        level = [a for a, k in enumerate(self.partition.sizes) for _ in range(k)]
+        return PolyMatrix(
+            [
+                [e if level[i] == level[j] + 1 else Poly() for j, e in enumerate(row)]
+                for i, row in enumerate(self.b.entries)
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,6 @@ class FrenetPointData:
     phis: tuple[np.ndarray, ...]
     betas: tuple[np.ndarray, ...]
     b_sub: tuple[np.ndarray, ...]
-    d_super: tuple[np.ndarray, ...]
     b_solve_residual: float
     phis_dz: tuple[np.ndarray, ...]
     phis_dzbar: tuple[np.ndarray, ...]
@@ -229,47 +225,26 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     else:
         rank_drop = poly_gcd_many(minor_gcd(sub) for sub in combinations(cols, len(gs)))
 
-    levels: list[list[PolyMatrix]] = [list(gs)]
-    cumulative: list[PolyMatrix] = list(gs)
-    raw_coeffs: list[list[list[Poly]]] = []
+    # column j of B holds the coefficients of the derivative of column j
+    sizes = [len(gs)]
+    columns: list[PolyMatrix] = list(gs)
+    b_cols: list[list[Poly]] = []
+    level = list(gs)
     while True:
-        current = levels[-1]
-        derivs = [c.derivative() for c in current]
-        extended, coeffs = adjoin_columns(cumulative, derivs)
-        new = extended[len(cumulative):]
-        raw_coeffs.append(coeffs)
-        cumulative = extended
-        if not new:
+        extended, coeffs = adjoin_columns(columns, [c.derivative() for c in level])
+        b_cols += coeffs
+        level, columns = extended[len(columns):], extended
+        if not level:
             break
-        levels.append(list(new))
-
-    sizes = tuple(len(lv) for lv in levels)
-    t = len(sizes) - 1
-    assert all(sizes[a] >= sizes[a + 1] for a in range(t)), "ranks must not grow"
-    starts = [0]
-    for k in sizes:
-        starts.append(starts[-1] + k)
-    bcoeffs = []
-    for a in range(t + 1):
-        upto = min(a + 1, t)
-        per_b = []
-        for b in range(upto + 1):
-            rows = []
-            for beta in range(sizes[b]):
-                idx = starts[b] + beta
-                rows.append(
-                    [
-                        raw_coeffs[a][alpha][idx] if idx < len(raw_coeffs[a][alpha]) else Poly()
-                        for alpha in range(sizes[a])
-                    ]
-                )
-            per_b.append(PolyMatrix(rows))
-        bcoeffs.append(tuple(per_b))
+        sizes.append(len(level))
+    assert all(sizes[a] >= sizes[a + 1] for a in range(len(sizes) - 1)), "ranks must not grow"
+    k = len(columns)
+    b = PolyMatrix([[c[i] if i < len(c) else Poly() for c in b_cols] for i in range(k)])
 
     return OsculatingSequence(
-        xis=tuple(PolyMatrix.from_columns(lv) for lv in levels),
-        bcoeffs=tuple(bcoeffs),
-        partition=BlockStructure(sizes),
+        xi=PolyMatrix.from_columns(columns),
+        b=b,
+        partition=BlockStructure(tuple(sizes)),
         rank_drop=rank_drop,
         reduction=reduction,
     )
@@ -283,17 +258,19 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     product runs on jets, the truncated hyper-dual numbers of Fike and
     Alonso (2011), seeded by the holomorphic levels and their z
     derivatives, so the Wirtinger derivatives of the frame and gram blocks
-    come out of the same pass.  The B blocks are the exact coefficients of
-    the sequence, evaluated at z; the recorded solve residual is the scaled
-    defect of the defining relation dxi_a/dz = sum of xi_b B_{ba} at every
-    level, so it stays at rounding level and large values flag a broken
-    sequence.
+    come out of the same pass.  xi, its z derivative and B are evaluated
+    once each; levels and blocks are slices of those three arrays.  The
+    recorded solve residual is the scaled defect of the defining relation
+    dxi_a/dz = sum of xi_b B_{ba} at every level, so it stays at rounding
+    level and large values flag a broken sequence.
     """
     hm = h.matrix
     n = seq.n
     t = seq.t
-    xs = [seq.xis[a].evaluate(z) for a in range(t + 1)]
-    dxs = [seq.derivatives[a].evaluate(z) for a in range(t + 1)]
+    blocks = [seq.partition.slice(a) for a in range(t + 1)]
+    x_all, dx_all, b_all = seq.xi.evaluate(z), seq.dxi.evaluate(z), seq.b.evaluate(z)
+    xs = [x_all[:, s] for s in blocks]
+    dxs = [dx_all[:, s] for s in blocks]
 
     zero = np.zeros((n, n), dtype=complex)
     h_jet = (hm, zero, zero, zero)
@@ -306,8 +283,8 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
         phi_a = xi if a == 0 else jet_mul(proj, xi)
         phi_h = jet_h(phi_a)
         beta_a = jet_mul(jet_mul(phi_h, h_jet), phi_a)
-        cond = np.linalg.cond(beta_a[0])
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = condition(beta_a[0])
+        if cond > COND_LIMIT:
             raise SingularBeta(f"gram block {a} at z={z:g} has condition {cond:.3e}")
         phis.append(phi_a)
         betas.append(beta_a)
@@ -317,23 +294,17 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
         step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
         proj = jet_mul(step, proj)
 
-    b_sub: list[np.ndarray] = []
     solve_residual = 0.0
     for a in range(t + 1):
-        bs = [seq.b_block(b, a).evaluate(z) for b in range(min(a + 1, t) + 1)]
-        terms = [x @ blk for x, blk in zip(xs, bs)]
+        terms = [xs[b] @ b_all[blocks[b], blocks[a]] for b in range(min(a + 1, t) + 1)]
         solve_residual = max(solve_residual, scaled_defect(dxs[a], terms))
-        if a < t:
-            b_sub.append(bs[a + 1])
-    d_super = [-b.conj().T for b in b_sub]
 
     return FrenetPointData(
         z=complex(z),
         partition=seq.partition,
         phis=tuple(p[0] for p in phis),
         betas=tuple(b[0] for b in betas),
-        b_sub=tuple(b_sub),
-        d_super=tuple(d_super),
+        b_sub=tuple(b_all[blocks[a + 1], blocks[a]] for a in range(t)),
         b_solve_residual=solve_residual,
         phis_dz=tuple(p[1] for p in phis),
         phis_dzbar=tuple(p[2] for p in phis),
@@ -348,8 +319,8 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
 
     The minus frame equation expresses the z derivative of each block
     through its own gram block and the next block; the plus equation (zbar
-    derivative) reaches back to the previous block through D.  Both sides
-    are read from the exact derivatives of the point data.
+    derivative) reaches back to the previous block through D = -B^dagger.
+    Both sides are read from the exact derivatives of the point data.
     """
     t = data.t
     res_minus, res_plus = [], []
@@ -360,7 +331,8 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
         res_minus.append(scaled_defect(data.phis_dz[a], terms))
 
         terms = [] if a == 0 else [
-            data.phis[a - 1] @ np.linalg.inv(data.betas[a - 1]) @ data.d_super[a - 1] @ data.betas[a]
+            data.phis[a - 1] @ np.linalg.inv(data.betas[a - 1])
+            @ -data.b_sub[a - 1].conj().T @ data.betas[a]
         ]
         res_plus.append(scaled_defect(data.phis_dzbar[a], terms))
     return FrameResiduals(z=data.z, minus=tuple(res_minus), plus=tuple(res_plus))
@@ -418,7 +390,7 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
     for a in range(data.t):
         lam_m[part.slice(a + 1), part.slice(a)] = data.b_sub[a]
         lam_p[part.slice(a), part.slice(a + 1)] = (
-            np.linalg.inv(data.betas[a]) @ data.d_super[a] @ data.betas[a + 1]
+            np.linalg.inv(data.betas[a]) @ -data.b_sub[a].conj().T @ data.betas[a + 1]
         )
 
     k0 = part.sizes[0]
@@ -443,4 +415,4 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
 
 def linear_fullness(seq: OsculatingSequence, n: int) -> bool:
     """Whether the osculating flag eventually fills C^n."""
-    return seq.total == n
+    return seq.partition.n == n

@@ -15,6 +15,7 @@ identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "block_project",
     "block_degree",
     "block",
+    "condition",
     "jet_h",
     "jet_inv",
     "jet_mul",
@@ -122,6 +124,15 @@ def scaled_defect(lhs, terms) -> float:
     floor keeps identities whose terms are all rounding noise at zero."""
     scale = max([1.0, float(np.linalg.norm(lhs))] + [float(np.linalg.norm(x)) for x in terms])
     return float(np.linalg.norm(lhs - sum(terms))) / scale
+
+
+def condition(m: np.ndarray) -> float:
+    """Condition number of m; a failed SVD or a non finite value is infinite."""
+    try:
+        cond = float(np.linalg.cond(m))
+    except np.linalg.LinAlgError:
+        return math.inf
+    return cond if math.isfinite(cond) else math.inf
 
 
 def block(x: np.ndarray, blocks: BlockStructure, a: int, b: int) -> np.ndarray:
@@ -242,11 +253,8 @@ def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
     for a in range(t1):
         sa = blocks.slice(a)
         pivot = s[sa, sa]
-        try:
-            cond = np.linalg.cond(pivot)
-        except np.linalg.LinAlgError:
-            raise GaussDecompositionFailed(a, "pivot condition estimate failed")
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = condition(pivot)
+        if cond > COND_LIMIT:
             raise GaussDecompositionFailed(a, f"pivot condition {cond:.3e}")
         pinv = np.linalg.inv(pivot)
         eta[sa, sa] = pivot

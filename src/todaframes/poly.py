@@ -167,14 +167,12 @@ _GR_ONE = GaussianRational(1)
 
 
 def _as_scalar(value) -> GaussianRational:
-    """Coerce ints, Fractions, (re, im) pairs and GaussianRationals."""
+    """Coerce ints, Fractions and GaussianRationals, never an (re, im) pair."""
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return GaussianRational(Fraction(value[0]), Fraction(value[1]))
-    raise TypeError(f"cannot build an exact scalar from {value!r}")
+    raise TypeError(f"coefficient {value!r} is not an int, Fraction or GaussianRational")
 
 
 class Poly:
@@ -541,8 +539,8 @@ class PolyMatrix:
 def _entry_as_poly(e) -> Poly:
     """Matrix entry coercion: a list or tuple is an ascending coefficient list.
 
-    Individual coefficients may still be (re, im) pairs; a constant complex
-    entry is spelled GaussianRational(re, im) or [(re, im)].
+    Each coefficient is an int, a Fraction or a GaussianRational; a complex
+    one is spelled GaussianRational(re, im), a constant or inside the list.
     """
     if isinstance(e, Poly):
         return e

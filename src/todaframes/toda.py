@@ -46,6 +46,7 @@ from .linalg import (
     COND_LIMIT,
     BlockStructure,
     HermitianMetric,
+    condition,
     gauss_decompose,
     jet_h,
     jet_inv,
@@ -357,7 +358,6 @@ def solve(
     problem: TodaProblem,
     gamma_minus: PolyMatrix,
     grid: Sequence[complex],
-    g0: np.ndarray | None = None,
     basepoint: complex = 0.0,
     gamma_plus: PolyMatrix | None = None,
 ) -> TodaSolution:
@@ -370,28 +370,21 @@ def solve(
     (stored in the conjugate variable) along the conjugated paths; in
     hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
     The quotient of the factors is Gauss decomposed per point, and gamma
-    and phi are assembled from the outputs, gamma with its exact jet.  The
-    constant g0 is a factor of the metric, g0^dagger g0 = h (defaulting to
-    the Cholesky factor); phi is built with its inverse on the left, which
-    is what makes phi^dagger h phi = gamma in hermitian mode.  Transport
-    and Gauss cell failures are recorded per point, as "integration: ..."
-    and "gauss: ...", and leave the other points intact.  Transport
-    factors along different legs compose by right multiplication: the
-    factor at z from basepoint 0 is the one at w from 0 times the one at
-    z from basepoint w.
+    and phi are assembled from the outputs, gamma with its exact jet.  phi
+    is built with the inverse of the Cholesky factor g0 of the metric,
+    g0^dagger g0 = h, on the left, which is what makes phi^dagger h phi =
+    gamma in hermitian mode.  Transport and Gauss cell failures are
+    recorded per point, as "integration: ..." and "gauss: ...", and leave
+    the other points intact.  Transport factors along different legs
+    compose by right multiplication: the factor at z from basepoint 0 is
+    the one at w from 0 times the one at z from basepoint w.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if not problem.hermitian_mode:
         if gamma_plus is None:
             raise ValueError("gamma_plus is required outside hermitian mode")
         _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
-    if g0 is None:
-        g0 = problem.h.cholesky_factor()
-    g0 = np.asarray(g0, dtype=complex)
-    residual = np.linalg.norm(g0.conj().T @ g0 - problem.h.matrix)
-    if not residual <= 1e-9 * max(1.0, float(np.linalg.norm(problem.h.matrix))):
-        raise ValueError("g0 must factor the metric: g0^dagger g0 = h")
-    g0inv = np.linalg.inv(g0)
+    g0inv = np.linalg.inv(problem.h.cholesky_factor())
 
     pts = [complex(p) for p in grid]
     ends = np.array(pts, dtype=complex)
@@ -459,8 +452,8 @@ def solve(
 def _block_cond_guard(g: np.ndarray, blocks: BlockStructure, z: complex):
     for a in range(blocks.count):
         s = blocks.slice(a)
-        cond = np.linalg.cond(g[s, s])
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = condition(g[s, s])
+        if cond > COND_LIMIT:
             raise SingularBeta(
                 f"gamma block {a} at z={z:g} has condition {cond:.3e}"
             )
@@ -524,13 +517,7 @@ def phi_relation(
     problem: TodaProblem,
     phi: np.ndarray,
     gamma: np.ndarray,
-    g0: np.ndarray | None = None,
 ) -> float:
-    """Defect of phi^dagger h phi = gamma at a point, relative to ||gamma||.
-
-    The metric is recovered from g0 when one is supplied (h = g0^dagger
-    g0), matching whatever factor solve used to assemble phi.
-    """
-    h = problem.h.matrix if g0 is None else g0.conj().T @ g0
-    defect = float(np.linalg.norm(phi.conj().T @ h @ phi - gamma))
+    """Defect of phi^dagger h phi = gamma at a point, relative to ||gamma||."""
+    defect = float(np.linalg.norm(phi.conj().T @ problem.h.matrix @ phi - gamma))
     return defect / max(1e-300, float(np.linalg.norm(gamma)))

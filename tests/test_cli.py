@@ -501,7 +501,7 @@ class TestMain:
             ({"max_denominator": 100}, "max_denominator"),
             (dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
             (dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
-            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[float("nan"), 0], [0, 1]])), "seeds.g0[0][0]"),
+            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
         ],
     )
     def test_malformed_config_names_the_field(self, tmp_path, capsys, cfg, field):
@@ -520,6 +520,20 @@ class TestMain:
         with pytest.warns(UserWarning, match="constant rank"):
             assert main(["frenet", "--config", path, "--out", str(out)]) == 1
 
+    def test_overflowing_gram_block_fails_its_point(self, tmp_path, capsys):
+        # away from the centre of this grid the gram blocks of (1, z)
+        # overflow; the condition guard fails those points, the SVD error
+        # of the overflowed block does not escape
+        cfg = {"curve": LINE_CURVE, "grid": {"radius": 1e300, "nx": 3, "ny": 3}}
+        path = self.write_config(tmp_path, cfg)
+        out = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            assert main(["frenet", "--config", path, "--out", str(out)]) == 1
+        points = json.loads(out.read_text())["points"]
+        failed = [p for p in points if p["status"] != "ok"]
+        assert len(failed) == 8
+        assert all(p["status"].startswith("failed: SingularBeta") for p in failed)
+        assert [p["z"] for p in points if p["status"] == "ok"] == [[0.0, 0.0]]
 
     def test_non_hermitian_job_gates_only_toda_residuals(self, tmp_path, capsys):
         # gamma is not hermitian here, so hermiticity and the frame relation

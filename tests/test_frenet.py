@@ -61,8 +61,7 @@ class TestBuildOsculating:
         assert seq.t == 1
         assert seq.partition.sizes == (1, 1)
         assert seq.xis[1] == PolyMatrix([[0], [1]])
-        assert seq.b_block(1, 0) == PolyMatrix([[1]])
-        assert seq.b_block(0, 0) == PolyMatrix([[0]])
+        assert seq.b == PolyMatrix([[0, 0], [1, 0]])
         assert seq.rank_drop == Poly.one()
 
     def test_conic(self):
@@ -70,15 +69,15 @@ class TestBuildOsculating:
         assert seq.partition.sizes == (1, 1, 1)
         assert seq.xis[1] == PolyMatrix([[0], [1], [[0, 2]]])
         assert seq.xis[2] == PolyMatrix([[0], [0], [2]])
-        assert seq.b_block(1, 0) == PolyMatrix([[1]])
-        assert seq.b_block(2, 1) == PolyMatrix([[1]])
-        assert seq.b_block(0, 1) == PolyMatrix([[0]])
+        assert seq.b.entry(1, 0) == Poly.one()
+        assert seq.b.entry(2, 1) == Poly.one()
+        assert seq.b.entry(0, 1).is_zero
 
     def test_constant_column_terminates_immediately(self):
         seq = build_osculating(PolyMatrix([[1], [2]]))
         assert seq.t == 0
         assert seq.partition.sizes == (1,)
-        assert seq.b_block(0, 0) == PolyMatrix([[0]])
+        assert seq.b == PolyMatrix([[0]])
 
     def test_zero_curve_rejected(self):
         with pytest.raises(ZeroFunction):
@@ -119,11 +118,7 @@ class TestBuildOsculating:
                 k = n - 1
             xi = random_lift(rng, n, k, 3)
             seq = build_osculating(xi)
-            for a in range(seq.t + 1):
-                acc = PolyMatrix.zeros(seq.n, seq.partition.sizes[a])
-                for b in range(len(seq.bcoeffs[a])):
-                    acc = acc + seq.xis[b] @ seq.bcoeffs[a][b]
-                assert acc == seq.xis[a].derivative()
+            assert seq.xi @ seq.b == seq.xi.derivative()
 
     def test_ranks_never_grow(self):
         rng = np.random.default_rng(57)
@@ -155,9 +150,8 @@ class TestFrameAt:
     def test_b_solve_checks_the_exact_coefficients(self, level):
         # B_{aa} + 1 breaks the defining relation of level a, the top one too
         seq = build_osculating(conic_curve())
-        coeffs = [list(c) for c in seq.bcoeffs]
-        coeffs[level][level] = coeffs[level][level] + PolyMatrix([[1]])
-        broken = dataclasses.replace(seq, bcoeffs=tuple(tuple(c) for c in coeffs))
+        bump = [[int(i == j == level) for j in range(3)] for i in range(3)]
+        broken = dataclasses.replace(seq, b=seq.b + PolyMatrix(bump))
         assert frame_at(seq, I3, 0.3).b_solve_residual < 1e-14
         assert frame_at(broken, I3, 0.3).b_solve_residual > 0.5
 
@@ -170,7 +164,7 @@ class TestFrameAt:
         assert np.allclose(data.betas[1], [[1 / (1 + r2)]], atol=1e-12)
         expected_phi1 = np.array([[-np.conj(z)], [1.0]]) / (1 + r2)
         assert np.allclose(data.phis[1], expected_phi1, atol=1e-12)
-        assert np.allclose(data.d_super[0], [[-1.0]], atol=1e-12)
+        assert np.allclose(data.b_sub[0], [[1.0]], atol=1e-12)
 
     def test_conic_at_origin(self):
         seq = build_osculating(conic_curve())
@@ -204,16 +198,24 @@ class TestFrameAt:
         for z in [0.2, -0.3 + 0.4j]:
             data = frame_at(seq, I3, z)
             for a in range(seq.t):
-                exact = seq.b_block(a + 1, a).evaluate(z)
+                exact = seq.b.evaluate(z)[seq.partition.slice(a + 1), seq.partition.slice(a)]
                 assert np.allclose(data.b_sub[a], exact, atol=1e-9)
+
+    @pytest.mark.parametrize("degree", [1, 6])
+    def test_three_evaluations_per_point(self, degree, monkeypatch):
+        # xi, its derivative and B, however long the chain
+        seq = build_osculating(normal_curve(degree))
+        calls = []
+        evaluate = PolyMatrix.evaluate
+        monkeypatch.setattr(PolyMatrix, "evaluate", lambda m, z: calls.append(m) or evaluate(m, z))
+        frame_at(seq, HermitianMetric.identity(degree + 1), 0.2 + 0.1j)
+        assert len(calls) == 3
 
     def test_singular_beta_detected(self):
         # hand built chain whose levels collide at z = 1
-        xis = (PolyMatrix([[1], [[0, 1]]]), PolyMatrix([[1], [1]]))
-        zero = PolyMatrix([[0]])
         fake = OsculatingSequence(
-            xis=xis,
-            bcoeffs=((zero, zero), (zero, zero)),
+            xi=PolyMatrix([[1, 1], [[0, 1], 1]]),
+            b=PolyMatrix.zeros(2, 2),
             partition=BlockStructure((1, 1)),
             rank_drop=Poly.one(),
         )

@@ -114,25 +114,31 @@ class TestPoly:
         assert Poly.of(4).squarefree_part() == ONE
 
     def test_evaluate_matches_exact(self):
-        p = Poly.of((1, 2), (0, -1), 3)
+        p = Poly.of(GaussianRational(1, 2), GaussianRational(0, -1), 3)
         z = GaussianRational(Fraction(1, 3), Fraction(-1, 7))
         exact = p.evaluate_exact(z)
         approx = p.evaluate(z.to_complex())
         assert abs(exact.to_complex() - approx) < 1e-14
 
     def test_conjugate_coeffs_semantics(self):
-        p = Poly.of((1, 2), (0, 1))
+        p = Poly.of(GaussianRational(1, 2), GaussianRational(0, 1))
         z = 0.3 - 0.8j
         assert abs(p.conjugate_coeffs().evaluate(np.conj(z)) - np.conj(p.evaluate(z))) < 1e-14
 
 
 class TestPolyMatrix:
     def test_entry_coercion(self):
-        m = PolyMatrix([[1, [0, 1]], [[(0, 1)], Fraction(1, 2)]])
+        m = PolyMatrix([[1, [0, 1]], [[GaussianRational(0, 1)], Fraction(1, 2)]])
         assert m.entry(0, 0) == ONE
         assert m.entry(0, 1) == Z
-        assert m.entry(1, 0) == Poly.of((0, 1))
+        assert m.entry(1, 0) == Poly.of(GaussianRational(0, 1))
         assert m.entry(1, 1) == Poly.of(Fraction(1, 2))
+        # a pair is not a complex coefficient: (1, 4) is neither 1 + 4i nor 1/4
+        for bad in ([[[1, (1, 4)]]], [[[[1, 4]]]]):
+            with pytest.raises(TypeError, match="coefficient"):
+                PolyMatrix(bad)
+        with pytest.raises(TypeError, match="coefficient"):
+            Poly.of((0, 1))
 
     def test_matmul_and_identity(self):
         m = PolyMatrix([[1, [0, 1]], [0, 1]])
@@ -141,14 +147,14 @@ class TestPolyMatrix:
         assert sq.entry(0, 1) == Poly.of(0, 2)
 
     def test_evaluate_many_matches_pointwise(self):
-        m = PolyMatrix([[[1, 0, 1], [0, (0, 1)]], [[(2, -1)], 0]])
+        m = PolyMatrix([[[1, 0, 1], [0, GaussianRational(0, 1)]], [[GaussianRational(2, -1)], 0]])
         pts = np.array([0.1 + 0.2j, -1.5j, 2.0])
         batched = m.evaluate_many(pts)
         for k, z in enumerate(pts):
             assert np.allclose(batched[k], m.evaluate(z), atol=1e-14)
 
     def test_conjugate_transpose_semantics(self):
-        m = PolyMatrix([[[1, (0, 1)], 2], [[0, 0, 1], [(0, -3)]]])
+        m = PolyMatrix([[[1, GaussianRational(0, 1)], 2], [[0, 0, 1], [GaussianRational(0, -3)]]])
         q = m.conjugate_transpose()
         z = 0.7 + 0.25j
         assert np.allclose(q.evaluate(np.conj(z)), m.evaluate(z).conj().T, atol=1e-14)
@@ -226,7 +232,7 @@ class TestNumericEvaluation:
 
     def test_evaluate_is_bit_identical_to_reference(self):
         rng = np.random.default_rng(2024)
-        polys = [Poly(), Poly.one(), Poly.of(Fraction(-2, 3)), Poly.of((0, 1))]
+        polys = [Poly(), Poly.one(), Poly.of(Fraction(-2, 3)), Poly.of(GaussianRational(0, 1))]
         polys += [random_gaussian_poly(rng, d) for d in range(7) for _ in range(4)]
         for p in polys:
             for z in EVAL_POINTS:

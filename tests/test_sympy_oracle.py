@@ -16,7 +16,14 @@ import pytest
 from test_frenet import random_lift
 
 from todaframes.frenet import build_osculating
-from todaframes.poly import Poly, PolyMatrix, adjoin_columns, constant_rank_reduce, minor_gcd
+from todaframes.poly import (
+    GaussianRational,
+    Poly,
+    PolyMatrix,
+    adjoin_columns,
+    constant_rank_reduce,
+    minor_gcd,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -97,12 +104,8 @@ def test_minor_gcd_of_pairs_meeting_away_from_zeros_of_columns():
 @pytest.mark.parametrize("name", CURVES)
 def test_derivative_relation_is_a_polynomial_identity(name):
     seq = sequence(name)
-    for a in range(seq.t + 1):
-        rhs = sympy.zeros(seq.n, seq.partition.sizes[a])
-        for b in range(len(seq.bcoeffs[a])):
-            rhs += to_matrix(seq.xis[b]) * to_matrix(seq.b_block(b, a))
-        defect = (to_matrix(seq.xis[a]).diff(z) - rhs).expand()
-        assert defect == sympy.zeros(*defect.shape)
+    defect = (to_matrix(seq.xi).diff(z) - to_matrix(seq.xi) * to_matrix(seq.b)).expand()
+    assert defect == sympy.zeros(*defect.shape)
 
 
 @pytest.mark.parametrize("name", CURVES)
@@ -112,10 +115,11 @@ def test_dependent_coefficients_match_sympy_solve(name):
     base = curve(name).columns()
     # a column known to lie in the span of the input, and the derivatives of
     # the top level, which lie in the span of the whole osculating flag
-    mix = [Poly([tuple(rng.integers(-2, 3, size=2).tolist()) for _ in range(3)]) for _ in base]
+    mix = [Poly([GaussianRational(*rng.integers(-2, 3, size=2).tolist()) for _ in range(3)]) for _ in base]
     built = reduce(lambda acc, f: acc + f, (c.scale(p) for c, p in zip(base, mix)))
-    flag = [c for xi in seq.xis for c in xi.columns()]
-    cases = [(base, built)] + [(flag, c) for c in seq.derivatives[-1].columns()]
+    flag = seq.xi.columns()
+    top = seq.partition.slice(seq.t)
+    cases = [(base, built)] + [(flag, c) for c in seq.dxi.columns()[top]]
     field = sympy.QQ_I.frac_field(z)
     for columns, f in cases:
         extended, coeffs = adjoin_columns(columns, [f])

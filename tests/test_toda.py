@@ -61,8 +61,8 @@ def transport(p, seed, z, basepoint=0.0, gamma_plus=None):
     return sol.mu_minus[0], sol.mu_plus[0]
 
 
-def worst_phi_relation(sol, p, g0=None) -> float:
-    return max(phi_relation(p, sol.phi[i], sol.gamma[i], g0) for i in sol.ok_indices)
+def worst_phi_relation(sol, p) -> float:
+    return max(phi_relation(p, sol.phi[i], sol.gamma[i]) for i in sol.ok_indices)
 
 
 def rk4_transport(gamma_rep, c_rep, start, ends, steps):
@@ -233,7 +233,7 @@ class TestIntegrateMu:
     def test_path_independence(self):
         # the bent path 0 -> w -> z: legs compose by right multiplication
         p = line_problem()
-        seed = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])  # diag(1 + (1 + 4i) z, 1)
+        seed = PolyMatrix([[[1, GaussianRational(1, 4)], 0], [0, 1]])  # diag(1 + (1 + 4i) z, 1)
         z, w = 0.5 - 0.2j, 0.4 + 0.3j
         straight, _ = transport(p, seed, z)
         bent = transport(p, seed, w)[0] @ transport(p, seed, z, basepoint=w)[0]
@@ -299,24 +299,6 @@ class TestSolve:
         for z, gamma in zip(sol.grid, sol.gamma):
             assert np.linalg.norm(gamma - line_gamma(z)) < 1e-8
 
-    def test_explicit_g0_factor(self):
-        h = HermitianMetric([[2, 0], [0, 1]])
-        p = line_problem(h)
-        g0 = np.diag([-np.sqrt(2.0), 1.0]).astype(complex)
-        sol = solve(p, PolyMatrix.identity(2), [0.3 + 0.3j], g0=g0)
-        assert worst_phi_relation(sol, p, g0=g0) < 1e-9
-
-    def test_bad_g0_rejected(self):
-        p = line_problem()
-        with pytest.raises(ValueError, match="g0"):
-            solve(p, PolyMatrix.identity(2), [0.1], g0=np.diag([2.0, 1.0]))
-
-    def test_nan_g0_rejected(self):
-        # a NaN factor check compares false both ways; it must not pass
-        p = line_problem()
-        with pytest.raises(ValueError, match="g0"):
-            solve(p, PolyMatrix.identity(2), [0.1], g0=np.diag([np.nan, 1.0]))
-
     def test_trivial_data_gives_constants(self):
         p = TodaProblem.hermitian_problem(line_gradation(), 1, PolyMatrix.zeros(2, 2))
         sol = solve(p, PolyMatrix.identity(2), [0.0, 0.7 - 0.1j])
@@ -364,7 +346,7 @@ class TestSolve:
             hermitian_mode=False,
         )
         seed = PolyMatrix([[[1, -2], 0], [0, 1]])  # singular at z = 1/2
-        plus = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])
+        plus = PolyMatrix([[[1, GaussianRational(1, 4)], 0], [0, 1]])
         grid = [0.25, 1.0, -0.3 + 0.2j, 0.6j]
         calls = []
         kernel = toda._transport_many
@@ -532,7 +514,7 @@ class TestResiduals:
 
     def test_solver_output_satisfies_equations(self):
         p = line_problem()
-        seed = PolyMatrix([[[1, (1, 4)], 0], [0, 1]])
+        seed = PolyMatrix([[[1, GaussianRational(1, 4)], 0], [0, 1]])
         z = 0.3 - 0.2j
         sol = solve(p, seed, [z])
         assert sol.failures == (None,)
