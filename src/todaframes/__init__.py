@@ -11,7 +11,6 @@ the plus derivative is d/dzbar.
 """
 
 from .errors import (
-    AlreadyFull,
     ConfigError,
     GaussDecompositionFailed,
     NotConstantRank,
@@ -43,10 +42,7 @@ from .linalg import (
     BlockStructure,
     GaussFactors,
     HermitianMetric,
-    block_project,
     gauss_decompose,
-    hermitian_form,
-    numerical_rank,
 )
 from .poly import (
     GaussianRational,
@@ -56,7 +52,6 @@ from .poly import (
     constant_rank_reduce,
     factor_zeros,
     minor_gcd,
-    rank_complete,
 )
 from .toda import (
     TodaProblem,

@@ -265,8 +265,9 @@ def parse_config(raw: dict) -> JobConfig:
     )
     if cfg.grid.radius <= 0:
         raise ConfigError("grid.radius", "must be positive")
-    if cfg.grid.nx < 1 or cfg.grid.ny < 1:
-        raise ConfigError("grid.nx", "point counts must be at least 1")
+    for name in ("nx", "ny"):
+        if getattr(cfg.grid, name) < 1:
+            raise ConfigError(f"grid.{name}", "point counts must be at least 1")
 
     tol = _section(raw, "tolerances").get("residual_tol", 1e-5)
     cfg.residual_tol = _as_number(tol, "tolerances.residual_tol")
@@ -307,6 +308,8 @@ def parse_config(raw: dict) -> JobConfig:
             raise ConfigError("gap", "must be a positive integer")
     if "seed" in raw:
         cfg.seed = _as_int(raw["seed"], "seed")
+        if cfg.seed < 0:
+            raise ConfigError("seed", "must be nonnegative")
     if "count" in raw:
         cfg.count = _as_int(raw["count"], "count")
         if cfg.count < 0:
@@ -757,3 +760,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         sys.stdout.buffer.write(data)
     return report.exit_code()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

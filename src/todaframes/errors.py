@@ -29,10 +29,6 @@ class ZeroFunction(TodaframesError):
     """An operation received an identically zero column or matrix."""
 
 
-class AlreadyFull(TodaframesError):
-    """A constant rank set already spans the ambient space."""
-
-
 class NotConstantRank(TodaframesError):
     """A set of polynomial columns fails the exact constant rank certificate."""
 

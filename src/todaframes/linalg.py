@@ -1,10 +1,10 @@
 """Dense complex linear algebra with block structure.
 
 Matrices are plain numpy arrays of dtype complex128.  The helpers here add
-the pieces numpy does not provide directly: sesquilinear forms against a
-hermitian metric, a relative-threshold numerical rank, the block Gauss
-(block LDU) decomposition with unit triangular outer factors, and the
-projection onto a fixed degree of the block Z-gradation of gl(n, C).
+the pieces numpy does not provide directly: a hermitian metric with its
+Cholesky factor, the block Gauss (block LDU) decomposition with unit
+triangular outer factors, and the degree of a block position in the block
+Z-gradation of gl(n, C).
 
 A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
 truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +29,8 @@ __all__ = [
     "HermitianMetric",
     "GaussFactors",
     "as_cmatrix",
-    "hermitian_form",
-    "numerical_rank",
     "gauss_decompose",
-    "block_project",
     "block_degree",
-    "block",
     "condition",
     "jet_h",
     "jet_inv",
@@ -76,7 +73,7 @@ class BlockStructure:
     def count(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out, acc = [], 0
         for s in self.sizes:
@@ -135,11 +132,6 @@ def condition(m: np.ndarray) -> float:
     return cond if math.isfinite(cond) else math.inf
 
 
-def block(x: np.ndarray, blocks: BlockStructure, a: int, b: int) -> np.ndarray:
-    """The (a, b) block of a square matrix with the given structure."""
-    return x[blocks.slice(a), blocks.slice(b)]
-
-
 class HermitianMetric:
     """A hermitian positive definite form on C^n."""
 
@@ -169,37 +161,6 @@ class HermitianMetric:
 
     def __repr__(self):
         return f"HermitianMetric(n={self.n})"
-
-
-def _metric_matrix(h) -> np.ndarray:
-    if isinstance(h, HermitianMetric):
-        return h.matrix
-    return as_cmatrix(h, "metric")
-
-
-def hermitian_form(a, h, b) -> np.ndarray:
-    """The form a^dagger h b for column families a and b."""
-    am = as_cmatrix(a, "a")
-    bm = as_cmatrix(b, "b")
-    hm = _metric_matrix(h)
-    if am.shape[0] != hm.shape[0] or bm.shape[0] != hm.shape[1]:
-        raise ValueError(
-            f"shape mismatch: a {am.shape}, h {hm.shape}, b {bm.shape}"
-        )
-    return am.conj().T @ hm @ bm
-
-
-def numerical_rank(m, tol_rel: float = 1e-10) -> int:
-    """Rank as the number of singular values above tol_rel times the largest."""
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
-    mm = as_cmatrix(m, "matrix")
-    if mm.size == 0:
-        return 0
-    s = np.linalg.svd(mm, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol_rel * s[0]))
 
 
 @dataclass
@@ -282,22 +243,3 @@ def block_degree(labels: Sequence[int], a: int, b: int) -> int:
     if a < b:
         return sum(labels[a:b])
     return -sum(labels[b:a])
-
-
-def block_project(x, blocks: BlockStructure, degree: int, labels: Sequence[int]) -> np.ndarray:
-    """Projection of x onto the subspace of blocks with the given degree."""
-    xm = as_cmatrix(x, "matrix")
-    n = blocks.n
-    if xm.shape != (n, n):
-        raise ValueError(f"matrix shape {xm.shape} does not match blocks (n={n})")
-    if len(labels) != blocks.count - 1:
-        raise ValueError(
-            f"expected {blocks.count - 1} labels for {blocks.count} blocks, got {len(labels)}"
-        )
-    out = np.zeros_like(xm)
-    for a in range(blocks.count):
-        for b in range(blocks.count):
-            if block_degree(labels, a, b) == degree:
-                sa, sb = blocks.slice(a), blocks.slice(b)
-                out[sa, sb] = xm[sa, sb]
-    return out

@@ -9,25 +9,25 @@ needed to manufacture constant rank column sets:
 * ``factor_zeros`` divides a column by the monic gcd of its entries,
 * ``constant_rank_reduce`` replaces a column set by a constant rank set
   spanning the same module, together with the exact polynomial change of
-  basis,
-* ``rank_complete`` extends a constant rank set to a full frame whose
-  determinant is a nonzero constant.
+  basis.
 
-All exact elimination runs on two kernels.  Over the polynomial ring it is
-``PolyMatrix.det``, fraction free (Bareiss) elimination: minors, minor
-gcds, and the coefficients of a column in the span of a constant rank set,
-which are Cramer quotients of one nonzero maximal minor, divided exactly.
-Over the Gaussian rationals it is ``_solve_exact_gaussian``, Gauss-Jordan
-elimination for the interpolation systems of the reduction loop and for
-rank tests at a point.
+All exact elimination runs on one kernel, ``PolyMatrix.det``, fraction free
+(Bareiss) elimination over the polynomial ring.  Every other quantity is
+built from its minors and from Euclid's algorithm:
 
-Constant rank of a set of l columns is certified exactly: the monic gcd of
-all l by l minors must equal 1, which rules out a common zero anywhere in
-the plane.  The reduction loop repairs a candidate column by subtracting an
-interpolating combination modulo the squarefree part of the minor gcd and
-factoring the common zeros out; each pass strictly lowers the gcd degree,
-so the pass count is capped by the initial degree and a cap overrun is a
-hard error rather than a silent fallback.
+* constant rank of l columns: the monic gcd of all l by l minors is 1,
+  which rules out a common zero anywhere in the plane;
+* a column in the span of a constant rank set: its coefficients are the
+  Cramer quotients over the first nonzero maximal minor, and they must
+  divide exactly;
+* a column that adds rank: the gcd of the minors with it appended is its
+  defect, and the correction loop repairs it by interpolation modulo the
+  squarefree part of that gcd.  The interpolant is a Bezout combination
+  of Cramer numerators, since the base minors have gcd 1.
+
+Each pass of the correction loop strictly lowers the gcd degree, so the
+pass count is capped by the initial degree and a cap overrun is a hard
+error rather than a silent fallback.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AlreadyFull, NotConstantRank, ZeroFunction
+from .errors import NotConstantRank, ZeroFunction
 
 __all__ = [
     "GaussianRational",
@@ -48,7 +48,6 @@ __all__ = [
     "factor_zeros",
     "adjoin_columns",
     "constant_rank_reduce",
-    "rank_complete",
     "minor_gcd",
     "poly_gcd",
     "poly_gcd_many",
@@ -320,12 +319,6 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def evaluate_exact(self, c: GaussianRational) -> GaussianRational:
-        acc = _GR_ZERO
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
-
     def __eq__(self, other):
         try:
             other = _as_poly(other)
@@ -496,9 +489,6 @@ class PolyMatrix:
             out = out * pts[:, None, None] + coeff[m]
         return out
 
-    def evaluate_exact(self, c: GaussianRational) -> list[list[GaussianRational]]:
-        return [[e.evaluate_exact(c) for e in row] for row in self.entries]
-
     def det(self) -> Poly:
         """Exact determinant by fraction free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -595,39 +585,15 @@ def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
     return poly_gcd_many(_maximal_minors(cols))
 
 
-def _solve_exact_gaussian(a_rows, rhs):
-    """Particular solution of an exact consistent linear system.
-
-    a_rows is a list of rows of GaussianRational, rhs a list of the same
-    length.  Free variables are set to zero.  Returns None when the system
-    is inconsistent.
-    """
-    rows = [list(r) + [b] for r, b in zip(a_rows, rhs)]
-    ncols = len(a_rows[0]) if a_rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _GR_ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if not rows[i][ncols].is_zero:
-            return None
-    x = [_GR_ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return x
+def _numerators(m: PolyMatrix, f: PolyMatrix, rows: Sequence[int]) -> list[Poly]:
+    """Cramer numerators on the given rows: for each column b of m, the
+    minor of m on those rows with column b replaced by the column f."""
+    return [
+        PolyMatrix(
+            [[f.entries[i][0] if c == b else m.entries[i][c] for c in range(m.cols)] for i in rows]
+        ).det()
+        for b in range(m.cols)
+    ]
 
 
 def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix) -> list[Poly]:
@@ -648,9 +614,8 @@ def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix) -> list[Poly]:
     else:
         raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
     out = []
-    for b in range(size):
-        replaced = PolyMatrix.from_columns([*columns[:b], f, *columns[b + 1 :]])
-        quo, rem = divmod(replaced.submatrix(rows_idx, range(size)).det(), den)
+    for num in _numerators(m, f, rows_idx):
+        quo, rem = divmod(num, den)
         if not rem.is_zero:
             raise NotConstantRank(
                 "combination coefficients are not polynomial; the base set is not constant rank"
@@ -659,37 +624,40 @@ def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix) -> list[Poly]:
     return out
 
 
+def _xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(d, s, t) with d = s a + t b the monic gcd of a and b, a nonzero."""
+    r0, s0, t0 = a, Poly.one(), Poly()
+    r1, s1, t1 = b, Poly(), Poly.one()
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s0 - q * s1, t0 - q * t1
+    inv = _GR_ONE / r0.lead
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
+
 def _interpolating_combination(columns, g, modulus):
     """Polynomials b with g congruent to sum(columns[b] * b) mod modulus.
 
-    The linear system couples the coefficients of each b (degree below the
-    modulus degree) through multiplication modulo the squarefree modulus.
-    Solvability is guaranteed because the columns stay independent at every
-    zero of the modulus while g falls in their span there.
+    At a zero w of the squarefree modulus the columns are independent and
+    g(w) = sum c_b col_b(w), so on every row set R the Cramer numerators
+    satisfy N_{R,b}(w) = c_b D_R(w), with D_R the minor of the columns on R.
+    The minors of a constant rank set have gcd 1, so extended Euclid walks
+    the row sets until sum u_R D_R = 1 mod modulus, and then
+    b = sum u_R N_{R,b} mod modulus.  This b is the unique solution of
+    degree below the modulus degree.
     """
-    n = g.rows
-    j = len(columns)
-    dr = modulus.degree
-    # unknown ordering: b[beta] coefficient m at index beta * dr + m
-    a_rows = []
-    rhs = []
-    for i in range(n):
-        red_cols = []
-        for b in range(j):
-            base = columns[b].entry(i, 0)
-            for m in range(dr):
-                prod = (base * Poly([_GR_ZERO] * m + [_GR_ONE])) % modulus
-                cs = list(prod.coeffs) + [_GR_ZERO] * (dr - len(prod.coeffs))
-                red_cols.append(cs)
-        target = g.entry(i, 0) % modulus
-        tc = list(target.coeffs) + [_GR_ZERO] * (dr - len(target.coeffs))
-        for s in range(dr):
-            a_rows.append([red_cols[u][s] for u in range(j * dr)])
-            rhs.append(tc[s])
-    sol = _solve_exact_gaussian(a_rows, rhs)
-    if sol is None:
-        raise NotConstantRank("interpolation system is inconsistent")
-    return [Poly(sol[b * dr : (b + 1) * dr]) for b in range(j)]
+    m = PolyMatrix.from_columns(columns)
+    h, acc = modulus, [Poly()] * m.cols
+    # invariant: h = sum u_R D_R mod modulus and acc[b] = sum u_R N_{R,b}
+    for rows in combinations(range(m.rows), m.cols):
+        d, s, t = _xgcd(h, m.submatrix(rows, range(m.cols)).det() % modulus)
+        if d.degree == h.degree:
+            continue
+        acc = [(s * a + t * n) % modulus for a, n in zip(acc, _numerators(m, g, rows))]
+        h = d
+        if h.degree == 0:
+            return acc
+    raise NotConstantRank("the base minors share a zero with the correction modulus")
 
 
 def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
@@ -783,49 +751,3 @@ def constant_rank_reduce(
         raise NotConstantRank(f"certificate gcd is {cert!r}, expected 1")
     d = PolyMatrix([[coeff_cols[a][b] for a in range(len(fs))] for b in range(len(gs))])
     return gs, d
-
-
-def rank_complete(gs: Sequence[PolyMatrix], n: int) -> list[PolyMatrix]:
-    """Columns completing a constant rank set to a constant rank n frame.
-
-    The completed square frame has a determinant that is a nonzero
-    constant, which is asserted exactly.
-    """
-    gs = list(gs)
-    if not gs:
-        raise ValueError("need at least one column")
-    k = len(gs)
-    if any(g.rows != n for g in gs):
-        raise ValueError("column height does not match the ambient dimension")
-    if k == n:
-        raise AlreadyFull(f"set already spans C^{n}")
-    if k > n:
-        raise ValueError("more columns than the ambient dimension")
-    if minor_gcd(gs) != Poly.one():
-        raise NotConstantRank("base set is not constant rank")
-    origin = GaussianRational()
-    basis_rows = [[g.entry(i, 0).evaluate_exact(origin) for g in gs] for i in range(n)]
-    chosen = []
-    columns = list(gs)
-    for i in range(n):
-        if len(columns) == n:
-            break
-        # e_i is worth adjoining only when it adds rank at the origin
-        unit = [_GR_ONE if r == i else _GR_ZERO for r in range(n)]
-        if _solve_exact_gaussian(basis_rows, unit) is not None:
-            continue
-        result = _adjoin_one(columns, PolyMatrix.column(unit))
-        if result[0] != "independent":
-            raise NotConstantRank("completion candidate unexpectedly dependent")
-        g_new = result[1]
-        columns.append(g_new)
-        chosen.append(g_new)
-        basis_rows = [
-            row + [g_new.entry(r, 0).evaluate_exact(origin)] for r, row in enumerate(basis_rows)
-        ]
-    if len(columns) != n:
-        raise NotConstantRank("failed to complete to a full frame")
-    full_det = PolyMatrix.from_columns(columns).det()
-    if full_det.degree != 0:
-        raise NotConstantRank(f"completed frame determinant {full_det!r} is not constant")
-    return chosen

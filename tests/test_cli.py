@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +463,22 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert data["mode"] == "frenet"
 
+    def test_module_entry_runs_a_job(self, tmp_path):
+        cfg = {"curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 2, "ny": 2}}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-m", "todaframes.cli", "frenet", "--config", self.write_config(tmp_path, cfg)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        data = json.loads(done.stdout)
+        assert data["mode"] == "frenet"
+        assert len(data["points"]) == 4
+
     def test_invalid_json_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text("{not json")
@@ -502,6 +522,8 @@ class TestMain:
             (dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
             (dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
             (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
+            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "count": 2, "seed": -1}, "seed"),
+            ({"grid": {"nx": 3, "ny": 0}}, "grid.ny"),
         ],
     )
     def test_malformed_config_names_the_field(self, tmp_path, capsys, cfg, field):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from todaframes.errors import AlreadyFull, NotConstantRank, ZeroFunction
+from todaframes.errors import NotConstantRank, ZeroFunction
 from todaframes.poly import (
     GaussianRational,
     Poly,
@@ -18,7 +18,6 @@ from todaframes.poly import (
     factor_zeros,
     minor_gcd,
     poly_gcd,
-    rank_complete,
 )
 
 Z = Poly.x()
@@ -116,7 +115,9 @@ class TestPoly:
     def test_evaluate_matches_exact(self):
         p = Poly.of(GaussianRational(1, 2), GaussianRational(0, -1), 3)
         z = GaussianRational(Fraction(1, 3), Fraction(-1, 7))
-        exact = p.evaluate_exact(z)
+        exact = GaussianRational()
+        for c in reversed(p.coeffs):
+            exact = exact * z + c
         approx = p.evaluate(z.to_complex())
         assert abs(exact.to_complex() - approx) < 1e-14
 
@@ -295,15 +296,24 @@ class TestConstantRankReduce:
         assert d == PolyMatrix([[ONE, Z]])
 
     def test_correction_loop_case(self):
-        # the pair is independent but drops rank at z = 1
-        fs = [col(1, Z), col(1, 1)]
-        gs, d = constant_rank_reduce(fs)
-        assert len(gs) == 2
-        assert minor_gcd(gs) == ONE
-        # exact reconstruction through the change of basis
-        assert PolyMatrix.from_columns(gs) @ d == PolyMatrix.from_columns(fs)
-        # the change of basis is triangular for ordered adjunction
-        assert d.entry(1, 0).is_zero
+        cases = [
+            # the pair is independent but drops rank at z = 1
+            [col(1, Z), col(1, 1)],
+            # rank drops at z = 0, 1 and -1; each 1 by 1 minor of the first
+            # column (z and z - 1) shares a zero with that modulus, so only
+            # a Bezout combination of both interpolates
+            [col(Z, Z - 1), col(Z, (Z - 1) * (Z + 2))],
+        ]
+        for fs in cases:
+            gs, d = constant_rank_reduce(fs)
+            assert len(gs) == 2
+            assert minor_gcd(gs) == ONE
+            # exact reconstruction through the change of basis
+            assert PolyMatrix.from_columns(gs) @ d == PolyMatrix.from_columns(fs)
+            # the change of basis is triangular for ordered adjunction
+            assert d.entry(1, 0).is_zero
+        # the Bezout case repairs its second column to a constant
+        assert gs[1] == col(1, 1)
 
     def test_reconstruction_random_inputs(self):
         rng = np.random.default_rng(7)
@@ -362,30 +372,6 @@ class TestAdjoinColumns:
         base = [col(1, Z, 0), col(Z, Z * Z, 0)]
         with pytest.raises(NotConstantRank):
             adjoin_columns(base, [col(1, Z, 0)])
-
-
-class TestRankComplete:
-    def test_line_completion(self):
-        added = rank_complete([col(1, Z)], 2)
-        assert added == [col(0, 1)]
-        frame = PolyMatrix.from_columns([col(1, Z), col(0, 1)])
-        assert frame.det() == ONE
-
-    def test_completion_determinant_constant(self):
-        gs = [col(1, Z, Z * Z)]
-        added = rank_complete(gs, 3)
-        assert len(added) == 2
-        full = PolyMatrix.from_columns(gs + added)
-        d = full.det()
-        assert d.degree == 0 and not d.is_zero
-
-    def test_already_full(self):
-        with pytest.raises(AlreadyFull):
-            rank_complete([col(1, 0), col(0, 1)], 2)
-
-    def test_rejects_non_constant_rank_input(self):
-        with pytest.raises(NotConstantRank):
-            rank_complete([col(Z, Z * Z)], 2)
 
 
 class TestMinorGcd:

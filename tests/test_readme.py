@@ -1,11 +1,16 @@
 """The README's examples and API lists stay in step with the package.
 
-The Python session block is run as written, and the lists of top-level
-and section config keys are compared with the keys the CLI accepts.
+The Python session block is run as written, the lists of top-level
+and section config keys are compared with the keys the CLI accepts, and
+every name the Library table lists must exist in its module.
 """
 
 from __future__ import annotations
 
+import builtins
+import dataclasses
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -41,3 +46,35 @@ def test_section_config_keys_match_the_cli():
     rows = re.findall(r"^\| `(\w+)` \| (`.*?) \|$", README, re.M)
     listed = {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows}
     assert listed == cli._SECTION_KEYS
+
+
+def _resolves(module, name: str) -> bool:
+    """name is a (dotted) attribute of the module, an attribute or dataclass
+    field of one of its classes, or a builtin."""
+    head, *rest = name.split(".")
+    owners = [module, builtins]
+    if not rest:
+        for cls in vars(module).values():
+            if inspect.isclass(cls):
+                owners.append(cls)
+                if dataclasses.is_dataclass(cls):
+                    owners.append({f.name: f for f in dataclasses.fields(cls)})
+    for owner in owners:
+        obj = owner.get(head) if isinstance(owner, dict) else getattr(owner, head, None)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_library_table_names_exist():
+    rows = re.findall(r"^\| `(todaframes\.\w+)` \| (.*) \|$", README, re.M)
+    assert rows
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for span in re.findall(r"`([^`]*)`", contents):
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span) and not _resolves(module, span):
+                missing.append(f"{module_name}: {span}")
+    assert not missing, missing
