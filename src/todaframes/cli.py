@@ -175,10 +175,18 @@ def _as_gaussian(v, path: str) -> GaussianRational:
 
 def _as_poly(v, path: str) -> Poly:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return Poly([_as_gaussian(v, path)])
-    if isinstance(v, list):
-        return Poly([_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)])
-    raise ConfigError(path, f"expected a coefficient list, got {v!r}")
+        p = Poly([_as_gaussian(v, path)])
+    elif isinstance(v, list):
+        p = Poly([_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)])
+    else:
+        raise ConfigError(path, f"expected a coefficient list, got {v!r}")
+    # frames are evaluated in floating point; the first evaluation converts
+    # every coefficient to a float once and keeps it for the later ones
+    try:
+        p.evaluate(0)
+    except OverflowError:
+        raise ConfigError(path, "a coefficient is beyond the float range") from None
+    return p
 
 
 def _as_poly_matrix(v, path: str) -> PolyMatrix:
@@ -479,8 +487,15 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         raise ConfigError("curve", "required for frenet modes")
     try:
         seq = build_osculating(cfg.curve)
+        # frames are evaluated in floating point; the first evaluation
+        # converts every derived coefficient once, so one beyond the float
+        # range is a config error here and not a traceback at some point
+        for m in (seq.xi, seq.dxi, seq.b):
+            m.evaluate(0)
     except TodaframesError as exc:
         raise ConfigError("curve", str(exc)) from None
+    except OverflowError:
+        raise ConfigError("curve", "a derived coefficient is beyond the float range") from None
     n = cfg.curve.rows
     h = _metric(cfg, n, f"curve ({n} rows)")
     roots = _rank_drop_roots(seq.rank_drop)
@@ -565,6 +580,8 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         )
     except (ValueError, TodaframesError) as exc:
         raise ConfigError("seeds", str(exc)) from None
+    except OverflowError:  # a seed derivative beyond the float range
+        raise ConfigError("seeds", "a derived coefficient is beyond the float range") from None
     blocks = problem.blocks
     count = blocks.count
     c_blocks = [

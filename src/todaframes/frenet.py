@@ -250,6 +250,13 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     )
 
 
+def _times_holomorphic(x: tuple, yv: np.ndarray, ym: np.ndarray) -> tuple:
+    """jet_mul(x, (yv, ym, 0, 0)) for a holomorphic factor, without the
+    products of its zero d/dzbar parts."""
+    xv, xm, xp, xmp = x
+    return (xv @ yv, xm @ yv + xv @ ym, xp @ yv, xmp @ yv + xp @ ym)
+
+
 def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetPointData:
     """Frenet frame data at a single point, with its exact derivatives.
 
@@ -258,11 +265,13 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     product runs on jets, the truncated hyper-dual numbers of Fike and
     Alonso (2011), seeded by the holomorphic levels and their z
     derivatives, so the Wirtinger derivatives of the frame and gram blocks
-    come out of the same pass.  xi, its z derivative and B are evaluated
-    once each; levels and blocks are slices of those three arrays.  The
-    recorded solve residual is the scaled defect of the defining relation
-    dxi_a/dz = sum of xi_b B_{ba} at every level, so it stays at rounding
-    level and large values flag a broken sequence.
+    come out of the same pass.  Products with parts known to be zero are
+    skipped: h is constant, the levels have no d/dzbar parts, and the
+    projector chain starts at the identity.  xi, its z derivative and B are
+    evaluated once each; levels and blocks are slices of those three
+    arrays.  The recorded solve residual is the scaled defect of the
+    defining relation dxi_a/dz = sum of xi_b B_{ba} at every level, so it
+    stays at rounding level and large values flag a broken sequence.
     """
     hm = h.matrix
     n = seq.n
@@ -272,17 +281,18 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     xs = [x_all[:, s] for s in blocks]
     dxs = [dx_all[:, s] for s in blocks]
 
-    zero = np.zeros((n, n), dtype=complex)
-    h_jet = (hm, zero, zero, zero)
-    proj = (np.eye(n, dtype=complex), zero, zero, zero)
     phis: list[tuple] = []  # jets of the frame and gram blocks
     betas: list[tuple] = []
+    proj = None  # the identity jet at level 0, which no product needs
     for a in range(t + 1):
-        # xi_a is holomorphic, so its d/dzbar parts vanish
-        xi = (xs[a], dxs[a], np.zeros_like(xs[a]), np.zeros_like(xs[a]))
-        phi_a = xi if a == 0 else jet_mul(proj, xi)
+        if a == 0:  # xi_0 is holomorphic: its d/dzbar parts vanish
+            zero = np.zeros_like(xs[0])
+            phi_a = (xs[0], dxs[0], zero, zero)
+        else:
+            phi_a = _times_holomorphic(proj, xs[a], dxs[a])
         phi_h = jet_h(phi_a)
-        beta_a = jet_mul(jet_mul(phi_h, h_jet), phi_a)
+        left = tuple(x @ hm for x in phi_h)  # h is constant: part by part
+        beta_a = _times_holomorphic(left, xs[0], dxs[0]) if a == 0 else jet_mul(left, phi_a)
         cond = condition(beta_a[0])
         if cond > COND_LIMIT:
             raise SingularBeta(f"gram block {a} at z={z:g} has condition {cond:.3e}")
@@ -290,9 +300,9 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
         betas.append(beta_a)
         if a == t:
             break
-        p = jet_mul(jet_mul(jet_mul(phi_a, jet_inv(beta_a)), phi_h), h_jet)
+        p = tuple(x @ hm for x in jet_mul(jet_mul(phi_a, jet_inv(beta_a)), phi_h))
         step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
-        proj = jet_mul(step, proj)
+        proj = step if a == 0 else jet_mul(step, proj)
 
     solve_residual = 0.0
     for a in range(t + 1):

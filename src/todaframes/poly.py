@@ -13,17 +13,21 @@ needed to manufacture constant rank column sets:
 
 All exact elimination runs on one kernel, ``PolyMatrix.det``, fraction free
 (Bareiss) elimination over the polynomial ring.  Every other quantity is
-built from its minors and from Euclid's algorithm:
+built from its minors and from Euclid's algorithm.  Minors come from a
+generator and are computed only as a decision reads them; a gcd stops at
+the first minor that brings it to degree 0.
 
-* constant rank of l columns: the monic gcd of all l by l minors is 1,
+* constant rank of l columns: the monic gcd of the l by l minors is 1,
   which rules out a common zero anywhere in the plane;
-* a column in the span of a constant rank set: its coefficients are the
-  Cramer quotients over the first nonzero maximal minor, and they must
-  divide exactly;
-* a column that adds rank: the gcd of the minors with it appended is its
-  defect, and the correction loop repairs it by interpolation modulo the
-  squarefree part of that gcd.  The interpolant is a Bezout combination
-  of Cramer numerators, since the base minors have gcd 1.
+* a column in the span of a constant rank set: every minor with it
+  appended vanishes, and its coefficients are the Cramer quotients over
+  the first nonzero maximal minor of the set, which must divide exactly;
+* a column that adds rank: the first nonzero minor with it appended
+  certifies independence, and the gcd of the minors, read lazily from
+  that one on, is its defect.  The correction loop repairs the defect by
+  interpolation modulo the squarefree part of that gcd.  The interpolant
+  is a Bezout combination of Cramer numerators, since the base minors
+  have gcd 1.
 
 Each pass of the correction loop strictly lowers the gcd degree, so the
 pass count is capped by the initial degree and a cap overrun is a hard
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -558,24 +562,23 @@ def factor_zeros(f: PolyMatrix) -> tuple[PolyMatrix, Poly]:
     return g, d
 
 
-def _maximal_minors(columns: Sequence[PolyMatrix]) -> list[Poly]:
-    """All size len(columns) minors of the stacked column matrix."""
+def _maximal_minors(columns: Sequence[PolyMatrix]) -> Iterator[Poly]:
+    """The size len(columns) minors of the stacked column matrix, row sets
+    in combinations order, each computed only when it is read.  There are
+    none when there are more columns than rows."""
     m = PolyMatrix.from_columns(columns)
-    size = m.cols
-    if size > m.rows:
-        return []
-    out = []
-    for rows_idx in combinations(range(m.rows), size):
-        out.append(m.submatrix(rows_idx, range(size)).det())
-    return out
+    for rows_idx in combinations(range(m.rows), m.cols):
+        yield m.submatrix(rows_idx, range(m.cols)).det()
 
 
 def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
     """Monic gcd of all maximal minors of the stacked columns.
 
     Equal to 1 exactly when the columns have full rank at every point of
-    the plane.  Returns the zero polynomial when there are more columns
-    than rows, since there are no maximal minors to take.
+    the plane.  The minors are read lazily and the gcd stops at the first
+    one that brings it to degree 0, so a constant rank set often costs a
+    single determinant.  Returns the zero polynomial when there are more
+    columns than rows, since there are no maximal minors to take.
     """
     cols = list(columns)
     if not cols:
@@ -671,15 +674,16 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
     j = len(columns)
     if f.is_zero:
         return "dependent", [Poly()] * j
-    minors = _maximal_minors(columns + [f])
-    if all(m.is_zero for m in minors):
+    minors = (m for m in _maximal_minors(columns + [f]) if not m.is_zero)
+    first = next(minors, None)
+    if first is None:
         return "dependent", _solve_in_span(columns, f)
     g, d = factor_zeros(f)
     coeffs = [Poly()] * j
     prefix = d
     # minors are linear in the last column and d is monic, so the minor gcd
     # of columns + [g] is that of columns + [f] divided by d
-    e = poly_gcd_many(minors).exact_div(d)
+    e = poly_gcd_many(chain([first], minors)).exact_div(d)
     cap = e.degree + 1
     passes = 0
     while e.degree > 0:

@@ -524,6 +524,14 @@ class TestMain:
             (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
             ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "count": 2, "seed": -1}, "seed"),
             ({"grid": {"nx": 3, "ny": 0}}, "grid.ny"),
+            ({"curve": [[[1]], [[0, 10**400]]]}, "curve[1][0]"),
+            ({"curve": [[[1]], [[0, [10**400, 1, 0, 1]]]]}, "curve[1][0]"),
+            # finite as parsed, but the derivative 2 * 10**308 z is not
+            ({"curve": [[[1]], [[0, 0, 10**308]]]}, "curve"),
+            (
+                dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[1, 0, 10**308], [0]], [[0], [1]]])),
+                "seeds",
+            ),
         ],
     )
     def test_malformed_config_names_the_field(self, tmp_path, capsys, cfg, field):

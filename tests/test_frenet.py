@@ -19,7 +19,7 @@ from todaframes.frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from todaframes.linalg import BlockStructure, HermitianMetric
+from todaframes.linalg import BlockStructure, HermitianMetric, jet_h, jet_inv, jet_mul
 from todaframes.poly import Poly, PolyMatrix
 from todaframes.wirtinger import d_minus, d_plus
 
@@ -129,6 +129,15 @@ class TestBuildOsculating:
             assert all(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1))
             assert sizes[-1] >= 1
 
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_normal_curve_takes_one_determinant_a_level(self, degree, monkeypatch):
+        calls = []
+        det = PolyMatrix.det
+        monkeypatch.setattr(PolyMatrix, "det", lambda m: calls.append(m) or det(m))
+        seq = build_osculating(normal_curve(degree))
+        assert seq.partition.sizes == (1,) * (degree + 1)
+        assert len(calls) <= degree + 1
+
     def test_c_minus_matrix_layout(self):
         seq = build_osculating(conic_curve())
         c = seq.c_minus_matrix()
@@ -210,6 +219,32 @@ class TestFrameAt:
         monkeypatch.setattr(PolyMatrix, "evaluate", lambda m, z: calls.append(m) or evaluate(m, z))
         frame_at(seq, HermitianMetric.identity(degree + 1), 0.2 + 0.1j)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("which", ["normal5", "lift57"])
+    def test_equal_to_full_jet_products(self, which):
+        # frame_at skips the products of parts known to be zero; a chain of
+        # full jet products gives the same numbers
+        if which == "normal5":
+            seq = build_osculating(normal_curve(5))
+        else:
+            seq = build_osculating(random_lift(np.random.default_rng(57), 4, 2, 2))
+        n = seq.n
+        w = np.random.default_rng(3).standard_normal((n, n))
+        h = HermitianMetric(w @ w.T + n * np.eye(n))
+        for z in (0.3 + 0.2j, -0.45j, 0.0):
+            data = frame_at(seq, h, z)
+            zero = np.zeros((n, n), dtype=complex)
+            h_jet, proj = (h.matrix, zero, zero, zero), (np.eye(n, dtype=complex), zero, zero, zero)
+            for a, s in enumerate(map(seq.partition.slice, range(seq.t + 1))):
+                x = seq.xi.evaluate(z)[:, s]
+                phi = jet_mul(proj, (x, seq.dxi.evaluate(z)[:, s], 0 * x, 0 * x))
+                beta = jet_mul(jet_mul(jet_h(phi), h_jet), phi)
+                parts = (data.phis[a], data.phis_dz[a], data.phis_dzbar[a])
+                assert all(np.array_equal(u, v) for u, v in zip(parts, phi))
+                parts = (data.betas[a], data.betas_dz[a], data.betas_dzbar[a], data.betas_dz_dzbar[a])
+                assert all(np.array_equal(u, v) for u, v in zip(parts, beta))
+                p = jet_mul(jet_mul(jet_mul(phi, jet_inv(beta)), jet_h(phi)), h_jet)
+                proj = jet_mul((np.eye(n) - p[0], -p[1], -p[2], -p[3]), proj)
 
     def test_singular_beta_detected(self):
         # hand built chain whose levels collide at z = 1

@@ -388,3 +388,13 @@ class TestMinorGcd:
         cols = [col(1, Z, Z * Z), col(0, 1, Poly.of(0, 2))]
         assert minor_gcd(cols) == ONE
         assert numeric_rank_everywhere(cols, spot_points(rng)) == 2
+
+    def test_reads_minors_until_the_gcd_is_a_unit(self, monkeypatch):
+        calls = []
+        det = PolyMatrix.det
+        monkeypatch.setattr(PolyMatrix, "det", lambda m: calls.append(m) or det(m))
+        assert minor_gcd([col(1, Z, Z * Z), col(0, 1, Poly.of(0, 2))]) == ONE
+        assert len(calls) == 1  # the first minor is already 1
+        calls.clear()
+        assert minor_gcd([col(Z, Z * Z, 1)]) == ONE
+        assert len(calls) == 3  # z, then z^2, then 1
