@@ -13,6 +13,7 @@ the plus derivative is d/dzbar.
 from .errors import (
     ConfigError,
     GaussDecompositionFailed,
+    InvalidArgument,
     NotConstantRank,
     SingularBeta,
     TodaframesError,

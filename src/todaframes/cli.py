@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GaussDecompositionFailed, TodaframesError
+from .errors import ConfigError, GaussDecompositionFailed, InvalidArgument, TodaframesError
 from .frenet import (
     build_osculating,
     frame_at,
@@ -71,7 +71,6 @@ __all__ = [
     "emit",
     "main",
     "parse_config",
-    "parse_report",
     "run",
 ]
 
@@ -378,25 +377,6 @@ class Report:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        points = [
-            PointRecord(
-                z=complex(p["z"][0], p["z"][1]),
-                status=p["status"],
-                residuals=dict(p["residuals"]),
-                values=dict(p["values"]),
-            )
-            for p in data["points"]
-        ]
-        return cls(
-            spec_version=data["spec_version"],
-            mode=data["mode"],
-            generated_at=data["generated_at"],
-            summary=data["summary"],
-            points=points,
-        )
-
     @property
     def max_residual(self) -> float:
         """The worst residual; NaN when any residual is NaN."""
@@ -412,12 +392,6 @@ class Report:
         if not self.max_residual <= tol:
             return 1
         return 0
-
-
-def parse_report(data: bytes | str) -> Report:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return Report.from_dict(json.loads(data))
 
 
 def _indexed_names(names: set[str], prefix: str) -> list[str]:
@@ -464,8 +438,13 @@ def emit(report: Report, format: str = "json") -> bytes:
 # mode pipelines
 
 
-def _ln_det(block: np.ndarray) -> float:
-    return float(np.linalg.slogdet(block)[1])
+def _metric_values(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray]) -> dict[str, float]:
+    """The g_a and ln_det_beta_a columns of a point, from its gram blocks
+    and the block subdiagonal of B, on either side of the correspondence."""
+    values = {f"g_{a}": induced_metric(betas, b_sub, a) for a in range(len(b_sub))}
+    for a, beta in enumerate(betas):
+        values[f"ln_det_beta_{a}"] = float(np.linalg.slogdet(beta)[1])
+    return values
 
 
 def _rank_drop_roots(poly: Poly) -> np.ndarray:
@@ -507,11 +486,7 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         try:
             data = frame_at(seq, h, z)
             residuals = {"b_solve": data.b_solve_residual}
-            values: dict[str, float] = {}
-            for a in range(t):
-                values[f"g_{a}"] = induced_metric(data, a)
-            for a in range(t + 1):
-                values[f"ln_det_beta_{a}"] = _ln_det(data.betas[a])
+            values = _metric_values(data.betas, data.b_sub)
             if cfg.mode == "verify-frenet":
                 frame = verify_frame_equations(data)
                 for a in range(t + 1):
@@ -542,35 +517,30 @@ def _build_problem(cfg: JobConfig) -> TodaProblem:
         raise ConfigError("seeds.c_minus", "required for toda modes")
     n = cfg.gradation.n
     h = _metric(cfg, n, f"gradation ({n} rows)")
-    try:
-        if cfg.hermitian_mode:
-            if cfg.c_plus is not None:
-                raise ConfigError(
-                    "seeds.c_plus", "derived automatically in hermitian mode"
-                )
-            return TodaProblem.hermitian_problem(cfg.gradation, cfg.gap, cfg.c_minus, h)
-        if cfg.c_plus is None:
-            raise ConfigError("seeds.c_plus", "required outside hermitian mode")
-        return TodaProblem(
-            gradation=cfg.gradation,
-            gap=cfg.gap,
-            c_minus=cfg.c_minus,
-            c_plus=cfg.c_plus,
-            h=h,
-            hermitian_mode=False,
-        )
-    except ValueError as exc:
-        raise ConfigError("seeds", str(exc)) from None
+    if cfg.hermitian_mode:
+        if cfg.c_plus is not None:
+            raise ConfigError("seeds.c_plus", "derived automatically in hermitian mode")
+        return TodaProblem.hermitian_problem(cfg.gradation, cfg.gap, cfg.c_minus, h)
+    if cfg.c_plus is None:
+        raise ConfigError("seeds.c_plus", "required outside hermitian mode")
+    return TodaProblem(
+        gradation=cfg.gradation,
+        gap=cfg.gap,
+        c_minus=cfg.c_minus,
+        c_plus=cfg.c_plus,
+        h=h,
+        hermitian_mode=False,
+    )
 
 
 def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
-    problem = _build_problem(cfg)
-    if cfg.gamma_minus is None:
-        raise ConfigError("seeds.gamma_minus", "required for toda modes")
-    if not cfg.hermitian_mode and cfg.gamma_plus is None:
-        raise ConfigError("seeds.gamma_plus", "required outside hermitian mode")
     pts = cfg.grid.points()
     try:
+        problem = _build_problem(cfg)
+        if cfg.gamma_minus is None:
+            raise ConfigError("seeds.gamma_minus", "required for toda modes")
+        if not cfg.hermitian_mode and cfg.gamma_plus is None:
+            raise ConfigError("seeds.gamma_plus", "required outside hermitian mode")
         sol = solve(
             problem,
             cfg.gamma_minus,
@@ -578,19 +548,14 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
             basepoint=cfg.basepoint,
             gamma_plus=cfg.gamma_plus,
         )
-    except (ValueError, TodaframesError) as exc:
+    except InvalidArgument as exc:  # named by the config field it was read from
+        field = "gap" if exc.argument == "gap" else f"seeds.{exc.argument}"
+        raise ConfigError(field, str(exc)) from None
+    except ValueError as exc:
         raise ConfigError("seeds", str(exc)) from None
     except OverflowError:  # a seed derivative beyond the float range
         raise ConfigError("seeds", "a derived coefficient is beyond the float range") from None
-    blocks = problem.blocks
-    count = blocks.count
-    c_blocks = [
-        cfg.c_minus.submatrix(
-            range(blocks.slice(a + 1).start, blocks.slice(a + 1).stop),
-            range(blocks.slice(a).start, blocks.slice(a).stop),
-        )
-        for a in range(count - 1)
-    ]
+    blocks = [problem.blocks.slice(a) for a in range(problem.blocks.count)]
 
     def one(z: complex, failure: str | None, jet: tuple | None, phi) -> PointRecord:
         if failure is not None:
@@ -605,18 +570,9 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         }
         residuals = checks if cfg.hermitian_mode else {}
         values: dict[str, float] = {} if cfg.hermitian_mode else dict(checks)
-        betas = [gamma[blocks.slice(a), blocks.slice(a)] for a in range(count)]
-        for a in range(count):
-            values[f"ln_det_beta_{a}"] = _ln_det(betas[a])
-        for a in range(count - 1):
-            b = c_blocks[a].evaluate(z)
-            values[f"g_{a}"] = float(
-                np.real(
-                    np.trace(
-                        np.linalg.solve(betas[a], b.conj().T) @ betas[a + 1] @ b
-                    )
-                )
-            )
+        c = problem.c_minus_at(z)
+        b_sub = [c[s, r] for r, s in zip(blocks, blocks[1:])]
+        values.update(_metric_values([gamma[s, s] for s in blocks], b_sub))
         try:
             for a, v in enumerate(toda_residual(problem, jet, z)):
                 residuals[f"toda_{a}"] = v

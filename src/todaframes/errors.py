@@ -33,6 +33,16 @@ class NotConstantRank(TodaframesError):
     """A set of polynomial columns fails the exact constant rank certificate."""
 
 
+class InvalidArgument(TodaframesError, ValueError):
+    """A library call received a malformed argument.  ``argument`` holds its
+    name, so a caller that built it from a config field can name the field.
+    """
+
+    def __init__(self, argument: str, detail: str):
+        self.argument = argument
+        super().__init__(detail)
+
+
 class ConfigError(TodaframesError):
     """A job configuration is malformed.  ``field`` holds the offending path."""
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .poly import (
     adjoin_columns,
     constant_rank_reduce,
     minor_gcd,
-    poly_gcd_many,
 )
 from .wirtinger import memoized  # noqa: F401  bench/selftest.py removes and restores frenet.memoized
 
@@ -200,30 +199,30 @@ class ConnectionCoefficients:
 def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     """Osculating sequence of a polynomial column set.
 
-    The input should have constant rank; if the exact certificate fails, a
-    warning is issued and the columns are replaced by a constant rank set
-    with the same generic span (the change of basis is kept on the result).
-    Levels are built by adjoining the z derivatives of the previous level,
-    so every B coefficient is an exact polynomial and the defining relation
-    holds identically, not just numerically.
+    The columns first go through constant_rank_reduce, which returns a
+    constant rank set gs and the change of basis d with xi = gs d.  The
+    input has constant rank exactly when d is the identity; otherwise a
+    warning is issued and the levels are built on gs, with d kept on the
+    result.  By Cauchy-Binet every r by r minor of xi, r = len(gs), is a
+    maximal minor of gs times an r by r minor of d, and the maximal minors
+    of gs have gcd 1, so the rank drop polynomial is the gcd of the r by r
+    minors of d.  Levels are built by adjoining the z derivatives of the
+    previous level, so every B coefficient is an exact polynomial and the
+    defining relation holds identically, not just numerically.
     """
     cols = xi.columns()
     if all(c.is_zero for c in cols):
         raise ZeroFunction("cannot build an osculating sequence of the zero curve")
-    cert = minor_gcd(cols)
-    reduction = None
-    if cert == Poly.one():
-        gs = cols
+    gs, reduction = constant_rank_reduce(cols)
+    if reduction == PolyMatrix.identity(len(cols)):
+        reduction, rank_drop = None, Poly.one()
     else:
         warnings.warn(
             "input columns do not have constant rank; reducing to a constant rank set",
             stacklevel=2,
         )
-        gs, reduction = constant_rank_reduce(cols)
-    if len(gs) == len(cols) and cert == Poly.one():
-        rank_drop = Poly.one()
-    else:
-        rank_drop = poly_gcd_many(minor_gcd(sub) for sub in combinations(cols, len(gs)))
+        # the rows of d as columns: their maximal minors are d's r by r minors
+        rank_drop = minor_gcd([PolyMatrix.column(row) for row in reduction.entries])
 
     # column j of B holds the coefficients of the derivative of column j
     sizes = [len(gs)]
@@ -348,18 +347,19 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
     return FrameResiduals(z=data.z, minus=tuple(res_minus), plus=tuple(res_plus))
 
 
-def induced_metric(data: FrenetPointData, a: int) -> float:
-    """Metric coefficient of the a-th associated curve at the point.
+def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray], a: int) -> float:
+    """Metric coefficient g_a = Re tr(beta_a^-1 B_a^dagger beta_{a+1} B_a).
 
-    Defined through the rank increment into level a+1, so a must be below
-    the top level; the top curve has no increment.
+    betas are the gram blocks at a point and b_sub the blocks B_a =
+    B_{a+1,a} of the block subdiagonal of B there: the frame data on the
+    Frenet side, the blocks of gamma and of c_minus on the Toda side.  The
+    metric is defined through the rank increment into level a+1, so a must
+    be below the top level; the top curve has no increment.
     """
-    if not (0 <= a < data.t):
-        raise IndexError(f"metric index {a} outside [0, {data.t})")
-    b = data.b_sub[a]
-    val = np.trace(
-        np.linalg.inv(data.betas[a]) @ b.conj().T @ data.betas[a + 1] @ b
-    )
+    if not (0 <= a < len(b_sub)):
+        raise IndexError(f"metric index {a} outside [0, {len(b_sub)})")
+    b = b_sub[a]
+    val = np.trace(np.linalg.inv(betas[a]) @ b.conj().T @ betas[a + 1] @ b)
     return float(np.real(val))
 
 
@@ -372,7 +372,7 @@ def kahler_check(data: FrenetPointData) -> tuple[float, ...]:
     in the scaling: they grow with the condition of beta_a and cancel.
     """
     # g_{a-1} and g_a sit at gs[a] and gs[a + 1], between the boundary zeros
-    gs = [0.0] + [induced_metric(data, a) for a in range(data.t)] + [0.0]
+    gs = [0.0] + [induced_metric(data.betas, data.b_sub, a) for a in range(data.t)] + [0.0]
     out = []
     for a in range(data.t + 1):
         inv = np.linalg.inv(data.betas[a])

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import BlockStructure, block_degree
+from .linalg import BlockStructure
 
 __all__ = [
     "GradationSpec",
@@ -140,8 +140,11 @@ def cartan_grading_operator(spec: GradationSpec) -> tuple[Fraction, ...]:
 
 
 def degree_of_block(spec: GradationSpec, a: int, b: int) -> int:
-    """Degree of block (a, b): negative below the diagonal."""
-    return block_degree(spec.labels, a, b)
+    """Degree of block (a, b): the sum of the labels crossed from block row
+    a to block column b, positive above the diagonal, negative below."""
+    if a <= b:
+        return sum(spec.labels[a:b])
+    return -sum(spec.labels[b:a])
 
 
 def eigen_check(op: GradingOperator, x: np.ndarray, degree: int) -> float:

@@ -2,9 +2,8 @@
 
 Matrices are plain numpy arrays of dtype complex128.  The helpers here add
 the pieces numpy does not provide directly: a hermitian metric with its
-Cholesky factor, the block Gauss (block LDU) decomposition with unit
-triangular outer factors, and the degree of a block position in the block
-Z-gradation of gl(n, C).
+Cholesky factor and the block Gauss (block LDU) decomposition with unit
+triangular outer factors.
 
 A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
 truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +28,6 @@ __all__ = [
     "GaussFactors",
     "as_cmatrix",
     "gauss_decompose",
-    "block_degree",
     "condition",
     "jet_h",
     "jet_inv",
@@ -180,21 +177,6 @@ class GaussFactors:
         return self.n_minus @ self.eta @ np.linalg.inv(self.n_plus)
 
 
-def _invert_block_upper_unitriangular(u: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    n = blocks.n
-    x = np.eye(n, dtype=complex)
-    for j in range(blocks.count):
-        sj = blocks.slice(j)
-        for i in range(j - 1, -1, -1):
-            si = blocks.slice(i)
-            acc = np.zeros((blocks.sizes[i], blocks.sizes[j]), dtype=complex)
-            for c in range(i + 1, j + 1):
-                sc = blocks.slice(c)
-                acc += u[si, sc] @ x[sc, sj]
-            x[si, sj] = -acc
-    return x
-
-
 def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
     """Block LDU decomposition g = n_minus eta n_plus^{-1}.
 
@@ -228,18 +210,7 @@ def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
             for c in range(a + 1, t1):
                 sc = blocks.slice(c)
                 s[sb, sc] -= lower[sb, sa] @ pivot @ upper[sa, sc]
-    n_plus = _invert_block_upper_unitriangular(upper, blocks)
+    # upper is unit upper triangular, so LAPACK takes no pivot and the
+    # inverse keeps its exact zeros and ones
+    n_plus = np.linalg.inv(upper)
     return GaussFactors(n_minus=lower, eta=eta, n_plus=n_plus, blocks=blocks)
-
-
-def block_degree(labels: Sequence[int], a: int, b: int) -> int:
-    """Gradation degree of block position (a, b) for labels (s_1, ..., s_t).
-
-    Degree is the sum of the labels crossed when moving from block row a to
-    block column b, positive above the diagonal.
-    """
-    if a == b:
-        return 0
-    if a < b:
-        return sum(labels[a:b])
-    return -sum(labels[b:a])

@@ -21,7 +21,8 @@ the first minor that brings it to degree 0.
   which rules out a common zero anywhere in the plane;
 * a column in the span of a constant rank set: every minor with it
   appended vanishes, and its coefficients are the Cramer quotients over
-  the first nonzero maximal minor of the set, which must divide exactly;
+  the first nonzero maximal minor of the set, which must divide exactly
+  (one ``adjoin_columns`` call finds that minor once per base);
 * a column that adds rank: the first nonzero minor with it appended
   certifies independence, and the gcd of the minors, read lazily from
   that one on, is its defect.  The correction loop repairs the defect by
@@ -31,12 +32,14 @@ the first minor that brings it to degree 0.
 
 Each pass of the correction loop strictly lowers the gcd degree, so the
 pass count is capped by the initial degree and a cap overrun is a hard
-error rather than a silent fallback.
+error rather than a silent fallback.  The loop ends only once the gcd
+of the maximal minors of the extended set is 1, so the adjoin that adds a
+set's last column certifies the whole set; ``constant_rank_reduce`` takes
+no second certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
@@ -599,25 +602,28 @@ def _numerators(m: PolyMatrix, f: PolyMatrix, rows: Sequence[int]) -> list[Poly]
     ]
 
 
-def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix) -> list[Poly]:
+def _pivot(columns: Sequence[PolyMatrix]) -> tuple[tuple[int, ...], Poly]:
+    """Rows and value of the first nonzero maximal minor of the columns."""
+    m = PolyMatrix.from_columns(columns)
+    for rows_idx in combinations(range(m.rows), m.cols):
+        den = m.submatrix(rows_idx, range(m.cols)).det()
+        if not den.is_zero:
+            return rows_idx, den
+    raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
+
+
+def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix, pivot: tuple) -> list[Poly]:
     """Exact coefficients writing f as a combination of the columns.
 
     The caller has certified that f lies in the span (every maximal minor of
-    the columns together with f vanishes), so Cramer's rule on the first
-    nonzero maximal minor of the columns gives the unique coefficients.
-    They must divide out to polynomials, which holds whenever the columns
-    form a constant rank set.
+    the columns together with f vanishes), so Cramer's rule on the pivot,
+    the first nonzero maximal minor of the columns, gives the unique
+    coefficients.  They must divide out to polynomials, which holds
+    whenever the columns form a constant rank set.
     """
-    m = PolyMatrix.from_columns(columns)
-    size = m.cols
-    for rows_idx in combinations(range(m.rows), size):
-        den = m.submatrix(rows_idx, range(size)).det()
-        if not den.is_zero:
-            break
-    else:
-        raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
+    rows_idx, den = pivot
     out = []
-    for num in _numerators(m, f, rows_idx):
+    for num in _numerators(PolyMatrix.from_columns(columns), f, rows_idx):
         quo, rem = divmod(num, den)
         if not rem.is_zero:
             raise NotConstantRank(
@@ -663,21 +669,25 @@ def _interpolating_combination(columns, g, modulus):
     raise NotConstantRank("the base minors share a zero with the correction modulus")
 
 
-def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
+def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix, pivots: dict):
     """Express f over the constant rank set, extending the set if needed.
 
-    Returns ("dependent", coeffs) with len(columns) polynomial coefficients,
-    or ("independent", new_column, coeffs, factor) meaning
-    f = sum(columns * coeffs) + new_column * factor and the extended set is
-    again constant rank, certified exactly.
+    Returns (coeffs, g): g is None when f lies in the span, and coeffs are
+    its len(columns) polynomial coefficients.  Otherwise g is the new
+    column, coeffs ends with its factor, f = sum(columns + [g] times
+    coeffs), and the extended set is certified constant rank: the loop
+    below exits only once its minor gcd is 1.  pivots holds the pivot of
+    _solve_in_span by base size, found once per adjoin_columns call.
     """
     j = len(columns)
     if f.is_zero:
-        return "dependent", [Poly()] * j
+        return [Poly()] * j, None
     minors = (m for m in _maximal_minors(columns + [f]) if not m.is_zero)
     first = next(minors, None)
     if first is None:
-        return "dependent", _solve_in_span(columns, f)
+        if j not in pivots:
+            pivots[j] = _pivot(columns)
+        return _solve_in_span(columns, f, pivots[j]), None
     g, d = factor_zeros(f)
     coeffs = [Poly()] * j
     prefix = d
@@ -704,7 +714,7 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
             coeffs[i] = coeffs[i] + prefix * b
         prefix = prefix * dprime
         e = minor_gcd(columns + [g])
-    return "independent", g, coeffs, prefix
+    return coeffs + [prefix], g
 
 
 def adjoin_columns(
@@ -714,19 +724,18 @@ def adjoin_columns(
 
     Returns the extended set and, for every adjoined input column, its
     polynomial coefficients over the extended set (padded with zeros for
-    columns introduced later).  The base set is trusted to be constant rank.
+    columns introduced later).  The base set is trusted to be constant rank;
+    each column the call adds is certified by its own adjoin.
     """
     columns = list(base)
     raw = []
+    pivots: dict = {}
     for f in new:
         _require_column(f)
-        result = _adjoin_one(columns, f)
-        if result[0] == "dependent":
-            raw.append(list(result[1]))
-        else:
-            _, g, coeffs, prefix = result
+        coeffs, g = _adjoin_one(columns, f, pivots)
+        if g is not None:
             columns.append(g)
-            raw.append(list(coeffs) + [prefix])
+        raw.append(coeffs)
     total = len(columns)
     coeff_cols = [cs + [Poly()] * (total - len(cs)) for cs in raw]
     return columns, coeff_cols
@@ -738,9 +747,11 @@ def constant_rank_reduce(
     """Replace columns by a constant rank set with the same span.
 
     Returns (gs, d) with every f equal to the combination of gs by the
-    matching column of d.  The output set is certified exactly: the monic
-    gcd of its maximal minors is 1.  d is upper triangular whenever the
-    leading columns already carry the rank.
+    matching column of d.  The output set is certified exactly by the last
+    adjoin that added a column: it returns only once the monic gcd of the
+    maximal minors of the set is 1.  For constant rank input gs is the
+    input and d the identity.  d is upper triangular whenever the leading
+    columns already carry the rank.
     """
     fs = list(fs)
     if not fs:
@@ -750,8 +761,5 @@ def constant_rank_reduce(
     if all(f.is_zero for f in fs):
         raise ZeroFunction("all columns are identically zero")
     gs, coeff_cols = adjoin_columns([], fs)
-    cert = minor_gcd(gs)
-    if cert != Poly.one():
-        raise NotConstantRank(f"certificate gcd is {cert!r}, expected 1")
     d = PolyMatrix([[coeff_cols[a][b] for a in range(len(fs))] for b in range(len(gs))])
     return gs, d

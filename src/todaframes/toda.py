@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GaussDecompositionFailed, SingularBeta
+from .errors import GaussDecompositionFailed, InvalidArgument, SingularBeta
 from .grading import GradationSpec, degree_of_block
 from .linalg import (
     COND_LIMIT,
@@ -76,23 +76,32 @@ TAIL_TOL = 1e-13
 MAX_PIECES = 512
 
 
-def _nonzero_blocks_pure_degree(m: PolyMatrix, spec: GradationSpec, degree: int, name: str):
-    blocks = spec.blocks
-    if m.shape != (spec.n, spec.n):
-        raise ValueError(f"{name} must be {spec.n} by {spec.n}, got {m.shape}")
+def _nonzero_blocks(m: PolyMatrix, blocks: BlockStructure, name: str):
+    """The block positions (a, b), in row order, where m has a nonzero
+    entry; m must be square of the size of the blocks."""
+    if m.shape != (blocks.n, blocks.n):
+        raise InvalidArgument(name, f"{name} must be {blocks.n} by {blocks.n}, got {m.shape}")
     for a in range(blocks.count):
         for b in range(blocks.count):
-            if degree_of_block(spec, a, b) == degree:
-                continue
-            sa, sb = blocks.slice(a), blocks.slice(b)
-            for i in range(sa.start, sa.stop):
-                for j in range(sb.start, sb.stop):
-                    if not m.entry(i, j).is_zero:
-                        raise ValueError(
-                            f"{name} has a nonzero entry in block ({a}, {b}) of "
-                            f"degree {degree_of_block(spec, a, b)}, expected pure "
-                            f"degree {degree}"
-                        )
+            rows = m.entries[blocks.slice(a)]
+            if any(not e.is_zero for row in rows for e in row[blocks.slice(b)]):
+                yield a, b
+
+
+def _require_pure_degree(m: PolyMatrix, spec: GradationSpec, degree: int, name: str):
+    for a, b in _nonzero_blocks(m, spec.blocks, name):
+        found = degree_of_block(spec, a, b)
+        if found != degree:
+            raise InvalidArgument(
+                name,
+                f"{name} has a nonzero entry in block ({a}, {b}) of degree {found}, "
+                f"expected pure degree {degree}",
+            )
+
+
+def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
+    if any(a != b for a, b in _nonzero_blocks(m, blocks, name)):
+        raise InvalidArgument(name, f"{name} must be block diagonal")
 
 
 def _check_gap(spec: GradationSpec, gap: int):
@@ -103,24 +112,11 @@ def _check_gap(spec: GradationSpec, gap: int):
     }
     positive = sorted(d for d in degrees if d > 0)
     if positive and positive[0] < gap:
-        raise ValueError(
+        raise InvalidArgument(
+            "gap",
             f"gradation has a nonzero subspace in degree {positive[0]}, "
-            f"inside the required trivial band 0 < degree < {gap}"
+            f"inside the required trivial band 0 < degree < {gap}",
         )
-
-
-def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
-    if m.shape != (blocks.n, blocks.n):
-        raise ValueError(f"{name} must be {blocks.n} by {blocks.n}, got {m.shape}")
-    for a in range(blocks.count):
-        for b in range(blocks.count):
-            if a == b:
-                continue
-            sa, sb = blocks.slice(a), blocks.slice(b)
-            for i in range(sa.start, sa.stop):
-                for j in range(sb.start, sb.stop):
-                    if not m.entry(i, j).is_zero:
-                        raise ValueError(f"{name} must be block diagonal")
 
 
 @dataclass(frozen=True)
@@ -144,16 +140,16 @@ class TodaProblem:
 
     def __post_init__(self):
         if self.gap < 1:
-            raise ValueError("gap must be a positive integer")
+            raise InvalidArgument("gap", "gap must be a positive integer")
         _check_gap(self.gradation, self.gap)
-        _nonzero_blocks_pure_degree(self.c_minus, self.gradation, -self.gap, "c_minus")
-        _nonzero_blocks_pure_degree(self.c_plus, self.gradation, self.gap, "c_plus")
+        _require_pure_degree(self.c_minus, self.gradation, -self.gap, "c_minus")
+        _require_pure_degree(self.c_plus, self.gradation, self.gap, "c_plus")
         if self.h.n != self.gradation.n:
-            raise ValueError("metric size does not match the gradation")
+            raise InvalidArgument("h", "metric size does not match the gradation")
         if self.hermitian_mode:
             expected = self.c_minus.conjugate_transpose().scale(-1)
             if self.c_plus != expected:
-                raise ValueError("hermitian mode requires c_plus = -(c_minus)^dagger")
+                raise InvalidArgument("c_plus", "hermitian mode requires c_plus = -(c_minus)^dagger")
 
     @classmethod
     def hermitian_problem(
@@ -382,7 +378,7 @@ def solve(
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if not problem.hermitian_mode:
         if gamma_plus is None:
-            raise ValueError("gamma_plus is required outside hermitian mode")
+            raise InvalidArgument("gamma_plus", "gamma_plus is required outside hermitian mode")
         _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
     g0inv = np.linalg.inv(problem.h.cholesky_factor())
 

@@ -140,7 +140,7 @@ def test_fubini_study_reproduction(capsys):
                 r2 = abs(z) ** 2
                 beta0 = data.betas[0][0, 0].real
                 assert abs(beta0 - (1.0 + r2)) / (1.0 + r2) < 1e-8
-                g0 = induced_metric(data, 0)
+                g0 = induced_metric(data.betas, data.b_sub, 0)
                 expected = (1.0 + r2) ** -2
                 assert abs(g0 - expected) / expected < 1e-8
 

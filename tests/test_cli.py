@@ -21,7 +21,6 @@ from todaframes.cli import (
     emit,
     main,
     parse_config,
-    parse_report,
     run,
 )
 from todaframes.errors import ConfigError
@@ -40,6 +39,8 @@ LINE_TODA = {
         "c_minus": [[[0], [0]], [[1], [0]]],
     },
 }
+# the seeds of LINE_TODA outside hermitian mode
+GENERAL_SEEDS = dict(LINE_TODA["seeds"], gamma_plus=[[[1], [0]], [[0], [1]]], c_plus=[[[0], [-1]], [[0], [0]]])
 
 
 class TestConfigParsing:
@@ -377,9 +378,7 @@ class TestReports:
 
     def test_json_round_trip(self):
         report = self.make_report()
-        again = parse_report(emit(report, "json"))
-        assert again == report
-        assert again.spec_version == report.spec_version
+        assert json.loads(emit(report, "json")) == report.to_dict()
 
     def test_json_deterministic_modulo_timestamp(self):
         cfg = {
@@ -531,6 +530,18 @@ class TestMain:
             (
                 dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[1, 0, 10**308], [0]], [[0], [1]]])),
                 "seeds",
+            ),
+            # a malformed Toda input is named by its own field
+            (dict(LINE_TODA, gap=2), "gap"),
+            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], c_minus=[[[0]]])), "seeds.c_minus"),
+            (
+                dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, c_plus=[[[0], [0]], [[1], [0]]])),
+                "seeds.c_plus",
+            ),
+            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[1]]])), "seeds.gamma_minus"),
+            (
+                dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, gamma_plus=[[[1], [1]], [[0], [1]]])),
+                "seeds.gamma_plus",
             ),
         ],
     )

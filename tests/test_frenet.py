@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from todaframes.frenet import (
     verify_frame_equations,
 )
 from todaframes.linalg import BlockStructure, HermitianMetric, jet_h, jet_inv, jet_mul
-from todaframes.poly import Poly, PolyMatrix
+from todaframes.poly import Poly, PolyMatrix, minor_gcd, poly_gcd_many
 from todaframes.wirtinger import d_minus, d_plus
 
 Z = Poly.x()
@@ -55,9 +56,22 @@ def random_lift(rng, n, k, degree):
             return m
 
 
+def build_checked(xi: PolyMatrix):
+    """build_osculating, with rank_drop and reduction checked against the
+    input's own minors: the rank drop is the gcd of its r by r minors over
+    every r-column subset, r the generic rank, and the input is reduced
+    exactly when its columns fail the constant rank certificate."""
+    cols = xi.columns()
+    seq = build_osculating(xi)
+    r = seq.partition.sizes[0]
+    assert seq.rank_drop == poly_gcd_many(minor_gcd(list(s)) for s in combinations(cols, r))
+    assert (seq.reduction is None) == (minor_gcd(cols) == Poly.one())
+    return seq
+
+
 class TestBuildOsculating:
     def test_line(self):
-        seq = build_osculating(line_curve())
+        seq = build_checked(line_curve())
         assert seq.t == 1
         assert seq.partition.sizes == (1, 1)
         assert seq.xis[1] == PolyMatrix([[0], [1]])
@@ -65,7 +79,7 @@ class TestBuildOsculating:
         assert seq.rank_drop == Poly.one()
 
     def test_conic(self):
-        seq = build_osculating(conic_curve())
+        seq = build_checked(conic_curve())
         assert seq.partition.sizes == (1, 1, 1)
         assert seq.xis[1] == PolyMatrix([[0], [1], [[0, 2]]])
         assert seq.xis[2] == PolyMatrix([[0], [0], [2]])
@@ -74,7 +88,7 @@ class TestBuildOsculating:
         assert seq.b.entry(0, 1).is_zero
 
     def test_constant_column_terminates_immediately(self):
-        seq = build_osculating(PolyMatrix([[1], [2]]))
+        seq = build_checked(PolyMatrix([[1], [2]]))
         assert seq.t == 0
         assert seq.partition.sizes == (1,)
         assert seq.b == PolyMatrix([[0]])
@@ -86,7 +100,7 @@ class TestBuildOsculating:
     def test_non_constant_rank_input_warns_and_reduces(self):
         xi = PolyMatrix([[[0, 1]], [[0, 0, 1]]])
         with pytest.warns(UserWarning):
-            seq = build_osculating(xi)
+            seq = build_checked(xi)
         assert seq.xis[0] == PolyMatrix([[1], [[0, 1]]])
         assert seq.rank_drop == Z
         assert seq.reduction is not None
@@ -103,7 +117,7 @@ class TestBuildOsculating:
             ]
         )
         with pytest.warns(UserWarning):
-            seq = build_osculating(xi)
+            seq = build_checked(xi)
         assert seq.partition.sizes == (2, 1)
         assert seq.rank_drop == Z
         assert seq.reduction is not None
@@ -117,14 +131,14 @@ class TestBuildOsculating:
             if k >= n:
                 k = n - 1
             xi = random_lift(rng, n, k, 3)
-            seq = build_osculating(xi)
+            seq = build_checked(xi)
             assert seq.xi @ seq.b == seq.xi.derivative()
 
     def test_ranks_never_grow(self):
         rng = np.random.default_rng(57)
         for _ in range(5):
             xi = random_lift(rng, 4, 2, 2)
-            seq = build_osculating(xi)
+            seq = build_checked(xi)
             sizes = seq.partition.sizes
             assert all(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1))
             assert sizes[-1] >= 1
@@ -139,7 +153,7 @@ class TestBuildOsculating:
         assert len(calls) <= degree + 1
 
     def test_c_minus_matrix_layout(self):
-        seq = build_osculating(conic_curve())
+        seq = build_checked(conic_curve())
         c = seq.c_minus_matrix()
         expected = PolyMatrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         assert c == expected
@@ -345,16 +359,17 @@ class TestJets:
 class TestInducedMetric:
     def test_line_values(self):
         seq = build_osculating(line_curve())
-        assert abs(induced_metric(frame_at(seq, I2, 0.0), 0) - 1.0) < 1e-12
-        assert abs(induced_metric(frame_at(seq, I2, 1.0), 0) - 0.25) < 1e-12
+        for z, g in ((0.0, 1.0), (1.0, 0.25)):
+            data = frame_at(seq, I2, z)
+            assert abs(induced_metric(data.betas, data.b_sub, 0) - g) < 1e-12
 
     def test_top_level_out_of_range(self):
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 0.0)
         with pytest.raises(IndexError):
-            induced_metric(data, 1)
+            induced_metric(data.betas, data.b_sub, 1)
         with pytest.raises(IndexError):
-            induced_metric(data, -1)
+            induced_metric(data.betas, data.b_sub, -1)
 
     def test_nonnegative_real(self):
         rng = np.random.default_rng(3)
@@ -363,7 +378,7 @@ class TestInducedMetric:
         for z in [0.1 + 0.2j, -0.3, 0.5j]:
             data = frame_at(seq, HermitianMetric.identity(4), z)
             for a in range(seq.t):
-                assert induced_metric(data, a) >= 0
+                assert induced_metric(data.betas, data.b_sub, a) >= 0
 
 
 class TestKahlerCheck:
@@ -375,7 +390,7 @@ class TestKahlerCheck:
     def test_line_unit_circle(self):
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 1.0)
-        assert abs(induced_metric(data, 0) - 0.25) < 1e-12
+        assert abs(induced_metric(data.betas, data.b_sub, 0) - 0.25) < 1e-12
         res = kahler_check(data)
         assert max(res) < 1e-10
 

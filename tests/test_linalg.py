@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from todaframes.errors import GaussDecompositionFailed
+from todaframes.grading import GradationSpec, degree_of_block
 from todaframes.linalg import (
     BlockStructure,
     HermitianMetric,
-    block_degree,
     gauss_decompose,
 )
 
@@ -127,7 +127,7 @@ class TestGaussDecompose:
 
 class TestBlockDegree:
     def test_degree_antisymmetry(self):
-        labels = [2, 1, 3]
+        spec = GradationSpec(BlockStructure((1, 2, 1, 3)), (2, 1, 3))
         for a in range(4):
             for b in range(4):
-                assert block_degree(labels, a, b) == -block_degree(labels, b, a)
+                assert degree_of_block(spec, a, b) == -degree_of_block(spec, b, a)

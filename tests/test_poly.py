@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from todaframes.poly import (
     factor_zeros,
     minor_gcd,
     poly_gcd,
+    poly_gcd_many,
 )
 
 Z = Poly.x()
@@ -277,20 +279,37 @@ class TestFactorZeros:
             factor_zeros(col(0, 0))
 
 
+def reduce_and_check_cauchy_binet(fs):
+    """constant_rank_reduce, checked against the minors of the input.
+
+    By Cauchy-Binet the r by r minors of fs = gs d, r = len(gs), are the
+    maximal minors of gs times the r by r minors of d, so their gcd, the
+    rank drop, is the minor gcd of the rows of d.  d is the identity
+    exactly when the input has constant rank.
+    """
+    gs, d = constant_rank_reduce(fs)
+    r = len(gs)
+    reference = poly_gcd_many(minor_gcd(list(s)) for s in combinations(fs, r))
+    assert minor_gcd([PolyMatrix.column(row) for row in d.entries]) == reference
+    assert (d == PolyMatrix.identity(len(fs))) == (minor_gcd(fs) == ONE)
+    return gs, d
+
+
 class TestConstantRankReduce:
     def test_single_column(self):
-        gs, d = constant_rank_reduce([col(Z, Z * Z)])
+        gs, d = reduce_and_check_cauchy_binet([col(Z, Z * Z)])
         assert gs == [col(1, Z)]
         assert d == PolyMatrix([[Z]])
 
     def test_already_constant_rank(self):
-        gs, d = constant_rank_reduce([col(1, Z)])
-        assert gs == [col(1, Z)]
-        assert d == PolyMatrix.identity(1)
+        for fs in ([col(1, Z)], [col(1, Z, Z * Z), col(0, 1, Poly.of(0, 2))]):
+            gs, d = reduce_and_check_cauchy_binet(fs)
+            assert gs == fs
+            assert d == PolyMatrix.identity(len(fs))
 
     def test_dependent_column(self):
         f0, f1 = col(1, Z, 0), col(Z, Z * Z, 0)
-        gs, d = constant_rank_reduce([f0, f1])
+        gs, d = reduce_and_check_cauchy_binet([f0, f1])
         assert gs == [f0]
         assert d.shape == (1, 2)
         assert d == PolyMatrix([[ONE, Z]])
@@ -305,7 +324,7 @@ class TestConstantRankReduce:
             [col(Z, Z - 1), col(Z, (Z - 1) * (Z + 2))],
         ]
         for fs in cases:
-            gs, d = constant_rank_reduce(fs)
+            gs, d = reduce_and_check_cauchy_binet(fs)
             assert len(gs) == 2
             assert minor_gcd(gs) == ONE
             # exact reconstruction through the change of basis
@@ -327,7 +346,7 @@ class TestConstantRankReduce:
             if all(c.is_zero for c in base):
                 continue
             try:
-                gs, d = constant_rank_reduce(base)
+                gs, d = reduce_and_check_cauchy_binet(base)
             except NotConstantRank:
                 continue
             assert minor_gcd(gs) == ONE
@@ -335,12 +354,19 @@ class TestConstantRankReduce:
             pts = spot_points(np.random.default_rng(11))
             assert numeric_rank_everywhere(gs, pts) == len(gs)
 
+    def test_three_columns_of_rank_two_with_a_drop(self):
+        # generic rank 2, dropping to rank 1 at z = 0
+        fs = [col(1, Z, 0), col(Z, Z * Z, Z), col(Z * Z, Z * Z * Z, Z * Z - Z)]
+        gs, d = reduce_and_check_cauchy_binet(fs)
+        assert len(gs) == 2
+        assert minor_gcd([PolyMatrix.column(row) for row in d.entries]) == Z
+
     def test_all_zero_columns_raise(self):
         with pytest.raises(ZeroFunction):
             constant_rank_reduce([col(0, 0), col(0, 0)])
 
     def test_zero_column_among_nonzero_is_dependent(self):
-        gs, d = constant_rank_reduce([col(1, Z), col(0, 0)])
+        gs, d = reduce_and_check_cauchy_binet([col(1, Z), col(0, 0)])
         assert gs == [col(1, Z)]
         assert d.entry(0, 1).is_zero
 
@@ -365,6 +391,19 @@ class TestAdjoinColumns:
         # col(1, z) = (1/z) col(z, z^2): in the span, but not over the ring
         with pytest.raises(NotConstantRank):
             adjoin_columns([col(Z, Z * Z)], [col(1, Z)])
+
+    def test_base_pivot_is_found_once_per_call(self, monkeypatch):
+        # two dependent columns over a square base: each reads the base's
+        # first nonzero 2 by 2 minor, which the call computes once, plus two
+        # Cramer numerators; the appended 2 by 3 sets have no maximal minors
+        calls = []
+        det = PolyMatrix.det
+        monkeypatch.setattr(PolyMatrix, "det", lambda m: calls.append(m.shape) or det(m))
+        base = [col(1, 0), col(Z, 1)]
+        gs, coeffs = adjoin_columns(base, [col(2, Poly.of(0, 3)), col(Z, 1)])
+        assert gs == base
+        assert coeffs == [[Poly.of(2, 0, -3), Poly.of(0, 3)], [Poly(), ONE]]
+        assert calls == [(2, 2)] * 5
 
     def test_base_without_nonzero_maximal_minor_raises(self):
         # the base columns are dependent, so every 2 by 2 minor vanishes and

@@ -1,8 +1,9 @@
 """The README's examples and API lists stay in step with the package.
 
-The Python session block is run as written, the lists of top-level
-and section config keys are compared with the keys the CLI accepts, and
-every name the Library table lists must exist in its module.
+The Python session block and the CLI's JSON job are run as written, the
+lists of top-level and section config keys are compared with the keys the
+CLI accepts, and every name the Library table lists must exist in its
+module.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def test_python_session_runs_with_small_residuals(monkeypatch):
     exec(compile(block, "README.md", "exec"), {})
     assert seen
     assert max(seen) < 1e-12
+
+
+def test_cli_job_runs_in_both_toda_modes(tmp_path):
+    (block,) = re.findall(r"```json\n(.*?)```", README, re.S)
+    job = tmp_path / "job.json"
+    job.write_text(block)
+    for mode in ("toda-solve", "verify-toda"):
+        assert cli.main([mode, "--config", str(job), "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_top_level_config_keys_match_the_cli():
