@@ -179,10 +179,10 @@ def _as_poly(v, path: str) -> Poly:
         p = Poly([_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)])
     else:
         raise ConfigError(path, f"expected a coefficient list, got {v!r}")
-    # frames are evaluated in floating point; the first evaluation converts
-    # every coefficient to a float once and keeps it for the later ones
+    # frames are evaluated in floating point, so every coefficient needs a float
     try:
-        p.evaluate(0)
+        for c in p.coeffs:
+            c.to_complex()
     except OverflowError:
         raise ConfigError(path, "a coefficient is beyond the float range") from None
     return p
@@ -466,18 +466,16 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         raise ConfigError("curve", "required for frenet modes")
     try:
         seq = build_osculating(cfg.curve)
-        # frames are evaluated in floating point; the first evaluation
-        # converts every derived coefficient once, so one beyond the float
-        # range is a config error here and not a traceback at some point
+        # a derived or rank drop coefficient beyond the float range is a config error
         for m in (seq.xi, seq.dxi, seq.b):
             m.evaluate(0)
+        roots = _rank_drop_roots(seq.rank_drop)
     except TodaframesError as exc:
         raise ConfigError("curve", str(exc)) from None
     except OverflowError:
         raise ConfigError("curve", "a derived coefficient is beyond the float range") from None
     n = cfg.curve.rows
     h = _metric(cfg, n, f"curve ({n} rows)")
-    roots = _rank_drop_roots(seq.rank_drop)
     t = seq.t
 
     def one(z: complex) -> PointRecord:
@@ -729,7 +727,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     data = emit(report, args.format)
     if args.out:
-        Path(args.out).write_bytes(data)
+        try:
+            Path(args.out).write_bytes(data)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(data)
     return report.exit_code()

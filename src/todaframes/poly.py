@@ -182,14 +182,9 @@ def _as_scalar(value) -> GaussianRational:
 
 
 class Poly:
-    """A polynomial in one variable over the Gaussian rationals.
+    """A polynomial in one variable over the Gaussian rationals."""
 
-    The coefficients as Python complex numbers are converted on the first
-    numerical evaluation and kept in a private slot, so repeated
-    evaluation does no ``Fraction`` work.
-    """
-
-    __slots__ = ("coeffs", "_complex")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_scalar(c) for c in coeffs]
@@ -311,21 +306,6 @@ class Poly:
             return self.monic()
         return self.exact_div(poly_gcd(self, self.derivative())).monic()
 
-    def _complex_coeffs(self) -> tuple[complex, ...]:
-        """The coefficients as complex numbers, ascending, converted once."""
-        try:
-            return self._complex
-        except AttributeError:
-            cs = tuple(c.to_complex() for c in self.coeffs)
-            object.__setattr__(self, "_complex", cs)
-            return cs
-
-    def evaluate(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self._complex_coeffs()):
-            acc = acc * z + c
-        return acc
-
     def __eq__(self, other):
         try:
             other = _as_poly(other)
@@ -378,7 +358,7 @@ def poly_gcd_many(ps: Iterable[Poly]) -> Poly:
 class PolyMatrix:
     """A rows by cols matrix of polynomials."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_floats")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(_entry_as_poly(e) for e in row) for row in entries)
@@ -473,28 +453,35 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(out)
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.evaluate(z)
-        return out
+    def evaluate(self, z) -> np.ndarray:
+        """Values at a point or an array of points, shape z.shape + (rows, cols).
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at a 1d array of points, returning shape (len, rows, cols)."""
-        pts = np.asarray(points, dtype=complex).ravel()
-        deg = max((e.degree for row in self.entries for e in row), default=-1)
-        out = np.zeros((pts.size, self.rows, self.cols), dtype=complex)
-        if deg < 0:
-            return out
-        coeff = np.zeros((deg + 1, self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                for m, c in enumerate(e._complex_coeffs()):
-                    coeff[m, i, j] = c
-        for m in range(deg, -1, -1):
-            out = out * pts[:, None, None] + coeff[m]
-        return out
+        Horner's rule on float (re, im) pairs, converted once and kept, by
+        the formulas of Python complex arithmetic, so each value has the
+        bits of Python complex Horner at that point alone; numpy's complex
+        multiply may fuse multiply and add.  Overflow gives inf silently.
+        """
+        try:
+            coeff = self._floats
+        except AttributeError:
+            deg = max(e.degree for row in self.entries for e in row)
+            coeff = np.zeros((deg + 1, 2, 1, self.rows, self.cols))
+            for i, row in enumerate(self.entries):
+                for j, e in enumerate(row):
+                    for m, c in enumerate(e.coeffs):
+                        coeff[m, :, 0, i, j] = float(c.re), float(c.im)
+            object.__setattr__(self, "_floats", coeff)
+        w = np.asarray(z, dtype=complex).reshape(-1, 1, 1)
+        # (ar, ai) w = (ar wr + ai (-wi), ai wr + ar wi), and a - b is a + (-b)
+        wr, wi = w.real, np.array([-1.0, 1.0])[:, None, None, None] * w.imag
+        out = np.zeros((2, w.size, self.rows, self.cols))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in coeff[::-1]:
+                swap = out[::-1] * wi
+                out *= wr
+                out += swap
+                out += c
+        return out.transpose(1, 2, 3, 0).copy().view(complex).reshape(np.shape(z) + (self.rows, self.cols))
 
     def det(self) -> Poly:
         """Exact determinant by fraction free (Bareiss) elimination."""
@@ -682,6 +669,10 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix, pivots: dict):
     j = len(columns)
     if f.is_zero:
         return [Poly()] * j, None
+    if not columns:
+        # the 1 by 1 minors are f's entries, whose gcd factor_zeros divides out
+        g, d = factor_zeros(f)
+        return [d], g
     minors = (m for m in _maximal_minors(columns + [f]) if not m.is_zero)
     first = next(minors, None)
     if first is None:

@@ -178,10 +178,10 @@ class TodaProblem:
     def n(self) -> int:
         return self.gradation.n
 
-    def c_minus_at(self, z: complex) -> np.ndarray:
+    def c_minus_at(self, z: complex | np.ndarray) -> np.ndarray:
         return self.c_minus.evaluate(z)
 
-    def c_plus_at(self, z: complex) -> np.ndarray:
+    def c_plus_at(self, z: complex | np.ndarray) -> np.ndarray:
         return self.c_plus.evaluate(np.conj(z))
 
 
@@ -219,13 +219,13 @@ def _panels(
     k = gamma_rep.rows
     size = lo.size
     delta = hi - lo
-    nodes = (lo[None, :] + s[:, None] * delta[None, :]).ravel()
-    gm = gamma_rep.evaluate_many(nodes)
-    cm = c_rep.evaluate_many(nodes)
+    nodes = lo[None, :] + s[:, None] * delta[None, :]
+    gm = gamma_rep.evaluate(nodes)
+    cm = c_rep.evaluate(nodes)
     det = np.linalg.det(gm)
     singular = ~np.isfinite(det) | (det == 0)
     gm[singular] = np.eye(k)
-    a = (gm @ cm @ np.linalg.inv(gm)).reshape(NODES, size, k, k)
+    a = gm @ cm @ np.linalg.inv(gm)
     a *= delta[None, :, None, None]
     coeffs = np.abs(analysis @ a.reshape(NODES, -1)).reshape(NODES, size, k * k)
     unresolved = coeffs[-2:].max(axis=(0, 2)) > TAIL_TOL * coeffs.max(axis=(0, 2))
@@ -237,7 +237,7 @@ def _panels(
             break
         mu += (w @ integrand).reshape(size, k, k)
         term = (integrate @ integrand).reshape(a.shape)
-    return mu, unresolved, singular.reshape(NODES, size).any(axis=0)
+    return mu, unresolved, singular.any(axis=0)
 
 
 def _transport_many(
@@ -402,24 +402,26 @@ def solve(
     mu_m_all = [None if f else m for f, m in zip(failed, minus)]
     mu_p_all = [None if f else m for f, m in zip(failed, plus)]
 
-    n = problem.n
-    zero = np.zeros((n, n), dtype=complex)
-    dgm = gamma_minus.derivative()
-    dgp = None if problem.hermitian_mode else gamma_plus.derivative()
+    zero = np.zeros((problem.n, problem.n), dtype=complex)
+    gm_all = gamma_minus.evaluate(ends)
+    dgm_all = gamma_minus.derivative().evaluate(ends)
+    if not problem.hermitian_mode:
+        gp_all = gamma_plus.evaluate(ends.conj())
+        dgp_all = gamma_plus.derivative().evaluate(ends.conj())
+    cm_all, cp_all = problem.c_minus_at(ends), problem.c_plus_at(ends)
     gammas: list[tuple | None] = [None] * len(pts)
     phis: list[np.ndarray | None] = [None] * len(pts)
-    for i, z in enumerate(pts):
+    for i in range(len(pts)):
         if failures[i] is not None:
             continue
         mu_m, mu_p = mu_m_all[i], mu_p_all[i]
-        gm = (gamma_minus.evaluate(z), dgm.evaluate(z), zero, zero)
+        gm = (gm_all[i], dgm_all[i], zero, zero)
         if problem.hermitian_mode:
             quotient = mu_m.conj().T @ mu_m
             gp_inv = jet_h(gm)
         else:
             quotient = np.linalg.inv(mu_p) @ mu_m
-            w = np.conj(z)
-            gp_inv = jet_inv((gamma_plus.evaluate(w), zero, dgp.evaluate(w), zero))
+            gp_inv = jet_inv((gp_all[i], zero, dgp_all[i], zero))
         try:
             factors = gauss_decompose(quotient, problem.blocks)
         except GaussDecompositionFailed as exc:
@@ -427,8 +429,8 @@ def solve(
             continue
         # the transport slopes: A_minus = gamma_minus c_minus gamma_minus^-1
         # at z and A_plus = gamma_plus c_plus gamma_plus^-1 at zbar
-        a_minus = gm[0] @ problem.c_minus_at(z) @ np.linalg.inv(gm[0])
-        a_plus = np.linalg.solve(gp_inv[0], problem.c_plus_at(z) @ gp_inv[0])
+        a_minus = gm[0] @ cm_all[i] @ np.linalg.inv(gm[0])
+        a_plus = np.linalg.solve(gp_inv[0], cp_all[i] @ gp_inv[0])
         eta = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), problem.blocks)
         gammas[i] = jet_mul(jet_mul(gp_inv, (factors.eta, *eta[1:])), gm)
         phis[i] = g0inv @ mu_m @ factors.n_plus @ gm[0]

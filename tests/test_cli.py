@@ -486,6 +486,14 @@ class TestMain:
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["frenet", "--config", "/nonexistent/job.json"]) == 2
 
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        # exit 1 means a failed point; a report that cannot be written is 2
+        cfg = {"curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 1, "ny": 1}}
+        out = tmp_path / "missing" / "report.json"
+        assert main(["frenet", "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_conflict_is_exit_2(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"mode": "grading", "curve": LINE_CURVE})
         assert main(["frenet", "--config", path]) == 2
@@ -542,6 +550,14 @@ class TestMain:
             (
                 dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, gamma_plus=[[[1], [1]], [[0], [1]]])),
                 "seeds.gamma_plus",
+            ),
+            # in range as parsed, but the rank drop is (z - 1e200)^2, whose
+            # constant coefficient 1e400 has no float; the curve is reduced
+            # first, with the warning that says so
+            pytest.param(
+                {"curve": [[[-1e200, 1], [0]], [[0], [-1e200, 1]], [[0], [0]]]},
+                "curve",
+                marks=pytest.mark.filterwarnings("ignore:input columns do not have constant rank:UserWarning"),
             ),
         ],
     )

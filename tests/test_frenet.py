@@ -150,7 +150,7 @@ class TestBuildOsculating:
         monkeypatch.setattr(PolyMatrix, "det", lambda m: calls.append(m) or det(m))
         seq = build_osculating(normal_curve(degree))
         assert seq.partition.sizes == (1,) * (degree + 1)
-        assert len(calls) <= degree + 1
+        assert len(calls) <= degree
 
     def test_c_minus_matrix_layout(self):
         seq = build_checked(conic_curve())

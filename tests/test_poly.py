@@ -120,13 +120,14 @@ class TestPoly:
         exact = GaussianRational()
         for c in reversed(p.coeffs):
             exact = exact * z + c
-        approx = p.evaluate(z.to_complex())
+        approx = PolyMatrix([[p]]).evaluate(z.to_complex())[0, 0]
         assert abs(exact.to_complex() - approx) < 1e-14
 
     def test_conjugate_coeffs_semantics(self):
         p = Poly.of(GaussianRational(1, 2), GaussianRational(0, 1))
         z = 0.3 - 0.8j
-        assert abs(p.conjugate_coeffs().evaluate(np.conj(z)) - np.conj(p.evaluate(z))) < 1e-14
+        q = PolyMatrix([[p.conjugate_coeffs()]]).evaluate(np.conj(z))
+        assert abs(q[0, 0] - np.conj(PolyMatrix([[p]]).evaluate(z)[0, 0])) < 1e-14
 
 
 class TestPolyMatrix:
@@ -152,9 +153,10 @@ class TestPolyMatrix:
     def test_evaluate_many_matches_pointwise(self):
         m = PolyMatrix([[[1, 0, 1], [0, GaussianRational(0, 1)]], [[GaussianRational(2, -1)], 0]])
         pts = np.array([0.1 + 0.2j, -1.5j, 2.0])
-        batched = m.evaluate_many(pts)
+        batched = m.evaluate(pts)
+        assert batched.shape == (3, 2, 2)
         for k, z in enumerate(pts):
-            assert np.allclose(batched[k], m.evaluate(z), atol=1e-14)
+            assert batched[k].tobytes() == m.evaluate(z).tobytes()
 
     def test_conjugate_transpose_semantics(self):
         m = PolyMatrix([[[1, GaussianRational(0, 1)], 2], [[0, 0, 1], [GaussianRational(0, -3)]]])
@@ -199,27 +201,15 @@ def random_gaussian_poly(rng, degree) -> Poly:
 
 
 def reference_evaluate(p: Poly, z) -> complex:
-    """Horner's rule converting every coefficient at every step."""
-    acc = 0j
+    """Horner's rule in Python complex arithmetic at one point."""
+    z, acc = complex(z), 0j
     for c in reversed(p.coeffs):
         acc = acc * z + c.to_complex()
     return acc
 
 
-def reference_evaluate_many(m: PolyMatrix, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex).ravel()
-    deg = max((e.degree for row in m.entries for e in row), default=-1)
-    out = np.zeros((pts.size, m.rows, m.cols), dtype=complex)
-    if deg < 0:
-        return out
-    coeff = np.zeros((deg + 1, m.rows, m.cols), dtype=complex)
-    for i, row in enumerate(m.entries):
-        for j, e in enumerate(row):
-            for k, c in enumerate(e.coeffs):
-                coeff[k, i, j] = c.to_complex()
-    for k in range(deg, -1, -1):
-        out = out * pts[:, None, None] + coeff[k]
-    return out
+def reference_matrix(m: PolyMatrix, z) -> np.ndarray:
+    return np.array([[reference_evaluate(e, z) for e in row] for row in m.entries], dtype=complex)
 
 
 def bits(z) -> bytes:
@@ -231,17 +221,21 @@ EVAL_POINTS = (0.0, 1.0, -0.37, 2.5, 1e-3, 0.3 + 0.7j, -1.2 - 0.45j, 1e-3j, 1 / 
 
 
 class TestNumericEvaluation:
-    """Evaluation reads coefficients converted once, with unchanged results."""
+    """One kernel: a point alone and a point in an array round as Python
+    complex Horner does, bit for bit."""
 
     def test_evaluate_is_bit_identical_to_reference(self):
         rng = np.random.default_rng(2024)
         polys = [Poly(), Poly.one(), Poly.of(Fraction(-2, 3)), Poly.of(GaussianRational(0, 1))]
         polys += [random_gaussian_poly(rng, d) for d in range(7) for _ in range(4)]
+        pts = np.array([complex(z) for z in EVAL_POINTS])
         for p in polys:
-            for z in EVAL_POINTS:
+            m = PolyMatrix([[p]])
+            batched = m.evaluate(pts)
+            for k, z in enumerate(EVAL_POINTS):
                 expected = bits(reference_evaluate(p, z))
-                assert bits(p.evaluate(z)) == expected
-                assert bits(p.evaluate(z)) == expected  # read from the cache
+                assert bits(m.evaluate(z)[0, 0]) == expected
+                assert bits(batched[k, 0, 0]) == expected
 
     def test_matrix_evaluation_is_bit_identical_to_reference(self):
         rng = np.random.default_rng(2025)
@@ -250,12 +244,24 @@ class TestNumericEvaluation:
                 [[random_gaussian_poly(rng, int(rng.integers(-1, 7))) for _ in range(cols)] for _ in range(rows)]
             )
             pts = np.array([complex(z) for z in EVAL_POINTS])
-            expected = reference_evaluate_many(m, pts)
-            for _ in range(2):
-                assert m.evaluate_many(pts).tobytes() == expected.tobytes()
-            for z in EVAL_POINTS:
-                pointwise = np.array([[reference_evaluate(e, z) for e in row] for row in m.entries])
-                assert m.evaluate(z).tobytes() == pointwise.astype(complex).tobytes()
+            batched = m.evaluate(pts)
+            assert batched.shape == (len(EVAL_POINTS), rows, cols)
+            grid = m.evaluate(pts.reshape(2, 5))  # point axes first
+            assert grid.tobytes() == batched.tobytes()
+            for k, z in enumerate(EVAL_POINTS):
+                expected = reference_matrix(m, z).tobytes()
+                assert m.evaluate(z).tobytes() == expected
+                assert batched[k].tobytes() == expected
+
+    def test_overflow_is_silent_and_matches_python(self):
+        # Python complex arithmetic overflows to inf without an error or a
+        # warning, and so does the kernel; warnings are errors in this suite
+        m = PolyMatrix([[[1, 0, 1], [0, GaussianRational(1, 1)]], [[Fraction(1, 3), 1, 1, 1], 0]])
+        for z in (1e200, 1e200j, -3e155 + 2e160j):
+            expected = reference_matrix(m, z)
+            assert not np.isfinite(expected).all()
+            np.testing.assert_array_equal(m.evaluate(z), expected)
+            np.testing.assert_array_equal(m.evaluate(np.array([z, 0.5]))[0], expected)
 
 
 class TestFactorZeros:
@@ -300,6 +306,17 @@ class TestConstantRankReduce:
         gs, d = reduce_and_check_cauchy_binet([col(Z, Z * Z)])
         assert gs == [col(1, Z)]
         assert d == PolyMatrix([[Z]])
+
+    def test_one_column_reads_no_determinant(self, monkeypatch):
+        # over the empty base the 1 by 1 minors are the entries, whose gcd
+        # factor_zeros has already divided out
+        calls = []
+        det = PolyMatrix.det
+        monkeypatch.setattr(PolyMatrix, "det", lambda m: calls.append(m) or det(m))
+        gs, d = constant_rank_reduce([col(Z * (Z - 1), Z * Z, 0)])
+        assert gs == [col(Z - 1, Z, 0)]
+        assert d == PolyMatrix([[Z]])
+        assert calls == []
 
     def test_already_constant_rank(self):
         for fs in ([col(1, Z)], [col(1, Z, Z * Z), col(0, 1, Poly.of(0, 2))]):

@@ -71,8 +71,8 @@ def rk4_transport(gamma_rep, c_rep, start, ends, steps):
     ends = np.asarray(ends, dtype=complex)
     k = gamma_rep.rows
     nodes = start + np.linspace(0.0, 1.0, 2 * steps + 1)[:, None] * (ends - start)[None, :]
-    g = gamma_rep.evaluate_many(nodes.ravel())
-    a = (g @ c_rep.evaluate_many(nodes.ravel()) @ np.linalg.inv(g)).reshape(*nodes.shape, k, k)
+    g = gamma_rep.evaluate(nodes)
+    a = g @ c_rep.evaluate(nodes) @ np.linalg.inv(g)
     a *= (ends - start)[None, :, None, None]
     mu = np.broadcast_to(np.eye(k, dtype=complex), (ends.size, k, k))
     h = 1.0 / steps
@@ -124,6 +124,17 @@ class TestProblemValidation:
         assert p.gap == 1
         np.testing.assert_allclose(p.c_plus_at(2.0), [[0, -1], [0, 0]])
         np.testing.assert_allclose(p.c_minus_at(2.0), [[0, 0], [1, 0]])
+
+    def test_c_data_at_an_array_of_points(self):
+        # an array of points gives, bit for bit, the values at each point
+        c_minus = PolyMatrix([[0, 0, 0], [[1, GaussianRational(0, 1)], 0, 0], [0, [Fraction(1, 3), 0, 2], 0]])
+        p = TodaProblem.hermitian_problem(chain_spec(), 1, c_minus)
+        zs = np.array([[0.3 - 0.7j, 2.0], [-1.5j, 1 / 3 + 0.25j]])
+        for at in (p.c_minus_at, p.c_plus_at):
+            grid = at(zs)
+            assert grid.shape == (2, 2, 3, 3)
+            for idx in np.ndindex(zs.shape):
+                assert grid[idx].tobytes() == at(zs[idx]).tobytes()
 
     def test_diagonal_entry_rejected(self):
         bad = PolyMatrix([[1, 0], [1, 0]])
