@@ -438,13 +438,19 @@ def emit(report: Report, format: str = "json") -> bytes:
 # mode pipelines
 
 
-def _metric_values(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray]) -> dict[str, float]:
-    """The g_a and ln_det_beta_a columns of a point, from its gram blocks
-    and the block subdiagonal of B, on either side of the correspondence."""
-    values = {f"g_{a}": induced_metric(betas, b_sub, a) for a in range(len(b_sub))}
+def _metric_values(gs: Sequence, betas: Sequence[np.ndarray]) -> dict:
+    """The g_a and ln_det_beta_a columns, from the metric coefficients and
+    the gram blocks, on either side of the correspondence; stacked blocks
+    give stacked columns."""
+    values = {f"g_{a}": g for a, g in enumerate(gs)}
     for a, beta in enumerate(betas):
-        values[f"ln_det_beta_{a}"] = float(np.linalg.slogdet(beta)[1])
+        values[f"ln_det_beta_{a}"] = np.linalg.slogdet(beta)[1]
     return values
+
+
+def _column_row(columns: dict, i) -> dict[str, float]:
+    """The entries at point i of stacked report columns, as floats."""
+    return {name: float(np.asarray(v)[i]) for name, v in columns.items()}
 
 
 def _rank_drop_roots(poly: Poly) -> np.ndarray:
@@ -478,25 +484,30 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     h = _metric(cfg, n, f"curve ({n} rows)")
     t = seq.t
 
-    def one(z: complex) -> PointRecord:
-        if roots.size and np.min(np.abs(roots - z)) < RANK_DROP_RADIUS:
-            return PointRecord(z, "excluded: near a rank drop point", {}, {})
-        try:
-            data = frame_at(seq, h, z)
-            residuals = {"b_solve": data.b_solve_residual}
-            values = _metric_values(data.betas, data.b_sub)
-            if cfg.mode == "verify-frenet":
-                frame = verify_frame_equations(data)
-                for a in range(t + 1):
-                    residuals[f"frame_minus_{a}"] = frame.minus[a]
-                    residuals[f"frame_plus_{a}"] = frame.plus[a]
-                for a, v in enumerate(kahler_check(data)):
-                    residuals[f"kahler_{a}"] = v
-            return PointRecord(z, "ok", residuals, values)
-        except TodaframesError as exc:
-            return PointRecord(z, f"failed: {type(exc).__name__}: {exc}", {}, {})
+    points = cfg.grid.points()
+    near = [bool(roots.size) and np.min(np.abs(roots - z)) < RANK_DROP_RADIUS for z in points]
+    data = frame_at(seq, h, np.array([z for z, x in zip(points, near) if not x], dtype=complex))
+    passed = data.take([i for i, f in enumerate(data.failures) if f is None])
+    residuals = {"b_solve": passed.b_solve_residual}
+    values = _metric_values(passed.metric, passed.betas)
+    if cfg.mode == "verify-frenet":
+        frame = verify_frame_equations(passed)
+        for a in range(t + 1):
+            residuals[f"frame_minus_{a}"] = frame.minus[a]
+            residuals[f"frame_plus_{a}"] = frame.plus[a]
+        for a, v in enumerate(kahler_check(passed)):
+            residuals[f"kahler_{a}"] = v
 
-    records = [one(z) for z in cfg.grid.points()]
+    records = []
+    failures, rows = iter(data.failures), iter(range(len(passed.failures)))
+    for z, excluded in zip(points, near):
+        if excluded:
+            records.append(PointRecord(z, "excluded: near a rank drop point", {}, {}))
+        elif (exc := next(failures)) is not None:
+            records.append(PointRecord(z, f"failed: {type(exc).__name__}: {exc}", {}, {}))
+        else:
+            i = next(rows)
+            records.append(PointRecord(z, "ok", _column_row(residuals, i), _column_row(values, i)))
     summary = {
         "partition": list(seq.partition.sizes),
         "linear_full": linear_fullness(seq, n),
@@ -570,7 +581,9 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         values: dict[str, float] = {} if cfg.hermitian_mode else dict(checks)
         c = problem.c_minus_at(z)
         b_sub = [c[s, r] for r, s in zip(blocks, blocks[1:])]
-        values.update(_metric_values([gamma[s, s] for s in blocks], b_sub))
+        betas = [gamma[s, s] for s in blocks]
+        gs = [induced_metric(betas, b_sub, a) for a in range(len(b_sub))]
+        values.update(_column_row(_metric_values(gs, betas), ()))
         try:
             for a, v in enumerate(toda_residual(problem, jet, z)):
                 residuals[f"toda_{a}"] = v

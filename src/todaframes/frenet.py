@@ -21,6 +21,7 @@ and the plus derivative is d/dzbar.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,7 @@ from .linalg import (
     BlockStructure,
     HermitianMetric,
     condition,
+    dagger,
     jet_h,
     jet_inv,
     jet_mul,
@@ -122,21 +124,29 @@ class OsculatingSequence:
 
 @dataclass(frozen=True)
 class FrenetPointData:
-    """The frame and its first order data at one point, with the exact
-    d/dz and d/dzbar of every phi_a and beta_a and the mixed d/dz d/dzbar
-    of every beta_a."""
+    """The frame and its first order data at a point or an array of points,
+    with the exact d/dz and d/dzbar of every phi_a and beta_a, the mixed
+    d/dz d/dzbar of every beta_a and the one inverse of every beta_a.
 
-    z: complex
+    Every matrix field is a stack with the point axes of z first, as
+    PolyMatrix.evaluate returns it; a single point gives plain matrices.
+    failures holds, in the flattened order of z, the error that failed each
+    point, or None; the fields of a failed point are NaN.
+    """
+
+    z: complex | np.ndarray
     partition: BlockStructure
     phis: tuple[np.ndarray, ...]
     betas: tuple[np.ndarray, ...]
+    betas_inv: tuple[np.ndarray, ...]
     b_sub: tuple[np.ndarray, ...]
-    b_solve_residual: float
+    b_solve_residual: float | np.ndarray
     phis_dz: tuple[np.ndarray, ...]
     phis_dzbar: tuple[np.ndarray, ...]
     betas_dz: tuple[np.ndarray, ...]
     betas_dzbar: tuple[np.ndarray, ...]
     betas_dz_dzbar: tuple[np.ndarray, ...]
+    failures: tuple[SingularBeta | None, ...]
 
     @property
     def t(self) -> int:
@@ -145,7 +155,7 @@ class FrenetPointData:
     @property
     def phi(self) -> np.ndarray:
         """All frame blocks side by side, n by (k_0 + ... + k_t)."""
-        return np.hstack(self.phis)
+        return np.concatenate(self.phis, axis=-1)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -157,26 +167,58 @@ class FrenetPointData:
         """Jet (value, d/dz, d/dzbar, d/dz d/dzbar) of gamma, the field the
         Toda residual checks read."""
         k = self.partition.n
-        out = tuple(np.zeros((k, k), dtype=complex) for _ in range(4))
+        shape = self.betas[0].shape[:-2] + (k, k)
+        out = tuple(np.zeros(shape, dtype=complex) for _ in range(4))
         parts = (self.betas, self.betas_dz, self.betas_dzbar, self.betas_dz_dzbar)
         for x, blocks in zip(out, parts):
             for a, beta in enumerate(blocks):
                 s = self.partition.slice(a)
-                x[s, s] = beta
+                x[..., s, s] = beta
         return out
+
+    @cached_property
+    def metric(self) -> tuple:
+        """The metric coefficients g_0, ..., g_{t-1} (see induced_metric),
+        read with the stored inverses."""
+        return tuple(
+            _metric_coefficient(self.betas_inv[a], self.betas[a + 1], self.b_sub[a])
+            for a in range(self.t)
+        )
+
+    def take(self, index) -> "FrenetPointData":
+        """The data of the points index selects, by position in the
+        flattened order of z."""
+        lead = np.ndim(self.z)
+
+        def pick(x):
+            return np.reshape(x, (-1,) + np.shape(x)[lead:])[index]
+
+        stacks = (
+            "phis", "betas", "betas_inv", "b_sub", "phis_dz", "phis_dzbar",
+            "betas_dz", "betas_dzbar", "betas_dz_dzbar",
+        )
+        rows = np.ravel(np.arange(len(self.failures))[index])
+        return dataclasses.replace(
+            self,
+            z=pick(self.z),
+            b_solve_residual=pick(self.b_solve_residual),
+            failures=tuple(self.failures[i] for i in rows),
+            **{name: tuple(map(pick, getattr(self, name))) for name in stacks},
+        )
 
 
 @dataclass(frozen=True)
 class FrameResiduals:
-    """Norms of the frame equation defects at a point, per level."""
+    """Norms of the frame equation defects, per level, at the points of the
+    frame data."""
 
-    z: complex
-    minus: tuple[float, ...]
-    plus: tuple[float, ...]
+    z: complex | np.ndarray
+    minus: tuple
+    plus: tuple
 
     @property
-    def max_residual(self) -> float:
-        return max(self.minus + self.plus)
+    def max_residual(self):
+        return np.max(np.stack(self.minus + self.plus), axis=0)
 
 
 @dataclass(frozen=True)
@@ -185,9 +227,9 @@ class ConnectionCoefficients:
 
     lambda_minus is block diagonal plus block subdiagonal, lambda_plus
     strictly block superdiagonal.  The four index arrays act on mixed
-    fiber/horizontal tensors: index order (nu, alpha, beta, mu) with
-    alpha, beta fiber indices (size k_0) and mu, nu horizontal ones
-    (everything past the first block).
+    fiber/horizontal tensors: index order (nu, alpha, beta, mu), after any
+    point axes, with alpha, beta fiber indices (size k_0) and mu, nu
+    horizontal ones (everything past the first block).
     """
 
     lambda_minus: np.ndarray
@@ -256,8 +298,21 @@ def _times_holomorphic(x: tuple, yv: np.ndarray, ym: np.ndarray) -> tuple:
     return (xv @ yv, xm @ yv + xv @ ym, xp @ yv, xmp @ yv + xp @ ym)
 
 
-def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetPointData:
-    """Frenet frame data at a single point, with its exact derivatives.
+def _rows(x, keep):
+    """x, a stack or a tuple or list of stacks, on the points keep selects;
+    None stays None."""
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray):
+        return x[keep]
+    return type(x)(_rows(y, keep) for y in x)
+
+
+def frame_at(
+    seq: OsculatingSequence, h: HermitianMetric, z: complex | np.ndarray
+) -> FrenetPointData:
+    """Frenet frame data at a point or an array of points, with its exact
+    derivatives.
 
     phi_0 is xi_0 itself and each later block is the previous projector
     chain applied to its level, so the blocks are h orthogonal.  Every
@@ -267,64 +322,103 @@ def frame_at(seq: OsculatingSequence, h: HermitianMetric, z: complex) -> FrenetP
     come out of the same pass.  Products with parts known to be zero are
     skipped: h is constant, the levels have no d/dzbar parts, and the
     projector chain starts at the identity.  xi, its z derivative and B are
-    evaluated once each; levels and blocks are slices of those three
-    arrays.  The recorded solve residual is the scaled defect of the
-    defining relation dxi_a/dz = sum of xi_b B_{ba} at every level, so it
-    stays at rounding level and large values flag a broken sequence.
+    evaluated once each over all the points; levels and blocks are slices
+    of those three stacks, and the chain runs once on the stacks, so a
+    point gets the bits it gets alone.  The recorded solve residual is the
+    scaled defect of the defining relation dxi_a/dz = sum of xi_b B_{ba}
+    at every level, so it stays at rounding level and large values flag a
+    broken sequence.
+
+    A point whose gram block fails the condition guard leaves the stacks
+    before its block is inverted, and its SingularBeta is recorded in
+    failures; every other point is unaffected.  At a single point the
+    SingularBeta is raised.
     """
     hm = h.matrix
     n = seq.n
     t = seq.t
     blocks = [seq.partition.slice(a) for a in range(t + 1)]
-    x_all, dx_all, b_all = seq.xi.evaluate(z), seq.dxi.evaluate(z), seq.b.evaluate(z)
-    xs = [x_all[:, s] for s in blocks]
-    dxs = [dx_all[:, s] for s in blocks]
+    shape = np.shape(z)
+    w = np.asarray(z, dtype=complex).reshape(-1)
+    failures: list[SingularBeta | None] = [None] * w.size
+    live = np.arange(w.size)  # the points that have passed every guard so far
+    x_all, dx_all, b_all = seq.xi.evaluate(w), seq.dxi.evaluate(w), seq.b.evaluate(w)
 
     phis: list[tuple] = []  # jets of the frame and gram blocks
     betas: list[tuple] = []
+    invs: list[np.ndarray] = []
     proj = None  # the identity jet at level 0, which no product needs
     for a in range(t + 1):
+        x, dx = x_all[..., blocks[a]], dx_all[..., blocks[a]]
         if a == 0:  # xi_0 is holomorphic: its d/dzbar parts vanish
-            zero = np.zeros_like(xs[0])
-            phi_a = (xs[0], dxs[0], zero, zero)
+            zero = np.zeros_like(x)
+            phi_a = (x, dx, zero, zero)
         else:
-            phi_a = _times_holomorphic(proj, xs[a], dxs[a])
+            phi_a = _times_holomorphic(proj, x, dx)
         phi_h = jet_h(phi_a)
-        left = tuple(x @ hm for x in phi_h)  # h is constant: part by part
-        beta_a = _times_holomorphic(left, xs[0], dxs[0]) if a == 0 else jet_mul(left, phi_a)
+        left = tuple(y @ hm for y in phi_h)  # h is constant: part by part
+        beta_a = _times_holomorphic(left, x, dx) if a == 0 else jet_mul(left, phi_a)
         cond = condition(beta_a[0])
-        if cond > COND_LIMIT:
-            raise SingularBeta(f"gram block {a} at z={z:g} has condition {cond:.3e}")
+        bad = cond > COND_LIMIT
+        if bad.any():  # one singular block would fail the whole stacked inverse
+            for i, c in zip(live[bad], cond[bad]):
+                failures[i] = SingularBeta(
+                    f"gram block {a} at z={complex(w[i]):g} has condition {c:.3e}"
+                )
+            live, x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs = _rows(
+                (live, x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs), ~bad
+            )
         phis.append(phi_a)
         betas.append(beta_a)
         if a == t:
+            invs.append(np.linalg.inv(beta_a[0]))
             break
-        p = tuple(x @ hm for x in jet_mul(jet_mul(phi_a, jet_inv(beta_a)), phi_h))
+        inv = jet_inv(beta_a)
+        invs.append(inv[0])
+        p = tuple(y @ hm for y in jet_mul(jet_mul(phi_a, inv), phi_h))
         step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
         proj = step if a == 0 else jet_mul(step, proj)
+    if not shape and failures[0] is not None:
+        raise failures[0]
 
     solve_residual = 0.0
     for a in range(t + 1):
-        terms = [xs[b] @ b_all[blocks[b], blocks[a]] for b in range(min(a + 1, t) + 1)]
-        solve_residual = max(solve_residual, scaled_defect(dxs[a], terms))
+        terms = [
+            x_all[..., blocks[b]] @ b_all[..., blocks[b], blocks[a]]
+            for b in range(min(a + 1, t) + 1)
+        ]
+        solve_residual = np.maximum(
+            solve_residual, scaled_defect(dx_all[..., blocks[a]], terms)
+        )
+
+    def full(x: np.ndarray) -> np.ndarray:
+        """x at every point of z, in z's shape, NaN at the failed points."""
+        out = np.full((w.size,) + x.shape[1:], np.nan, dtype=x.dtype)
+        out[live] = x
+        return out.reshape(shape + x.shape[1:])
+
+    def parts(jets: list[tuple], k: int) -> tuple[np.ndarray, ...]:
+        return tuple(full(j[k]) for j in jets)
 
     return FrenetPointData(
-        z=complex(z),
+        z=complex(z) if not shape else w.reshape(shape),
         partition=seq.partition,
-        phis=tuple(p[0] for p in phis),
-        betas=tuple(b[0] for b in betas),
-        b_sub=tuple(b_all[blocks[a + 1], blocks[a]] for a in range(t)),
-        b_solve_residual=solve_residual,
-        phis_dz=tuple(p[1] for p in phis),
-        phis_dzbar=tuple(p[2] for p in phis),
-        betas_dz=tuple(b[1] for b in betas),
-        betas_dzbar=tuple(b[2] for b in betas),
-        betas_dz_dzbar=tuple(b[3] for b in betas),
+        phis=parts(phis, 0),
+        betas=parts(betas, 0),
+        betas_inv=tuple(map(full, invs)),
+        b_sub=tuple(full(b_all[..., blocks[a + 1], blocks[a]]) for a in range(t)),
+        b_solve_residual=full(solve_residual)[()],
+        phis_dz=parts(phis, 1),
+        phis_dzbar=parts(phis, 2),
+        betas_dz=parts(betas, 1),
+        betas_dzbar=parts(betas, 2),
+        betas_dz_dzbar=parts(betas, 3),
+        failures=tuple(failures),
     )
 
 
 def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
-    """Scaled defects of the two frame equations at a point.
+    """Scaled defects of the two frame equations at the points of the data.
 
     The minus frame equation expresses the z derivative of each block
     through its own gram block and the next block; the plus equation (zbar
@@ -333,57 +427,67 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
     """
     t = data.t
     res_minus, res_plus = [], []
+    below = None  # phi_{a-1} beta_{a-1}^-1, shared with the level below
     for a in range(t + 1):
-        terms = [data.phis[a] @ np.linalg.inv(data.betas[a]) @ data.betas_dz[a]]
+        here = data.phis[a] @ data.betas_inv[a]
+        terms = [here @ data.betas_dz[a]]
         if a < t:
             terms.append(data.phis[a + 1] @ data.b_sub[a])
         res_minus.append(scaled_defect(data.phis_dz[a], terms))
 
-        terms = [] if a == 0 else [
-            data.phis[a - 1] @ np.linalg.inv(data.betas[a - 1])
-            @ -data.b_sub[a - 1].conj().T @ data.betas[a]
-        ]
+        terms = [] if a == 0 else [below @ -dagger(data.b_sub[a - 1]) @ data.betas[a]]
         res_plus.append(scaled_defect(data.phis_dzbar[a], terms))
+        below = here
     return FrameResiduals(z=data.z, minus=tuple(res_minus), plus=tuple(res_plus))
 
 
-def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray], a: int) -> float:
+def _metric_coefficient(beta_inv, beta_next, b):
+    """Re tr(beta_inv B^dagger beta_next B) over the last two axes."""
+    return np.trace(beta_inv @ dagger(b) @ beta_next @ b, axis1=-2, axis2=-1).real
+
+
+def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray], a: int):
     """Metric coefficient g_a = Re tr(beta_a^-1 B_a^dagger beta_{a+1} B_a).
 
-    betas are the gram blocks at a point and b_sub the blocks B_a =
-    B_{a+1,a} of the block subdiagonal of B there: the frame data on the
-    Frenet side, the blocks of gamma and of c_minus on the Toda side.  The
-    metric is defined through the rank increment into level a+1, so a must
-    be below the top level; the top curve has no increment.
+    betas are the gram blocks and b_sub the blocks B_a = B_{a+1,a} of the
+    block subdiagonal of B, at a point or stacked over points: the frame
+    data on the Frenet side, the blocks of gamma and of c_minus on the Toda
+    side.  The metric is defined through the rank increment into level
+    a+1, so a must be below the top level; the top curve has no increment.
     """
     if not (0 <= a < len(b_sub)):
         raise IndexError(f"metric index {a} outside [0, {len(b_sub)})")
-    b = b_sub[a]
-    val = np.trace(np.linalg.inv(betas[a]) @ b.conj().T @ betas[a + 1] @ b)
-    return float(np.real(val))
+    return _metric_coefficient(np.linalg.inv(betas[a]), betas[a + 1], b_sub[a])
 
 
-def kahler_check(data: FrenetPointData) -> tuple[float, ...]:
-    """Per level scaled defect of the potential identity at a point.
+def kahler_check(data: FrenetPointData) -> tuple:
+    """Per level scaled defect of the potential identity at the points of
+    the data.
 
     The mixed derivative d/dz d/dzbar of ln det beta_a, the trace
     tr(beta^-1 ddbar beta) less tr(beta^-1 dbar beta beta^-1 d beta), must
     equal g_a - g_{a-1}, with g_{-1} = g_t = 0.  Both traces count as terms
     in the scaling: they grow with the condition of beta_a and cancel.
     """
+
+    def trace(m):  # as a 1 by 1 matrix, the shape scaled_defect reads
+        return np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
     # g_{a-1} and g_a sit at gs[a] and gs[a + 1], between the boundary zeros
-    gs = [0.0] + [induced_metric(data.betas, data.b_sub, a) for a in range(data.t)] + [0.0]
+    zero = np.zeros((1, 1))
+    gs = [zero] + [np.asarray(g)[..., None, None] for g in data.metric] + [zero]
     out = []
     for a in range(data.t + 1):
-        inv = np.linalg.inv(data.betas[a])
-        lhs = np.trace(inv @ data.betas_dz_dzbar[a]).real
-        trace = np.trace(inv @ data.betas_dzbar[a] @ inv @ data.betas_dz[a]).real
-        out.append(scaled_defect(lhs, [trace, gs[a + 1], -gs[a]]))
+        inv = data.betas_inv[a]
+        lhs = trace(inv @ data.betas_dz_dzbar[a])
+        slopes = trace(inv @ data.betas_dzbar[a] @ inv @ data.betas_dz[a])
+        out.append(scaled_defect(lhs, [slopes, gs[a + 1], -gs[a]]))
     return tuple(out)
 
 
 def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
-    """Connection coefficients assembled from point data.
+    """Connection coefficients assembled from point data, stacked over its
+    points as the data is.
 
     lambda_minus carries the gram slopes beta_a^-1 d beta_a on the
     diagonal and B below it, lambda_plus carries the D data above it, and
@@ -392,28 +496,28 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
     """
     part = data.partition
     k = part.n
-    lam_m = np.zeros((k, k), dtype=complex)
-    lam_p = np.zeros((k, k), dtype=complex)
+    lam_m = np.zeros(data.betas[0].shape[:-2] + (k, k), dtype=complex)
+    lam_p = np.zeros_like(lam_m)
     for a in range(data.t + 1):
         s = part.slice(a)
-        lam_m[s, s] = np.linalg.inv(data.betas[a]) @ data.betas_dz[a]
+        lam_m[..., s, s] = data.betas_inv[a] @ data.betas_dz[a]
     for a in range(data.t):
-        lam_m[part.slice(a + 1), part.slice(a)] = data.b_sub[a]
-        lam_p[part.slice(a), part.slice(a + 1)] = (
-            np.linalg.inv(data.betas[a]) @ -data.b_sub[a].conj().T @ data.betas[a + 1]
+        lam_m[..., part.slice(a + 1), part.slice(a)] = data.b_sub[a]
+        lam_p[..., part.slice(a), part.slice(a + 1)] = (
+            data.betas_inv[a] @ -dagger(data.b_sub[a]) @ data.betas[a + 1]
         )
 
     k0 = part.sizes[0]
     nh = k - k0
-    fiber_slope = lam_m[:k0, :k0]
-    lam_m_h = lam_m[k0:, k0:]
-    lam_p_h = lam_p[k0:, k0:]
+    fiber_slope = lam_m[..., :k0, :k0]
+    lam_m_h = lam_m[..., k0:, k0:]
+    lam_p_h = lam_p[..., k0:, k0:]
     eye_f = np.eye(k0, dtype=complex)
     eye_h = np.eye(nh, dtype=complex)
-    big_m = np.einsum("ab,nm->nabm", eye_f, lam_m_h) - np.einsum(
-        "ab,nm->nabm", fiber_slope, eye_h
+    big_m = np.einsum("ab,...nm->...nabm", eye_f, lam_m_h) - np.einsum(
+        "...ab,nm->...nabm", fiber_slope, eye_h
     )
-    big_p = np.einsum("ab,nm->nabm", eye_f, lam_p_h)
+    big_p = np.einsum("ab,...nm->...nabm", eye_f, lam_p_h)
 
     return ConnectionCoefficients(
         lambda_minus=lam_m,

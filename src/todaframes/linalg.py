@@ -1,9 +1,11 @@
 """Dense complex linear algebra with block structure.
 
-Matrices are plain numpy arrays of dtype complex128.  The helpers here add
-the pieces numpy does not provide directly: a hermitian metric with its
-Cholesky factor and the block Gauss (block LDU) decomposition with unit
-triangular outer factors.
+Matrices are plain numpy arrays of dtype complex128; the jet helpers,
+condition and scaled_defect act over the last two axes, so they take a
+stack of matrices as well as one.  The helpers here add the pieces numpy
+does not provide directly: a hermitian metric with its Cholesky factor and
+the block Gauss (block LDU) decomposition with unit triangular outer
+factors.
 
 A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
 truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
@@ -29,6 +31,7 @@ __all__ = [
     "as_cmatrix",
     "gauss_decompose",
     "condition",
+    "dagger",
     "jet_h",
     "jet_inv",
     "jet_mul",
@@ -95,10 +98,15 @@ def jet_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def jet_h(x: tuple) -> tuple:
     """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts."""
     v, m, p, mp = x
-    return v.conj().T, p.conj().T, m.conj().T, mp.conj().T
+    return dagger(v), dagger(p), dagger(m), dagger(mp)
 
 
 def jet_inv(x: tuple) -> tuple:
@@ -113,20 +121,46 @@ def jet_inv(x: tuple) -> tuple:
     )
 
 
-def scaled_defect(lhs, terms) -> float:
+def _norm(m) -> np.ndarray:
+    """Frobenius norms over the last two axes.  One matrix takes
+    np.linalg.norm; a stack sums each matrix as np.linalg.norm sums it
+    alone: the entries in memory order, the real and the imaginary parts by
+    one BLAS dot each."""
+    m = np.asarray(m)
+    if m.ndim == 2:
+        return np.linalg.norm(m)
+    if abs(m.strides[-2]) < abs(m.strides[-1]):  # column major: np.linalg.norm reads it so
+        m = m.swapaxes(-1, -2)
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
+    parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
+    sq = [x[..., None, :] @ x[..., :, None] for x in parts]
+    return np.sqrt(sum(sq[1:], sq[0])[..., 0, 0])
+
+
+def scaled_defect(lhs, terms):
     """Norm of lhs minus the sum of terms, over max(1, the largest norm); the
-    floor keeps identities whose terms are all rounding noise at zero."""
-    scale = max([1.0, float(np.linalg.norm(lhs))] + [float(np.linalg.norm(x)) for x in terms])
-    return float(np.linalg.norm(lhs - sum(terms))) / scale
+    floor keeps identities whose terms are all rounding noise at zero.
+
+    Norms run over the last two axes, so a stack of matrices gives a stack of
+    defects and one matrix a float."""
+    scale = 1.0
+    for x in [lhs, *terms]:
+        scale = np.maximum(scale, _norm(x))
+    out = _norm(lhs - sum(terms)) / scale
+    return float(out) if out.ndim == 0 else out
 
 
-def condition(m: np.ndarray) -> float:
-    """Condition number of m; a failed SVD or a non finite value is infinite."""
+def condition(m: np.ndarray):
+    """Condition numbers of m over its last two axes; a failed SVD or a non
+    finite value is infinite.  One matrix gives a scalar."""
     try:
-        cond = float(np.linalg.cond(m))
-    except np.linalg.LinAlgError:
-        return math.inf
-    return cond if math.isfinite(cond) else math.inf
+        cond = np.asarray(np.linalg.cond(m))
+    except np.linalg.LinAlgError:  # one failed SVD fails its stack: take each alone
+        if np.ndim(m) == 2:
+            return math.inf
+        cond = np.array([condition(x) for x in m])
+    cond[~np.isfinite(cond)] = math.inf
+    return cond[()]
 
 
 class HermitianMetric:

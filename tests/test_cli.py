@@ -156,27 +156,33 @@ class TestFrenetModes:
         assert report.exit_code() == 0
 
     def test_one_frame_evaluation_per_stencil_point(self, monkeypatch):
-        # both frenet modes evaluate the frame once per point: the checks of
-        # verify-frenet read the exact derivatives from that one evaluation
+        # both frenet modes evaluate the frame in one call per job, on the
+        # points not excluded, in report order: the checks of verify-frenet
+        # read the exact derivatives from that one evaluation
         calls = []
         original = frenet.frame_at
 
         def counted(seq, h, z):
-            calls.append(complex(z))
+            calls.append(np.asarray(z).tolist())
             return original(seq, h, z)
 
         monkeypatch.setattr(frenet, "frame_at", counted)
         monkeypatch.setattr(cli, "frame_at", counted)
         cubic = [[[1]], [[0, 1]], [[0, 0, 1]], [[0, 0, 0, 1]]]
         grid = {"radius": 0.5, "nx": 2, "ny": 2}
-        report = run({"mode": "verify-frenet", "curve": cubic, "grid": grid})
-        assert report.summary["points_ok"] == 4
-        assert calls == [p.z for p in report.points]
-        assert len(set(calls)) == 4
-        calls.clear()
-        report = run({"mode": "frenet", "curve": cubic, "grid": grid})
-        assert report.summary["points_ok"] == 4
-        assert calls == [p.z for p in report.points]
+        for mode in ("verify-frenet", "frenet"):
+            calls.clear()
+            report = run({"mode": mode, "curve": cubic, "grid": grid})
+            assert report.summary["points_ok"] == 4
+            assert calls == [[p.z for p in report.points]]
+            assert len(set(calls[0])) == 4
+            # (z, z^2) drops rank at the origin, the centre of this grid
+            calls.clear()
+            with pytest.warns(UserWarning, match="constant rank"):
+                report = run({"mode": mode, "curve": [[[0, 1]], [[0, 0, 1]]], "grid": {"radius": 0.5}})
+            kept = [p.z for p in report.points if not p.status.startswith("excluded")]
+            assert len(kept) == 8 and report.summary["points_ok"] == 8
+            assert calls == [kept]
 
     def test_degree_four_normal_curve_passes_tight_tolerance(self):
         # every identity holds on (1, z, ..., z^4); finite difference

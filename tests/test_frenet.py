@@ -226,18 +226,20 @@ class TestFrameAt:
 
     @pytest.mark.parametrize("degree", [1, 6])
     def test_three_evaluations_per_point(self, degree, monkeypatch):
-        # xi, its derivative and B, however long the chain
+        # xi, its derivative and B, once per call, however long the chain
+        # and however many points
         seq = build_osculating(normal_curve(degree))
         calls = []
         evaluate = PolyMatrix.evaluate
         monkeypatch.setattr(PolyMatrix, "evaluate", lambda m, z: calls.append(m) or evaluate(m, z))
-        frame_at(seq, HermitianMetric.identity(degree + 1), 0.2 + 0.1j)
+        frame_at(seq, HermitianMetric.identity(degree + 1), np.array([0.2 + 0.1j, -0.3, 0.4j, 0.0]))
         assert len(calls) == 3
 
     @pytest.mark.parametrize("which", ["normal5", "lift57"])
     def test_equal_to_full_jet_products(self, which):
         # frame_at skips the products of parts known to be zero; a chain of
-        # full jet products gives the same numbers
+        # full jet products gives the same numbers, and so does each point
+        # of one call on all three points
         if which == "normal5":
             seq = build_osculating(normal_curve(5))
         else:
@@ -245,8 +247,11 @@ class TestFrameAt:
         n = seq.n
         w = np.random.default_rng(3).standard_normal((n, n))
         h = HermitianMetric(w @ w.T + n * np.eye(n))
-        for z in (0.3 + 0.2j, -0.45j, 0.0):
+        zs = (0.3 + 0.2j, -0.45j, 0.0)
+        stacked = frame_at(seq, h, np.array(zs))
+        for i, z in enumerate(zs):
             data = frame_at(seq, h, z)
+            assert_same_point(stacked.take(i), data)
             zero = np.zeros((n, n), dtype=complex)
             h_jet, proj = (h.matrix, zero, zero, zero), (np.eye(n, dtype=complex), zero, zero, zero)
             for a, s in enumerate(map(seq.partition.slice, range(seq.t + 1))):
@@ -257,19 +262,39 @@ class TestFrameAt:
                 assert all(np.array_equal(u, v) for u, v in zip(parts, phi))
                 parts = (data.betas[a], data.betas_dz[a], data.betas_dzbar[a], data.betas_dz_dzbar[a])
                 assert all(np.array_equal(u, v) for u, v in zip(parts, beta))
+                assert np.array_equal(data.betas_inv[a], np.linalg.inv(beta[0]))
                 p = jet_mul(jet_mul(jet_mul(phi, jet_inv(beta)), jet_h(phi)), h_jet)
                 proj = jet_mul((np.eye(n) - p[0], -p[1], -p[2], -p[3]), proj)
 
     def test_singular_beta_detected(self):
         # hand built chain whose levels collide at z = 1
-        fake = OsculatingSequence(
-            xi=PolyMatrix([[1, 1], [[0, 1], 1]]),
-            b=PolyMatrix.zeros(2, 2),
-            partition=BlockStructure((1, 1)),
-            rank_drop=Poly.one(),
-        )
         with pytest.raises(SingularBeta):
-            frame_at(fake, I2, 1.0)
+            frame_at(colliding_chain(), I2, 1.0)
+
+    def test_singular_beta_fails_only_its_point(self):
+        # in an array the colliding point is recorded and leaves the stack
+        # before the inverse; its neighbours match their calls alone
+        seq = colliding_chain()
+        data = frame_at(seq, I2, np.array([0.5, 1.0, -0.5j]))
+        assert [f is None for f in data.failures] == [True, False, True]
+        assert isinstance(data.failures[1], SingularBeta)
+        assert str(data.failures[1]).startswith("gram block 1 at z=1+0j has condition ")
+        assert all(np.isnan(x[1]).all() for x in data.phis + data.betas + data.betas_inv)
+        assert np.isnan(data.b_solve_residual[1])
+        for i, z in ((0, 0.5), (2, -0.5j)):
+            assert_same_point(data.take(i), frame_at(seq, I2, z))
+
+    def test_array_of_points_keeps_its_shape(self):
+        seq = build_osculating(conic_curve())
+        zs = np.array([[0.1, 0.2j], [-0.3, 0.0]])
+        data = frame_at(seq, I3, zs)
+        assert data.z.shape == (2, 2)
+        assert data.phis[1].shape == (2, 2, 3, 1)
+        assert data.b_solve_residual.shape == (2, 2)
+        assert data.failures == (None,) * 4
+        assert_same_point(data.take(3), frame_at(seq, I3, 0.0))
+        empty = frame_at(seq, I3, np.empty(0))
+        assert empty.betas[2].shape == (0, 1, 1) and empty.failures == ()
 
     def test_gauge_covariance_of_projector(self):
         cols = [
@@ -318,6 +343,46 @@ class TestFrameEquations:
         h = HermitianMetric(np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
         rep = verify_frame_equations(frame_at(seq, h, 0.25 - 0.3j))
         assert rep.max_residual < 1e-10
+
+    def test_stack_equals_each_point(self):
+        # the checks run once on the stacks and give each point the bits
+        # of its check alone: frame equations, Kahler identity and g_a
+        seq = build_osculating(random_lift(np.random.default_rng(57), 4, 2, 2))
+        h = HermitianMetric.identity(4)
+        zs = np.array([0.3 + 0.2j, -0.45j, 0.0, 0.2])
+        data = frame_at(seq, h, zs)
+        frame, kahler = verify_frame_equations(data), kahler_check(data)
+        for i, z in enumerate(zs):
+            alone = frame_at(seq, h, z)
+            rep = verify_frame_equations(alone)
+            assert [x[i] for x in frame.minus] == list(rep.minus)
+            assert [x[i] for x in frame.plus] == list(rep.plus)
+            assert [x[i] for x in kahler] == list(kahler_check(alone))
+            gs = [induced_metric(alone.betas, alone.b_sub, a) for a in range(seq.t)]
+            assert [g[i] for g in data.metric] == gs
+
+
+def colliding_chain() -> OsculatingSequence:
+    """A hand built chain whose two levels collide at z = 1."""
+    return OsculatingSequence(
+        xi=PolyMatrix([[1, 1], [[0, 1], 1]]),
+        b=PolyMatrix.zeros(2, 2),
+        partition=BlockStructure((1, 1)),
+        rank_drop=Poly.one(),
+    )
+
+
+def assert_same_point(data, alone):
+    """Every field of a point taken from an array call has the bits of the
+    call at that point alone."""
+    assert complex(data.z) == alone.z
+    assert data.failures == alone.failures
+    assert np.array_equal(data.b_solve_residual, alone.b_solve_residual)
+    for name in ("phis", "betas", "betas_inv", "b_sub", "phis_dz", "phis_dzbar",
+                 "betas_dz", "betas_dzbar", "betas_dz_dzbar"):
+        got, want = getattr(data, name), getattr(alone, name)
+        assert len(got) == len(want)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want)), name
 
 
 def normal_curve(degree: int) -> PolyMatrix:

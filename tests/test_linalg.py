@@ -6,7 +6,9 @@ from todaframes.grading import GradationSpec, degree_of_block
 from todaframes.linalg import (
     BlockStructure,
     HermitianMetric,
+    condition,
     gauss_decompose,
+    scaled_defect,
 )
 
 
@@ -65,6 +67,39 @@ def _random_gauss_input(rng, bs, cond_cap=1e6):
                 break
         if ok:
             return g
+
+
+class TestStacks:
+    """Stacked guards and residuals give each matrix the bits it gets alone."""
+
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 2), (2, 7), (1, 1), (4, 4)])
+    def test_scaled_defect_per_matrix(self, shape):
+        rng = np.random.default_rng(5)
+
+        def stack():
+            x = rng.standard_normal((9,) + shape) + 1j * rng.standard_normal((9,) + shape)
+            return x * 10.0 ** rng.uniform(-4, 4, (9, 1, 1))
+
+        lhs, terms = stack(), [stack(), stack()]
+        # a column major stack is summed in the order np.linalg.norm reads it
+        terms.append(np.ascontiguousarray(stack().swapaxes(-1, -2)).swapaxes(-1, -2))
+        got = scaled_defect(lhs, terms)
+        assert got.shape == (9,)
+        for i in range(9):
+            alone = scaled_defect(lhs[i], [x[i] for x in terms])
+            assert type(alone) is float
+            scale = max([1.0, np.linalg.norm(lhs[i])] + [np.linalg.norm(x[i]) for x in terms])
+            assert got[i] == alone == np.linalg.norm(lhs[i] - sum(x[i] for x in terms)) / scale
+
+    def test_condition_fails_a_slice_alone(self):
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((4, 3, 3)) + 3 * np.eye(3)
+        m[1, 0, 0] = np.inf
+        m[2] = 0.0
+        cond = condition(m)
+        assert cond[1] == np.inf and cond[2] == np.inf
+        for i in (0, 3):
+            assert cond[i] == condition(m[i]) == np.linalg.cond(m[i])
 
 
 class TestGaussDecompose:
