@@ -1,10 +1,15 @@
 """Exact polynomial linear algebra over the Gaussian rationals.
 
-Scalars are Gaussian rationals, pairs of ``fractions.Fraction`` values in
-lowest terms.  Polynomials are tuples of such scalars in ascending degree
-with no trailing zeros, so equality of representations is equality of
-polynomials.  Matrices over the polynomial ring come with the operations
-needed to manufacture constant rank column sets:
+Coefficients come in, and are read back, as ``GaussianRational`` values,
+pairs of ``fractions.Fraction``.  A ``Poly`` stores them as Gaussian
+integers over one positive denominator: ``num``, (re, im) int pairs in
+ascending degree with no trailing zeros, and ``den``, sharing no factor
+with every part of ``num``.  That normal form makes equality of
+representations equality of polynomials, and all arithmetic runs on ints.
+One division kernel, pseudo-division over the Gaussian integers, serves
+``divmod``, Euclid's algorithm (on primitive remainders) and the exact
+divisions of elimination.  Matrices over the polynomial ring come with the
+operations needed to manufacture constant rank column sets:
 
 * ``factor_zeros`` divides a column by the monic gcd of its entries,
 * ``constant_rank_reduce`` replaces a column set by a constant rank set
@@ -12,10 +17,11 @@ needed to manufacture constant rank column sets:
   basis.
 
 All exact elimination runs on one kernel, ``PolyMatrix.det``, fraction free
-(Bareiss) elimination over the polynomial ring.  Every other quantity is
-built from its minors and from Euclid's algorithm.  Minors come from a
-generator and are computed only as a decision reads them; a gcd stops at
-the first minor that brings it to degree 0.
+(Bareiss) elimination over the Gaussian-integer polynomials, with each
+matrix's denominators cleared once and every division checked.  Every
+other quantity is built from its minors and from Euclid's algorithm.
+Minors come from a generator and are computed only as a decision reads
+them; a gcd stops at the first minor that brings it to degree 0.
 
 * constant rank of l columns: the monic gcd of the l by l minors is 1,
   which rules out a common zero anywhere in the plane;
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,7 +69,9 @@ __all__ = [
 
 
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts: the
+    scalar that coefficients are given and read back as.  Poly computes on
+    Gaussian integers, so this class does no arithmetic."""
 
     __slots__ = ("re", "im")
 
@@ -81,14 +90,6 @@ class GaussianRational:
             Fraction(float(np.imag(z))).limit_denominator(limit),
         )
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return NotImplemented
-
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -99,65 +100,16 @@ class GaussianRational:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        norm = o.re * o.re + o.im * o.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return not self.is_zero
@@ -166,10 +118,6 @@ class GaussianRational:
         if not self.im:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im})"
-
-
-_GR_ZERO = GaussianRational()
-_GR_ONE = GaussianRational(1)
 
 
 def _as_scalar(value) -> GaussianRational:
@@ -181,16 +129,100 @@ def _as_scalar(value) -> GaussianRational:
     raise TypeError(f"coefficient {value!r} is not an int, Fraction or GaussianRational")
 
 
+def _trim(a: list) -> list:
+    while a and a[-1] == (0, 0):
+        a.pop()
+    return a
+
+
+def _times(a, k: int):
+    """a times the integer k."""
+    return a if k == 1 else [(r * k, i * k) for r, i in a]
+
+
+def _add(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, (r, i) in enumerate(b):
+        x = out[j]
+        out[j] = (x[0] + r, x[1] + i)
+    return _trim(out)
+
+
+def _mul(a, b) -> list:
+    if not a or not b:
+        return []
+    re = [0] * (len(a) + len(b) - 1)
+    im = re[:]
+    for k, (ar, ai) in enumerate(a):
+        if ar or ai:
+            for j, (br, bi) in enumerate(b, k):
+                re[j] += ar * br - ai * bi
+                im[j] += ar * bi + ai * br
+    return list(zip(re, im))
+
+
+def _pseudo_divmod(a, b) -> tuple[list, list, int]:
+    """(q, r, s) with s a = q b + r over the Gaussian integers, deg r below
+    deg b, and s the positive integer that the quotient coefficients need:
+    each step scales by the part of the norm of b's leading coefficient
+    that the new coefficient lacks, so an exact quotient has s = 1."""
+    br, bi = b[-1]
+    norm = br * br + bi * bi
+    top = len(b) - 1
+    r = list(a)
+    q = [(0, 0)] * max(len(a) - top, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        cr, ci = r[k + top]
+        if not (cr or ci):
+            continue
+        # c / lead(b) = c conj(lead(b)) / norm
+        tr, ti = cr * br + ci * bi, ci * br - cr * bi
+        m = norm // gcd(norm, tr, ti)
+        if m != 1:
+            r, q, s, tr, ti = _times(r, m), _times(q, m), s * m, tr * m, ti * m
+        tr, ti = tr // norm, ti // norm
+        q[k] = (tr, ti)
+        for j, (xr, xi) in enumerate(b, k):
+            yr, yi = r[j]
+            r[j] = (yr - tr * xr + ti * xi, yi - tr * xi - ti * xr)
+    return q, _trim(r[:top]), s
+
+
+def _exact_quotient(a, b) -> list:
+    """a / b, which must be a polynomial over the Gaussian integers."""
+    q, r, s = _pseudo_divmod(a, b)
+    if r or s != 1:
+        raise ValueError("exact polynomial division left a remainder")
+    return q
+
+
 class Poly:
-    """A polynomial in one variable over the Gaussian rationals."""
+    """A polynomial in one variable over the Gaussian rationals, num / den
+    in the normal form of the module docstring."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __new__(cls, coeffs: Iterable = ()):
         cs = [_as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+        # den is a multiple of every denominator, so each product is an integer
+        return cls._of([(int(c.re * den), int(c.im * den)) for c in cs], den)
+
+    @classmethod
+    def _of(cls, num, den: int = 1) -> "Poly":
+        """num / den in normal form, from Gaussian-integer pairs and a positive integer."""
+        num = _trim(list(num))
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num, den = [(r // g, i // g) for r, i in num], den // g
+        p = object.__new__(cls)
+        object.__setattr__(p, "num", tuple(num))
+        object.__setattr__(p, "den", den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -200,43 +232,36 @@ class Poly:
         return cls(coeffs)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Poly":
-        return cls((_GR_ONE,))
+        return cls._of(((1, 0),))
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((_GR_ZERO, _GR_ONE))
+        return cls._of(((0, 0), (1, 0)))
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients in ascending degree, each in lowest terms."""
+        return tuple(GaussianRational(Fraction(r, self.den), Fraction(i, self.den)) for r, i in self.num)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> GaussianRational:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return not self.num
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_GR_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [_GR_ZERO] * (n - len(other.coeffs))
-        return Poly(x + y for x, y in zip(a, b))
+        den = lcm(self.den, other.den)
+        return Poly._of(_add(_times(self.num, den // self.den), _times(other.num, den // other.den)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return Poly._of(_times(self.num, -1), self.den)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -246,39 +271,18 @@ class Poly:
 
     def __mul__(self, other):
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [_GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly._of(_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, s) -> "Poly":
-        s = _as_scalar(s)
-        return Poly(c * s for c in self.coeffs)
 
     def __divmod__(self, other):
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [_GR_ZERO] * (dq + 1)
-        inv_lead = _GR_ONE / other.lead
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if not c.is_zero:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(quo), Poly(rem)
+        # s A = Q B + R for self = A / da and other = B / db gives
+        # self = (Q db / (s da)) other + R / (s da)
+        q, r, s = _pseudo_divmod(self.num, other.num)
+        return Poly._of(_times(q, other.den), s * self.den), Poly._of(r, s * self.den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -289,17 +293,20 @@ class Poly:
             raise ValueError("exact polynomial division left a remainder")
         return quo
 
+    def _lead_inverse(self) -> "Poly":
+        """The constant 1 / lead of a nonzero polynomial."""
+        br, bi = self.num[-1]
+        return Poly._of(((self.den * br, -self.den * bi),), br * br + bi * bi)
+
     def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(_GR_ONE / self.lead)
+        return self * self._lead_inverse() if self.num else self
 
     def derivative(self) -> "Poly":
-        return Poly(c * m for m, c in enumerate(self.coeffs) if m >= 1)
+        return Poly._of([(m * r, m * i) for m, (r, i) in enumerate(self.num) if m], self.den)
 
     def conjugate_coeffs(self) -> "Poly":
         """Coefficientwise conjugate q, so q(conj(z)) = conj(self(z))."""
-        return Poly(c.conjugate() for c in self.coeffs)
+        return Poly._of([(r, -i) for r, i in self.num], self.den)
 
     def squarefree_part(self) -> "Poly":
         if self.degree < 1:
@@ -311,39 +318,31 @@ class Poly:
             other = _as_poly(other)
         except TypeError:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as the scalar it equals
+        if self.degree < 1:
+            return hash(self.coeffs[0]) if self.num else 0
+        return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        parts = []
-        for m, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            if c.im:
-                s = f"({c.re}{'+' if c.im > 0 else '-'}{abs(c.im)}i)"
-            else:
-                s = f"{c.re}"
-            parts.append(s if m == 0 else (f"{s}*z" if m == 1 else f"{s}*z^{m}"))
-        return "Poly(" + " + ".join(parts) + ")"
+        return f"Poly.of({', '.join(map(repr, self.coeffs))})"
 
 
 def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly((_as_scalar(value),))
+    return value if isinstance(value, Poly) else Poly((value,))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    a, b = _as_poly(a), _as_poly(b)
-    while not b.is_zero:
-        a, b = b, a % b
-        b = b.monic() if not b.is_zero else b
-    return a.monic()
+    """Monic gcd by the Euclidean algorithm on primitive Gaussian-integer
+    remainders; gcd(0, 0) = 0."""
+    x, y = _as_poly(a).num, _as_poly(b).num
+    while y:
+        r = _pseudo_divmod(x, y)[1]
+        g = gcd(*chain.from_iterable(r)) or 1
+        x, y = y, [(re // g, im // g) for re, im in r]
+    return Poly._of(x).monic()
 
 
 def poly_gcd_many(ps: Iterable[Poly]) -> Poly:
@@ -376,11 +375,11 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        return cls([[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)])
+        return cls([[Poly.one() if i == j else Poly() for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls([[Poly.zero()] * cols for _ in range(rows)])
+        return cls([[Poly()] * cols for _ in range(rows)])
 
     @classmethod
     def column(cls, entries: Sequence) -> "PolyMatrix":
@@ -468,8 +467,9 @@ class PolyMatrix:
             coeff = np.zeros((deg + 1, 2, 1, self.rows, self.cols))
             for i, row in enumerate(self.entries):
                 for j, e in enumerate(row):
-                    for m, c in enumerate(e.coeffs):
-                        coeff[m, :, 0, i, j] = float(c.re), float(c.im)
+                    # int true division rounds as float(Fraction) does
+                    for m, (re, im) in enumerate(e.num):
+                        coeff[m, :, 0, i, j] = re / e.den, im / e.den
             object.__setattr__(self, "_floats", coeff)
         w = np.asarray(z, dtype=complex).reshape(-1, 1, 1)
         # (ar, ai) w = (ar wr + ai (-wi), ai wr + ar wi), and a - b is a + (-b)
@@ -484,17 +484,20 @@ class PolyMatrix:
         return out.transpose(1, 2, 3, 0).copy().view(complex).reshape(np.shape(z) + (self.rows, self.cols))
 
     def det(self) -> Poly:
-        """Exact determinant by fraction free (Bareiss) elimination."""
+        """Exact determinant by fraction free (Bareiss) elimination over the
+        Gaussian integers, on the entries times the lcm c of their
+        denominators: det M = det(cM) / c^n.  Every division is checked."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non square matrix")
         n = self.rows
-        m = [list(row) for row in self.entries]
+        c = lcm(*(e.den for row in self.entries for e in row))
+        m = [[_times(e.num, c // e.den) for e in row] for row in self.entries]
         sign = 1
-        prev = Poly.one()
+        prev = [(1, 0)]
         for k in range(n - 1):
-            if m[k][k].is_zero:
+            if not m[k][k]:
                 for r in range(k + 1, n):
-                    if not m[r][k].is_zero:
+                    if m[r][k]:
                         m[k], m[r] = m[r], m[k]
                         sign = -sign
                         break
@@ -502,11 +505,11 @@ class PolyMatrix:
                     return Poly()
             pivot = m[k][k]
             for i in range(k + 1, n):
+                lower = _times(m[i][k], -1)
                 for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]).exact_div(prev)
-                m[i][k] = Poly()
+                    m[i][j] = _exact_quotient(_add(_mul(m[i][j], pivot), _mul(lower, m[k][j])), prev)
             prev = pivot
-        return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+        return Poly._of(_times(m[-1][-1], sign), c**n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -526,11 +529,7 @@ def _entry_as_poly(e) -> Poly:
     Each coefficient is an int, a Fraction or a GaussianRational; a complex
     one is spelled GaussianRational(re, im), a constant or inside the list.
     """
-    if isinstance(e, Poly):
-        return e
-    if isinstance(e, (list, tuple)):
-        return Poly(e)
-    return _as_poly(_as_scalar(e))
+    return Poly(e) if isinstance(e, (list, tuple)) else _as_poly(e)
 
 
 def _require_column(f: PolyMatrix, name: str = "column"):
@@ -627,8 +626,8 @@ def _xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s0 - q * s1, t0 - q * t1
-    inv = _GR_ONE / r0.lead
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    inv = r0._lead_inverse()
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 def _interpolating_combination(columns, g, modulus):

@@ -97,6 +97,11 @@ class TestConfigParsing:
         cfg = parse_config({"mode": "frenet", "curve": [[[[1, 3, 0, 1]]], [[1]]]})
         assert cfg.curve.entry(0, 0).coeffs[0] == GaussianRational(Fraction(1, 3))
 
+    def test_parts_beyond_the_float_range_parse(self):
+        cfg = parse_config({"mode": "frenet", "curve": [[[[1, 10**400, 0, 1]]], [[[10**400 + 1, 10**400, 0, 1]]]]})
+        assert cfg.curve.entry(0, 0).coeffs[0] == GaussianRational(Fraction(1, 10**400))
+        assert cfg.curve.evaluate(0).tolist() == [[0j], [1 + 0j]]
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ConfigError, match="denominator"):
             parse_config({"mode": "frenet", "curve": [[[[1, 0, 0, 1]]]]})
@@ -213,6 +218,14 @@ class TestFrenetModes:
         statuses = [p.status for p in report.points]
         assert statuses.count("excluded: near a rank drop point") == 1
         assert report.exit_code() == 1
+
+    def test_rank_drop_summary_is_lowest_terms(self):
+        # the column (w, w z) with w = (z - 1/2 - i/3)(z + 2/5), whose rank
+        # drop is w: each coefficient is [re_num, re_den, im_num, im_den]
+        w = [[-1, 5, -2, 15], [-1, 10, -1, 3], 1]
+        with pytest.warns(UserWarning, match="constant rank"):
+            report = run({"mode": "frenet", "curve": [[w], [[0] + w]], "grid": {"radius": 0.1, "nx": 1, "ny": 1}})
+        assert report.summary["rank_drop"] == [[-1, 5, -2, 15], [-1, 10, -1, 3], [1, 1, 0, 1]]
 
     def test_zero_curve_is_a_config_error(self):
         with pytest.raises(ConfigError, match="curve"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from todaframes.poly import (
     GaussianRational,
     Poly,
     PolyMatrix,
+    _exact_quotient,
     adjoin_columns,
     constant_rank_reduce,
     factor_zeros,
@@ -47,24 +48,6 @@ def spot_points(rng, count=20, radius=2.0):
 
 
 class TestGaussianRational:
-    def test_field_operations(self):
-        a = GaussianRational(Fraction(1, 2), 1)
-        b = GaussianRational(0, Fraction(-1, 3))
-        assert a + b == GaussianRational(Fraction(1, 2), Fraction(2, 3))
-        assert a * b == GaussianRational(Fraction(1, 3), Fraction(-1, 6))
-        assert (a / b) * b == a
-        assert a - a == GaussianRational()
-
-    def test_division_is_exact(self):
-        a = GaussianRational(3, 4)
-        inv = GaussianRational(1) / a
-        assert a * inv == GaussianRational(1)
-        assert inv == GaussianRational(Fraction(3, 25), Fraction(-4, 25))
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(1) / GaussianRational()
-
     def test_conjugate_and_complex(self):
         a = GaussianRational(2, -5)
         assert a.conjugate() == GaussianRational(2, 5)
@@ -77,6 +60,53 @@ class TestGaussianRational:
 
 
 class TestPoly:
+    def test_constant_field_operations(self):
+        # the Gaussian rationals are the polynomials of degree 0
+        a = Poly.of(GaussianRational(Fraction(1, 2), 1))
+        b = Poly.of(GaussianRational(0, Fraction(-1, 3)))
+        assert a + b == Poly.of(GaussianRational(Fraction(1, 2), Fraction(2, 3)))
+        assert a * b == Poly.of(GaussianRational(Fraction(1, 3), Fraction(-1, 6)))
+        assert a.exact_div(b) * b == a
+        assert a - a == Poly()
+
+    def test_constant_division_is_exact(self):
+        a = Poly.of(GaussianRational(3, 4))
+        inv = ONE.exact_div(a)
+        assert a * inv == ONE
+        assert inv == Poly.of(GaussianRational(Fraction(3, 25), Fraction(-4, 25)))
+        assert a.monic() == ONE
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(ONE, Poly())
+
+    def test_equal_values_hash_equal(self):
+        equal = [
+            (GaussianRational(1), 1),
+            (Poly.of(1), 1),
+            (Poly.of(1), GaussianRational(1)),
+            (Poly(), 0),
+            (Poly.of(Fraction(-2, 3)), Fraction(-2, 3)),
+            (Poly.of(GaussianRational(Fraction(1, 2), 3)), GaussianRational(Fraction(1, 2), 3)),
+        ]
+        for a, b in equal:
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_spellings_share_one_normal_form(self):
+        # the same polynomial over different denominators: equal representation
+        half = Poly.of(Fraction(2, 4), GaussianRational(Fraction(3, 9), Fraction(-10, 4)))
+        same = Poly.of(Fraction(1, 2), GaussianRational(Fraction(1, 3), Fraction(-5, 2)))
+        scaled = Poly.of(3, GaussianRational(2, -15)) * Poly.of(Fraction(1, 6))
+        for p in (same, scaled, half * 6 * Fraction(1, 6), (half * (Z + 1)).exact_div(Z + 1)):
+            assert p == half
+            assert (p.num, p.den) == (half.num, half.den) == (((3, 0), (2, -15)), 6)
+            assert hash(p) == hash(half)
+        # the denominator shares no factor with every part of the numerator
+        quarter = Poly.of(Fraction(1, 2), Fraction(1, 4))
+        assert (quarter.num, quarter.den) == (((2, 0), (1, 0)), 4)
+
     def test_normalization_strips_trailing_zeros(self):
         assert Poly.of(1, 2, 0, 0) == Poly.of(1, 2)
         assert Poly.of(0, 0).is_zero
@@ -96,6 +126,33 @@ class TestPoly:
         assert q == Poly.of(1, 1, 1)
         with pytest.raises(ValueError):
             Poly.of(1, 1).exact_div(Z)
+        # over the Gaussian rationals, not only the Gaussian integers
+        i = GaussianRational(0, 1)
+        assert (Z * Z + 1).exact_div(Z - i) == Z + i
+        half = Fraction(1, 2)
+        assert Poly.of(GaussianRational(1, 1)).exact_div(Poly.of(2)) == Poly.of(GaussianRational(half, half))
+        with pytest.raises(ValueError, match="remainder"):
+            (Z * Z + 1).exact_div(Z - Poly.of(GaussianRational(0, Fraction(1, 2))))
+
+    def test_gaussian_integer_quotient_is_checked(self):
+        # Bareiss divides over the Gaussian integers: a remainder, or a
+        # quotient coefficient outside Z[i], is an error, not a rounding
+        assert _exact_quotient([(-1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)]) == [(-1, 0), (1, 0)]
+        assert _exact_quotient([(0, 2)], [(1, 1)]) == [(1, 1)]
+        for a, b in (([(1, 0)], [(2, 0)]), ([(1, 0)], [(1, 1)]), ([(1, 0), (1, 0)], [(0, 0), (1, 0)])):
+            with pytest.raises(ValueError, match="remainder"):
+                _exact_quotient(a, b)
+
+    def test_divmod_identity_random(self):
+        # a = q b + r with deg r < deg b, over mixed denominators
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            a = random_gaussian_poly(rng, int(rng.integers(-1, 7)))
+            b = random_gaussian_poly(rng, int(rng.integers(0, 4)))
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.degree < b.degree
+            assert (a * b).exact_div(b) == a
 
     def test_gcd_is_monic(self):
         p = Poly.of(0, 0, 2)
@@ -117,11 +174,11 @@ class TestPoly:
     def test_evaluate_matches_exact(self):
         p = Poly.of(GaussianRational(1, 2), GaussianRational(0, -1), 3)
         z = GaussianRational(Fraction(1, 3), Fraction(-1, 7))
-        exact = GaussianRational()
+        exact = Poly()
         for c in reversed(p.coeffs):
             exact = exact * z + c
         approx = PolyMatrix([[p]]).evaluate(z.to_complex())[0, 0]
-        assert abs(exact.to_complex() - approx) < 1e-14
+        assert abs(exact.coeffs[0].to_complex() - approx) < 1e-14
 
     def test_conjugate_coeffs_semantics(self):
         p = Poly.of(GaussianRational(1, 2), GaussianRational(0, 1))
@@ -179,6 +236,28 @@ class TestPolyMatrix:
         )
         assert m3.det() == brute
 
+    def test_det_matches_leibniz(self):
+        rng = np.random.default_rng(41)
+        matrices = [
+            PolyMatrix([[random_gaussian_poly(rng, int(rng.integers(-1, 3))) for _ in range(n)] for _ in range(n)])
+            for n in (1, 2, 3, 4)
+            for _ in range(5)
+        ]
+        w = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+        # a zero pivot at the first step, and one that elimination makes at
+        # the second, each force a row swap
+        swaps = [
+            PolyMatrix([[0, Z, 1], [Fraction(1, 3), 1, Z], [w, 0, [1, 0, 1]]]),
+            PolyMatrix([[1, 1, Z], [1, 1, 2], [Z, [0, w], Fraction(5, 7)]]),
+        ]
+        # the last row is (z + i/2) times the first
+        rows = [[random_gaussian_poly(rng, 2) for _ in range(3)] for _ in range(2)]
+        singular = PolyMatrix(rows + [[e * (Z + Poly.of(GaussianRational(0, Fraction(1, 2)))) for e in rows[0]]])
+        for m in matrices + swaps + [singular]:
+            assert m.det() == leibniz_det(m)
+        assert all(not m.det().is_zero for m in swaps)
+        assert singular.det() == Poly()
+
     def test_from_columns(self):
         c0, c1 = col(1, Z), col(0, 1)
         m = PolyMatrix.from_columns([c0, c1])
@@ -198,6 +277,17 @@ def random_gaussian_poly(rng, degree) -> Poly:
     if coeffs and coeffs[-1].is_zero:
         coeffs[-1] = GaussianRational(1)
     return Poly(coeffs)
+
+
+def leibniz_det(m: PolyMatrix) -> Poly:
+    """The determinant as the signed sum over permutations."""
+    total = Poly()
+    for perm in permutations(range(m.rows)):
+        term = Poly.of((-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(m.rows), 2)))
+        for i, j in enumerate(perm):
+            term = term * m.entry(i, j)
+        total = total + term
+    return total
 
 
 def reference_evaluate(p: Poly, z) -> complex:
@@ -262,6 +352,18 @@ class TestNumericEvaluation:
             assert not np.isfinite(expected).all()
             np.testing.assert_array_equal(m.evaluate(z), expected)
             np.testing.assert_array_equal(m.evaluate(np.array([z, 0.5]))[0], expected)
+
+    def test_parts_beyond_the_float_range_round_correctly(self):
+        # each part converts as num / den on Python ints, as float(Fraction)
+        # does, even where num and den have no float
+        big = Fraction(10**400 + 1, 10**400)
+        m = PolyMatrix([[[big, GaussianRational(Fraction(1, 3), big)]]])
+        assert m.entry(0, 0).coeffs[0].to_complex() == 1.0
+        assert m.evaluate(0)[0, 0] == 1.0
+        for z in (1j, 0.3 - 2j):
+            assert m.evaluate(z).tobytes() == reference_matrix(m, z).tobytes()
+        with pytest.raises(OverflowError):
+            PolyMatrix([[Fraction(10**400, 3)]]).evaluate(0)
 
 
 class TestFactorZeros:
