@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GaussDecompositionFailed, InvalidArgument, TodaframesError
+from .errors import ConfigError, InvalidArgument, TodaframesError
 from .frenet import (
     build_osculating,
     frame_at,
@@ -58,7 +59,7 @@ from .frenet import (
     verify_frame_equations,
 )
 from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
-from .linalg import BlockStructure, HermitianMetric, gauss_decompose
+from .linalg import BlockStructure, HermitianMetric, dagger, gauss_decompose, relative_defect
 from .poly import GaussianRational, Poly, PolyMatrix
 from .toda import TodaProblem, phi_relation, solve, toda_residual, zero_curvature_check
 
@@ -75,7 +76,6 @@ __all__ = [
 ]
 
 SPEC_VERSION = "1"
-RANK_DROP_RADIUS = 1e-3
 MAX_DENOMINATOR = 10**6
 
 
@@ -174,18 +174,18 @@ def _as_gaussian(v, path: str) -> GaussianRational:
 
 def _as_poly(v, path: str) -> Poly:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        p = Poly([_as_gaussian(v, path)])
+        coeffs = [_as_gaussian(v, path)]
     elif isinstance(v, list):
-        p = Poly([_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)])
+        coeffs = [_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)]
     else:
         raise ConfigError(path, f"expected a coefficient list, got {v!r}")
     # frames are evaluated in floating point, so every coefficient needs a float
     try:
-        for c in p.coeffs:
+        for c in coeffs:
             c.to_complex()
     except OverflowError:
         raise ConfigError(path, "a coefficient is beyond the float range") from None
-    return p
+    return Poly(coeffs)
 
 
 def _as_poly_matrix(v, path: str) -> PolyMatrix:
@@ -448,16 +448,20 @@ def _metric_values(gs: Sequence, betas: Sequence[np.ndarray]) -> dict:
     return values
 
 
-def _column_row(columns: dict, i) -> dict[str, float]:
-    """The entries at point i of stacked report columns, as floats."""
-    return {name: float(np.asarray(v)[i]) for name, v in columns.items()}
-
-
-def _rank_drop_roots(poly: Poly) -> np.ndarray:
-    if poly.degree < 1:
-        return np.empty(0, dtype=complex)
-    coeffs = [c.to_complex() for c in poly.coeffs]
-    return np.roots(list(reversed(coeffs)))
+def _records(points, failures, residuals: dict, values: dict) -> list[PointRecord]:
+    """One record per point: a failed point has its failure, text or error,
+    as its status and no columns; the stacked residual and value columns
+    hold one row for each other point, in order."""
+    records, rows = [], iter(range(len(points)))
+    for z, failure in zip(points, failures):
+        if failure is not None:
+            text = failure if isinstance(failure, str) else f"{type(failure).__name__}: {failure}"
+            records.append(PointRecord(z, f"failed: {text}", {}, {}))
+            continue
+        i = next(rows)
+        row = [{name: float(v[i]) for name, v in columns.items()} for columns in (residuals, values)]
+        records.append(PointRecord(z, "ok", *row))
+    return records
 
 
 def _metric(cfg: JobConfig, n: int, against: str) -> HermitianMetric:
@@ -472,10 +476,9 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         raise ConfigError("curve", "required for frenet modes")
     try:
         seq = build_osculating(cfg.curve)
-        # a derived or rank drop coefficient beyond the float range is a config error
+        # a derived coefficient beyond the float range is a config error
         for m in (seq.xi, seq.dxi, seq.b):
             m.evaluate(0)
-        roots = _rank_drop_roots(seq.rank_drop)
     except TodaframesError as exc:
         raise ConfigError("curve", str(exc)) from None
     except OverflowError:
@@ -485,8 +488,7 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     t = seq.t
 
     points = cfg.grid.points()
-    near = [bool(roots.size) and np.min(np.abs(roots - z)) < RANK_DROP_RADIUS for z in points]
-    data = frame_at(seq, h, np.array([z for z, x in zip(points, near) if not x], dtype=complex))
+    data = frame_at(seq, h, np.array(points, dtype=complex))
     passed = data.take([i for i, f in enumerate(data.failures) if f is None])
     residuals = {"b_solve": passed.b_solve_residual}
     values = _metric_values(passed.metric, passed.betas)
@@ -498,16 +500,6 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         for a, v in enumerate(kahler_check(passed)):
             residuals[f"kahler_{a}"] = v
 
-    records = []
-    failures, rows = iter(data.failures), iter(range(len(passed.failures)))
-    for z, excluded in zip(points, near):
-        if excluded:
-            records.append(PointRecord(z, "excluded: near a rank drop point", {}, {}))
-        elif (exc := next(failures)) is not None:
-            records.append(PointRecord(z, f"failed: {type(exc).__name__}: {exc}", {}, {}))
-        else:
-            i = next(rows)
-            records.append(PointRecord(z, "ok", _column_row(residuals, i), _column_row(values, i)))
     summary = {
         "partition": list(seq.partition.sizes),
         "linear_full": linear_fullness(seq, n),
@@ -516,7 +508,7 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
             for c in seq.rank_drop.coeffs
         ],
     }
-    return summary, records
+    return summary, _records(points, data.failures, residuals, values)
 
 
 def _build_problem(cfg: JobConfig) -> TodaProblem:
@@ -532,14 +524,7 @@ def _build_problem(cfg: JobConfig) -> TodaProblem:
         return TodaProblem.hermitian_problem(cfg.gradation, cfg.gap, cfg.c_minus, h)
     if cfg.c_plus is None:
         raise ConfigError("seeds.c_plus", "required outside hermitian mode")
-    return TodaProblem(
-        gradation=cfg.gradation,
-        gap=cfg.gap,
-        c_minus=cfg.c_minus,
-        c_plus=cfg.c_plus,
-        h=h,
-        hermitian_mode=False,
-    )
+    return TodaProblem(cfg.gradation, cfg.gap, cfg.c_minus, cfg.c_plus, h, hermitian_mode=False)
 
 
 def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
@@ -550,13 +535,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
             raise ConfigError("seeds.gamma_minus", "required for toda modes")
         if not cfg.hermitian_mode and cfg.gamma_plus is None:
             raise ConfigError("seeds.gamma_plus", "required outside hermitian mode")
-        sol = solve(
-            problem,
-            cfg.gamma_minus,
-            pts,
-            basepoint=cfg.basepoint,
-            gamma_plus=cfg.gamma_plus,
-        )
+        sol = solve(problem, cfg.gamma_minus, pts, basepoint=cfg.basepoint, gamma_plus=cfg.gamma_plus)
     except InvalidArgument as exc:  # named by the config field it was read from
         field = "gap" if exc.argument == "gap" else f"seeds.{exc.argument}"
         raise ConfigError(field, str(exc)) from None
@@ -565,35 +544,28 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     except OverflowError:  # a seed derivative beyond the float range
         raise ConfigError("seeds", "a derived coefficient is beyond the float range") from None
     blocks = [problem.blocks.slice(a) for a in range(problem.blocks.count)]
+    ok = list(sol.ok_indices)
+    z = np.array(pts, dtype=complex)[ok]
+    jet = sol.gamma_jets[ok].swapaxes(0, 1)  # the jet's parts, each stacked over z
+    gamma = jet[0]
+    # both identities hold only in hermitian mode; elsewhere they are
+    # reported, not gated
+    checks = {
+        "hermiticity": relative_defect(dagger(gamma), gamma),
+        "phi_relation": phi_relation(problem, sol.phi[ok], gamma),
+    }
+    residuals, values = (checks, {}) if cfg.hermitian_mode else ({}, checks)
+    c = problem.c_minus_at(z)
+    b_sub = [c[:, s, r] for r, s in zip(blocks, blocks[1:])]
+    betas = [gamma[:, s, s] for s in blocks]
+    gs = [induced_metric(betas, b_sub, a) for a in range(len(b_sub))]
+    values.update(_metric_values(gs, betas))
+    for a, v in enumerate(toda_residual(problem, jet, z)):
+        residuals[f"toda_{a}"] = v
+    if cfg.mode == "verify-toda":
+        residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
 
-    def one(z: complex, failure: str | None, jet: tuple | None, phi) -> PointRecord:
-        if failure is not None:
-            return PointRecord(z, f"failed: {failure}", {}, {})
-        gamma = jet[0]
-        scale = max(1e-300, float(np.linalg.norm(gamma)))
-        # both identities hold only in hermitian mode; elsewhere they are
-        # reported, not gated
-        checks = {
-            "hermiticity": float(np.linalg.norm(gamma - gamma.conj().T)) / scale,
-            "phi_relation": phi_relation(problem, phi, gamma),
-        }
-        residuals = checks if cfg.hermitian_mode else {}
-        values: dict[str, float] = {} if cfg.hermitian_mode else dict(checks)
-        c = problem.c_minus_at(z)
-        b_sub = [c[s, r] for r, s in zip(blocks, blocks[1:])]
-        betas = [gamma[s, s] for s in blocks]
-        gs = [induced_metric(betas, b_sub, a) for a in range(len(b_sub))]
-        values.update(_column_row(_metric_values(gs, betas), ()))
-        try:
-            for a, v in enumerate(toda_residual(problem, jet, z)):
-                residuals[f"toda_{a}"] = v
-            if cfg.mode == "verify-toda":
-                residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
-        except TodaframesError as exc:
-            return PointRecord(z, f"failed: {type(exc).__name__}: {exc}", residuals, values)
-        return PointRecord(z, "ok", residuals, values)
-
-    records = [one(*point) for point in zip(pts, sol.failures, sol.gamma_jets, sol.phi)]
+    records = _records(pts, sol.failures, residuals, values)
     summary = {
         "hermitian_mode": cfg.hermitian_mode,
         "failure_fraction": sum(1 for r in records if not r.ok) / max(1, len(records)),
@@ -614,6 +586,9 @@ def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     if cfg.gradation is None:
         raise ConfigError("gradation", "required for gauss mode")
     blocks = cfg.gradation.blocks
+    for i, m in enumerate(cfg.matrices):
+        if m.shape != (blocks.n, blocks.n):
+            raise ConfigError(f"matrices[{i}]", f"shape {m.shape} does not match the gradation")
     mats = list(cfg.matrices)
     if not mats and cfg.count:
         rng = np.random.default_rng(cfg.seed)
@@ -621,22 +596,12 @@ def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     if not mats:
         raise ConfigError("matrices", "provide matrices or a positive count")
 
-    def one(i: int) -> PointRecord:
-        z = complex(i, 0.0)
-        m = mats[i]
-        if m.shape != (blocks.n, blocks.n):
-            return PointRecord(z, f"failed: shape {m.shape} does not match blocks", {}, {})
-        try:
-            factors = gauss_decompose(m, blocks)
-        except GaussDecompositionFailed as exc:
-            return PointRecord(z, f"failed: GaussDecompositionFailed: {exc}", {}, {})
-        rel = float(
-            np.linalg.norm(factors.recompose() - m) / max(1e-300, np.linalg.norm(m))
-        )
-        return PointRecord(z, "ok", {"recompose": rel}, {})
-
-    records = [one(i) for i in range(len(mats))]
-    return {"blocks": list(blocks.sizes)}, records
+    stack = np.array(mats)
+    factors = gauss_decompose(stack, blocks)
+    ok = [i for i, f in enumerate(factors.failures) if f is None]
+    residuals = {"recompose": relative_defect(factors.recompose()[ok], stack[ok])}
+    points = [complex(i, 0.0) for i in range(len(mats))]
+    return {"blocks": list(blocks.sizes)}, _records(points, factors.failures, residuals, {})
 
 
 def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
@@ -646,17 +611,13 @@ def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     op = build_grading(spec)
     trace = sum(k * r for k, r in zip(spec.blocks.sizes, op.rho))
 
-    def one(a: int) -> PointRecord:
-        worst = 0.0
-        for b in range(spec.count):
-            x = np.zeros((spec.n, spec.n), dtype=complex)
-            x[spec.blocks.slice(a).start, spec.blocks.slice(b).start] = 1.0
-            worst = max(worst, eigen_check(op, x, degree_of_block(spec, a, b)))
-        return PointRecord(
-            complex(a, 0.0), "ok", {"eigen": worst}, {"rho": float(op.rho[a])}
-        )
-
-    records = [one(a) for a in range(spec.count)]
+    eigen = [0.0] * spec.count  # the worst defect over each block row
+    for a, b in itertools.product(range(spec.count), repeat=2):
+        x = np.zeros((spec.n, spec.n), dtype=complex)
+        x[spec.blocks.slice(a).start, spec.blocks.slice(b).start] = 1.0
+        eigen[a] = max(eigen[a], eigen_check(op, x, degree_of_block(spec, a, b)))
+    rows = [complex(a, 0.0) for a in range(spec.count)]
+    records = _records(rows, [None] * spec.count, {"eigen": eigen}, {"rho": [float(r) for r in op.rho]})
     cartan = cartan_grading_operator(spec)
     summary = {
         "rho": [[r.numerator, r.denominator] for r in op.rho],

@@ -31,15 +31,15 @@ import numpy as np
 
 from .errors import SingularBeta, ZeroFunction
 from .linalg import (
-    COND_LIMIT,
     BlockStructure,
     HermitianMetric,
-    condition,
+    Survivors,
     dagger,
     jet_h,
     jet_inv,
     jet_mul,
     scaled_defect,
+    take,
 )
 from .poly import (
     Poly,
@@ -298,16 +298,6 @@ def _times_holomorphic(x: tuple, yv: np.ndarray, ym: np.ndarray) -> tuple:
     return (xv @ yv, xm @ yv + xv @ ym, xp @ yv, xmp @ yv + xp @ ym)
 
 
-def _rows(x, keep):
-    """x, a stack or a tuple or list of stacks, on the points keep selects;
-    None stays None."""
-    if x is None:
-        return None
-    if isinstance(x, np.ndarray):
-        return x[keep]
-    return type(x)(_rows(y, keep) for y in x)
-
-
 def frame_at(
     seq: OsculatingSequence, h: HermitianMetric, z: complex | np.ndarray
 ) -> FrenetPointData:
@@ -340,8 +330,7 @@ def frame_at(
     blocks = [seq.partition.slice(a) for a in range(t + 1)]
     shape = np.shape(z)
     w = np.asarray(z, dtype=complex).reshape(-1)
-    failures: list[SingularBeta | None] = [None] * w.size
-    live = np.arange(w.size)  # the points that have passed every guard so far
+    alive = Survivors(shape)
     x_all, dx_all, b_all = seq.xi.evaluate(w), seq.dxi.evaluate(w), seq.b.evaluate(w)
 
     phis: list[tuple] = []  # jets of the frame and gram blocks
@@ -358,16 +347,13 @@ def frame_at(
         phi_h = jet_h(phi_a)
         left = tuple(y @ hm for y in phi_h)  # h is constant: part by part
         beta_a = _times_holomorphic(left, x, dx) if a == 0 else jet_mul(left, phi_a)
-        cond = condition(beta_a[0])
-        bad = cond > COND_LIMIT
-        if bad.any():  # one singular block would fail the whole stacked inverse
-            for i, c in zip(live[bad], cond[bad]):
-                failures[i] = SingularBeta(
-                    f"gram block {a} at z={complex(w[i]):g} has condition {c:.3e}"
-                )
-            live, x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs = _rows(
-                (live, x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs), ~bad
-            )
+        keep = alive.guard(
+            beta_a[0],
+            lambda i, c: SingularBeta(f"gram block {a} at z={complex(w[i]):g} has condition {c:.3e}"),
+        )
+        x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs = take(
+            (x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs), keep
+        )
         phis.append(phi_a)
         betas.append(beta_a)
         if a == t:
@@ -378,8 +364,6 @@ def frame_at(
         p = tuple(y @ hm for y in jet_mul(jet_mul(phi_a, inv), phi_h))
         step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
         proj = step if a == 0 else jet_mul(step, proj)
-    if not shape and failures[0] is not None:
-        raise failures[0]
 
     solve_residual = 0.0
     for a in range(t + 1):
@@ -391,29 +375,23 @@ def frame_at(
             solve_residual, scaled_defect(dx_all[..., blocks[a]], terms)
         )
 
-    def full(x: np.ndarray) -> np.ndarray:
-        """x at every point of z, in z's shape, NaN at the failed points."""
-        out = np.full((w.size,) + x.shape[1:], np.nan, dtype=x.dtype)
-        out[live] = x
-        return out.reshape(shape + x.shape[1:])
-
     def parts(jets: list[tuple], k: int) -> tuple[np.ndarray, ...]:
-        return tuple(full(j[k]) for j in jets)
+        return tuple(alive.full(j[k]) for j in jets)
 
     return FrenetPointData(
         z=complex(z) if not shape else w.reshape(shape),
         partition=seq.partition,
         phis=parts(phis, 0),
         betas=parts(betas, 0),
-        betas_inv=tuple(map(full, invs)),
-        b_sub=tuple(full(b_all[..., blocks[a + 1], blocks[a]]) for a in range(t)),
-        b_solve_residual=full(solve_residual)[()],
+        betas_inv=tuple(map(alive.full, invs)),
+        b_sub=tuple(alive.full(b_all[..., blocks[a + 1], blocks[a]]) for a in range(t)),
+        b_solve_residual=alive.full(solve_residual)[()],
         phis_dz=parts(phis, 1),
         phis_dzbar=parts(phis, 2),
         betas_dz=parts(betas, 1),
         betas_dzbar=parts(betas, 2),
         betas_dz_dzbar=parts(betas, 3),
-        failures=tuple(failures),
+        failures=tuple(alive.failures),
     )
 
 

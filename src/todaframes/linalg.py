@@ -1,11 +1,12 @@
 """Dense complex linear algebra with block structure.
 
 Matrices are plain numpy arrays of dtype complex128; the jet helpers,
-condition and scaled_defect act over the last two axes, so they take a
-stack of matrices as well as one.  The helpers here add the pieces numpy
-does not provide directly: a hermitian metric with its Cholesky factor and
-the block Gauss (block LDU) decomposition with unit triangular outer
-factors.
+condition, the defects and gauss_decompose act over the last two axes, so
+they take a stack of matrices as well as one.  The helpers here add the
+pieces numpy does not provide directly: a hermitian metric with its
+Cholesky factor, the block Gauss (block LDU) decomposition with unit
+triangular outer factors, and Survivors, the one failure isolation of the
+stacked computations.
 
 A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
 truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
@@ -28,27 +29,19 @@ __all__ = [
     "BlockStructure",
     "HermitianMetric",
     "GaussFactors",
-    "as_cmatrix",
+    "Survivors",
     "gauss_decompose",
     "condition",
     "dagger",
     "jet_h",
     "jet_inv",
     "jet_mul",
+    "relative_defect",
     "scaled_defect",
+    "take",
 ]
 
 COND_LIMIT = 1e12
-
-
-def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite two dimensional complex array."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be two dimensional, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non finite entries")
-    return m
 
 
 @dataclass(frozen=True)
@@ -150,6 +143,12 @@ def scaled_defect(lhs, terms):
     return float(out) if out.ndim == 0 else out
 
 
+def relative_defect(x, y):
+    """Norm of x minus y over the norm of y, floored at 1e-300, over the
+    last two axes."""
+    return _norm(x - y) / np.maximum(1e-300, _norm(y))
+
+
 def condition(m: np.ndarray):
     """Condition numbers of m over its last two axes; a failed SVD or a non
     finite value is infinite.  One matrix gives a scalar."""
@@ -163,13 +162,63 @@ def condition(m: np.ndarray):
     return cond[()]
 
 
+def take(x, keep):
+    """x, a stack or a tuple or list of stacks, on the rows the mask keep
+    selects; None stays None, and x itself when keep is all true."""
+    if x is None or keep.all():
+        return x
+    if isinstance(x, np.ndarray):
+        return x[keep]
+    return type(x)(take(y, keep) for y in x)
+
+
+class Survivors:
+    """Failure isolation on a stack, by position in the flattened order of
+    its leading shape: live holds the positions that passed every guard so
+    far, failures the error of each position (None while live).  Callers
+    drop failed rows with take, so no inverse sees a failed matrix; a
+    single matrix, an empty shape, raises its error at once."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = tuple(shape)
+        self.live = np.arange(math.prod(self.shape))
+        self.failures: list = [None] * self.live.size
+
+    def drop(self, errors) -> np.ndarray:
+        """Fail each live position whose entry of errors is not None, with
+        that error; returns the mask of the rest."""
+        keep = np.array([e is None for e in errors], dtype=bool)
+        for k in np.flatnonzero(~keep):
+            self.failures[self.live[k]] = errors[k]
+        self.live = self.live[keep]
+        if not self.shape and self.failures[0] is not None:
+            raise self.failures[0]
+        return keep
+
+    def guard(self, m: np.ndarray, error) -> np.ndarray:
+        """Fail, as drop does, the live positions whose matrix in m, the
+        stack over them, has condition beyond COND_LIMIT; error(position,
+        condition) builds each failure."""
+        cond = zip(self.live.tolist(), condition(m).tolist())
+        return self.drop([error(i, c) if c > COND_LIMIT else None for i, c in cond])
+
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """x, one row per live position, at every position, NaN at the
+        failed ones."""
+        out = np.full((len(self.failures),) + x.shape[1:], np.nan, dtype=x.dtype)
+        out[self.live] = x
+        return out.reshape(self.shape + x.shape[1:])
+
+
 class HermitianMetric:
     """A hermitian positive definite form on C^n."""
 
     def __init__(self, matrix):
-        m = as_cmatrix(matrix, "metric")
-        if m.shape[0] != m.shape[1]:
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"metric must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("metric contains non finite entries")
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
             raise ValueError("metric is not hermitian to working precision")
@@ -196,55 +245,65 @@ class HermitianMetric:
 
 @dataclass
 class GaussFactors:
-    """Factors of g = n_minus @ eta @ inv(n_plus).
+    """Factors of g = n_minus @ eta @ inv(n_plus), over the last two axes.
 
     n_minus is block lower unit triangular, eta block diagonal and n_plus
-    block upper unit triangular, all with respect to ``blocks``.
+    block upper unit triangular, all with respect to ``blocks``.  failures
+    holds the error of each matrix, in the flattened order of a stack, or
+    None; a failed matrix has NaN factors.
     """
 
     n_minus: np.ndarray
     eta: np.ndarray
     n_plus: np.ndarray
     blocks: BlockStructure
+    failures: tuple[GaussDecompositionFailed | None, ...]
 
     def recompose(self) -> np.ndarray:
         return self.n_minus @ self.eta @ np.linalg.inv(self.n_plus)
 
 
 def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
-    """Block LDU decomposition g = n_minus eta n_plus^{-1}.
+    """Block LDU decomposition g = n_minus eta n_plus^{-1} over the last two
+    axes.
 
-    Runs sequential block elimination so a failure names the first diagonal
-    block whose Schur complement pivot is singular or has condition number
-    beyond ``COND_LIMIT``.
+    Runs sequential block elimination, so a failure names the first
+    diagonal block whose Schur complement pivot is singular or has
+    condition number beyond ``COND_LIMIT``.  A failing matrix of a stack leaves it before its pivot
+    is inverted; a single matrix raises its GaussDecompositionFailed.
     """
-    gm = as_cmatrix(g, "matrix")
+    gm = np.asarray(g, dtype=complex)
     n = blocks.n
-    if gm.shape != (n, n):
+    if gm.shape[-2:] != (n, n):
         raise ValueError(f"matrix shape {gm.shape} does not match blocks (n={n})")
+    if not np.all(np.isfinite(gm)):
+        raise ValueError("matrix contains non finite entries")
+    alive = Survivors(gm.shape[:-2])
     t1 = blocks.count
-    s = gm.copy()
-    lower = np.eye(n, dtype=complex)
-    upper = np.eye(n, dtype=complex)
-    eta = np.zeros((n, n), dtype=complex)
+    s = gm.reshape(-1, n, n).copy()
+    lower = np.broadcast_to(np.eye(n, dtype=complex), s.shape).copy()
+    upper = lower.copy()
+    eta = np.zeros_like(s)
     for a in range(t1):
         sa = blocks.slice(a)
-        pivot = s[sa, sa]
-        cond = condition(pivot)
-        if cond > COND_LIMIT:
-            raise GaussDecompositionFailed(a, f"pivot condition {cond:.3e}")
+        keep = alive.guard(
+            s[:, sa, sa], lambda i, c: GaussDecompositionFailed(a, f"pivot condition {c:.3e}")
+        )
+        s, lower, upper, eta = take((s, lower, upper, eta), keep)
+        pivot = s[:, sa, sa]
         pinv = np.linalg.inv(pivot)
-        eta[sa, sa] = pivot
+        eta[:, sa, sa] = pivot
         for b in range(a + 1, t1):
-            lower[blocks.slice(b), sa] = s[blocks.slice(b), sa] @ pinv
+            lower[:, blocks.slice(b), sa] = s[:, blocks.slice(b), sa] @ pinv
         for c in range(a + 1, t1):
-            upper[sa, blocks.slice(c)] = pinv @ s[sa, blocks.slice(c)]
+            upper[:, sa, blocks.slice(c)] = pinv @ s[:, sa, blocks.slice(c)]
         for b in range(a + 1, t1):
             sb = blocks.slice(b)
             for c in range(a + 1, t1):
                 sc = blocks.slice(c)
-                s[sb, sc] -= lower[sb, sa] @ pivot @ upper[sa, sc]
+                s[:, sb, sc] -= lower[:, sb, sa] @ pivot @ upper[:, sa, sc]
     # upper is unit upper triangular, so LAPACK takes no pivot and the
     # inverse keeps its exact zeros and ones
     n_plus = np.linalg.inv(upper)
-    return GaussFactors(n_minus=lower, eta=eta, n_plus=n_plus, blocks=blocks)
+    lower, eta, n_plus = map(alive.full, (lower, eta, n_plus))
+    return GaussFactors(lower, eta, n_plus, blocks, tuple(alive.failures))

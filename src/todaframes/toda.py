@@ -28,6 +28,10 @@ Schur complements that make up its block diagonal factor, and gamma carry
 exact jets (value, d/dz, d/dzbar, d/dz d/dzbar) from the one transport per
 point; the residual checks read those jets and need no neighbouring point.
 
+Everything after transport runs once on the stack of grid points, as
+frenet.frame_at does: a point that fails a guard leaves the stack through
+linalg.Survivors before any inverse sees it, and its slots are NaN.
+
 Derivative convention, as everywhere in the package: the minus derivative
 is d/dz, the plus derivative is d/dzbar.
 """
@@ -40,18 +44,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GaussDecompositionFailed, InvalidArgument, SingularBeta
+from .errors import InvalidArgument, SingularBeta
 from .grading import GradationSpec, degree_of_block
 from .linalg import (
-    COND_LIMIT,
     BlockStructure,
     HermitianMetric,
-    condition,
+    Survivors,
+    dagger,
     gauss_decompose,
     jet_h,
     jet_inv,
     jet_mul,
+    relative_defect,
     scaled_defect,
+    take,
 )
 from .poly import PolyMatrix
 from .wirtinger import memoized  # noqa: F401  bench/selftest.py removes and restores toda.memoized
@@ -292,26 +298,25 @@ def _transport_many(
 
 @dataclass(frozen=True)
 class TodaSolution:
-    """Per point output of the solution procedure.
-
-    gamma_jets holds the jet (value, d/dz, d/dzbar, d/dz d/dzbar) of gamma
-    at each point.  Failed points keep their slot: the matrices are None
-    there and the failure string records what went wrong, so a grid report
-    can show every requested point exactly once.
-    """
+    """Output of the solution procedure: stacks with the point axis first,
+    in grid order.  gamma_jets[i] is the jet (value, d/dz, d/dzbar, d/dz
+    d/dzbar) of gamma at point i, 4 by n by n; gamma, phi, mu_minus and
+    mu_plus are n by n per point.  failures[i] is None or the text of what
+    failed point i, whose gamma and phi are NaN (mu_minus and mu_plus are
+    NaN where transport failed)."""
 
     grid: tuple[complex, ...]
     blocks: BlockStructure
     hermitian_mode: bool
-    gamma_jets: tuple[tuple[np.ndarray, ...] | None, ...]
-    phi: tuple[np.ndarray | None, ...]
-    mu_minus: tuple[np.ndarray | None, ...]
-    mu_plus: tuple[np.ndarray | None, ...]
+    gamma_jets: np.ndarray
+    phi: np.ndarray
+    mu_minus: np.ndarray
+    mu_plus: np.ndarray
     failures: tuple[str | None, ...]
 
     @property
-    def gamma(self) -> tuple[np.ndarray | None, ...]:
-        return tuple(None if j is None else j[0] for j in self.gamma_jets)
+    def gamma(self) -> np.ndarray:
+        return self.gamma_jets[:, 0]
 
     @property
     def ok_indices(self) -> tuple[int, ...]:
@@ -333,21 +338,35 @@ def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> tup
 
 
 def _eta_jet(q_jet: tuple, blocks: BlockStructure) -> tuple:
-    """Jet of the block diagonal Gauss factor of Q: its block a is the Schur
-    complement of the leading a blocks of Q."""
+    """Jet of the block diagonal Gauss factor of Q, over the last two axes:
+    its block a is the Schur complement of the leading a blocks of Q."""
     eta = tuple(np.zeros_like(x) for x in q_jet)
     for a in range(blocks.count):
         s = blocks.slice(a)
-        part = [x[s, s] for x in q_jet]
+        part = [x[..., s, s] for x in q_jet]
         if s.start:
             lead = slice(0, s.start)
-            inner = jet_inv(tuple(x[lead, lead] for x in q_jet))
-            row = tuple(x[s, lead] for x in q_jet)
-            col = tuple(x[lead, s] for x in q_jet)
+            inner = jet_inv(tuple(x[..., lead, lead] for x in q_jet))
+            row = tuple(x[..., s, lead] for x in q_jet)
+            col = tuple(x[..., lead, s] for x in q_jet)
             part = [x - y for x, y in zip(part, jet_mul(jet_mul(row, inner), col))]
         for x, y in zip(eta, part):
-            x[s, s] = y
+            x[..., s, s] = y
     return eta
+
+
+def _gamma_guard(alive: Survivors, gamma, blocks: BlockStructure, z, error, rows):
+    """Fail the live points where a diagonal block of gamma, the stack over
+    them, is beyond the condition guard, with error(text) naming the first
+    such block; returns the stacks rows on the points that pass."""
+    for a in range(blocks.count):
+        s = blocks.slice(a)
+        keep = alive.guard(
+            gamma[:, s, s],
+            lambda i, c: error(f"gamma block {a} at z={complex(z[i]):g} has condition {c:.3e}"),
+        )
+        gamma, rows = take((gamma, rows), keep)
+    return rows
 
 
 def solve(
@@ -365,15 +384,16 @@ def solve(
     mode, mu_plus with the block diagonal antiholomorphic seed gamma_plus
     (stored in the conjugate variable) along the conjugated paths; in
     hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
-    The quotient of the factors is Gauss decomposed per point, and gamma
-    and phi are assembled from the outputs, gamma with its exact jet.  phi
-    is built with the inverse of the Cholesky factor g0 of the metric,
-    g0^dagger g0 = h, on the left, which is what makes phi^dagger h phi =
-    gamma in hermitian mode.  Transport and Gauss cell failures are
-    recorded per point, as "integration: ..." and "gauss: ...", and leave
-    the other points intact.  Transport factors along different legs
-    compose by right multiplication: the factor at z from basepoint 0 is
-    the one at w from 0 times the one at z from basepoint w.
+    The rest runs once on the stack of points transport reached: one Gauss
+    decomposition of the quotients, then gamma with its exact jet and phi,
+    built with the inverse of the Cholesky factor g0 of the metric, g0^dagger
+    g0 = h, on the left, which makes phi^dagger h phi = gamma in hermitian
+    mode.  A point fails as "integration: ...", "gauss: ..." or
+    "SingularBeta: ..." (a diagonal block of gamma beyond the condition
+    guard) and leaves the stack there; the other points are unaffected.
+    Transport factors along different legs compose by right
+    multiplication: the factor at z from basepoint 0 is the one at w from 0
+    times the one at z from basepoint w.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if not problem.hermitian_mode:
@@ -381,116 +401,99 @@ def solve(
             raise InvalidArgument("gamma_plus", "gamma_plus is required outside hermitian mode")
         _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
     g0inv = np.linalg.inv(problem.h.cholesky_factor())
+    blocks = problem.blocks
 
-    pts = [complex(p) for p in grid]
-    ends = np.array(pts, dtype=complex)
-    depth = problem.blocks.count - 1
-    minus, failed = _transport_many(gamma_minus, problem.c_minus, complex(basepoint), ends, depth)
+    z = np.array([complex(p) for p in grid], dtype=complex)
+    depth = blocks.count - 1
+    minus, failed = _transport_many(gamma_minus, problem.c_minus, complex(basepoint), z, depth)
     if problem.hermitian_mode:
         plus = np.full_like(minus, np.nan)
-        plus[~failed] = np.linalg.inv(minus[~failed].conj().transpose(0, 2, 1))
+        plus[~failed] = np.linalg.inv(dagger(minus[~failed]))
     else:
         plus, failed_plus = _transport_many(
-            gamma_plus, problem.c_plus, np.conj(complex(basepoint)), ends.conj(), depth
+            gamma_plus, problem.c_plus, np.conj(complex(basepoint)), z.conj(), depth
         )
         failed |= failed_plus
+        minus[failed] = plus[failed] = np.nan
     diverged = (
         f"integration: transport diverged: a leg unresolved in {MAX_PIECES} pieces, "
         f"a singular seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
     )
-    failures: list[str | None] = [diverged if f else None for f in failed]
-    mu_m_all = [None if f else m for f, m in zip(failed, minus)]
-    mu_p_all = [None if f else m for f, m in zip(failed, plus)]
+    alive = Survivors(z.shape)
+    w, mu_m, mu_p = take((z, minus, plus), alive.drop([diverged if f else None for f in failed]))
 
-    zero = np.zeros((problem.n, problem.n), dtype=complex)
-    gm_all = gamma_minus.evaluate(ends)
-    dgm_all = gamma_minus.derivative().evaluate(ends)
-    if not problem.hermitian_mode:
-        gp_all = gamma_plus.evaluate(ends.conj())
-        dgp_all = gamma_plus.derivative().evaluate(ends.conj())
-    cm_all, cp_all = problem.c_minus_at(ends), problem.c_plus_at(ends)
-    gammas: list[tuple | None] = [None] * len(pts)
-    phis: list[np.ndarray | None] = [None] * len(pts)
-    for i in range(len(pts)):
-        if failures[i] is not None:
-            continue
-        mu_m, mu_p = mu_m_all[i], mu_p_all[i]
-        gm = (gm_all[i], dgm_all[i], zero, zero)
-        if problem.hermitian_mode:
-            quotient = mu_m.conj().T @ mu_m
-            gp_inv = jet_h(gm)
-        else:
-            quotient = np.linalg.inv(mu_p) @ mu_m
-            gp_inv = jet_inv((gp_all[i], zero, dgp_all[i], zero))
-        try:
-            factors = gauss_decompose(quotient, problem.blocks)
-        except GaussDecompositionFailed as exc:
-            failures[i] = f"gauss: {exc}"
-            continue
-        # the transport slopes: A_minus = gamma_minus c_minus gamma_minus^-1
-        # at z and A_plus = gamma_plus c_plus gamma_plus^-1 at zbar
-        a_minus = gm[0] @ cm_all[i] @ np.linalg.inv(gm[0])
-        a_plus = np.linalg.solve(gp_inv[0], cp_all[i] @ gp_inv[0])
-        eta = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), problem.blocks)
-        gammas[i] = jet_mul(jet_mul(gp_inv, (factors.eta, *eta[1:])), gm)
-        phis[i] = g0inv @ mu_m @ factors.n_plus @ gm[0]
+    gm = gamma_minus.evaluate(w)
+    zero = np.zeros_like(gm)
+    gm = (gm, gamma_minus.derivative().evaluate(w), zero, zero)
+    if problem.hermitian_mode:
+        quotient = dagger(mu_m) @ mu_m
+        gp_inv = jet_h(gm)
+    else:
+        quotient = np.linalg.inv(mu_p) @ mu_m
+        gp = gamma_plus.evaluate(w.conj()), gamma_plus.derivative().evaluate(w.conj())
+        gp_inv = jet_inv((gp[0], zero, gp[1], zero))
+    factors = gauss_decompose(quotient, blocks)
+    keep = alive.drop([None if f is None else f"gauss: {f}" for f in factors.failures])
+    w, mu_m, gm, gp_inv, quotient, eta, n_plus = take(
+        (w, mu_m, gm, gp_inv, quotient, factors.eta, factors.n_plus), keep
+    )
+    # the transport slopes: A_minus = gamma_minus c_minus gamma_minus^-1
+    # at z and A_plus = gamma_plus c_plus gamma_plus^-1 at zbar
+    a_minus = gm[0] @ problem.c_minus_at(w) @ np.linalg.inv(gm[0])
+    a_plus = np.linalg.solve(gp_inv[0], problem.c_plus_at(w) @ gp_inv[0])
+    eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
+    gamma = jet_mul(jet_mul(gp_inv, (eta, *eta_jet[1:])), gm)
+    phi = g0inv @ mu_m @ n_plus @ gm[0]
+    gamma, phi = _gamma_guard(alive, gamma[0], blocks, z, "SingularBeta: {}".format, (gamma, phi))
 
     return TodaSolution(
-        grid=tuple(pts),
-        blocks=problem.blocks,
+        grid=tuple(complex(p) for p in z),
+        blocks=blocks,
         hermitian_mode=problem.hermitian_mode,
-        gamma_jets=tuple(gammas),
-        phi=tuple(phis),
-        mu_minus=tuple(mu_m_all),
-        mu_plus=tuple(mu_p_all),
-        failures=tuple(failures),
+        gamma_jets=alive.full(np.stack(gamma, axis=1)),
+        phi=alive.full(phi),
+        mu_minus=minus,
+        mu_plus=plus,
+        failures=tuple(alive.failures),
     )
 
 
-def _block_cond_guard(g: np.ndarray, blocks: BlockStructure, z: complex):
-    for a in range(blocks.count):
-        s = blocks.slice(a)
-        cond = condition(g[s, s])
-        if cond > COND_LIMIT:
-            raise SingularBeta(
-                f"gamma block {a} at z={z:g} has condition {cond:.3e}"
-            )
+def _guarded(problem: TodaProblem, gamma_jet, z):
+    """The Survivors of the points z, with the jet and z as flat stacks on
+    the points that pass the gamma block guard."""
+    alive = Survivors(np.shape(z))
+    w = np.reshape(z, -1)
+    jet = tuple(np.reshape(x, (-1,) + np.shape(x)[-2:]) for x in gamma_jet)
+    return alive, _gamma_guard(alive, jet[0], problem.blocks, w, SingularBeta, (jet, w))
 
 
-def toda_residual(
-    problem: TodaProblem,
-    gamma_jet: tuple[np.ndarray, ...],
-    z: complex,
-) -> tuple[float, ...]:
-    """Defect of the Toda equations at a point, one scaled norm per block.
+def toda_residual(problem: TodaProblem, gamma_jet, z) -> tuple:
+    """Defect of the Toda equations, one scaled norm per block, at a point
+    or at an array of points z.
 
-    gamma_jet is (gamma, d/dz, d/dzbar, d/dz d/dzbar gamma) at z.  The
-    equations are checked in matrix form: the plus derivative of
-    gamma^{-1} (d gamma), which is gamma^{-1} (d dbar gamma) less
-    gamma^{-1} (dbar gamma) gamma^{-1} (d gamma), must match the
+    gamma_jet is (gamma, d/dz, d/dzbar, d/dz d/dzbar gamma), each a matrix
+    or a stack over z.  The equations are checked in matrix form: the plus
+    derivative of gamma^{-1} (d gamma), which is gamma^{-1} (d dbar gamma)
+    less gamma^{-1} (dbar gamma) gamma^{-1} (d gamma), must match the
     commutator of c_minus with the gamma conjugate of c_plus.  Both sides
     are block diagonal; each block's defect is divided by max(1, the
-    largest norm among its terms).
+    largest norm among its terms).  A point whose gamma has a block beyond
+    the condition guard reads NaN, and a single one raises SingularBeta.
     """
-    _block_cond_guard(gamma_jet[0], problem.blocks, z)
-    inv = jet_inv(gamma_jet)
-    cm = problem.c_minus_at(z)
-    cx = inv[0] @ problem.c_plus_at(z) @ gamma_jet[0]
-    lhs = inv[0] @ gamma_jet[3]
-    terms = [-(inv[2] @ gamma_jet[1]), cm @ cx, -(cx @ cm)]
-    out = []
-    for a in range(problem.blocks.count):
-        s = problem.blocks.slice(a)
-        out.append(scaled_defect(lhs[s, s], [x[s, s] for x in terms]))
-    return tuple(out)
+    alive, (jet, w) = _guarded(problem, gamma_jet, z)
+    inv = jet_inv(jet)
+    cm = problem.c_minus_at(w)
+    cx = inv[0] @ problem.c_plus_at(w) @ jet[0]
+    lhs = inv[0] @ jet[3]
+    terms = [-(inv[2] @ jet[1]), cm @ cx, -(cx @ cm)]
+    slices = map(problem.blocks.slice, range(problem.blocks.count))
+    out = [scaled_defect(lhs[:, s, s], [x[:, s, s] for x in terms]) for s in slices]
+    return tuple(alive.full(x)[()] for x in out)
 
 
-def zero_curvature_check(
-    problem: TodaProblem,
-    gamma_jet: tuple[np.ndarray, ...],
-    z: complex,
-) -> float:
-    """Scaled curvature of the connection built from gamma and the c data.
+def zero_curvature_check(problem: TodaProblem, gamma_jet, z):
+    """Scaled curvature of the connection built from gamma and the c data,
+    at a point or at an array of points z, guarded as toda_residual is.
 
     The connection has omega_minus = gamma^{-1} (d gamma) + c_minus and
     omega_plus = gamma^{-1} c_plus gamma; its curvature dbar omega_minus -
@@ -500,22 +503,18 @@ def zero_curvature_check(
     antiholomorphic, so only gamma's jet enters the derivatives.  The norm
     is divided by max(1, the largest norm among its terms).
     """
-    _block_cond_guard(gamma_jet[0], problem.blocks, z)
-    g, dg = gamma_jet[0], gamma_jet[1]
-    inv = jet_inv(gamma_jet)
-    cp = problem.c_plus_at(z)
-    om = inv[0] @ dg + problem.c_minus_at(z)
+    alive, (jet, w) = _guarded(problem, gamma_jet, z)
+    g, dg = jet[0], jet[1]
+    inv = jet_inv(jet)
+    cp = problem.c_plus_at(w)
+    om = inv[0] @ dg + problem.c_minus_at(w)
     op = inv[0] @ cp @ g
     d_op = inv[1] @ cp @ g + inv[0] @ cp @ dg
-    lhs = inv[0] @ gamma_jet[3]
-    return scaled_defect(lhs, [-(inv[2] @ dg), d_op, om @ op, -(op @ om)])
+    lhs = inv[0] @ jet[3]
+    return alive.full(scaled_defect(lhs, [-(inv[2] @ dg), d_op, om @ op, -(op @ om)]))[()]
 
 
-def phi_relation(
-    problem: TodaProblem,
-    phi: np.ndarray,
-    gamma: np.ndarray,
-) -> float:
-    """Defect of phi^dagger h phi = gamma at a point, relative to ||gamma||."""
-    defect = float(np.linalg.norm(phi.conj().T @ problem.h.matrix @ phi - gamma))
-    return defect / max(1e-300, float(np.linalg.norm(gamma)))
+def phi_relation(problem: TodaProblem, phi: np.ndarray, gamma: np.ndarray):
+    """Defect of phi^dagger h phi = gamma relative to ||gamma||, over the
+    last two axes."""
+    return relative_defect(dagger(phi) @ problem.h.matrix @ phi, gamma)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -161,9 +162,9 @@ class TestFrenetModes:
         assert report.exit_code() == 0
 
     def test_one_frame_evaluation_per_stencil_point(self, monkeypatch):
-        # both frenet modes evaluate the frame in one call per job, on the
-        # points not excluded, in report order: the checks of verify-frenet
-        # read the exact derivatives from that one evaluation
+        # both frenet modes evaluate the frame in one call per job, on every
+        # grid point in report order: the checks of verify-frenet read the
+        # exact derivatives from that one evaluation
         calls = []
         original = frenet.frame_at
 
@@ -185,9 +186,8 @@ class TestFrenetModes:
             calls.clear()
             with pytest.warns(UserWarning, match="constant rank"):
                 report = run({"mode": mode, "curve": [[[0, 1]], [[0, 0, 1]]], "grid": {"radius": 0.5}})
-            kept = [p.z for p in report.points if not p.status.startswith("excluded")]
-            assert len(kept) == 8 and report.summary["points_ok"] == 8
-            assert calls == [kept]
+            assert report.summary["points_ok"] == 9
+            assert calls == [[p.z for p in report.points]]
 
     def test_degree_four_normal_curve_passes_tight_tolerance(self):
         # every identity holds on (1, z, ..., z^4); finite difference
@@ -204,20 +204,29 @@ class TestFrenetModes:
         assert report.summary["points_ok"] == 49
         assert report.exit_code() == 0
 
-    def test_rank_drop_points_are_excluded(self):
-        # (z, z^2) drops rank at the origin, which the default grid contains
-        with pytest.warns(UserWarning, match="constant rank"):
-            report = run(
-                {
-                    "mode": "frenet",
-                    "curve": [[[0, 1]], [[0, 0, 1]]],
-                    "grid": {"radius": 0.5, "nx": 3, "ny": 3},
-                }
-            )
-        assert report.summary["rank_drop"] == [[0, 1, 0, 1], [1, 1, 0, 1]]
-        statuses = [p.status for p in report.points]
-        assert statuses.count("excluded: near a rank drop point") == 1
-        assert report.exit_code() == 1
+    def test_rank_drop_points_are_evaluated(self):
+        # the frame is built on the reduced, constant rank columns, so a
+        # root of the rank drop is an ordinary point of it: (z, z^2) and
+        # (z^2 - z, z^2, z^3) drop rank at the origin, (z - 1/2)(1, z) at
+        # 1/2, and each grid is centred on its root
+        cases = [
+            ([[[0, 1]], [[0, 0, 1]]], [0, 0], [[0, 1, 0, 1], [1, 1, 0, 1]]),
+            ([[[0, -1, 1]], [[0, 0, 1]], [[0, 0, 0, 1]]], [0, 0], [[0, 1, 0, 1], [1, 1, 0, 1]]),
+            ([[[-0.5, 1]], [[0, -0.5, 1]]], [0.5, 0], [[-1, 2, 0, 1], [1, 1, 0, 1]]),
+        ]
+        for (curve, center, rank_drop), mode in itertools.product(cases, ("frenet", "verify-frenet")):
+            with pytest.warns(UserWarning, match="constant rank"):
+                report = run(
+                    {
+                        "mode": mode,
+                        "curve": curve,
+                        "grid": {"center": center, "radius": 0.5, "nx": 3, "ny": 3},
+                    }
+                )
+            assert report.summary["rank_drop"] == rank_drop
+            assert report.summary["points_ok"] == 9
+            assert report.max_residual <= 1e-15
+            assert report.exit_code() == 0
 
     def test_rank_drop_summary_is_lowest_terms(self):
         # the column (w, w z) with w = (z - 1/2 - i/3)(z + 2/5), whose rank
@@ -286,14 +295,18 @@ class TestTodaModes:
             calls.append(len(grid))
             sol = original(problem, gamma_minus, grid, **kwargs)
 
-            def punch(values, value):
-                return values[:1] + (value,) + values[2:]
+            def punch(stack):
+                out = stack.copy()
+                out[1] = np.nan
+                return out
 
+            failures = list(sol.failures)
+            failures[1] = "integration: transport diverged"
             return dataclasses.replace(
                 sol,
-                gamma_jets=punch(sol.gamma_jets, None),
-                phi=punch(sol.phi, None),
-                failures=punch(sol.failures, "integration: transport diverged"),
+                gamma_jets=punch(sol.gamma_jets),
+                phi=punch(sol.phi),
+                failures=tuple(failures),
             )
 
         monkeypatch.setattr(cli, "solve", holed)
@@ -319,6 +332,34 @@ class TestTodaModes:
         cfg["seeds"] = {"c_minus": cfg["seeds"]["c_minus"]}
         with pytest.raises(ConfigError, match="gamma_minus"):
             run(cfg)
+
+    def test_singular_gamma_block_fails_its_point(self):
+        # gamma = gamma_minus^dagger gamma_minus is diag(1, 1e-14, 1, 1) at
+        # the origin; the point fails like any other, with no columns
+        zero, one = [0], [1]
+        cfg = {
+            "mode": "verify-toda",
+            "gradation": {"sizes": [2, 2]},
+            "grid": {"nx": 3, "ny": 1, "radius": 0.3},
+            "seeds": {
+                "gamma_minus": [
+                    [one, zero, zero, zero],
+                    [zero, [[1, 10**7, 0, 1]], zero, zero],
+                    [zero, zero, one, zero],
+                    [zero, zero, zero, one],
+                ],
+                "c_minus": [
+                    [zero, zero, zero, zero],
+                    [zero, zero, zero, zero],
+                    [one, zero, zero, zero],
+                    [zero, one, zero, zero],
+                ],
+            },
+        }
+        centre = run(cfg).points[1]
+        assert centre.z == 0
+        assert centre.status == "failed: SingularBeta: gamma block 0 at z=0+0j has condition 1.000e+14"
+        assert centre.residuals == {} and centre.values == {}
 
     def test_non_hermitian_requires_plus_seeds(self):
         cfg = dict(LINE_TODA, hermitian_mode=False)
@@ -570,13 +611,10 @@ class TestMain:
                 dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, gamma_plus=[[[1], [1]], [[0], [1]]])),
                 "seeds.gamma_plus",
             ),
-            # in range as parsed, but the rank drop is (z - 1e200)^2, whose
-            # constant coefficient 1e400 has no float; the curve is reduced
-            # first, with the warning that says so
-            pytest.param(
-                {"curve": [[[-1e200, 1], [0]], [[0], [-1e200, 1]], [[0], [0]]]},
-                "curve",
-                marks=pytest.mark.filterwarnings("ignore:input columns do not have constant rank:UserWarning"),
+            # a matrix of the wrong size for the gradation is the input's fault
+            (
+                {"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+                "matrices[1]",
             ),
         ],
     )
@@ -587,14 +625,13 @@ class TestMain:
         assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_failed_point_is_exit_1(self, tmp_path, capsys):
-        cfg = {
-            "curve": [[[0, 1]], [[0, 0, 1]]],
-            "grid": {"radius": 0.5, "nx": 3, "ny": 3},
-        }
+        # the second matrix has a vanishing leading block
+        cfg = {"gradation": {"sizes": [1, 1]}, "matrices": [[[2, 1], [1, 1]], [[0, 1], [1, 0]]]}
         path = self.write_config(tmp_path, cfg)
         out = tmp_path / "r.json"
-        with pytest.warns(UserWarning, match="constant rank"):
-            assert main(["frenet", "--config", path, "--out", str(out)]) == 1
+        assert main(["gauss", "--config", path, "--out", str(out)]) == 1
+        points = json.loads(out.read_text())["points"]
+        assert [p["status"] == "ok" for p in points] == [True, False]
 
     def test_overflowing_gram_block_fails_its_point(self, tmp_path, capsys):
         # away from the centre of this grid the gram blocks of (1, z)

@@ -101,6 +101,26 @@ class TestStacks:
         for i in (0, 3):
             assert cond[i] == condition(m[i]) == np.linalg.cond(m[i])
 
+    def test_gauss_decompose_per_matrix(self):
+        rng = np.random.default_rng(7)
+        bs = BlockStructure((1, 2, 1))
+        g = np.stack([_random_gauss_input(rng, bs) for _ in range(5)])
+        g[2, 2, :3] = g[2, 0, :3] + g[2, 1, :3]  # a singular leading 3 by 3
+        f = gauss_decompose(g, bs)
+        assert [e is None for e in f.failures] == [True, True, False, True, True]
+        with pytest.raises(GaussDecompositionFailed) as err:
+            gauss_decompose(g[2], bs)
+        assert err.value.block == f.failures[2].block == 1
+        assert str(err.value) == str(f.failures[2])
+        for i in range(5):
+            for name in ("n_minus", "eta", "n_plus"):
+                got = getattr(f, name)[i]
+                if i == 2:
+                    assert np.isnan(got).all()
+                else:
+                    assert np.array_equal(got, getattr(gauss_decompose(g[i], bs), name))
+        assert gauss_decompose(g.reshape(5, 1, 4, 4), bs).eta.shape == (5, 1, 4, 4)
+
 
 class TestGaussDecompose:
     def test_identity(self):

@@ -341,7 +341,8 @@ class TestSolve:
         sol = solve(p, seed, [0.25, 1.0])
         assert sol.failures[0] is None
         assert sol.failures[1] is not None and "integration" in sol.failures[1]
-        assert sol.gamma[0] is not None and sol.gamma[1] is None
+        assert np.isfinite(sol.gamma[0]).all() and np.isnan(sol.gamma[1]).all()
+        assert np.isnan(sol.phi[1]).all() and np.isnan(sol.mu_minus[1]).all()
         assert sol.ok_indices == (0,)
         assert sol.failure_fraction == pytest.approx(0.5)
 
@@ -539,6 +540,36 @@ class TestResiduals:
             toda_residual(p, jet, 0.1)
         with pytest.raises(SingularBeta):
             zero_curvature_check(p, jet, 0.1)
+
+
+class TestStackedChecks:
+    """The checks on a stack of points give each point the bits it gets
+    alone; a point whose gamma fails the guard reads NaN there."""
+
+    def test_checks_per_point(self):
+        rng = np.random.default_rng(11)
+        blocks = BlockStructure((2, 2))
+        p = TodaProblem.hermitian_problem(GradationSpec(blocks, (1,)), 1, subdiagonal_lowering(blocks))
+        z = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.4 - 0.1j])
+        sol = solve(p, random_gamma_seed(rng, blocks), z)
+        assert sol.failures == (None,) * 4
+        jets = sol.gamma_jets.copy()
+        jets[:, 3] *= 1.5  # off the solution, so every defect is far from zero
+        jets[2] = 0.0
+        jets[2, 0] = np.diag([1.0, 0.0, 1.0, 1.0])
+        stacked = jets.swapaxes(0, 1)  # the jet's parts, each stacked over z
+        res = toda_residual(p, stacked, z)
+        curvature = zero_curvature_check(p, stacked, z)
+        phi = phi_relation(p, sol.phi, jets[:, 0])
+        assert np.isnan([r[2] for r in res]).all() and np.isnan(curvature[2])
+        for i in (0, 1, 3):
+            alone = toda_residual(p, jets[i], z[i])
+            assert min(alone) > 1e-3
+            assert np.array_equal([r[i] for r in res], alone)
+            assert curvature[i] == zero_curvature_check(p, jets[i], z[i])
+            assert phi[i] == phi_relation(p, sol.phi[i], jets[i, 0]) > 0
+        with pytest.raises(SingularBeta, match="gamma block 0"):
+            toda_residual(p, jets[2], z[2])
 
 
 class TestFrenetTodaBridge:
