@@ -154,12 +154,12 @@ def _as_gaussian(v, path: str) -> GaussianRational:
         raise ConfigError(path, "booleans are not numbers")
     if isinstance(v, int):
         return GaussianRational(v)
-    if isinstance(v, float):
-        return GaussianRational.from_complex(_as_complex(v, path), MAX_DENOMINATOR)
-    if isinstance(v, list) and len(v) == 2:
-        if all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+    if isinstance(v, float) or (isinstance(v, list) and len(v) == 2):
+        if isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v):
             return GaussianRational(v[0], v[1])
-        return GaussianRational.from_complex(_as_complex(v, path), MAX_DENOMINATOR)
+        # the nearest parts with denominators at most MAX_DENOMINATOR
+        z = _as_complex(v, path)
+        return GaussianRational(*(Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in (z.real, z.imag)))
     if isinstance(v, list) and len(v) == 4:
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
             raise ConfigError(path, "exact quadruples must be integers")
@@ -533,8 +533,6 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         problem = _build_problem(cfg)
         if cfg.gamma_minus is None:
             raise ConfigError("seeds.gamma_minus", "required for toda modes")
-        if not cfg.hermitian_mode and cfg.gamma_plus is None:
-            raise ConfigError("seeds.gamma_plus", "required outside hermitian mode")
         sol = solve(problem, cfg.gamma_minus, pts, basepoint=cfg.basepoint, gamma_plus=cfg.gamma_plus)
     except InvalidArgument as exc:  # named by the config field it was read from
         field = "gap" if exc.argument == "gap" else f"seeds.{exc.argument}"

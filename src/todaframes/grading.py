@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,32 +81,19 @@ class GradingOperator:
 def build_grading(spec: GradationSpec) -> GradingOperator:
     """Grading operator of the labelled block gradation.
 
-    The weight of block a averages to zero against the block sizes, and
-    consecutive weights drop by the label between them.  Both facts are
+    Consecutive weights drop by the label between them, so the weights are
+    the running sums of minus the labels, shifted by their size-weighted
+    mean to average to zero against the block sizes.  Both facts are
     asserted in exact arithmetic.
     """
-    sizes = spec.blocks.sizes
-    labels = spec.labels
-    t = spec.count - 1
-    n = spec.n
-    head = [0] * (t + 2)
-    for b in range(t + 1):
-        head[b + 1] = head[b] + sizes[b]
-    tail = [0] * (t + 2)
-    for b in range(t, -1, -1):
-        tail[b] = tail[b + 1] + sizes[b]
-    rho = []
-    for a in range(t + 1):
-        acc = Fraction(0)
-        for b in range(1, a + 1):
-            acc -= labels[b - 1] * head[b]
-        for b in range(a + 1, t + 1):
-            acc += labels[b - 1] * tail[b]
-        rho.append(Fraction(acc, n))
+    sizes, labels = spec.blocks.sizes, spec.labels
+    drops = list(accumulate((-s for s in labels), initial=0))
+    mean = Fraction(sum(k * r for k, r in zip(sizes, drops)), spec.n)
+    rho = tuple(r - mean for r in drops)
     assert sum(k * r for k, r in zip(sizes, rho)) == 0
-    for a in range(t):
-        assert rho[a] - rho[a + 1] == labels[a]
-    return GradingOperator(spec=spec, rho=tuple(rho))
+    for a, s in enumerate(labels):
+        assert rho[a] - rho[a + 1] == s
+    return GradingOperator(spec=spec, rho=rho)
 
 
 def cartan_grading_operator(spec: GradationSpec) -> tuple[Fraction, ...]:

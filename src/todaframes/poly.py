@@ -1,7 +1,9 @@
 """Exact polynomial linear algebra over the Gaussian rationals.
 
 Coefficients come in, and are read back, as ``GaussianRational`` values,
-pairs of ``fractions.Fraction``.  A ``Poly`` stores them as Gaussian
+pairs of ``fractions.Fraction``; a float is never a coefficient here, the
+CLI turns config floats into exact values itself.  Values are immutable and
+copy and pickle through their constructors.  A ``Poly`` stores them as Gaussian
 integers over one positive denominator: ``num``, (re, im) int pairs in
 ascending degree with no trailing zeros, and ``den``, sharing no factor
 with every part of ``num``.  That normal form makes equality of
@@ -82,13 +84,8 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @classmethod
-    def from_complex(cls, z: complex, limit: int) -> "GaussianRational":
-        """Nearest parts with denominators at most ``limit``."""
-        return cls(
-            Fraction(float(np.real(z))).limit_denominator(limit),
-            Fraction(float(np.imag(z))).limit_denominator(limit),
-        )
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @property
     def is_zero(self) -> bool:
@@ -110,9 +107,6 @@ class GaussianRational:
     def __hash__(self):
         # a real value hashes as the int or Fraction it equals
         return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __repr__(self):
         if not self.im:
@@ -227,6 +221,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly._of, (self.num, self.den)
+
     @classmethod
     def of(cls, *coeffs) -> "Poly":
         return cls(coeffs)
@@ -265,9 +262,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) - self
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -372,6 +366,10 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        # rebuilt from the entries: the float cache of evaluate is not state
+        return PolyMatrix, (self.entries,)
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
@@ -551,13 +549,14 @@ def factor_zeros(f: PolyMatrix) -> tuple[PolyMatrix, Poly]:
     return g, d
 
 
-def _maximal_minors(columns: Sequence[PolyMatrix]) -> Iterator[Poly]:
-    """The size len(columns) minors of the stacked column matrix, row sets
-    in combinations order, each computed only when it is read.  There are
-    none when there are more columns than rows."""
-    m = PolyMatrix.from_columns(columns)
-    for rows_idx in combinations(range(m.rows), m.cols):
-        yield m.submatrix(rows_idx, range(m.cols)).det()
+def _maximal_minors(m: PolyMatrix) -> Iterator[tuple[tuple[int, ...], Poly]]:
+    """(rows, minor) for every size m.cols minor of m, the row sets in
+    combinations order, each minor computed only when it is read.  The one
+    walk over row sets: the gcd certificate, the pivot of a span solve and
+    the interpolation all read it.  There are none when m is wide."""
+    cols = range(m.cols)
+    for rows in combinations(range(m.rows), m.cols):
+        yield rows, m.submatrix(rows, cols).det()
 
 
 def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
@@ -574,7 +573,7 @@ def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
         raise ValueError("need at least one column")
     for c in cols:
         _require_column(c)
-    return poly_gcd_many(_maximal_minors(cols))
+    return poly_gcd_many(d for _, d in _maximal_minors(PolyMatrix.from_columns(cols)))
 
 
 def _numerators(m: PolyMatrix, f: PolyMatrix, rows: Sequence[int]) -> list[Poly]:
@@ -588,28 +587,17 @@ def _numerators(m: PolyMatrix, f: PolyMatrix, rows: Sequence[int]) -> list[Poly]
     ]
 
 
-def _pivot(columns: Sequence[PolyMatrix]) -> tuple[tuple[int, ...], Poly]:
-    """Rows and value of the first nonzero maximal minor of the columns."""
-    m = PolyMatrix.from_columns(columns)
-    for rows_idx in combinations(range(m.rows), m.cols):
-        den = m.submatrix(rows_idx, range(m.cols)).det()
-        if not den.is_zero:
-            return rows_idx, den
-    raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
-
-
-def _solve_in_span(columns: Sequence[PolyMatrix], f: PolyMatrix, pivot: tuple) -> list[Poly]:
-    """Exact coefficients writing f as a combination of the columns.
+def _solve_in_span(m: PolyMatrix, rows: tuple[int, ...], den: Poly, f: PolyMatrix) -> list[Poly]:
+    """Exact coefficients writing f as a combination of the columns of m.
 
     The caller has certified that f lies in the span (every maximal minor of
-    the columns together with f vanishes), so Cramer's rule on the pivot,
-    the first nonzero maximal minor of the columns, gives the unique
-    coefficients.  They must divide out to polynomials, which holds
-    whenever the columns form a constant rank set.
+    m with f appended vanishes), so Cramer's rule on the pivot, the first
+    nonzero maximal minor den of m, on rows, gives the unique coefficients.
+    They must divide out to polynomials, which holds whenever the columns
+    form a constant rank set.
     """
-    rows_idx, den = pivot
     out = []
-    for num in _numerators(PolyMatrix.from_columns(columns), f, rows_idx):
+    for num in _numerators(m, f, rows):
         quo, rem = divmod(num, den)
         if not rem.is_zero:
             raise NotConstantRank(
@@ -644,8 +632,8 @@ def _interpolating_combination(columns, g, modulus):
     m = PolyMatrix.from_columns(columns)
     h, acc = modulus, [Poly()] * m.cols
     # invariant: h = sum u_R D_R mod modulus and acc[b] = sum u_R N_{R,b}
-    for rows in combinations(range(m.rows), m.cols):
-        d, s, t = _xgcd(h, m.submatrix(rows, range(m.cols)).det() % modulus)
+    for rows, minor in _maximal_minors(m):
+        d, s, t = _xgcd(h, minor % modulus)
         if d.degree == h.degree:
             continue
         acc = [(s * a + t * n) % modulus for a, n in zip(acc, _numerators(m, g, rows))]
@@ -662,8 +650,9 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix, pivots: dict):
     its len(columns) polynomial coefficients.  Otherwise g is the new
     column, coeffs ends with its factor, f = sum(columns + [g] times
     coeffs), and the extended set is certified constant rank: the loop
-    below exits only once its minor gcd is 1.  pivots holds the pivot of
-    _solve_in_span by base size, found once per adjoin_columns call.
+    below exits only once its minor gcd is 1.  pivots holds the stacked
+    base with its pivot for _solve_in_span by base size, found once per
+    adjoin_columns call.
     """
     j = len(columns)
     if f.is_zero:
@@ -672,12 +661,16 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix, pivots: dict):
         # the 1 by 1 minors are f's entries, whose gcd factor_zeros divides out
         g, d = factor_zeros(f)
         return [d], g
-    minors = (m for m in _maximal_minors(columns + [f]) if not m.is_zero)
+    minors = (d for _, d in _maximal_minors(PolyMatrix.from_columns(columns + [f])) if not d.is_zero)
     first = next(minors, None)
     if first is None:
         if j not in pivots:
-            pivots[j] = _pivot(columns)
-        return _solve_in_span(columns, f, pivots[j]), None
+            m = PolyMatrix.from_columns(columns)
+            pivot = next(((rows, d) for rows, d in _maximal_minors(m) if not d.is_zero), None)
+            if pivot is None:
+                raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
+            pivots[j] = m, *pivot
+        return _solve_in_span(*pivots[j], f), None
     g, d = factor_zeros(f)
     coeffs = [Poly()] * j
     prefix = d

@@ -180,10 +180,6 @@ class TodaProblem:
     def blocks(self) -> BlockStructure:
         return self.gradation.blocks
 
-    @property
-    def n(self) -> int:
-        return self.gradation.n
-
     def c_minus_at(self, z: complex | np.ndarray) -> np.ndarray:
         return self.c_minus.evaluate(z)
 
@@ -249,11 +245,11 @@ def _panels(
 def _transport_many(
     gamma_rep: PolyMatrix,
     c_rep: PolyMatrix,
-    starts,
+    start: complex,
     ends,
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transport factors along straight legs starts[p] -> ends[p], batched.
+    """Transport factors along straight legs start -> ends[p], batched.
 
     Solves mu' = mu A with A = gamma c gamma^{-1} along each leg, mu = I
     at its start, by depth Picard sweeps on Gauss-Legendre nodes (exact
@@ -264,9 +260,7 @@ def _transport_many(
     is singular at a node, or when the factor leaves the norm guard; its
     factor is then NaN, and the other endpoints are unaffected.
     """
-    starts, ends = np.broadcast_arrays(
-        np.asarray(starts, dtype=complex).ravel(), np.asarray(ends, dtype=complex).ravel()
-    )
+    ends = np.asarray(ends, dtype=complex).ravel()
     k = gamma_rep.rows
     mu = np.full((ends.size, k, k), np.nan, dtype=complex)
     failed = np.zeros(ends.size, dtype=bool)
@@ -274,7 +268,7 @@ def _transport_many(
     pieces = 1
     while todo.size and pieces <= MAX_PIECES:
         frac = np.linspace(0.0, 1.0, pieces + 1)
-        cuts = starts[todo, None] + frac[None, :] * (ends[todo] - starts[todo])[:, None]
+        cuts = start + frac[None, :] * (ends[todo] - start)[:, None]
         cuts[:, -1] = ends[todo]
         legs, unresolved, singular = _panels(
             gamma_rep, c_rep, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), depth
@@ -459,12 +453,14 @@ def solve(
 
 
 def _guarded(problem: TodaProblem, gamma_jet, z):
-    """The Survivors of the points z, with the jet and z as flat stacks on
-    the points that pass the gamma block guard."""
+    """The common core of the two Toda checks: the Survivors of the points
+    z, and on the points that pass the gamma block guard, as flat stacks,
+    gamma's jet, the jet of its inverse, c_minus and c_plus."""
     alive = Survivors(np.shape(z))
     w = np.reshape(z, -1)
     jet = tuple(np.reshape(x, (-1,) + np.shape(x)[-2:]) for x in gamma_jet)
-    return alive, _gamma_guard(alive, jet[0], problem.blocks, w, SingularBeta, (jet, w))
+    jet, w = _gamma_guard(alive, jet[0], problem.blocks, w, SingularBeta, (jet, w))
+    return alive, jet, jet_inv(jet), problem.c_minus_at(w), problem.c_plus_at(w)
 
 
 def toda_residual(problem: TodaProblem, gamma_jet, z) -> tuple:
@@ -480,10 +476,8 @@ def toda_residual(problem: TodaProblem, gamma_jet, z) -> tuple:
     largest norm among its terms).  A point whose gamma has a block beyond
     the condition guard reads NaN, and a single one raises SingularBeta.
     """
-    alive, (jet, w) = _guarded(problem, gamma_jet, z)
-    inv = jet_inv(jet)
-    cm = problem.c_minus_at(w)
-    cx = inv[0] @ problem.c_plus_at(w) @ jet[0]
+    alive, jet, inv, cm, cp = _guarded(problem, gamma_jet, z)
+    cx = inv[0] @ cp @ jet[0]
     lhs = inv[0] @ jet[3]
     terms = [-(inv[2] @ jet[1]), cm @ cx, -(cx @ cm)]
     slices = map(problem.blocks.slice, range(problem.blocks.count))
@@ -503,11 +497,9 @@ def zero_curvature_check(problem: TodaProblem, gamma_jet, z):
     antiholomorphic, so only gamma's jet enters the derivatives.  The norm
     is divided by max(1, the largest norm among its terms).
     """
-    alive, (jet, w) = _guarded(problem, gamma_jet, z)
+    alive, jet, inv, cm, cp = _guarded(problem, gamma_jet, z)
     g, dg = jet[0], jet[1]
-    inv = jet_inv(jet)
-    cp = problem.c_plus_at(w)
-    om = inv[0] @ dg + problem.c_minus_at(w)
+    om = inv[0] @ dg + cm
     op = inv[0] @ cp @ g
     d_op = inv[1] @ cp @ g + inv[0] @ cp @ dg
     lhs = inv[0] @ jet[3]

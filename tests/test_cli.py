@@ -90,6 +90,12 @@ class TestConfigParsing:
         cfg = parse_config({"mode": "frenet", "curve": [[[0.5]], [[0, 1]]]})
         assert cfg.curve.entry(0, 0).coeffs[0] == GaussianRational(Fraction(1, 2))
 
+    def test_bare_number_entry_is_a_constant(self):
+        bare = parse_config({"mode": "frenet", "curve": [[2], [0.5], [[0, 1]]]}).curve
+        listed = parse_config({"mode": "frenet", "curve": [[[2]], [[0.5]], [[0, 1]]]}).curve
+        assert bare == listed
+        assert bare.entry(1, 0).coeffs == (GaussianRational(Fraction(1, 2)),)
+
     def test_integer_pair_is_exact_complex(self):
         cfg = parse_config({"mode": "frenet", "curve": [[[[1, 2]]], [[3]]]})
         assert cfg.curve.entry(0, 0).coeffs[0] == GaussianRational(1, 2)
@@ -543,6 +549,12 @@ class TestMain:
         path.write_text("{not json")
         assert main(["frenet", "--config", str(path)]) == 2
 
+    def test_config_list_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps([{"mode": "frenet", "curve": LINE_CURVE}]))
+        assert main(["frenet", "--config", str(path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["frenet", "--config", "/nonexistent/job.json"]) == 2
 
@@ -616,10 +628,41 @@ class TestMain:
                 {"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
                 "matrices[1]",
             ),
+            ({"grid": {"radius": "1"}}, "grid.radius"),
+            ({"grid": {"nx": 2.0}}, "grid.nx"),
+            ({"grid": {"center": [1, 2, 3]}}, "grid.center"),
+            ({"grid": []}, "grid"),
+            # a quadruple of non integers, a coefficient of three numbers, a
+            # dict entry in place of a coefficient list
+            ({"curve": [[[1]], [[0, [1, 2, 0, 1.5]]]]}, "curve[1][0][1]"),
+            ({"curve": [[[1]], [[0, [1, 2, 3]]]]}, "curve[1][0][1]"),
+            ({"curve": [[[1]], [{"re": 1}]]}, "curve[1][0]"),
+            ({"curve": [1, 2]}, "curve"),
+            ({"curve": [[[1], [0]], [[1]]]}, "curve"),
+            ({"metric_h": [1]}, "metric_h"),
+            ({"metric_h": [[1, 0], [0]]}, "metric_h"),
+            ({"metric_h": [[1, 1], [0, 1]]}, "metric_h"),
+            ({"mode": "gauss", "gradation": {"labels": [1]}, "count": 1}, "gradation.sizes"),
+            ({"mode": "grading", "gradation": {"sizes": [1, 1], "labels": [1, 2]}}, "gradation"),
+            ({"hermitian_mode": 1}, "hermitian_mode"),
+            ({"gap": 0}, "gap"),
+            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "count": -1}, "count"),
+            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": {}}, "matrices"),
+            # a required input left out
+            ({"curve": None}, "curve"),
+            (dict(LINE_TODA, gradation=None), "gradation"),
+            (dict(LINE_TODA, seeds={"gamma_minus": LINE_TODA["seeds"]["gamma_minus"]}), "seeds.c_minus"),
+            ({"mode": "gauss", "count": 1}, "gradation"),
+            ({"mode": "grading"}, "gradation"),
+            (
+                dict(LINE_TODA, hermitian_mode=False, seeds={k: v for k, v in GENERAL_SEEDS.items() if k != "gamma_plus"}),
+                "seeds.gamma_plus",
+            ),
         ],
     )
     def test_malformed_config_names_the_field(self, tmp_path, capsys, cfg, field):
-        cfg = {"mode": "frenet", "curve": LINE_CURVE, **cfg}
+        # a None value leaves its key out of the job
+        cfg = {k: v for k, v in {"mode": "frenet", "curve": LINE_CURVE, **cfg}.items() if v is not None}
         path = self.write_config(tmp_path, cfg)
         assert main([cfg["mode"], "--config", path]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err

@@ -41,6 +41,19 @@ class TestHermitianMetric:
         with pytest.raises(ValueError):
             HermitianMetric([[1, 1j], [1j, 1]])
 
+    @pytest.mark.parametrize(
+        "m, match",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.ones(3), "square"),
+            ([[1, np.nan], [np.nan, 1]], "non finite"),
+            ([[np.inf, 0], [0, 1]], "non finite"),
+        ],
+    )
+    def test_rejects_non_square_and_non_finite(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            HermitianMetric(m)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             HermitianMetric([[1, 0], [0, -1]])
@@ -136,6 +149,19 @@ class TestGaussDecompose:
         assert np.allclose(f.n_minus, [[1.0, 0.0], [0.5, 1.0]])
         assert np.allclose(f.eta, [[2.0, 0.0], [0.0, 0.5]])
         assert np.allclose(f.n_plus, [[1.0, -0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "g, match",
+        [
+            (np.eye(3), "does not match"),
+            (np.ones((2, 3)), "does not match"),
+            ([[1, 0], [0, np.nan]], "non finite"),
+            ([[[1, 0], [np.inf, 1]]], "non finite"),
+        ],
+    )
+    def test_rejects_mis_shaped_and_non_finite(self, g, match):
+        with pytest.raises(ValueError, match=match):
+            gauss_decompose(g, BlockStructure((1, 1)))
 
     def test_singular_leading_block(self):
         bs = BlockStructure((1, 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import struct
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -57,6 +59,29 @@ class TestGaussianRational:
         a = GaussianRational(1)
         with pytest.raises(AttributeError):
             a.re = Fraction(2)
+
+
+class TestCopyAndPickle:
+    VALUES = [
+        GaussianRational(Fraction(1, 3), -2),
+        Poly.of(Fraction(1, 2), GaussianRational(0, Fraction(-5, 6)), 3),
+        Poly(),
+        PolyMatrix([[Poly.of(1, Fraction(1, 7)), 0], [GaussianRational(2, 1), Poly.of(0, 0, -3)]]),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_round_trip_is_equal(self, value):
+        for out in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(out) is type(value)
+            assert out == value
+            assert hash(out) == hash(value)
+
+    def test_unpickled_matrix_evaluates_to_the_same_bits(self):
+        m = self.VALUES[-1]
+        z = np.array([0.3 - 1.1j, 2.5 + 0.25j])
+        before = m.evaluate(z)  # fills the float cache, which is not pickled
+        out = pickle.loads(pickle.dumps(m))
+        assert out.evaluate(z).tobytes() == before.tobytes()
 
 
 class TestPoly:

@@ -5,8 +5,11 @@
 Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as sorted, indented JSON without ``generated_at``,
-one file per job (46 in all).  Two checkouts give the same reports
-exactly when ``diff -r`` of their two output directories is empty.
+one file per job (46 in all).  The bench corpus has no grading or gauss
+job and no float coefficient, so a fixed list of such jobs (``EXTRA_JOBS``)
+follows, each written both as that JSON and as ``emit(report, "csv")``
+(12 files), 58 files in all.  Two checkouts give the same reports exactly
+when ``diff -r`` of their two output directories is empty.
 """
 
 from __future__ import annotations
@@ -20,13 +23,37 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from corpus import SIZES, WORKLOADS, make_jobs  # noqa: E402
 
-from todaframes.cli import run  # noqa: E402
+from todaframes.cli import emit, run  # noqa: E402
 
 SEEDS = (0, 3)
 
+# jobs outside the bench corpus: the grading weights, the gauss pipeline
+# with its failure text, and float coefficients made exact by the parser
+EXTRA_JOBS = {
+    "grading-1-1": {"mode": "grading", "gradation": {"sizes": [1, 1], "labels": [2]}},
+    "grading-2-1": {"mode": "grading", "gradation": {"sizes": [2, 1], "labels": [2]}},
+    "grading-1-2-1": {"mode": "grading", "gradation": {"sizes": [1, 2, 1], "labels": [1, 3]}},
+    "gauss-matrices": {
+        "mode": "gauss",
+        "gradation": {"sizes": [1, 2]},
+        "matrices": [
+            [[2, 1, 0], [1, 3, [0, 1]], [0, [0, -1], 4]],
+            # the leading 1 by 1 block vanishes, so this point fails
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[1.5, [0.25, -0.5], 0], [0, 1, 0.75], [1, 0, 2]],
+        ],
+    },
+    "gauss-count": {"mode": "gauss", "gradation": {"sizes": [2, 1]}, "count": 3, "seed": 5},
+    "verify-frenet-float": {
+        "mode": "verify-frenet",
+        "curve": [[[1]], [[0, 0.5]], [[0, 0, [0.3, 0.1]]]],
+        "grid": {"center": [0.1, -0.2], "radius": 0.6, "nx": 3, "ny": 3},
+    },
+}
+
 
 def corpus_jobs():
-    """(name, job) for every report, in a fixed order."""
+    """(name, job) for every corpus report, in a fixed order."""
     for seed in SEEDS:
         for size in SIZES:
             for workload in WORKLOADS:
@@ -34,6 +61,12 @@ def corpus_jobs():
                     yield f"{workload}-seed{seed}-{size}-{i}", job
                     if workload == "toda-general":
                         yield f"{workload}-verify-toda-seed{seed}-{size}-{i}", dict(job, mode="verify-toda")
+
+
+def _write_json(path: Path, report) -> None:
+    data = report.to_dict()
+    del data["generated_at"]
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -44,10 +77,13 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     count = 0
     for name, job in corpus_jobs():
-        report = run(job).to_dict()
-        del report["generated_at"]
-        (out / f"{name}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write_json(out / f"{name}.json", run(job))
         count += 1
+    for name, job in EXTRA_JOBS.items():
+        report = run(job)
+        _write_json(out / f"{name}.json", report)
+        (out / f"{name}.csv").write_bytes(emit(report, "csv"))
+        count += 2
     print(f"wrote {count} reports to {out}")
     return 0
 
