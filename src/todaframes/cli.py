@@ -400,11 +400,61 @@ def _indexed_names(names: set[str], prefix: str) -> list[str]:
     return [n for _, n in sorted(found)]
 
 
+# The report and each point record have fixed keys: one format string
+# each writes them as json.dumps(..., sort_keys=True, indent=2) does, in
+# sorted order at their depth.
+_REPORT_JSON = (
+    '{{\n  "generated_at": {},\n  "mode": {},\n  "points": {},\n  "spec_version": {},\n  "summary": {}\n}}\n'
+)
+_POINT_JSON = '{{\n      "residuals": {},\n      "status": {},\n      "values": {},\n      "z": {}\n    }}'
+
+
+def _flat_writer(depth: int):
+    """A writer of a dict or list that holds no container, as json.dumps(x,
+    sort_keys=True, indent=2) writes it at that depth of nesting.  With an
+    indent json.dumps always takes CPython's pure Python encoder; this one
+    is the C encoder, whose item separator carries the newline and indent."""
+    pad = "\n" + "  " * depth
+    encode = json.JSONEncoder(sort_keys=True, separators=("," + pad + "  ", ": ")).encode
+
+    def write(x) -> str:
+        text = encode(x)
+        return f"{text[0]}{pad}  {text[1:-1]}{pad}{text[-1]}" if x else text
+
+    return write
+
+
+def _json_report(report: Report) -> str:
+    """json.dumps(report.to_dict(), sort_keys=True, indent=2) and a newline.
+    The containers of each point go through the C encoder, the few other
+    fields through json.dumps itself."""
+
+    def field(x) -> str:  # at depth 1; no json string holds a raw newline
+        return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+    flat = _flat_writer(3)
+    points = ",\n    ".join(
+        _POINT_JSON.format(
+            flat(p.residuals), json.dumps(p.status), flat(p.values), flat([p.z.real, p.z.imag])
+        )
+        for p in report.points
+    )
+    return _REPORT_JSON.format(
+        field(report.generated_at),
+        field(report.mode),
+        f"[\n    {points}\n  ]" if report.points else "[]",
+        field(report.spec_version),
+        field(report.summary),
+    )
+
+
 def emit(report: Report, format: str = "json") -> bytes:
-    """Serialize a report; json nests, csv flattens one row per point."""
+    """Serialize a report; json nests, csv flattens one row per point.  The
+    json bytes are those of json.dumps(report.to_dict(), sort_keys=True,
+    indent=2) and a newline: ASCII, NaN and infinities spelled as json
+    spells them."""
     if format == "json":
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        return (text + "\n").encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
 
@@ -452,6 +502,9 @@ def _records(points, failures, residuals: dict, values: dict) -> list[PointRecor
     """One record per point: a failed point has its failure, text or error,
     as its status and no columns; the stacked residual and value columns
     hold one row for each other point, in order."""
+    columns = [
+        {name: np.asarray(v, dtype=float).tolist() for name, v in c.items()} for c in (residuals, values)
+    ]
     records, rows = [], iter(range(len(points)))
     for z, failure in zip(points, failures):
         if failure is not None:
@@ -459,7 +512,7 @@ def _records(points, failures, residuals: dict, values: dict) -> list[PointRecor
             records.append(PointRecord(z, f"failed: {text}", {}, {}))
             continue
         i = next(rows)
-        row = [{name: float(v[i]) for name, v in columns.items()} for columns in (residuals, values)]
+        row = [{name: v[i] for name, v in c.items()} for c in columns]
         records.append(PointRecord(z, "ok", *row))
     return records
 
@@ -489,7 +542,8 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
 
     points = cfg.grid.points()
     data = frame_at(seq, h, np.array(points, dtype=complex))
-    passed = data.take([i for i, f in enumerate(data.failures) if f is None])
+    ok = [i for i, f in enumerate(data.failures) if f is None]
+    passed = data if len(ok) == len(points) else data.take(ok)
     residuals = {"b_solve": passed.b_solve_residual}
     values = _metric_values(passed.metric, passed.betas)
     if cfg.mode == "verify-frenet":

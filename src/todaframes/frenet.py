@@ -310,8 +310,9 @@ def frame_at(
     Alonso (2011), seeded by the holomorphic levels and their z
     derivatives, so the Wirtinger derivatives of the frame and gram blocks
     come out of the same pass.  Products with parts known to be zero are
-    skipped: h is constant, the levels have no d/dzbar parts, and the
-    projector chain starts at the identity.  xi, its z derivative and B are
+    skipped: h is constant, the identity metric (the default) is no
+    product at all, the levels have no d/dzbar parts, and the projector
+    chain starts at the identity.  xi, its z derivative and B are
     evaluated once each over all the points; levels and blocks are slices
     of those three stacks, and the chain runs once on the stacks, so a
     point gets the bits it gets alone.  The recorded solve residual is the
@@ -324,9 +325,14 @@ def frame_at(
     failures; every other point is unaffected.  At a single point the
     SingularBeta is raised.
     """
-    hm = h.matrix
     n = seq.n
     t = seq.t
+    hm = h.matrix
+    identity = np.array_equal(hm, np.eye(n))
+
+    def times_h(jet: tuple) -> tuple:  # h is constant: part by part
+        return jet if identity else tuple(y @ hm for y in jet)
+
     blocks = [seq.partition.slice(a) for a in range(t + 1)]
     shape = np.shape(z)
     w = np.asarray(z, dtype=complex).reshape(-1)
@@ -345,7 +351,7 @@ def frame_at(
         else:
             phi_a = _times_holomorphic(proj, x, dx)
         phi_h = jet_h(phi_a)
-        left = tuple(y @ hm for y in phi_h)  # h is constant: part by part
+        left = times_h(phi_h)
         beta_a = _times_holomorphic(left, x, dx) if a == 0 else jet_mul(left, phi_a)
         keep = alive.guard(
             beta_a[0],
@@ -361,7 +367,7 @@ def frame_at(
             break
         inv = jet_inv(beta_a)
         invs.append(inv[0])
-        p = tuple(y @ hm for y in jet_mul(jet_mul(phi_a, inv), phi_h))
+        p = times_h(jet_mul(jet_mul(phi_a, inv), phi_h))
         step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
         proj = step if a == 0 else jet_mul(step, proj)
 

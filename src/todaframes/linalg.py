@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+# LAPACK's SVD rescales no 1 by 1 matrix x with |x| within these bounds
+_UNSCALED = (1e-130, 1e130)
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,34 @@ def relative_defect(x, y):
 
 def condition(m: np.ndarray):
     """Condition numbers of m over its last two axes; a failed SVD or a non
-    finite value is infinite.  One matrix gives a scalar."""
+    finite value is infinite.  One matrix gives a scalar.
+
+    A 1 by 1 matrix x takes no SVD where the SVD's verdict is known: its one
+    singular value is |x|, so its condition is 1 when |x| lies between the
+    bounds of _UNSCALED and infinite when x is zero.  Near either end of the
+    float range, where the SVD's own scaling can overflow, and for a non
+    finite x, the SVD still decides."""
+    m = np.asarray(m)
+    if m.shape[-2:] != (1, 1):
+        return _svd_condition(m)
+    x = m.reshape(-1)
+    with np.errstate(over="ignore"):
+        a = np.abs(x)
+    cond = np.where(a == 0, math.inf, 1.0)
+    edge = ~((a == 0) | ((a >= _UNSCALED[0]) & (a <= _UNSCALED[1])))
+    if edge.any():
+        cond[edge] = _svd_condition(x[edge, None, None])
+    return cond.reshape(m.shape[:-2])[()]
+
+
+def _svd_condition(m: np.ndarray):
+    """condition of m by np.linalg.cond, which takes an SVD of every matrix."""
     try:
         cond = np.asarray(np.linalg.cond(m))
     except np.linalg.LinAlgError:  # one failed SVD fails its stack: take each alone
         if np.ndim(m) == 2:
             return math.inf
-        cond = np.array([condition(x) for x in m])
+        cond = np.array([_svd_condition(x) for x in m])
     cond[~np.isfinite(cond)] = math.inf
     return cond[()]
 
@@ -204,7 +227,10 @@ class Survivors:
 
     def full(self, x: np.ndarray) -> np.ndarray:
         """x, one row per live position, at every position, NaN at the
-        failed ones."""
+        failed ones; when none failed, x itself reshaped, a view and not a
+        copy."""
+        if self.live.size == len(self.failures):
+            return x.reshape(self.shape + x.shape[1:])
         out = np.full((len(self.failures),) + x.shape[1:], np.nan, dtype=x.dtype)
         out[self.live] = x
         return out.reshape(self.shape + x.shape[1:])

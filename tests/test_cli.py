@@ -446,6 +446,50 @@ class TestReports:
         report = self.make_report()
         assert json.loads(emit(report, "json")) == report.to_dict()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"mode": "frenet", "curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 2, "ny": 2}},
+            {"mode": "verify-frenet", "curve": [[[1]], [[0, 1]], [[0, 0, 1]]], "grid": {"nx": 2, "ny": 1}},
+            LINE_TODA,
+            dict(LINE_TODA, mode="verify-toda", hermitian_mode=False, seeds=GENERAL_SEEDS),
+            # the second matrix fails: a record with empty dicts
+            {"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[2, 1], [1, 1]], [[0, 1], [1, 0]]]},
+            # nested lists and bools in the summary
+            {"mode": "grading", "gradation": {"sizes": [1, 2, 1], "labels": [1, 3]}},
+        ],
+        ids=lambda cfg: cfg["mode"],
+    )
+    def test_json_bytes_are_json_dumps(self, cfg):
+        report = run(cfg)
+        assert emit(report, "json") == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "summary, points",
+        [
+            ({}, []),
+            (
+                {"b": [[1, 2], [3, [4.5, True]]], "a": False, "c": {"y": [], "x": {"w": {}}}, "d": None, "e": "é\n"},
+                [PointRecord(0j, "failed: x", {}, {})],
+            ),
+            (
+                {"residual_tol": 1e-5},
+                [
+                    PointRecord(
+                        complex(-0.0, 1e-300),
+                        'failed: "q" \\ é—\U0001d11e\n',
+                        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "zero": -0.0},
+                        {"g_0": 1.0, "tiny": 5e-324, "big": 1.7976931348623157e308},
+                    ),
+                    PointRecord(1 + 2j, "ok", {"a": 0.1}, {}),
+                ],
+            ),
+        ],
+    )
+    def test_hand_built_json_bytes_are_json_dumps(self, summary, points):
+        report = Report("1", "gauss", "now µ", summary, points)
+        assert emit(report, "json") == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+
     def test_json_deterministic_modulo_timestamp(self):
         cfg = {
             "mode": "frenet",

@@ -235,18 +235,23 @@ class TestFrameAt:
         frame_at(seq, HermitianMetric.identity(degree + 1), np.array([0.2 + 0.1j, -0.3, 0.4j, 0.0]))
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("which", ["normal5", "lift57"])
-    def test_equal_to_full_jet_products(self, which):
-        # frame_at skips the products of parts known to be zero; a chain of
-        # full jet products gives the same numbers, and so does each point
-        # of one call on all three points
+    @pytest.mark.parametrize(
+        "which, metric",
+        [("normal5", "general"), ("lift57", "general"), ("normal5", "identity"), ("lift57", "identity")],
+        ids=["normal5", "lift57", "normal5-identity", "lift57-identity"],
+    )
+    def test_equal_to_full_jet_products(self, which, metric):
+        # frame_at skips the products of parts known to be zero, and every
+        # product with the identity metric; a chain of full jet products
+        # gives the same numbers, and so does each point of one call on all
+        # three points
         if which == "normal5":
             seq = build_osculating(normal_curve(5))
         else:
             seq = build_osculating(random_lift(np.random.default_rng(57), 4, 2, 2))
         n = seq.n
         w = np.random.default_rng(3).standard_normal((n, n))
-        h = HermitianMetric(w @ w.T + n * np.eye(n))
+        h = HermitianMetric(w @ w.T + n * np.eye(n) if metric == "general" else np.eye(n))
         zs = (0.3 + 0.2j, -0.45j, 0.0)
         stacked = frame_at(seq, h, np.array(zs))
         for i, z in enumerate(zs):

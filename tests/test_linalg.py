@@ -6,6 +6,7 @@ from todaframes.grading import GradationSpec, degree_of_block
 from todaframes.linalg import (
     BlockStructure,
     HermitianMetric,
+    Survivors,
     condition,
     gauss_decompose,
     scaled_defect,
@@ -113,6 +114,47 @@ class TestStacks:
         assert cond[1] == np.inf and cond[2] == np.inf
         for i in (0, 3):
             assert cond[i] == condition(m[i]) == np.linalg.cond(m[i])
+
+    def test_condition_of_one_by_one_is_the_svd_verdict(self):
+        # 1 by 1 matrices skip the SVD where its verdict is known; across
+        # the float range, overflow of |x| included, they read as it does
+        big = 1.7976931348623157e308
+
+        def svd_condition(x):  # np.linalg.cond, one matrix at a time
+            try:
+                c = np.linalg.cond(x)
+            except np.linalg.LinAlgError:
+                return np.inf
+            return c if np.isfinite(c) else np.inf
+
+        values = [
+            1.0, 3 - 4j, -2.5j, 1e-130, 1e130, 1e-200 + 1e-200j, 1e200, 1e300j,  # finite
+            0.0, -0.0, complex(-0.0, -0.0),  # zero
+            5e-324, 5e-324j, complex(5e-324, -5e-324), 2.2e-308, 1e-310j,  # subnormal
+            big, complex(0.0, -big), complex(1.3e308, 1.3e308), complex(big, big),  # huge
+            complex(-1.711120398190366e308, -5.511511498926073e307),  # |x| rounds to big
+            complex(np.nan, 0.0), complex(1.0, np.nan), complex(np.inf, 0.0),  # not finite
+            complex(-np.inf, 1.0), complex(np.inf, np.nan),
+        ]
+        m = np.array(values, dtype=complex).reshape(-1, 1, 1)
+        with np.errstate(all="ignore"):
+            expected = np.array([svd_condition(x) for x in m])
+            assert np.array_equal(condition(m), expected)
+            assert np.array_equal(condition(m.reshape(2, -1, 1, 1)), expected.reshape(2, -1))
+            for x, c in zip(m, expected):
+                assert condition(x) == c
+        assert expected[0] == 1.0 and expected[8] == np.inf
+
+    def test_full_fills_failed_rows_only(self):
+        alive = Survivors((2, 2))
+        x = np.arange(8.0).reshape(4, 1, 2)
+        none_failed = alive.full(x)
+        assert none_failed.shape == (2, 2, 1, 2) and np.shares_memory(none_failed, x)
+        assert np.array_equal(none_failed.reshape(x.shape), x)
+        keep = alive.drop([None, "bad", None, None])
+        full = alive.full(x[keep]).reshape(x.shape)
+        assert np.isnan(full[1]).all()
+        assert np.array_equal(full[keep], x[keep]) and not np.shares_memory(full, x)
 
     def test_gauss_decompose_per_matrix(self):
         rng = np.random.default_rng(7)

@@ -4,17 +4,18 @@
 
 Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
-and writes each report as sorted, indented JSON without ``generated_at``,
-one file per job (46 in all).  The bench corpus has no grading or gauss
-job and no float coefficient, so a fixed list of such jobs (``EXTRA_JOBS``)
-follows, each written both as that JSON and as ``emit(report, "csv")``
-(12 files), 58 files in all.  Two checkouts give the same reports exactly
-when ``diff -r`` of their two output directories is empty.
+and writes each report as the CLI writes it, ``emit(report, "json")``,
+with an empty ``generated_at``, one file per job (46 in all).  The bench
+corpus has no grading or gauss job and no float coefficient, so a fixed
+list of such jobs (``EXTRA_JOBS``) follows, each written both as that JSON
+and as ``emit(report, "csv")`` (12 files), 58 files in all.  Two checkouts
+give the same reports, and the same report bytes, exactly when ``diff -r``
+of their two output directories is empty.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -64,9 +65,7 @@ def corpus_jobs():
 
 
 def _write_json(path: Path, report) -> None:
-    data = report.to_dict()
-    del data["generated_at"]
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_bytes(emit(dataclasses.replace(report, generated_at=""), "json"))
 
 
 def main(argv: list[str]) -> int:
