@@ -111,7 +111,6 @@ class JobConfig:
     c_minus: PolyMatrix | None = None
     c_plus: PolyMatrix | None = None
     hermitian_mode: bool = True
-    gap: int = 1
     matrices: tuple[np.ndarray, ...] = ()
     count: int = 0
     seed: int = 0
@@ -129,9 +128,11 @@ def _as_number(v, path: str) -> float:
     return x
 
 
-def _as_int(v, path: str) -> int:
+def _as_int(v, path: str, least: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(path, f"expected an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ConfigError(path, f"must be at least {least}")
     return v
 
 
@@ -224,7 +225,6 @@ _TOP_KEYS = {
     "integration",
     "seeds",
     "hermitian_mode",
-    "gap",
     "matrices",
     "count",
     "seed",
@@ -267,14 +267,11 @@ def parse_config(raw: dict) -> JobConfig:
     cfg.grid = GridSpec(
         center=_as_complex(g.get("center", 0.0), "grid.center"),
         radius=_as_number(g.get("radius", 1.0), "grid.radius"),
-        nx=_as_int(g.get("nx", 3), "grid.nx"),
-        ny=_as_int(g.get("ny", 3), "grid.ny"),
+        nx=_as_int(g.get("nx", 3), "grid.nx", 1),
+        ny=_as_int(g.get("ny", 3), "grid.ny", 1),
     )
     if cfg.grid.radius <= 0:
         raise ConfigError("grid.radius", "must be positive")
-    for name in ("nx", "ny"):
-        if getattr(cfg.grid, name) < 1:
-            raise ConfigError(f"grid.{name}", "point counts must be at least 1")
 
     tol = _section(raw, "tolerances").get("residual_tol", 1e-5)
     cfg.residual_tol = _as_number(tol, "tolerances.residual_tol")
@@ -309,18 +306,9 @@ def parse_config(raw: dict) -> JobConfig:
         if not isinstance(raw["hermitian_mode"], bool):
             raise ConfigError("hermitian_mode", "expected true or false")
         cfg.hermitian_mode = raw["hermitian_mode"]
-    if "gap" in raw:
-        cfg.gap = _as_int(raw["gap"], "gap")
-        if cfg.gap < 1:
-            raise ConfigError("gap", "must be a positive integer")
-    if "seed" in raw:
-        cfg.seed = _as_int(raw["seed"], "seed")
-        if cfg.seed < 0:
-            raise ConfigError("seed", "must be nonnegative")
-    if "count" in raw:
-        cfg.count = _as_int(raw["count"], "count")
-        if cfg.count < 0:
-            raise ConfigError("count", "must be nonnegative")
+    for name in ("seed", "count"):
+        if name in raw:
+            setattr(cfg, name, _as_int(raw[name], name, 0))
     if "matrices" in raw:
         if not isinstance(raw["matrices"], list):
             raise ConfigError("matrices", "expected a list of matrices")
@@ -380,10 +368,8 @@ class Report:
     @property
     def max_residual(self) -> float:
         """The worst residual; NaN when any residual is NaN."""
-        values = [v for p in self.points for v in p.residuals.values()]
-        if any(math.isnan(v) for v in values):
-            return math.nan
-        return max(values, default=0.0)
+        values = itertools.chain.from_iterable(p.residuals.values() for p in self.points)
+        return float(np.fromiter(values, dtype=float).max(initial=0.0))
 
     def exit_code(self) -> int:
         tol = self.summary.get("residual_tol", 1e-5)
@@ -527,28 +513,23 @@ def _metric(cfg: JobConfig, n: int, against: str) -> HermitianMetric:
 def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     if cfg.curve is None:
         raise ConfigError("curve", "required for frenet modes")
-    try:
-        seq = build_osculating(cfg.curve)
-        # a derived coefficient beyond the float range is a config error
-        for m in (seq.xi, seq.dxi, seq.b):
-            m.evaluate(0)
-    except TodaframesError as exc:
-        raise ConfigError("curve", str(exc)) from None
-    except OverflowError:
-        raise ConfigError("curve", "a derived coefficient is beyond the float range") from None
     n = cfg.curve.rows
     h = _metric(cfg, n, f"curve ({n} rows)")
-    t = seq.t
-
     points = cfg.grid.points()
-    data = frame_at(seq, h, np.array(points, dtype=complex))
+    try:
+        seq = build_osculating(cfg.curve)
+        data = frame_at(seq, h, np.array(points, dtype=complex))
+    except TodaframesError as exc:
+        raise ConfigError("curve", str(exc)) from None
+    except OverflowError:  # a derived coefficient beyond the float range, at its first evaluation
+        raise ConfigError("curve", "a derived coefficient is beyond the float range") from None
     ok = [i for i, f in enumerate(data.failures) if f is None]
     passed = data if len(ok) == len(points) else data.take(ok)
     residuals = {"b_solve": passed.b_solve_residual}
     values = _metric_values(passed.metric, passed.betas)
     if cfg.mode == "verify-frenet":
         frame = verify_frame_equations(passed)
-        for a in range(t + 1):
+        for a in range(seq.t + 1):
             residuals[f"frame_minus_{a}"] = frame.minus[a]
             residuals[f"frame_plus_{a}"] = frame.plus[a]
         for a, v in enumerate(kahler_check(passed)):
@@ -575,10 +556,10 @@ def _build_problem(cfg: JobConfig) -> TodaProblem:
     if cfg.hermitian_mode:
         if cfg.c_plus is not None:
             raise ConfigError("seeds.c_plus", "derived automatically in hermitian mode")
-        return TodaProblem.hermitian_problem(cfg.gradation, cfg.gap, cfg.c_minus, h)
+        return TodaProblem.hermitian_problem(cfg.gradation, cfg.c_minus, h)
     if cfg.c_plus is None:
         raise ConfigError("seeds.c_plus", "required outside hermitian mode")
-    return TodaProblem(cfg.gradation, cfg.gap, cfg.c_minus, cfg.c_plus, h, hermitian_mode=False)
+    return TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus, h, hermitian_mode=False)
 
 
 def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
@@ -589,8 +570,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
             raise ConfigError("seeds.gamma_minus", "required for toda modes")
         sol = solve(problem, cfg.gamma_minus, pts, basepoint=cfg.basepoint, gamma_plus=cfg.gamma_plus)
     except InvalidArgument as exc:  # named by the config field it was read from
-        field = "gap" if exc.argument == "gap" else f"seeds.{exc.argument}"
-        raise ConfigError(field, str(exc)) from None
+        raise ConfigError(f"seeds.{exc.argument}", str(exc)) from None
     except ValueError as exc:
         raise ConfigError("seeds", str(exc)) from None
     except OverflowError:  # a seed derivative beyond the float range
@@ -617,12 +597,8 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     if cfg.mode == "verify-toda":
         residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
 
-    records = _records(pts, sol.failures, residuals, values)
-    summary = {
-        "hermitian_mode": cfg.hermitian_mode,
-        "failure_fraction": sum(1 for r in records if not r.ok) / max(1, len(records)),
-    }
-    return summary, records
+    summary = {"hermitian_mode": cfg.hermitian_mode, "failure_fraction": sol.failure_fraction}
+    return summary, _records(pts, sol.failures, residuals, values)
 
 
 def _random_test_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

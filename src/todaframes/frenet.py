@@ -212,7 +212,6 @@ class FrameResiduals:
     """Norms of the frame equation defects, per level, at the points of the
     frame data."""
 
-    z: complex | np.ndarray
     minus: tuple
     plus: tuple
 
@@ -422,7 +421,7 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
         terms = [] if a == 0 else [below @ -dagger(data.b_sub[a - 1]) @ data.betas[a]]
         res_plus.append(scaled_defect(data.phis_dzbar[a], terms))
         below = here
-    return FrameResiduals(z=data.z, minus=tuple(res_minus), plus=tuple(res_plus))
+    return FrameResiduals(minus=tuple(res_minus), plus=tuple(res_plus))
 
 
 def _metric_coefficient(beta_inv, beta_next, b):

@@ -274,15 +274,14 @@ class GaussFactors:
     """Factors of g = n_minus @ eta @ inv(n_plus), over the last two axes.
 
     n_minus is block lower unit triangular, eta block diagonal and n_plus
-    block upper unit triangular, all with respect to ``blocks``.  failures
-    holds the error of each matrix, in the flattened order of a stack, or
-    None; a failed matrix has NaN factors.
+    block upper unit triangular, all with respect to the blocks of the
+    decomposition.  failures holds the error of each matrix, in the
+    flattened order of a stack, or None; a failed matrix has NaN factors.
     """
 
     n_minus: np.ndarray
     eta: np.ndarray
     n_plus: np.ndarray
-    blocks: BlockStructure
     failures: tuple[GaussDecompositionFailed | None, ...]
 
     def recompose(self) -> np.ndarray:
@@ -332,4 +331,4 @@ def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
     # inverse keeps its exact zeros and ones
     n_plus = np.linalg.inv(upper)
     lower, eta, n_plus = map(alive.full, (lower, eta, n_plus))
-    return GaussFactors(lower, eta, n_plus, blocks, tuple(alive.failures))
+    return GaussFactors(lower, eta, n_plus, tuple(alive.failures))

@@ -39,7 +39,7 @@ is d/dz, the plus derivative is d/dzbar.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -94,62 +94,70 @@ def _nonzero_blocks(m: PolyMatrix, blocks: BlockStructure, name: str):
                 yield a, b
 
 
-def _require_pure_degree(m: PolyMatrix, spec: GradationSpec, degree: int, name: str):
-    for a, b in _nonzero_blocks(m, spec.blocks, name):
-        found = degree_of_block(spec, a, b)
-        if found != degree:
-            raise InvalidArgument(
-                name,
-                f"{name} has a nonzero entry in block ({a}, {b}) of degree {found}, "
-                f"expected pure degree {degree}",
-            )
-
-
 def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
     if any(a != b for a, b in _nonzero_blocks(m, blocks, name)):
         raise InvalidArgument(name, f"{name} must be block diagonal")
 
 
-def _check_gap(spec: GradationSpec, gap: int):
-    degrees = {
-        degree_of_block(spec, a, b)
-        for a in range(spec.count)
-        for b in range(spec.count)
+def _derive_gap(spec: GradationSpec, c_minus: PolyMatrix, c_plus: PolyMatrix) -> int | None:
+    """The gap l of the c data, None when both are zero.
+
+    l is read from the first nonzero block of c_minus, or of c_plus when
+    c_minus is zero, and is at least 1; every nonzero block of c_minus must
+    then have degree -l and every one of c_plus degree +l.  The gradation
+    must have no nonzero subspace in 0 < degree < l: label runs are
+    nonnegative, so its smallest positive degree is its smallest positive
+    label.  A band violation names the seed the gap was read from.
+    """
+    sign = {"c_minus": -1, "c_plus": 1}
+    found = {
+        name: [(a, b, degree_of_block(spec, a, b)) for a, b in _nonzero_blocks(m, spec.blocks, name)]
+        for name, m in (("c_minus", c_minus), ("c_plus", c_plus))
     }
-    positive = sorted(d for d in degrees if d > 0)
-    if positive and positive[0] < gap:
+    source = "c_minus" if found["c_minus"] else "c_plus"
+    if not found[source]:
+        return None
+    gap = max(1, sign[source] * found[source][0][2])
+    for name, degrees in found.items():
+        for a, b, d in degrees:
+            if d != sign[name] * gap:
+                raise InvalidArgument(
+                    name,
+                    f"{name} has a nonzero entry in block ({a}, {b}) of degree {d}, "
+                    f"expected pure degree {sign[name] * gap}",
+                )
+    band = min((s for s in spec.labels if s > 0), default=gap)
+    if band < gap:
         raise InvalidArgument(
-            "gap",
-            f"gradation has a nonzero subspace in degree {positive[0]}, "
+            source,
+            f"gradation has a nonzero subspace in degree {band}, "
             f"inside the required trivial band 0 < degree < {gap}",
         )
+    return gap
 
 
 @dataclass(frozen=True)
 class TodaProblem:
-    """Gradation, gap, the two constant-degree matrices, and the metric.
+    """Gradation, the two constant-degree matrices, and the metric.
 
     c_minus is holomorphic (a plain polynomial matrix of z) and purely of
     degree -gap in the gradation.  c_plus is stored in the conjugate
     variable: the matrix q kept here acts as z -> q(zbar) and is purely of
-    degree +gap.  In hermitian mode c_plus is minus the conjugate
+    degree +gap.  The gap is not given but read from the c data (None when
+    both are zero).  In hermitian mode c_plus is minus the conjugate
     transpose of c_minus pointwise, which in the stored representation is
     an exact polynomial identity.
     """
 
     gradation: GradationSpec
-    gap: int
     c_minus: PolyMatrix
     c_plus: PolyMatrix
     h: HermitianMetric
     hermitian_mode: bool = False
+    gap: int | None = field(init=False)
 
     def __post_init__(self):
-        if self.gap < 1:
-            raise InvalidArgument("gap", "gap must be a positive integer")
-        _check_gap(self.gradation, self.gap)
-        _require_pure_degree(self.c_minus, self.gradation, -self.gap, "c_minus")
-        _require_pure_degree(self.c_plus, self.gradation, self.gap, "c_plus")
+        object.__setattr__(self, "gap", _derive_gap(self.gradation, self.c_minus, self.c_plus))
         if self.h.n != self.gradation.n:
             raise InvalidArgument("h", "metric size does not match the gradation")
         if self.hermitian_mode:
@@ -161,7 +169,6 @@ class TodaProblem:
     def hermitian_problem(
         cls,
         gradation: GradationSpec,
-        gap: int,
         c_minus: PolyMatrix,
         h: HermitianMetric | None = None,
     ) -> "TodaProblem":
@@ -169,7 +176,6 @@ class TodaProblem:
         metric = HermitianMetric.identity(gradation.n) if h is None else h
         return cls(
             gradation=gradation,
-            gap=gap,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
             h=metric,
@@ -300,8 +306,6 @@ class TodaSolution:
     NaN where transport failed)."""
 
     grid: tuple[complex, ...]
-    blocks: BlockStructure
-    hermitian_mode: bool
     gamma_jets: np.ndarray
     phi: np.ndarray
     mu_minus: np.ndarray
@@ -318,9 +322,7 @@ class TodaSolution:
 
     @property
     def failure_fraction(self) -> float:
-        if not self.grid:
-            return 0.0
-        return 1.0 - len(self.ok_indices) / len(self.grid)
+        return sum(f is not None for f in self.failures) / max(1, len(self.failures))
 
 
 def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> tuple:
@@ -442,8 +444,6 @@ def solve(
 
     return TodaSolution(
         grid=tuple(complex(p) for p in z),
-        blocks=blocks,
-        hermitian_mode=problem.hermitian_mode,
         gamma_jets=alive.full(np.stack(gamma, axis=1)),
         phi=alive.full(phi),
         mu_minus=minus,

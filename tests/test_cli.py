@@ -63,7 +63,7 @@ class TestConfigParsing:
     def test_grid_validation(self):
         with pytest.raises(ConfigError, match="radius"):
             parse_config({"mode": "frenet", "grid": {"radius": -1}})
-        with pytest.raises(ConfigError, match="counts"):
+        with pytest.raises(ConfigError, match=r"'grid\.nx': must be at least 1"):
             parse_config({"mode": "frenet", "grid": {"nx": 0}})
 
     def test_tolerance_validation(self):
@@ -547,6 +547,17 @@ class TestReports:
             assert np.isnan(report.max_residual)
             assert report.exit_code() == 1
 
+    def test_max_residual_is_the_largest_over_every_point(self):
+        cases = (
+            ([], 0.0),
+            ([{}], 0.0),
+            ([{"a": 1e-3, "b": 2.5}, {}, {"a": 0.25}], 2.5),
+            ([{"a": 1.0}, {"b": np.inf}], np.inf),
+        )
+        for rows, worst in cases:
+            points = [PointRecord(z=0.0, status="ok", residuals=r, values={}) for r in rows]
+            assert Report("1", "gauss", "now", {}, points).max_residual == worst
+
 
 class TestMain:
     def write_config(self, tmp_path, cfg) -> str:
@@ -623,6 +634,17 @@ class TestMain:
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
         assert "tolerances.fd_step" in capsys.readouterr().err
 
+    def test_removed_gap_is_exit_2(self, tmp_path, capsys):
+        # the gap is read from c_minus and c_plus
+        cfg = dict(LINE_TODA, gap=1)
+        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "'gap'" in capsys.readouterr().err
+
+    def test_gap_two_without_gap_key_is_exit_0(self, tmp_path, capsys):
+        # labels [2] put c_minus's block (1, 0) in degree -2
+        cfg = dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [2]})
+        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 0
+
     def test_removed_steps_is_exit_2(self, tmp_path, capsys):
         cfg = dict(LINE_TODA, integration={"steps": 400})
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
@@ -656,7 +678,16 @@ class TestMain:
                 "seeds",
             ),
             # a malformed Toda input is named by its own field
-            (dict(LINE_TODA, gap=2), "gap"),
+            # c_minus of degree -2 over labels (1, 1): degree 1 is in the
+            # band its gap 2 requires to be trivial
+            (
+                dict(
+                    LINE_TODA,
+                    gradation={"sizes": [1, 1, 1], "labels": [1, 1]},
+                    seeds=dict(LINE_TODA["seeds"], c_minus=[[[0], [0], [0]], [[0], [0], [0]], [[1], [0], [0]]]),
+                ),
+                "seeds.c_minus",
+            ),
             (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], c_minus=[[[0]]])), "seeds.c_minus"),
             (
                 dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, c_plus=[[[0], [0]], [[1], [0]]])),

@@ -44,7 +44,7 @@ def line_lowering() -> PolyMatrix:
 
 
 def line_problem(h=None) -> TodaProblem:
-    return TodaProblem.hermitian_problem(line_gradation(), 1, line_lowering(), h)
+    return TodaProblem.hermitian_problem(line_gradation(), line_lowering(), h)
 
 
 def chain_spec() -> GradationSpec:
@@ -128,7 +128,7 @@ class TestProblemValidation:
     def test_c_data_at_an_array_of_points(self):
         # an array of points gives, bit for bit, the values at each point
         c_minus = PolyMatrix([[0, 0, 0], [[1, GaussianRational(0, 1)], 0, 0], [0, [Fraction(1, 3), 0, 2], 0]])
-        p = TodaProblem.hermitian_problem(chain_spec(), 1, c_minus)
+        p = TodaProblem.hermitian_problem(chain_spec(), c_minus)
         zs = np.array([[0.3 - 0.7j, 2.0], [-1.5j, 1 / 3 + 0.25j]])
         for at in (p.c_minus_at, p.c_plus_at):
             grid = at(zs)
@@ -139,28 +139,51 @@ class TestProblemValidation:
     def test_diagonal_entry_rejected(self):
         bad = PolyMatrix([[1, 0], [1, 0]])
         with pytest.raises(ValueError, match="degree"):
-            TodaProblem.hermitian_problem(line_gradation(), 1, bad)
+            TodaProblem.hermitian_problem(line_gradation(), bad)
 
     def test_wrong_degree_rejected(self):
         # entry in the raising block is degree +1, not -1
         bad = PolyMatrix([[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="c_minus"):
-            TodaProblem.hermitian_problem(line_gradation(), 1, bad)
+            TodaProblem.hermitian_problem(line_gradation(), bad)
 
     def test_gap_band_must_be_trivial(self):
-        with pytest.raises(ValueError, match="trivial band"):
-            TodaProblem.hermitian_problem(line_gradation(), 2, line_lowering())
+        # c_minus only in block (2, 0), of degree -2, over labels (1, 1):
+        # degree 1 is inside the band the gap 2 requires to be trivial
+        c_minus = PolyMatrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match="trivial band") as info:
+            TodaProblem.hermitian_problem(chain_spec(), c_minus)
+        assert info.value.argument == "c_minus"
 
     def test_gap_two_with_label_two_accepted(self):
         spec = GradationSpec(BlockStructure((1, 1)), (2,))
-        p = TodaProblem.hermitian_problem(spec, 2, line_lowering())
+        p = TodaProblem.hermitian_problem(spec, line_lowering())
         assert p.gap == 2
+
+    def test_zero_data_has_no_gap(self):
+        assert TodaProblem.hermitian_problem(chain_spec(), PolyMatrix.zeros(3, 3)).gap is None
+
+    def test_gap_read_from_c_plus_when_c_minus_is_zero(self):
+        spec = GradationSpec(BlockStructure((1, 1)), (2,))
+        p = TodaProblem(
+            gradation=spec,
+            c_minus=PolyMatrix.zeros(2, 2),
+            c_plus=PolyMatrix([[0, 1], [0, 0]]),
+            h=HermitianMetric.identity(2),
+        )
+        assert p.gap == 2
+
+    def test_mixed_degree_rejected(self):
+        # blocks (1, 0) and (2, 0) have degrees -1 and -2
+        c_minus = PolyMatrix([[0, 0, 0], [1, 0, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match="expected pure degree -1") as info:
+            TodaProblem.hermitian_problem(chain_spec(), c_minus)
+        assert info.value.argument == "c_minus"
 
     def test_hermitian_flag_checks_consistency(self):
         with pytest.raises(ValueError, match="hermitian"):
             TodaProblem(
                 gradation=line_gradation(),
-                gap=1,
                 c_minus=line_lowering(),
                 c_plus=PolyMatrix([[0, 1], [0, 0]]),
                 h=HermitianMetric.identity(2),
@@ -170,12 +193,8 @@ class TestProblemValidation:
     def test_metric_size_checked(self):
         with pytest.raises(ValueError, match="metric"):
             TodaProblem.hermitian_problem(
-                line_gradation(), 1, line_lowering(), HermitianMetric.identity(3)
+                line_gradation(), line_lowering(), HermitianMetric.identity(3)
             )
-
-    def test_gap_positive(self):
-        with pytest.raises(ValueError, match="gap"):
-            TodaProblem.hermitian_problem(line_gradation(), 0, line_lowering())
 
 
 class TestIntegrateMu:
@@ -193,7 +212,7 @@ class TestIntegrateMu:
     def test_three_level_transport_is_exponential(self):
         # c_minus = N with N^3 = 0: mu_minus = exp(zN) needs the depth two term
         nil = np.diag([1.0, 1.0], -1)
-        p = TodaProblem.hermitian_problem(chain_spec(), 1, chain_lowering())
+        p = TodaProblem.hermitian_problem(chain_spec(), chain_lowering())
         z = 0.8 - 0.6j
         mu_m, _ = transport(p, PolyMatrix.identity(3), z)
         assert np.linalg.norm(mu_m - (np.eye(3) + z * nil + z * z * nil @ nil / 2)) < 1e-14
@@ -203,7 +222,6 @@ class TestIntegrateMu:
         up = np.diag([1.0, 1.0], 1)
         p = TodaProblem(
             gradation=chain_spec(),
-            gap=1,
             c_minus=chain_lowering(),
             c_plus=PolyMatrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]]),
             h=HermitianMetric.identity(3),
@@ -227,7 +245,6 @@ class TestIntegrateMu:
         gamma_plus = random_gamma_seed(rng, blocks)
         p = TodaProblem(
             gradation=spec,
-            gap=1,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
             h=HermitianMetric.identity(blocks.n),
@@ -265,7 +282,6 @@ class TestIntegrateMu:
     def test_gamma_plus_required_without_hermitian_mode(self):
         p = TodaProblem(
             gradation=line_gradation(),
-            gap=1,
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
             h=HermitianMetric.identity(2),
@@ -292,7 +308,7 @@ class TestSolve:
         sol = solve(p, PolyMatrix.identity(2), [0.6 - 0.3j])
         data = frame_at(seq, h, 0.6 - 0.3j)
         for a in range(2):
-            s = sol.blocks.slice(a)
+            s = p.blocks.slice(a)
             assert np.linalg.norm(sol.gamma[0][s, s] - data.betas[a]) < 1e-8
 
     def test_phi_relation_identity_metric(self):
@@ -311,7 +327,7 @@ class TestSolve:
             assert np.linalg.norm(gamma - line_gamma(z)) < 1e-8
 
     def test_trivial_data_gives_constants(self):
-        p = TodaProblem.hermitian_problem(line_gradation(), 1, PolyMatrix.zeros(2, 2))
+        p = TodaProblem.hermitian_problem(line_gradation(), PolyMatrix.zeros(2, 2))
         sol = solve(p, PolyMatrix.identity(2), [0.0, 0.7 - 0.1j])
         for gamma, phi in zip(sol.gamma, sol.phi):
             assert np.linalg.norm(gamma - np.eye(2)) < 1e-12
@@ -321,7 +337,6 @@ class TestSolve:
         hp = line_problem()
         nh = TodaProblem(
             gradation=line_gradation(),
-            gap=1,
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
             h=HermitianMetric.identity(2),
@@ -351,7 +366,6 @@ class TestSolve:
         # batching changes no other point
         p = TodaProblem(
             gradation=line_gradation(),
-            gap=1,
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
             h=HermitianMetric.identity(2),
@@ -391,7 +405,6 @@ class TestJets:
         gamma_plus = None if hermitian else random_gamma_seed(rng, blocks)
         p = TodaProblem(
             gradation=GradationSpec(blocks, (1, 1)),
-            gap=1,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
             h=HermitianMetric.identity(blocks.n),
@@ -444,7 +457,6 @@ class TestJets:
         seed = PolyMatrix([[[1, Fraction(1, 4)], 0], [0, 1]])
         p = TodaProblem(
             gradation=line_gradation(),
-            gap=1,
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
             h=HermitianMetric.identity(2),
@@ -549,7 +561,7 @@ class TestStackedChecks:
     def test_checks_per_point(self):
         rng = np.random.default_rng(11)
         blocks = BlockStructure((2, 2))
-        p = TodaProblem.hermitian_problem(GradationSpec(blocks, (1,)), 1, subdiagonal_lowering(blocks))
+        p = TodaProblem.hermitian_problem(GradationSpec(blocks, (1,)), subdiagonal_lowering(blocks))
         z = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.4 - 0.1j])
         sol = solve(p, random_gamma_seed(rng, blocks), z)
         assert sol.failures == (None,) * 4
@@ -580,7 +592,7 @@ class TestFrenetTodaBridge:
         seq = build_osculating(xi)
         h = HermitianMetric.identity(3)
         spec = GradationSpec(seq.partition, (1,) * seq.t)
-        p = TodaProblem.hermitian_problem(spec, 1, seq.c_minus_matrix(), h)
+        p = TodaProblem.hermitian_problem(spec, seq.c_minus_matrix(), h)
 
         for z in (0.4 + 0.1j, -0.2 + 0.5j):
             jet = frame_at(seq, h, z).gamma_jet

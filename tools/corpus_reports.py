@@ -6,11 +6,11 @@ Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as the CLI writes it, ``emit(report, "json")``,
 with an empty ``generated_at``, one file per job (46 in all).  The bench
-corpus has no grading or gauss job and no float coefficient, so a fixed
-list of such jobs (``EXTRA_JOBS``) follows, each written both as that JSON
-and as ``emit(report, "csv")`` (12 files), 58 files in all.  Two checkouts
-give the same reports, and the same report bytes, exactly when ``diff -r``
-of their two output directories is empty.
+corpus has no grading or gauss job, no float coefficient and no failed
+point, so a fixed list of such jobs (``EXTRA_JOBS``) follows, each written
+both as that JSON and as ``emit(report, "csv")`` (18 files), 64 files in
+all.  Two checkouts give the same reports, and the same report bytes,
+exactly when ``diff -r`` of their two output directories is empty.
 """
 
 from __future__ import annotations
@@ -49,6 +49,24 @@ EXTRA_JOBS = {
         "mode": "verify-frenet",
         "curve": [[[1]], [[0, 0.5]], [[0, 0, [0.3, 0.1]]]],
         "grid": {"center": [0.1, -0.2], "radius": 0.6, "nx": 3, "ny": 3},
+    },
+    # failed points, which no corpus job has: every point but the centre
+    # fails its gram block guard, and the seed diag(z, 1) is singular on
+    # the legs from 0.5 to two points
+    "verify-frenet-huge-grid": {
+        "mode": "verify-frenet",
+        "curve": [[[1]], [[0, 1]], [[0, 0, 1]], [[0, 0, 0, 1]]],
+        "grid": {"radius": 1e60, "nx": 3, "ny": 3},
+    },
+    **{
+        f"{mode}-singular-seed": {
+            "mode": mode,
+            "gradation": {"sizes": [1, 1], "labels": [1]},
+            "grid": {"radius": 0.7, "nx": 3, "ny": 3},
+            "integration": {"basepoint": 0.5},
+            "seeds": {"gamma_minus": [[[0, 1], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1], [0]]]},
+        }
+        for mode in ("toda-solve", "verify-toda")
     },
 }
 
