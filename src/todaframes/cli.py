@@ -215,19 +215,24 @@ def _as_complex_matrix(v, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-_TOP_KEYS = {
-    "mode",
-    "curve",
-    "gradation",
-    "metric_h",
-    "grid",
-    "tolerances",
-    "integration",
-    "seeds",
-    "hermitian_mode",
-    "matrices",
-    "count",
-    "seed",
+_FRENET_KEYS = ("curve", "metric_h", "grid", "tolerances")
+_TODA_KEYS = ("gradation", "seeds", "metric_h", "grid", "tolerances", "integration", "hermitian_mode")
+# the top-level keys each mode reads, besides mode; the README lists the same
+_MODE_KEYS = {
+    "frenet": _FRENET_KEYS,
+    "verify-frenet": _FRENET_KEYS,
+    "toda-solve": _TODA_KEYS,
+    "verify-toda": _TODA_KEYS,
+    "gauss": ("gradation", "matrices", "count", "seed", "tolerances"),
+    "grading": ("gradation", "tolerances"),
+}
+
+# the fields each mode cannot run without
+_REQUIRED = {
+    **dict.fromkeys(("frenet", "verify-frenet"), ("curve",)),
+    **dict.fromkeys(("toda-solve", "verify-toda"), ("gradation", "seeds.c_minus", "seeds.gamma_minus")),
+    "gauss": ("gradation",),
+    "grading": ("gradation",),
 }
 
 # the keys each nested config object accepts; the README lists the same
@@ -255,12 +260,12 @@ def parse_config(raw: dict) -> JobConfig:
     """Validate a configuration mapping and build the typed job."""
     if not isinstance(raw, dict):
         raise ConfigError("", "configuration must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown configuration key")
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
+    unknown = set(raw) - {"mode", *_MODE_KEYS[mode]}
+    if unknown:
+        raise ConfigError(sorted(unknown)[0], f"unknown configuration key in {mode} mode")
     cfg = JobConfig(mode=mode)
 
     g = _section(raw, "grid")
@@ -306,12 +311,12 @@ def parse_config(raw: dict) -> JobConfig:
         if not isinstance(raw["hermitian_mode"], bool):
             raise ConfigError("hermitian_mode", "expected true or false")
         cfg.hermitian_mode = raw["hermitian_mode"]
-    for name in ("seed", "count"):
+    for name, least in (("seed", 0), ("count", 1)):
         if name in raw:
-            setattr(cfg, name, _as_int(raw[name], name, 0))
+            setattr(cfg, name, _as_int(raw[name], name, least))
     if "matrices" in raw:
-        if not isinstance(raw["matrices"], list):
-            raise ConfigError("matrices", "expected a list of matrices")
+        if not isinstance(raw["matrices"], list) or not raw["matrices"]:
+            raise ConfigError("matrices", "expected a nonempty list of matrices")
         cfg.matrices = tuple(
             _as_complex_matrix(m, f"matrices[{i}]") for i, m in enumerate(raw["matrices"])
         )
@@ -321,6 +326,19 @@ def parse_config(raw: dict) -> JobConfig:
         if name in s:
             setattr(cfg, name, _as_poly_matrix(s[name], f"seeds.{name}"))
 
+    # presence rules, once every given field has parsed
+    for path in _REQUIRED[mode]:
+        if getattr(cfg, path.rpartition(".")[2]) is None:
+            raise ConfigError(path, f"required in {mode} mode")
+    if mode in ("toda-solve", "verify-toda"):
+        for name in ("c_plus", "gamma_plus"):  # hermitian mode derives both
+            if (getattr(cfg, name) is None) != cfg.hermitian_mode:
+                why = "derived in hermitian mode" if cfg.hermitian_mode else "required outside hermitian mode"
+                raise ConfigError(f"seeds.{name}", why)
+    if mode == "gauss" and ("matrices" in raw) == ("count" in raw):
+        raise ConfigError("matrices", "give either matrices or a count")
+    if "seed" in raw and "count" not in raw:
+        raise ConfigError("seed", "seeds the random matrices of count")
     return cfg
 
 
@@ -511,8 +529,6 @@ def _metric(cfg: JobConfig, n: int, against: str) -> HermitianMetric:
 
 
 def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
-    if cfg.curve is None:
-        raise ConfigError("curve", "required for frenet modes")
     n = cfg.curve.rows
     h = _metric(cfg, n, f"curve ({n} rows)")
     points = cfg.grid.points()
@@ -546,28 +562,15 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     return summary, _records(points, data.failures, residuals, values)
 
 
-def _build_problem(cfg: JobConfig) -> TodaProblem:
-    if cfg.gradation is None:
-        raise ConfigError("gradation", "required for toda modes")
-    if cfg.c_minus is None:
-        raise ConfigError("seeds.c_minus", "required for toda modes")
-    n = cfg.gradation.n
-    h = _metric(cfg, n, f"gradation ({n} rows)")
-    if cfg.hermitian_mode:
-        if cfg.c_plus is not None:
-            raise ConfigError("seeds.c_plus", "derived automatically in hermitian mode")
-        return TodaProblem.hermitian_problem(cfg.gradation, cfg.c_minus, h)
-    if cfg.c_plus is None:
-        raise ConfigError("seeds.c_plus", "required outside hermitian mode")
-    return TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus, h, hermitian_mode=False)
-
-
 def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     pts = cfg.grid.points()
+    n = cfg.gradation.n
+    h = _metric(cfg, n, f"gradation ({n} rows)")
     try:
-        problem = _build_problem(cfg)
-        if cfg.gamma_minus is None:
-            raise ConfigError("seeds.gamma_minus", "required for toda modes")
+        if cfg.hermitian_mode:
+            problem = TodaProblem.hermitian_problem(cfg.gradation, cfg.c_minus, h)
+        else:
+            problem = TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus, h, hermitian_mode=False)
         sol = solve(problem, cfg.gamma_minus, pts, basepoint=cfg.basepoint, gamma_plus=cfg.gamma_plus)
     except InvalidArgument as exc:  # named by the config field it was read from
         raise ConfigError(f"seeds.{exc.argument}", str(exc)) from None
@@ -611,18 +614,12 @@ def _random_test_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
-    if cfg.gradation is None:
-        raise ConfigError("gradation", "required for gauss mode")
     blocks = cfg.gradation.blocks
     for i, m in enumerate(cfg.matrices):
         if m.shape != (blocks.n, blocks.n):
             raise ConfigError(f"matrices[{i}]", f"shape {m.shape} does not match the gradation")
-    mats = list(cfg.matrices)
-    if not mats and cfg.count:
-        rng = np.random.default_rng(cfg.seed)
-        mats = [_random_test_matrix(rng, blocks.n) for _ in range(cfg.count)]
-    if not mats:
-        raise ConfigError("matrices", "provide matrices or a positive count")
+    rng = np.random.default_rng(cfg.seed)
+    mats = cfg.matrices or [_random_test_matrix(rng, blocks.n) for _ in range(cfg.count)]
 
     stack = np.array(mats)
     factors = gauss_decompose(stack, blocks)
@@ -633,8 +630,6 @@ def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
 
 
 def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
-    if cfg.gradation is None:
-        raise ConfigError("gradation", "required for grading mode")
     spec = cfg.gradation
     op = build_grading(spec)
     trace = sum(k * r for k, r in zip(spec.blocks.sizes, op.rho))
@@ -669,7 +664,8 @@ MODES = tuple(_RUNNERS)
 
 
 def run(config: JobConfig | dict) -> Report:
-    """Dispatch one job and collect its report."""
+    """Dispatch one job and collect its report.  A JobConfig is taken as
+    parse_config builds it: the runners check no input's presence."""
     cfg = parse_config(config) if isinstance(config, dict) else config
     summary, records = _RUNNERS[cfg.mode](cfg)
     summary["residual_tol"] = cfg.residual_tol

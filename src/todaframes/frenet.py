@@ -297,6 +297,7 @@ def _times_holomorphic(x: tuple, yv: np.ndarray, ym: np.ndarray) -> tuple:
     return (xv @ yv, xm @ yv + xv @ ym, xp @ yv, xmp @ yv + xp @ ym)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frame_at(
     seq: OsculatingSequence, h: HermitianMetric, z: complex | np.ndarray
 ) -> FrenetPointData:
@@ -322,7 +323,8 @@ def frame_at(
     A point whose gram block fails the condition guard leaves the stacks
     before its block is inverted, and its SingularBeta is recorded in
     failures; every other point is unaffected.  At a single point the
-    SingularBeta is raised.
+    SingularBeta is raised.  A block that overflows fails the guard, with
+    numpy's overflow and invalid value warnings off.
     """
     n = seq.n
     t = seq.t

@@ -392,9 +392,10 @@ def solve(
     times the one at z from basepoint w.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
-    if not problem.hermitian_mode:
-        if gamma_plus is None:
-            raise InvalidArgument("gamma_plus", "gamma_plus is required outside hermitian mode")
+    if (gamma_plus is None) != problem.hermitian_mode:
+        why = "derived from gamma_minus in" if problem.hermitian_mode else "required outside"
+        raise InvalidArgument("gamma_plus", f"gamma_plus is {why} hermitian mode")
+    if gamma_plus is not None:
         _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
     g0inv = np.linalg.inv(problem.h.cholesky_factor())
     blocks = problem.blocks

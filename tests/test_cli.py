@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,6 +132,82 @@ class TestConfigParsing:
         assert pts == [1.0 + 0.0j]
 
 
+# a job that runs in each mode, and a well-formed value of every top-level key
+MODE_JOBS = {
+    "frenet": {"curve": LINE_CURVE},
+    "verify-frenet": {"curve": LINE_CURVE},
+    "toda-solve": {k: v for k, v in LINE_TODA.items() if k != "mode"},
+    "verify-toda": {k: v for k, v in LINE_TODA.items() if k != "mode"},
+    "gauss": {"gradation": {"sizes": [1, 1]}, "count": 1},
+    "grading": {"gradation": {"sizes": [1, 1], "labels": [1]}},
+}
+KEY_VALUES = {
+    "curve": LINE_CURVE,
+    "gradation": {"sizes": [1, 1], "labels": [1]},
+    "metric_h": [[1, 0], [0, 1]],
+    "grid": {"nx": 1, "ny": 1},
+    "tolerances": {"residual_tol": 1e-5},
+    "integration": {"basepoint": 0},
+    "seeds": LINE_TODA["seeds"],
+    "hermitian_mode": True,
+    "matrices": [[[1, 0], [0, 1]]],
+    "count": 1,
+    "seed": 0,
+}
+
+
+class TestModeKeys:
+    @pytest.mark.parametrize(
+        "mode, key",
+        [(mode, key) for mode in MODE_JOBS for key in KEY_VALUES if key not in cli._MODE_KEYS[mode]],
+    )
+    def test_key_outside_its_mode_is_exit_2(self, tmp_path, capsys, mode, key):
+        job = MODE_JOBS[mode]
+        parse_config(dict(job, mode=mode))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(job, **{key: KEY_VALUES[key]})))
+        assert main([mode, "--config", str(path)]) == 2
+        assert f"config field '{key}': unknown configuration key" in capsys.readouterr().err
+
+    def test_twenty_nine_pairs_are_read(self):
+        assert set(cli._MODE_KEYS) == set(cli.MODES)
+        assert all(set(keys) <= set(KEY_VALUES) for keys in cli._MODE_KEYS.values())
+        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 29
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"matrices": KEY_VALUES["matrices"]}, "matrices"),
+            ({"count": None}, "matrices"),
+            ({"count": None, "seed": 4, "matrices": KEY_VALUES["matrices"]}, "seed"),
+            ({"count": 0}, "count"),
+            ({"count": None, "matrices": []}, "matrices"),
+        ],
+        ids=["matrices-and-count", "neither", "seed-without-count", "count-zero", "no-matrices"],
+    )
+    def test_gauss_takes_matrices_or_count(self, extra, field):
+        job = {k: v for k, v in {**MODE_JOBS["gauss"], **extra}.items() if v is not None}
+        with pytest.raises(ConfigError, match=rf"'{field}'"):
+            parse_config(dict(job, mode="gauss"))
+
+    @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
+    def test_hermitian_job_rejects_gamma_plus(self, tmp_path, capsys, mode):
+        # the plus factor of a hermitian job is derived from the minus one
+        cfg = dict(MODE_JOBS[mode], seeds=dict(LINE_TODA["seeds"], gamma_plus=GENERAL_SEEDS["gamma_plus"]))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg))
+        assert main([mode, "--config", str(path)]) == 2
+        assert "config field 'seeds.gamma_plus': derived in hermitian mode" in capsys.readouterr().err
+
+    def test_hermitian_mode_is_a_bool(self):
+        with pytest.raises(ConfigError, match="'hermitian_mode': expected true or false"):
+            parse_config(dict(LINE_TODA, hermitian_mode=1))
+
+    def test_malformed_field_named_before_a_missing_one(self):
+        with pytest.raises(ConfigError, match=r"'grid\.nx'"):
+            parse_config({"mode": "verify-toda", "grid": {"nx": 0}})
+
+
 class TestFrenetModes:
     def test_line_report_matches_fubini_study(self):
         report = run(
@@ -241,6 +318,21 @@ class TestFrenetModes:
         with pytest.warns(UserWarning, match="constant rank"):
             report = run({"mode": "frenet", "curve": [[w], [[0] + w]], "grid": {"radius": 0.1, "nx": 1, "ny": 1}})
         assert report.summary["rank_drop"] == [[-1, 5, -2, 15], [-1, 10, -1, 3], [1, 1, 0, 1]]
+
+    def test_overflowing_frame_warns_nothing(self):
+        # the degree-3 normal curve on a radius-1e60 grid: the gram blocks
+        # overflow away from the centre, and the guard fails those points
+        job = {
+            "mode": "verify-frenet",
+            "curve": [[[1]], [[0, 1]], [[0, 0, 1]], [[0, 0, 0, 1]]],
+            "grid": {"radius": 1e60, "nx": 3, "ny": 3},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(job)
+        failed = [p.status for p in report.points if not p.ok]
+        assert len(failed) == 8
+        assert all(status.startswith("failed: SingularBeta") for status in failed)
 
     def test_zero_curve_is_a_config_error(self):
         with pytest.raises(ConfigError, match="curve"):
@@ -736,8 +828,10 @@ class TestMain:
         ],
     )
     def test_malformed_config_names_the_field(self, tmp_path, capsys, cfg, field):
+        # a job is a frenet job with the line curve unless it says otherwise;
         # a None value leaves its key out of the job
-        cfg = {k: v for k, v in {"mode": "frenet", "curve": LINE_CURVE, **cfg}.items() if v is not None}
+        base = {"mode": "frenet", "curve": LINE_CURVE} if cfg.get("mode", "frenet") == "frenet" else {}
+        cfg = {k: v for k, v in {**base, **cfg}.items() if v is not None}
         path = self.write_config(tmp_path, cfg)
         assert main([cfg["mode"], "--config", path]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err

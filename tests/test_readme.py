@@ -1,9 +1,9 @@
 """The README's examples and API lists stay in step with the package.
 
 The Python session block and the CLI's JSON job are run as written, the
-lists of top-level and section config keys are compared with the keys the
-CLI accepts, and every name the Library table lists must exist in its
-module.
+table of the top-level keys each mode reads and the list of section keys
+are compared with the keys the CLI accepts, and every name the Library
+table lists must exist in its module.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import builtins
 import dataclasses
 import importlib
 import inspect
+import itertools
 import re
 from pathlib import Path
 
@@ -46,9 +47,29 @@ def test_cli_job_runs_in_both_toda_modes(tmp_path):
 
 
 def test_top_level_config_keys_match_the_cli():
-    match = re.search(r"Top-level keys: (.*?)\. Unknown keys are rejected", README, re.S)
-    assert match is not None
-    assert set(re.findall(r"`(\w+)`", match.group(1))) == cli._TOP_KEYS
+    # the per-mode table: a column per group of modes, a row per key; a
+    # mode reads a key whose cell is not empty, and requires it when the
+    # cell says so
+    start = README.index("\n| key |") + 1
+    header, _, *rows = itertools.takewhile(lambda line: line.startswith("|"), README[start:].splitlines())
+    groups = [re.findall(r"`([\w-]+)`", cell) for cell in _cells(header)[1:]]
+    reads = {mode: set() for group in groups for mode in group}
+    required = {mode: set() for mode in reads}
+    for row in rows:
+        key, *cells = _cells(row)
+        for group, cell in zip(groups, cells, strict=True):
+            for mode in group:
+                if cell:
+                    reads[mode].add(key.strip("`"))
+                if cell.startswith("required"):
+                    required[mode].add(key.strip("`"))
+    assert set(reads) == set(cli.MODES)
+    assert reads == {mode: set(keys) for mode, keys in cli._MODE_KEYS.items()}
+    assert required == {mode: {p.partition(".")[0] for p in paths} for mode, paths in cli._REQUIRED.items()}
+
+
+def _cells(line: str) -> list[str]:
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
 
 
 def test_section_config_keys_match_the_cli():

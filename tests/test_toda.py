@@ -20,7 +20,7 @@ import pytest
 from test_acceptance import random_gamma_seed, subdiagonal_lowering
 
 from todaframes import toda
-from todaframes.errors import SingularBeta
+from todaframes.errors import InvalidArgument, SingularBeta
 from todaframes.frenet import build_osculating, frame_at
 from todaframes.grading import GradationSpec
 from todaframes.linalg import BlockStructure, HermitianMetric, gauss_decompose
@@ -289,6 +289,13 @@ class TestIntegrateMu:
         )
         with pytest.raises(ValueError, match="gamma_plus"):
             solve(p, PolyMatrix.identity(2), [0.5])
+
+
+    def test_gamma_plus_rejected_in_hermitian_mode(self):
+        # hermitian mode derives the plus factor from the minus one
+        with pytest.raises(InvalidArgument, match="hermitian") as exc:
+            solve(line_problem(), PolyMatrix.identity(2), [0.5], gamma_plus=PolyMatrix.identity(2))
+        assert exc.value.argument == "gamma_plus"
 
 
 class TestSolve:
