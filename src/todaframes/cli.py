@@ -216,7 +216,7 @@ def _as_complex_matrix(v, path: str) -> np.ndarray:
 
 
 _FRENET_KEYS = ("curve", "metric_h", "grid", "tolerances")
-_TODA_KEYS = ("gradation", "seeds", "metric_h", "grid", "tolerances", "integration", "hermitian_mode")
+_TODA_KEYS = ("gradation", "seeds", "grid", "tolerances", "integration", "hermitian_mode")
 # the top-level keys each mode reads, besides mode; the README lists the same
 _MODE_KEYS = {
     "frenet": _FRENET_KEYS,
@@ -521,16 +521,11 @@ def _records(points, failures, residuals: dict, values: dict) -> list[PointRecor
     return records
 
 
-def _metric(cfg: JobConfig, n: int, against: str) -> HermitianMetric:
-    h = cfg.metric if cfg.metric is not None else HermitianMetric.identity(n)
-    if h.n != n:
-        raise ConfigError("metric_h", f"size {h.n} does not match the {against}")
-    return h
-
-
 def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     n = cfg.curve.rows
-    h = _metric(cfg, n, f"curve ({n} rows)")
+    h = cfg.metric if cfg.metric is not None else HermitianMetric.identity(n)
+    if h.n != n:
+        raise ConfigError("metric_h", f"size {h.n} does not match the curve ({n} rows)")
     points = cfg.grid.points()
     try:
         seq = build_osculating(cfg.curve)
@@ -564,13 +559,11 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
 
 def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     pts = cfg.grid.points()
-    n = cfg.gradation.n
-    h = _metric(cfg, n, f"gradation ({n} rows)")
     try:
         if cfg.hermitian_mode:
-            problem = TodaProblem.hermitian_problem(cfg.gradation, cfg.c_minus, h)
+            problem = TodaProblem.hermitian_problem(cfg.gradation, cfg.c_minus)
         else:
-            problem = TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus, h, hermitian_mode=False)
+            problem = TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus)
         sol = solve(problem, cfg.gamma_minus, pts, basepoint=cfg.basepoint, gamma_plus=cfg.gamma_plus)
     except InvalidArgument as exc:  # named by the config field it was read from
         raise ConfigError(f"seeds.{exc.argument}", str(exc)) from None
@@ -583,18 +576,15 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     z = np.array(pts, dtype=complex)[ok]
     jet = sol.gamma_jets[ok].swapaxes(0, 1)  # the jet's parts, each stacked over z
     gamma = jet[0]
-    # both identities hold only in hermitian mode; elsewhere they are
-    # reported, not gated
-    checks = {
-        "hermiticity": relative_defect(dagger(gamma), gamma),
-        "phi_relation": phi_relation(problem, sol.phi[ok], gamma),
-    }
-    residuals, values = (checks, {}) if cfg.hermitian_mode else ({}, checks)
+    residuals = {}
+    if cfg.hermitian_mode:  # the two identities of the hermitian side
+        residuals["hermiticity"] = relative_defect(dagger(gamma), gamma)
+        residuals["phi_relation"] = phi_relation(problem, sol.phi[ok], gamma)
     c = problem.c_minus_at(z)
     b_sub = [c[:, s, r] for r, s in zip(blocks, blocks[1:])]
     betas = [gamma[:, s, s] for s in blocks]
     gs = [induced_metric(betas, b_sub, a) for a in range(len(b_sub))]
-    values.update(_metric_values(gs, betas))
+    values = _metric_values(gs, betas)
     for a, v in enumerate(toda_residual(problem, jet, z)):
         residuals[f"toda_{a}"] = v
     if cfg.mode == "verify-toda":

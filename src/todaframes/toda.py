@@ -8,8 +8,8 @@ matrix q represents the map z -> q(zbar), which keeps every coefficient
 exact and plays well with conjugate transposition of polynomial matrices.
 
 The solution procedure, solve, transports two triangular factors from a
-basepoint, Gauss decomposes their quotient, and assembles gamma together
-with the frame map phi; it is the only entry point to transport.
+basepoint, Gauss decomposes their quotient, and assembles gamma, with the
+frame map phi in hermitian mode; it is the only entry point to transport.
 Transport solves the matrix linear ODE mu' = mu A with
 A = gamma c gamma^{-1}.  A has pure nonzero degree, so it is strictly
 block triangular and nilpotent, and the Picard series of mu ends after
@@ -20,7 +20,7 @@ still unresolved in MAX_PIECES pieces fails its endpoint.
 
 In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
-hermitian with phi^dagger h phi = gamma.
+hermitian with phi^dagger h phi = gamma; no other mode has a metric h.
 
 Each factor has an exact derivative at its own endpoint, d mu_minus =
 mu_minus A_minus and dbar mu_plus = mu_plus A_plus, so the quotient, the
@@ -138,7 +138,7 @@ def _derive_gap(spec: GradationSpec, c_minus: PolyMatrix, c_plus: PolyMatrix) ->
 
 @dataclass(frozen=True)
 class TodaProblem:
-    """Gradation, the two constant-degree matrices, and the metric.
+    """Gradation, the two constant-degree matrices, and the hermitian metric.
 
     c_minus is holomorphic (a plain polynomial matrix of z) and purely of
     degree -gap in the gradation.  c_plus is stored in the conjugate
@@ -146,24 +146,30 @@ class TodaProblem:
     degree +gap.  The gap is not given but read from the c data (None when
     both are zero).  In hermitian mode c_plus is minus the conjugate
     transpose of c_minus pointwise, which in the stored representation is
-    an exact polynomial identity.
+    an exact polynomial identity, and h (the identity unless given) is the
+    metric of the frame phi; outside hermitian mode h is None, and giving
+    one is an error.
     """
 
     gradation: GradationSpec
     c_minus: PolyMatrix
     c_plus: PolyMatrix
-    h: HermitianMetric
+    h: HermitianMetric | None = None
     hermitian_mode: bool = False
     gap: int | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gap", _derive_gap(self.gradation, self.c_minus, self.c_plus))
+        if not self.hermitian_mode:
+            if self.h is not None:
+                raise InvalidArgument("h", "a metric is read only in hermitian mode")
+            return
+        if self.h is None:
+            object.__setattr__(self, "h", HermitianMetric.identity(self.gradation.n))
         if self.h.n != self.gradation.n:
             raise InvalidArgument("h", "metric size does not match the gradation")
-        if self.hermitian_mode:
-            expected = self.c_minus.conjugate_transpose().scale(-1)
-            if self.c_plus != expected:
-                raise InvalidArgument("c_plus", "hermitian mode requires c_plus = -(c_minus)^dagger")
+        if self.c_plus != self.c_minus.conjugate_transpose().scale(-1):
+            raise InvalidArgument("c_plus", "hermitian mode requires c_plus = -(c_minus)^dagger")
 
     @classmethod
     def hermitian_problem(
@@ -173,12 +179,11 @@ class TodaProblem:
         h: HermitianMetric | None = None,
     ) -> "TodaProblem":
         """Problem with the plus data derived from the minus data."""
-        metric = HermitianMetric.identity(gradation.n) if h is None else h
         return cls(
             gradation=gradation,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
-            h=metric,
+            h=h,
             hermitian_mode=True,
         )
 
@@ -301,13 +306,14 @@ class TodaSolution:
     """Output of the solution procedure: stacks with the point axis first,
     in grid order.  gamma_jets[i] is the jet (value, d/dz, d/dzbar, d/dz
     d/dzbar) of gamma at point i, 4 by n by n; gamma, phi, mu_minus and
-    mu_plus are n by n per point.  failures[i] is None or the text of what
-    failed point i, whose gamma and phi are NaN (mu_minus and mu_plus are
-    NaN where transport failed)."""
+    mu_plus are n by n per point.  phi is built only in hermitian mode and
+    is None elsewhere.  failures[i] is None or the text of what failed
+    point i, whose gamma and phi are NaN (mu_minus and mu_plus are NaN
+    where transport failed)."""
 
     grid: tuple[complex, ...]
     gamma_jets: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray | None
     mu_minus: np.ndarray
     mu_plus: np.ndarray
     failures: tuple[str | None, ...]
@@ -381,10 +387,10 @@ def solve(
     (stored in the conjugate variable) along the conjugated paths; in
     hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
     The rest runs once on the stack of points transport reached: one Gauss
-    decomposition of the quotients, then gamma with its exact jet and phi,
-    built with the inverse of the Cholesky factor g0 of the metric, g0^dagger
-    g0 = h, on the left, which makes phi^dagger h phi = gamma in hermitian
-    mode.  A point fails as "integration: ...", "gauss: ..." or
+    decomposition of the quotients, then gamma with its exact jet and, in
+    hermitian mode only, phi, built with the inverse of the Cholesky factor
+    g0 of the metric, g0^dagger g0 = h, on the left, which makes phi^dagger
+    h phi = gamma.  A point fails as "integration: ...", "gauss: ..." or
     "SingularBeta: ..." (a diagonal block of gamma beyond the condition
     guard) and leaves the stack there; the other points are unaffected.
     Transport factors along different legs compose by right
@@ -397,7 +403,6 @@ def solve(
         raise InvalidArgument("gamma_plus", f"gamma_plus is {why} hermitian mode")
     if gamma_plus is not None:
         _require_block_diagonal(gamma_plus, problem.blocks, "gamma_plus")
-    g0inv = np.linalg.inv(problem.h.cholesky_factor())
     blocks = problem.blocks
 
     z = np.array([complex(p) for p in grid], dtype=complex)
@@ -440,13 +445,14 @@ def solve(
     a_plus = np.linalg.solve(gp_inv[0], problem.c_plus_at(w) @ gp_inv[0])
     eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
     gamma = jet_mul(jet_mul(gp_inv, (eta, *eta_jet[1:])), gm)
-    phi = g0inv @ mu_m @ n_plus @ gm[0]
+    g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
+    phi = None if g0inv is None else g0inv @ mu_m @ n_plus @ gm[0]
     gamma, phi = _gamma_guard(alive, gamma[0], blocks, z, "SingularBeta: {}".format, (gamma, phi))
 
     return TodaSolution(
         grid=tuple(complex(p) for p in z),
         gamma_jets=alive.full(np.stack(gamma, axis=1)),
-        phi=alive.full(phi),
+        phi=None if phi is None else alive.full(phi),
         mu_minus=minus,
         mu_plus=plus,
         failures=tuple(alive.failures),
@@ -509,5 +515,7 @@ def zero_curvature_check(problem: TodaProblem, gamma_jet, z):
 
 def phi_relation(problem: TodaProblem, phi: np.ndarray, gamma: np.ndarray):
     """Defect of phi^dagger h phi = gamma relative to ||gamma||, over the
-    last two axes."""
+    last two axes; the identity, and phi, belong to hermitian mode only."""
+    if not problem.hermitian_mode:
+        raise InvalidArgument("problem", "phi_relation needs a problem in hermitian mode")
     return relative_defect(dagger(phi) @ problem.h.matrix @ phi, gamma)

@@ -169,10 +169,21 @@ class TestModeKeys:
         assert main([mode, "--config", str(path)]) == 2
         assert f"config field '{key}': unknown configuration key" in capsys.readouterr().err
 
-    def test_twenty_nine_pairs_are_read(self):
+    def test_twenty_seven_pairs_are_read(self):
         assert set(cli._MODE_KEYS) == set(cli.MODES)
         assert all(set(keys) <= set(KEY_VALUES) for keys in cli._MODE_KEYS.values())
-        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 29
+        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 27
+
+    @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
+    def test_general_toda_job_takes_no_metric(self, tmp_path, capsys, mode):
+        # the hermitian jobs of MODE_JOBS check metric_h above; outside
+        # hermitian mode there is no frame phi for a metric to enter either
+        cfg = dict(MODE_JOBS[mode], hermitian_mode=False, seeds=GENERAL_SEEDS)
+        parse_config(dict(cfg, mode=mode))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(cfg, metric_h=[[2, 0], [0, 1]])))
+        assert main([mode, "--config", str(path)]) == 2
+        assert "config field 'metric_h': unknown configuration key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, field",
@@ -861,8 +872,8 @@ class TestMain:
         assert [p["z"] for p in points if p["status"] == "ok"] == [[0.0, 0.0]]
 
     def test_non_hermitian_job_gates_only_toda_residuals(self, tmp_path, capsys):
-        # gamma is not hermitian here, so hermiticity and the frame relation
-        # are large; outside hermitian mode they are values, not residuals
+        # gamma is not hermitian here; outside hermitian mode there is no
+        # frame phi, and neither hermiticity nor the frame relation is reported
         cfg = dict(
             LINE_TODA,
             hermitian_mode=False,
@@ -876,8 +887,7 @@ class TestMain:
         out = tmp_path / "r.json"
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 0
         points = json.loads(out.read_text())["points"]
-        assert max(p["values"]["hermiticity"] for p in points) > 0.1
         for p in points:
             assert p["status"] == "ok"
             assert set(p["residuals"]) == {"toda_0", "toda_1"}
-            assert "hermiticity" in p["values"] and "phi_relation" in p["values"]
+            assert "hermiticity" not in p["values"] and "phi_relation" not in p["values"]

@@ -169,7 +169,6 @@ class TestProblemValidation:
             gradation=spec,
             c_minus=PolyMatrix.zeros(2, 2),
             c_plus=PolyMatrix([[0, 1], [0, 0]]),
-            h=HermitianMetric.identity(2),
         )
         assert p.gap == 2
 
@@ -195,6 +194,15 @@ class TestProblemValidation:
             TodaProblem.hermitian_problem(
                 line_gradation(), line_lowering(), HermitianMetric.identity(3)
             )
+
+    def test_general_problem_takes_no_metric(self):
+        # outside hermitian mode there is no frame for a metric to enter
+        general = {"gradation": line_gradation(), "c_minus": line_lowering(), "c_plus": PolyMatrix([[0, -1], [0, 0]])}
+        assert TodaProblem(**general).h is None
+        assert line_problem().h.matrix.tolist() == np.eye(2).tolist()
+        with pytest.raises(InvalidArgument, match="hermitian mode") as info:
+            TodaProblem(**general, h=HermitianMetric.identity(2))
+        assert info.value.argument == "h"
 
 
 class TestIntegrateMu:
@@ -224,7 +232,6 @@ class TestIntegrateMu:
             gradation=chain_spec(),
             c_minus=chain_lowering(),
             c_plus=PolyMatrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]]),
-            h=HermitianMetric.identity(3),
             hermitian_mode=False,
         )
         z = 0.8 - 0.6j
@@ -247,7 +254,6 @@ class TestIntegrateMu:
             gradation=spec,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
-            h=HermitianMetric.identity(blocks.n),
             hermitian_mode=False,
         )
         ends = [0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, -0.5 - 0.5j]
@@ -284,7 +290,6 @@ class TestIntegrateMu:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            h=HermitianMetric.identity(2),
             hermitian_mode=False,
         )
         with pytest.raises(ValueError, match="gamma_plus"):
@@ -333,6 +338,29 @@ class TestSolve:
         for z, gamma in zip(sol.grid, sol.gamma):
             assert np.linalg.norm(gamma - line_gamma(z)) < 1e-8
 
+    def test_metric_moves_only_phi(self):
+        # the Toda equations read gamma and the c data alone, so the metric
+        # of the frame leaves every bit of gamma's jet as it is
+        rng = np.random.default_rng(77)
+        blocks = BlockStructure((1, 2, 1))
+        spec = GradationSpec(blocks, (1, 1))
+        seed = random_gamma_seed(rng, blocks)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        dense = HermitianMetric(m.conj().T @ m + np.eye(4))
+        problems = [TodaProblem.hermitian_problem(spec, subdiagonal_lowering(blocks), h) for h in (None, dense)]
+        plain, metric = (solve(p, seed, [0.3 + 0.2j, -0.5 + 0.1j, 0.6j]) for p in problems)
+        assert np.array_equal(plain.gamma_jets, metric.gamma_jets)
+        assert not np.allclose(plain.phi, metric.phi)
+        assert worst_phi_relation(metric, problems[1]) < 1e-9
+
+    def test_general_solution_has_no_phi(self):
+        p = TodaProblem(gradation=line_gradation(), c_minus=line_lowering(), c_plus=PolyMatrix([[0, -1], [0, 0]]))
+        sol = solve(p, PolyMatrix.identity(2), [0.5, 0.2 - 0.6j], gamma_plus=PolyMatrix.identity(2))
+        assert sol.phi is None
+        with pytest.raises(InvalidArgument, match="hermitian mode") as info:
+            phi_relation(p, np.eye(2), sol.gamma[0])
+        assert info.value.argument == "problem"
+
     def test_trivial_data_gives_constants(self):
         p = TodaProblem.hermitian_problem(line_gradation(), PolyMatrix.zeros(2, 2))
         sol = solve(p, PolyMatrix.identity(2), [0.0, 0.7 - 0.1j])
@@ -346,15 +374,12 @@ class TestSolve:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            h=HermitianMetric.identity(2),
             hermitian_mode=False,
         )
         grid = [0.5, 0.2 - 0.6j]
         sol_h = solve(hp, PolyMatrix.identity(2), grid)
         sol_n = solve(nh, PolyMatrix.identity(2), grid, gamma_plus=PolyMatrix.identity(2))
         for a, b in zip(sol_h.gamma, sol_n.gamma):
-            assert np.linalg.norm(a - b) < 1e-9
-        for a, b in zip(sol_h.phi, sol_n.phi):
             assert np.linalg.norm(a - b) < 1e-9
 
     def test_failure_isolation(self):
@@ -375,7 +400,6 @@ class TestSolve:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            h=HermitianMetric.identity(2),
             hermitian_mode=False,
         )
         seed = PolyMatrix([[[1, -2], 0], [0, 1]])  # singular at z = 1/2
@@ -396,7 +420,6 @@ class TestSolve:
         for i in (0, 2, 3):
             alone = solve(p, seed, [grid[i]], gamma_plus=plus)
             assert np.linalg.norm(sol.gamma[i] - alone.gamma[0]) < 1e-14
-            assert np.linalg.norm(sol.phi[i] - alone.phi[0]) < 1e-14
 
 
 class TestJets:
@@ -414,7 +437,6 @@ class TestJets:
             gradation=GradationSpec(blocks, (1, 1)),
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
-            h=HermitianMetric.identity(blocks.n),
             hermitian_mode=hermitian,
         )
         solved = memoized(lambda w: solve(p, gamma_minus, [w], gamma_plus=gamma_plus))
@@ -466,7 +488,6 @@ class TestJets:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            h=HermitianMetric.identity(2),
             hermitian_mode=hermitian,
         )
 

@@ -6,10 +6,10 @@ Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as the CLI writes it, ``emit(report, "json")``,
 with an empty ``generated_at``, one file per job (46 in all).  The bench
-corpus has no grading or gauss job, no float coefficient and no failed
-point, so a fixed list of such jobs (``EXTRA_JOBS``) follows, each written
-both as that JSON and as ``emit(report, "csv")`` (18 files), 64 files in
-all.  Two checkouts give the same reports, and the same report bytes,
+corpus has no grading or gauss job, no float coefficient, no failed point
+and no CSV of a Toda job outside hermitian mode, so a fixed list of such
+jobs (``EXTRA_JOBS``) follows, each written both as that JSON and as
+``emit(report, "csv")`` (20 files), 66 files in all.  Two checkouts give the same reports, and the same report bytes,
 exactly when ``diff -r`` of their two output directories is empty.
 """
 
@@ -67,6 +67,20 @@ EXTRA_JOBS = {
             "seeds": {"gamma_minus": [[[0, 1], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1], [0]]]},
         }
         for mode in ("toda-solve", "verify-toda")
+    },
+    # outside hermitian mode: the toda_a columns alone, and a seed whose
+    # gamma is not hermitian
+    "toda-solve-general": {
+        "mode": "toda-solve",
+        "gradation": {"sizes": [1, 1], "labels": [1]},
+        "grid": {"radius": 0.7, "nx": 3, "ny": 3},
+        "hermitian_mode": False,
+        "seeds": {
+            "gamma_minus": [[[1, 0.25], [0]], [[0], [1]]],
+            "gamma_plus": [[[1], [0]], [[0], [1]]],
+            "c_minus": [[[0], [0]], [[1], [0]]],
+            "c_plus": [[[0], [-1]], [[0], [0]]],
+        },
     },
 }
 
