@@ -537,7 +537,7 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     ok = [i for i, f in enumerate(data.failures) if f is None]
     passed = data if len(ok) == len(points) else data.take(ok)
     residuals = {"b_solve": passed.b_solve_residual}
-    values = _metric_values(passed.metric, passed.betas)
+    values = _metric_values(passed.metric, [jet[0] for jet in passed.betas])
     if cfg.mode == "verify-frenet":
         frame = verify_frame_equations(passed)
         for a in range(seq.t + 1):
@@ -574,7 +574,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     blocks = [problem.blocks.slice(a) for a in range(problem.blocks.count)]
     ok = list(sol.ok_indices)
     z = np.array(pts, dtype=complex)[ok]
-    jet = sol.gamma_jets[ok].swapaxes(0, 1)  # the jet's parts, each stacked over z
+    jet = tuple(x[ok] for x in sol.gamma_jet)
     gamma = jet[0]
     residuals = {}
     if cfg.hermitian_mode:  # the two identities of the hermitian side
@@ -694,7 +694,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # a byte that is not UTF-8, bad syntax, or nesting beyond the parser's depth
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     if not isinstance(raw, dict):

@@ -124,28 +124,23 @@ class OsculatingSequence:
 
 @dataclass(frozen=True)
 class FrenetPointData:
-    """The frame and its first order data at a point or an array of points,
-    with the exact d/dz and d/dzbar of every phi_a and beta_a, the mixed
-    d/dz d/dzbar of every beta_a and the one inverse of every beta_a.
+    """The frame and its first order data at a point or an array of points.
 
-    Every matrix field is a stack with the point axes of z first, as
-    PolyMatrix.evaluate returns it; a single point gives plain matrices.
-    failures holds, in the flattened order of z, the error that failed each
-    point, or None; the fields of a failed point are NaN.
+    phis[a] and betas[a] are the jets (value, d/dz, d/dzbar, d/dz d/dzbar)
+    of phi_a and beta_a, with exact derivatives, and betas_inv[a] is the one
+    inverse of the value of beta_a.  Every matrix is a stack with the point
+    axes of z first, as PolyMatrix.evaluate returns it; a single point gives
+    plain matrices.  failures holds, in the flattened order of z, the error
+    that failed each point, or None; the fields of a failed point are NaN.
     """
 
     z: complex | np.ndarray
     partition: BlockStructure
-    phis: tuple[np.ndarray, ...]
-    betas: tuple[np.ndarray, ...]
+    phis: tuple[tuple[np.ndarray, ...], ...]
+    betas: tuple[tuple[np.ndarray, ...], ...]
     betas_inv: tuple[np.ndarray, ...]
     b_sub: tuple[np.ndarray, ...]
     b_solve_residual: float | np.ndarray
-    phis_dz: tuple[np.ndarray, ...]
-    phis_dzbar: tuple[np.ndarray, ...]
-    betas_dz: tuple[np.ndarray, ...]
-    betas_dzbar: tuple[np.ndarray, ...]
-    betas_dz_dzbar: tuple[np.ndarray, ...]
     failures: tuple[SingularBeta | None, ...]
 
     @property
@@ -155,7 +150,7 @@ class FrenetPointData:
     @property
     def phi(self) -> np.ndarray:
         """All frame blocks side by side, n by (k_0 + ... + k_t)."""
-        return np.concatenate(self.phis, axis=-1)
+        return np.concatenate([jet[0] for jet in self.phis], axis=-1)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -167,23 +162,19 @@ class FrenetPointData:
         """Jet (value, d/dz, d/dzbar, d/dz d/dzbar) of gamma, the field the
         Toda residual checks read."""
         k = self.partition.n
-        shape = self.betas[0].shape[:-2] + (k, k)
+        shape = self.betas[0][0].shape[:-2] + (k, k)
         out = tuple(np.zeros(shape, dtype=complex) for _ in range(4))
-        parts = (self.betas, self.betas_dz, self.betas_dzbar, self.betas_dz_dzbar)
-        for x, blocks in zip(out, parts):
-            for a, beta in enumerate(blocks):
-                s = self.partition.slice(a)
-                x[..., s, s] = beta
+        for a, jet in enumerate(self.betas):
+            s = self.partition.slice(a)
+            for x, part in zip(out, jet):
+                x[..., s, s] = part
         return out
 
     @cached_property
     def metric(self) -> tuple:
-        """The metric coefficients g_0, ..., g_{t-1} (see induced_metric),
-        read with the stored inverses."""
-        return tuple(
-            _metric_coefficient(self.betas_inv[a], self.betas[a + 1], self.b_sub[a])
-            for a in range(self.t)
-        )
+        """The metric coefficients g_0, ..., g_{t-1} (see induced_metric)."""
+        betas = [jet[0] for jet in self.betas]
+        return tuple(induced_metric(betas, self.b_sub, a) for a in range(self.t))
 
     def take(self, index) -> "FrenetPointData":
         """The data of the points index selects, by position in the
@@ -191,20 +182,17 @@ class FrenetPointData:
         lead = np.ndim(self.z)
 
         def pick(x):
+            if isinstance(x, tuple):
+                return tuple(map(pick, x))
             return np.reshape(x, (-1,) + np.shape(x)[lead:])[index]
 
-        stacks = (
-            "phis", "betas", "betas_inv", "b_sub", "phis_dz", "phis_dzbar",
-            "betas_dz", "betas_dzbar", "betas_dz_dzbar",
-        )
         rows = np.ravel(np.arange(len(self.failures))[index])
-        return dataclasses.replace(
-            self,
-            z=pick(self.z),
-            b_solve_residual=pick(self.b_solve_residual),
-            failures=tuple(self.failures[i] for i in rows),
-            **{name: tuple(map(pick, getattr(self, name))) for name in stacks},
-        )
+        stacks = {
+            f.name: pick(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+            if f.name not in ("partition", "failures")
+        }
+        return dataclasses.replace(self, failures=tuple(self.failures[i] for i in rows), **stacks)
 
 
 @dataclass(frozen=True)
@@ -301,8 +289,8 @@ def _times_holomorphic(x: tuple, yv: np.ndarray, ym: np.ndarray) -> tuple:
 def frame_at(
     seq: OsculatingSequence, h: HermitianMetric, z: complex | np.ndarray
 ) -> FrenetPointData:
-    """Frenet frame data at a point or an array of points, with its exact
-    derivatives.
+    """Frenet frame data at a point or an array of points: the jets of
+    every phi_a and beta_a, with exact derivatives.
 
     phi_0 is xi_0 itself and each later block is the previous projector
     chain applied to its level, so the blocks are h orthogonal.  Every
@@ -312,10 +300,11 @@ def frame_at(
     come out of the same pass.  Products with parts known to be zero are
     skipped: h is constant, the identity metric (the default) is no
     product at all, the levels have no d/dzbar parts, and the projector
-    chain starts at the identity.  xi, its z derivative and B are
-    evaluated once each over all the points; levels and blocks are slices
-    of those three stacks, and the chain runs once on the stacks, so a
-    point gets the bits it gets alone.  The recorded solve residual is the
+    chain starts at the identity.  The jets the chain builds are the jets
+    the data holds.  xi, its z derivative and B are evaluated once each
+    over all the points; levels and blocks are slices of those three
+    stacks, and the chain runs once on the stacks, so a point gets the bits
+    it gets alone.  The recorded solve residual is the
     scaled defect of the defining relation dxi_a/dz = sum of xi_b B_{ba}
     at every level, so it stays at rounding level and large values flag a
     broken sequence.
@@ -382,22 +371,14 @@ def frame_at(
             solve_residual, scaled_defect(dx_all[..., blocks[a]], terms)
         )
 
-    def parts(jets: list[tuple], k: int) -> tuple[np.ndarray, ...]:
-        return tuple(alive.full(j[k]) for j in jets)
-
     return FrenetPointData(
         z=complex(z) if not shape else w.reshape(shape),
         partition=seq.partition,
-        phis=parts(phis, 0),
-        betas=parts(betas, 0),
+        phis=tuple(tuple(map(alive.full, jet)) for jet in phis),
+        betas=tuple(tuple(map(alive.full, jet)) for jet in betas),
         betas_inv=tuple(map(alive.full, invs)),
         b_sub=tuple(alive.full(b_all[..., blocks[a + 1], blocks[a]]) for a in range(t)),
         b_solve_residual=alive.full(solve_residual)[()],
-        phis_dz=parts(phis, 1),
-        phis_dzbar=parts(phis, 2),
-        betas_dz=parts(betas, 1),
-        betas_dzbar=parts(betas, 2),
-        betas_dz_dzbar=parts(betas, 3),
         failures=tuple(alive.failures),
     )
 
@@ -414,21 +395,18 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
     res_minus, res_plus = [], []
     below = None  # phi_{a-1} beta_{a-1}^-1, shared with the level below
     for a in range(t + 1):
-        here = data.phis[a] @ data.betas_inv[a]
-        terms = [here @ data.betas_dz[a]]
+        phi, phi_dz, phi_dzbar, _ = data.phis[a]
+        beta, beta_dz, _, _ = data.betas[a]
+        here = phi @ data.betas_inv[a]
+        terms = [here @ beta_dz]
         if a < t:
-            terms.append(data.phis[a + 1] @ data.b_sub[a])
-        res_minus.append(scaled_defect(data.phis_dz[a], terms))
+            terms.append(data.phis[a + 1][0] @ data.b_sub[a])
+        res_minus.append(scaled_defect(phi_dz, terms))
 
-        terms = [] if a == 0 else [below @ -dagger(data.b_sub[a - 1]) @ data.betas[a]]
-        res_plus.append(scaled_defect(data.phis_dzbar[a], terms))
+        terms = [] if a == 0 else [below @ -dagger(data.b_sub[a - 1]) @ beta]
+        res_plus.append(scaled_defect(phi_dzbar, terms))
         below = here
     return FrameResiduals(minus=tuple(res_minus), plus=tuple(res_plus))
-
-
-def _metric_coefficient(beta_inv, beta_next, b):
-    """Re tr(beta_inv B^dagger beta_next B) over the last two axes."""
-    return np.trace(beta_inv @ dagger(b) @ beta_next @ b, axis1=-2, axis2=-1).real
 
 
 def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray], a: int):
@@ -442,7 +420,9 @@ def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray], a: 
     """
     if not (0 <= a < len(b_sub)):
         raise IndexError(f"metric index {a} outside [0, {len(b_sub)})")
-    return _metric_coefficient(np.linalg.inv(betas[a]), betas[a + 1], b_sub[a])
+    b = b_sub[a]
+    product = np.linalg.inv(betas[a]) @ dagger(b) @ betas[a + 1] @ b
+    return np.trace(product, axis1=-2, axis2=-1).real
 
 
 def kahler_check(data: FrenetPointData) -> tuple:
@@ -463,9 +443,10 @@ def kahler_check(data: FrenetPointData) -> tuple:
     gs = [zero] + [np.asarray(g)[..., None, None] for g in data.metric] + [zero]
     out = []
     for a in range(data.t + 1):
+        _, beta_dz, beta_dzbar, beta_dz_dzbar = data.betas[a]
         inv = data.betas_inv[a]
-        lhs = trace(inv @ data.betas_dz_dzbar[a])
-        slopes = trace(inv @ data.betas_dzbar[a] @ inv @ data.betas_dz[a])
+        lhs = trace(inv @ beta_dz_dzbar)
+        slopes = trace(inv @ beta_dzbar @ inv @ beta_dz)
         out.append(scaled_defect(lhs, [slopes, gs[a + 1], -gs[a]]))
     return tuple(out)
 
@@ -481,15 +462,15 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
     """
     part = data.partition
     k = part.n
-    lam_m = np.zeros(data.betas[0].shape[:-2] + (k, k), dtype=complex)
+    lam_m = np.zeros(data.betas[0][0].shape[:-2] + (k, k), dtype=complex)
     lam_p = np.zeros_like(lam_m)
     for a in range(data.t + 1):
         s = part.slice(a)
-        lam_m[..., s, s] = data.betas_inv[a] @ data.betas_dz[a]
+        lam_m[..., s, s] = data.betas_inv[a] @ data.betas[a][1]
     for a in range(data.t):
         lam_m[..., part.slice(a + 1), part.slice(a)] = data.b_sub[a]
         lam_p[..., part.slice(a), part.slice(a + 1)] = (
-            data.betas_inv[a] @ -dagger(data.b_sub[a]) @ data.betas[a + 1]
+            data.betas_inv[a] @ -dagger(data.b_sub[a]) @ data.betas[a + 1][0]
         )
 
     k0 = part.sizes[0]

@@ -145,9 +145,10 @@ def scaled_defect(lhs, terms):
     return float(out) if out.ndim == 0 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def relative_defect(x, y):
     """Norm of x minus y over the norm of y, floored at 1e-300, over the
-    last two axes."""
+    last two axes; a norm beyond the float range is inf, with no warning."""
     return _norm(x - y) / np.maximum(1e-300, _norm(y))
 
 

@@ -304,15 +304,16 @@ def _transport_many(
 @dataclass(frozen=True)
 class TodaSolution:
     """Output of the solution procedure: stacks with the point axis first,
-    in grid order.  gamma_jets[i] is the jet (value, d/dz, d/dzbar, d/dz
-    d/dzbar) of gamma at point i, 4 by n by n; gamma, phi, mu_minus and
-    mu_plus are n by n per point.  phi is built only in hermitian mode and
-    is None elsewhere.  failures[i] is None or the text of what failed
-    point i, whose gamma and phi are NaN (mu_minus and mu_plus are NaN
-    where transport failed)."""
+    in grid order.  gamma_jet is the jet (value, d/dz, d/dzbar, d/dz
+    d/dzbar) of gamma, each part stacked over the points, as
+    FrenetPointData.gamma_jet is; gamma, phi, mu_minus and mu_plus are n by
+    n per point.  phi is built only in hermitian mode and is None
+    elsewhere.  failures[i] is None or the text of what failed point i,
+    whose gamma and phi are NaN (mu_minus and mu_plus are NaN where
+    transport failed)."""
 
     grid: tuple[complex, ...]
-    gamma_jets: np.ndarray
+    gamma_jet: tuple[np.ndarray, ...]
     phi: np.ndarray | None
     mu_minus: np.ndarray
     mu_plus: np.ndarray
@@ -320,7 +321,7 @@ class TodaSolution:
 
     @property
     def gamma(self) -> np.ndarray:
-        return self.gamma_jets[:, 0]
+        return self.gamma_jet[0]
 
     @property
     def ok_indices(self) -> tuple[int, ...]:
@@ -387,15 +388,15 @@ def solve(
     (stored in the conjugate variable) along the conjugated paths; in
     hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
     The rest runs once on the stack of points transport reached: one Gauss
-    decomposition of the quotients, then gamma with its exact jet and, in
-    hermitian mode only, phi, built with the inverse of the Cholesky factor
-    g0 of the metric, g0^dagger g0 = h, on the left, which makes phi^dagger
-    h phi = gamma.  A point fails as "integration: ...", "gauss: ..." or
-    "SingularBeta: ..." (a diagonal block of gamma beyond the condition
-    guard) and leaves the stack there; the other points are unaffected.
-    Transport factors along different legs compose by right
-    multiplication: the factor at z from basepoint 0 is the one at w from 0
-    times the one at z from basepoint w.
+    decomposition of the quotients, then gamma with its exact jet, returned
+    as gamma_jet, and, in hermitian mode only, phi, built with the inverse
+    of the Cholesky factor g0 of the metric, g0^dagger g0 = h, on the left,
+    which makes phi^dagger h phi = gamma.  A point fails as "integration:
+    ...", "gauss: ..." or "SingularBeta: ..." (a diagonal block of gamma
+    beyond the condition guard) and leaves the stack there; the other
+    points are unaffected.  Transport factors along different legs compose
+    by right multiplication: the factor at z from basepoint 0 is the one at
+    w from 0 times the one at z from basepoint w.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if (gamma_plus is None) != problem.hermitian_mode:
@@ -451,7 +452,7 @@ def solve(
 
     return TodaSolution(
         grid=tuple(complex(p) for p in z),
-        gamma_jets=alive.full(np.stack(gamma, axis=1)),
+        gamma_jet=tuple(map(alive.full, gamma)),
         phi=None if phi is None else alive.full(phi),
         mu_minus=minus,
         mu_plus=plus,

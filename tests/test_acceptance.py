@@ -138,9 +138,9 @@ def test_fubini_study_reproduction(capsys):
                 assert abs(z) <= 1.0 + 1e-12
                 data = frame_at(seq, h, z)
                 r2 = abs(z) ** 2
-                beta0 = data.betas[0][0, 0].real
+                beta0 = data.betas[0][0][0, 0].real
                 assert abs(beta0 - (1.0 + r2)) / (1.0 + r2) < 1e-8
-                g0 = induced_metric(data.betas, data.b_sub, 0)
+                g0 = induced_metric([b[0] for b in data.betas], data.b_sub, 0)
                 expected = (1.0 + r2) ** -2
                 assert abs(g0 - expected) / expected < 1e-8
 
@@ -217,7 +217,8 @@ def test_toda_solution_construction(capsys):
         phi_defect = max(phi_relation(problem, sol.phi[i], sol.gamma[i]) for i in ok)
         assert phi_defect < 1e-8, f"phi relation defect {phi_defect:.3e}"
 
-        worst = max(max(toda_residual(problem, sol.gamma_jets[i], sol.grid[i])) for i in ok)
+        jets = [tuple(x[i] for x in sol.gamma_jet) for i in ok]
+        worst = max(max(toda_residual(problem, jet, sol.grid[i])) for i, jet in zip(ok, jets))
         assert worst < 1e-12, f"worst Toda residual {worst:.3e}"
 
 

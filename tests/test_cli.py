@@ -413,7 +413,7 @@ class TestTodaModes:
             failures[1] = "integration: transport diverged"
             return dataclasses.replace(
                 sol,
-                gamma_jets=punch(sol.gamma_jets),
+                gamma_jet=tuple(map(punch, sol.gamma_jet)),
                 phi=punch(sol.phi),
                 failures=tuple(failures),
             )
@@ -514,6 +514,13 @@ class TestGaussMode:
     def test_requires_input(self):
         with pytest.raises(ConfigError, match="matrices"):
             run({"mode": "gauss", "gradation": {"sizes": [1, 1]}})
+
+    def test_huge_entry_recomposes_without_warnings(self):
+        # its squared norm overflows; the suite turns any numpy warning
+        # into an error, and the exact recomposition still reads 0
+        report = run({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1e200, 0], [0, 1]]]})
+        assert report.points[0].residuals == {"recompose": 0.0}
+        assert report.exit_code() == 0
 
 
 class TestGradingMode:
@@ -706,6 +713,18 @@ class TestMain:
         path = tmp_path / "job.json"
         path.write_text("{not json")
         assert main(["frenet", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'\xff{"curve": []}', b"[" * 100000],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_json_is_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "job.json"
+        path.write_bytes(text)
+        assert main(["frenet", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config is not valid JSON: ") and err.count("\n") == 1
 
     def test_config_list_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "job.json"

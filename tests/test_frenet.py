@@ -164,8 +164,8 @@ class TestFrameAt:
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 0.0)
         assert np.allclose(data.phi, np.eye(2))
-        assert np.allclose(data.betas[0], [[1.0]])
-        assert np.allclose(data.betas[1], [[1.0]])
+        assert np.allclose(data.betas[0][0], [[1.0]])
+        assert np.allclose(data.betas[1][0], [[1.0]])
         assert np.allclose(data.b_sub[0], [[1.0]])
         assert data.b_solve_residual < 1e-12
 
@@ -183,17 +183,17 @@ class TestFrameAt:
         z = 0.7 - 0.4j
         r2 = abs(z) ** 2
         data = frame_at(seq, I2, z)
-        assert np.allclose(data.betas[0], [[1 + r2]], atol=1e-12)
-        assert np.allclose(data.betas[1], [[1 / (1 + r2)]], atol=1e-12)
+        assert np.allclose(data.betas[0][0], [[1 + r2]], atol=1e-12)
+        assert np.allclose(data.betas[1][0], [[1 / (1 + r2)]], atol=1e-12)
         expected_phi1 = np.array([[-np.conj(z)], [1.0]]) / (1 + r2)
-        assert np.allclose(data.phis[1], expected_phi1, atol=1e-12)
+        assert np.allclose(data.phis[1][0], expected_phi1, atol=1e-12)
         assert np.allclose(data.b_sub[0], [[1.0]], atol=1e-12)
 
     def test_conic_at_origin(self):
         seq = build_osculating(conic_curve())
         data = frame_at(seq, I3, 0.0)
         assert np.allclose(data.phi, np.diag([1.0, 1.0, 2.0]))
-        assert np.allclose(data.betas[2], [[4.0]])
+        assert np.allclose(data.betas[2][0], [[4.0]])
         assert np.allclose(data.b_sub[1], [[1.0]])
 
     def test_orthogonality_and_gamma(self):
@@ -208,7 +208,7 @@ class TestFrameAt:
             gram = phi.conj().T @ h.matrix @ phi
             scale = np.linalg.norm(phi) ** 2
             assert np.linalg.norm(gram - data.gamma) < 1e-9 * max(1.0, scale)
-            for a, beta in enumerate(data.betas):
+            for a, (beta, *_) in enumerate(data.betas):
                 assert np.linalg.norm(beta - beta.conj().T) < 1e-12 * max(
                     1.0, np.linalg.norm(beta)
                 )
@@ -263,10 +263,9 @@ class TestFrameAt:
                 x = seq.xi.evaluate(z)[:, s]
                 phi = jet_mul(proj, (x, seq.dxi.evaluate(z)[:, s], 0 * x, 0 * x))
                 beta = jet_mul(jet_mul(jet_h(phi), h_jet), phi)
-                parts = (data.phis[a], data.phis_dz[a], data.phis_dzbar[a])
-                assert all(np.array_equal(u, v) for u, v in zip(parts, phi))
-                parts = (data.betas[a], data.betas_dz[a], data.betas_dzbar[a], data.betas_dz_dzbar[a])
-                assert all(np.array_equal(u, v) for u, v in zip(parts, beta))
+                assert len(data.phis[a]) == len(data.betas[a]) == 4
+                assert all(np.array_equal(u, v) for u, v in zip(data.phis[a], phi))
+                assert all(np.array_equal(u, v) for u, v in zip(data.betas[a], beta))
                 assert np.array_equal(data.betas_inv[a], np.linalg.inv(beta[0]))
                 p = jet_mul(jet_mul(jet_mul(phi, jet_inv(beta)), jet_h(phi)), h_jet)
                 proj = jet_mul((np.eye(n) - p[0], -p[1], -p[2], -p[3]), proj)
@@ -284,7 +283,8 @@ class TestFrameAt:
         assert [f is None for f in data.failures] == [True, False, True]
         assert isinstance(data.failures[1], SingularBeta)
         assert str(data.failures[1]).startswith("gram block 1 at z=1+0j has condition ")
-        assert all(np.isnan(x[1]).all() for x in data.phis + data.betas + data.betas_inv)
+        assert all(np.isnan(x[1]).all() for jet in data.phis + data.betas for x in jet)
+        assert all(np.isnan(x[1]).all() for x in data.betas_inv)
         assert np.isnan(data.b_solve_residual[1])
         for i, z in ((0, 0.5), (2, -0.5j)):
             assert_same_point(data.take(i), frame_at(seq, I2, z))
@@ -294,12 +294,12 @@ class TestFrameAt:
         zs = np.array([[0.1, 0.2j], [-0.3, 0.0]])
         data = frame_at(seq, I3, zs)
         assert data.z.shape == (2, 2)
-        assert data.phis[1].shape == (2, 2, 3, 1)
+        assert all(x.shape == (2, 2, 3, 1) for x in data.phis[1])
         assert data.b_solve_residual.shape == (2, 2)
         assert data.failures == (None,) * 4
         assert_same_point(data.take(3), frame_at(seq, I3, 0.0))
         empty = frame_at(seq, I3, np.empty(0))
-        assert empty.betas[2].shape == (0, 1, 1) and empty.failures == ()
+        assert empty.betas[2][0].shape == (0, 1, 1) and empty.failures == ()
 
     def test_gauge_covariance_of_projector(self):
         cols = [
@@ -314,7 +314,7 @@ class TestFrameAt:
         seq_b = build_osculating(mixed)
 
         def projector(data):
-            phi0, beta0 = data.phis[0], data.betas[0]
+            phi0, beta0 = data.phis[0][0], data.betas[0][0]
             return np.eye(3) - phi0 @ np.linalg.inv(beta0) @ phi0.conj().T
 
         for z in [0.1, 0.4 - 0.2j, -0.5j]:
@@ -363,7 +363,7 @@ class TestFrameEquations:
             assert [x[i] for x in frame.minus] == list(rep.minus)
             assert [x[i] for x in frame.plus] == list(rep.plus)
             assert [x[i] for x in kahler] == list(kahler_check(alone))
-            gs = [induced_metric(alone.betas, alone.b_sub, a) for a in range(seq.t)]
+            gs = [induced_metric([b[0] for b in alone.betas], alone.b_sub, a) for a in range(seq.t)]
             assert [g[i] for g in data.metric] == gs
 
 
@@ -383,9 +383,10 @@ def assert_same_point(data, alone):
     assert complex(data.z) == alone.z
     assert data.failures == alone.failures
     assert np.array_equal(data.b_solve_residual, alone.b_solve_residual)
-    for name in ("phis", "betas", "betas_inv", "b_sub", "phis_dz", "phis_dzbar",
-                 "betas_dz", "betas_dzbar", "betas_dz_dzbar"):
+    for name in ("phis", "betas", "betas_inv", "b_sub"):
         got, want = getattr(data, name), getattr(alone, name)
+        if name in ("phis", "betas"):  # the jets, one part after another
+            got, want = sum(got, ()), sum(want, ())
         assert len(got) == len(want)
         assert all(np.array_equal(u, v) for u, v in zip(got, want)), name
 
@@ -410,20 +411,20 @@ class TestJets:
             return np.linalg.norm(jet - fd) <= tol * max(1.0, np.linalg.norm(fd))
 
         def phi(a):
-            return lambda w: frame_at(seq, h, w).phis[a]
+            return lambda w: frame_at(seq, h, w).phis[a][0]
 
         def beta(a):
-            return lambda w: frame_at(seq, h, w).betas[a]
+            return lambda w: frame_at(seq, h, w).betas[a][0]
 
         for z in (0.3 + 0.2j, -0.25 + 0.1j, 0.4j, 0.0):
             data = frame_at(seq, h, z)
             for a in range(seq.t + 1):
-                assert close(data.phis_dz[a], d_minus(phi(a), z, 1e-4), 1e-5)
-                assert close(data.phis_dzbar[a], d_plus(phi(a), z, 1e-4), 1e-5)
-                assert close(data.betas_dz[a], d_minus(beta(a), z, 1e-4), 1e-5)
-                assert close(data.betas_dzbar[a], d_plus(beta(a), z, 1e-4), 1e-5)
+                assert close(data.phis[a][1], d_minus(phi(a), z, 1e-4), 1e-5)
+                assert close(data.phis[a][2], d_plus(phi(a), z, 1e-4), 1e-5)
+                assert close(data.betas[a][1], d_minus(beta(a), z, 1e-4), 1e-5)
+                assert close(data.betas[a][2], d_plus(beta(a), z, 1e-4), 1e-5)
                 mixed = d_plus(lambda u: d_minus(beta(a), u, 1e-3), z, 1e-3)
-                assert close(data.betas_dz_dzbar[a], mixed, 1e-3)
+                assert close(data.betas[a][3], mixed, 1e-3)
 
 
 class TestInducedMetric:
@@ -431,15 +432,15 @@ class TestInducedMetric:
         seq = build_osculating(line_curve())
         for z, g in ((0.0, 1.0), (1.0, 0.25)):
             data = frame_at(seq, I2, z)
-            assert abs(induced_metric(data.betas, data.b_sub, 0) - g) < 1e-12
+            assert abs(induced_metric([b[0] for b in data.betas], data.b_sub, 0) - g) < 1e-12
 
     def test_top_level_out_of_range(self):
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 0.0)
         with pytest.raises(IndexError):
-            induced_metric(data.betas, data.b_sub, 1)
+            induced_metric([b[0] for b in data.betas], data.b_sub, 1)
         with pytest.raises(IndexError):
-            induced_metric(data.betas, data.b_sub, -1)
+            induced_metric([b[0] for b in data.betas], data.b_sub, -1)
 
     def test_nonnegative_real(self):
         rng = np.random.default_rng(3)
@@ -448,7 +449,7 @@ class TestInducedMetric:
         for z in [0.1 + 0.2j, -0.3, 0.5j]:
             data = frame_at(seq, HermitianMetric.identity(4), z)
             for a in range(seq.t):
-                assert induced_metric(data.betas, data.b_sub, a) >= 0
+                assert induced_metric([b[0] for b in data.betas], data.b_sub, a) >= 0
 
 
 class TestKahlerCheck:
@@ -460,7 +461,7 @@ class TestKahlerCheck:
     def test_line_unit_circle(self):
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 1.0)
-        assert abs(induced_metric(data.betas, data.b_sub, 0) - 0.25) < 1e-12
+        assert abs(induced_metric([b[0] for b in data.betas], data.b_sub, 0) - 0.25) < 1e-12
         res = kahler_check(data)
         assert max(res) < 1e-10
 
@@ -479,7 +480,7 @@ class TestConnectionCoefficients:
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 0.0)
         # beta slopes at 0: d/dz (1+|z|^2) = zbar -> 0, same for the inverse
-        assert np.allclose(data.betas_dz, 0)
+        assert np.allclose([b[1] for b in data.betas], 0)
         cc = connection_coefficients(data)
         assert np.allclose(cc.lambda_minus, [[0, 0], [1, 0]])
         assert np.allclose(cc.lambda_plus, [[0, -1], [0, 0]])
@@ -490,8 +491,8 @@ class TestConnectionCoefficients:
         z = 0.3 - 0.2j
         r2 = abs(z) ** 2
         data = frame_at(seq, I2, z)
-        assert np.allclose(data.betas_dz[0], [[np.conj(z)]], atol=1e-12)
-        assert np.allclose(data.betas_dz[1], [[-np.conj(z) / (1 + r2) ** 2]], atol=1e-12)
+        assert np.allclose(data.betas[0][1], [[np.conj(z)]], atol=1e-12)
+        assert np.allclose(data.betas[1][1], [[-np.conj(z) / (1 + r2) ** 2]], atol=1e-12)
         cc = connection_coefficients(data)
         expected = -2 * np.conj(z) / (1 + r2)
         assert abs(cc.big_lambda_minus[0, 0, 0, 0] - expected) < 1e-12

@@ -321,7 +321,7 @@ class TestSolve:
         data = frame_at(seq, h, 0.6 - 0.3j)
         for a in range(2):
             s = p.blocks.slice(a)
-            assert np.linalg.norm(sol.gamma[0][s, s] - data.betas[a]) < 1e-8
+            assert np.linalg.norm(sol.gamma[0][s, s] - data.betas[a][0]) < 1e-8
 
     def test_phi_relation_identity_metric(self):
         p = line_problem()
@@ -349,7 +349,8 @@ class TestSolve:
         dense = HermitianMetric(m.conj().T @ m + np.eye(4))
         problems = [TodaProblem.hermitian_problem(spec, subdiagonal_lowering(blocks), h) for h in (None, dense)]
         plain, metric = (solve(p, seed, [0.3 + 0.2j, -0.5 + 0.1j, 0.6j]) for p in problems)
-        assert np.array_equal(plain.gamma_jets, metric.gamma_jets)
+        assert len(plain.gamma_jet) == len(metric.gamma_jet) == 4
+        assert all(np.array_equal(u, v) for u, v in zip(plain.gamma_jet, metric.gamma_jet))
         assert not np.allclose(plain.phi, metric.phi)
         assert worst_phi_relation(metric, problems[1]) < 1e-9
 
@@ -464,7 +465,7 @@ class TestJets:
                 gp = gamma_plus.evaluate(np.conj(z))
                 a_plus = gp @ p.c_plus_at(z) @ np.linalg.inv(gp)
             q = toda._quotient_jet(quotient(z), a_minus, a_plus)
-            jets = {"q": q, "eta": toda._eta_jet(q, blocks), "gamma": solved(z).gamma_jets[0]}
+            jets = {"q": q, "eta": toda._eta_jet(q, blocks), "gamma": [x[0] for x in solved(z).gamma_jet]}
             for name, f in fields.items():
                 jet = jets[name]
                 assert close(jet[0], f(z), 1e-12), name
@@ -501,7 +502,7 @@ class TestJets:
 
         grid = [0.3 + 0.2j, -0.5 + 0.1j, 0.6j]
         sol = solve(p, seed, grid, gamma_plus=None if hermitian else seed)
-        for z, jet in zip(grid, sol.gamma_jets):
+        for z, *jet in zip(grid, *sol.gamma_jet):
             zb = np.conj(z)
             f, log = 1 + z / 4, 4 * np.log(1 + z / 4)
             hol = (log, 1 / f, 0, 0)  # L, holomorphic
@@ -570,8 +571,9 @@ class TestResiduals:
         z = 0.3 - 0.2j
         sol = solve(p, seed, [z])
         assert sol.failures == (None,)
-        assert max(toda_residual(p, sol.gamma_jets[0], z)) < 1e-14
-        assert zero_curvature_check(p, sol.gamma_jets[0], z) < 1e-14
+        jet = tuple(x[0] for x in sol.gamma_jet)
+        assert max(toda_residual(p, jet, z)) < 1e-14
+        assert zero_curvature_check(p, jet, z) < 1e-14
 
     def test_singular_field_guarded(self):
         p = line_problem()
@@ -593,23 +595,58 @@ class TestStackedChecks:
         z = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.4 - 0.1j])
         sol = solve(p, random_gamma_seed(rng, blocks), z)
         assert sol.failures == (None,) * 4
-        jets = sol.gamma_jets.copy()
-        jets[:, 3] *= 1.5  # off the solution, so every defect is far from zero
-        jets[2] = 0.0
-        jets[2, 0] = np.diag([1.0, 0.0, 1.0, 1.0])
-        stacked = jets.swapaxes(0, 1)  # the jet's parts, each stacked over z
+        stacked = tuple(x.copy() for x in sol.gamma_jet)
+        stacked[3][:] *= 1.5  # off the solution, so every defect is far from zero
+        for x in stacked:
+            x[2] = 0.0
+        stacked[0][2] = np.diag([1.0, 0.0, 1.0, 1.0])
         res = toda_residual(p, stacked, z)
         curvature = zero_curvature_check(p, stacked, z)
-        phi = phi_relation(p, sol.phi, jets[:, 0])
+        phi = phi_relation(p, sol.phi, stacked[0])
         assert np.isnan([r[2] for r in res]).all() and np.isnan(curvature[2])
+        jets = [tuple(x[i] for x in stacked) for i in range(len(z))]
         for i in (0, 1, 3):
             alone = toda_residual(p, jets[i], z[i])
             assert min(alone) > 1e-3
             assert np.array_equal([r[i] for r in res], alone)
             assert curvature[i] == zero_curvature_check(p, jets[i], z[i])
-            assert phi[i] == phi_relation(p, sol.phi[i], jets[i, 0]) > 0
+            assert phi[i] == phi_relation(p, sol.phi[i], jets[i][0]) > 0
         with pytest.raises(SingularBeta, match="gamma block 0"):
             toda_residual(p, jets[2], z[2])
+
+    @pytest.mark.parametrize("side", ["frenet", "toda"])
+    def test_stacked_gamma_jet_reads_as_it_is(self, side):
+        # frame_at and solve return gamma's jet in the one format the checks
+        # read: stacked, it goes in unchanged and each point gets the bits
+        # of its own call
+        z = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.5j])
+        if side == "frenet":
+            seq = build_osculating(PolyMatrix([[1], [[0, 1]], [[0, 0, 1]]]))
+            h = HermitianMetric.identity(3)
+            spec = GradationSpec(seq.partition, (1,) * seq.t)
+            p = TodaProblem.hermitian_problem(spec, seq.c_minus_matrix())
+
+            def gamma_jet(w):
+                return frame_at(seq, h, w).gamma_jet
+        else:
+            blocks = BlockStructure((1, 2, 1))
+            p = TodaProblem.hermitian_problem(GradationSpec(blocks, (1, 1)), subdiagonal_lowering(blocks))
+            seed = random_gamma_seed(np.random.default_rng(5), blocks)
+
+            def gamma_jet(w):
+                return solve(p, seed, np.atleast_1d(w)).gamma_jet
+
+        stacked = gamma_jet(z)
+        k = p.blocks.n
+        assert len(stacked) == 4 and all(x.shape == (3, k, k) for x in stacked)
+        res, curvature = toda_residual(p, stacked, z), zero_curvature_check(p, stacked, z)
+        for i, w in enumerate(z):
+            alone = gamma_jet(w)
+            if side == "toda":  # solve takes a grid: its one point
+                alone = tuple(x[0] for x in alone)
+            assert np.array_equal([r[i] for r in res], toda_residual(p, alone, w))
+            assert curvature[i] == zero_curvature_check(p, alone, w)
+        assert max(np.max(r) for r in res) < 1e-12 and np.max(curvature) < 1e-12
 
 
 class TestFrenetTodaBridge:

@@ -9,7 +9,7 @@ with an empty ``generated_at``, one file per job (46 in all).  The bench
 corpus has no grading or gauss job, no float coefficient, no failed point
 and no CSV of a Toda job outside hermitian mode, so a fixed list of such
 jobs (``EXTRA_JOBS``) follows, each written both as that JSON and as
-``emit(report, "csv")`` (20 files), 66 files in all.  Two checkouts give the same reports, and the same report bytes,
+``emit(report, "csv")`` (22 files), 68 files in all.  Two checkouts give the same reports, and the same report bytes,
 exactly when ``diff -r`` of their two output directories is empty.
 """
 
@@ -45,6 +45,12 @@ EXTRA_JOBS = {
         ],
     },
     "gauss-count": {"mode": "gauss", "gradation": {"sizes": [2, 1]}, "count": 3, "seed": 5},
+    # the squared norm of the entry overflows, which must stay off stderr
+    "gauss-huge-entry": {
+        "mode": "gauss",
+        "gradation": {"sizes": [1, 1]},
+        "matrices": [[[1e200, 0], [0, 1]]],
+    },
     "verify-frenet-float": {
         "mode": "verify-frenet",
         "curve": [[[1]], [[0, 0.5]], [[0, 0, [0.3, 0.1]]]],
