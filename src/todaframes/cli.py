@@ -110,7 +110,6 @@ class JobConfig:
     gamma_plus: PolyMatrix | None = None
     c_minus: PolyMatrix | None = None
     c_plus: PolyMatrix | None = None
-    hermitian_mode: bool = True
     matrices: tuple[np.ndarray, ...] = ()
     count: int = 0
     seed: int = 0
@@ -307,10 +306,9 @@ def parse_config(raw: dict) -> JobConfig:
             cfg.metric = HermitianMetric(_as_complex_matrix(raw["metric_h"], "metric_h"))
         except ValueError as exc:
             raise ConfigError("metric_h", str(exc)) from None
-    if "hermitian_mode" in raw:
-        if not isinstance(raw["hermitian_mode"], bool):
-            raise ConfigError("hermitian_mode", "expected true or false")
-        cfg.hermitian_mode = raw["hermitian_mode"]
+    hermitian = raw.get("hermitian_mode", True)
+    if not isinstance(hermitian, bool):
+        raise ConfigError("hermitian_mode", "expected true or false")
     for name, least in (("seed", 0), ("count", 1)):
         if name in raw:
             setattr(cfg, name, _as_int(raw[name], name, least))
@@ -332,8 +330,8 @@ def parse_config(raw: dict) -> JobConfig:
             raise ConfigError(path, f"required in {mode} mode")
     if mode in ("toda-solve", "verify-toda"):
         for name in ("c_plus", "gamma_plus"):  # hermitian mode derives both
-            if (getattr(cfg, name) is None) != cfg.hermitian_mode:
-                why = "derived in hermitian mode" if cfg.hermitian_mode else "required outside hermitian mode"
+            if (getattr(cfg, name) is None) != hermitian:
+                why = "derived in hermitian mode" if hermitian else "required outside hermitian mode"
                 raise ConfigError(f"seeds.{name}", why)
     if mode == "gauss" and ("matrices" in raw) == ("count" in raw):
         raise ConfigError("matrices", "give either matrices or a count")
@@ -548,7 +546,7 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
 
     summary = {
         "partition": list(seq.partition.sizes),
-        "linear_full": linear_fullness(seq, n),
+        "linear_full": linear_fullness(seq),
         "rank_drop": [
             [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
             for c in seq.rank_drop.coeffs
@@ -560,10 +558,7 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
 def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     pts = cfg.grid.points()
     try:
-        if cfg.hermitian_mode:
-            problem = TodaProblem.hermitian_problem(cfg.gradation, cfg.c_minus)
-        else:
-            problem = TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus)
+        problem = TodaProblem(cfg.gradation, cfg.c_minus, cfg.c_plus)
         sol = solve(problem, cfg.gamma_minus, pts, basepoint=cfg.basepoint, gamma_plus=cfg.gamma_plus)
     except InvalidArgument as exc:  # named by the config field it was read from
         raise ConfigError(f"seeds.{exc.argument}", str(exc)) from None
@@ -577,20 +572,19 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     jet = tuple(x[ok] for x in sol.gamma_jet)
     gamma = jet[0]
     residuals = {}
-    if cfg.hermitian_mode:  # the two identities of the hermitian side
+    if problem.hermitian_mode:  # the two identities of the hermitian side
         residuals["hermiticity"] = relative_defect(dagger(gamma), gamma)
         residuals["phi_relation"] = phi_relation(problem, sol.phi[ok], gamma)
     c = problem.c_minus_at(z)
     b_sub = [c[:, s, r] for r, s in zip(blocks, blocks[1:])]
     betas = [gamma[:, s, s] for s in blocks]
-    gs = [induced_metric(betas, b_sub, a) for a in range(len(b_sub))]
-    values = _metric_values(gs, betas)
+    values = _metric_values(induced_metric(betas, b_sub), betas)
     for a, v in enumerate(toda_residual(problem, jet, z)):
         residuals[f"toda_{a}"] = v
     if cfg.mode == "verify-toda":
         residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
 
-    summary = {"hermitian_mode": cfg.hermitian_mode, "failure_fraction": sol.failure_fraction}
+    summary = {"hermitian_mode": problem.hermitian_mode, "failure_fraction": sol.failure_fraction}
     return summary, _records(pts, sol.failures, residuals, values)
 
 

@@ -173,8 +173,7 @@ class FrenetPointData:
     @cached_property
     def metric(self) -> tuple:
         """The metric coefficients g_0, ..., g_{t-1} (see induced_metric)."""
-        betas = [jet[0] for jet in self.betas]
-        return tuple(induced_metric(betas, self.b_sub, a) for a in range(self.t))
+        return induced_metric([jet[0] for jet in self.betas], self.b_sub)
 
     def take(self, index) -> "FrenetPointData":
         """The data of the points index selects, by position in the
@@ -409,20 +408,21 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
     return FrameResiduals(minus=tuple(res_minus), plus=tuple(res_plus))
 
 
-def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray], a: int):
-    """Metric coefficient g_a = Re tr(beta_a^-1 B_a^dagger beta_{a+1} B_a).
+def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray]) -> tuple:
+    """The metric coefficients g_a = Re tr(beta_a^-1 B_a^dagger beta_{a+1} B_a),
+    one for each block B_a of b_sub.
 
     betas are the gram blocks and b_sub the blocks B_a = B_{a+1,a} of the
     block subdiagonal of B, at a point or stacked over points: the frame
     data on the Frenet side, the blocks of gamma and of c_minus on the Toda
-    side.  The metric is defined through the rank increment into level
-    a+1, so a must be below the top level; the top curve has no increment.
+    side.  Each g_a is defined through the rank increment into level a+1,
+    so there is one below each level but the top one.
     """
-    if not (0 <= a < len(b_sub)):
-        raise IndexError(f"metric index {a} outside [0, {len(b_sub)})")
-    b = b_sub[a]
-    product = np.linalg.inv(betas[a]) @ dagger(b) @ betas[a + 1] @ b
-    return np.trace(product, axis1=-2, axis2=-1).real
+    out = []
+    for a, b in enumerate(b_sub):
+        product = np.linalg.inv(betas[a]) @ dagger(b) @ betas[a + 1] @ b
+        out.append(np.trace(product, axis1=-2, axis2=-1).real)
+    return tuple(out)
 
 
 def kahler_check(data: FrenetPointData) -> tuple:
@@ -493,6 +493,7 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
     )
 
 
-def linear_fullness(seq: OsculatingSequence, n: int) -> bool:
-    """Whether the osculating flag eventually fills C^n."""
-    return seq.partition.n == n
+def linear_fullness(seq: OsculatingSequence) -> bool:
+    """Whether the osculating flag eventually fills C^n, n the number of
+    rows of the curve."""
+    return seq.partition.n == seq.n

@@ -132,12 +132,14 @@ def _norm(m) -> np.ndarray:
     return np.sqrt(sum(sq[1:], sq[0])[..., 0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scaled_defect(lhs, terms):
     """Norm of lhs minus the sum of terms, over max(1, the largest norm); the
     floor keeps identities whose terms are all rounding noise at zero.
 
     Norms run over the last two axes, so a stack of matrices gives a stack of
-    defects and one matrix a float."""
+    defects and one matrix a float; a norm beyond the float range is inf,
+    with no warning."""
     scale = 1.0
     for x in [lhs, *terms]:
         scale = np.maximum(scale, _norm(x))

@@ -144,48 +144,34 @@ class TodaProblem:
     degree -gap in the gradation.  c_plus is stored in the conjugate
     variable: the matrix q kept here acts as z -> q(zbar) and is purely of
     degree +gap.  The gap is not given but read from the c data (None when
-    both are zero).  In hermitian mode c_plus is minus the conjugate
-    transpose of c_minus pointwise, which in the stored representation is
-    an exact polynomial identity, and h (the identity unless given) is the
-    metric of the frame phi; outside hermitian mode h is None, and giving
-    one is an error.
+    both are zero).  The problem is in hermitian mode exactly when c_plus
+    is not given: c_plus is then minus the conjugate transpose of c_minus
+    pointwise, which in the stored representation is an exact polynomial
+    identity, and h (the identity unless given) is the metric of the frame
+    phi.  A given c_plus means general mode, whatever its value; there h is
+    None, and giving one is an error.
     """
 
     gradation: GradationSpec
     c_minus: PolyMatrix
-    c_plus: PolyMatrix
+    c_plus: PolyMatrix | None = None
     h: HermitianMetric | None = None
-    hermitian_mode: bool = False
+    hermitian_mode: bool = field(init=False)
     gap: int | None = field(init=False)
 
     def __post_init__(self):
+        hermitian = self.c_plus is None
+        object.__setattr__(self, "hermitian_mode", hermitian)
+        if hermitian:
+            object.__setattr__(self, "c_plus", self.c_minus.conjugate_transpose().scale(-1))
         object.__setattr__(self, "gap", _derive_gap(self.gradation, self.c_minus, self.c_plus))
-        if not self.hermitian_mode:
-            if self.h is not None:
-                raise InvalidArgument("h", "a metric is read only in hermitian mode")
-            return
         if self.h is None:
-            object.__setattr__(self, "h", HermitianMetric.identity(self.gradation.n))
-        if self.h.n != self.gradation.n:
+            if hermitian:
+                object.__setattr__(self, "h", HermitianMetric.identity(self.gradation.n))
+        elif not hermitian:
+            raise InvalidArgument("h", "a metric is read only in hermitian mode")
+        elif self.h.n != self.gradation.n:
             raise InvalidArgument("h", "metric size does not match the gradation")
-        if self.c_plus != self.c_minus.conjugate_transpose().scale(-1):
-            raise InvalidArgument("c_plus", "hermitian mode requires c_plus = -(c_minus)^dagger")
-
-    @classmethod
-    def hermitian_problem(
-        cls,
-        gradation: GradationSpec,
-        c_minus: PolyMatrix,
-        h: HermitianMetric | None = None,
-    ) -> "TodaProblem":
-        """Problem with the plus data derived from the minus data."""
-        return cls(
-            gradation=gradation,
-            c_minus=c_minus,
-            c_plus=c_minus.conjugate_transpose().scale(-1),
-            h=h,
-            hermitian_mode=True,
-        )
 
     @property
     def blocks(self) -> BlockStructure:
@@ -267,15 +253,17 @@ def _transport_many(
     once depth reaches the nilpotency index of A minus one).  A leg whose
     integrand is not resolved is cut into 2, 4, 8, ... equal pieces whose
     factors compose by right multiplication.  Returns (mu, failed): an
-    endpoint fails when its leg needs more than MAX_PIECES pieces, when gamma
-    is singular at a node, or when the factor leaves the norm guard; its
-    factor is then NaN, and the other endpoints are unaffected.
+    endpoint fails when gamma is singular there or at a node of its leg,
+    when its leg needs more than MAX_PIECES pieces, or when the factor
+    leaves the norm guard; its factor is then NaN, and the other endpoints
+    are unaffected.
     """
     ends = np.asarray(ends, dtype=complex).ravel()
     k = gamma_rep.rows
     mu = np.full((ends.size, k, k), np.nan, dtype=complex)
-    failed = np.zeros(ends.size, dtype=bool)
-    todo = np.arange(ends.size)
+    det = np.linalg.det(gamma_rep.evaluate(ends))
+    failed = ~np.isfinite(det) | (det == 0)  # the nodes are interior: check the end itself
+    todo = np.flatnonzero(~failed)
     pieces = 1
     while todo.size and pieces <= MAX_PIECES:
         frac = np.linspace(0.0, 1.0, pieces + 1)
@@ -372,6 +360,7 @@ def _gamma_guard(alive: Survivors, gamma, blocks: BlockStructure, z, error, rows
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     problem: TodaProblem,
     gamma_minus: PolyMatrix,

@@ -140,7 +140,7 @@ def test_fubini_study_reproduction(capsys):
                 r2 = abs(z) ** 2
                 beta0 = data.betas[0][0][0, 0].real
                 assert abs(beta0 - (1.0 + r2)) / (1.0 + r2) < 1e-8
-                g0 = induced_metric([b[0] for b in data.betas], data.b_sub, 0)
+                (g0,) = induced_metric([b[0] for b in data.betas], data.b_sub)
                 expected = (1.0 + r2) ** -2
                 assert abs(g0 - expected) / expected < 1e-8
 
@@ -167,7 +167,7 @@ def test_frame_toda_coincidence(random_cases, capsys):
         for n, seq in cases:
             h = HermitianMetric.identity(n)
             spec = GradationSpec(seq.partition, (1,) * seq.t)
-            problem = TodaProblem.hermitian_problem(spec, seq.c_minus_matrix())
+            problem = TodaProblem(spec, seq.c_minus_matrix())
             for z in INTERIOR_POINTS:
                 # gamma = blockdiag(beta_a) with the frame's exact jets
                 jet = frame_at(seq, h, z).gamma_jet
@@ -200,7 +200,7 @@ def test_toda_solution_construction(capsys):
         rng = np.random.default_rng(77)
         blocks = BlockStructure((2, 2))
         spec = GradationSpec(blocks, (1,))
-        problem = TodaProblem.hermitian_problem(spec, subdiagonal_lowering(blocks))
+        problem = TodaProblem(spec, subdiagonal_lowering(blocks))
         seed = random_gamma_seed(rng, blocks, degree=2)
 
         half = 1.0 / np.sqrt(2.0)
@@ -259,7 +259,7 @@ def test_path_independence(capsys):
         for case in range(10):
             blocks = BlockStructure(structures[case % len(structures)])
             spec = GradationSpec(blocks, (1,) * (blocks.count - 1))
-            problem = TodaProblem.hermitian_problem(spec, subdiagonal_lowering(blocks))
+            problem = TodaProblem(spec, subdiagonal_lowering(blocks))
             seed = random_gamma_seed(rng, blocks, degree=2)
             angle = rng.uniform(0, 2 * np.pi, size=3)
             radius = rng.uniform(0.3, 0.8, size=3)

@@ -475,6 +475,54 @@ class TestTodaModes:
         with pytest.raises(ConfigError, match="c_plus"):
             run(cfg)
 
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_seed_singular_at_a_grid_point_fails_only_it(self, hermitian):
+        # the seed z I is singular at the centre alone, which the interior
+        # quadrature nodes of its leg never reach: the endpoint's own
+        # determinant fails it in transport, and the other 8 points run
+        scaled, eye = [[[0, 1], [0]], [[0], [0, 1]]], [[[1], [0]], [[0], [1]]]
+        seeds = {"gamma_minus": scaled, "c_minus": [[[0], [0]], [[1], [0]]]}
+        if not hermitian:
+            seeds = dict(seeds, gamma_minus=eye, gamma_plus=scaled, c_plus=[[[0], [-1]], [[0], [0]]])
+        report = run(
+            {
+                "mode": "toda-solve",
+                "gradation": {"sizes": [1, 1]},
+                "integration": {"basepoint": 0.5},
+                "hermitian_mode": hermitian,
+                "seeds": seeds,
+            }
+        )
+        statuses = [p.status for p in report.points]
+        assert report.points[4].z == 0
+        assert statuses[4].startswith("failed: integration: transport diverged")
+        assert statuses[:4] + statuses[5:] == ["ok"] * 8
+        assert report.summary["hermitian_mode"] is hermitian
+        assert report.exit_code() == 1
+
+    def test_huge_seed_entry_runs_without_warnings(self):
+        # gamma's assembly overflows to inf and NaN, which the suite's
+        # filterwarnings = error would raise; every gamma block then fails
+        # its guard
+        seeds = {"gamma_minus": [[[1e200], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1], [0]]]}
+        report = run({"mode": "verify-toda", "gradation": {"sizes": [1, 1]}, "seeds": seeds})
+        assert len(report.points) == 9
+        assert all(p.status.startswith("failed: SingularBeta: gamma block 0") for p in report.points)
+        assert report.exit_code() == 1
+
+    def test_huge_c_entry_runs_without_warnings(self):
+        # the residual scaling's squared norms overflow to inf with no
+        # warning; the legs away from the basepoint do not resolve
+        seeds = {"gamma_minus": [[[1], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1e150], [0]]]}
+        report = run({"mode": "verify-toda", "gradation": {"sizes": [1, 1]}, "seeds": seeds})
+        centre = report.points[4]
+        assert centre.z == 0 and centre.ok
+        assert set(centre.residuals) == {"hermiticity", "phi_relation", "toda_0", "toda_1", "zero_curvature"}
+        assert max(centre.residuals.values()) < 1e-12
+        others = report.points[:4] + report.points[5:]
+        assert all(p.status.startswith("failed: integration: transport diverged") for p in others)
+        assert report.exit_code() == 1
+
 
 class TestGaussMode:
     def test_explicit_matrices_with_singular_example(self):

@@ -20,7 +20,7 @@ from todaframes.frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from todaframes.linalg import BlockStructure, HermitianMetric, jet_h, jet_inv, jet_mul
+from todaframes.linalg import BlockStructure, HermitianMetric, dagger, jet_h, jet_inv, jet_mul
 from todaframes.poly import Poly, PolyMatrix, minor_gcd, poly_gcd_many
 from todaframes.wirtinger import d_minus, d_plus
 
@@ -363,7 +363,7 @@ class TestFrameEquations:
             assert [x[i] for x in frame.minus] == list(rep.minus)
             assert [x[i] for x in frame.plus] == list(rep.plus)
             assert [x[i] for x in kahler] == list(kahler_check(alone))
-            gs = [induced_metric([b[0] for b in alone.betas], alone.b_sub, a) for a in range(seq.t)]
+            gs = list(induced_metric([b[0] for b in alone.betas], alone.b_sub))
             assert [g[i] for g in data.metric] == gs
 
 
@@ -432,15 +432,20 @@ class TestInducedMetric:
         seq = build_osculating(line_curve())
         for z, g in ((0.0, 1.0), (1.0, 0.25)):
             data = frame_at(seq, I2, z)
-            assert abs(induced_metric([b[0] for b in data.betas], data.b_sub, 0) - g) < 1e-12
+            (g0,) = induced_metric([b[0] for b in data.betas], data.b_sub)
+            assert abs(g0 - g) < 1e-12
 
-    def test_top_level_out_of_range(self):
-        seq = build_osculating(line_curve())
-        data = frame_at(seq, I2, 0.0)
-        with pytest.raises(IndexError):
-            induced_metric([b[0] for b in data.betas], data.b_sub, 1)
-        with pytest.raises(IndexError):
-            induced_metric([b[0] for b in data.betas], data.b_sub, -1)
+    def test_one_value_per_level_below_the_top(self):
+        # t values, each bit for bit the formula at its own level
+        seq = build_osculating(random_lift(np.random.default_rng(3), 4, 1, 3))
+        data = frame_at(seq, HermitianMetric.identity(4), np.array([0.1 + 0.2j, -0.3, 0.5j]))
+        betas = [b[0] for b in data.betas]
+        gs = induced_metric(betas, data.b_sub)
+        assert seq.t >= 2 and len(gs) == seq.t
+        for a, g in enumerate(gs):
+            b = data.b_sub[a]
+            product = np.linalg.inv(betas[a]) @ dagger(b) @ betas[a + 1] @ b
+            assert g.tobytes() == np.trace(product, axis1=-2, axis2=-1).real.tobytes()
 
     def test_nonnegative_real(self):
         rng = np.random.default_rng(3)
@@ -448,8 +453,10 @@ class TestInducedMetric:
         seq = build_osculating(xi)
         for z in [0.1 + 0.2j, -0.3, 0.5j]:
             data = frame_at(seq, HermitianMetric.identity(4), z)
-            for a in range(seq.t):
-                assert induced_metric([b[0] for b in data.betas], data.b_sub, a) >= 0
+            gs = induced_metric([b[0] for b in data.betas], data.b_sub)
+            assert len(gs) == seq.t
+            for g in gs:
+                assert g >= 0
 
 
 class TestKahlerCheck:
@@ -461,7 +468,8 @@ class TestKahlerCheck:
     def test_line_unit_circle(self):
         seq = build_osculating(line_curve())
         data = frame_at(seq, I2, 1.0)
-        assert abs(induced_metric([b[0] for b in data.betas], data.b_sub, 0) - 0.25) < 1e-12
+        (g0,) = induced_metric([b[0] for b in data.betas], data.b_sub)
+        assert abs(g0 - 0.25) < 1e-12
         res = kahler_check(data)
         assert max(res) < 1e-10
 
@@ -508,12 +516,12 @@ class TestConnectionCoefficients:
 
 class TestLinearFullness:
     def test_plane_curve(self):
-        assert linear_fullness(build_osculating(line_curve()), 2)
+        assert linear_fullness(build_osculating(line_curve()))
 
     def test_padded_curve_not_full(self):
         xi = PolyMatrix([[1], [[0, 1]], [0]])
         seq = build_osculating(xi)
-        assert not linear_fullness(seq, 3)
+        assert not linear_fullness(seq)
 
     def test_conic_full(self):
-        assert linear_fullness(build_osculating(conic_curve()), 3)
+        assert linear_fullness(build_osculating(conic_curve()))

@@ -44,7 +44,7 @@ def line_lowering() -> PolyMatrix:
 
 
 def line_problem(h=None) -> TodaProblem:
-    return TodaProblem.hermitian_problem(line_gradation(), line_lowering(), h)
+    return TodaProblem(line_gradation(), line_lowering(), h=h)
 
 
 def chain_spec() -> GradationSpec:
@@ -128,7 +128,7 @@ class TestProblemValidation:
     def test_c_data_at_an_array_of_points(self):
         # an array of points gives, bit for bit, the values at each point
         c_minus = PolyMatrix([[0, 0, 0], [[1, GaussianRational(0, 1)], 0, 0], [0, [Fraction(1, 3), 0, 2], 0]])
-        p = TodaProblem.hermitian_problem(chain_spec(), c_minus)
+        p = TodaProblem(chain_spec(), c_minus)
         zs = np.array([[0.3 - 0.7j, 2.0], [-1.5j, 1 / 3 + 0.25j]])
         for at in (p.c_minus_at, p.c_plus_at):
             grid = at(zs)
@@ -139,29 +139,29 @@ class TestProblemValidation:
     def test_diagonal_entry_rejected(self):
         bad = PolyMatrix([[1, 0], [1, 0]])
         with pytest.raises(ValueError, match="degree"):
-            TodaProblem.hermitian_problem(line_gradation(), bad)
+            TodaProblem(line_gradation(), bad)
 
     def test_wrong_degree_rejected(self):
         # entry in the raising block is degree +1, not -1
         bad = PolyMatrix([[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="c_minus"):
-            TodaProblem.hermitian_problem(line_gradation(), bad)
+            TodaProblem(line_gradation(), bad)
 
     def test_gap_band_must_be_trivial(self):
         # c_minus only in block (2, 0), of degree -2, over labels (1, 1):
         # degree 1 is inside the band the gap 2 requires to be trivial
         c_minus = PolyMatrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match="trivial band") as info:
-            TodaProblem.hermitian_problem(chain_spec(), c_minus)
+            TodaProblem(chain_spec(), c_minus)
         assert info.value.argument == "c_minus"
 
     def test_gap_two_with_label_two_accepted(self):
         spec = GradationSpec(BlockStructure((1, 1)), (2,))
-        p = TodaProblem.hermitian_problem(spec, line_lowering())
+        p = TodaProblem(spec, line_lowering())
         assert p.gap == 2
 
     def test_zero_data_has_no_gap(self):
-        assert TodaProblem.hermitian_problem(chain_spec(), PolyMatrix.zeros(3, 3)).gap is None
+        assert TodaProblem(chain_spec(), PolyMatrix.zeros(3, 3)).gap is None
 
     def test_gap_read_from_c_plus_when_c_minus_is_zero(self):
         spec = GradationSpec(BlockStructure((1, 1)), (2,))
@@ -176,24 +176,25 @@ class TestProblemValidation:
         # blocks (1, 0) and (2, 0) have degrees -1 and -2
         c_minus = PolyMatrix([[0, 0, 0], [1, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match="expected pure degree -1") as info:
-            TodaProblem.hermitian_problem(chain_spec(), c_minus)
+            TodaProblem(chain_spec(), c_minus)
         assert info.value.argument == "c_minus"
 
-    def test_hermitian_flag_checks_consistency(self):
-        with pytest.raises(ValueError, match="hermitian"):
-            TodaProblem(
-                gradation=line_gradation(),
-                c_minus=line_lowering(),
-                c_plus=PolyMatrix([[0, 1], [0, 0]]),
-                h=HermitianMetric.identity(2),
-                hermitian_mode=True,
-            )
+    def test_mode_is_read_from_c_plus(self):
+        # no c_plus: hermitian mode, with c_plus derived from c_minus; a
+        # given c_plus, even that same matrix, keeps the problem general
+        c = PolyMatrix([[0, 0, 0], [[1, GaussianRational(0, 1)], 0, 0], [0, [Fraction(1, 3), 0, 2], 0]])
+        derived = c.conjugate_transpose().scale(-1)
+        p = TodaProblem(chain_spec(), c)
+        assert p.hermitian_mode and p.c_plus == derived
+        general = TodaProblem(chain_spec(), c, derived)
+        assert not general.hermitian_mode and general.c_plus == derived and general.h is None
+        with pytest.raises(InvalidArgument, match="required outside hermitian mode") as info:
+            solve(general, PolyMatrix.identity(3), [0.5])
+        assert info.value.argument == "gamma_plus"
 
     def test_metric_size_checked(self):
         with pytest.raises(ValueError, match="metric"):
-            TodaProblem.hermitian_problem(
-                line_gradation(), line_lowering(), HermitianMetric.identity(3)
-            )
+            TodaProblem(line_gradation(), line_lowering(), h=HermitianMetric.identity(3))
 
     def test_general_problem_takes_no_metric(self):
         # outside hermitian mode there is no frame for a metric to enter
@@ -220,7 +221,7 @@ class TestIntegrateMu:
     def test_three_level_transport_is_exponential(self):
         # c_minus = N with N^3 = 0: mu_minus = exp(zN) needs the depth two term
         nil = np.diag([1.0, 1.0], -1)
-        p = TodaProblem.hermitian_problem(chain_spec(), chain_lowering())
+        p = TodaProblem(chain_spec(), chain_lowering())
         z = 0.8 - 0.6j
         mu_m, _ = transport(p, PolyMatrix.identity(3), z)
         assert np.linalg.norm(mu_m - (np.eye(3) + z * nil + z * z * nil @ nil / 2)) < 1e-14
@@ -232,7 +233,6 @@ class TestIntegrateMu:
             gradation=chain_spec(),
             c_minus=chain_lowering(),
             c_plus=PolyMatrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]]),
-            hermitian_mode=False,
         )
         z = 0.8 - 0.6j
         eye = PolyMatrix.identity(3)
@@ -254,7 +254,6 @@ class TestIntegrateMu:
             gradation=spec,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
-            hermitian_mode=False,
         )
         ends = [0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, -0.5 - 0.5j]
         want_m = rk4_transport(gamma_minus, p.c_minus, 0.0, ends, 4000)
@@ -290,7 +289,6 @@ class TestIntegrateMu:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            hermitian_mode=False,
         )
         with pytest.raises(ValueError, match="gamma_plus"):
             solve(p, PolyMatrix.identity(2), [0.5])
@@ -347,7 +345,7 @@ class TestSolve:
         seed = random_gamma_seed(rng, blocks)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         dense = HermitianMetric(m.conj().T @ m + np.eye(4))
-        problems = [TodaProblem.hermitian_problem(spec, subdiagonal_lowering(blocks), h) for h in (None, dense)]
+        problems = [TodaProblem(spec, subdiagonal_lowering(blocks), h=h) for h in (None, dense)]
         plain, metric = (solve(p, seed, [0.3 + 0.2j, -0.5 + 0.1j, 0.6j]) for p in problems)
         assert len(plain.gamma_jet) == len(metric.gamma_jet) == 4
         assert all(np.array_equal(u, v) for u, v in zip(plain.gamma_jet, metric.gamma_jet))
@@ -363,7 +361,7 @@ class TestSolve:
         assert info.value.argument == "problem"
 
     def test_trivial_data_gives_constants(self):
-        p = TodaProblem.hermitian_problem(line_gradation(), PolyMatrix.zeros(2, 2))
+        p = TodaProblem(line_gradation(), PolyMatrix.zeros(2, 2))
         sol = solve(p, PolyMatrix.identity(2), [0.0, 0.7 - 0.1j])
         for gamma, phi in zip(sol.gamma, sol.phi):
             assert np.linalg.norm(gamma - np.eye(2)) < 1e-12
@@ -375,7 +373,6 @@ class TestSolve:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            hermitian_mode=False,
         )
         grid = [0.5, 0.2 - 0.6j]
         sol_h = solve(hp, PolyMatrix.identity(2), grid)
@@ -401,7 +398,6 @@ class TestSolve:
             gradation=line_gradation(),
             c_minus=line_lowering(),
             c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            hermitian_mode=False,
         )
         seed = PolyMatrix([[[1, -2], 0], [0, 1]])  # singular at z = 1/2
         plus = PolyMatrix([[[1, GaussianRational(1, 4)], 0], [0, 1]])
@@ -437,8 +433,7 @@ class TestJets:
         p = TodaProblem(
             gradation=GradationSpec(blocks, (1, 1)),
             c_minus=c_minus,
-            c_plus=c_minus.conjugate_transpose().scale(-1),
-            hermitian_mode=hermitian,
+            c_plus=None if hermitian else c_minus.conjugate_transpose().scale(-1),
         )
         solved = memoized(lambda w: solve(p, gamma_minus, [w], gamma_plus=gamma_plus))
 
@@ -488,8 +483,7 @@ class TestJets:
         p = TodaProblem(
             gradation=line_gradation(),
             c_minus=line_lowering(),
-            c_plus=PolyMatrix([[0, -1], [0, 0]]),
-            hermitian_mode=hermitian,
+            c_plus=None if hermitian else PolyMatrix([[0, -1], [0, 0]]),
         )
 
         def mul(x, y):  # product rule on jets (value, d, dbar, d dbar)
@@ -591,7 +585,7 @@ class TestStackedChecks:
     def test_checks_per_point(self):
         rng = np.random.default_rng(11)
         blocks = BlockStructure((2, 2))
-        p = TodaProblem.hermitian_problem(GradationSpec(blocks, (1,)), subdiagonal_lowering(blocks))
+        p = TodaProblem(GradationSpec(blocks, (1,)), subdiagonal_lowering(blocks))
         z = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.4 - 0.1j])
         sol = solve(p, random_gamma_seed(rng, blocks), z)
         assert sol.failures == (None,) * 4
@@ -624,13 +618,13 @@ class TestStackedChecks:
             seq = build_osculating(PolyMatrix([[1], [[0, 1]], [[0, 0, 1]]]))
             h = HermitianMetric.identity(3)
             spec = GradationSpec(seq.partition, (1,) * seq.t)
-            p = TodaProblem.hermitian_problem(spec, seq.c_minus_matrix())
+            p = TodaProblem(spec, seq.c_minus_matrix())
 
             def gamma_jet(w):
                 return frame_at(seq, h, w).gamma_jet
         else:
             blocks = BlockStructure((1, 2, 1))
-            p = TodaProblem.hermitian_problem(GradationSpec(blocks, (1, 1)), subdiagonal_lowering(blocks))
+            p = TodaProblem(GradationSpec(blocks, (1, 1)), subdiagonal_lowering(blocks))
             seed = random_gamma_seed(np.random.default_rng(5), blocks)
 
             def gamma_jet(w):
@@ -657,7 +651,7 @@ class TestFrenetTodaBridge:
         seq = build_osculating(xi)
         h = HermitianMetric.identity(3)
         spec = GradationSpec(seq.partition, (1,) * seq.t)
-        p = TodaProblem.hermitian_problem(spec, seq.c_minus_matrix(), h)
+        p = TodaProblem(spec, seq.c_minus_matrix(), h=h)
 
         for z in (0.4 + 0.1j, -0.2 + 0.5j):
             jet = frame_at(seq, h, z).gamma_jet

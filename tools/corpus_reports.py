@@ -9,7 +9,7 @@ with an empty ``generated_at``, one file per job (46 in all).  The bench
 corpus has no grading or gauss job, no float coefficient, no failed point
 and no CSV of a Toda job outside hermitian mode, so a fixed list of such
 jobs (``EXTRA_JOBS``) follows, each written both as that JSON and as
-``emit(report, "csv")`` (22 files), 68 files in all.  Two checkouts give the same reports, and the same report bytes,
+``emit(report, "csv")`` (26 files), 72 files in all.  Two checkouts give the same reports, and the same report bytes,
 exactly when ``diff -r`` of their two output directories is empty.
 """
 
@@ -73,6 +73,18 @@ EXTRA_JOBS = {
             "seeds": {"gamma_minus": [[[0, 1], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1], [0]]]},
         }
         for mode in ("toda-solve", "verify-toda")
+    },
+    # huge Toda data, whose overflows must stay off stderr: gamma's
+    # assembly in solve, and the squared norms of the residual scaling
+    "verify-toda-huge-seed": {
+        "mode": "verify-toda",
+        "gradation": {"sizes": [1, 1]},
+        "seeds": {"gamma_minus": [[[1e200], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1], [0]]]},
+    },
+    "verify-toda-huge-c": {
+        "mode": "verify-toda",
+        "gradation": {"sizes": [1, 1]},
+        "seeds": {"gamma_minus": [[[1], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1e150], [0]]]},
     },
     # outside hermitian mode: the toda_a columns alone, and a seed whose
     # gamma is not hermitian
