@@ -60,8 +60,8 @@ from .frenet import (
 )
 from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
 from .linalg import BlockStructure, HermitianMetric, dagger, gauss_decompose, relative_defect
-from .poly import GaussianRational, Poly, PolyMatrix
-from .toda import TodaProblem, phi_relation, solve, toda_residual, zero_curvature_check
+from .poly import Poly, PolyMatrix
+from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect, zero_curvature_check
 
 __all__ = [
     "SPEC_VERSION",
@@ -149,24 +149,30 @@ def _as_complex(v, path: str) -> complex:
     raise ConfigError(path, f"expected a number or [re, im] pair, got {v!r}")
 
 
-def _as_gaussian(v, path: str) -> GaussianRational:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _as_coefficient(v, path: str) -> tuple[int, int, int, int]:
+    """One exact coefficient as the integers (re_num, re_den, im_num,
+    im_den); a denominator is nonzero, of either sign."""
     if isinstance(v, bool):
         raise ConfigError(path, "booleans are not numbers")
     if isinstance(v, int):
-        return GaussianRational(v)
+        return v, 1, 0, 1
     if isinstance(v, float) or (isinstance(v, list) and len(v) == 2):
-        if isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v):
-            return GaussianRational(v[0], v[1])
+        if isinstance(v, list) and all(map(_is_int, v)):
+            return v[0], 1, v[1], 1
         # the nearest parts with denominators at most MAX_DENOMINATOR
         z = _as_complex(v, path)
-        return GaussianRational(*(Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in (z.real, z.imag)))
+        re, im = (Fraction(x).limit_denominator(MAX_DENOMINATOR) for x in (z.real, z.imag))
+        return re.numerator, re.denominator, im.numerator, im.denominator
     if isinstance(v, list) and len(v) == 4:
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+        if not all(map(_is_int, v)):
             raise ConfigError(path, "exact quadruples must be integers")
-        try:
-            return GaussianRational(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
-        except ZeroDivisionError:
-            raise ConfigError(path, "zero denominator") from None
+        if not (v[1] and v[3]):
+            raise ConfigError(path, "zero denominator")
+        return tuple(v)
     raise ConfigError(
         path, f"expected a number, [re, im] pair, or exact quadruple, got {v!r}"
     )
@@ -174,18 +180,21 @@ def _as_gaussian(v, path: str) -> GaussianRational:
 
 def _as_poly(v, path: str) -> Poly:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        coeffs = [_as_gaussian(v, path)]
+        coeffs = [_as_coefficient(v, path)]
     elif isinstance(v, list):
-        coeffs = [_as_gaussian(c, f"{path}[{k}]") for k, c in enumerate(v)]
+        coeffs = [_as_coefficient(c, f"{path}[{k}]") for k, c in enumerate(v)]
     else:
         raise ConfigError(path, f"expected a coefficient list, got {v!r}")
-    # frames are evaluated in floating point, so every coefficient needs a float
+    # frames are evaluated in floating point, so every coefficient needs a
+    # float: int true division overflows exactly where float(Fraction) does
     try:
-        for c in coeffs:
-            c.to_complex()
+        for re_num, re_den, im_num, im_den in coeffs:
+            re_num / re_den, im_num / im_den
     except OverflowError:
         raise ConfigError(path, "a coefficient is beyond the float range") from None
-    return Poly(coeffs)
+    # den // d carries the sign of a negative denominator to its numerator
+    den = math.lcm(*(d for c in coeffs for d in c[1::2]))
+    return Poly._of([(rn * (den // rd), jn * (den // jd)) for rn, rd, jn, jd in coeffs], den)
 
 
 def _as_poly_matrix(v, path: str) -> PolyMatrix:
@@ -566,8 +575,15 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         raise ConfigError("seeds", str(exc)) from None
     except OverflowError:  # a seed derivative beyond the float range
         raise ConfigError("seeds", "a derived coefficient is beyond the float range") from None
+    failures, bent = sol.failures, None
+    if cfg.mode == "verify-toda":  # the bent path through m = basepoint + 0.5i radius
+        via = cfg.basepoint + 0.5j * cfg.grid.radius
+        check = transport_defect(problem, sol, cfg.gamma_minus, via, cfg.basepoint, cfg.gamma_plus)
+        if check is not None:
+            bent, lost = check
+            failures = [f or g for f, g in zip(failures, lost)]
     blocks = [problem.blocks.slice(a) for a in range(problem.blocks.count)]
-    ok = list(sol.ok_indices)
+    ok = [i for i, f in enumerate(failures) if f is None]
     z = np.array(pts, dtype=complex)[ok]
     jet = tuple(x[ok] for x in sol.gamma_jet)
     gamma = jet[0]
@@ -583,9 +599,11 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
         residuals[f"toda_{a}"] = v
     if cfg.mode == "verify-toda":
         residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
+    if bent is not None:
+        residuals["transport"] = bent[ok]
 
-    summary = {"hermitian_mode": problem.hermitian_mode, "failure_fraction": sol.failure_fraction}
-    return summary, _records(pts, sol.failures, residuals, values)
+    summary = {"hermitian_mode": problem.hermitian_mode, "failure_fraction": (len(pts) - len(ok)) / len(pts)}
+    return summary, _records(pts, failures, residuals, values)
 
 
 def _random_test_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -9,7 +9,8 @@ exact and plays well with conjugate transposition of polynomial matrices.
 
 The solution procedure, solve, transports two triangular factors from a
 basepoint, Gauss decomposes their quotient, and assembles gamma, with the
-frame map phi in hermitian mode; it is the only entry point to transport.
+frame map phi in hermitian mode; it and its check, transport_defect, are
+the only entry points to transport.
 Transport solves the matrix linear ODE mu' = mu A with
 A = gamma c gamma^{-1}.  A has pure nonzero degree, so it is strictly
 block triangular and nilpotent, and the Picard series of mu ends after
@@ -27,6 +28,10 @@ mu_minus A_minus and dbar mu_plus = mu_plus A_plus, so the quotient, the
 Schur complements that make up its block diagonal factor, and gamma carry
 exact jets (value, d/dz, d/dzbar, d/dz d/dzbar) from the one transport per
 point; the residual checks read those jets and need no neighbouring point.
+
+Transport is the one step no residual check can see, since a factor off
+by a constant, mu -> C mu, is another exact solution at its point:
+transport_defect checks it by composing the factors along a bent path.
 
 Everything after transport runs once on the stack of grid points, as
 frenet.frame_at does: a point that fails a guard leaves the stack through
@@ -69,6 +74,7 @@ __all__ = [
     "phi_relation",
     "solve",
     "toda_residual",
+    "transport_defect",
     "zero_curvature_check",
 ]
 
@@ -77,9 +83,13 @@ MU_NORM_LIMIT = 1e12
 # relative size of the last two Legendre coefficients of the integrand
 # below which a piece counts as resolved, and the most pieces a leg is cut
 # into before its endpoint fails.
-NODES = 32
+NODES = 24
 TAIL_TOL = 1e-13
 MAX_PIECES = 512
+_DIVERGED = (
+    f"integration: transport diverged: a leg unresolved in {MAX_PIECES} pieces, "
+    f"a singular seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
+)
 
 
 def _nonzero_blocks(m: PolyMatrix, blocks: BlockStructure, name: str):
@@ -200,78 +210,93 @@ def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w, 0.5 * antiderivatives @ analysis, analysis
 
 
+def _seed_inverse(g: np.ndarray, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of the block diagonal seed values g, over the last two
+    axes, taken one diagonal block at a time: a 1 by 1 block by its
+    reciprocal, a larger one by np.linalg.inv.  Returns it with the mask of
+    the leading axes where a block is singular (its determinant is 0 or not
+    finite); there g is set to the identity, in place, before inverting."""
+    blocks_at = [blocks.slice(a) for a in range(blocks.count)]
+    singular = np.zeros(g.shape[:-2], dtype=bool)
+    for s in blocks_at:
+        det = g[..., s.start, s.start] if s.stop - s.start == 1 else np.linalg.det(g[..., s, s])
+        singular |= ~np.isfinite(det) | (det == 0)
+    g[singular] = np.eye(blocks.n)
+    inv = np.zeros_like(g)
+    for s in blocks_at:
+        inv[..., s, s] = 1.0 / g[..., s, s] if s.stop - s.start == 1 else np.linalg.inv(g[..., s, s])
+    return inv, singular
+
+
 def _panels(
     gamma_rep: PolyMatrix,
     c_rep: PolyMatrix,
+    blocks: BlockStructure,
     lo: np.ndarray,
     hi: np.ndarray,
-    depth: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transport over each straight panel lo[p] -> hi[p], from the identity.
 
     Returns the panel factors with two masks: panels whose integrand the
     nodes do not resolve, and panels where gamma is singular at a node.
     Arrays are laid out node first, (NODES, panels, k, k), so every node
-    contraction is one matrix product on a reshaped array.
+    contraction is one matrix product on a reshaped array.  The Picard
+    series has count - 1 terms: the first integrates A itself, and each
+    later one the running integral of the one before times A.
     """
     s, w, integrate, analysis = _rule()
-    k = gamma_rep.rows
+    k = blocks.n
     size = lo.size
     delta = hi - lo
     nodes = lo[None, :] + s[:, None] * delta[None, :]
     gm = gamma_rep.evaluate(nodes)
-    cm = c_rep.evaluate(nodes)
-    det = np.linalg.det(gm)
-    singular = ~np.isfinite(det) | (det == 0)
-    gm[singular] = np.eye(k)
-    a = gm @ cm @ np.linalg.inv(gm)
+    inv, singular = _seed_inverse(gm, blocks)
+    a = gm @ c_rep.evaluate(nodes) @ inv
     a *= delta[None, :, None, None]
-    coeffs = np.abs(analysis @ a.reshape(NODES, -1)).reshape(NODES, size, k * k)
+    integrand = a.reshape(NODES, -1)
+    coeffs = np.abs(analysis @ integrand).reshape(NODES, size, k * k)
     unresolved = coeffs[-2:].max(axis=(0, 2)) > TAIL_TOL * coeffs.max(axis=(0, 2))
     mu = np.broadcast_to(np.eye(k, dtype=complex), (size, k, k)).copy()
-    term = np.broadcast_to(np.eye(k, dtype=complex), a.shape)
-    for _ in range(depth):
-        integrand = (term @ a).reshape(NODES, -1)
+    for sweep in range(blocks.count - 1):
+        if sweep:
+            integrand = ((integrate @ integrand).reshape(a.shape) @ a).reshape(NODES, -1)
         if not integrand.any():
             break
         mu += (w @ integrand).reshape(size, k, k)
-        term = (integrate @ integrand).reshape(a.shape)
     return mu, unresolved, singular.any(axis=0)
 
 
 def _transport_many(
     gamma_rep: PolyMatrix,
     c_rep: PolyMatrix,
+    blocks: BlockStructure,
     start: complex,
     ends,
-    depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport factors along straight legs start -> ends[p], batched.
 
     Solves mu' = mu A with A = gamma c gamma^{-1} along each leg, mu = I
-    at its start, by depth Picard sweeps on Gauss-Legendre nodes (exact
-    once depth reaches the nilpotency index of A minus one).  A leg whose
+    at its start, by count - 1 Picard sweeps on Gauss-Legendre nodes (exact,
+    since that is the nilpotency index of A minus one).  A leg whose
     integrand is not resolved is cut into 2, 4, 8, ... equal pieces whose
     factors compose by right multiplication.  Returns (mu, failed): an
-    endpoint fails when gamma is singular there or at a node of its leg,
-    when its leg needs more than MAX_PIECES pieces, or when the factor
-    leaves the norm guard; its factor is then NaN, and the other endpoints
-    are unaffected.
+    endpoint fails when a diagonal block of gamma is singular there or at a
+    node of its leg, when its leg needs more than MAX_PIECES pieces, or when
+    the factor leaves the norm guard; its factor is then NaN, and the other
+    endpoints are unaffected.
     """
     ends = np.asarray(ends, dtype=complex).ravel()
-    k = gamma_rep.rows
+    k = blocks.n
     mu = np.full((ends.size, k, k), np.nan, dtype=complex)
-    det = np.linalg.det(gamma_rep.evaluate(ends))
-    failed = ~np.isfinite(det) | (det == 0)  # the nodes are interior: check the end itself
+    # the nodes are interior: check the end itself
+    failed = _seed_inverse(gamma_rep.evaluate(ends), blocks)[1]
     todo = np.flatnonzero(~failed)
     pieces = 1
     while todo.size and pieces <= MAX_PIECES:
         frac = np.linspace(0.0, 1.0, pieces + 1)
         cuts = start + frac[None, :] * (ends[todo] - start)[:, None]
         cuts[:, -1] = ends[todo]
-        legs, unresolved, singular = _panels(
-            gamma_rep, c_rep, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), depth
-        )
+        legs, unresolved, singular = _panels(gamma_rep, c_rep, blocks, cuts[:, :-1].ravel(), cuts[:, 1:].ravel())
         legs = legs.reshape(todo.size, pieces, k, k)
         singular = singular.reshape(todo.size, pieces).any(axis=1)
         retry = unresolved.reshape(todo.size, pieces).any(axis=1) & ~singular
@@ -370,7 +395,7 @@ def solve(
 ) -> TodaSolution:
     """Run the full solution procedure over a grid of points.
 
-    This is the one transport entry point of the package.  Each factor is
+    This is the one solver of the package.  Each factor is
     transported in one batch over the grid, along straight paths from the
     basepoint: mu_minus with the seed gamma_minus, and, outside hermitian
     mode, mu_plus with the block diagonal antiholomorphic seed gamma_plus
@@ -396,23 +421,16 @@ def solve(
     blocks = problem.blocks
 
     z = np.array([complex(p) for p in grid], dtype=complex)
-    depth = blocks.count - 1
-    minus, failed = _transport_many(gamma_minus, problem.c_minus, complex(basepoint), z, depth)
+    minus, failed = _transport_many(gamma_minus, problem.c_minus, blocks, complex(basepoint), z)
     if problem.hermitian_mode:
         plus = np.full_like(minus, np.nan)
         plus[~failed] = np.linalg.inv(dagger(minus[~failed]))
     else:
-        plus, failed_plus = _transport_many(
-            gamma_plus, problem.c_plus, np.conj(complex(basepoint)), z.conj(), depth
-        )
+        plus, failed_plus = _transport_many(gamma_plus, problem.c_plus, blocks, np.conj(complex(basepoint)), z.conj())
         failed |= failed_plus
         minus[failed] = plus[failed] = np.nan
-    diverged = (
-        f"integration: transport diverged: a leg unresolved in {MAX_PIECES} pieces, "
-        f"a singular seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
-    )
     alive = Survivors(z.shape)
-    w, mu_m, mu_p = take((z, minus, plus), alive.drop([diverged if f else None for f in failed]))
+    w, mu_m, mu_p = take((z, minus, plus), alive.drop([_DIVERGED if f else None for f in failed]))
 
     gm = gamma_minus.evaluate(w)
     zero = np.zeros_like(gm)
@@ -447,6 +465,52 @@ def solve(
         mu_plus=plus,
         failures=tuple(alive.failures),
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def transport_defect(
+    problem: TodaProblem,
+    solution: TodaSolution,
+    gamma_minus: PolyMatrix,
+    via: complex,
+    basepoint: complex = 0.0,
+    gamma_plus: PolyMatrix | None = None,
+):
+    """The bent-path defect of solve's transport, the one check that sees
+    a transport error, since every Toda residual is read at its own point.
+
+    Legs compose by right multiplication, so at each point z the straight
+    factor mu(b -> z) from the basepoint b must equal mu(b -> m) mu(m -> z)
+    with m = via.  The defect is ||mu(b -> z) - mu(b -> m) mu(m -> z)|| /
+    ||mu(b -> z)||, the larger over mu_minus and, outside hermitian mode,
+    mu_plus, whose legs run in the conjugate variable; the seeds are
+    solve's.  It is taken at the points of the solution that did not fail,
+    with one more batched transport per factor, and returns (defect,
+    failures) over the grid: NaN and None at a point that failed in solve,
+    and a point whose leg m -> z fails gets solve's "integration: ..."
+    text.  When the leg b -> m itself fails there is no check: None.
+    """
+    ok = list(solution.ok_indices)
+    z = np.array(solution.grid, dtype=complex)[ok]
+    b, m = complex(basepoint), complex(via)
+    sides = [(gamma_minus, problem.c_minus, b, m, z, solution.mu_minus[ok])]
+    if not problem.hermitian_mode:
+        sides.append((gamma_plus, problem.c_plus, np.conj(b), np.conj(m), z.conj(), solution.mu_plus[ok]))
+    defect = np.zeros(len(ok))
+    failed = np.zeros(len(ok), dtype=bool)
+    for seed, c, start, mid, ends, straight in sides:
+        first, lost = _transport_many(seed, c, problem.blocks, start, [mid])
+        if lost[0]:
+            return None
+        second, lost = _transport_many(seed, c, problem.blocks, mid, ends)
+        defect = np.fmax(defect, relative_defect(first[0] @ second, straight))
+        failed |= lost
+    out = np.full(len(solution.grid), np.nan)
+    out[ok] = np.where(failed, np.nan, defect)
+    failures = [None] * len(solution.grid)
+    for i in np.array(ok, dtype=int)[failed]:
+        failures[i] = _DIVERGED
+    return out, tuple(failures)
 
 
 def _guarded(problem: TodaProblem, gamma_jet, z):

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import random_gamma_seed, subdiagonal_lowering
 
-from todaframes import cli, frenet
+from todaframes import cli, frenet, toda
 from todaframes.cli import (
     GridSpec,
     PointRecord,
@@ -26,7 +27,8 @@ from todaframes.cli import (
     run,
 )
 from todaframes.errors import ConfigError
-from todaframes.poly import GaussianRational
+from todaframes.linalg import BlockStructure
+from todaframes.poly import GaussianRational, Poly
 
 
 LINE_CURVE = [[[1]], [[0, 1]]]  # the column (1, z)
@@ -109,6 +111,36 @@ class TestConfigParsing:
         cfg = parse_config({"mode": "frenet", "curve": [[[[1, 10**400, 0, 1]]], [[[10**400 + 1, 10**400, 0, 1]]]]})
         assert cfg.curve.entry(0, 0).coeffs[0] == GaussianRational(Fraction(1, 10**400))
         assert cfg.curve.evaluate(0).tolist() == [[0j], [1 + 0j]]
+
+    def test_coefficients_parse_as_their_exact_values(self):
+        # every spelling, negative and unreduced denominators included, gives
+        # the polynomial of the coefficients as exact Gaussian rationals
+        spelled = [
+            (7, GaussianRational(7)),
+            (-0.125, GaussianRational(Fraction(-1, 8))),
+            (1 / 3, GaussianRational(Fraction(1, 3))),
+            ([2, -5], GaussianRational(2, -5)),
+            ([0.5, 3], GaussianRational(Fraction(1, 2), 3)),
+            ([6, -4, 10, 15], GaussianRational(Fraction(-3, 2), Fraction(2, 3))),
+            ([-1, -7, 0, -2], GaussianRational(Fraction(1, 7))),
+            ([2**80, 3**40, 5, 2**70], GaussianRational(Fraction(2**80, 3**40), Fraction(5, 2**70))),
+            (0, GaussianRational(0)),
+        ]
+        for k in range(len(spelled) + 1):
+            coeffs = [v for v, _ in spelled[k:] + spelled[:k]]
+            want = Poly([c for _, c in spelled[k:] + spelled[:k]])
+            got = cli._as_poly(coeffs, "p")
+            assert (got.num, got.den) == (want.num, want.den)
+        assert cli._as_poly(0.75, "p") == Poly([GaussianRational(Fraction(3, 4))])
+        assert cli._as_poly([], "p") == Poly()
+
+    def test_float_range_checked_on_each_part(self):
+        # the check divides each part's integers, as float(Fraction) does
+        for ok in ([10**400, 10**92, 0, 1], [1, 10**400, 0, 1], [3, 2**1100, 1, 1]):
+            cli._as_poly([ok], "p")
+        for bad in ([10**400, 10**90, 0, 1], [0, 1, -(10**309), 1], [2**1100, 3, 5, 2**80], 10**309):
+            with pytest.raises(ConfigError, match="'p': a coefficient is beyond the float range"):
+                cli._as_poly([1, bad], "p")
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ConfigError, match="denominator"):
@@ -499,6 +531,65 @@ class TestTodaModes:
         assert statuses[:4] + statuses[5:] == ["ok"] * 8
         assert report.summary["hermitian_mode"] is hermitian
         assert report.exit_code() == 1
+
+    def test_verify_toda_reports_the_transport_column(self):
+        # the bent path basepoint -> basepoint + 0.5i radius -> z composes to
+        # the straight factor; toda-solve has no such column
+        for mode, hermitian in itertools.product(("toda-solve", "verify-toda"), (True, False)):
+            cfg = dict(LINE_TODA, mode=mode, hermitian_mode=hermitian)
+            if not hermitian:
+                cfg["seeds"] = dict(GENERAL_SEEDS, gamma_minus=[[[1, 0.25], [0]], [[0], [1]]])
+            report = run(cfg)
+            assert report.summary["points_ok"] == 9
+            for p in report.points:
+                assert ("transport" in p.residuals) == (mode == "verify-toda")
+                assert p.residuals.get("transport", 0.0) < 1e-14
+
+    def test_failed_bent_path_fails_its_point(self):
+        # gamma_minus vanishes at 1/4 + i/4, on the leg from m = 0.5i to the
+        # centre 1/2 alone; that point fails in verify-toda only
+        seeds = dict(LINE_TODA["seeds"], gamma_minus=[[[[1, 4, 1, 4], -1], [0]], [[0], [1]]])
+        cfg = dict(LINE_TODA, grid={"center": 0.5, "radius": 1.0, "nx": 3, "ny": 1}, seeds=seeds)
+        assert run(cfg).summary["points_ok"] == 3
+        report = run(dict(cfg, mode="verify-toda"))
+        statuses = [p.status for p in report.points]
+        assert report.points[1].z == 0.5
+        assert statuses[1].startswith("failed: integration: transport diverged")
+        assert statuses[0] == statuses[2] == "ok"
+        assert report.summary["points_ok"] == 2
+        assert report.summary["failure_fraction"] == pytest.approx(1 / 3)
+        assert report.exit_code() == 1
+
+    def test_degraded_transport_fails_on_the_transport_column(self, monkeypatch):
+        # the rng-77 (1, 2, 1) seeds on a 2 by 2 grid of radius 1.5; with
+        # 4 nodes a piece, every leg stays unresolved and fails, and with
+        # the resolution test off as well the factors are wrong by 1e-4,
+        # which every Toda residual misses and the transport column reads
+        rng = np.random.default_rng(77)
+        blocks = BlockStructure((1, 2, 1))
+        c_minus = subdiagonal_lowering(blocks)
+        cfg = dataclasses.replace(
+            parse_config({**LINE_TODA, "mode": "verify-toda", "gradation": {"sizes": [1, 2, 1]}}),
+            grid=GridSpec(radius=1.5, nx=2, ny=2),
+            gamma_minus=random_gamma_seed(rng, blocks),
+            c_minus=c_minus,
+        )
+        assert run(cfg).exit_code() == 0
+        monkeypatch.setattr(toda, "NODES", 4)
+        toda._rule.cache_clear()
+        try:
+            unresolved = run(cfg)
+            assert all(p.status.startswith("failed: integration: transport diverged") for p in unresolved.points)
+            monkeypatch.setattr(toda, "TAIL_TOL", np.inf)
+            report = run(cfg)
+        finally:
+            monkeypatch.undo()
+            toda._rule.cache_clear()
+        assert report.summary["points_ok"] == 4
+        tol = report.summary["residual_tol"]
+        for p in report.points:
+            assert max(v for k, v in p.residuals.items() if k != "transport") < tol
+        assert report.max_residual > tol and report.exit_code() == 1
 
     def test_huge_seed_entry_runs_without_warnings(self):
         # gamma's assembly overflows to inf and NaN, which the suite's

@@ -13,6 +13,7 @@ which ties the solver to the frame construction.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,25 @@ def rk4_transport(gamma_rep, c_rep, start, ends, steps):
         k4 = (mu + h * k3) @ a2
         mu = mu + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return mu
+
+
+def full_det_inverse(g, blocks):
+    """The singular rule of a full n by n determinant and inverse at every
+    node, the reference for toda._seed_inverse's block by block rule."""
+    det = np.linalg.det(g)
+    singular = ~np.isfinite(det) | (det == 0)
+    g[singular] = np.eye(blocks.n)
+    return np.linalg.inv(g), singular
+
+
+def rng77_problem(hermitian: bool):
+    """The rng-77 (1, 2, 1) problem of the benchmark with its two seeds."""
+    rng = np.random.default_rng(77)
+    blocks = BlockStructure((1, 2, 1))
+    c_minus = subdiagonal_lowering(blocks)
+    gamma_minus, gamma_plus = random_gamma_seed(rng, blocks), random_gamma_seed(rng, blocks)
+    c_plus = None if hermitian else c_minus.conjugate_transpose().scale(-1)
+    return TodaProblem(GradationSpec(blocks, (1, 1)), c_minus, c_plus), gamma_minus, gamma_plus
 
 
 def line_gamma(z: complex) -> np.ndarray:
@@ -263,6 +283,20 @@ class TestIntegrateMu:
             assert np.abs(mu_m - wm).max() < 1e-11
             assert np.abs(mu_p - wp).max() < 1e-11
 
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_transport_kernel_matches_rk4(self, hermitian):
+        # the batched kernel on every factor solve transports in the mode:
+        # mu_minus, and outside hermitian mode mu_plus in the conjugate variable
+        p, gamma_minus, gamma_plus = rng77_problem(hermitian)
+        ends = np.array([0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, -0.5 - 0.5j, 0.9])
+        factors = [(gamma_minus, p.c_minus, ends)]
+        if not hermitian:
+            factors.append((gamma_plus, p.c_plus, ends.conj()))
+        for seed, c, at in factors:
+            mu, failed = toda._transport_many(seed, c, p.blocks, 0.0, at)
+            assert not failed.any()
+            assert np.abs(mu - rk4_transport(seed, c, 0.0, at, 4000)).max() < 1e-12
+
     def test_path_independence(self):
         # the bent path 0 -> w -> z: legs compose by right multiplication
         p = line_problem()
@@ -299,6 +333,96 @@ class TestIntegrateMu:
         with pytest.raises(InvalidArgument, match="hermitian") as exc:
             solve(line_problem(), PolyMatrix.identity(2), [0.5], gamma_plus=PolyMatrix.identity(2))
         assert exc.value.argument == "gamma_plus"
+
+
+class TestSingularSeed:
+    """The seed is inverted one diagonal block at a time, and a node or an
+    endpoint fails where a block is singular: the same points, with the same
+    statuses, as a full determinant at every node gives."""
+
+    @staticmethod
+    def seed(kind: str, root) -> PolyMatrix:
+        # (1, 2, 1) block diagonal seeds, each singular at z = root alone
+        z = [-root, 1]  # the polynomial z - root
+        blocks = {
+            "one-by-one": [[z, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            "two-by-two": [[1, 0, 0, 0], [0, 1, [0, 1], 0], [0, 1, root, 0], [0, 0, 0, 1]],
+            "endpoint": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, z]],
+        }
+        return PolyMatrix(blocks[kind])
+
+    @pytest.mark.parametrize("kind", ["one-by-one", "two-by-two", "endpoint"])
+    def test_block_rule_fails_what_the_full_determinant_fails(self, kind, monkeypatch):
+        p, _, _ = rng77_problem(hermitian=True)
+        if kind == "endpoint":
+            # the grid point 1/2, which no quadrature node reaches
+            root, grid, lost = Fraction(1, 2), [0.5, -0.5, 0.5j, 0.3 + 0.3j], [0]
+        else:
+            # a Gauss-Legendre node of the one piece of the leg 0 -> 1, hit exactly
+            root = Fraction(float(toda._rule()[0][toda.NODES // 3]))
+            grid, lost = [1.0, 0.5j, -0.4 + 0.3j, -0.6], [0]
+        seed = self.seed(kind, root)
+
+        def node_hit():  # whether a node of the one piece 0 -> 1 is singular
+            return toda._panels(seed, p.c_minus, p.blocks, np.array([0j]), np.array([1 + 0j]))[2][0]
+
+        blockwise, hit = solve(p, seed, grid), node_hit()
+        assert [i for i, f in enumerate(blockwise.failures) if f] == lost
+        assert all(blockwise.failures[i].startswith("integration: transport diverged") for i in lost)
+        assert hit == (kind != "endpoint")
+        monkeypatch.setattr(toda, "_seed_inverse", full_det_inverse)
+        full = solve(p, seed, grid)
+        assert full.failures == blockwise.failures and node_hit() == hit
+        for x, y in zip(full.gamma_jet, blockwise.gamma_jet):
+            np.testing.assert_allclose(x, y, rtol=1e-13, atol=1e-15)
+
+
+class TestTransportDefect:
+    """The bent-path check mu(b -> z) = mu(b -> m) mu(m -> z)."""
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_exact_transport_composes(self, hermitian):
+        p, gamma_minus, gamma_plus = rng77_problem(hermitian)
+        grid = [0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, 0.0]
+        plus = None if hermitian else gamma_plus
+        sol = solve(p, gamma_minus, grid, gamma_plus=plus)
+        defect, failures = toda.transport_defect(p, sol, gamma_minus, 0.5j, gamma_plus=plus)
+        assert failures == (None,) * 4
+        assert defect.shape == (4,) and (defect < 1e-14).all()
+
+    def test_a_factor_off_by_a_constant_is_seen(self):
+        # mu -> C mu is another exact solution, which no Toda residual sees
+        p, gamma_minus, _ = rng77_problem(hermitian=True)
+        sol = solve(p, gamma_minus, [0.6 + 0.2j, -0.4j])
+        bent = np.eye(4, dtype=complex)
+        bent[1, 0] = 1e-6
+        moved = dataclasses.replace(sol, mu_minus=bent @ sol.mu_minus)
+        defect, _ = toda.transport_defect(p, moved, gamma_minus, 0.5j)
+        assert (defect > 1e-7).all()
+
+    def test_failed_points_are_skipped_and_a_failed_bent_leg_fails_its_point(self):
+        # the seed vanishes at 1/4 + i/4, on the leg from m = i/2 to 1/2
+        # alone, and inside the triangle (0, m, 1/2 + i/10), around which A
+        # has a pole and transport depends on the path; the point 1 has no
+        # straight transport
+        p = line_problem()
+        seed = PolyMatrix([[[GaussianRational(Fraction(1, 4), Fraction(1, 4)), -1], 0], [0, 1]])
+        seed = PolyMatrix([[[1, -1], 0], [0, 1]]) @ seed  # and singular at 1
+        grid = [0.5, -0.5, -0.3 + 0.3j, 0.5 + 0.1j, 1.0]
+        sol = solve(p, seed, grid)
+        assert [f is None for f in sol.failures] == [True] * 4 + [False]
+        defect, failures = toda.transport_defect(p, sol, seed, 0.5j)
+        assert failures[0].startswith("integration: transport diverged")
+        assert failures[1:] == (None,) * 4
+        assert np.isnan(defect[[0, 4]]).all()
+        assert (defect[1:3] < 1e-14).all() and defect[3] > 1e-3
+
+    def test_a_failed_leg_to_the_bend_gives_no_check(self):
+        p = line_problem()
+        seed = PolyMatrix([[[GaussianRational(0, Fraction(1, 4)), -1], 0], [0, 1]])  # singular at i/4
+        sol = solve(p, seed, [0.5, -0.5])
+        assert sol.failures == (None, None)
+        assert toda.transport_defect(p, sol, seed, 0.5j) is None
 
 
 class TestSolve:
