@@ -17,7 +17,11 @@ block triangular and nilpotent, and the Picard series of mu ends after
 count - 1 terms (count is the number of blocks).  Each term is a nested
 integral along a straight leg, taken on Gauss-Legendre nodes; a leg
 whose integrand the nodes do not resolve is cut in halves, and a leg
-still unresolved in MAX_PIECES pieces fails its endpoint.
+still unresolved in MAX_PIECES pieces fails its endpoint.  Since gamma is
+block diagonal, A is zero outside the nonzero blocks of c, and its block
+(a, b) is gamma_a c_ab gamma_b^{-1}: the integrand, and solve's slopes, are
+formed on those blocks alone, with gamma's diagonal blocks inverted in
+closed form up to size 2.
 
 In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
@@ -109,10 +113,11 @@ def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
         raise InvalidArgument(name, f"{name} must be block diagonal")
 
 
-def _derive_gap(spec: GradationSpec, c_minus: PolyMatrix, c_plus: PolyMatrix) -> int | None:
+def _derive_gap(spec: GradationSpec, found: dict[str, tuple]) -> int | None:
     """The gap l of the c data, None when both are zero.
 
-    l is read from the first nonzero block of c_minus, or of c_plus when
+    found maps "c_minus" and "c_plus" to their nonzero block positions.  l
+    is read from the first nonzero block of c_minus, or of c_plus when
     c_minus is zero, and is at least 1; every nonzero block of c_minus must
     then have degree -l and every one of c_plus degree +l.  The gradation
     must have no nonzero subspace in 0 < degree < l: label runs are
@@ -120,16 +125,13 @@ def _derive_gap(spec: GradationSpec, c_minus: PolyMatrix, c_plus: PolyMatrix) ->
     label.  A band violation names the seed the gap was read from.
     """
     sign = {"c_minus": -1, "c_plus": 1}
-    found = {
-        name: [(a, b, degree_of_block(spec, a, b)) for a, b in _nonzero_blocks(m, spec.blocks, name)]
-        for name, m in (("c_minus", c_minus), ("c_plus", c_plus))
-    }
-    source = "c_minus" if found["c_minus"] else "c_plus"
-    if not found[source]:
+    degrees = {name: [(a, b, degree_of_block(spec, a, b)) for a, b in found[name]] for name in sign}
+    source = "c_minus" if degrees["c_minus"] else "c_plus"
+    if not degrees[source]:
         return None
-    gap = max(1, sign[source] * found[source][0][2])
-    for name, degrees in found.items():
-        for a, b, d in degrees:
+    gap = max(1, sign[source] * degrees[source][0][2])
+    for name, entries in degrees.items():
+        for a, b, d in entries:
             if d != sign[name] * gap:
                 raise InvalidArgument(
                     name,
@@ -159,7 +161,9 @@ class TodaProblem:
     pointwise, which in the stored representation is an exact polynomial
     identity, and h (the identity unless given) is the metric of the frame
     phi.  A given c_plus means general mode, whatever its value; there h is
-    None, and giving one is an error.
+    None, and giving one is an error.  minus_pattern and plus_pattern are
+    the nonzero block positions (a, b) of c_minus and of c_plus, in row
+    order, read once here: transport builds its integrand on them alone.
     """
 
     gradation: GradationSpec
@@ -168,13 +172,19 @@ class TodaProblem:
     h: HermitianMetric | None = None
     hermitian_mode: bool = field(init=False)
     gap: int | None = field(init=False)
+    minus_pattern: tuple[tuple[int, int], ...] = field(init=False)
+    plus_pattern: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         hermitian = self.c_plus is None
         object.__setattr__(self, "hermitian_mode", hermitian)
         if hermitian:
             object.__setattr__(self, "c_plus", self.c_minus.conjugate_transpose().scale(-1))
-        object.__setattr__(self, "gap", _derive_gap(self.gradation, self.c_minus, self.c_plus))
+        blocks = self.gradation.blocks
+        found = {name: tuple(_nonzero_blocks(getattr(self, name), blocks, name)) for name in ("c_minus", "c_plus")}
+        object.__setattr__(self, "minus_pattern", found["c_minus"])
+        object.__setattr__(self, "plus_pattern", found["c_plus"])
+        object.__setattr__(self, "gap", _derive_gap(self.gradation, found))
         if self.h is None:
             if hermitian:
                 object.__setattr__(self, "h", HermitianMetric.identity(self.gradation.n))
@@ -210,27 +220,75 @@ def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w, 0.5 * antiderivatives @ analysis, analysis
 
 
-def _seed_inverse(g: np.ndarray, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of the block diagonal seed values g, over the last two
-    axes, taken one diagonal block at a time: a 1 by 1 block by its
-    reciprocal, a larger one by np.linalg.inv.  Returns it with the mask of
-    the leading axes where a block is singular (its determinant is 0 or not
-    finite); there g is set to the identity, in place, before inverting."""
-    blocks_at = [blocks.slice(a) for a in range(blocks.count)]
+def _diagonal(x: np.ndarray, blocks: BlockStructure) -> list[np.ndarray]:
+    """Views of the diagonal blocks of x, over its last two axes."""
+    return [x[..., s, s] for s in map(blocks.slice, range(blocks.count))]
+
+
+def _det(x: np.ndarray) -> np.ndarray:
+    """Determinants over the last two axes: the entry of a 1 by 1 block, ad -
+    bc of a 2 by 2 block [[a, b], [c, d]], np.linalg.det of a wider one."""
+    if x.shape[-1] == 1:
+        return x[..., 0, 0]
+    if x.shape[-1] == 2:
+        return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+    return np.linalg.det(x)
+
+
+def _seed_inverse(g: np.ndarray, blocks: BlockStructure, invert: bool = True):
+    """The inverses of the diagonal blocks of the block diagonal seed values
+    g, over the last two axes, with the mask of the leading axes where a
+    block is singular: its determinant is 0 or not finite.
+
+    The determinants are _det's.  A 1 by 1 block is inverted by its
+    reciprocal, a 2 by 2 block by its adjugate over ad - bc, the same
+    determinant the mask reads, and a wider one by np.linalg.inv.  Where
+    the mask is set, g is set to the identity, in place, before inverting,
+    so nothing is divided by zero.  With invert false only the mask is
+    formed, and the inverses are None.
+    """
+    parts = _diagonal(g, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = [_det(x) for x in parts]
     singular = np.zeros(g.shape[:-2], dtype=bool)
-    for s in blocks_at:
-        det = g[..., s.start, s.start] if s.stop - s.start == 1 else np.linalg.det(g[..., s, s])
+    for det in dets:
         singular |= ~np.isfinite(det) | (det == 0)
-    g[singular] = np.eye(blocks.n)
-    inv = np.zeros_like(g)
-    for s in blocks_at:
-        inv[..., s, s] = 1.0 / g[..., s, s] if s.stop - s.start == 1 else np.linalg.inv(g[..., s, s])
-    return inv, singular
+    if not invert:
+        return None, singular
+    if singular.any():
+        g[singular] = np.eye(blocks.n)
+        for det in dets:
+            det[singular] = 1.0
+    inverses = []
+    for x, det in zip(parts, dets):
+        if x.shape[-1] == 1:
+            inverses.append(1.0 / x)
+        elif x.shape[-1] == 2:
+            adjugate = np.empty_like(x)
+            adjugate[..., 0, 0], adjugate[..., 1, 1] = x[..., 1, 1], x[..., 0, 0]
+            adjugate[..., 0, 1], adjugate[..., 1, 0] = -x[..., 0, 1], -x[..., 1, 0]
+            inverses.append(adjugate / det[..., None, None])
+        else:
+            inverses.append(np.linalg.inv(x))
+    return inverses, singular
+
+
+def _slope(c: np.ndarray, g: list, g_inv: list, pattern: tuple, blocks: BlockStructure) -> np.ndarray:
+    """A = g c g^{-1} over the last two axes, for a block diagonal g given by
+    its diagonal blocks g[a] and their inverses g_inv[a]: c has pure degree,
+    so A is zero outside the nonzero blocks (a, b) of c, the pattern, and
+    A[a, b] = g[a] c[a, b] g_inv[b] is formed on those alone."""
+    a = np.zeros_like(c)
+    for i, j in pattern:
+        rows, cols = blocks.slice(i), blocks.slice(j)
+        a[..., rows, cols] = g[i] @ c[..., rows, cols] @ g_inv[j]
+    return a
 
 
 def _panels(
     gamma_rep: PolyMatrix,
     c_rep: PolyMatrix,
+    pattern: tuple,
     blocks: BlockStructure,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -239,10 +297,13 @@ def _panels(
 
     Returns the panel factors with two masks: panels whose integrand the
     nodes do not resolve, and panels where gamma is singular at a node.
-    Arrays are laid out node first, (NODES, panels, k, k), so every node
-    contraction is one matrix product on a reshaped array.  The Picard
-    series has count - 1 terms: the first integrates A itself, and each
-    later one the running integral of the one before times A.
+    The integrand A = gamma c gamma^{-1} is formed only on the nonzero
+    blocks of c (the pattern), from the inverses of gamma's diagonal blocks
+    (_seed_inverse), into an array that is zero elsewhere.  Arrays are laid
+    out node first, (NODES, panels, k, k), so every node contraction is one
+    matrix product on a reshaped array.  The Picard series has count - 1
+    terms: the first integrates A itself, and each later one the running
+    integral of the one before times A.
     """
     s, w, integrate, analysis = _rule()
     k = blocks.n
@@ -250,8 +311,8 @@ def _panels(
     delta = hi - lo
     nodes = lo[None, :] + s[:, None] * delta[None, :]
     gm = gamma_rep.evaluate(nodes)
-    inv, singular = _seed_inverse(gm, blocks)
-    a = gm @ c_rep.evaluate(nodes) @ inv
+    inverses, singular = _seed_inverse(gm, blocks)
+    a = _slope(c_rep.evaluate(nodes), _diagonal(gm, blocks), inverses, pattern, blocks)
     a *= delta[None, :, None, None]
     integrand = a.reshape(NODES, -1)
     coeffs = np.abs(analysis @ integrand).reshape(NODES, size, k * k)
@@ -269,6 +330,7 @@ def _panels(
 def _transport_many(
     gamma_rep: PolyMatrix,
     c_rep: PolyMatrix,
+    pattern: tuple,
     blocks: BlockStructure,
     start: complex,
     ends,
@@ -277,26 +339,30 @@ def _transport_many(
 
     Solves mu' = mu A with A = gamma c gamma^{-1} along each leg, mu = I
     at its start, by count - 1 Picard sweeps on Gauss-Legendre nodes (exact,
-    since that is the nilpotency index of A minus one).  A leg whose
+    since that is the nilpotency index of A minus one); pattern is the list
+    of nonzero blocks of c, the only blocks where A is formed.  A leg whose
     integrand is not resolved is cut into 2, 4, 8, ... equal pieces whose
     factors compose by right multiplication.  Returns (mu, failed): an
     endpoint fails when a diagonal block of gamma is singular there or at a
     node of its leg, when its leg needs more than MAX_PIECES pieces, or when
     the factor leaves the norm guard; its factor is then NaN, and the other
-    endpoints are unaffected.
+    endpoints are unaffected.  The endpoint itself is checked by the
+    singular mask alone, since the nodes are interior; no inverse is formed
+    there.
     """
     ends = np.asarray(ends, dtype=complex).ravel()
     k = blocks.n
     mu = np.full((ends.size, k, k), np.nan, dtype=complex)
-    # the nodes are interior: check the end itself
-    failed = _seed_inverse(gamma_rep.evaluate(ends), blocks)[1]
+    failed = _seed_inverse(gamma_rep.evaluate(ends), blocks, invert=False)[1]
     todo = np.flatnonzero(~failed)
     pieces = 1
     while todo.size and pieces <= MAX_PIECES:
         frac = np.linspace(0.0, 1.0, pieces + 1)
         cuts = start + frac[None, :] * (ends[todo] - start)[:, None]
         cuts[:, -1] = ends[todo]
-        legs, unresolved, singular = _panels(gamma_rep, c_rep, blocks, cuts[:, :-1].ravel(), cuts[:, 1:].ravel())
+        legs, unresolved, singular = _panels(
+            gamma_rep, c_rep, pattern, blocks, cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        )
         legs = legs.reshape(todo.size, pieces, k, k)
         singular = singular.reshape(todo.size, pieces).any(axis=1)
         retry = unresolved.reshape(todo.size, pieces).any(axis=1) & ~singular
@@ -421,36 +487,45 @@ def solve(
     blocks = problem.blocks
 
     z = np.array([complex(p) for p in grid], dtype=complex)
-    minus, failed = _transport_many(gamma_minus, problem.c_minus, blocks, complex(basepoint), z)
+    minus, failed = _transport_many(
+        gamma_minus, problem.c_minus, problem.minus_pattern, blocks, complex(basepoint), z
+    )
     if problem.hermitian_mode:
         plus = np.full_like(minus, np.nan)
         plus[~failed] = np.linalg.inv(dagger(minus[~failed]))
     else:
-        plus, failed_plus = _transport_many(gamma_plus, problem.c_plus, blocks, np.conj(complex(basepoint)), z.conj())
+        plus, failed_plus = _transport_many(
+            gamma_plus, problem.c_plus, problem.plus_pattern, blocks, np.conj(complex(basepoint)), z.conj()
+        )
         failed |= failed_plus
         minus[failed] = plus[failed] = np.nan
     alive = Survivors(z.shape)
     w, mu_m, mu_p = take((z, minus, plus), alive.drop([_DIVERGED if f else None for f in failed]))
 
+    # the transport slopes, on the block pattern of c as in transport:
+    # A_minus = gamma_minus c_minus gamma_minus^-1 at z and A_plus =
+    # gamma_plus c_plus gamma_plus^-1 at zbar, where in hermitian mode
+    # gamma_plus is the inverse conjugate transpose of gamma_minus
     gm = gamma_minus.evaluate(w)
+    gm_inv = _seed_inverse(gm.copy(), blocks)[0]
+    a_minus = _slope(problem.c_minus_at(w), _diagonal(gm, blocks), gm_inv, problem.minus_pattern, blocks)
     zero = np.zeros_like(gm)
     gm = (gm, gamma_minus.derivative().evaluate(w), zero, zero)
     if problem.hermitian_mode:
         quotient = dagger(mu_m) @ mu_m
         gp_inv = jet_h(gm)
+        plus_blocks = [dagger(x) for x in gm_inv]
     else:
         quotient = np.linalg.inv(mu_p) @ mu_m
-        gp = gamma_plus.evaluate(w.conj()), gamma_plus.derivative().evaluate(w.conj())
-        gp_inv = jet_inv((gp[0], zero, gp[1], zero))
+        gp = gamma_plus.evaluate(w.conj())
+        gp_inv = jet_inv((gp, zero, gamma_plus.derivative().evaluate(w.conj()), zero))
+        plus_blocks = _diagonal(gp, blocks)
+    a_plus = _slope(problem.c_plus_at(w), plus_blocks, _diagonal(gp_inv[0], blocks), problem.plus_pattern, blocks)
     factors = gauss_decompose(quotient, blocks)
     keep = alive.drop([None if f is None else f"gauss: {f}" for f in factors.failures])
-    w, mu_m, gm, gp_inv, quotient, eta, n_plus = take(
-        (w, mu_m, gm, gp_inv, quotient, factors.eta, factors.n_plus), keep
+    mu_m, gm, gp_inv, quotient, eta, n_plus, a_minus, a_plus = take(
+        (mu_m, gm, gp_inv, quotient, factors.eta, factors.n_plus, a_minus, a_plus), keep
     )
-    # the transport slopes: A_minus = gamma_minus c_minus gamma_minus^-1
-    # at z and A_plus = gamma_plus c_plus gamma_plus^-1 at zbar
-    a_minus = gm[0] @ problem.c_minus_at(w) @ np.linalg.inv(gm[0])
-    a_plus = np.linalg.solve(gp_inv[0], problem.c_plus_at(w) @ gp_inv[0])
     eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
     gamma = jet_mul(jet_mul(gp_inv, (eta, *eta_jet[1:])), gm)
     g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
@@ -493,16 +568,18 @@ def transport_defect(
     ok = list(solution.ok_indices)
     z = np.array(solution.grid, dtype=complex)[ok]
     b, m = complex(basepoint), complex(via)
-    sides = [(gamma_minus, problem.c_minus, b, m, z, solution.mu_minus[ok])]
+    sides = [(gamma_minus, problem.c_minus, problem.minus_pattern, b, m, z, solution.mu_minus[ok])]
     if not problem.hermitian_mode:
-        sides.append((gamma_plus, problem.c_plus, np.conj(b), np.conj(m), z.conj(), solution.mu_plus[ok]))
+        sides.append(
+            (gamma_plus, problem.c_plus, problem.plus_pattern, np.conj(b), np.conj(m), z.conj(), solution.mu_plus[ok])
+        )
     defect = np.zeros(len(ok))
     failed = np.zeros(len(ok), dtype=bool)
-    for seed, c, start, mid, ends, straight in sides:
-        first, lost = _transport_many(seed, c, problem.blocks, start, [mid])
+    for seed, c, pattern, start, mid, ends, straight in sides:
+        first, lost = _transport_many(seed, c, pattern, problem.blocks, start, [mid])
         if lost[0]:
             return None
-        second, lost = _transport_many(seed, c, problem.blocks, mid, ends)
+        second, lost = _transport_many(seed, c, pattern, problem.blocks, mid, ends)
         defect = np.fmax(defect, relative_defect(first[0] @ second, straight))
         failed |= lost
     out = np.full(len(solution.grid), np.nan)

@@ -87,13 +87,17 @@ def rk4_transport(gamma_rep, c_rep, start, ends, steps):
     return mu
 
 
-def full_det_inverse(g, blocks):
+def full_det_inverse(g, blocks, invert=True):
     """The singular rule of a full n by n determinant and inverse at every
     node, the reference for toda._seed_inverse's block by block rule."""
-    det = np.linalg.det(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the block rule reads an overflow
+        det = np.linalg.det(g)
     singular = ~np.isfinite(det) | (det == 0)
+    if not invert:
+        return None, singular
     g[singular] = np.eye(blocks.n)
-    return np.linalg.inv(g), singular
+    inv = np.linalg.inv(g)
+    return [inv[..., s, s] for s in map(blocks.slice, range(blocks.count))], singular
 
 
 def rng77_problem(hermitian: bool):
@@ -260,10 +264,12 @@ class TestIntegrateMu:
         w = np.conj(z)
         assert np.linalg.norm(mu_p - (np.eye(3) - w * up + w * w * up @ up / 2)) < 1e-14
 
-    @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 1), (1, 3), (3, 1)])
     def test_random_seeds_match_rk4(self, sizes):
-        # the rng-77 seeds of the acceptance test and the benchmark; the
-        # (1, 2, 1) problem also transports a second seed as gamma_plus
+        # the rng-77 seeds of the acceptance test and the benchmark; each
+        # problem also transports a second seed as gamma_plus.  A 3 by 3
+        # block is inverted by np.linalg.inv, not in closed form: c_plus
+        # reaches it from the right in (1, 3), and c_minus in (3, 1)
         rng = np.random.default_rng(77)
         blocks = BlockStructure(sizes)
         spec = GradationSpec(blocks, (1,) * (blocks.count - 1))
@@ -280,8 +286,8 @@ class TestIntegrateMu:
         want_p = rk4_transport(gamma_plus, p.c_plus, 0.0, np.conj(ends), 4000)
         sol = solve(p, gamma_minus, ends, gamma_plus=gamma_plus)
         for mu_m, mu_p, wm, wp in zip(sol.mu_minus, sol.mu_plus, want_m, want_p):
-            assert np.abs(mu_m - wm).max() < 1e-11
-            assert np.abs(mu_p - wp).max() < 1e-11
+            assert np.abs(mu_m - wm).max() < 1e-12
+            assert np.abs(mu_p - wp).max() < 1e-12
 
     @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
     def test_transport_kernel_matches_rk4(self, hermitian):
@@ -289,11 +295,11 @@ class TestIntegrateMu:
         # mu_minus, and outside hermitian mode mu_plus in the conjugate variable
         p, gamma_minus, gamma_plus = rng77_problem(hermitian)
         ends = np.array([0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, -0.5 - 0.5j, 0.9])
-        factors = [(gamma_minus, p.c_minus, ends)]
+        factors = [(gamma_minus, p.c_minus, p.minus_pattern, ends)]
         if not hermitian:
-            factors.append((gamma_plus, p.c_plus, ends.conj()))
-        for seed, c, at in factors:
-            mu, failed = toda._transport_many(seed, c, p.blocks, 0.0, at)
+            factors.append((gamma_plus, p.c_plus, p.plus_pattern, ends.conj()))
+        for seed, c, pattern, at in factors:
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.0, at)
             assert not failed.any()
             assert np.abs(mu - rk4_transport(seed, c, 0.0, at, 4000)).max() < 1e-12
 
@@ -364,7 +370,7 @@ class TestSingularSeed:
         seed = self.seed(kind, root)
 
         def node_hit():  # whether a node of the one piece 0 -> 1 is singular
-            return toda._panels(seed, p.c_minus, p.blocks, np.array([0j]), np.array([1 + 0j]))[2][0]
+            return toda._panels(seed, p.c_minus, p.minus_pattern, p.blocks, np.array([0j]), np.array([1 + 0j]))[2][0]
 
         blockwise, hit = solve(p, seed, grid), node_hit()
         assert [i for i, f in enumerate(blockwise.failures) if f] == lost
@@ -375,6 +381,32 @@ class TestSingularSeed:
         assert full.failures == blockwise.failures and node_hit() == hit
         for x, y in zip(full.gamma_jet, blockwise.gamma_jet):
             np.testing.assert_allclose(x, y, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    def test_a_determinant_out_of_range_fails_as_the_full_determinant_does(self, scale, monkeypatch):
+        # every block scaled by s leaves A = gamma c gamma^-1 as it is, but
+        # ad - bc of the 2 by 2 block is s^2 (...): it underflows to 0 at
+        # 1e-170 and overflows at 1e155, as the full determinant does
+        p, gamma_minus, _ = rng77_problem(hermitian=True)
+        seed = gamma_minus.scale(Fraction(scale))
+        grid = [0.5, -0.5j, 0.3 + 0.3j]
+        blockwise = solve(p, seed, grid)
+        leg = np.array([0j]), np.array([1 + 0j])
+        assert toda._panels(seed, p.c_minus, p.minus_pattern, p.blocks, *leg)[2][0]
+        assert toda._transport_many(seed, p.c_minus, p.minus_pattern, p.blocks, 0.0, grid)[1].all()
+        assert all(f.startswith("integration: transport diverged") for f in blockwise.failures)
+        monkeypatch.setattr(toda, "_seed_inverse", full_det_inverse)
+        assert solve(p, seed, grid).failures == blockwise.failures
+        assert toda._panels(seed, p.c_minus, p.minus_pattern, p.blocks, *leg)[2][0]
+
+    def test_a_scaled_seed_in_range_transports_as_it_is(self):
+        # at 1e-150 ad - bc is 1e-300 and every block inverts: the same
+        # factors as the unscaled seed, to rounding
+        p, gamma_minus, _ = rng77_problem(hermitian=True)
+        grid = [0.5, -0.5j, 0.3 + 0.3j]
+        scaled = solve(p, gamma_minus.scale(Fraction(1e-150)), grid)
+        assert scaled.failures == (None,) * 3
+        assert np.abs(scaled.mu_minus - solve(p, gamma_minus, grid).mu_minus).max() < 1e-13
 
 
 class TestTransportDefect:
@@ -732,7 +764,24 @@ class TestStackedChecks:
         with pytest.raises(SingularBeta, match="gamma block 0"):
             toda_residual(p, jets[2], z[2])
 
-    @pytest.mark.parametrize("side", ["frenet", "toda"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_a_stacked_transport_gives_each_point_its_bits(self, hermitian):
+        # one batch of endpoints against one endpoint at a time; 2.2 - 1.1j
+        # is cut in two pieces, and 1e3 stays unresolved in MAX_PIECES pieces
+        p, gamma_minus, gamma_plus = rng77_problem(hermitian)
+        ends = np.array([0.3 + 0.2j, 2.2 - 1.1j, -0.7 + 0.4j, 1e3, 0.6j])
+        factors = [(gamma_minus, p.c_minus, p.minus_pattern, ends)]
+        if not hermitian:
+            factors.append((gamma_plus, p.c_plus, p.plus_pattern, ends.conj()))
+        for seed, c, pattern, at in factors:
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.1, at)
+            assert failed.tolist() == [False, False, False, True, False]
+            for i, end in enumerate(at):
+                alone, lost = toda._transport_many(seed, c, pattern, p.blocks, 0.1, [end])
+                assert lost[0] == failed[i]
+                assert np.array_equal(alone[0], mu[i], equal_nan=True)
+
+    @pytest.mark.parametrize("side", ["frenet", "toda", "toda-general"])
     def test_stacked_gamma_jet_reads_as_it_is(self, side):
         # frame_at and solve return gamma's jet in the one format the checks
         # read: stacked, it goes in unchanged and each point gets the bits
@@ -748,11 +797,17 @@ class TestStackedChecks:
                 return frame_at(seq, h, w).gamma_jet
         else:
             blocks = BlockStructure((1, 2, 1))
-            p = TodaProblem(GradationSpec(blocks, (1, 1)), subdiagonal_lowering(blocks))
-            seed = random_gamma_seed(np.random.default_rng(5), blocks)
+            c_minus = subdiagonal_lowering(blocks)
+            rng = np.random.default_rng(5)
+            seed = random_gamma_seed(rng, blocks)
+            if side == "toda":
+                p, plus = TodaProblem(GradationSpec(blocks, (1, 1)), c_minus), None
+            else:  # general mode: the plus factor is transported with its own seed
+                c_plus = c_minus.conjugate_transpose().scale(-1)
+                p, plus = TodaProblem(GradationSpec(blocks, (1, 1)), c_minus, c_plus), random_gamma_seed(rng, blocks)
 
             def gamma_jet(w):
-                return solve(p, seed, np.atleast_1d(w)).gamma_jet
+                return solve(p, seed, np.atleast_1d(w), gamma_plus=plus).gamma_jet
 
         stacked = gamma_jet(z)
         k = p.blocks.n
@@ -760,7 +815,7 @@ class TestStackedChecks:
         res, curvature = toda_residual(p, stacked, z), zero_curvature_check(p, stacked, z)
         for i, w in enumerate(z):
             alone = gamma_jet(w)
-            if side == "toda":  # solve takes a grid: its one point
+            if side != "frenet":  # solve takes a grid: its one point
                 alone = tuple(x[0] for x in alone)
             assert np.array_equal([r[i] for r in res], toda_residual(p, alone, w))
             assert curvature[i] == zero_curvature_check(p, alone, w)
