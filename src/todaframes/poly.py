@@ -456,30 +456,44 @@ class PolyMatrix:
         Horner's rule on float (re, im) pairs, converted once and kept, by
         the formulas of Python complex arithmetic, so each value has the
         bits of Python complex Horner at that point alone; numpy's complex
-        multiply may fuse multiply and add.  Overflow gives inf silently.
+        multiply may fuse multiply and add.  Only the nonzero entries are
+        evaluated, and scattered into zeros: a zero entry is exactly 0.
+        Overflow gives inf silently.
         """
         try:
-            coeff = self._floats
+            coeff, where = self._floats
         except AttributeError:
-            deg = max(e.degree for row in self.entries for e in row)
-            coeff = np.zeros((deg + 1, 2, 1, self.rows, self.cols))
-            for i, row in enumerate(self.entries):
-                for j, e in enumerate(row):
-                    # int true division rounds as float(Fraction) does
-                    for m, (re, im) in enumerate(e.num):
-                        coeff[m, :, 0, i, j] = re / e.den, im / e.den
-            object.__setattr__(self, "_floats", coeff)
-        w = np.asarray(z, dtype=complex).reshape(-1, 1, 1)
-        # (ar, ai) w = (ar wr + ai (-wi), ai wr + ar wi), and a - b is a + (-b)
-        wr, wi = w.real, np.array([-1.0, 1.0])[:, None, None, None] * w.imag
-        out = np.zeros((2, w.size, self.rows, self.cols))
+            flat = [e for row in self.entries for e in row]
+            nonzero = [i for i, e in enumerate(flat) if not e.is_zero]
+            coeff = np.zeros((max((flat[i].degree for i in nonzero), default=0) + 1, 2, len(nonzero), 1))
+            for col, i in enumerate(nonzero):
+                e = flat[i]
+                # int true division rounds as float(Fraction) does
+                for m, (re, im) in enumerate(e.num):
+                    coeff[m, :, col, 0] = re / e.den, im / e.den
+            # the float columns of the (re, im) parts of the nonzero entries,
+            # in the order of coeff's part and entry axes; None when no entry is zero
+            where = None
+            if len(nonzero) < len(flat):
+                where = (2 * np.array(nonzero, dtype=int) + np.arange(2)[:, None]).ravel()
+            object.__setattr__(self, "_floats", (coeff, where))
+        w = np.asarray(z, dtype=complex).reshape(-1)
+        # (ar, ai) w = (ar wr + ai (-wi), ai wr + ar wi), and a - b is a + (-b);
+        # parts first and points last, so each operation runs along the points
+        wr, wi = w.real.copy(), np.array([-1.0, 1.0])[:, None, None] * w.imag
+        out = np.zeros((2, coeff.shape[2], w.size))
         with np.errstate(over="ignore", invalid="ignore"):
             for c in coeff[::-1]:
                 swap = out[::-1] * wi
                 out *= wr
                 out += swap
                 out += c
-        return out.transpose(1, 2, 3, 0).copy().view(complex).reshape(np.shape(z) + (self.rows, self.cols))
+        if where is None:
+            values = out.T.copy()
+        else:
+            values = np.zeros((w.size, 2 * self.rows * self.cols))
+            values[:, where] = out.reshape(len(where), w.size).T
+        return values.view(complex).reshape(np.shape(z) + (self.rows, self.cols))
 
     def det(self) -> Poly:
         """Exact determinant by fraction free (Bareiss) elimination over the

@@ -21,7 +21,11 @@ still unresolved in MAX_PIECES pieces fails its endpoint.  Since gamma is
 block diagonal, A is zero outside the nonzero blocks of c, and its block
 (a, b) is gamma_a c_ab gamma_b^{-1}: the integrand, and solve's slopes, are
 formed on those blocks alone, with gamma's diagonal blocks inverted in
-closed form up to size 2.
+closed form up to size 2.  The Picard sweep stays on that block pattern:
+a term is kept as its blocks, the next term's block (a, b) sums the
+running integral's block (a, j) times A's block (j, b) over the pairs
+that meet, and each term is added to the factor block by block, so no
+full n by n product is taken along a leg.
 
 In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
@@ -61,7 +65,6 @@ from .linalg import (
     Survivors,
     dagger,
     gauss_decompose,
-    jet_h,
     jet_inv,
     jet_mul,
     relative_defect,
@@ -90,6 +93,7 @@ MU_NORM_LIMIT = 1e12
 NODES = 24
 TAIL_TOL = 1e-13
 MAX_PIECES = 512
+_TINY = np.finfo(float).tiny
 _DIVERGED = (
     f"integration: transport diverged: a leg unresolved in {MAX_PIECES} pieces, "
     f"a singular seed on the path, or a factor norm above {MU_NORM_LIMIT:g}"
@@ -163,7 +167,8 @@ class TodaProblem:
     phi.  A given c_plus means general mode, whatever its value; there h is
     None, and giving one is an error.  minus_pattern and plus_pattern are
     the nonzero block positions (a, b) of c_minus and of c_plus, in row
-    order, read once here: transport builds its integrand on them alone.
+    order, read once here: transport builds its integrand and its Picard
+    sweep on them alone.
     """
 
     gradation: GradationSpec
@@ -235,54 +240,110 @@ def _det(x: np.ndarray) -> np.ndarray:
     return np.linalg.det(x)
 
 
+def _scaled(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x times 2^e, exactly, for a complex x."""
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+    return out
+
+
 def _seed_inverse(g: np.ndarray, blocks: BlockStructure, invert: bool = True):
     """The inverses of the diagonal blocks of the block diagonal seed values
     g, over the last two axes, with the mask of the leading axes where a
-    block is singular: its determinant is 0 or not finite.
+    block is singular.
 
-    The determinants are _det's.  A 1 by 1 block is inverted by its
-    reciprocal, a 2 by 2 block by its adjugate over ad - bc, the same
-    determinant the mask reads, and a wider one by np.linalg.inv.  Where
-    the mask is set, g is set to the identity, in place, before inverting,
-    so nothing is divided by zero.  With invert false only the mask is
-    formed, and the inverses are None.
+    The determinants are _det's.  Where a block's determinant is 0,
+    subnormal or not finite, the block is scaled by 2^-e, with 2^e the power
+    of two just above its largest real or imaginary part, and inverted as
+    that scaled block, whose inverse is scaled back by 2^-e.  The scaling is
+    exact: a seed scaled as a whole inverts as the seed does, and where the
+    determinant is a normal number it would change no bit, so it is skipped
+    there.  A block is singular where its determinant, after that scaling,
+    is 0 or not finite.  A 1 by 1 block is inverted by its reciprocal, a 2
+    by 2 block by its adjugate over ad - bc, and a wider one by
+    np.linalg.inv.  Where the mask is set, g and the blocks are set to the
+    identity, in place, before inverting, so nothing is divided by zero.
+    With invert false only the mask is formed, and the inverses are None.
     """
-    parts = _diagonal(g, blocks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dets = [_det(x) for x in parts]
+    parts, dets, exponents = [], [], []
     singular = np.zeros(g.shape[:-2], dtype=bool)
-    for det in dets:
-        singular |= ~np.isfinite(det) | (det == 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _diagonal(g, blocks):
+            det, e = _det(x), None
+            magnitude = np.abs(det)
+            # a NaN fails both comparisons
+            if magnitude.size and not (magnitude.min() >= _TINY and magnitude.max() < np.inf):
+                normal = (magnitude >= _TINY) & (magnitude < np.inf)
+                largest = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(-2, -1))
+                e = np.where(normal, 0, -np.frexp(largest)[1])[..., None, None]
+                x = _scaled(x, e)
+                det = _det(x)
+                singular |= ~np.isfinite(det) | (det == 0)
+            parts.append(x)
+            dets.append(det)
+            exponents.append(e)
     if not invert:
         return None, singular
     if singular.any():
         g[singular] = np.eye(blocks.n)
-        for det in dets:
+        for x, det, e in zip(parts, dets, exponents):
+            x[singular] = np.eye(x.shape[-1])
             det[singular] = 1.0
+            if e is not None:
+                e[singular] = 0
     inverses = []
-    for x, det in zip(parts, dets):
+    for x, det, e in zip(parts, dets, exponents):
         if x.shape[-1] == 1:
-            inverses.append(1.0 / x)
+            inverse = 1.0 / x
         elif x.shape[-1] == 2:
-            adjugate = np.empty_like(x)
-            adjugate[..., 0, 0], adjugate[..., 1, 1] = x[..., 1, 1], x[..., 0, 0]
-            adjugate[..., 0, 1], adjugate[..., 1, 0] = -x[..., 0, 1], -x[..., 1, 0]
-            inverses.append(adjugate / det[..., None, None])
+            inverse = np.empty_like(x)
+            inverse[..., 0, 0], inverse[..., 1, 1] = x[..., 1, 1], x[..., 0, 0]
+            inverse[..., 0, 1], inverse[..., 1, 0] = -x[..., 0, 1], -x[..., 1, 0]
+            inverse /= det[..., None, None]
         else:
-            inverses.append(np.linalg.inv(x))
+            inverse = np.linalg.inv(x)
+        inverses.append(inverse if e is None else _scaled(inverse, e))
     return inverses, singular
 
 
+def _assemble(parts: list, positions, blocks: BlockStructure, like: np.ndarray) -> np.ndarray:
+    """The array shaped like like that holds parts[i] in block positions[i]
+    over its last two axes and is zero elsewhere."""
+    out = np.zeros_like(like)
+    for (i, j), x in zip(positions, parts):
+        out[..., blocks.slice(i), blocks.slice(j)] = x
+    return out
+
+
+def _slope_blocks(c: np.ndarray, g: list, g_inv: list, pattern: tuple, blocks: BlockStructure) -> list:
+    """The blocks A[a, b] = g[a] c[a, b] g_inv[b] of A = g c g^{-1}, over the
+    last two axes, for a block diagonal g given by its diagonal blocks g[a]
+    and their inverses g_inv[a]: c has pure degree, so A is zero outside
+    the nonzero blocks (a, b) of c, the pattern, and only those are formed,
+    in its order."""
+    return [g[i] @ c[..., blocks.slice(i), blocks.slice(j)] @ g_inv[j] for i, j in pattern]
+
+
 def _slope(c: np.ndarray, g: list, g_inv: list, pattern: tuple, blocks: BlockStructure) -> np.ndarray:
-    """A = g c g^{-1} over the last two axes, for a block diagonal g given by
-    its diagonal blocks g[a] and their inverses g_inv[a]: c has pure degree,
-    so A is zero outside the nonzero blocks (a, b) of c, the pattern, and
-    A[a, b] = g[a] c[a, b] g_inv[b] is formed on those alone."""
-    a = np.zeros_like(c)
-    for i, j in pattern:
-        rows, cols = blocks.slice(i), blocks.slice(j)
-        a[..., rows, cols] = g[i] @ c[..., rows, cols] @ g_inv[j]
-    return a
+    """A = g c g^{-1} as a full array, zero outside the pattern (_slope_blocks)."""
+    return _assemble(_slope_blocks(c, g, g_inv, pattern, blocks), pattern, blocks, c)
+
+
+def _packed(term: list) -> np.ndarray:
+    """The blocks (a, b, x) of a Picard term, each x of shape (panels, NODES,
+    r, c), side by side as one (panels, NODES, entries) array."""
+    return np.concatenate([x.reshape(x.shape[:2] + (-1,)) for _, _, x in term], axis=-1)
+
+
+def _unpacked(flat: np.ndarray, term: list) -> list:
+    """The blocks of term's layout read back from flat, whose last axis is
+    packed as _packed packs term: views shaped flat.shape[:-1] + (r, c)."""
+    out, start = [], 0
+    for _, _, x in term:
+        stop = start + x.shape[-2] * x.shape[-1]
+        out.append(flat[..., start:stop].reshape(flat.shape[:-1] + x.shape[-2:]))
+        start = stop
+    return out
 
 
 def _panels(
@@ -297,34 +358,52 @@ def _panels(
 
     Returns the panel factors with two masks: panels whose integrand the
     nodes do not resolve, and panels where gamma is singular at a node.
-    The integrand A = gamma c gamma^{-1} is formed only on the nonzero
-    blocks of c (the pattern), from the inverses of gamma's diagonal blocks
-    (_seed_inverse), into an array that is zero elsewhere.  Arrays are laid
-    out node first, (NODES, panels, k, k), so every node contraction is one
-    matrix product on a reshaped array.  The Picard series has count - 1
-    terms: the first integrates A itself, and each later one the running
-    integral of the one before times A.
+    Everything is kept on the block pattern.  The integrand A = gamma c
+    gamma^{-1} is formed only on the nonzero blocks of c (the pattern),
+    from the inverses of gamma's diagonal blocks (_seed_inverse), and the
+    resolution test reads the Legendre tails of those blocks alone.  A
+    Picard term is a list of blocks (a, b, values), laid out panel first,
+    (panels, NODES, r, c), and packed side by side for the node
+    contractions, so each panel's contraction is a product of a fixed shape
+    whatever the number of panels.  The first term is A itself; each later
+    one is the running integral of the one before times A, formed as the
+    sum over j of its block (a, j) times A's block (j, b) for the pairs
+    that meet, so the term of depth m lives on the blocks of degree m times
+    c's: on the (1, 2, 1) data A has 4 entries and the second term 1, one 1
+    by 2 times 2 by 1 product a node.  The series has count - 1 terms, and
+    ends sooner when a term has no block; an empty pattern transports to
+    the identity.  Each term's integral is added to the factor block by
+    block.
     """
     s, w, integrate, analysis = _rule()
-    k = blocks.n
     size = lo.size
     delta = hi - lo
-    nodes = lo[None, :] + s[:, None] * delta[None, :]
+    nodes = lo[:, None] + s[None, :] * delta[:, None]
     gm = gamma_rep.evaluate(nodes)
     inverses, singular = _seed_inverse(gm, blocks)
-    a = _slope(c_rep.evaluate(nodes), _diagonal(gm, blocks), inverses, pattern, blocks)
-    a *= delta[None, :, None, None]
-    integrand = a.reshape(NODES, -1)
-    coeffs = np.abs(analysis @ integrand).reshape(NODES, size, k * k)
-    unresolved = coeffs[-2:].max(axis=(0, 2)) > TAIL_TOL * coeffs.max(axis=(0, 2))
-    mu = np.broadcast_to(np.eye(k, dtype=complex), (size, k, k)).copy()
+    mu = np.broadcast_to(np.eye(blocks.n, dtype=complex), (size, blocks.n, blocks.n)).copy()
+    if not pattern:
+        return mu, np.zeros(size, dtype=bool), singular.any(axis=1)
+    slope = _slope_blocks(c_rep.evaluate(nodes), _diagonal(gm, blocks), inverses, pattern, blocks)
+    a = term = [(i, j, x * delta[:, None, None, None]) for (i, j), x in zip(pattern, slope)]
+    flat = _packed(a)
+    coeffs = np.abs(analysis @ flat)
+    unresolved = coeffs[:, -2:].max(axis=(1, 2)) > TAIL_TOL * coeffs.max(axis=(1, 2))
     for sweep in range(blocks.count - 1):
         if sweep:
-            integrand = ((integrate @ integrand).reshape(a.shape) @ a).reshape(NODES, -1)
-        if not integrand.any():
-            break
-        mu += (w @ integrand).reshape(size, k, k)
-    return mu, unresolved, singular.any(axis=0)
+            products = {}
+            for (i, j, _), running in zip(term, _unpacked(integrate @ flat, term)):
+                for jj, k, y in a:
+                    if jj == j:
+                        x = running @ y
+                        products[i, k] = products[i, k] + x if (i, k) in products else x
+            term = [(i, k, x) for (i, k), x in products.items()]
+            if not term:
+                break
+            flat = _packed(term)
+        for (i, j, _), total in zip(term, _unpacked(w @ flat, term)):
+            mu[:, blocks.slice(i), blocks.slice(j)] += total
+    return mu, unresolved, singular.any(axis=1)
 
 
 def _transport_many(
@@ -340,15 +419,15 @@ def _transport_many(
     Solves mu' = mu A with A = gamma c gamma^{-1} along each leg, mu = I
     at its start, by count - 1 Picard sweeps on Gauss-Legendre nodes (exact,
     since that is the nilpotency index of A minus one); pattern is the list
-    of nonzero blocks of c, the only blocks where A is formed.  A leg whose
-    integrand is not resolved is cut into 2, 4, 8, ... equal pieces whose
-    factors compose by right multiplication.  Returns (mu, failed): an
-    endpoint fails when a diagonal block of gamma is singular there or at a
-    node of its leg, when its leg needs more than MAX_PIECES pieces, or when
-    the factor leaves the norm guard; its factor is then NaN, and the other
-    endpoints are unaffected.  The endpoint itself is checked by the
-    singular mask alone, since the nodes are interior; no inverse is formed
-    there.
+    of nonzero blocks of c, the only blocks where A and the sweep are
+    formed (_panels).  A leg whose integrand is not resolved is cut into 2,
+    4, 8, ... equal pieces whose factors compose by right multiplication.
+    Returns (mu, failed): an endpoint fails when a diagonal block of gamma
+    is singular there or at a node of its leg, when its leg needs more than
+    MAX_PIECES pieces, or when the factor leaves the norm guard; its factor
+    is then NaN, and the other endpoints are unaffected.  The endpoint
+    itself is checked by the singular mask alone, since the nodes are
+    interior; no inverse is formed there.
     """
     ends = np.asarray(ends, dtype=complex).ravel()
     k = blocks.n
@@ -437,6 +516,17 @@ def _eta_jet(q_jet: tuple, blocks: BlockStructure) -> tuple:
     return eta
 
 
+def _gamma_jet(gp_inv: tuple, eta_jet: tuple, gm: tuple) -> tuple:
+    """The jet of gamma = gamma_plus^-1 eta gamma_minus by the Leibniz rule,
+    from gamma_plus^-1 as (value, dbar) and gamma_minus as (value, d): the
+    parts known to be zero enter no product."""
+    p, p_bar = gp_inv
+    g, g_d = gm
+    e, e_d, e_bar, e_dbar = eta_jet
+    x, x_d, x_bar, x_dbar = p @ e, p @ e_d, p_bar @ e + p @ e_bar, p_bar @ e_d + p @ e_dbar
+    return x @ g, x_d @ g + x @ g_d, x_bar @ g, x_dbar @ g + x_bar @ g_d
+
+
 def _gamma_guard(alive: Survivors, gamma, blocks: BlockStructure, z, error, rows):
     """Fail the live points where a diagonal block of gamma, the stack over
     them, is beyond the condition guard, with error(text) naming the first
@@ -505,29 +595,35 @@ def solve(
     # the transport slopes, on the block pattern of c as in transport:
     # A_minus = gamma_minus c_minus gamma_minus^-1 at z and A_plus =
     # gamma_plus c_plus gamma_plus^-1 at zbar, where in hermitian mode
-    # gamma_plus is the inverse conjugate transpose of gamma_minus
+    # gamma_plus is the inverse conjugate transpose of gamma_minus.  The
+    # seed jets keep their nonzero parts only: gamma_minus (value, d) and
+    # gamma_plus^-1 (value, dbar), its blocks the inverses of gamma_plus's
     gm = gamma_minus.evaluate(w)
     gm_inv = _seed_inverse(gm.copy(), blocks)[0]
     a_minus = _slope(problem.c_minus_at(w), _diagonal(gm, blocks), gm_inv, problem.minus_pattern, blocks)
-    zero = np.zeros_like(gm)
-    gm = (gm, gamma_minus.derivative().evaluate(w), zero, zero)
+    gm = (gm, gamma_minus.derivative().evaluate(w))
     if problem.hermitian_mode:
         quotient = dagger(mu_m) @ mu_m
-        gp_inv = jet_h(gm)
-        plus_blocks = [dagger(x) for x in gm_inv]
+        gp_inv = (dagger(gm[0]), dagger(gm[1]))
+        plus_blocks, plus_inv = [dagger(x) for x in gm_inv], _diagonal(gp_inv[0], blocks)
     else:
         quotient = np.linalg.inv(mu_p) @ mu_m
         gp = gamma_plus.evaluate(w.conj())
-        gp_inv = jet_inv((gp, zero, gamma_plus.derivative().evaluate(w.conj()), zero))
-        plus_blocks = _diagonal(gp, blocks)
-    a_plus = _slope(problem.c_plus_at(w), plus_blocks, _diagonal(gp_inv[0], blocks), problem.plus_pattern, blocks)
+        plus_blocks, plus_inv = _diagonal(gp, blocks), _seed_inverse(gp.copy(), blocks)[0]
+        dgp = _diagonal(gamma_plus.derivative().evaluate(w.conj()), blocks)
+        diagonal = [(a, a) for a in range(blocks.count)]
+        gp_inv = (
+            _assemble(plus_inv, diagonal, blocks, gp),
+            _assemble([-x @ d @ x for x, d in zip(plus_inv, dgp)], diagonal, blocks, gp),
+        )
+    a_plus = _slope(problem.c_plus_at(w), plus_blocks, plus_inv, problem.plus_pattern, blocks)
     factors = gauss_decompose(quotient, blocks)
     keep = alive.drop([None if f is None else f"gauss: {f}" for f in factors.failures])
     mu_m, gm, gp_inv, quotient, eta, n_plus, a_minus, a_plus = take(
         (mu_m, gm, gp_inv, quotient, factors.eta, factors.n_plus, a_minus, a_plus), keep
     )
     eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
-    gamma = jet_mul(jet_mul(gp_inv, (eta, *eta_jet[1:])), gm)
+    gamma = _gamma_jet(gp_inv, (eta, *eta_jet[1:]), gm)
     g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
     phi = None if g0inv is None else g0inv @ mu_m @ n_plus @ gm[0]
     gamma, phi = _gamma_guard(alive, gamma[0], blocks, z, "SingularBeta: {}".format, (gamma, phi))

@@ -391,6 +391,39 @@ class TestNumericEvaluation:
             PolyMatrix([[Fraction(10**400, 3)]]).evaluate(0)
 
 
+class TestStructuralZeros:
+    """evaluate computes the nonzero entries only and scatters them into
+    zeros; each value still has the reference bits, at a point, in a stack
+    and after a pickle round trip, where a zero entry reads +0 as the
+    reference's empty Horner sum does."""
+
+    MATRICES = {
+        "all-zero": PolyMatrix.zeros(3, 2),
+        # a (1, 2, 1) block diagonal seed: 10 of its 16 entries are zero
+        "block-diagonal": PolyMatrix(
+            [
+                [[1, GaussianRational(0, Fraction(1, 8))], 0, 0, 0],
+                [0, [1, Fraction(-1, 8), GaussianRational(Fraction(1, 8), 1)], [0, 1], 0],
+                [0, [GaussianRational(0, -1), 0, Fraction(1, 3)], 1, 0],
+                [0, 0, 0, [1, 0, GaussianRational(Fraction(-1, 8), Fraction(1, 8))]],
+            ]
+        ),
+        "constant-entries": PolyMatrix([[0, 0, 0], [1, 0, 0], [0, GaussianRational(Fraction(1, 3), -2), 0]]),
+    }
+
+    @pytest.mark.parametrize("name", list(MATRICES))
+    def test_values_match_the_reference(self, name):
+        m = self.MATRICES[name]
+        pts = np.array([complex(z) for z in EVAL_POINTS])
+        for matrix in (m, pickle.loads(pickle.dumps(m))):
+            batched = matrix.evaluate(pts.reshape(2, 5))
+            assert batched.shape == (2, 5) + m.shape
+            for k, z in enumerate(EVAL_POINTS):
+                expected = reference_matrix(m, z).tobytes()
+                assert matrix.evaluate(z).tobytes() == expected
+                assert batched.reshape((-1,) + m.shape)[k].tobytes() == expected
+
+
 class TestFactorZeros:
     def test_common_factor_z(self):
         g, d = factor_zeros(col(Z, Z * Z))

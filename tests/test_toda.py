@@ -383,21 +383,21 @@ class TestSingularSeed:
             np.testing.assert_allclose(x, y, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e155])
-    def test_a_determinant_out_of_range_fails_as_the_full_determinant_does(self, scale, monkeypatch):
-        # every block scaled by s leaves A = gamma c gamma^-1 as it is, but
+    def test_a_seed_scaled_beyond_the_determinant_range_transports_as_it_is(self, scale):
+        # every block scaled by s leaves A = gamma c gamma^-1 as it is, while
         # ad - bc of the 2 by 2 block is s^2 (...): it underflows to 0 at
-        # 1e-170 and overflows at 1e155, as the full determinant does
-        p, gamma_minus, _ = rng77_problem(hermitian=True)
-        seed = gamma_minus.scale(Fraction(scale))
+        # 1e-170 and overflows at 1e155, but each block is first scaled to
+        # its own size.  Both seeds scaled leave gamma as it is too
+        p, gamma_minus, gamma_plus = rng77_problem(hermitian=False)
         grid = [0.5, -0.5j, 0.3 + 0.3j]
-        blockwise = solve(p, seed, grid)
-        leg = np.array([0j]), np.array([1 + 0j])
-        assert toda._panels(seed, p.c_minus, p.minus_pattern, p.blocks, *leg)[2][0]
-        assert toda._transport_many(seed, p.c_minus, p.minus_pattern, p.blocks, 0.0, grid)[1].all()
-        assert all(f.startswith("integration: transport diverged") for f in blockwise.failures)
-        monkeypatch.setattr(toda, "_seed_inverse", full_det_inverse)
-        assert solve(p, seed, grid).failures == blockwise.failures
-        assert toda._panels(seed, p.c_minus, p.minus_pattern, p.blocks, *leg)[2][0]
+        s = Fraction(scale)
+        scaled = solve(p, gamma_minus.scale(s), grid, gamma_plus=gamma_plus.scale(s))
+        plain = solve(p, gamma_minus, grid, gamma_plus=gamma_plus)
+        assert scaled.failures == plain.failures == (None,) * 3
+        assert np.abs(scaled.mu_minus - plain.mu_minus).max() < 1e-13
+        assert np.abs(scaled.mu_plus - plain.mu_plus).max() < 1e-13
+        for x, y in zip(scaled.gamma_jet, plain.gamma_jet):
+            np.testing.assert_allclose(x, y, rtol=1e-13, atol=1e-13)
 
     def test_a_scaled_seed_in_range_transports_as_it_is(self):
         # at 1e-150 ad - bc is 1e-300 and every block inverts: the same
@@ -407,6 +407,89 @@ class TestSingularSeed:
         scaled = solve(p, gamma_minus.scale(Fraction(1e-150)), grid)
         assert scaled.failures == (None,) * 3
         assert np.abs(scaled.mu_minus - solve(p, gamma_minus, grid).mu_minus).max() < 1e-13
+
+
+PATTERN_SHAPES = {
+    "count-4": ((1, 1, 1, 1), (1, 1, 1)),
+    "dense-blocks": ((2, 1, 2), (1, 1)),
+    "gap-two": ((1, 1, 1, 1), (2, 0, 2)),
+    "zero": ((1, 2, 1), (1, 1)),
+}
+PATTERN_BLOCKS = {"dense-blocks": [(1, 0), (2, 1)], "gap-two": [(1, 0), (2, 0), (3, 1), (3, 2)]}
+
+
+def pattern_problem(kind: str):
+    """A general problem with two rng-77 seeds whose c data has a block
+    pattern the benchmark's (1, 2, 1) data lacks:
+
+    count-4: (1, 1, 1, 1) with the lowering c_minus, three Picard terms;
+    dense-blocks: (2, 1, 2), every entry of c_minus's blocks (1, 0) and
+        (2, 1) a nonzero polynomial;
+    gap-two: (1, 1, 1, 1) with labels (2, 0, 2), c_minus on the four blocks
+        (1, 0), (2, 0), (3, 1), (3, 2) of degree -2, so block (3, 0) of
+        the second term sums two products and the third term has no block;
+    zero: (1, 2, 1) with both c zero, the empty pattern.
+    """
+    rng = np.random.default_rng(77)
+    sizes, labels = PATTERN_SHAPES[kind]
+    blocks = BlockStructure(sizes)
+    if kind == "count-4":
+        c_minus = subdiagonal_lowering(blocks)
+    else:
+        entries = [[Poly() for _ in range(blocks.n)] for _ in range(blocks.n)]
+        for a, b in PATTERN_BLOCKS.get(kind, ()):
+            for i in range(blocks.n)[blocks.slice(a)]:
+                for j in range(blocks.n)[blocks.slice(b)]:
+                    re, im = (Fraction(int(rng.integers(-4, 5)), 8) for _ in range(2))
+                    entries[i][j] = Poly.of(GaussianRational(1, im), re)  # 1 + i im + re z
+        c_minus = PolyMatrix(entries)
+    p = TodaProblem(GradationSpec(blocks, labels), c_minus, c_minus.conjugate_transpose().scale(-1))
+    return p, random_gamma_seed(rng, blocks), random_gamma_seed(rng, blocks)
+
+
+class TestBlockPatterns:
+    """Transport on block patterns other than the benchmark's: the sweep
+    keeps A and every Picard term on their blocks, so each factor must
+    still match RK4 on the full matrices, and a point must get the same
+    bits in a stack as alone."""
+
+    KINDS = ["count-4", "dense-blocks", "gap-two", "zero"]
+    ENDS = np.array([0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, 2.2 - 1.1j, 0.9])
+
+    def test_the_patterns(self):
+        assert pattern_problem("count-4")[0].minus_pattern == ((1, 0), (2, 1), (3, 2))
+        assert pattern_problem("dense-blocks")[0].plus_pattern == ((0, 1), (1, 2))
+        gap_two = pattern_problem("gap-two")[0]
+        assert gap_two.gap == 2 and gap_two.minus_pattern == ((1, 0), (2, 0), (3, 1), (3, 2))
+        zero = pattern_problem("zero")[0]
+        assert zero.gap is None and zero.minus_pattern == zero.plus_pattern == ()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_transport_matches_rk4(self, kind):
+        p, gamma_minus, gamma_plus = pattern_problem(kind)
+        for seed, c, pattern, at in (
+            (gamma_minus, p.c_minus, p.minus_pattern, self.ENDS),
+            (gamma_plus, p.c_plus, p.plus_pattern, self.ENDS.conj()),
+        ):
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.0, at)
+            assert not failed.any()
+            assert np.abs(mu - rk4_transport(seed, c, 0.0, at, 4000)).max() < 1e-12
+            if kind == "zero":
+                assert np.array_equal(mu, np.broadcast_to(np.eye(p.blocks.n), mu.shape))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_stacked_transport_gives_each_point_its_bits(self, kind):
+        p, gamma_minus, gamma_plus = pattern_problem(kind)
+        for seed, c, pattern, at in (
+            (gamma_minus, p.c_minus, p.minus_pattern, self.ENDS),
+            (gamma_plus, p.c_plus, p.plus_pattern, self.ENDS.conj()),
+        ):
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.1, at)
+            assert not failed.any()
+            for i, end in enumerate(at):
+                alone, lost = toda._transport_many(seed, c, pattern, p.blocks, 0.1, [end])
+                assert not lost[0]
+                assert np.array_equal(alone[0], mu[i])
 
 
 class TestTransportDefect:
