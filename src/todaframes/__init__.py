@@ -31,14 +31,7 @@ from .frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from .grading import (
-    GradationSpec,
-    GradingOperator,
-    build_grading,
-    cartan_grading_operator,
-    degree_of_block,
-    eigen_check,
-)
+from .grading import GradationSpec, degree_of_block
 from .linalg import (
     BlockStructure,
     GaussFactors,

@@ -58,7 +58,7 @@ from .frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from .grading import GradationSpec, build_grading, cartan_grading_operator, degree_of_block, eigen_check
+from .grading import GradationSpec
 from .linalg import BlockStructure, HermitianMetric, dagger, gauss_decompose, relative_defect
 from .poly import Poly, PolyMatrix
 from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect, zero_curvature_check
@@ -110,9 +110,7 @@ class JobConfig:
     gamma_plus: PolyMatrix | None = None
     c_minus: PolyMatrix | None = None
     c_plus: PolyMatrix | None = None
-    matrices: tuple[np.ndarray, ...] = ()
-    count: int = 0
-    seed: int = 0
+    matrices: tuple[np.ndarray, ...] | None = None
 
 
 def _as_number(v, path: str) -> float:
@@ -231,16 +229,14 @@ _MODE_KEYS = {
     "verify-frenet": _FRENET_KEYS,
     "toda-solve": _TODA_KEYS,
     "verify-toda": _TODA_KEYS,
-    "gauss": ("gradation", "matrices", "count", "seed", "tolerances"),
-    "grading": ("gradation", "tolerances"),
+    "gauss": ("gradation", "matrices", "tolerances"),
 }
 
 # the fields each mode cannot run without
 _REQUIRED = {
     **dict.fromkeys(("frenet", "verify-frenet"), ("curve",)),
     **dict.fromkeys(("toda-solve", "verify-toda"), ("gradation", "seeds.c_minus", "seeds.gamma_minus")),
-    "gauss": ("gradation",),
-    "grading": ("gradation",),
+    "gauss": ("gradation", "matrices"),
 }
 
 # the keys each nested config object accepts; the README lists the same
@@ -302,8 +298,6 @@ def parse_config(raw: dict) -> JobConfig:
         sizes = _as_ints(gr["sizes"], "gradation.sizes")
         if "labels" in gr:
             labels = _as_ints(gr["labels"], "gradation.labels")
-        elif mode == "grading":
-            raise ConfigError("gradation.labels", "required")
         else:
             labels = (1,) * (len(sizes) - 1)
         try:
@@ -318,9 +312,6 @@ def parse_config(raw: dict) -> JobConfig:
     hermitian = raw.get("hermitian_mode", True)
     if not isinstance(hermitian, bool):
         raise ConfigError("hermitian_mode", "expected true or false")
-    for name, least in (("seed", 0), ("count", 1)):
-        if name in raw:
-            setattr(cfg, name, _as_int(raw[name], name, least))
     if "matrices" in raw:
         if not isinstance(raw["matrices"], list) or not raw["matrices"]:
             raise ConfigError("matrices", "expected a nonempty list of matrices")
@@ -342,10 +333,6 @@ def parse_config(raw: dict) -> JobConfig:
             if (getattr(cfg, name) is None) != hermitian:
                 why = "derived in hermitian mode" if hermitian else "required outside hermitian mode"
                 raise ConfigError(f"seeds.{name}", why)
-    if mode == "gauss" and ("matrices" in raw) == ("count" in raw):
-        raise ConfigError("matrices", "give either matrices or a count")
-    if "seed" in raw and "count" not in raw:
-        raise ConfigError("seed", "seeds the random matrices of count")
     return cfg
 
 
@@ -606,52 +593,18 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     return summary, _records(pts, failures, residuals, values)
 
 
-def _random_test_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    # rejection keeps the samples comfortably decomposable
-    while True:
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m += n * np.eye(n)
-        if np.linalg.cond(m) < 1e3:
-            return m
-
-
 def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     blocks = cfg.gradation.blocks
     for i, m in enumerate(cfg.matrices):
         if m.shape != (blocks.n, blocks.n):
             raise ConfigError(f"matrices[{i}]", f"shape {m.shape} does not match the gradation")
-    rng = np.random.default_rng(cfg.seed)
-    mats = cfg.matrices or [_random_test_matrix(rng, blocks.n) for _ in range(cfg.count)]
 
-    stack = np.array(mats)
+    stack = np.array(cfg.matrices)
     factors = gauss_decompose(stack, blocks)
     ok = [i for i, f in enumerate(factors.failures) if f is None]
     residuals = {"recompose": relative_defect(factors.recompose()[ok], stack[ok])}
-    points = [complex(i, 0.0) for i in range(len(mats))]
+    points = [complex(i, 0.0) for i in range(len(stack))]
     return {"blocks": list(blocks.sizes)}, _records(points, factors.failures, residuals, {})
-
-
-def _run_grading(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
-    spec = cfg.gradation
-    op = build_grading(spec)
-    trace = sum(k * r for k, r in zip(spec.blocks.sizes, op.rho))
-
-    eigen = [0.0] * spec.count  # the worst defect over each block row
-    for a, b in itertools.product(range(spec.count), repeat=2):
-        x = np.zeros((spec.n, spec.n), dtype=complex)
-        x[spec.blocks.slice(a).start, spec.blocks.slice(b).start] = 1.0
-        eigen[a] = max(eigen[a], eigen_check(op, x, degree_of_block(spec, a, b)))
-    rows = [complex(a, 0.0) for a in range(spec.count)]
-    records = _records(rows, [None] * spec.count, {"eigen": eigen}, {"rho": [float(r) for r in op.rho]})
-    cartan = cartan_grading_operator(spec)
-    summary = {
-        "rho": [[r.numerator, r.denominator] for r in op.rho],
-        "traceless": trace == 0,
-        "cartan_match": tuple(cartan) == tuple(op.diagonal),
-        "labels": list(spec.labels),
-        "blocks": list(spec.blocks.sizes),
-    }
-    return summary, records
 
 
 _RUNNERS = {
@@ -660,7 +613,6 @@ _RUNNERS = {
     "toda-solve": _run_toda,
     "verify-toda": _run_toda,
     "gauss": _run_gauss,
-    "grading": _run_grading,
 }
 MODES = tuple(_RUNNERS)
 

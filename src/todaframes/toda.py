@@ -247,7 +247,7 @@ def _scaled(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seed_inverse(g: np.ndarray, blocks: BlockStructure, invert: bool = True):
+def _seed_inverse(g: np.ndarray, blocks: BlockStructure):
     """The inverses of the diagonal blocks of the block diagonal seed values
     g, over the last two axes, with the mask of the leading axes where a
     block is singular.
@@ -263,7 +263,6 @@ def _seed_inverse(g: np.ndarray, blocks: BlockStructure, invert: bool = True):
     by 2 block by its adjugate over ad - bc, and a wider one by
     np.linalg.inv.  Where the mask is set, g and the blocks are set to the
     identity, in place, before inverting, so nothing is divided by zero.
-    With invert false only the mask is formed, and the inverses are None.
     """
     parts, dets, exponents = [], [], []
     singular = np.zeros(g.shape[:-2], dtype=bool)
@@ -282,8 +281,6 @@ def _seed_inverse(g: np.ndarray, blocks: BlockStructure, invert: bool = True):
             parts.append(x)
             dets.append(det)
             exponents.append(e)
-    if not invert:
-        return None, singular
     if singular.any():
         g[singular] = np.eye(blocks.n)
         for x, det, e in zip(parts, dets, exponents):
@@ -413,7 +410,7 @@ def _transport_many(
     blocks: BlockStructure,
     start: complex,
     ends,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Transport factors along straight legs start -> ends[p], batched.
 
     Solves mu' = mu A with A = gamma c gamma^{-1} along each leg, mu = I
@@ -422,17 +419,21 @@ def _transport_many(
     of nonzero blocks of c, the only blocks where A and the sweep are
     formed (_panels).  A leg whose integrand is not resolved is cut into 2,
     4, 8, ... equal pieces whose factors compose by right multiplication.
-    Returns (mu, failed): an endpoint fails when a diagonal block of gamma
-    is singular there or at a node of its leg, when its leg needs more than
-    MAX_PIECES pieces, or when the factor leaves the norm guard; its factor
-    is then NaN, and the other endpoints are unaffected.  The endpoint
-    itself is checked by the singular mask alone, since the nodes are
-    interior; no inverse is formed there.
+    Returns (mu, failed, g, g_inv).  An endpoint fails when a diagonal
+    block of gamma is singular there or at a node of its leg, when its leg
+    needs more than MAX_PIECES pieces, or when the factor leaves the norm
+    guard; its factor is then NaN, and the other endpoints are unaffected.
+    g is gamma at the ends and g_inv the inverses of its diagonal blocks
+    there (_seed_inverse), which test the endpoints, since the nodes are
+    interior.  solve's slopes read both, so each seed is evaluated and
+    inverted once at the grid.  Where gamma is singular both hold the
+    identity.
     """
     ends = np.asarray(ends, dtype=complex).ravel()
     k = blocks.n
     mu = np.full((ends.size, k, k), np.nan, dtype=complex)
-    failed = _seed_inverse(gamma_rep.evaluate(ends), blocks, invert=False)[1]
+    g = gamma_rep.evaluate(ends)
+    g_inv, failed = _seed_inverse(g, blocks)
     todo = np.flatnonzero(~failed)
     pieces = 1
     while todo.size and pieces <= MAX_PIECES:
@@ -456,7 +457,7 @@ def _transport_many(
     failed[todo] = True
     failed |= ~(np.abs(mu).max(axis=(1, 2)) <= MU_NORM_LIMIT)
     mu[failed] = np.nan
-    return mu, failed
+    return mu, failed, g, g_inv
 
 
 @dataclass(frozen=True)
@@ -557,16 +558,20 @@ def solve(
     mode, mu_plus with the block diagonal antiholomorphic seed gamma_plus
     (stored in the conjugate variable) along the conjugated paths; in
     hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
-    The rest runs once on the stack of points transport reached: one Gauss
-    decomposition of the quotients, then gamma with its exact jet, returned
-    as gamma_jet, and, in hermitian mode only, phi, built with the inverse
-    of the Cholesky factor g0 of the metric, g0^dagger g0 = h, on the left,
-    which makes phi^dagger h phi = gamma.  A point fails as "integration:
-    ...", "gauss: ..." or "SingularBeta: ..." (a diagonal block of gamma
-    beyond the condition guard) and leaves the stack there; the other
-    points are unaffected.  Transport factors along different legs compose
-    by right multiplication: the factor at z from basepoint 0 is the one at
-    w from 0 times the one at z from basepoint w.
+    Transport evaluates each seed at the grid points and inverts its
+    diagonal blocks there, once: a point where a block is singular fails
+    before its leg is integrated, and the slopes of the other points read
+    the same values and inverses.  The rest runs once on the stack of
+    points transport reached: one Gauss decomposition of the quotients,
+    then gamma with its exact jet, returned as gamma_jet, and, in
+    hermitian mode only, phi, built with the inverse of the Cholesky factor
+    g0 of the metric, g0^dagger g0 = h, on the left, which makes phi^dagger
+    h phi = gamma.  A point fails as "integration: ...", "gauss: ..." or
+    "SingularBeta: ..." (a diagonal block of gamma beyond the condition
+    guard) and leaves the stack there; the other points are unaffected.
+    Transport factors along different legs compose by right
+    multiplication: the factor at z from basepoint 0 is the one at w from 0
+    times the one at z from basepoint w.
     """
     _require_block_diagonal(gamma_minus, problem.blocks, "gamma_minus")
     if (gamma_plus is None) != problem.hermitian_mode:
@@ -577,29 +582,31 @@ def solve(
     blocks = problem.blocks
 
     z = np.array([complex(p) for p in grid], dtype=complex)
-    minus, failed = _transport_many(
+    minus, failed, gm, gm_inv = _transport_many(
         gamma_minus, problem.c_minus, problem.minus_pattern, blocks, complex(basepoint), z
     )
+    gp = plus_inv = None
     if problem.hermitian_mode:
         plus = np.full_like(minus, np.nan)
         plus[~failed] = np.linalg.inv(dagger(minus[~failed]))
     else:
-        plus, failed_plus = _transport_many(
+        plus, failed_plus, gp, plus_inv = _transport_many(
             gamma_plus, problem.c_plus, problem.plus_pattern, blocks, np.conj(complex(basepoint)), z.conj()
         )
         failed |= failed_plus
         minus[failed] = plus[failed] = np.nan
     alive = Survivors(z.shape)
-    w, mu_m, mu_p = take((z, minus, plus), alive.drop([_DIVERGED if f else None for f in failed]))
+    keep = alive.drop([_DIVERGED if f else None for f in failed])
+    w, mu_m, mu_p, gm, gm_inv, gp, plus_inv = take((z, minus, plus, gm, gm_inv, gp, plus_inv), keep)
 
     # the transport slopes, on the block pattern of c as in transport:
     # A_minus = gamma_minus c_minus gamma_minus^-1 at z and A_plus =
     # gamma_plus c_plus gamma_plus^-1 at zbar, where in hermitian mode
     # gamma_plus is the inverse conjugate transpose of gamma_minus.  The
-    # seed jets keep their nonzero parts only: gamma_minus (value, d) and
-    # gamma_plus^-1 (value, dbar), its blocks the inverses of gamma_plus's
-    gm = gamma_minus.evaluate(w)
-    gm_inv = _seed_inverse(gm.copy(), blocks)[0]
+    # seeds and the inverses of their diagonal blocks are transport's, at
+    # the points it reached.  The seed jets keep their nonzero parts only:
+    # gamma_minus (value, d) and gamma_plus^-1 (value, dbar), its blocks the
+    # inverses of gamma_plus's
     a_minus = _slope(problem.c_minus_at(w), _diagonal(gm, blocks), gm_inv, problem.minus_pattern, blocks)
     gm = (gm, gamma_minus.derivative().evaluate(w))
     if problem.hermitian_mode:
@@ -608,8 +615,7 @@ def solve(
         plus_blocks, plus_inv = [dagger(x) for x in gm_inv], _diagonal(gp_inv[0], blocks)
     else:
         quotient = np.linalg.inv(mu_p) @ mu_m
-        gp = gamma_plus.evaluate(w.conj())
-        plus_blocks, plus_inv = _diagonal(gp, blocks), _seed_inverse(gp.copy(), blocks)[0]
+        plus_blocks = _diagonal(gp, blocks)
         dgp = _diagonal(gamma_plus.derivative().evaluate(w.conj()), blocks)
         diagonal = [(a, a) for a in range(blocks.count)]
         gp_inv = (
@@ -672,10 +678,10 @@ def transport_defect(
     defect = np.zeros(len(ok))
     failed = np.zeros(len(ok), dtype=bool)
     for seed, c, pattern, start, mid, ends, straight in sides:
-        first, lost = _transport_many(seed, c, pattern, problem.blocks, start, [mid])
+        first, lost = _transport_many(seed, c, pattern, problem.blocks, start, [mid])[:2]
         if lost[0]:
             return None
-        second, lost = _transport_many(seed, c, pattern, problem.blocks, mid, ends)
+        second, lost = _transport_many(seed, c, pattern, problem.blocks, mid, ends)[:2]
         defect = np.fmax(defect, relative_defect(first[0] @ second, straight))
         failed |= lost
     out = np.full(len(solution.grid), np.nan)

@@ -59,9 +59,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown"):
             parse_config({"mode": "frenet", "curve": LINE_CURVE, "curv": []})
 
-    def test_bad_mode(self):
+    def test_bad_mode(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"mode": "fernet"})
+        # a removed mode is refused as a misspelt one is
+        job = {"mode": "grading", "gradation": {"sizes": [1, 1], "labels": [1]}}
+        with pytest.raises(ConfigError, match="'mode': must be one of"):
+            parse_config(job)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        with pytest.raises(SystemExit) as raised:  # argparse refuses the mode
+            main(["grading", "--config", str(path)])
+        assert raised.value.code == 2
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError, match="radius"):
@@ -170,8 +179,7 @@ MODE_JOBS = {
     "verify-frenet": {"curve": LINE_CURVE},
     "toda-solve": {k: v for k, v in LINE_TODA.items() if k != "mode"},
     "verify-toda": {k: v for k, v in LINE_TODA.items() if k != "mode"},
-    "gauss": {"gradation": {"sizes": [1, 1]}, "count": 1},
-    "grading": {"gradation": {"sizes": [1, 1], "labels": [1]}},
+    "gauss": {"gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]]]},
 }
 KEY_VALUES = {
     "curve": LINE_CURVE,
@@ -183,6 +191,7 @@ KEY_VALUES = {
     "seeds": LINE_TODA["seeds"],
     "hermitian_mode": True,
     "matrices": [[[1, 0], [0, 1]]],
+    # keys no mode reads, a config error in every mode
     "count": 1,
     "seed": 0,
 }
@@ -201,10 +210,10 @@ class TestModeKeys:
         assert main([mode, "--config", str(path)]) == 2
         assert f"config field '{key}': unknown configuration key" in capsys.readouterr().err
 
-    def test_twenty_seven_pairs_are_read(self):
+    def test_twenty_three_pairs_are_read(self):
         assert set(cli._MODE_KEYS) == set(cli.MODES)
         assert all(set(keys) <= set(KEY_VALUES) for keys in cli._MODE_KEYS.values())
-        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 27
+        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 23
 
     @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
     def test_general_toda_job_takes_no_metric(self, tmp_path, capsys, mode):
@@ -218,19 +227,20 @@ class TestModeKeys:
         assert "config field 'metric_h': unknown configuration key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra, field",
+        "extra, field, why",
         [
-            ({"matrices": KEY_VALUES["matrices"]}, "matrices"),
-            ({"count": None}, "matrices"),
-            ({"count": None, "seed": 4, "matrices": KEY_VALUES["matrices"]}, "seed"),
-            ({"count": 0}, "count"),
-            ({"count": None, "matrices": []}, "matrices"),
+            ({"count": 1}, "count", "unknown"),
+            ({"matrices": None}, "matrices", "required"),
+            ({"seed": 4}, "seed", "unknown"),
+            ({"count": 0, "matrices": None}, "count", "unknown"),
+            ({"matrices": []}, "matrices", "expected a nonempty list"),
         ],
         ids=["matrices-and-count", "neither", "seed-without-count", "count-zero", "no-matrices"],
     )
-    def test_gauss_takes_matrices_or_count(self, extra, field):
+    def test_gauss_takes_matrices_or_count(self, extra, field, why):
+        # gauss reads explicit matrices alone; count and seed are unknown keys
         job = {k: v for k, v in {**MODE_JOBS["gauss"], **extra}.items() if v is not None}
-        with pytest.raises(ConfigError, match=rf"'{field}'"):
+        with pytest.raises(ConfigError, match=rf"'{field}': {why}"):
             parse_config(dict(job, mode="gauss"))
 
     @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
@@ -634,21 +644,13 @@ class TestGaussMode:
         assert report.exit_code() == 1
 
     def test_random_batch(self):
-        report = run(
-            {
-                "mode": "gauss",
-                "gradation": {"sizes": [2, 1]},
-                "count": 5,
-                "seed": 3,
-            }
-        )
+        # random matrices pushed towards the identity, as [re, im] entries
+        rng = np.random.default_rng(3)
+        mats = rng.standard_normal((5, 3, 3, 2)) + 3 * np.eye(3)[..., None] * [1, 0]
+        report = run({"mode": "gauss", "gradation": {"sizes": [2, 1]}, "matrices": mats.tolist()})
         assert len(report.points) == 5
         assert all(p.ok for p in report.points)
         assert report.max_residual < 1e-10
-
-    def test_random_batch_is_seeded(self):
-        cfg = {"mode": "gauss", "gradation": {"sizes": [2, 1]}, "count": 3, "seed": 9}
-        assert run(cfg) == run(cfg)
 
     def test_requires_input(self):
         with pytest.raises(ConfigError, match="matrices"):
@@ -660,25 +662,6 @@ class TestGaussMode:
         report = run({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1e200, 0], [0, 1]]]})
         assert report.points[0].residuals == {"recompose": 0.0}
         assert report.exit_code() == 0
-
-
-class TestGradingMode:
-    def test_two_block_example(self):
-        report = run(
-            {"mode": "grading", "gradation": {"sizes": [2, 1], "labels": [2]}}
-        )
-        assert report.summary["rho"] == [[2, 3], [-4, 3]]
-        assert report.summary["traceless"] is True
-        assert report.summary["cartan_match"] is True
-        assert [p.values["rho"] for p in report.points] == pytest.approx(
-            [2 / 3, -4 / 3]
-        )
-        assert report.max_residual < 1e-12
-        assert report.exit_code() == 0
-
-    def test_labels_required(self):
-        with pytest.raises(ConfigError, match="labels"):
-            run({"mode": "grading", "gradation": {"sizes": [2, 1]}})
 
 
 class TestReports:
@@ -704,8 +687,6 @@ class TestReports:
             dict(LINE_TODA, mode="verify-toda", hermitian_mode=False, seeds=GENERAL_SEEDS),
             # the second matrix fails: a record with empty dicts
             {"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[2, 1], [1, 1]], [[0, 1], [1, 0]]]},
-            # nested lists and bools in the summary
-            {"mode": "grading", "gradation": {"sizes": [1, 2, 1], "labels": [1, 3]}},
         ],
         ids=lambda cfg: cfg["mode"],
     )
@@ -883,7 +864,7 @@ class TestMain:
         assert not out.exists()
 
     def test_mode_conflict_is_exit_2(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, {"mode": "grading", "curve": LINE_CURVE})
+        path = self.write_config(tmp_path, {"mode": "gauss", "curve": LINE_CURVE})
         assert main(["frenet", "--config", path]) == 2
 
     def test_config_error_is_exit_2(self, tmp_path, capsys):
@@ -922,13 +903,14 @@ class TestMain:
             ({"curve": [[[1]], [[0, [0.5, float("nan")]]]]}, "curve[1][0][1]"),
             ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, float("nan")]]]}, "matrices[0][1][1]"),
             ({"mode": "gauss", "gradation": {"sizes": 3}}, "gradation.sizes"),
-            ({"mode": "grading", "gradation": {"sizes": [2, 1], "labels": 1}}, "gradation.labels"),
-            ({"mode": "grading", "gradation": {"sizes": [2, 1], "levels": [1]}}, "gradation.levels"),
+            ({"mode": "gauss", "gradation": {"sizes": [2, 1], "labels": 1}}, "gradation.labels"),
+            ({"mode": "gauss", "gradation": {"sizes": [2, 1], "levels": [1]}}, "gradation.levels"),
             ({"max_denominator": 100}, "max_denominator"),
             (dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
             (dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
             (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
-            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "count": 2, "seed": -1}, "seed"),
+            # a key no mode reads
+            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]]], "seed": -1}, "seed"),
             ({"grid": {"nx": 3, "ny": 0}}, "grid.ny"),
             ({"curve": [[[1]], [[0, 10**400]]]}, "curve[1][0]"),
             ({"curve": [[[1]], [[0, [10**400, 1, 0, 1]]]]}, "curve[1][0]"),
@@ -978,8 +960,8 @@ class TestMain:
             ({"metric_h": [1]}, "metric_h"),
             ({"metric_h": [[1, 0], [0]]}, "metric_h"),
             ({"metric_h": [[1, 1], [0, 1]]}, "metric_h"),
-            ({"mode": "gauss", "gradation": {"labels": [1]}, "count": 1}, "gradation.sizes"),
-            ({"mode": "grading", "gradation": {"sizes": [1, 1], "labels": [1, 2]}}, "gradation"),
+            ({"mode": "gauss", "gradation": {"labels": [1]}, "matrices": [[[1, 0], [0, 1]]]}, "gradation.sizes"),
+            ({"mode": "gauss", "gradation": {"sizes": [1, 1], "labels": [1, 2]}}, "gradation"),
             ({"hermitian_mode": 1}, "hermitian_mode"),
             ({"gap": 0}, "gap"),
             ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "count": -1}, "count"),
@@ -988,8 +970,8 @@ class TestMain:
             ({"curve": None}, "curve"),
             (dict(LINE_TODA, gradation=None), "gradation"),
             (dict(LINE_TODA, seeds={"gamma_minus": LINE_TODA["seeds"]["gamma_minus"]}), "seeds.c_minus"),
-            ({"mode": "gauss", "count": 1}, "gradation"),
-            ({"mode": "grading"}, "gradation"),
+            ({"mode": "gauss", "matrices": [[[1]]]}, "gradation"),
+            ({"mode": "gauss"}, "gradation"),
             (
                 dict(LINE_TODA, hermitian_mode=False, seeds={k: v for k, v in GENERAL_SEEDS.items() if k != "gamma_plus"}),
                 "seeds.gamma_plus",

@@ -1,19 +1,13 @@
-"""Gradation weights, the grading operator, and block degrees."""
+"""Gradation specs and block degrees."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 
 import numpy as np
 import pytest
 
-from todaframes.grading import (
-    GradationSpec,
-    build_grading,
-    cartan_grading_operator,
-    degree_of_block,
-    eigen_check,
-)
+from todaframes.grading import GradationSpec, degree_of_block
 from todaframes.linalg import BlockStructure
 
 
@@ -37,64 +31,6 @@ class TestGradationSpec:
         assert s.n == 3 and s.count == 1
 
 
-class TestBuildGrading:
-    def test_two_blocks_label_two(self):
-        op = build_grading(spec_of((1, 1), (2,)))
-        assert op.rho == (Fraction(1), Fraction(-1))
-
-    def test_unequal_blocks(self):
-        op = build_grading(spec_of((2, 1), (2,)))
-        assert op.rho == (Fraction(2, 3), Fraction(-4, 3))
-        assert op.diagonal == (Fraction(2, 3), Fraction(2, 3), Fraction(-4, 3))
-
-    def test_single_block_weight_zero(self):
-        op = build_grading(spec_of((4,), ()))
-        assert op.rho == (Fraction(0),)
-        assert np.allclose(op.q, np.zeros((4, 4)))
-
-    def test_traceless_and_steps_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            t = int(rng.integers(0, 4))
-            sizes = tuple(int(rng.integers(1, 4)) for _ in range(t + 1))
-            labels = tuple(int(rng.integers(0, 4)) for _ in range(t))
-            op = build_grading(spec_of(sizes, labels))
-            assert sum(k * r for k, r in zip(sizes, op.rho)) == 0
-            for a in range(t):
-                assert op.rho[a] - op.rho[a + 1] == labels[a]
-
-    def test_weight_differences_telescope(self):
-        op = build_grading(spec_of((1, 2, 1), (1, 3)))
-        for a in range(3):
-            for b in range(a + 1, 3):
-                assert op.rho[a] - op.rho[b] == sum(op.spec.labels[a:b])
-
-
-class TestCartanCrossCheck:
-    def test_matches_block_construction(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            t = int(rng.integers(0, 4))
-            sizes = tuple(int(rng.integers(1, 4)) for _ in range(t + 1))
-            labels = tuple(int(rng.integers(0, 4)) for _ in range(t))
-            spec = spec_of(sizes, labels)
-            assert cartan_grading_operator(spec) == build_grading(spec).diagonal
-
-    def test_frozen_values(self):
-        assert cartan_grading_operator(spec_of((1, 1), (2,))) == (
-            Fraction(1),
-            Fraction(-1),
-        )
-        assert cartan_grading_operator(spec_of((2, 1), (2,))) == (
-            Fraction(2, 3),
-            Fraction(2, 3),
-            Fraction(-4, 3),
-        )
-
-    def test_dimension_one(self):
-        assert cartan_grading_operator(spec_of((1,), ())) == (Fraction(0),)
-
-
 class TestDegreeOfBlock:
     def test_sign_convention(self):
         spec = spec_of((1, 2, 1), (1, 3))
@@ -104,39 +40,13 @@ class TestDegreeOfBlock:
         assert degree_of_block(spec, 2, 0) == -4
         assert degree_of_block(spec, 0, 2) == 4
 
-
-class TestEigenCheck:
-    def _block_matrix(self, spec, a, b, rng):
-        n = spec.n
-        x = np.zeros((n, n), dtype=complex)
-        sa, sb = spec.blocks.slice(a), spec.blocks.slice(b)
-        x[sa, sb] = rng.standard_normal(
-            (spec.blocks.sizes[a], spec.blocks.sizes[b])
-        ) + 1j * rng.standard_normal((spec.blocks.sizes[a], spec.blocks.sizes[b]))
-        return x
-
-    def test_pure_blocks_are_eigenvectors(self):
-        rng = np.random.default_rng(3)
-        spec = spec_of((2, 1, 2), (2, 1))
-        op = build_grading(spec)
-        for a in range(3):
-            for b in range(3):
-                x = self._block_matrix(spec, a, b, rng)
-                m = degree_of_block(spec, a, b)
-                assert eigen_check(op, x, m) < 1e-12
-
-    def test_wrong_degree_fails(self):
-        rng = np.random.default_rng(4)
-        spec = spec_of((1, 1), (2,))
-        op = build_grading(spec)
-        x = self._block_matrix(spec, 1, 0, rng)
-        assert eigen_check(op, x, -2) < 1e-12
-        assert eigen_check(op, x, 2) > 0.5
-
-    def test_zero_label_merges_degrees(self):
-        # a zero label puts the adjacent off diagonal blocks in degree zero
-        rng = np.random.default_rng(6)
-        spec = spec_of((1, 1), (0,))
-        op = build_grading(spec)
-        x = self._block_matrix(spec, 1, 0, rng)
-        assert eigen_check(op, x, 0) < 1e-12
+    def test_laws_of_a_gradation(self):
+        # degrees add along a path of blocks, and the diagonal has degree 0
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            t = int(rng.integers(0, 4))
+            sizes = tuple(int(rng.integers(1, 4)) for _ in range(t + 1))
+            spec = spec_of(sizes, tuple(int(rng.integers(0, 4)) for _ in range(t)))
+            assert all(degree_of_block(spec, a, a) == 0 for a in range(t + 1))
+            for a, b, c in itertools.product(range(t + 1), repeat=3):
+                assert degree_of_block(spec, a, b) + degree_of_block(spec, b, c) == degree_of_block(spec, a, c)

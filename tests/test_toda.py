@@ -87,14 +87,12 @@ def rk4_transport(gamma_rep, c_rep, start, ends, steps):
     return mu
 
 
-def full_det_inverse(g, blocks, invert=True):
+def full_det_inverse(g, blocks):
     """The singular rule of a full n by n determinant and inverse at every
     node, the reference for toda._seed_inverse's block by block rule."""
     with np.errstate(over="ignore", invalid="ignore"):  # as the block rule reads an overflow
         det = np.linalg.det(g)
     singular = ~np.isfinite(det) | (det == 0)
-    if not invert:
-        return None, singular
     g[singular] = np.eye(blocks.n)
     inv = np.linalg.inv(g)
     return [inv[..., s, s] for s in map(blocks.slice, range(blocks.count))], singular
@@ -299,7 +297,7 @@ class TestIntegrateMu:
         if not hermitian:
             factors.append((gamma_plus, p.c_plus, p.plus_pattern, ends.conj()))
         for seed, c, pattern, at in factors:
-            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.0, at)
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.0, at)[:2]
             assert not failed.any()
             assert np.abs(mu - rk4_transport(seed, c, 0.0, at, 4000)).max() < 1e-12
 
@@ -471,7 +469,7 @@ class TestBlockPatterns:
             (gamma_minus, p.c_minus, p.minus_pattern, self.ENDS),
             (gamma_plus, p.c_plus, p.plus_pattern, self.ENDS.conj()),
         ):
-            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.0, at)
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.0, at)[:2]
             assert not failed.any()
             assert np.abs(mu - rk4_transport(seed, c, 0.0, at, 4000)).max() < 1e-12
             if kind == "zero":
@@ -484,10 +482,10 @@ class TestBlockPatterns:
             (gamma_minus, p.c_minus, p.minus_pattern, self.ENDS),
             (gamma_plus, p.c_plus, p.plus_pattern, self.ENDS.conj()),
         ):
-            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.1, at)
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.1, at)[:2]
             assert not failed.any()
             for i, end in enumerate(at):
-                alone, lost = toda._transport_many(seed, c, pattern, p.blocks, 0.1, [end])
+                alone, lost = toda._transport_many(seed, c, pattern, p.blocks, 0.1, [end])[:2]
                 assert not lost[0]
                 assert np.array_equal(alone[0], mu[i])
 
@@ -535,6 +533,11 @@ class TestTransportDefect:
     def test_a_failed_leg_to_the_bend_gives_no_check(self):
         p = line_problem()
         seed = PolyMatrix([[[GaussianRational(0, Fraction(1, 4)), -1], 0], [0, 1]])  # singular at i/4
+        sol = solve(p, seed, [0.5, -0.5])
+        assert sol.failures == (None, None)
+        assert toda.transport_defect(p, sol, seed, 0.5j) is None
+        # singular at the bend itself, which no node of either leg reaches
+        seed = PolyMatrix([[[1, GaussianRational(0, 2)], 0], [0, 1]])  # singular at i/2
         sol = solve(p, seed, [0.5, -0.5])
         assert sol.failures == (None, None)
         assert toda.transport_defect(p, sol, seed, 0.5j) is None
@@ -656,6 +659,25 @@ class TestSolve:
         for i in (0, 2, 3):
             alone = solve(p, seed, [grid[i]], gamma_plus=plus)
             assert np.linalg.norm(sol.gamma[i] - alone.gamma[0]) < 1e-14
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_one_seed_inversion_at_the_grid_per_seed(self, hermitian, monkeypatch):
+        # transport tests the endpoints with the values and inverses that
+        # the slopes read; a panel's nodes are a stack with two leading axes
+        p, gamma_minus, gamma_plus = rng77_problem(hermitian)
+        grid = [0.3 + 0.2j, -0.5j, 0.6, 0.1 - 0.4j]
+        at_grid = []
+        kernel = toda._seed_inverse
+
+        def counted(g, blocks):
+            if g.ndim == 3:
+                at_grid.append(len(g))
+            return kernel(g, blocks)
+
+        monkeypatch.setattr(toda, "_seed_inverse", counted)
+        sol = solve(p, gamma_minus, grid, gamma_plus=None if hermitian else gamma_plus)
+        assert sol.failures == (None,) * len(grid)
+        assert at_grid == [len(grid)] * (1 if hermitian else 2)
 
 
 class TestJets:
@@ -857,10 +879,10 @@ class TestStackedChecks:
         if not hermitian:
             factors.append((gamma_plus, p.c_plus, p.plus_pattern, ends.conj()))
         for seed, c, pattern, at in factors:
-            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.1, at)
+            mu, failed = toda._transport_many(seed, c, pattern, p.blocks, 0.1, at)[:2]
             assert failed.tolist() == [False, False, False, True, False]
             for i, end in enumerate(at):
-                alone, lost = toda._transport_many(seed, c, pattern, p.blocks, 0.1, [end])
+                alone, lost = toda._transport_many(seed, c, pattern, p.blocks, 0.1, [end])[:2]
                 assert lost[0] == failed[i]
                 assert np.array_equal(alone[0], mu[i], equal_nan=True)
 

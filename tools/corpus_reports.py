@@ -6,11 +6,12 @@ Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as the CLI writes it, ``emit(report, "json")``,
 with an empty ``generated_at``, one file per job (46 in all).  The bench
-corpus has no grading or gauss job, no float coefficient, no failed point
-and no CSV of a Toda job outside hermitian mode, so a fixed list of such
-jobs (``EXTRA_JOBS``) follows, each written both as that JSON and as
-``emit(report, "csv")`` (26 files), 72 files in all.  Two checkouts give the same reports, and the same report bytes,
-exactly when ``diff -r`` of their two output directories is empty.
+corpus has no gauss job, no float coefficient, no failed point and no CSV
+of a Toda job outside hermitian mode, so a fixed list of such jobs
+(``EXTRA_JOBS``) follows, each written both as that JSON and as
+``emit(report, "csv")`` (18 files), 64 files in all.  Two checkouts give
+the same reports, and the same report bytes, exactly when ``diff -r`` of
+their two output directories is empty.
 """
 
 from __future__ import annotations
@@ -28,12 +29,9 @@ from todaframes.cli import emit, run  # noqa: E402
 
 SEEDS = (0, 3)
 
-# jobs outside the bench corpus: the grading weights, the gauss pipeline
-# with its failure text, and float coefficients made exact by the parser
+# jobs outside the bench corpus: the gauss pipeline with its failure
+# text, and float coefficients made exact by the parser
 EXTRA_JOBS = {
-    "grading-1-1": {"mode": "grading", "gradation": {"sizes": [1, 1], "labels": [2]}},
-    "grading-2-1": {"mode": "grading", "gradation": {"sizes": [2, 1], "labels": [2]}},
-    "grading-1-2-1": {"mode": "grading", "gradation": {"sizes": [1, 2, 1], "labels": [1, 3]}},
     "gauss-matrices": {
         "mode": "gauss",
         "gradation": {"sizes": [1, 2]},
@@ -44,7 +42,6 @@ EXTRA_JOBS = {
             [[1.5, [0.25, -0.5], 0], [0, 1, 0.75], [1, 0, 2]],
         ],
     },
-    "gauss-count": {"mode": "gauss", "gradation": {"sizes": [2, 1]}, "count": 3, "seed": 5},
     # the squared norm of the entry overflows, which must stay off stderr
     "gauss-huge-entry": {
         "mode": "gauss",
