@@ -59,7 +59,7 @@ from .frenet import (
     verify_frame_equations,
 )
 from .grading import GradationSpec
-from .linalg import BlockStructure, HermitianMetric, dagger, gauss_decompose, relative_defect
+from .linalg import BlockStructure, HermitianMetric, dagger, gauss_decompose, scaled_defect
 from .poly import Poly, PolyMatrix
 from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect, zero_curvature_check
 
@@ -270,23 +270,23 @@ def parse_config(raw: dict) -> JobConfig:
     unknown = set(raw) - {"mode", *_MODE_KEYS[mode]}
     if unknown:
         raise ConfigError(sorted(unknown)[0], f"unknown configuration key in {mode} mode")
-    cfg = JobConfig(mode=mode)
+    cfg = JobConfig(mode=mode)  # its fields hold the defaults of the keys left out
 
     g = _section(raw, "grid")
     cfg.grid = GridSpec(
-        center=_as_complex(g.get("center", 0.0), "grid.center"),
-        radius=_as_number(g.get("radius", 1.0), "grid.radius"),
-        nx=_as_int(g.get("nx", 3), "grid.nx", 1),
-        ny=_as_int(g.get("ny", 3), "grid.ny", 1),
+        center=_as_complex(g.get("center", cfg.grid.center), "grid.center"),
+        radius=_as_number(g.get("radius", cfg.grid.radius), "grid.radius"),
+        nx=_as_int(g.get("nx", cfg.grid.nx), "grid.nx", 1),
+        ny=_as_int(g.get("ny", cfg.grid.ny), "grid.ny", 1),
     )
     if cfg.grid.radius <= 0:
         raise ConfigError("grid.radius", "must be positive")
 
-    tol = _section(raw, "tolerances").get("residual_tol", 1e-5)
+    tol = _section(raw, "tolerances").get("residual_tol", cfg.residual_tol)
     cfg.residual_tol = _as_number(tol, "tolerances.residual_tol")
     if cfg.residual_tol <= 0:
         raise ConfigError("tolerances.residual_tol", "must be positive")
-    base = _section(raw, "integration").get("basepoint", 0.0)
+    base = _section(raw, "integration").get("basepoint", cfg.basepoint)
     cfg.basepoint = _as_complex(base, "integration.basepoint")
 
     if "curve" in raw:
@@ -384,7 +384,7 @@ class Report:
         return float(np.fromiter(values, dtype=float).max(initial=0.0))
 
     def exit_code(self) -> int:
-        tol = self.summary.get("residual_tol", 1e-5)
+        tol = self.summary.get("residual_tol", JobConfig.residual_tol)
         if any(not p.ok for p in self.points):
             return 1
         if not self.max_residual <= tol:
@@ -565,7 +565,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     failures, bent = sol.failures, None
     if cfg.mode == "verify-toda":  # the bent path through m = basepoint + 0.5i radius
         via = cfg.basepoint + 0.5j * cfg.grid.radius
-        check = transport_defect(problem, sol, cfg.gamma_minus, via, cfg.basepoint, cfg.gamma_plus)
+        check = transport_defect(sol, via)
         if check is not None:
             bent, lost = check
             failures = [f or g for f, g in zip(failures, lost)]
@@ -576,7 +576,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     gamma = jet[0]
     residuals = {}
     if problem.hermitian_mode:  # the two identities of the hermitian side
-        residuals["hermiticity"] = relative_defect(dagger(gamma), gamma)
+        residuals["hermiticity"] = scaled_defect(dagger(gamma), [gamma])
         residuals["phi_relation"] = phi_relation(problem, sol.phi[ok], gamma)
     c = problem.c_minus_at(z)
     b_sub = [c[:, s, r] for r, s in zip(blocks, blocks[1:])]
@@ -602,7 +602,7 @@ def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     stack = np.array(cfg.matrices)
     factors = gauss_decompose(stack, blocks)
     ok = [i for i, f in enumerate(factors.failures) if f is None]
-    residuals = {"recompose": relative_defect(factors.recompose()[ok], stack[ok])}
+    residuals = {"recompose": scaled_defect(factors.recompose()[ok], [stack[ok]])}
     points = [complex(i, 0.0) for i in range(len(stack))]
     return {"blocks": list(blocks.sizes)}, _records(points, factors.failures, residuals, {})
 
@@ -647,7 +647,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "the minus derivative is d/dz, the plus derivative is d/dzbar."
         ),
     )
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", help=f"one of {', '.join(MODES)}")  # parse_config checks it
     parser.add_argument("--config", required=True, help="path to a JSON job file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

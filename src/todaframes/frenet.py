@@ -277,13 +277,6 @@ def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     )
 
 
-def _times_holomorphic(x: tuple, yv: np.ndarray, ym: np.ndarray) -> tuple:
-    """jet_mul(x, (yv, ym, 0, 0)) for a holomorphic factor, without the
-    products of its zero d/dzbar parts."""
-    xv, xm, xp, xmp = x
-    return (xv @ yv, xm @ yv + xv @ ym, xp @ yv, xmp @ yv + xp @ ym)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def frame_at(
     seq: OsculatingSequence, h: HermitianMetric, z: complex | np.ndarray
@@ -338,10 +331,10 @@ def frame_at(
             zero = np.zeros_like(x)
             phi_a = (x, dx, zero, zero)
         else:
-            phi_a = _times_holomorphic(proj, x, dx)
+            phi_a = jet_mul(proj, (x, dx, None, None))
         phi_h = jet_h(phi_a)
         left = times_h(phi_h)
-        beta_a = _times_holomorphic(left, x, dx) if a == 0 else jet_mul(left, phi_a)
+        beta_a = jet_mul(left, (x, dx, None, None) if a == 0 else phi_a)
         keep = alive.guard(
             beta_a[0],
             lambda i, c: SingularBeta(f"gram block {a} at z={complex(w[i]):g} has condition {c:.3e}"),

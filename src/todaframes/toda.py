@@ -67,7 +67,6 @@ from .linalg import (
     gauss_decompose,
     jet_inv,
     jet_mul,
-    relative_defect,
     scaled_defect,
     take,
 )
@@ -469,8 +468,14 @@ class TodaSolution:
     n per point.  phi is built only in hermitian mode and is None
     elsewhere.  failures[i] is None or the text of what failed point i,
     whose gamma and phi are NaN (mu_minus and mu_plus are NaN where
-    transport failed)."""
+    transport failed).  problem, gamma_minus, gamma_plus (None in hermitian
+    mode) and basepoint are what the solution was solved from, which
+    transport_defect reads."""
 
+    problem: TodaProblem
+    gamma_minus: PolyMatrix
+    gamma_plus: PolyMatrix | None
+    basepoint: complex
     grid: tuple[complex, ...]
     gamma_jet: tuple[np.ndarray, ...]
     phi: np.ndarray | None
@@ -515,17 +520,6 @@ def _eta_jet(q_jet: tuple, blocks: BlockStructure) -> tuple:
         for x, y in zip(eta, part):
             x[..., s, s] = y
     return eta
-
-
-def _gamma_jet(gp_inv: tuple, eta_jet: tuple, gm: tuple) -> tuple:
-    """The jet of gamma = gamma_plus^-1 eta gamma_minus by the Leibniz rule,
-    from gamma_plus^-1 as (value, dbar) and gamma_minus as (value, d): the
-    parts known to be zero enter no product."""
-    p, p_bar = gp_inv
-    g, g_d = gm
-    e, e_d, e_bar, e_dbar = eta_jet
-    x, x_d, x_bar, x_dbar = p @ e, p @ e_d, p_bar @ e + p @ e_bar, p_bar @ e_d + p @ e_dbar
-    return x @ g, x_d @ g + x @ g_d, x_bar @ g, x_dbar @ g + x_bar @ g_d
 
 
 def _gamma_guard(alive: Survivors, gamma, blocks: BlockStructure, z, error, rows):
@@ -604,14 +598,14 @@ def solve(
     # gamma_plus c_plus gamma_plus^-1 at zbar, where in hermitian mode
     # gamma_plus is the inverse conjugate transpose of gamma_minus.  The
     # seeds and the inverses of their diagonal blocks are transport's, at
-    # the points it reached.  The seed jets keep their nonzero parts only:
-    # gamma_minus (value, d) and gamma_plus^-1 (value, dbar), its blocks the
-    # inverses of gamma_plus's
+    # the points it reached.  The seed jets have None for their zero parts:
+    # gamma_minus is holomorphic and gamma_plus^-1, its blocks the inverses
+    # of gamma_plus's, antiholomorphic
     a_minus = _slope(problem.c_minus_at(w), _diagonal(gm, blocks), gm_inv, problem.minus_pattern, blocks)
-    gm = (gm, gamma_minus.derivative().evaluate(w))
+    gm = (gm, gamma_minus.derivative().evaluate(w), None, None)
     if problem.hermitian_mode:
         quotient = dagger(mu_m) @ mu_m
-        gp_inv = (dagger(gm[0]), dagger(gm[1]))
+        gp_inv = (dagger(gm[0]), None, dagger(gm[1]), None)
         plus_blocks, plus_inv = [dagger(x) for x in gm_inv], _diagonal(gp_inv[0], blocks)
     else:
         quotient = np.linalg.inv(mu_p) @ mu_m
@@ -620,7 +614,9 @@ def solve(
         diagonal = [(a, a) for a in range(blocks.count)]
         gp_inv = (
             _assemble(plus_inv, diagonal, blocks, gp),
+            None,
             _assemble([-x @ d @ x for x, d in zip(plus_inv, dgp)], diagonal, blocks, gp),
+            None,
         )
     a_plus = _slope(problem.c_plus_at(w), plus_blocks, plus_inv, problem.plus_pattern, blocks)
     factors = gauss_decompose(quotient, blocks)
@@ -629,12 +625,16 @@ def solve(
         (mu_m, gm, gp_inv, quotient, factors.eta, factors.n_plus, a_minus, a_plus), keep
     )
     eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
-    gamma = _gamma_jet(gp_inv, (eta, *eta_jet[1:]), gm)
+    gamma = jet_mul(jet_mul(gp_inv, (eta, *eta_jet[1:])), gm)
     g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
     phi = None if g0inv is None else g0inv @ mu_m @ n_plus @ gm[0]
     gamma, phi = _gamma_guard(alive, gamma[0], blocks, z, "SingularBeta: {}".format, (gamma, phi))
 
     return TodaSolution(
+        problem=problem,
+        gamma_minus=gamma_minus,
+        gamma_plus=gamma_plus,
+        basepoint=complex(basepoint),
         grid=tuple(complex(p) for p in z),
         gamma_jet=tuple(map(alive.full, gamma)),
         phi=None if phi is None else alive.full(phi),
@@ -645,36 +645,30 @@ def solve(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def transport_defect(
-    problem: TodaProblem,
-    solution: TodaSolution,
-    gamma_minus: PolyMatrix,
-    via: complex,
-    basepoint: complex = 0.0,
-    gamma_plus: PolyMatrix | None = None,
-):
+def transport_defect(solution: TodaSolution, via: complex):
     """The bent-path defect of solve's transport, the one check that sees
     a transport error, since every Toda residual is read at its own point.
 
     Legs compose by right multiplication, so at each point z the straight
     factor mu(b -> z) from the basepoint b must equal mu(b -> m) mu(m -> z)
-    with m = via.  The defect is ||mu(b -> z) - mu(b -> m) mu(m -> z)|| /
-    ||mu(b -> z)||, the larger over mu_minus and, outside hermitian mode,
-    mu_plus, whose legs run in the conjugate variable; the seeds are
-    solve's.  It is taken at the points of the solution that did not fail,
-    with one more batched transport per factor, and returns (defect,
-    failures) over the grid: NaN and None at a point that failed in solve,
-    and a point whose leg m -> z fails gets solve's "integration: ..."
-    text.  When the leg b -> m itself fails there is no check: None.
+    with m = via.  The defect is the scaled_defect of mu(b -> m) mu(m -> z)
+    against mu(b -> z), the larger over mu_minus and, outside hermitian
+    mode, mu_plus, whose legs run in the conjugate variable; the problem,
+    the seeds and b are the ones the solution was solved from.  It is taken
+    at the points of the solution that did not fail, with one more batched
+    transport per factor, and returns (defect, failures) over the grid: NaN
+    and None at a point that failed in solve, and a point whose leg m -> z
+    fails gets solve's "integration: ..." text.  When the leg b -> m itself
+    fails there is no check: None.
     """
+    problem = solution.problem
     ok = list(solution.ok_indices)
     z = np.array(solution.grid, dtype=complex)[ok]
-    b, m = complex(basepoint), complex(via)
-    sides = [(gamma_minus, problem.c_minus, problem.minus_pattern, b, m, z, solution.mu_minus[ok])]
+    b, m = solution.basepoint, complex(via)
+    sides = [(solution.gamma_minus, problem.c_minus, problem.minus_pattern, b, m, z, solution.mu_minus[ok])]
     if not problem.hermitian_mode:
-        sides.append(
-            (gamma_plus, problem.c_plus, problem.plus_pattern, np.conj(b), np.conj(m), z.conj(), solution.mu_plus[ok])
-        )
+        b, m, z = np.conj(b), np.conj(m), z.conj()
+        sides.append((solution.gamma_plus, problem.c_plus, problem.plus_pattern, b, m, z, solution.mu_plus[ok]))
     defect = np.zeros(len(ok))
     failed = np.zeros(len(ok), dtype=bool)
     for seed, c, pattern, start, mid, ends, straight in sides:
@@ -682,7 +676,7 @@ def transport_defect(
         if lost[0]:
             return None
         second, lost = _transport_many(seed, c, pattern, problem.blocks, mid, ends)[:2]
-        defect = np.fmax(defect, relative_defect(first[0] @ second, straight))
+        defect = np.fmax(defect, scaled_defect(first[0] @ second, [straight]))
         failed |= lost
     out = np.full(len(solution.grid), np.nan)
     out[ok] = np.where(failed, np.nan, defect)
@@ -747,8 +741,8 @@ def zero_curvature_check(problem: TodaProblem, gamma_jet, z):
 
 
 def phi_relation(problem: TodaProblem, phi: np.ndarray, gamma: np.ndarray):
-    """Defect of phi^dagger h phi = gamma relative to ||gamma||, over the
-    last two axes; the identity, and phi, belong to hermitian mode only."""
+    """Scaled defect of phi^dagger h phi = gamma, over the last two axes;
+    the identity, and phi, belong to hermitian mode only."""
     if not problem.hermitian_mode:
         raise InvalidArgument("problem", "phi_relation needs a problem in hermitian mode")
-    return relative_defect(dagger(phi) @ problem.h.matrix @ phi, gamma)
+    return scaled_defect(dagger(phi) @ problem.h.matrix @ phi, [gamma])

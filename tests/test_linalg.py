@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from todaframes.linalg import (
     Survivors,
     condition,
     gauss_decompose,
+    jet_mul,
     scaled_defect,
 )
 
@@ -175,6 +178,34 @@ class TestStacks:
                 else:
                     assert np.array_equal(got, getattr(gauss_decompose(g[i], bs), name))
         assert gauss_decompose(g.reshape(5, 1, 4, 4), bs).eta.shape == (5, 1, 4, 4)
+
+
+class TestJetMul:
+    # the Leibniz terms of each part of a product, as (x part, y part) pairs
+    TERMS = ([(0, 0)], [(1, 0), (0, 1)], [(2, 0), (0, 2)], [(3, 0), (1, 2), (2, 1), (0, 3)])
+
+    def test_none_parts_are_zeros_that_enter_no_product(self):
+        rng = np.random.default_rng(8)
+
+        def jet(shape):
+            return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
+
+        x, y = jet((5, 3, 2)), jet((5, 2, 4))
+        # every choice of zero derivative parts in either factor
+        for zero in itertools.product([False, True], repeat=6):
+            zx, zy = (0,) + zero[:3], (0,) + zero[3:]
+            got = jet_mul(
+                [None if z else v for z, v in zip(zx, x)], [None if z else v for z, v in zip(zy, y)]
+            )
+            dense = jet_mul(
+                [np.zeros_like(v) if z else v for z, v in zip(zx, x)],
+                [np.zeros_like(v) if z else v for z, v in zip(zy, y)],
+            )
+            for part, terms, want in zip(got, self.TERMS, dense):
+                if all(zx[i] or zy[j] for i, j in terms):
+                    assert part is None
+                else:
+                    assert np.array_equal(part, want)
 
 
 class TestGaussDecompose:

@@ -499,9 +499,21 @@ class TestTransportDefect:
         grid = [0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, 0.0]
         plus = None if hermitian else gamma_plus
         sol = solve(p, gamma_minus, grid, gamma_plus=plus)
-        defect, failures = toda.transport_defect(p, sol, gamma_minus, 0.5j, gamma_plus=plus)
+        defect, failures = toda.transport_defect(sol, 0.5j)
         assert failures == (None,) * 4
         assert defect.shape == (4,) and (defect < 1e-14).all()
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_the_check_reads_the_solved_basepoint_and_seeds(self, hermitian):
+        p, gamma_minus, gamma_plus = rng77_problem(hermitian)
+        plus = None if hermitian else gamma_plus
+        sol = solve(p, gamma_minus, [0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, 0.0], 0.2 + 0.1j, plus)
+        assert sol.problem is p and sol.gamma_minus is gamma_minus and sol.gamma_plus is plus
+        assert sol.basepoint == 0.2 + 0.1j
+        # legs from any other basepoint would compose to other factors
+        defect, failures = toda.transport_defect(sol, 0.5j)
+        assert failures == (None,) * 4
+        assert (defect < 1e-14).all()
 
     def test_a_factor_off_by_a_constant_is_seen(self):
         # mu -> C mu is another exact solution, which no Toda residual sees
@@ -510,7 +522,7 @@ class TestTransportDefect:
         bent = np.eye(4, dtype=complex)
         bent[1, 0] = 1e-6
         moved = dataclasses.replace(sol, mu_minus=bent @ sol.mu_minus)
-        defect, _ = toda.transport_defect(p, moved, gamma_minus, 0.5j)
+        defect, _ = toda.transport_defect(moved, 0.5j)
         assert (defect > 1e-7).all()
 
     def test_failed_points_are_skipped_and_a_failed_bent_leg_fails_its_point(self):
@@ -524,7 +536,7 @@ class TestTransportDefect:
         grid = [0.5, -0.5, -0.3 + 0.3j, 0.5 + 0.1j, 1.0]
         sol = solve(p, seed, grid)
         assert [f is None for f in sol.failures] == [True] * 4 + [False]
-        defect, failures = toda.transport_defect(p, sol, seed, 0.5j)
+        defect, failures = toda.transport_defect(sol, 0.5j)
         assert failures[0].startswith("integration: transport diverged")
         assert failures[1:] == (None,) * 4
         assert np.isnan(defect[[0, 4]]).all()
@@ -535,12 +547,12 @@ class TestTransportDefect:
         seed = PolyMatrix([[[GaussianRational(0, Fraction(1, 4)), -1], 0], [0, 1]])  # singular at i/4
         sol = solve(p, seed, [0.5, -0.5])
         assert sol.failures == (None, None)
-        assert toda.transport_defect(p, sol, seed, 0.5j) is None
+        assert toda.transport_defect(sol, 0.5j) is None
         # singular at the bend itself, which no node of either leg reaches
         seed = PolyMatrix([[[1, GaussianRational(0, 2)], 0], [0, 1]])  # singular at i/2
         sol = solve(p, seed, [0.5, -0.5])
         assert sol.failures == (None, None)
-        assert toda.transport_defect(p, sol, seed, 0.5j) is None
+        assert toda.transport_defect(sol, 0.5j) is None
 
 
 class TestSolve:
