@@ -59,7 +59,7 @@ from .frenet import (
     verify_frame_equations,
 )
 from .grading import GradationSpec
-from .linalg import BlockStructure, HermitianMetric, dagger, gauss_decompose, scaled_defect
+from .linalg import BlockStructure, HermitianMetric, dagger, scaled_defect
 from .poly import Poly, PolyMatrix
 from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect, zero_curvature_check
 
@@ -110,7 +110,6 @@ class JobConfig:
     gamma_plus: PolyMatrix | None = None
     c_minus: PolyMatrix | None = None
     c_plus: PolyMatrix | None = None
-    matrices: tuple[np.ndarray, ...] | None = None
 
 
 def _as_number(v, path: str) -> float:
@@ -229,14 +228,12 @@ _MODE_KEYS = {
     "verify-frenet": _FRENET_KEYS,
     "toda-solve": _TODA_KEYS,
     "verify-toda": _TODA_KEYS,
-    "gauss": ("gradation", "matrices", "tolerances"),
 }
 
 # the fields each mode cannot run without
 _REQUIRED = {
     **dict.fromkeys(("frenet", "verify-frenet"), ("curve",)),
     **dict.fromkeys(("toda-solve", "verify-toda"), ("gradation", "seeds.c_minus", "seeds.gamma_minus")),
-    "gauss": ("gradation", "matrices"),
 }
 
 # the keys each nested config object accepts; the README lists the same
@@ -312,12 +309,6 @@ def parse_config(raw: dict) -> JobConfig:
     hermitian = raw.get("hermitian_mode", True)
     if not isinstance(hermitian, bool):
         raise ConfigError("hermitian_mode", "expected true or false")
-    if "matrices" in raw:
-        if not isinstance(raw["matrices"], list) or not raw["matrices"]:
-            raise ConfigError("matrices", "expected a nonempty list of matrices")
-        cfg.matrices = tuple(
-            _as_complex_matrix(m, f"matrices[{i}]") for i, m in enumerate(raw["matrices"])
-        )
 
     s = _section(raw, "seeds")
     for name in _SECTION_KEYS["seeds"]:
@@ -593,26 +584,11 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     return summary, _records(pts, failures, residuals, values)
 
 
-def _run_gauss(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
-    blocks = cfg.gradation.blocks
-    for i, m in enumerate(cfg.matrices):
-        if m.shape != (blocks.n, blocks.n):
-            raise ConfigError(f"matrices[{i}]", f"shape {m.shape} does not match the gradation")
-
-    stack = np.array(cfg.matrices)
-    factors = gauss_decompose(stack, blocks)
-    ok = [i for i, f in enumerate(factors.failures) if f is None]
-    residuals = {"recompose": scaled_defect(factors.recompose()[ok], [stack[ok]])}
-    points = [complex(i, 0.0) for i in range(len(stack))]
-    return {"blocks": list(blocks.sizes)}, _records(points, factors.failures, residuals, {})
-
-
 _RUNNERS = {
     "frenet": _run_frenet,
     "verify-frenet": _run_frenet,
     "toda-solve": _run_toda,
     "verify-toda": _run_toda,
-    "gauss": _run_gauss,
 }
 MODES = tuple(_RUNNERS)
 

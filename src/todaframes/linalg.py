@@ -288,9 +288,6 @@ class GaussFactors:
     n_plus: np.ndarray
     failures: tuple[GaussDecompositionFailed | None, ...]
 
-    def recompose(self) -> np.ndarray:
-        return self.n_minus @ self.eta @ np.linalg.inv(self.n_plus)
-
 
 def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
     """Block LDU decomposition g = n_minus eta n_plus^{-1} over the last two

@@ -43,6 +43,13 @@ LINE_TODA = {
         "c_minus": [[[0], [0]], [[1], [0]]],
     },
 }
+# the seed diag(z, 1) is singular at the centre of the grid, which lies on
+# the straight legs from the basepoint 0.5 to two of its points
+SINGULAR_SEED_TODA = dict(
+    LINE_TODA,
+    integration={"basepoint": 0.5},
+    seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[0, 1], [0]], [[0], [1]]]),
+)
 # the seeds of LINE_TODA outside hermitian mode
 GENERAL_SEEDS = dict(LINE_TODA["seeds"], gamma_plus=[[[1], [0]], [[0], [1]]], c_plus=[[[0], [-1]], [[0], [0]]])
 
@@ -63,15 +70,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"mode": "fernet"})
         # a removed mode is refused as a misspelt one is
-        job = {"mode": "grading", "gradation": {"sizes": [1, 1], "labels": [1]}}
-        with pytest.raises(ConfigError, match="'mode': must be one of"):
-            parse_config(job)
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        # the CLI returns 2 with parse_config's one line, as for any config problem
-        assert main(["grading", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "'mode': must be one of" in err
+        jobs = {
+            "grading": {"gradation": {"sizes": [1, 1], "labels": [1]}},
+            "gauss": {"gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]]]},
+        }
+        for mode, job in jobs.items():
+            with pytest.raises(ConfigError, match="'mode': must be one of"):
+                parse_config(dict(job, mode=mode))
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(job))
+            # the CLI returns 2 with parse_config's one line, as for any config problem
+            assert main([mode, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "'mode': must be one of frenet, verify-frenet, toda-solve, verify-toda" in err
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError, match="radius"):
@@ -180,7 +192,6 @@ MODE_JOBS = {
     "verify-frenet": {"curve": LINE_CURVE},
     "toda-solve": {k: v for k, v in LINE_TODA.items() if k != "mode"},
     "verify-toda": {k: v for k, v in LINE_TODA.items() if k != "mode"},
-    "gauss": {"gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]]]},
 }
 KEY_VALUES = {
     "curve": LINE_CURVE,
@@ -191,10 +202,10 @@ KEY_VALUES = {
     "integration": {"basepoint": 0},
     "seeds": LINE_TODA["seeds"],
     "hermitian_mode": True,
-    "matrices": [[[1, 0], [0, 1]]],
     # keys no mode reads, a config error in every mode
     "count": 1,
     "seed": 0,
+    "matrices": [[[1, 0], [0, 1]]],
 }
 
 
@@ -211,10 +222,11 @@ class TestModeKeys:
         assert main([mode, "--config", str(path)]) == 2
         assert f"config field '{key}': unknown configuration key" in capsys.readouterr().err
 
-    def test_twenty_three_pairs_are_read(self):
+    def test_twenty_pairs_are_read(self):
+        assert cli.MODES == ("frenet", "verify-frenet", "toda-solve", "verify-toda")
         assert set(cli._MODE_KEYS) == set(cli.MODES)
         assert all(set(keys) <= set(KEY_VALUES) for keys in cli._MODE_KEYS.values())
-        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 23
+        assert sum(len(keys) for keys in cli._MODE_KEYS.values()) == 20
 
     @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
     def test_general_toda_job_takes_no_metric(self, tmp_path, capsys, mode):
@@ -226,23 +238,6 @@ class TestModeKeys:
         path.write_text(json.dumps(dict(cfg, metric_h=[[2, 0], [0, 1]])))
         assert main([mode, "--config", str(path)]) == 2
         assert "config field 'metric_h': unknown configuration key" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "extra, field, why",
-        [
-            ({"count": 1}, "count", "unknown"),
-            ({"matrices": None}, "matrices", "required"),
-            ({"seed": 4}, "seed", "unknown"),
-            ({"count": 0, "matrices": None}, "count", "unknown"),
-            ({"matrices": []}, "matrices", "expected a nonempty list"),
-        ],
-        ids=["matrices-and-count", "neither", "seed-without-count", "count-zero", "no-matrices"],
-    )
-    def test_gauss_takes_matrices_or_count(self, extra, field, why):
-        # gauss reads explicit matrices alone; count and seed are unknown keys
-        job = {k: v for k, v in {**MODE_JOBS["gauss"], **extra}.items() if v is not None}
-        with pytest.raises(ConfigError, match=rf"'{field}': {why}"):
-            parse_config(dict(job, mode="gauss"))
 
     @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
     def test_hermitian_job_rejects_gamma_plus(self, tmp_path, capsys, mode):
@@ -626,45 +621,6 @@ class TestTodaModes:
         assert report.exit_code() == 1
 
 
-class TestGaussMode:
-    def test_explicit_matrices_with_singular_example(self):
-        report = run(
-            {
-                "mode": "gauss",
-                "gradation": {"sizes": [1, 1]},
-                "matrices": [
-                    [[2, 1], [1, 1]],
-                    [[0, 1], [1, 0]],  # vanishing leading block
-                ],
-            }
-        )
-        assert report.points[0].ok
-        assert report.points[0].residuals["recompose"] < 1e-12
-        assert report.points[1].status.startswith("failed: GaussDecompositionFailed")
-        assert report.points[1].z == 1.0 + 0.0j
-        assert report.exit_code() == 1
-
-    def test_random_batch(self):
-        # random matrices pushed towards the identity, as [re, im] entries
-        rng = np.random.default_rng(3)
-        mats = rng.standard_normal((5, 3, 3, 2)) + 3 * np.eye(3)[..., None] * [1, 0]
-        report = run({"mode": "gauss", "gradation": {"sizes": [2, 1]}, "matrices": mats.tolist()})
-        assert len(report.points) == 5
-        assert all(p.ok for p in report.points)
-        assert report.max_residual < 1e-10
-
-    def test_requires_input(self):
-        with pytest.raises(ConfigError, match="matrices"):
-            run({"mode": "gauss", "gradation": {"sizes": [1, 1]}})
-
-    def test_huge_entry_recomposes_without_warnings(self):
-        # its squared norm overflows; the suite turns any numpy warning
-        # into an error, and the exact recomposition still reads 0
-        report = run({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1e200, 0], [0, 1]]]})
-        assert report.points[0].residuals == {"recompose": 0.0}
-        assert report.exit_code() == 0
-
-
 class TestReports:
     def make_report(self) -> Report:
         return run(
@@ -686,8 +642,8 @@ class TestReports:
             {"mode": "verify-frenet", "curve": [[[1]], [[0, 1]], [[0, 0, 1]]], "grid": {"nx": 2, "ny": 1}},
             LINE_TODA,
             dict(LINE_TODA, mode="verify-toda", hermitian_mode=False, seeds=GENERAL_SEEDS),
-            # the second matrix fails: a record with empty dicts
-            {"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[2, 1], [1, 1]], [[0, 1], [1, 0]]]},
+            # two points fail: records with empty dicts
+            pytest.param(SINGULAR_SEED_TODA, id="failed-point"),
         ],
         ids=lambda cfg: cfg["mode"],
     )
@@ -718,7 +674,7 @@ class TestReports:
         ],
     )
     def test_hand_built_json_bytes_are_json_dumps(self, summary, points):
-        report = Report("1", "gauss", "now µ", summary, points)
+        report = Report("1", "toda-solve", "now µ", summary, points)
         assert emit(report, "json") == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
 
     def test_json_deterministic_modulo_timestamp(self):
@@ -758,7 +714,7 @@ class TestReports:
         assert lines[2] == "0.0,0.0,,,,,,,failed: x"
 
     def test_csv_empty_report(self):
-        report = Report("1", "gauss", "now", {}, [])
+        report = Report("1", "toda-solve", "now", {}, [])
         assert emit(report, "csv").decode() == "z_re,z_im,status\n"
 
     def test_unknown_format(self):
@@ -774,7 +730,7 @@ class TestReports:
         # that comes first; either way the report must not pass
         for residuals in ({"a": np.nan}, {"a": np.nan, "b": 1e-9}, {"b": 1e-9, "a": np.nan}):
             point = PointRecord(z=0.0, status="ok", residuals=residuals, values={})
-            report = Report("1", "gauss", "now", {"residual_tol": 1e-5}, [point])
+            report = Report("1", "toda-solve", "now", {"residual_tol": 1e-5}, [point])
             assert np.isnan(report.max_residual)
             assert report.exit_code() == 1
 
@@ -787,7 +743,7 @@ class TestReports:
         )
         for rows, worst in cases:
             points = [PointRecord(z=0.0, status="ok", residuals=r, values={}) for r in rows]
-            assert Report("1", "gauss", "now", {}, points).max_residual == worst
+            assert Report("1", "toda-solve", "now", {}, points).max_residual == worst
 
 
 class TestMain:
@@ -865,7 +821,7 @@ class TestMain:
         assert not out.exists()
 
     def test_mode_conflict_is_exit_2(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, {"mode": "gauss", "curve": LINE_CURVE})
+        path = self.write_config(tmp_path, {"mode": "toda-solve", "curve": LINE_CURVE})
         assert main(["frenet", "--config", path]) == 2
 
     def test_config_error_is_exit_2(self, tmp_path, capsys):
@@ -902,16 +858,16 @@ class TestMain:
             ({"grid": {"center": float("nan")}}, "grid.center"),
             ({"curve": [[[1]], [[0, float("inf")]]]}, "curve[1][0][1]"),
             ({"curve": [[[1]], [[0, [0.5, float("nan")]]]]}, "curve[1][0][1]"),
-            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, float("nan")]]]}, "matrices[0][1][1]"),
-            ({"mode": "gauss", "gradation": {"sizes": 3}}, "gradation.sizes"),
-            ({"mode": "gauss", "gradation": {"sizes": [2, 1], "labels": 1}}, "gradation.labels"),
-            ({"mode": "gauss", "gradation": {"sizes": [2, 1], "levels": [1]}}, "gradation.levels"),
+            ({"metric_h": [[1, 0], [0, float("nan")]]}, "metric_h[1][1]"),
+            (dict(LINE_TODA, gradation={"sizes": 3}), "gradation.sizes"),
+            (dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": 1}), "gradation.labels"),
+            (dict(LINE_TODA, gradation={"sizes": [1, 1], "levels": [1]}), "gradation.levels"),
             ({"max_denominator": 100}, "max_denominator"),
             (dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
             (dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
             (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
             # a key no mode reads
-            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]]], "seed": -1}, "seed"),
+            (dict(LINE_TODA, seed=-1), "seed"),
             ({"grid": {"nx": 3, "ny": 0}}, "grid.ny"),
             ({"curve": [[[1]], [[0, 10**400]]]}, "curve[1][0]"),
             ({"curve": [[[1]], [[0, [10**400, 1, 0, 1]]]]}, "curve[1][0]"),
@@ -942,11 +898,8 @@ class TestMain:
                 dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, gamma_plus=[[[1], [1]], [[0], [1]]])),
                 "seeds.gamma_plus",
             ),
-            # a matrix of the wrong size for the gradation is the input's fault
-            (
-                {"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
-                "matrices[1]",
-            ),
+            # a metric of the wrong size for the curve is the input's fault
+            ({"metric_h": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "metric_h"),
             ({"grid": {"radius": "1"}}, "grid.radius"),
             ({"grid": {"nx": 2.0}}, "grid.nx"),
             ({"grid": {"center": [1, 2, 3]}}, "grid.center"),
@@ -961,18 +914,19 @@ class TestMain:
             ({"metric_h": [1]}, "metric_h"),
             ({"metric_h": [[1, 0], [0]]}, "metric_h"),
             ({"metric_h": [[1, 1], [0, 1]]}, "metric_h"),
-            ({"mode": "gauss", "gradation": {"labels": [1]}, "matrices": [[[1, 0], [0, 1]]]}, "gradation.sizes"),
-            ({"mode": "gauss", "gradation": {"sizes": [1, 1], "labels": [1, 2]}}, "gradation"),
+            (dict(LINE_TODA, gradation={"labels": [1]}), "gradation.sizes"),
+            (dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [1, 2]}), "gradation"),
             ({"hermitian_mode": 1}, "hermitian_mode"),
             ({"gap": 0}, "gap"),
-            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "count": -1}, "count"),
-            ({"mode": "gauss", "gradation": {"sizes": [1, 1]}, "matrices": {}}, "matrices"),
+            # keys no mode reads
+            (dict(LINE_TODA, count=-1), "count"),
+            (dict(LINE_TODA, matrices={}), "matrices"),
             # a required input left out
             ({"curve": None}, "curve"),
             (dict(LINE_TODA, gradation=None), "gradation"),
             (dict(LINE_TODA, seeds={"gamma_minus": LINE_TODA["seeds"]["gamma_minus"]}), "seeds.c_minus"),
-            ({"mode": "gauss", "matrices": [[[1]]]}, "gradation"),
-            ({"mode": "gauss"}, "gradation"),
+            (dict(LINE_TODA, gradation=None, seeds=None), "gradation"),
+            (dict(LINE_TODA, gradation=None, hermitian_mode=False), "gradation"),
             (
                 dict(LINE_TODA, hermitian_mode=False, seeds={k: v for k, v in GENERAL_SEEDS.items() if k != "gamma_plus"}),
                 "seeds.gamma_plus",
@@ -989,13 +943,11 @@ class TestMain:
         assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_failed_point_is_exit_1(self, tmp_path, capsys):
-        # the second matrix has a vanishing leading block
-        cfg = {"gradation": {"sizes": [1, 1]}, "matrices": [[[2, 1], [1, 1]], [[0, 1], [1, 0]]]}
-        path = self.write_config(tmp_path, cfg)
+        path = self.write_config(tmp_path, SINGULAR_SEED_TODA)
         out = tmp_path / "r.json"
-        assert main(["gauss", "--config", path, "--out", str(out)]) == 1
+        assert main(["toda-solve", "--config", path, "--out", str(out)]) == 1
         points = json.loads(out.read_text())["points"]
-        assert [p["status"] == "ok" for p in points] == [True, False]
+        assert [p["status"] == "ok" for p in points] == [True] * 3 + [False] * 2 + [True] * 4
 
     def test_overflowing_gram_block_fails_its_point(self, tmp_path, capsys):
         # away from the centre of this grid the gram blocks of (1, z)

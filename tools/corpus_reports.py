@@ -6,10 +6,10 @@ Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as the CLI writes it, ``emit(report, "json")``,
 with an empty ``generated_at``, one file per job (46 in all).  The bench
-corpus has no gauss job, no float coefficient, no failed point and no CSV
-of a Toda job outside hermitian mode, so a fixed list of such jobs
-(``EXTRA_JOBS``) follows, each written both as that JSON and as
-``emit(report, "csv")`` (18 files), 64 files in all.  Two checkouts give
+corpus has no float coefficient, no failed point and no CSV of a Toda job
+outside hermitian mode, so a fixed list of such jobs (``EXTRA_JOBS``)
+follows, each written both as that JSON and as ``emit(report, "csv")``
+(14 files), 60 files in all.  Two checkouts give
 the same reports, and the same report bytes, exactly when ``diff -r`` of
 their two output directories is empty.
 """
@@ -29,25 +29,9 @@ from todaframes.cli import emit, run  # noqa: E402
 
 SEEDS = (0, 3)
 
-# jobs outside the bench corpus: the gauss pipeline with its failure
-# text, and float coefficients made exact by the parser
+# jobs outside the bench corpus: float coefficients made exact by the
+# parser, failed points, huge entries and a Toda job outside hermitian mode
 EXTRA_JOBS = {
-    "gauss-matrices": {
-        "mode": "gauss",
-        "gradation": {"sizes": [1, 2]},
-        "matrices": [
-            [[2, 1, 0], [1, 3, [0, 1]], [0, [0, -1], 4]],
-            # the leading 1 by 1 block vanishes, so this point fails
-            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
-            [[1.5, [0.25, -0.5], 0], [0, 1, 0.75], [1, 0, 2]],
-        ],
-    },
-    # the squared norm of the entry overflows, which must stay off stderr
-    "gauss-huge-entry": {
-        "mode": "gauss",
-        "gradation": {"sizes": [1, 1]},
-        "matrices": [[[1e200, 0], [0, 1]]],
-    },
     "verify-frenet-float": {
         "mode": "verify-frenet",
         "curve": [[[1]], [[0, 0.5]], [[0, 0, [0.3, 0.1]]]],
