@@ -34,12 +34,9 @@ or NaN; 2 for configuration problems.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -383,12 +380,6 @@ class Report:
         return 0
 
 
-def _indexed_names(names: set[str], prefix: str) -> list[str]:
-    pat = re.compile(re.escape(prefix) + r"(\d+)$")
-    found = [(int(m.group(1)), n) for n in names if (m := pat.fullmatch(n))]
-    return [n for _, n in sorted(found)]
-
-
 # The report and each point record have fixed keys: one format string
 # each writes them as json.dumps(..., sort_keys=True, indent=2) does, in
 # sorted order at their depth.
@@ -413,10 +404,11 @@ def _flat_writer(depth: int):
     return write
 
 
-def _json_report(report: Report) -> str:
-    """json.dumps(report.to_dict(), sort_keys=True, indent=2) and a newline.
-    The containers of each point go through the C encoder, the few other
-    fields through json.dumps itself."""
+def emit(report: Report) -> bytes:
+    """The report's bytes: json.dumps(report.to_dict(), sort_keys=True,
+    indent=2) and a newline, ASCII, NaN and infinities spelled as json
+    spells them.  The containers of each point go through the C encoder,
+    the few other fields through json.dumps itself."""
 
     def field(x) -> str:  # at depth 1; no json string holds a raw newline
         return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -434,43 +426,7 @@ def _json_report(report: Report) -> str:
         f"[\n    {points}\n  ]" if report.points else "[]",
         field(report.spec_version),
         field(report.summary),
-    )
-
-
-def emit(report: Report, format: str = "json") -> bytes:
-    """Serialize a report; json nests, csv flattens one row per point.  The
-    json bytes are those of json.dumps(report.to_dict(), sort_keys=True,
-    indent=2) and a newline: ASCII, NaN and infinities spelled as json
-    spells them."""
-    if format == "json":
-        return _json_report(report).encode("utf-8")
-    if format != "csv":
-        raise ValueError(f"unknown format {format!r}")
-
-    res_names = sorted({n for p in report.points for n in p.residuals})
-    val_names = {n for p in report.points for n in p.values}
-    g_cols = _indexed_names(val_names, "g_")
-    ln_cols = _indexed_names(val_names, "ln_det_beta_")
-    other = sorted(val_names - set(g_cols) - set(ln_cols))
-    header = (
-        ["z_re", "z_im"]
-        + [f"residual:{n}" for n in res_names]
-        + g_cols
-        + ln_cols
-        + other
-        + ["status"]
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for p in report.points:
-        row = [repr(p.z.real), repr(p.z.imag)]
-        row += [repr(p.residuals[n]) if n in p.residuals else "" for n in res_names]
-        for n in g_cols + ln_cols + other:
-            row.append(repr(p.values[n]) if n in p.values else "")
-        row.append(p.status)
-        writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +582,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("mode", help=f"one of {', '.join(MODES)}")  # parse_config checks it
     parser.add_argument("--config", required=True, help="path to a JSON job file")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
 
     try:
@@ -654,7 +609,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    data = emit(report, args.format)
+    data = emit(report)
     if args.out:
         try:
             Path(args.out).write_bytes(data)

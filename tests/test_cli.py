@@ -1,4 +1,4 @@
-"""Configuration parsing, the mode pipelines, report formats, exit codes."""
+"""Configuration parsing, the mode pipelines, the report, exit codes."""
 
 from __future__ import annotations
 
@@ -633,7 +633,7 @@ class TestReports:
 
     def test_json_round_trip(self):
         report = self.make_report()
-        assert json.loads(emit(report, "json")) == report.to_dict()
+        assert json.loads(emit(report)) == report.to_dict()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -649,7 +649,7 @@ class TestReports:
     )
     def test_json_bytes_are_json_dumps(self, cfg):
         report = run(cfg)
-        assert emit(report, "json") == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+        assert emit(report) == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
 
     @pytest.mark.parametrize(
         "summary, points",
@@ -675,7 +675,7 @@ class TestReports:
     )
     def test_hand_built_json_bytes_are_json_dumps(self, summary, points):
         report = Report("1", "toda-solve", "now µ", summary, points)
-        assert emit(report, "json") == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+        assert emit(report) == (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
 
     def test_json_deterministic_modulo_timestamp(self):
         cfg = {
@@ -689,40 +689,8 @@ class TestReports:
         da.pop("generated_at"), db.pop("generated_at")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
-    def test_csv_column_order(self):
-        report = Report(
-            spec_version="1",
-            mode="frenet",
-            generated_at="now",
-            summary={},
-            points=[
-                PointRecord(
-                    z=0.5 + 1.0j,
-                    status="ok",
-                    residuals={"beta": 1.0, "alpha": 2.0},
-                    values={"g_1": 3.0, "g_0": 4.0, "ln_det_beta_0": 5.0, "extra": 6.0},
-                ),
-                PointRecord(z=0.0, status="failed: x", residuals={}, values={}),
-            ],
-        )
-        text = emit(report, "csv").decode()
-        lines = text.strip().split("\n")
-        assert lines[0] == (
-            "z_re,z_im,residual:alpha,residual:beta,g_0,g_1,ln_det_beta_0,extra,status"
-        )
-        assert lines[1] == "0.5,1.0,2.0,1.0,4.0,3.0,5.0,6.0,ok"
-        assert lines[2] == "0.0,0.0,,,,,,,failed: x"
-
-    def test_csv_empty_report(self):
-        report = Report("1", "toda-solve", "now", {}, [])
-        assert emit(report, "csv").decode() == "z_re,z_im,status\n"
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="format"):
-            emit(self.make_report(), "xml")
-
     def test_spec_version_in_json(self):
-        data = json.loads(emit(self.make_report(), "json"))
+        data = json.loads(emit(self.make_report()))
         assert data["spec_version"] == "1"
 
     def test_nan_residual_fails_the_gate(self):
@@ -746,22 +714,39 @@ class TestReports:
             assert Report("1", "toda-solve", "now", {}, points).max_residual == worst
 
 
+def _case(number: int, cfg: dict, field: str):
+    """A malformed job and the field its error names.  The id carries a
+    fixed number, so that deleting a case renames no other case; a new case
+    takes a number no case has had."""
+    return pytest.param(cfg, field, id=f"cfg{number}-{field}")
+
+
 class TestMain:
     def write_config(self, tmp_path, cfg) -> str:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(cfg))
         return str(path)
 
-    def test_runs_and_writes_csv(self, tmp_path, capsys):
-        cfg = {"curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 2, "ny": 2}}
-        out = tmp_path / "report.csv"
-        code = main(
-            ["frenet", "--config", self.write_config(tmp_path, cfg), "--out", str(out), "--format", "csv"]
-        )
-        assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert len(lines) == 5
-        assert lines[0].startswith("z_re,z_im,")
+    def test_runs_and_writes_the_report(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 2, "ny": 2}})
+        out = tmp_path / "report.json"
+        assert main(["frenet", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["frenet", "--config", path]) == 0
+        stdout = capsys.readouterr().out.encode()
+
+        def without_timestamp(data: bytes) -> list[bytes]:
+            return [line for line in data.splitlines(keepends=True) if not line.startswith(b'  "generated_at": ')]
+
+        assert len(without_timestamp(stdout)) == len(stdout.splitlines()) - 1
+        assert without_timestamp(out.read_bytes()) == without_timestamp(stdout)
+
+    def test_format_is_not_an_option(self, tmp_path, capsys):
+        cfg = {"curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 1, "ny": 1}}
+        with pytest.raises(SystemExit) as exc:
+            main(["frenet", "--config", self.write_config(tmp_path, cfg), "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_stdout_json(self, tmp_path, capsys):
         cfg = {"curve": LINE_CURVE, "grid": {"radius": 0.5, "nx": 1, "ny": 1}}
@@ -852,35 +837,37 @@ class TestMain:
     @pytest.mark.parametrize(
         "cfg, field",
         [
-            ({"tolerances": {"residual_tol": float("nan")}}, "tolerances.residual_tol"),
-            ({"grid": {"radius": float("inf")}}, "grid.radius"),
-            ({"grid": {"radius": 10**400}}, "grid.radius"),
-            ({"grid": {"center": float("nan")}}, "grid.center"),
-            ({"curve": [[[1]], [[0, float("inf")]]]}, "curve[1][0][1]"),
-            ({"curve": [[[1]], [[0, [0.5, float("nan")]]]]}, "curve[1][0][1]"),
-            ({"metric_h": [[1, 0], [0, float("nan")]]}, "metric_h[1][1]"),
-            (dict(LINE_TODA, gradation={"sizes": 3}), "gradation.sizes"),
-            (dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": 1}), "gradation.labels"),
-            (dict(LINE_TODA, gradation={"sizes": [1, 1], "levels": [1]}), "gradation.levels"),
-            ({"max_denominator": 100}, "max_denominator"),
-            (dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
-            (dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
-            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
+            _case(0, {"tolerances": {"residual_tol": float("nan")}}, "tolerances.residual_tol"),
+            _case(1, {"grid": {"radius": float("inf")}}, "grid.radius"),
+            _case(2, {"grid": {"radius": 10**400}}, "grid.radius"),
+            _case(3, {"grid": {"center": float("nan")}}, "grid.center"),
+            _case(4, {"curve": [[[1]], [[0, float("inf")]]]}, "curve[1][0][1]"),
+            _case(5, {"curve": [[[1]], [[0, [0.5, float("nan")]]]]}, "curve[1][0][1]"),
+            _case(6, {"metric_h": [[1, 0], [0, float("nan")]]}, "metric_h[1][1]"),
+            _case(7, dict(LINE_TODA, gradation={"sizes": 3}), "gradation.sizes"),
+            _case(8, dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": 1}), "gradation.labels"),
+            _case(9, dict(LINE_TODA, gradation={"sizes": [1, 1], "levels": [1]}), "gradation.levels"),
+            _case(10, {"max_denominator": 100}, "max_denominator"),
+            _case(11, dict(LINE_TODA, metric_h=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "metric_h"),
+            _case(12, dict(LINE_TODA, mode="verify-toda", metric_h=[[1]]), "metric_h"),
+            _case(13, dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], g0=[[1, 0], [0, 1]])), "seeds.g0"),
             # a key no mode reads
-            (dict(LINE_TODA, seed=-1), "seed"),
-            ({"grid": {"nx": 3, "ny": 0}}, "grid.ny"),
-            ({"curve": [[[1]], [[0, 10**400]]]}, "curve[1][0]"),
-            ({"curve": [[[1]], [[0, [10**400, 1, 0, 1]]]]}, "curve[1][0]"),
+            _case(14, dict(LINE_TODA, seed=-1), "seed"),
+            _case(15, {"grid": {"nx": 3, "ny": 0}}, "grid.ny"),
+            _case(16, {"curve": [[[1]], [[0, 10**400]]]}, "curve[1][0]"),
+            _case(17, {"curve": [[[1]], [[0, [10**400, 1, 0, 1]]]]}, "curve[1][0]"),
             # finite as parsed, but the derivative 2 * 10**308 z is not
-            ({"curve": [[[1]], [[0, 0, 10**308]]]}, "curve"),
-            (
+            _case(18, {"curve": [[[1]], [[0, 0, 10**308]]]}, "curve"),
+            _case(
+                19,
                 dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[1, 0, 10**308], [0]], [[0], [1]]])),
                 "seeds",
             ),
             # a malformed Toda input is named by its own field
             # c_minus of degree -2 over labels (1, 1): degree 1 is in the
             # band its gap 2 requires to be trivial
-            (
+            _case(
+                20,
                 dict(
                     LINE_TODA,
                     gradation={"sizes": [1, 1, 1], "labels": [1, 1]},
@@ -888,46 +875,46 @@ class TestMain:
                 ),
                 "seeds.c_minus",
             ),
-            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], c_minus=[[[0]]])), "seeds.c_minus"),
-            (
+            _case(21, dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], c_minus=[[[0]]])), "seeds.c_minus"),
+            _case(
+                22,
                 dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, c_plus=[[[0], [0]], [[1], [0]]])),
                 "seeds.c_plus",
             ),
-            (dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[1]]])), "seeds.gamma_minus"),
-            (
+            _case(23, dict(LINE_TODA, seeds=dict(LINE_TODA["seeds"], gamma_minus=[[[1]]])), "seeds.gamma_minus"),
+            _case(
+                24,
                 dict(LINE_TODA, hermitian_mode=False, seeds=dict(GENERAL_SEEDS, gamma_plus=[[[1], [1]], [[0], [1]]])),
                 "seeds.gamma_plus",
             ),
             # a metric of the wrong size for the curve is the input's fault
-            ({"metric_h": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "metric_h"),
-            ({"grid": {"radius": "1"}}, "grid.radius"),
-            ({"grid": {"nx": 2.0}}, "grid.nx"),
-            ({"grid": {"center": [1, 2, 3]}}, "grid.center"),
-            ({"grid": []}, "grid"),
+            _case(25, {"metric_h": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "metric_h"),
+            _case(26, {"grid": {"radius": "1"}}, "grid.radius"),
+            _case(27, {"grid": {"nx": 2.0}}, "grid.nx"),
+            _case(28, {"grid": {"center": [1, 2, 3]}}, "grid.center"),
+            _case(29, {"grid": []}, "grid"),
             # a quadruple of non integers, a coefficient of three numbers, a
             # dict entry in place of a coefficient list
-            ({"curve": [[[1]], [[0, [1, 2, 0, 1.5]]]]}, "curve[1][0][1]"),
-            ({"curve": [[[1]], [[0, [1, 2, 3]]]]}, "curve[1][0][1]"),
-            ({"curve": [[[1]], [{"re": 1}]]}, "curve[1][0]"),
-            ({"curve": [1, 2]}, "curve"),
-            ({"curve": [[[1], [0]], [[1]]]}, "curve"),
-            ({"metric_h": [1]}, "metric_h"),
-            ({"metric_h": [[1, 0], [0]]}, "metric_h"),
-            ({"metric_h": [[1, 1], [0, 1]]}, "metric_h"),
-            (dict(LINE_TODA, gradation={"labels": [1]}), "gradation.sizes"),
-            (dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [1, 2]}), "gradation"),
-            ({"hermitian_mode": 1}, "hermitian_mode"),
-            ({"gap": 0}, "gap"),
-            # keys no mode reads
-            (dict(LINE_TODA, count=-1), "count"),
-            (dict(LINE_TODA, matrices={}), "matrices"),
+            _case(30, {"curve": [[[1]], [[0, [1, 2, 0, 1.5]]]]}, "curve[1][0][1]"),
+            _case(31, {"curve": [[[1]], [[0, [1, 2, 3]]]]}, "curve[1][0][1]"),
+            _case(32, {"curve": [[[1]], [{"re": 1}]]}, "curve[1][0]"),
+            _case(33, {"curve": [1, 2]}, "curve"),
+            _case(34, {"curve": [[[1], [0]], [[1]]]}, "curve"),
+            _case(35, {"metric_h": [1]}, "metric_h"),
+            _case(36, {"metric_h": [[1, 0], [0]]}, "metric_h"),
+            _case(37, {"metric_h": [[1, 1], [0, 1]]}, "metric_h"),
+            _case(38, dict(LINE_TODA, gradation={"labels": [1]}), "gradation.sizes"),
+            _case(39, dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [1, 2]}), "gradation"),
+            _case(40, {"hermitian_mode": 1}, "hermitian_mode"),
+            _case(41, {"gap": 0}, "gap"),
             # a required input left out
-            ({"curve": None}, "curve"),
-            (dict(LINE_TODA, gradation=None), "gradation"),
-            (dict(LINE_TODA, seeds={"gamma_minus": LINE_TODA["seeds"]["gamma_minus"]}), "seeds.c_minus"),
-            (dict(LINE_TODA, gradation=None, seeds=None), "gradation"),
-            (dict(LINE_TODA, gradation=None, hermitian_mode=False), "gradation"),
-            (
+            _case(44, {"curve": None}, "curve"),
+            _case(45, dict(LINE_TODA, gradation=None), "gradation"),
+            _case(46, dict(LINE_TODA, seeds={"gamma_minus": LINE_TODA["seeds"]["gamma_minus"]}), "seeds.c_minus"),
+            _case(47, dict(LINE_TODA, gradation=None, seeds=None), "gradation"),
+            _case(48, dict(LINE_TODA, gradation=None, hermitian_mode=False), "gradation"),
+            _case(
+                49,
                 dict(LINE_TODA, hermitian_mode=False, seeds={k: v for k, v in GENERAL_SEEDS.items() if k != "gamma_plus"}),
                 "seeds.gamma_plus",
             ),

@@ -30,7 +30,7 @@ def test_rows_name_what_moved(tmp_path, capsys):
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
-    report = json.loads(emit(dataclasses.replace(run(JOB), generated_at=""), "json"))
+    report = json.loads(emit(dataclasses.replace(run(JOB), generated_at="")))
     for d in (old, new):
         write(d / "same.json", report)
     write(old / "moved.json", report)

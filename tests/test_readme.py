@@ -1,6 +1,7 @@
 """The README's examples and API lists stay in step with the package.
 
 The Python session block and the CLI's JSON job are run as written, the
+CLI's usage line is compared with the options its parser prints, the
 table of the top-level keys each mode reads and the list of section keys
 are compared with the keys the CLI accepts, and every name the Library
 table lists must exist in its module.
@@ -15,6 +16,8 @@ import inspect
 import itertools
 import re
 from pathlib import Path
+
+import pytest
 
 import todaframes
 from todaframes import cli
@@ -44,6 +47,15 @@ def test_cli_job_runs_in_both_toda_modes(tmp_path):
     job.write_text(block)
     for mode in ("toda-solve", "verify-toda"):
         assert cli.main([mode, "--config", str(job), "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_cli_usage_line_matches_the_parser(capsys):
+    (line,) = re.findall(r"^todaframes <mode> --config .*$", README, re.M)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    parsed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[a-z][\w-]*", line)) == parsed
 
 
 def test_top_level_config_keys_match_the_cli():

@@ -15,9 +15,9 @@ report, the row says:
 * the worst residual of the report before and after (NaN when any
   residual is NaN).
 
-A file on one side only, or a differing CSV file, gets a row that says
-so.  The tool only reports: it exits 0 whatever differs, and 2 on bad
-arguments.
+A file on one side only, or a differing file that is not JSON, gets a row
+that says so.  The tool only reports: it exits 0 whatever differs, and 2
+on bad arguments.
 """
 
 from __future__ import annotations

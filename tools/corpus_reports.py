@@ -4,19 +4,18 @@
 
 Runs every job of ``bench/corpus.py`` at seeds 0 and 3, full and tiny,
 plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
-and writes each report as the CLI writes it, ``emit(report, "json")``,
-with an empty ``generated_at``, one file per job (46 in all).  The bench
-corpus has no float coefficient, no failed point and no CSV of a Toda job
-outside hermitian mode, so a fixed list of such jobs (``EXTRA_JOBS``)
-follows, each written both as that JSON and as ``emit(report, "csv")``
-(14 files), 60 files in all.  Two checkouts give
-the same reports, and the same report bytes, exactly when ``diff -r`` of
-their two output directories is empty.
+and writes each report as the CLI writes it, ``emit(report)``, with an
+empty ``generated_at``, one file per job (46 in all).  A fixed list of
+jobs with inputs the bench corpus lacks (``EXTRA_JOBS``) follows: float
+coefficients, failed points, huge Toda entries and a Toda seed whose gamma
+is not hermitian (7 files), 53 files in all.  Two checkouts give the same reports, and the same report bytes,
+exactly when ``diff -r`` of their two output directories is empty.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -95,10 +94,6 @@ def corpus_jobs():
                         yield f"{workload}-verify-toda-seed{seed}-{size}-{i}", dict(job, mode="verify-toda")
 
 
-def _write_json(path: Path, report) -> None:
-    path.write_bytes(emit(dataclasses.replace(report, generated_at=""), "json"))
-
-
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: corpus_reports.py OUTDIR", file=sys.stderr)
@@ -106,14 +101,9 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     count = 0
-    for name, job in corpus_jobs():
-        _write_json(out / f"{name}.json", run(job))
+    for name, job in itertools.chain(corpus_jobs(), EXTRA_JOBS.items()):
+        (out / f"{name}.json").write_bytes(emit(dataclasses.replace(run(job), generated_at="")))
         count += 1
-    for name, job in EXTRA_JOBS.items():
-        report = run(job)
-        _write_json(out / f"{name}.json", report)
-        (out / f"{name}.csv").write_bytes(emit(report, "csv"))
-        count += 2
     print(f"wrote {count} reports to {out}")
     return 0
 
