@@ -53,7 +53,6 @@ from .toda import (
     phi_relation,
     solve,
     toda_residual,
-    zero_curvature_check,
 )
 from .wirtinger import d_minus, d_plus
 

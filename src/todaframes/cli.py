@@ -56,9 +56,9 @@ from .frenet import (
     verify_frame_equations,
 )
 from .grading import GradationSpec
-from .linalg import BlockStructure, HermitianMetric, dagger, scaled_defect
+from .linalg import BlockStructure, HermitianMetric
 from .poly import Poly, PolyMatrix
-from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect, zero_curvature_check
+from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect
 
 __all__ = [
     "SPEC_VERSION",
@@ -522,8 +522,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     jet = tuple(x[ok] for x in sol.gamma_jet)
     gamma = jet[0]
     residuals = {}
-    if problem.hermitian_mode:  # the two identities of the hermitian side
-        residuals["hermiticity"] = scaled_defect(dagger(gamma), [gamma])
+    if problem.hermitian_mode:  # the frame identity of the hermitian side
         residuals["phi_relation"] = phi_relation(problem, sol.phi[ok], gamma)
     c = problem.c_minus_at(z)
     b_sub = [c[:, s, r] for r, s in zip(blocks, blocks[1:])]
@@ -531,8 +530,6 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     values = _metric_values(induced_metric(betas, b_sub), betas)
     for a, v in enumerate(toda_residual(problem, jet, z)):
         residuals[f"toda_{a}"] = v
-    if cfg.mode == "verify-toda":
-        residuals["zero_curvature"] = zero_curvature_check(problem, jet, z)
     if bent is not None:
         residuals["transport"] = bent[ok]
 

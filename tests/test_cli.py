@@ -395,7 +395,6 @@ class TestTodaModes:
         assert report.summary["points_ok"] == 9
         for p in report.points:
             assert p.ok
-            assert p.residuals["hermiticity"] < 1e-10
             assert p.residuals["phi_relation"] < 1e-8
             assert p.residuals["toda_0"] < 1e-12
             assert p.residuals["toda_1"] < 1e-12
@@ -406,13 +405,18 @@ class TestTodaModes:
             )
         assert report.exit_code() == 0
 
-    def test_verify_toda_adds_curvature(self):
-        cfg = dict(LINE_TODA, mode="verify-toda")
-        cfg["grid"] = {"radius": 0.5, "nx": 2, "ny": 1}
-        report = run(cfg)
-        for p in report.points:
-            assert p.ok
-            assert p.residuals["zero_curvature"] < 1e-12
+    def test_verify_toda_adds_transport(self):
+        # verify-toda reports the columns of toda-solve, with the same
+        # values, and the bent-path transport check; nothing else
+        cfg = dict(LINE_TODA, grid={"radius": 0.5, "nx": 2, "ny": 1})
+        solved = run(dict(cfg, mode="toda-solve"))
+        verified = run(dict(cfg, mode="verify-toda"))
+        for p, q in zip(solved.points, verified.points):
+            assert p.ok and q.ok
+            assert set(q.residuals) == set(p.residuals) | {"transport"}
+            assert set(p.residuals) == {"phi_relation", "toda_0", "toda_1"}
+            assert {k: q.residuals[k] for k in p.residuals} == p.residuals
+            assert q.residuals["transport"] < 1e-12
 
     def test_one_solve_per_job(self, monkeypatch):
         # the residual checks read gamma's exact jets, so the one solve of a
@@ -614,7 +618,7 @@ class TestTodaModes:
         report = run({"mode": "verify-toda", "gradation": {"sizes": [1, 1]}, "seeds": seeds})
         centre = report.points[4]
         assert centre.z == 0 and centre.ok
-        assert set(centre.residuals) == {"hermiticity", "phi_relation", "toda_0", "toda_1", "zero_curvature"}
+        assert set(centre.residuals) == {"phi_relation", "toda_0", "toda_1"}
         assert max(centre.residuals.values()) < 1e-12
         others = report.points[:4] + report.points[5:]
         assert all(p.status.startswith("failed: integration: transport diverged") for p in others)

@@ -54,8 +54,11 @@ def test_rows_name_what_moved(tmp_path, capsys):
     assert rows["moved.json"][:3] == ["equal", "equal", "differ (+transport)"]
     assert float(rows["moved.json"][3]) > 0
     assert float(rows["moved.json"][5]) == 0.5
+    assert rows["moved.json"][6] == "0→1"  # toda_0 = 0.5 is beyond residual_tol
     assert rows["failed.json"][:3] == ["differ", "differ", "differ"]
     assert rows["failed.json"][3] == "0"  # the point ok on both sides kept its values
+    assert rows["failed.json"][6] == "0→1"
+    assert {r[0]: r[-1] for r in corpus_moves.rows(new, old)}["moved.json"] == "1→0"
     assert rows["table.csv"][0] == "differs (not JSON)"
     assert rows["extra.json"][0] == "only in NEW"
 
@@ -63,3 +66,16 @@ def test_rows_name_what_moved(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("4 corpus files differ\n") and "| moved.json | equal |" in out
     assert corpus_moves.main([str(old)]) == 2
+
+
+def test_exit_is_equal_when_only_values_move(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    report = json.loads(emit(dataclasses.replace(run(JOB), generated_at="")))
+    write(old / "r.json", report)
+    report["points"][0]["values"]["g_0"] += 1e-12
+    report["points"][0]["residuals"]["toda_0"] = 1e-6  # within residual_tol
+    write(new / "r.json", report)
+    [row] = corpus_moves.rows(old, new)
+    assert row[-1] == "equal"

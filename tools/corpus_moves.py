@@ -13,7 +13,10 @@ report, the row says:
   |new - old| / max(1, |old|), the measure of the bench reference check,
   taken over the points whose status is ok on both sides;
 * the worst residual of the report before and after (NaN when any
-  residual is NaN).
+  residual is NaN);
+* whether the exit code is equal, or how it moved (``0→1``, ``1→0``):
+  as ``Report.exit_code`` derives it, 1 when any point is not ok or the
+  worst residual is not within the summary's ``residual_tol``, else 0.
 
 A file on one side only, or a differing file that is not JSON, gets a row
 that says so.  The tool only reports: it exits 0 whatever differs, and 2
@@ -35,6 +38,12 @@ def _worst(points) -> float:
     if any(math.isnan(v) for v in values):
         return math.nan
     return max(values, default=0.0)
+
+
+def _exit(report: dict) -> int:
+    points = report["points"]
+    ok = all(p["status"] == "ok" for p in points)
+    return 0 if ok and _worst(points) <= report["summary"]["residual_tol"] else 1
 
 
 def _columns(points) -> list[set[str]]:
@@ -59,6 +68,7 @@ def _row(name: str, old: dict, new: dict) -> list[str]:
         changes = [f"+{c}" for c in sorted(after - before)] + [f"-{c}" for c in sorted(before - after)]
         columns = "differ" + (f" ({', '.join(changes)})" if changes else "")
     move = _largest_move(p, q)
+    exits = _exit(old), _exit(new)
     return [
         name,
         "equal" if statuses else "differ",
@@ -67,6 +77,7 @@ def _row(name: str, old: dict, new: dict) -> list[str]:
         "none" if move is None else f"{move:.2g}",
         f"{_worst(p):.3g}",
         f"{_worst(q):.3g}",
+        "equal" if exits[0] == exits[1] else "{}→{}".format(*exits),
     ]
 
 
@@ -76,16 +87,16 @@ def rows(old_dir: Path, new_dir: Path) -> list[list[str]]:
     for name in sorted({f.name for f in old_dir.iterdir()} | {f.name for f in new_dir.iterdir()}):
         a, b = old_dir / name, new_dir / name
         if not (a.exists() and b.exists()):
-            out.append([name, f"only in {'OLD' if a.exists() else 'NEW'}"] + [""] * 5)
+            out.append([name, f"only in {'OLD' if a.exists() else 'NEW'}"] + [""] * (len(HEADER) - 2))
         elif a.read_bytes() != b.read_bytes():
             if a.suffix == ".json":
                 out.append(_row(name, json.loads(a.read_text()), json.loads(b.read_text())))
             else:
-                out.append([name, "differs (not JSON)"] + [""] * 5)
+                out.append([name, "differs (not JSON)"] + [""] * (len(HEADER) - 2))
     return out
 
 
-HEADER = ["file", "statuses", "summaries", "columns", "largest g/ln_det_beta move", "worst before", "worst after"]
+HEADER = ["file", "statuses", "summaries", "columns", "largest g/ln_det_beta move", "worst before", "worst after", "exit"]
 
 
 def main(argv: list[str]) -> int:
