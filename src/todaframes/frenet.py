@@ -9,11 +9,12 @@ osculating sequence Xi = [xi_0 ... xi_t] with the defining relation
     dXi/dz = Xi B,  block by block  dxi_a/dz = sum over b <= a+1 of xi_b B_{ba},
 
 where B is a block upper Hessenberg polynomial matrix found exactly by the
-adjunction machinery of the poly module.  Orthogonalizing the levels
-against a hermitian metric h produces the Frenet frame phi_0, ..., phi_t
-and the gram blocks beta_a; the frame satisfies first order equations in
-both Wirtinger directions whose data (beta, B, D = -B^dagger) feed the
-Toda module.
+adjunction machinery of the poly module.  Orthogonalizing each level
+against the frame blocks before it in a hermitian metric h, by block
+Gram-Schmidt run twice on the jets of the levels, produces the Frenet frame
+phi_0, ..., phi_t and the gram blocks beta_a; the frame satisfies first
+order equations in both Wirtinger directions whose data (beta, B,
+D = -B^dagger) feed the Toda module.
 
 Derivative convention, fixed package wide: the minus derivative is d/dz
 and the plus derivative is d/dzbar.
@@ -35,9 +36,11 @@ from .linalg import (
     HermitianMetric,
     Survivors,
     dagger,
+    jet_concat,
     jet_h,
     jet_inv,
     jet_mul,
+    jet_sub,
     scaled_defect,
     take,
 )
@@ -108,6 +111,12 @@ class OsculatingSequence:
     @property
     def n(self) -> int:
         return self.xi.rows
+
+    @cached_property
+    def b_pattern(self) -> tuple[tuple[int, int], ...]:
+        """The blocks (b, a) of B with a nonzero entry, in row order, read
+        once per sequence."""
+        return self.b.block_pattern(self.partition)
 
     def c_minus_matrix(self) -> PolyMatrix:
         """B with every block off the block subdiagonal set to zero: the
@@ -284,22 +293,27 @@ def frame_at(
     """Frenet frame data at a point or an array of points: the jets of
     every phi_a and beta_a, with exact derivatives.
 
-    phi_0 is xi_0 itself and each later block is the previous projector
-    chain applied to its level, so the blocks are h orthogonal.  Every
+    phi_0 is xi_0 itself, and each later block is its level with its h
+    components along the blocks before it taken out: with Q = [phi_0 ...
+    phi_{a-1}] and S the stacked rows beta_b^-1 phi_b^dagger h, phi_a =
+    xi_a - Q (S xi_a), and that once more on the result.  That is block
+    classical Gram-Schmidt with one reorthogonalisation, "twice is enough"
+    (Giraud, Langou and Rozloznik 2005), on n by k jets, so the blocks are h
+    orthogonal to working precision however the levels are scaled.  Every
     product runs on jets, the truncated hyper-dual numbers of Fike and
-    Alonso (2011), seeded by the holomorphic levels and their z
-    derivatives, so the Wirtinger derivatives of the frame and gram blocks
-    come out of the same pass.  Products with parts known to be zero are
-    skipped: h is constant, the identity metric (the default) is no
-    product at all, the levels have no d/dzbar parts, and the projector
-    chain starts at the identity.  The jets the chain builds are the jets
-    the data holds.  xi, its z derivative and B are evaluated once each
-    over all the points; levels and blocks are slices of those three
-    stacks, and the chain runs once on the stacks, so a point gets the bits
-    it gets alone.  The recorded solve residual is the
-    scaled defect of the defining relation dxi_a/dz = sum of xi_b B_{ba}
-    at every level, so it stays at rounding level and large values flag a
-    broken sequence.
+    Alonso (2011), seeded by the holomorphic levels and their z derivatives,
+    so the Wirtinger derivatives of the frame and gram blocks come out of
+    the same pass by the Leibniz rule, never from the frame equations they
+    are checked against.  Parts known to be zero are None and enter no
+    product: the levels have no d/dzbar parts, h is constant, and the
+    identity metric (the default) is no product at all.  The data stores
+    zeros for the None parts of phi_0.  xi, its z derivative and B are
+    evaluated once each over all the points; levels and blocks are slices
+    of those three stacks, and every product runs once on the stacks, so a
+    point gets the bits it gets alone.  The recorded solve residual is the
+    scaled defect of the defining relation dxi_a/dz = sum of xi_b B_{ba} at
+    every level, with a term only for each nonzero block of B, so it stays
+    at rounding level and large values flag a broken sequence.
 
     A point whose gram block fails the condition guard leaves the stacks
     before its block is inverted, and its SingularBeta is recorded in
@@ -307,13 +321,12 @@ def frame_at(
     SingularBeta is raised.  A block that overflows fails the guard, with
     numpy's overflow and invalid value warnings off.
     """
-    n = seq.n
     t = seq.t
     hm = h.matrix
-    identity = np.array_equal(hm, np.eye(n))
+    identity = np.array_equal(hm, np.eye(seq.n))
 
     def times_h(jet: tuple) -> tuple:  # h is constant: part by part
-        return jet if identity else tuple(y @ hm for y in jet)
+        return jet if identity else tuple(None if y is None else y @ hm for y in jet)
 
     blocks = [seq.partition.slice(a) for a in range(t + 1)]
     shape = np.shape(z)
@@ -324,23 +337,20 @@ def frame_at(
     phis: list[tuple] = []  # jets of the frame and gram blocks
     betas: list[tuple] = []
     invs: list[np.ndarray] = []
-    proj = None  # the identity jet at level 0, which no product needs
+    q = rows = None  # the jets of [phi_0 ... phi_{a-1}] and of their rows
     for a in range(t + 1):
-        x, dx = x_all[..., blocks[a]], dx_all[..., blocks[a]]
-        if a == 0:  # xi_0 is holomorphic: its d/dzbar parts vanish
-            zero = np.zeros_like(x)
-            phi_a = (x, dx, zero, zero)
-        else:
-            phi_a = jet_mul(proj, (x, dx, None, None))
-        phi_h = jet_h(phi_a)
-        left = times_h(phi_h)
-        beta_a = jet_mul(left, (x, dx, None, None) if a == 0 else phi_a)
+        phi_a = (x_all[..., blocks[a]], dx_all[..., blocks[a]], None, None)
+        if a:
+            for _ in range(2):
+                phi_a = jet_sub(phi_a, jet_mul(q, jet_mul(rows, phi_a)))
+        left = times_h(jet_h(phi_a))
+        beta_a = jet_mul(left, phi_a)
         keep = alive.guard(
             beta_a[0],
             lambda i, c: SingularBeta(f"gram block {a} at z={complex(w[i]):g} has condition {c:.3e}"),
         )
-        x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs = take(
-            (x_all, dx_all, b_all, proj, phi_a, phi_h, beta_a, phis, betas, invs), keep
+        x_all, dx_all, b_all, q, rows, phi_a, left, beta_a, phis, betas, invs = take(
+            (x_all, dx_all, b_all, q, rows, phi_a, left, beta_a, phis, betas, invs), keep
         )
         phis.append(phi_a)
         betas.append(beta_a)
@@ -349,16 +359,12 @@ def frame_at(
             break
         inv = jet_inv(beta_a)
         invs.append(inv[0])
-        p = times_h(jet_mul(jet_mul(phi_a, inv), phi_h))
-        step = (np.eye(n, dtype=complex) - p[0], -p[1], -p[2], -p[3])
-        proj = step if a == 0 else jet_mul(step, proj)
+        row = jet_mul(inv, left)
+        q, rows = (phi_a, row) if a == 0 else (jet_concat((q, phi_a), -1), jet_concat((rows, row), -2))
 
     solve_residual = 0.0
     for a in range(t + 1):
-        terms = [
-            x_all[..., blocks[b]] @ b_all[..., blocks[b], blocks[a]]
-            for b in range(min(a + 1, t) + 1)
-        ]
+        terms = [x_all[..., blocks[b]] @ b_all[..., blocks[b], blocks[a]] for b, c in seq.b_pattern if c == a]
         solve_residual = np.maximum(
             solve_residual, scaled_defect(dx_all[..., blocks[a]], terms)
         )
@@ -366,7 +372,9 @@ def frame_at(
     return FrenetPointData(
         z=complex(z) if not shape else w.reshape(shape),
         partition=seq.partition,
-        phis=tuple(tuple(map(alive.full, jet)) for jet in phis),
+        phis=tuple(
+            tuple(alive.full(np.zeros_like(jet[0]) if x is None else x) for x in jet) for jet in phis
+        ),
         betas=tuple(tuple(map(alive.full, jet)) for jet in betas),
         betas_inv=tuple(map(alive.full, invs)),
         b_sub=tuple(alive.full(b_all[..., blocks[a + 1], blocks[a]]) for a in range(t)),

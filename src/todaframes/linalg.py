@@ -11,7 +11,8 @@ stacked computations.
 A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
 truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
 carry exact Wirtinger derivatives through products and inverses, and
-jet_mul, the one Leibniz product, skips the parts known to be zero.
+jet_mul, the one Leibniz product, skips the parts known to be zero; a
+None part is such a part, and every jet helper passes it through.
 scaled_defect is the one residual scaling of every reported identity.
 """
 
@@ -33,9 +34,11 @@ __all__ = [
     "gauss_decompose",
     "condition",
     "dagger",
+    "jet_concat",
     "jet_h",
     "jet_inv",
     "jet_mul",
+    "jet_sub",
     "scaled_defect",
     "take",
 ]
@@ -104,15 +107,34 @@ def _sum_of_products(*pairs):
     return out
 
 
+def jet_sub(x: tuple, y: tuple) -> tuple:
+    """Difference of two jets, part by part; a None part is zero, and a part
+    None on both sides stays None."""
+    return tuple(a if b is None else (-b if a is None else a - b) for a, b in zip(x, y))
+
+
+def jet_concat(jets, axis: int) -> tuple:
+    """The jets side by side along axis, -1 or -2, part by part; a None part
+    enters as zeros shaped as its jet's value, and a part None in every jet
+    stays None."""
+    return tuple(
+        None
+        if all(x is None for x in parts)
+        else np.concatenate([np.zeros_like(j[0]) if x is None else x for j, x in zip(jets, parts)], axis)
+        for parts in zip(*jets)
+    )
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
     return m.conj().swapaxes(-1, -2)
 
 
 def jet_h(x: tuple) -> tuple:
-    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts."""
+    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts,
+    and a None part stays None."""
     v, m, p, mp = x
-    return dagger(v), dagger(p), dagger(m), dagger(mp)
+    return tuple(None if y is None else dagger(y) for y in (v, p, m, mp))
 
 
 def jet_inv(x: tuple) -> tuple:

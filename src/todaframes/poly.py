@@ -405,6 +405,18 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 
+    def block_pattern(self, blocks) -> tuple[tuple[int, int], ...]:
+        """The block positions (a, b), in row order, where self has a
+        nonzero entry; blocks is a BlockStructure, whose slices cut the rows
+        and the columns alike."""
+        cuts = [blocks.slice(a) for a in range(blocks.count)]
+        return tuple(
+            (a, b)
+            for a, rows in enumerate(cuts)
+            for b, cols in enumerate(cuts)
+            if any(not e.is_zero for row in self.entries[rows] for e in row[cols])
+        )
+
     def column_at(self, j: int) -> "PolyMatrix":
         return PolyMatrix([[row[j]] for row in self.entries])
 
@@ -552,13 +564,15 @@ def _require_column(f: PolyMatrix, name: str = "column"):
 def factor_zeros(f: PolyMatrix) -> tuple[PolyMatrix, Poly]:
     """Write the column f as g * d with d the monic gcd of the entries.
 
-    The entries of g then have no common zero.  Raises ZeroFunction on an
-    identically zero column.
+    The entries of g then have no common zero.  When d is 1, g is f itself.
+    Raises ZeroFunction on an identically zero column.
     """
     _require_column(f)
     if f.is_zero:
         raise ZeroFunction("cannot factor an identically zero column")
     d = poly_gcd_many(e for row in f.entries for e in row)
+    if d.degree == 0:  # d is monic: 1, and f is its own quotient
+        return f, d
     g = PolyMatrix([[row[0].exact_div(d)] for row in f.entries])
     return g, d
 

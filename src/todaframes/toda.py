@@ -99,15 +99,10 @@ _DIVERGED = (
 
 
 def _nonzero_blocks(m: PolyMatrix, blocks: BlockStructure, name: str):
-    """The block positions (a, b), in row order, where m has a nonzero
-    entry; m must be square of the size of the blocks."""
+    """m.block_pattern(blocks); m must be square of the size of the blocks."""
     if m.shape != (blocks.n, blocks.n):
         raise InvalidArgument(name, f"{name} must be {blocks.n} by {blocks.n}, got {m.shape}")
-    for a in range(blocks.count):
-        for b in range(blocks.count):
-            rows = m.entries[blocks.slice(a)]
-            if any(not e.is_zero for row in rows for e in row[blocks.slice(b)]):
-                yield a, b
+    return m.block_pattern(blocks)
 
 
 def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
@@ -184,7 +179,7 @@ class TodaProblem:
         if hermitian:
             object.__setattr__(self, "c_plus", self.c_minus.conjugate_transpose().scale(-1))
         blocks = self.gradation.blocks
-        found = {name: tuple(_nonzero_blocks(getattr(self, name), blocks, name)) for name in ("c_minus", "c_plus")}
+        found = {name: _nonzero_blocks(getattr(self, name), blocks, name) for name in ("c_minus", "c_plus")}
         object.__setattr__(self, "minus_pattern", found["c_minus"])
         object.__setattr__(self, "plus_pattern", found["c_plus"])
         object.__setattr__(self, "gap", _derive_gap(self.gradation, found))

@@ -336,6 +336,18 @@ class TestFrenetModes:
         assert report.summary["points_ok"] == 49
         assert report.exit_code() == 0
 
+    @pytest.mark.parametrize("scale", [1, 10, 30, 100])
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_scaled_normal_curve_passes(self, degree, scale):
+        # (1, s z, ..., s^d z^d) is the normal curve in the metric
+        # diag(s^(2i)), so every identity holds: the frame blocks stay h
+        # orthogonal however far apart the scales of the levels are
+        curve = [[[0] * m + [scale**m]] for m in range(degree + 1)]
+        report = run({"mode": "verify-frenet", "curve": curve, "grid": {"radius": 0.7, "nx": 7, "ny": 7}})
+        assert all(p.ok for p in report.points)
+        assert report.exit_code() == 0
+        assert report.max_residual <= 1e-11
+
     def test_rank_drop_points_are_evaluated(self):
         # the frame is built on the reduced, constant rank columns, so a
         # root of the rank drop is an ordinary point of it: (z, z^2) and

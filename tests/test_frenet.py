@@ -20,7 +20,7 @@ from todaframes.frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from todaframes.linalg import BlockStructure, HermitianMetric, dagger, jet_h, jet_inv, jet_mul
+from todaframes.linalg import BlockStructure, HermitianMetric, dagger, jet_h, jet_inv, jet_mul, scaled_defect
 from todaframes.poly import Poly, PolyMatrix, minor_gcd, poly_gcd_many
 from todaframes.wirtinger import d_minus, d_plus
 
@@ -242,9 +242,9 @@ class TestFrameAt:
     )
     def test_equal_to_full_jet_products(self, which, metric):
         # frame_at skips the products of parts known to be zero, and every
-        # product with the identity metric; a chain of full jet products
-        # gives the same numbers, and so does each point of one call on all
-        # three points
+        # product with the identity metric; the same two passes of block
+        # Gram-Schmidt on full jets, zero parts and h included, give the same
+        # numbers, and so does each point of one call on all three points
         if which == "normal5":
             seq = build_osculating(normal_curve(5))
         else:
@@ -258,17 +258,48 @@ class TestFrameAt:
             data = frame_at(seq, h, z)
             assert_same_point(stacked.take(i), data)
             zero = np.zeros((n, n), dtype=complex)
-            h_jet, proj = (h.matrix, zero, zero, zero), (np.eye(n, dtype=complex), zero, zero, zero)
+            h_jet = (h.matrix, zero, zero, zero)
             for a, s in enumerate(map(seq.partition.slice, range(seq.t + 1))):
                 x = seq.xi.evaluate(z)[:, s]
-                phi = jet_mul(proj, (x, seq.dxi.evaluate(z)[:, s], 0 * x, 0 * x))
-                beta = jet_mul(jet_mul(jet_h(phi), h_jet), phi)
+                phi = (x, seq.dxi.evaluate(z)[:, s], 0 * x, 0 * x)
+                if a:
+                    for _ in range(2):
+                        phi = tuple(u - v for u, v in zip(phi, jet_mul(q, jet_mul(rows, phi))))
+                left = jet_mul(jet_h(phi), h_jet)
+                beta = jet_mul(left, phi)
                 assert len(data.phis[a]) == len(data.betas[a]) == 4
                 assert all(np.array_equal(u, v) for u, v in zip(data.phis[a], phi))
                 assert all(np.array_equal(u, v) for u, v in zip(data.betas[a], beta))
                 assert np.array_equal(data.betas_inv[a], np.linalg.inv(beta[0]))
-                p = jet_mul(jet_mul(jet_mul(phi, jet_inv(beta)), jet_h(phi)), h_jet)
-                proj = jet_mul((np.eye(n) - p[0], -p[1], -p[2], -p[3]), proj)
+                row = jet_mul(jet_inv(beta), left)
+                if a == 0:
+                    q, rows = phi, row
+                else:
+                    q = tuple(np.concatenate(parts, axis=-1) for parts in zip(q, phi))
+                    rows = tuple(np.concatenate(parts, axis=-2) for parts in zip(rows, row))
+
+    @pytest.mark.parametrize("which", ["normal5", "lift57"])
+    def test_b_solve_reads_the_nonzero_blocks_of_b(self, which):
+        # a term only for each nonzero block of B: the same bits as the sum
+        # over every block
+        if which == "normal5":
+            seq = build_osculating(normal_curve(5))
+        else:
+            seq = build_osculating(random_lift(np.random.default_rng(57), 4, 2, 2))
+        zs = np.array([0.3 + 0.2j, -0.45j, 0.0])
+        blocks = [seq.partition.slice(a) for a in range(seq.t + 1)]
+        x, dx, b = seq.xi.evaluate(zs), seq.dxi.evaluate(zs), seq.b.evaluate(zs)
+        assert seq.b_pattern is seq.b_pattern
+        assert seq.b_pattern == tuple(
+            (i, j) for i, r in enumerate(blocks) for j, c in enumerate(blocks) if np.any(b[..., r, c])
+        )
+        want = 0.0
+        for s in blocks:
+            want = np.maximum(want, scaled_defect(dx[..., s], [x[..., r] @ b[..., r, s] for r in blocks]))
+        got = frame_at(seq, HermitianMetric.identity(seq.n), zs).b_solve_residual
+        assert np.array_equal(got, want)
+        if which == "normal5":  # dxi_a/dz = xi_{a+1}, and the top level is constant
+            assert seq.b_pattern == tuple((a + 1, a) for a in range(seq.t))
 
     def test_singular_beta_detected(self):
         # hand built chain whose levels collide at z = 1

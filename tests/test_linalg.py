@@ -11,7 +11,10 @@ from todaframes.linalg import (
     Survivors,
     condition,
     gauss_decompose,
+    jet_concat,
+    jet_h,
     jet_mul,
+    jet_sub,
     scaled_defect,
 )
 
@@ -211,6 +214,55 @@ class TestJetMul:
                     assert part is None
                 else:
                     assert np.array_equal(part, want)
+
+
+class TestJetHelpers:
+    """jet_h, jet_sub and jet_concat take a None part as zero: the result
+    equals the one on explicit zeros, and a part with no nonzero input stays
+    None."""
+
+    @staticmethod
+    def jets(shape, count, seed=9):
+        rng = np.random.default_rng(seed)
+        return [[rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)] for _ in range(count)]
+
+    @staticmethod
+    def with_none(jet, zero):
+        return [None if z else v for z, v in zip(zero, jet)]
+
+    @staticmethod
+    def with_zeros(jet, zero):
+        return [np.zeros_like(v) if z else v for z, v in zip(zero, jet)]
+
+    def zero_choices(self, count):
+        # the value part is never None
+        return itertools.product(*[[(False,) + z for z in itertools.product([False, True], repeat=3)]] * count)
+
+    def test_h(self):
+        (x,) = self.jets((5, 3, 2), 1)
+        for (zero,) in self.zero_choices(1):
+            got, want = jet_h(self.with_none(x, zero)), jet_h(self.with_zeros(x, zero))
+            # the d/dz and d/dzbar parts swap, and with them their None
+            for part, z, w in zip(got, (zero[0], zero[2], zero[1], zero[3]), want):
+                assert part is None if z else np.array_equal(part, w)
+
+    def test_sub(self):
+        x, y = self.jets((5, 3, 2), 2)
+        for zx, zy in self.zero_choices(2):
+            got = jet_sub(self.with_none(x, zx), self.with_none(y, zy))
+            want = jet_sub(self.with_zeros(x, zx), self.with_zeros(y, zy))
+            for part, a, b, w in zip(got, zx, zy, want):
+                assert part is None if a and b else np.array_equal(part, w)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_concat(self, axis):
+        x, y = self.jets((5, 3, 3), 2)
+        for zx, zy in self.zero_choices(2):
+            got = jet_concat((self.with_none(x, zx), self.with_none(y, zy)), axis)
+            want = jet_concat((self.with_zeros(x, zx), self.with_zeros(y, zy)), axis)
+            for part, a, b, w in zip(got, zx, zy, want):
+                assert part is None if a and b else np.array_equal(part, w)
+        assert jet_concat((x, y), axis)[0].shape == ((5, 3, 6) if axis == -1 else (5, 6, 3))
 
 
 class TestGaussDecompose:

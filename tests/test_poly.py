@@ -436,9 +436,17 @@ class TestFactorZeros:
         assert d == Z
 
     def test_no_common_zero(self):
+        # a gcd of 1 divides nothing: the column comes back itself
         f = col(1, Z)
         g, d = factor_zeros(f)
-        assert g == f and d == ONE
+        assert g is f and d == ONE
+
+    def test_common_factor_gives_the_quotient(self):
+        f = col(Z * Z - Z, Z * Z * Z - Z)
+        g, d = factor_zeros(f)
+        assert d == Z * Z - Z
+        assert g == col(1, Z + ONE) and g is not f
+        assert g.scale(d) == f
 
     def test_zero_column_raises(self):
         with pytest.raises(ZeroFunction):

@@ -7,9 +7,11 @@ plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as the CLI writes it, ``emit(report)``, with an
 empty ``generated_at``, one file per job (46 in all).  A fixed list of
 jobs with inputs the bench corpus lacks (``EXTRA_JOBS``) follows: float
-coefficients, failed points, huge Toda entries and a Toda seed whose gamma
-is not hermitian (7 files), 53 files in all.  Two checkouts give the same reports, and the same report bytes,
-exactly when ``diff -r`` of their two output directories is empty.
+coefficients, failed points, huge Toda entries, a Toda seed whose gamma
+is not hermitian and two normal curves with widely scaled levels (9
+files), 55 files in all.  Two checkouts give the same reports, and the same
+report bytes, exactly when ``diff -r`` of their two output directories is
+empty.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from todaframes.cli import emit, run  # noqa: E402
 SEEDS = (0, 3)
 
 # jobs outside the bench corpus: float coefficients made exact by the
-# parser, failed points, huge entries and a Toda job outside hermitian mode
+# parser, failed points, huge entries, a Toda job outside hermitian mode
+# and scaled levels
 EXTRA_JOBS = {
     "verify-frenet-float": {
         "mode": "verify-frenet",
@@ -53,6 +56,16 @@ EXTRA_JOBS = {
             "seeds": {"gamma_minus": [[[0, 1], [0]], [[0], [1]]], "c_minus": [[[0], [0]], [[1], [0]]]},
         }
         for mode in ("toda-solve", "verify-toda")
+    },
+    # (1, s z, ..., s^d z^d) with s = 100: the normal curve in the metric
+    # diag(s^(2i)), whose levels differ in scale by up to 100^d
+    **{
+        f"verify-frenet-normal{d}-s100": {
+            "mode": "verify-frenet",
+            "curve": [[[0] * m + [100**m]] for m in range(d + 1)],
+            "grid": {"radius": 0.7, "nx": 7, "ny": 7},
+        }
+        for d in (4, 6)
     },
     # huge Toda data, whose overflows must stay off stderr: gamma's
     # assembly in solve, and the squared norms of the residual scaling
