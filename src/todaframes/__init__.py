@@ -54,6 +54,5 @@ from .toda import (
     solve,
     toda_residual,
 )
-from .wirtinger import d_minus, d_plus
 
 __version__ = "0.1.0"

@@ -519,7 +519,7 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     blocks = [problem.blocks.slice(a) for a in range(problem.blocks.count)]
     ok = [i for i, f in enumerate(failures) if f is None]
     z = np.array(pts, dtype=complex)[ok]
-    jet = tuple(x[ok] for x in sol.gamma_jet)
+    jet = sol.gamma_jet[:, ok]
     gamma = jet[0]
     residuals = {}
     if problem.hermitian_mode:  # the frame identity of the hermitian side

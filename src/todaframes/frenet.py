@@ -36,11 +36,9 @@ from .linalg import (
     HermitianMetric,
     Survivors,
     dagger,
-    jet_concat,
     jet_h,
     jet_inv,
     jet_mul,
-    jet_sub,
     scaled_defect,
     take,
 )
@@ -138,15 +136,16 @@ class FrenetPointData:
     phis[a] and betas[a] are the jets (value, d/dz, d/dzbar, d/dz d/dzbar)
     of phi_a and beta_a, with exact derivatives, and betas_inv[a] is the one
     inverse of the value of beta_a.  Every matrix is a stack with the point
-    axes of z first, as PolyMatrix.evaluate returns it; a single point gives
-    plain matrices.  failures holds, in the flattened order of z, the error
-    that failed each point, or None; the fields of a failed point are NaN.
+    axes of z first, as PolyMatrix.evaluate returns it, and a jet is one
+    array with its part axis before them; a single point gives plain
+    matrices.  failures holds, in the flattened order of z, the error that
+    failed each point, or None; the fields of a failed point are NaN.
     """
 
     z: complex | np.ndarray
     partition: BlockStructure
-    phis: tuple[tuple[np.ndarray, ...], ...]
-    betas: tuple[tuple[np.ndarray, ...], ...]
+    phis: tuple[np.ndarray, ...]
+    betas: tuple[np.ndarray, ...]
     betas_inv: tuple[np.ndarray, ...]
     b_sub: tuple[np.ndarray, ...]
     b_solve_residual: float | np.ndarray
@@ -167,16 +166,14 @@ class FrenetPointData:
         return self.gamma_jet[0]
 
     @property
-    def gamma_jet(self) -> tuple[np.ndarray, ...]:
+    def gamma_jet(self) -> np.ndarray:
         """Jet (value, d/dz, d/dzbar, d/dz d/dzbar) of gamma, the field the
         Toda residual checks read."""
         k = self.partition.n
-        shape = self.betas[0][0].shape[:-2] + (k, k)
-        out = tuple(np.zeros(shape, dtype=complex) for _ in range(4))
+        out = np.zeros(self.betas[0].shape[:-2] + (k, k), dtype=complex)
         for a, jet in enumerate(self.betas):
             s = self.partition.slice(a)
-            for x, part in zip(out, jet):
-                x[..., s, s] = part
+            out[..., s, s] = jet
         return out
 
     @cached_property
@@ -189,18 +186,21 @@ class FrenetPointData:
         flattened order of z."""
         lead = np.ndim(self.z)
 
-        def pick(x):
-            if isinstance(x, tuple):
-                return tuple(map(pick, x))
-            return np.reshape(x, (-1,) + np.shape(x)[lead:])[index]
+        def pick(x, parts=0):  # the point axes of x follow its first parts axes
+            flat = np.reshape(x, np.shape(x)[:parts] + (-1,) + np.shape(x)[parts + lead:])
+            return flat[(slice(None),) * parts + (index,)]
 
         rows = np.ravel(np.arange(len(self.failures))[index])
-        stacks = {
-            f.name: pick(getattr(self, f.name))
-            for f in dataclasses.fields(self)
-            if f.name not in ("partition", "failures")
-        }
-        return dataclasses.replace(self, failures=tuple(self.failures[i] for i in rows), **stacks)
+        return dataclasses.replace(
+            self,
+            z=pick(self.z),
+            phis=tuple(pick(jet, 1) for jet in self.phis),
+            betas=tuple(pick(jet, 1) for jet in self.betas),
+            betas_inv=tuple(map(pick, self.betas_inv)),
+            b_sub=tuple(map(pick, self.b_sub)),
+            b_solve_residual=pick(self.b_solve_residual),
+            failures=tuple(self.failures[i] for i in rows),
+        )
 
 
 @dataclass(frozen=True)
@@ -304,13 +304,11 @@ def frame_at(
     Alonso (2011), seeded by the holomorphic levels and their z derivatives,
     so the Wirtinger derivatives of the frame and gram blocks come out of
     the same pass by the Leibniz rule, never from the frame equations they
-    are checked against.  Parts known to be zero are None and enter no
-    product: the levels have no d/dzbar parts, h is constant, and the
-    identity metric (the default) is no product at all.  The data stores
-    zeros for the None parts of phi_0.  xi, its z derivative and B are
-    evaluated once each over all the points; levels and blocks are slices
-    of those three stacks, and every product runs once on the stacks, so a
-    point gets the bits it gets alone.  The recorded solve residual is the
+    are checked against.  The levels have zero d/dzbar parts, h is
+    constant, and the identity metric (the default) is no product at all.
+    xi, its z derivative and B are evaluated once each over all the points;
+    levels and blocks are slices of those three stacks, and every product
+    runs once on the stacks, so a point gets the bits it gets alone.  The recorded solve residual is the
     scaled defect of the defining relation dxi_a/dz = sum of xi_b B_{ba} at
     every level, with a term only for each nonzero block of B, so it stays
     at rounding level and large values flag a broken sequence.
@@ -324,33 +322,32 @@ def frame_at(
     t = seq.t
     hm = h.matrix
     identity = np.array_equal(hm, np.eye(seq.n))
-
-    def times_h(jet: tuple) -> tuple:  # h is constant: part by part
-        return jet if identity else tuple(None if y is None else y @ hm for y in jet)
-
     blocks = [seq.partition.slice(a) for a in range(t + 1)]
     shape = np.shape(z)
     w = np.asarray(z, dtype=complex).reshape(-1)
     alive = Survivors(shape)
-    x_all, dx_all, b_all = seq.xi.evaluate(w), seq.dxi.evaluate(w), seq.b.evaluate(w)
+    x_all, b_all = seq.xi.evaluate(w), seq.b.evaluate(w)
+    zero = np.zeros_like(x_all)
+    levels = np.stack((x_all, seq.dxi.evaluate(w), zero, zero))  # holomorphic: no d/dzbar parts
 
-    phis: list[tuple] = []  # jets of the frame and gram blocks
-    betas: list[tuple] = []
+    phis: list[np.ndarray] = []  # jets of the frame and gram blocks
+    betas: list[np.ndarray] = []
     invs: list[np.ndarray] = []
     q = rows = None  # the jets of [phi_0 ... phi_{a-1}] and of their rows
     for a in range(t + 1):
-        phi_a = (x_all[..., blocks[a]], dx_all[..., blocks[a]], None, None)
+        phi_a = levels[..., blocks[a]]
         if a:
             for _ in range(2):
-                phi_a = jet_sub(phi_a, jet_mul(q, jet_mul(rows, phi_a)))
-        left = times_h(jet_h(phi_a))
+                phi_a = phi_a - jet_mul(q, jet_mul(rows, phi_a))
+        left = jet_h(phi_a) if identity else jet_h(phi_a) @ hm  # h is constant: part by part
         beta_a = jet_mul(left, phi_a)
         keep = alive.guard(
             beta_a[0],
             lambda i, c: SingularBeta(f"gram block {a} at z={complex(w[i]):g} has condition {c:.3e}"),
         )
-        x_all, dx_all, b_all, q, rows, phi_a, left, beta_a, phis, betas, invs = take(
-            (x_all, dx_all, b_all, q, rows, phi_a, left, beta_a, phis, betas, invs), keep
+        b_all, invs = take((b_all, invs), keep)
+        levels, q, rows, phi_a, left, beta_a, phis, betas = take(
+            (levels, q, rows, phi_a, left, beta_a, phis, betas), keep, 1
         )
         phis.append(phi_a)
         betas.append(beta_a)
@@ -360,8 +357,9 @@ def frame_at(
         inv = jet_inv(beta_a)
         invs.append(inv[0])
         row = jet_mul(inv, left)
-        q, rows = (phi_a, row) if a == 0 else (jet_concat((q, phi_a), -1), jet_concat((rows, row), -2))
+        q, rows = (phi_a, row) if a == 0 else (np.concatenate((q, phi_a), -1), np.concatenate((rows, row), -2))
 
+    x_all, dx_all = levels[0], levels[1]
     solve_residual = 0.0
     for a in range(t + 1):
         terms = [x_all[..., blocks[b]] @ b_all[..., blocks[b], blocks[a]] for b, c in seq.b_pattern if c == a]
@@ -372,10 +370,8 @@ def frame_at(
     return FrenetPointData(
         z=complex(z) if not shape else w.reshape(shape),
         partition=seq.partition,
-        phis=tuple(
-            tuple(alive.full(np.zeros_like(jet[0]) if x is None else x) for x in jet) for jet in phis
-        ),
-        betas=tuple(tuple(map(alive.full, jet)) for jet in betas),
+        phis=tuple(alive.full(jet, 1) for jet in phis),
+        betas=tuple(alive.full(jet, 1) for jet in betas),
         betas_inv=tuple(map(alive.full, invs)),
         b_sub=tuple(alive.full(b_all[..., blocks[a + 1], blocks[a]]) for a in range(t)),
         b_solve_residual=alive.full(solve_residual)[()],

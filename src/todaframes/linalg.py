@@ -8,11 +8,12 @@ Cholesky factor, the block Gauss (block LDU) decomposition with unit
 triangular outer factors, and Survivors, the one failure isolation of the
 stacked computations.
 
-A jet is a tuple (value, d/dz, d/dzbar, d/dz d/dzbar) of matrices, the
-truncated hyper-dual numbers of Fike and Alonso (2011); the jet helpers
-carry exact Wirtinger derivatives through products and inverses, and
-jet_mul, the one Leibniz product, skips the parts known to be zero; a
-None part is such a part, and every jet helper passes it through.
+A jet is one array whose leading axis of length 4 holds the parts (value,
+d/dz, d/dzbar, d/dz d/dzbar), each a matrix or a stack of matrices: the
+truncated hyper-dual numbers of Fike and Alonso (2011).  A part known to
+be zero is stored as zeros.  The jet helpers carry exact Wirtinger
+derivatives through products and inverses; jet_mul is the one Leibniz
+product.
 scaled_defect is the one residual scaling of every reported identity.
 """
 
@@ -34,11 +35,9 @@ __all__ = [
     "gauss_decompose",
     "condition",
     "dagger",
-    "jet_concat",
     "jet_h",
     "jet_inv",
     "jet_mul",
-    "jet_sub",
     "scaled_defect",
     "take",
 ]
@@ -83,46 +82,18 @@ class BlockStructure:
         return slice(off, off + self.sizes[a])
 
 
-def jet_mul(x: tuple, y: tuple) -> tuple:
-    """Product of two jets by the Leibniz rule.  A part may be None, known
-    to be zero: it enters no product, the other terms are summed in the
-    rule's order, and a part of the product with no term is None."""
-    xv, xm, xp, xmp = x
-    yv, ym, yp, ymp = y
-    return (
-        xv @ yv,
-        _sum_of_products((xm, yv), (xv, ym)),
-        _sum_of_products((xp, yv), (xv, yp)),
-        _sum_of_products((xmp, yv), (xm, yp), (xp, ym), (xv, ymp)),
-    )
-
-
-def _sum_of_products(*pairs):
-    """The sum, left to right, of a @ b over the pairs with neither None;
-    None when there is no such pair."""
-    out = None
-    for a, b in pairs:
-        if a is not None and b is not None:
-            out = a @ b if out is None else out + a @ b
+def jet_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of two jets by the Leibniz rule, in three stacked products,
+    each part's terms summed in the rule's order: the d/dz d/dzbar part is
+    ((xmp yv + xm yp) + xp ym) + xv ymp."""
+    out = x @ y[0]
+    first = x[0] @ y[1:]
+    out[1:3] += first[:2]
+    cross = x[1:3] @ y[2:0:-1]
+    out[3] += cross[0]
+    out[3] += cross[1]
+    out[3] += first[2]
     return out
-
-
-def jet_sub(x: tuple, y: tuple) -> tuple:
-    """Difference of two jets, part by part; a None part is zero, and a part
-    None on both sides stays None."""
-    return tuple(a if b is None else (-b if a is None else a - b) for a, b in zip(x, y))
-
-
-def jet_concat(jets, axis: int) -> tuple:
-    """The jets side by side along axis, -1 or -2, part by part; a None part
-    enters as zeros shaped as its jet's value, and a part None in every jet
-    stays None."""
-    return tuple(
-        None
-        if all(x is None for x in parts)
-        else np.concatenate([np.zeros_like(j[0]) if x is None else x for j, x in zip(jets, parts)], axis)
-        for parts in zip(*jets)
-    )
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -130,23 +101,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def jet_h(x: tuple) -> tuple:
-    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts,
-    and a None part stays None."""
-    v, m, p, mp = x
-    return tuple(None if y is None else dagger(y) for y in (v, p, m, mp))
+def jet_h(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a jet; it swaps the d/dz and d/dzbar parts."""
+    return dagger(x[[0, 2, 1, 3]])
 
 
-def jet_inv(x: tuple) -> tuple:
-    """Inverse of a jet, from d(A^-1) = -A^-1 dA A^-1 in each direction."""
-    v, m, p, mp = x
-    iv = np.linalg.inv(v)
-    return (
-        iv,
-        -iv @ m @ iv,
-        -iv @ p @ iv,
-        iv @ (p @ iv @ m + m @ iv @ p - mp) @ iv,
-    )
+def jet_inv(x: np.ndarray) -> np.ndarray:
+    """Inverse of a jet, from d(A^-1) = -A^-1 dA A^-1 in each direction,
+    grouped as ((-A^-1) dA) A^-1: the other grouping changes bits."""
+    iv = np.linalg.inv(x[0])
+    out = np.empty_like(x)
+    out[0] = iv
+    out[1:3] = (-iv @ x[1:3]) @ iv
+    swapped = x[2:0:-1] @ iv @ x[1:3]  # p iv m and m iv p
+    out[3] = iv @ (swapped[0] + swapped[1] - x[3]) @ iv
+    return out
 
 
 def _norm(m) -> np.ndarray:
@@ -211,14 +180,15 @@ def _svd_condition(m: np.ndarray):
     return cond[()]
 
 
-def take(x, keep):
-    """x, a stack or a tuple or list of stacks, on the rows the mask keep
-    selects; None stays None, and x itself when keep is all true."""
+def take(x, keep, axis: int = 0):
+    """x, a stack or a tuple or list of stacks, on the entries of axis the
+    mask keep selects; None stays None, and x itself when keep is all true.
+    A jet's points are on axis 1."""
     if x is None or keep.all():
         return x
     if isinstance(x, np.ndarray):
-        return x[keep]
-    return type(x)(take(y, keep) for y in x)
+        return x.compress(keep, axis)
+    return type(x)(take(y, keep, axis) for y in x)
 
 
 class Survivors:
@@ -251,15 +221,16 @@ class Survivors:
         cond = zip(self.live.tolist(), condition(m).tolist())
         return self.drop([error(i, c) if c > COND_LIMIT else None for i, c in cond])
 
-    def full(self, x: np.ndarray) -> np.ndarray:
-        """x, one row per live position, at every position, NaN at the
-        failed ones; when none failed, x itself reshaped, a view and not a
-        copy."""
+    def full(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """x, one entry of axis per live position, at every position, NaN
+        at the failed ones; when none failed, x itself reshaped, a view and
+        not a copy.  A jet's points are on axis 1."""
+        lead, rest = x.shape[:axis], x.shape[axis + 1:]
         if self.live.size == len(self.failures):
-            return x.reshape(self.shape + x.shape[1:])
-        out = np.full((len(self.failures),) + x.shape[1:], np.nan, dtype=x.dtype)
-        out[self.live] = x
-        return out.reshape(self.shape + x.shape[1:])
+            return x.reshape(lead + self.shape + rest)
+        out = np.full(lead + (len(self.failures),) + rest, np.nan, dtype=x.dtype)
+        out[(slice(None),) * axis + (self.live,)] = x
+        return out.reshape(lead + self.shape + rest)
 
 
 class HermitianMetric:

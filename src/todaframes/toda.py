@@ -65,6 +65,7 @@ from .linalg import (
     Survivors,
     dagger,
     gauss_decompose,
+    jet_h,
     jet_inv,
     jet_mul,
     scaled_defect,
@@ -457,8 +458,8 @@ def _transport_many(
 class TodaSolution:
     """Output of the solution procedure: stacks with the point axis first,
     in grid order.  gamma_jet is the jet (value, d/dz, d/dzbar, d/dz
-    d/dzbar) of gamma, each part stacked over the points, as
-    FrenetPointData.gamma_jet is; gamma, phi, mu_minus and mu_plus are n by
+    d/dzbar) of gamma, one array with the parts first and the points after,
+    as FrenetPointData.gamma_jet is; gamma, phi, mu_minus and mu_plus are n by
     n per point.  phi is built only in hermitian mode and is None
     elsewhere.  failures[i] is None or the text of what failed point i,
     whose gamma and phi are NaN (mu_minus and mu_plus are NaN where
@@ -471,7 +472,7 @@ class TodaSolution:
     gamma_plus: PolyMatrix | None
     basepoint: complex
     grid: tuple[complex, ...]
-    gamma_jet: tuple[np.ndarray, ...]
+    gamma_jet: np.ndarray
     phi: np.ndarray | None
     mu_minus: np.ndarray
     mu_plus: np.ndarray
@@ -490,44 +491,42 @@ class TodaSolution:
         return sum(f is not None for f in self.failures) / max(1, len(self.failures))
 
 
-def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> tuple:
+def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> np.ndarray:
     """Jet of Q = mu_plus^-1 mu_minus from the factors' slopes at the point:
     d Q = Q A_minus, dbar Q = -A_plus Q, and A_minus is holomorphic, A_plus
     antiholomorphic."""
     qa = q @ a_minus
-    return q, qa, -a_plus @ q, -a_plus @ qa
+    return np.stack((q, qa, -a_plus @ q, -a_plus @ qa))
 
 
-def _eta_jet(q_jet: tuple, blocks: BlockStructure) -> tuple:
+def _eta_jet(q_jet: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     """Jet of the block diagonal Gauss factor of Q, over the last two axes:
     its block a is the Schur complement of the leading a blocks of Q."""
-    eta = tuple(np.zeros_like(x) for x in q_jet)
+    eta = np.zeros_like(q_jet)
     for a in range(blocks.count):
         s = blocks.slice(a)
-        part = [x[..., s, s] for x in q_jet]
+        part = q_jet[..., s, s]
         if s.start:
             lead = slice(0, s.start)
-            inner = jet_inv(tuple(x[..., lead, lead] for x in q_jet))
-            row = tuple(x[..., s, lead] for x in q_jet)
-            col = tuple(x[..., lead, s] for x in q_jet)
-            part = [x - y for x, y in zip(part, jet_mul(jet_mul(row, inner), col))]
-        for x, y in zip(eta, part):
-            x[..., s, s] = y
+            inner = jet_inv(q_jet[..., lead, lead])
+            part = part - jet_mul(jet_mul(q_jet[..., s, lead], inner), q_jet[..., lead, s])
+        eta[..., s, s] = part
     return eta
 
 
-def _gamma_guard(alive: Survivors, gamma, blocks: BlockStructure, z, error, rows):
-    """Fail the live points where a diagonal block of gamma, the stack over
-    them, is beyond the condition guard, with error(text) naming the first
-    such block; returns the stacks rows on the points that pass."""
+def _gamma_guard(alive: Survivors, jet, blocks: BlockStructure, z, error, rows):
+    """Fail the live points where a diagonal block of gamma, the value of
+    the jet over them, is beyond the condition guard, with error(text)
+    naming the first such block; returns the jet and the stacks rows on the
+    points that pass."""
     for a in range(blocks.count):
         s = blocks.slice(a)
         keep = alive.guard(
-            gamma[:, s, s],
+            jet[0][:, s, s],
             lambda i, c: error(f"gamma block {a} at z={complex(z[i]):g} has condition {c:.3e}"),
         )
-        gamma, rows = take((gamma, rows), keep)
-    return rows
+        jet, rows = take(jet, keep, 1), take(rows, keep)
+    return jet, rows
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -592,37 +591,40 @@ def solve(
     # gamma_plus c_plus gamma_plus^-1 at zbar, where in hermitian mode
     # gamma_plus is the inverse conjugate transpose of gamma_minus.  The
     # seeds and the inverses of their diagonal blocks are transport's, at
-    # the points it reached.  The seed jets have None for their zero parts:
-    # gamma_minus is holomorphic and gamma_plus^-1, its blocks the inverses
-    # of gamma_plus's, antiholomorphic
+    # the points it reached.  The seed jets have zeros for their known zero
+    # parts: gamma_minus is holomorphic and gamma_plus^-1, its blocks the
+    # inverses of gamma_plus's, antiholomorphic
     a_minus = _slope(problem.c_minus_at(w), _diagonal(gm, blocks), gm_inv, problem.minus_pattern, blocks)
-    gm = (gm, gamma_minus.derivative().evaluate(w), None, None)
+    zero = np.zeros_like(gm)
+    gm = np.stack((gm, gamma_minus.derivative().evaluate(w), zero, zero))
     if problem.hermitian_mode:
         quotient = dagger(mu_m) @ mu_m
-        gp_inv = (dagger(gm[0]), None, dagger(gm[1]), None)
+        gp_inv = jet_h(gm)
         plus_blocks, plus_inv = [dagger(x) for x in gm_inv], _diagonal(gp_inv[0], blocks)
     else:
         quotient = np.linalg.inv(mu_p) @ mu_m
         plus_blocks = _diagonal(gp, blocks)
         dgp = _diagonal(gamma_plus.derivative().evaluate(w.conj()), blocks)
         diagonal = [(a, a) for a in range(blocks.count)]
-        gp_inv = (
+        gp_inv = np.stack((
             _assemble(plus_inv, diagonal, blocks, gp),
-            None,
+            zero,
             _assemble([-x @ d @ x for x, d in zip(plus_inv, dgp)], diagonal, blocks, gp),
-            None,
-        )
+            zero,
+        ))
     a_plus = _slope(problem.c_plus_at(w), plus_blocks, plus_inv, problem.plus_pattern, blocks)
     factors = gauss_decompose(quotient, blocks)
     keep = alive.drop([None if f is None else f"gauss: {f}" for f in factors.failures])
-    mu_m, gm, gp_inv, quotient, eta, n_plus, a_minus, a_plus = take(
-        (mu_m, gm, gp_inv, quotient, factors.eta, factors.n_plus, a_minus, a_plus), keep
+    mu_m, quotient, eta, n_plus, a_minus, a_plus = take(
+        (mu_m, quotient, factors.eta, factors.n_plus, a_minus, a_plus), keep
     )
+    gm, gp_inv = take((gm, gp_inv), keep, 1)
     eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
-    gamma = jet_mul(jet_mul(gp_inv, (eta, *eta_jet[1:])), gm)
+    eta_jet[0] = eta
+    gamma = jet_mul(jet_mul(gp_inv, eta_jet), gm)
     g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
     phi = None if g0inv is None else g0inv @ mu_m @ n_plus @ gm[0]
-    gamma, phi = _gamma_guard(alive, gamma[0], blocks, z, "SingularBeta: {}".format, (gamma, phi))
+    gamma, phi = _gamma_guard(alive, gamma, blocks, z, "SingularBeta: {}".format, phi)
 
     return TodaSolution(
         problem=problem,
@@ -630,7 +632,7 @@ def solve(
         gamma_plus=gamma_plus,
         basepoint=complex(basepoint),
         grid=tuple(complex(p) for p in z),
-        gamma_jet=tuple(map(alive.full, gamma)),
+        gamma_jet=alive.full(gamma, 1),
         phi=None if phi is None else alive.full(phi),
         mu_minus=minus,
         mu_plus=plus,
@@ -686,8 +688,9 @@ def _guarded(problem: TodaProblem, gamma_jet, z):
     gamma's jet, the jet of its inverse, c_minus and c_plus."""
     alive = Survivors(np.shape(z))
     w = np.reshape(z, -1)
-    jet = tuple(np.reshape(x, (-1,) + np.shape(x)[-2:]) for x in gamma_jet)
-    jet, w = _gamma_guard(alive, jet[0], problem.blocks, w, SingularBeta, (jet, w))
+    jet = np.asarray(gamma_jet)
+    jet = jet.reshape((4, -1) + jet.shape[-2:])
+    jet, w = _gamma_guard(alive, jet, problem.blocks, w, SingularBeta, w)
     return alive, jet, jet_inv(jet), problem.c_minus_at(w), problem.c_plus_at(w)
 
 
@@ -695,8 +698,9 @@ def toda_residual(problem: TodaProblem, gamma_jet, z) -> tuple:
     """Defect of the Toda equations, one scaled norm per block, at a point
     or at an array of points z.
 
-    gamma_jet is (gamma, d/dz, d/dzbar, d/dz d/dzbar gamma), each a matrix
-    or a stack over z.  The equations are checked in matrix form: the plus
+    gamma_jet is the jet (gamma, d/dz, d/dzbar, d/dz d/dzbar gamma), an
+    array or a 4-tuple of parts, each a matrix or a stack over z.  The
+    equations are checked in matrix form: the plus
     derivative of gamma^{-1} (d gamma), which is gamma^{-1} (d dbar gamma)
     less gamma^{-1} (dbar gamma) gamma^{-1} (d gamma), must match the
     commutator of c_minus with the gamma conjugate of c_plus.  Both sides

@@ -109,9 +109,9 @@ def test_columns_are_the_reports(job):
 
 def _plus(jets, index, part, size=1e-3):
     """jets with size added to one part of the jet at index."""
-    jet = list(jets[index])
-    jet[part] = jet[part] + size
-    return jets[:index] + (tuple(jet),) + jets[index + 1:]
+    jet = jets[index].copy()
+    jet[part] += size
+    return jets[:index] + (jet,) + jets[index + 1:]
 
 
 def _b_plus_e11(seq):
@@ -123,10 +123,9 @@ def _b_plus_e11(seq):
 
 def _gamma_block_0(sol, part):
     s = sol.problem.blocks.slice(0)
-    jet = list(sol.gamma_jet)
-    jet[part] = jet[part].copy()
-    jet[part][:, s, s] += 1e-3
-    return dataclasses.replace(sol, gamma_jet=tuple(jet))
+    jet = sol.gamma_jet.copy()
+    jet[part, :, s, s] += 1e-3
+    return dataclasses.replace(sol, gamma_jet=jet)
 
 
 FRENET_ROWS = {
@@ -216,7 +215,8 @@ def test_curvature_is_the_toda_equation(job, part, size):
     n = sol.problem.blocks.n
     rng = np.random.default_rng(5)
     bump = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * ~_off_diagonal_blocks(sol.problem.blocks)
-    jet = sol.gamma_jet[:part] + (sol.gamma_jet[part] + size * bump,) + sol.gamma_jet[part + 1:]
+    jet = sol.gamma_jet.copy()
+    jet[part] += size * bump
     worst = np.max(toda_residual(sol.problem, jet, z), axis=0)
     ratio = zero_curvature_check(sol.problem, jet, z) / worst
     assert np.all((0.1 <= ratio) & (ratio <= 10)), ratio

@@ -10,12 +10,13 @@ from todaframes.linalg import (
     HermitianMetric,
     Survivors,
     condition,
+    dagger,
     gauss_decompose,
-    jet_concat,
     jet_h,
+    jet_inv,
     jet_mul,
-    jet_sub,
     scaled_defect,
+    take,
 )
 
 
@@ -167,6 +168,21 @@ class TestStacks:
         assert np.isnan(full[1]).all()
         assert np.array_equal(full[keep], x[keep]) and not np.shares_memory(full, x)
 
+    def test_a_jet_keeps_its_parts(self):
+        # four points, as many as a jet has parts: on axis 1 take and full
+        # act on the points, and each part keeps its own values
+        alive = Survivors((2, 2))
+        jet = np.arange(32.0).reshape(4, 4, 1, 2)
+        keep = alive.drop([None, "bad", None, None])
+        kept = take(jet, keep, 1)
+        assert kept.shape == (4, 3, 1, 2)
+        assert np.array_equal(kept, jet[:, [0, 2, 3]])
+        full = alive.full(kept, 1)
+        assert full.shape == (4, 2, 2, 1, 2)
+        full = full.reshape(jet.shape)
+        assert np.isnan(full[:, 1]).all()
+        assert np.array_equal(full[:, keep], jet[:, keep])
+
     def test_gauss_decompose_per_matrix(self):
         rng = np.random.default_rng(7)
         bs = BlockStructure((1, 2, 1))
@@ -188,81 +204,65 @@ class TestStacks:
         assert gauss_decompose(g.reshape(5, 1, 4, 4), bs).eta.shape == (5, 1, 4, 4)
 
 
+def random_jet(rng, shape):
+    return rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+
+
 class TestJetMul:
     # the Leibniz terms of each part of a product, as (x part, y part) pairs
     TERMS = ([(0, 0)], [(1, 0), (0, 1)], [(2, 0), (0, 2)], [(3, 0), (1, 2), (2, 1), (0, 3)])
 
-    def test_none_parts_are_zeros_that_enter_no_product(self):
+    @pytest.mark.parametrize(
+        "shape",
+        [((5, 3, 2), (5, 2, 4)), ((49, 7, 6), (49, 6, 6)), ((3, 3), (3, 1))],
+        ids=["stack", "wide-stack", "one-matrix"],
+    )
+    def test_equal_to_the_per_part_sums(self, shape):
+        # the stacked products give, bit for bit, each part's terms summed
+        # left to right in TERMS order, with zero parts as well
         rng = np.random.default_rng(8)
-
-        def jet(shape):
-            return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
-
-        x, y = jet((5, 3, 2)), jet((5, 2, 4))
+        x, y = random_jet(rng, shape[0]), random_jet(rng, shape[1])
         # every choice of zero derivative parts in either factor
         for zero in itertools.product([False, True], repeat=6):
-            zx, zy = (0,) + zero[:3], (0,) + zero[3:]
-            got = jet_mul(
-                [None if z else v for z, v in zip(zx, x)], [None if z else v for z, v in zip(zy, y)]
-            )
-            dense = jet_mul(
-                [np.zeros_like(v) if z else v for z, v in zip(zx, x)],
-                [np.zeros_like(v) if z else v for z, v in zip(zy, y)],
-            )
-            for part, terms, want in zip(got, self.TERMS, dense):
-                if all(zx[i] or zy[j] for i, j in terms):
-                    assert part is None
-                else:
-                    assert np.array_equal(part, want)
+            xz, yz = x.copy(), y.copy()
+            xz[1:][list(zero[:3])] = 0
+            yz[1:][list(zero[3:])] = 0
+            got = jet_mul(xz, yz)
+            assert got.shape == (4,) + shape[0][:-1] + shape[1][-1:]
+            for part, terms in zip(got, self.TERMS):
+                (i, j), *rest = terms
+                want = xz[i] @ yz[j]
+                for i, j in rest:
+                    want = want + xz[i] @ yz[j]
+                assert np.array_equal(part, want)
+
+
+class TestJetInv:
+    def test_3x3_block_keeps_its_order_of_association(self):
+        # d(A^-1) = ((-A^-1) dA) A^-1, and the mixed part A^-1 (dbar A A^-1
+        # dA + dA A^-1 dbar A - ddbar A) A^-1 with the same grouping: on 3 by
+        # 3 blocks the other grouping changes bits, so this pins it
+        rng = np.random.default_rng(10)
+        x = random_jet(rng, (49, 3, 3))
+        v, m, p, mp = x
+        iv = np.linalg.inv(v)
+        got = jet_inv(x)
+        assert np.array_equal(got[0], iv)
+        assert np.array_equal(got[1], -iv @ m @ iv)
+        assert np.array_equal(got[2], -iv @ p @ iv)
+        assert np.array_equal(got[3], iv @ (p @ iv @ m + m @ iv @ p - mp) @ iv)
+        assert not np.array_equal(got[1], -iv @ (m @ iv))
+        assert np.allclose(jet_mul(got, x)[1:], 0, atol=1e-9)
 
 
 class TestJetHelpers:
-    """jet_h, jet_sub and jet_concat take a None part as zero: the result
-    equals the one on explicit zeros, and a part with no nonzero input stays
-    None."""
-
-    @staticmethod
-    def jets(shape, count, seed=9):
-        rng = np.random.default_rng(seed)
-        return [[rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)] for _ in range(count)]
-
-    @staticmethod
-    def with_none(jet, zero):
-        return [None if z else v for z, v in zip(zero, jet)]
-
-    @staticmethod
-    def with_zeros(jet, zero):
-        return [np.zeros_like(v) if z else v for z, v in zip(zero, jet)]
-
-    def zero_choices(self, count):
-        # the value part is never None
-        return itertools.product(*[[(False,) + z for z in itertools.product([False, True], repeat=3)]] * count)
-
     def test_h(self):
-        (x,) = self.jets((5, 3, 2), 1)
-        for (zero,) in self.zero_choices(1):
-            got, want = jet_h(self.with_none(x, zero)), jet_h(self.with_zeros(x, zero))
-            # the d/dz and d/dzbar parts swap, and with them their None
-            for part, z, w in zip(got, (zero[0], zero[2], zero[1], zero[3]), want):
-                assert part is None if z else np.array_equal(part, w)
-
-    def test_sub(self):
-        x, y = self.jets((5, 3, 2), 2)
-        for zx, zy in self.zero_choices(2):
-            got = jet_sub(self.with_none(x, zx), self.with_none(y, zy))
-            want = jet_sub(self.with_zeros(x, zx), self.with_zeros(y, zy))
-            for part, a, b, w in zip(got, zx, zy, want):
-                assert part is None if a and b else np.array_equal(part, w)
-
-    @pytest.mark.parametrize("axis", [-1, -2])
-    def test_concat(self, axis):
-        x, y = self.jets((5, 3, 3), 2)
-        for zx, zy in self.zero_choices(2):
-            got = jet_concat((self.with_none(x, zx), self.with_none(y, zy)), axis)
-            want = jet_concat((self.with_zeros(x, zx), self.with_zeros(y, zy)), axis)
-            for part, a, b, w in zip(got, zx, zy, want):
-                assert part is None if a and b else np.array_equal(part, w)
-        assert jet_concat((x, y), axis)[0].shape == ((5, 3, 6) if axis == -1 else (5, 6, 3))
+        # the conjugate transpose of each part, with d/dz and d/dzbar swapped
+        x = random_jet(np.random.default_rng(9), (5, 3, 2))
+        got = jet_h(x)
+        assert got.shape == (4, 5, 2, 3)
+        for part, want in zip(got, (x[0], x[2], x[1], x[3])):
+            assert np.array_equal(part, dagger(want))
 
 
 class TestGaussDecompose:

@@ -928,13 +928,16 @@ class TestStackedChecks:
 
         stacked = gamma_jet(z)
         k = p.blocks.n
-        assert len(stacked) == 4 and all(x.shape == (3, k, k) for x in stacked)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (4, 3, k, k)
         res, curvature = toda_residual(p, stacked, z), zero_curvature_check(p, stacked, z)
+        # a 4-tuple of parts, as outside callers may pass it, reads as the array
+        assert np.array_equal(toda_residual(p, tuple(stacked), z), res)
+        assert np.array_equal(zero_curvature_check(p, tuple(stacked), z), curvature)
         for i, w in enumerate(z):
             alone = gamma_jet(w)
             if side != "frenet":  # solve takes a grid: its one point
-                alone = tuple(x[0] for x in alone)
-            assert np.array_equal([r[i] for r in res], toda_residual(p, alone, w))
+                alone = alone[:, 0]
+            assert np.array_equal([r[i] for r in res], toda_residual(p, tuple(alone), w))
             assert curvature[i] == zero_curvature_check(p, alone, w)
         assert max(np.max(r) for r in res) < 1e-12 and np.max(curvature) < 1e-12
 

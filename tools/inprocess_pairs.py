@@ -20,9 +20,12 @@ The tool prints, per side, the fastest pass, the median pass and its
 quartiles, in milliseconds, then how many pairs the change won (its pass
 was faster) and the median of change / parent over the pairs.
 
-The tool only reports: it is not part of CI and edits nothing.  It exits 0
-when every job of every pass exited 0 or 1 (a job whose points fail their
-checks exits 1), 1 when one did not or raised, and 2 on bad arguments.
+The tool only reports and edits nothing.  CI runs it on one Python
+version, after the corpus report diff, with the parent commit as PARENT,
+and writes its tables to the step summary; no timing fails that step.  It
+exits 0 when every job of every pass exited 0 or 1 (a job whose points
+fail their checks exits 1), 1 when one did not or raised, and 2 on bad
+arguments.
 """
 
 from __future__ import annotations
