@@ -218,19 +218,38 @@ class FrameResiduals:
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """First order connection data of the curve at a point.
+    """First order connection data of the curve, stacked over the points
+    of the frame data as it is.
 
-    lambda_minus is block diagonal plus block subdiagonal, lambda_plus
-    strictly block superdiagonal.  The four index arrays act on mixed
-    fiber/horizontal tensors: index order (nu, alpha, beta, mu), after any
-    point axes, with alpha, beta fiber indices (size k_0) and mu, nu
-    horizontal ones (everything past the first block).
+    The frame equations read d/dz Phi = Phi lambda_minus and d/dzbar Phi =
+    Phi lambda_plus.  lambda_minus is block diagonal plus block
+    subdiagonal, lambda_plus strictly block superdiagonal: the pair is the
+    Toda connection (gamma^-1 d gamma + c_minus, gamma^-1 c_plus gamma) of
+    gamma = blockdiag(beta_a), with c_minus the block subdiagonal of B and
+    c_plus = -c_minus^dagger.  The two index arrays, built from them when
+    read, act on mixed fiber/horizontal tensors: index order (nu, alpha,
+    beta, mu), after any point axes, with alpha, beta fiber indices (size
+    k_0) and mu, nu horizontal ones (everything past the first block).
     """
 
     lambda_minus: np.ndarray
     lambda_plus: np.ndarray
-    big_lambda_minus: np.ndarray
-    big_lambda_plus: np.ndarray
+    partition: BlockStructure
+
+    def _horizontal(self, lam: np.ndarray) -> np.ndarray:
+        k0 = self.partition.sizes[0]
+        return np.einsum("ab,...nm->...nabm", np.eye(k0, dtype=complex), lam[..., k0:, k0:])
+
+    @cached_property
+    def big_lambda_minus(self) -> np.ndarray:
+        k0 = self.partition.sizes[0]
+        eye_h = np.eye(self.partition.n - k0, dtype=complex)
+        fiber_slope = self.lambda_minus[..., :k0, :k0]
+        return self._horizontal(self.lambda_minus) - np.einsum("...ab,nm->...nabm", fiber_slope, eye_h)
+
+    @cached_property
+    def big_lambda_plus(self) -> np.ndarray:
+        return self._horizontal(self.lambda_plus)
 
 
 def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
@@ -380,28 +399,26 @@ def frame_at(
 
 
 def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
-    """Scaled defects of the two frame equations at the points of the data.
+    """Scaled defects of the two frame equations at the points of the data,
+    one block column at a time.
 
-    The minus frame equation expresses the z derivative of each block
-    through its own gram block and the next block; the plus equation (zbar
-    derivative) reaches back to the previous block through D = -B^dagger.
-    Both sides are read from the exact derivatives of the point data.
+    d/dz Phi = Phi lambda_minus and d/dzbar Phi = Phi lambda_plus, with the
+    coefficients of connection_coefficients: the z derivative of phi_a is
+    phi_a lambda_minus[a, a] + phi_{a+1} lambda_minus[a+1, a], and its zbar
+    derivative phi_{a-1} lambda_plus[a-1, a].  Both sides are read from the
+    exact derivatives of the point data.
     """
-    t = data.t
+    cc = connection_coefficients(data)
+    blocks = [data.partition.slice(a) for a in range(data.t + 1)]
     res_minus, res_plus = [], []
-    below = None  # phi_{a-1} beta_{a-1}^-1, shared with the level below
-    for a in range(t + 1):
+    for a, s in enumerate(blocks):
         phi, phi_dz, phi_dzbar, _ = data.phis[a]
-        beta, beta_dz, _, _ = data.betas[a]
-        here = phi @ data.betas_inv[a]
-        terms = [here @ beta_dz]
-        if a < t:
-            terms.append(data.phis[a + 1][0] @ data.b_sub[a])
+        terms = [phi @ cc.lambda_minus[..., s, s]]
+        if a < data.t:
+            terms.append(data.phis[a + 1][0] @ cc.lambda_minus[..., blocks[a + 1], s])
         res_minus.append(scaled_defect(phi_dz, terms))
-
-        terms = [] if a == 0 else [below @ -dagger(data.b_sub[a - 1]) @ beta]
+        terms = [data.phis[a - 1][0] @ cc.lambda_plus[..., blocks[a - 1], s]] if a else []
         res_plus.append(scaled_defect(phi_dzbar, terms))
-        below = here
     return FrameResiduals(minus=tuple(res_minus), plus=tuple(res_plus))
 
 
@@ -449,17 +466,14 @@ def kahler_check(data: FrenetPointData) -> tuple:
 
 
 def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
-    """Connection coefficients assembled from point data, stacked over its
-    points as the data is.
-
-    lambda_minus carries the gram slopes beta_a^-1 d beta_a on the
-    diagonal and B below it, lambda_plus carries the D data above it, and
-    the four index arrays couple the first block (fiber) to the rest
-    (horizontal).
+    """The coefficients of the frame equations, assembled from point data
+    and stacked over its points as the data is: the gram slopes
+    beta_a^-1 d beta_a on the diagonal of lambda_minus and B below it, and
+    beta_a^-1 D_a beta_{a+1}, D = -B^dagger, above the diagonal of
+    lambda_plus.  This is the one place they are formed.
     """
     part = data.partition
-    k = part.n
-    lam_m = np.zeros(data.betas[0][0].shape[:-2] + (k, k), dtype=complex)
+    lam_m = np.zeros(data.betas[0][0].shape[:-2] + (part.n, part.n), dtype=complex)
     lam_p = np.zeros_like(lam_m)
     for a in range(data.t + 1):
         s = part.slice(a)
@@ -469,25 +483,7 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
         lam_p[..., part.slice(a), part.slice(a + 1)] = (
             data.betas_inv[a] @ -dagger(data.b_sub[a]) @ data.betas[a + 1][0]
         )
-
-    k0 = part.sizes[0]
-    nh = k - k0
-    fiber_slope = lam_m[..., :k0, :k0]
-    lam_m_h = lam_m[..., k0:, k0:]
-    lam_p_h = lam_p[..., k0:, k0:]
-    eye_f = np.eye(k0, dtype=complex)
-    eye_h = np.eye(nh, dtype=complex)
-    big_m = np.einsum("ab,...nm->...nabm", eye_f, lam_m_h) - np.einsum(
-        "...ab,nm->...nabm", fiber_slope, eye_h
-    )
-    big_p = np.einsum("ab,...nm->...nabm", eye_f, lam_p_h)
-
-    return ConnectionCoefficients(
-        lambda_minus=lam_m,
-        lambda_plus=lam_p,
-        big_lambda_minus=big_m,
-        big_lambda_plus=big_p,
-    )
+    return ConnectionCoefficients(lambda_minus=lam_m, lambda_plus=lam_p, partition=part)
 
 
 def linear_fullness(seq: OsculatingSequence) -> bool:

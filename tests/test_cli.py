@@ -62,6 +62,13 @@ class TestConfigParsing:
         assert cfg.residual_tol == 1e-5
         assert cfg.basepoint == 0
 
+    @pytest.mark.parametrize("raw", [[], "frenet", None, 3], ids=["list", "string", "null", "number"])
+    def test_non_object_config(self, raw):
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == ""
+        assert str(info.value) == "config field '': configuration must be an object"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config({"mode": "frenet", "curve": LINE_CURVE, "curv": []})

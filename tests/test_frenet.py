@@ -8,7 +8,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from test_columns import corpus
 
+from todaframes.cli import parse_config
 from todaframes.errors import SingularBeta, ZeroFunction
 from todaframes.frenet import (
     OsculatingSequence,
@@ -540,6 +542,20 @@ class TestConnectionCoefficients:
         assert np.allclose(cc.lambda_minus, 0)
         assert np.allclose(cc.lambda_plus, 0)
         assert cc.big_lambda_minus.shape == (0, 1, 1, 0)
+
+    def test_wide_blocks(self):
+        # the first rng-57 lift of the exact corpus: partition (2, 2) on a 3 by 3 grid
+        cfg = parse_config(corpus.make_jobs("exact-corpus", 0)[0])
+        seq = build_osculating(cfg.curve)
+        assert seq.partition.sizes == (2, 2)
+        data = frame_at(seq, HermitianMetric.identity(seq.n), np.array(cfg.grid.points()))
+        cc = connection_coefficients(data)
+        level = np.repeat([0, 1], 2)
+        below = level[:, None] - level[None, :]  # row level less column level
+        assert not cc.lambda_minus[..., (below != 0) & (below != 1)].any()
+        assert not cc.lambda_plus[..., below != -1].any()
+        assert cc.big_lambda_minus.shape == cc.big_lambda_plus.shape == (9, 2, 2, 2, 2)
+        assert np.max(verify_frame_equations(data).max_residual) <= 1e-11
 
 
 class TestLinearFullness:

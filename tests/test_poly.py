@@ -622,3 +622,27 @@ class TestMinorGcd:
         calls.clear()
         assert minor_gcd([col(Z, Z * Z, 1)]) == ONE
         assert len(calls) == 3  # z, then z^2, then 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PolyMatrix([]), "PolyMatrix needs at least one row and column", id="no-row"),
+        pytest.param(lambda: PolyMatrix([[]]), "PolyMatrix needs at least one row and column", id="no-column"),
+        pytest.param(lambda: PolyMatrix.from_columns([]), "need at least one column", id="from-columns-empty"),
+        pytest.param(lambda: PolyMatrix.from_columns([col(1), col(1, Z)]), "column height mismatch", id="from-columns-heights"),
+        pytest.param(lambda: col(1) + col(1, Z), "shape mismatch", id="add"),
+        pytest.param(lambda: col(1, Z) @ col(1, Z), "shape mismatch in matmul", id="matmul"),
+        pytest.param(lambda: col(1, Z).det(), "determinant of a non square matrix", id="det"),
+        pytest.param(
+            lambda: factor_zeros(PolyMatrix([[1, Z]])), "column must have a single column, got 2", id="factor-zeros-wide"
+        ),
+        pytest.param(lambda: minor_gcd([]), "need at least one column", id="minor-gcd-empty"),
+        pytest.param(lambda: constant_rank_reduce([]), "need at least one column", id="constant-rank-reduce-empty"),
+    ],
+)
+def test_input_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

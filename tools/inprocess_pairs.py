@@ -21,11 +21,11 @@ quartiles, in milliseconds, then how many pairs the change won (its pass
 was faster) and the median of change / parent over the pairs.
 
 The tool only reports and edits nothing.  CI runs it on one Python
-version, after the corpus report diff, with the parent commit as PARENT,
-and writes its tables to the step summary; no timing fails that step.  It
-exits 0 when every job of every pass exited 0 or 1 (a job whose points
-fail their checks exits 1), 1 when one did not or raised, and 2 on bad
-arguments.
+version, after the corpus report diff, whether or not that diff passed,
+with the parent commit as PARENT, and writes its tables to the step
+summary; no timing fails that step.  It exits 0 when every job of every
+pass exited 0 or 1 (a job whose points fail their checks exits 1), 1 when
+one did not or raised, and 2 on bad arguments.
 """
 
 from __future__ import annotations
