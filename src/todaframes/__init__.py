@@ -20,7 +20,6 @@ from .errors import (
     ZeroFunction,
 )
 from .frenet import (
-    ConnectionCoefficients,
     FrenetPointData,
     OsculatingSequence,
     build_osculating,

@@ -52,7 +52,6 @@ from .poly import (
 from .wirtinger import memoized  # noqa: F401  bench/selftest.py removes and restores frenet.memoized
 
 __all__ = [
-    "ConnectionCoefficients",
     "FrameResiduals",
     "FrenetPointData",
     "OsculatingSequence",
@@ -216,42 +215,6 @@ class FrameResiduals:
         return np.max(np.stack(self.minus + self.plus), axis=0)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """First order connection data of the curve, stacked over the points
-    of the frame data as it is.
-
-    The frame equations read d/dz Phi = Phi lambda_minus and d/dzbar Phi =
-    Phi lambda_plus.  lambda_minus is block diagonal plus block
-    subdiagonal, lambda_plus strictly block superdiagonal: the pair is the
-    Toda connection (gamma^-1 d gamma + c_minus, gamma^-1 c_plus gamma) of
-    gamma = blockdiag(beta_a), with c_minus the block subdiagonal of B and
-    c_plus = -c_minus^dagger.  The two index arrays, built from them when
-    read, act on mixed fiber/horizontal tensors: index order (nu, alpha,
-    beta, mu), after any point axes, with alpha, beta fiber indices (size
-    k_0) and mu, nu horizontal ones (everything past the first block).
-    """
-
-    lambda_minus: np.ndarray
-    lambda_plus: np.ndarray
-    partition: BlockStructure
-
-    def _horizontal(self, lam: np.ndarray) -> np.ndarray:
-        k0 = self.partition.sizes[0]
-        return np.einsum("ab,...nm->...nabm", np.eye(k0, dtype=complex), lam[..., k0:, k0:])
-
-    @cached_property
-    def big_lambda_minus(self) -> np.ndarray:
-        k0 = self.partition.sizes[0]
-        eye_h = np.eye(self.partition.n - k0, dtype=complex)
-        fiber_slope = self.lambda_minus[..., :k0, :k0]
-        return self._horizontal(self.lambda_minus) - np.einsum("...ab,nm->...nabm", fiber_slope, eye_h)
-
-    @cached_property
-    def big_lambda_plus(self) -> np.ndarray:
-        return self._horizontal(self.lambda_plus)
-
-
 def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     """Osculating sequence of a polynomial column set.
 
@@ -408,16 +371,16 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
     derivative phi_{a-1} lambda_plus[a-1, a].  Both sides are read from the
     exact derivatives of the point data.
     """
-    cc = connection_coefficients(data)
+    lam_m, lam_p = connection_coefficients(data)
     blocks = [data.partition.slice(a) for a in range(data.t + 1)]
     res_minus, res_plus = [], []
     for a, s in enumerate(blocks):
         phi, phi_dz, phi_dzbar, _ = data.phis[a]
-        terms = [phi @ cc.lambda_minus[..., s, s]]
+        terms = [phi @ lam_m[..., s, s]]
         if a < data.t:
-            terms.append(data.phis[a + 1][0] @ cc.lambda_minus[..., blocks[a + 1], s])
+            terms.append(data.phis[a + 1][0] @ lam_m[..., blocks[a + 1], s])
         res_minus.append(scaled_defect(phi_dz, terms))
-        terms = [data.phis[a - 1][0] @ cc.lambda_plus[..., blocks[a - 1], s]] if a else []
+        terms = [data.phis[a - 1][0] @ lam_p[..., blocks[a - 1], s]] if a else []
         res_plus.append(scaled_defect(phi_dzbar, terms))
     return FrameResiduals(minus=tuple(res_minus), plus=tuple(res_plus))
 
@@ -465,12 +428,17 @@ def kahler_check(data: FrenetPointData) -> tuple:
     return tuple(out)
 
 
-def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
-    """The coefficients of the frame equations, assembled from point data
-    and stacked over its points as the data is: the gram slopes
-    beta_a^-1 d beta_a on the diagonal of lambda_minus and B below it, and
-    beta_a^-1 D_a beta_{a+1}, D = -B^dagger, above the diagonal of
-    lambda_plus.  This is the one place they are formed.
+def connection_coefficients(data: FrenetPointData) -> tuple:
+    """The pair (lambda_minus, lambda_plus) of coefficients of the frame
+    equations d/dz Phi = Phi lambda_minus and d/dzbar Phi = Phi lambda_plus,
+    assembled from point data and stacked over its points as the data is.
+
+    lambda_minus holds the gram slopes beta_a^-1 d beta_a on its block
+    diagonal and B below it; lambda_plus holds beta_a^-1 D_a beta_{a+1},
+    D = -B^dagger, above its block diagonal.  The pair is the Toda
+    connection (gamma^-1 d gamma + c_minus, gamma^-1 c_plus gamma) of
+    gamma = blockdiag(beta_a), with c_minus the block subdiagonal of B and
+    c_plus = -c_minus^dagger.  This is the one place they are formed.
     """
     part = data.partition
     lam_m = np.zeros(data.betas[0][0].shape[:-2] + (part.n, part.n), dtype=complex)
@@ -483,7 +451,7 @@ def connection_coefficients(data: FrenetPointData) -> ConnectionCoefficients:
         lam_p[..., part.slice(a), part.slice(a + 1)] = (
             data.betas_inv[a] @ -dagger(data.b_sub[a]) @ data.betas[a + 1][0]
         )
-    return ConnectionCoefficients(lambda_minus=lam_m, lambda_plus=lam_p, partition=part)
+    return lam_m, lam_p
 
 
 def linear_fullness(seq: OsculatingSequence) -> bool:

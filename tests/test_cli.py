@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_acceptance import random_gamma_seed, subdiagonal_lowering
+from test_columns import corpus
 
 from todaframes import cli, frenet, toda
 from todaframes.cli import (
@@ -405,6 +406,42 @@ class TestFrenetModes:
     def test_zero_curve_is_a_config_error(self):
         with pytest.raises(ConfigError, match="curve"):
             run({"mode": "frenet", "curve": [[[0]], [[0]]]})
+
+
+def gaussian_integers(rng, bound, shape):
+    """Random Gaussian integers with both parts in [-bound, bound]."""
+    return rng.integers(-bound, bound + 1, size=shape) + 1j * rng.integers(-bound, bound + 1, size=shape)
+
+
+def pairs(m):
+    """A matrix of Gaussian integers as config [re, im] pairs."""
+    return [[[int(v.real), int(v.imag)] for v in row] for row in m]
+
+
+class TestMetricCovariance:
+    """The frame of the curve xi in the metric G^dagger G is G^-1 times the
+    frame of G xi in the identity metric, with the same gram blocks: the
+    two reports agree, through parse_config's reading of metric_h."""
+
+    def test_metric_equals_moved_curve(self):
+        rng = np.random.default_rng(0)
+        for job in corpus.make_jobs("exact-corpus", 0):
+            xi = job["curve"]
+            n, width = len(xi), max(len(entry) for row in xi for entry in row)
+            # well conditioned, and G^dagger G is not real, so it differs from its transpose
+            g = gaussian_integers(rng, 2, (n, n)) + 6 * np.eye(n)
+            coeffs = np.array([[entry + [0] * (width - len(entry)) for entry in row] for row in xi])
+            moved = np.einsum("ij,jkl->ikl", g, coeffs)
+            with_metric = run(dict(job, metric_h=pairs(g.conj().T @ g)))
+            without = run(dict(job, curve=[pairs(row) for row in moved]))
+            assert [p.status for p in with_metric.points] == [p.status for p in without.points]
+            for p, q in zip(with_metric.points, without.points):
+                assert p.values.keys() == q.values.keys()
+                for name, v in p.values.items():
+                    if name.startswith("g_"):
+                        assert abs(v - q.values[name]) <= 1e-11 * abs(q.values[name])
+                    else:
+                        assert abs(v - q.values[name]) <= 1e-11
 
 
 class TestTodaModes:

@@ -7,11 +7,11 @@ plus the toda-general jobs in ``verify-toda`` mode, through ``cli.run``,
 and writes each report as the CLI writes it, ``emit(report)``, with an
 empty ``generated_at``, one file per job (46 in all).  A fixed list of
 jobs with inputs the bench corpus lacks (``EXTRA_JOBS``) follows: float
-coefficients, failed points, huge Toda entries, a Toda seed whose gamma
-is not hermitian and two normal curves with widely scaled levels (9
-files), 55 files in all.  Two checkouts give the same reports, and the same
-report bytes, exactly when ``diff -r`` of their two output directories is
-empty.
+coefficients, a metric other than the identity, failed points, huge Toda
+entries, a Toda seed whose gamma is not hermitian and two normal curves
+with widely scaled levels (10 files), 56 files in all.  Two checkouts give
+the same reports, and the same report bytes, exactly when ``diff -r`` of
+their two output directories is empty.
 """
 
 from __future__ import annotations
@@ -31,14 +31,28 @@ from todaframes.cli import emit, run  # noqa: E402
 SEEDS = (0, 3)
 
 # jobs outside the bench corpus: float coefficients made exact by the
-# parser, failed points, huge entries, a Toda job outside hermitian mode
-# and scaled levels
+# parser, a metric, failed points, huge entries, a Toda job outside
+# hermitian mode and scaled levels
 EXTRA_JOBS = {
     "verify-frenet-float": {
         "mode": "verify-frenet",
         "curve": [[[1]], [[0, 0.5]], [[0, 0, [0.3, 0.1]]]],
         "grid": {"center": [0.1, -0.2], "radius": 0.6, "nx": 3, "ny": 3},
     },
+    # the first rng-57 lift in the metric G^dagger G, with G the first
+    # Gaussian-integer matrix plus 6I of the metric covariance test in
+    # tests/test_cli.py: [[8+i, 1, 0, -1+2i], [-1-i, 4+2i, -2+i, -2-2i],
+    # [-2-i, 2+2i, 7, 2-2i], [i, 1+i, 2+2i, 7-2i]]
+    "verify-frenet-metric": dict(
+        make_jobs("exact-corpus", 0)[0],
+        mode="verify-frenet",
+        metric_h=[
+            [[73, 0], [-3, -2], [-11, 2], [-6, 16]],
+            [[-3, 2], [31, 0], [12, -6], [-8, -19]],
+            [[-11, -2], [12, 6], [62, 0], [26, -26]],
+            [[-6, -16], [-8, 19], [26, 26], [74, 0]],
+        ],
+    ),
     # failed points, which no corpus job has: every point but the centre
     # fails its gram block guard, and the seed diag(z, 1) is singular on
     # the legs from 0.5 to two points
