@@ -480,10 +480,10 @@ def _run_frenet(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     residuals = {"b_solve": passed.b_solve_residual}
     values = _metric_values(passed.metric, [jet[0] for jet in passed.betas])
     if cfg.mode == "verify-frenet":
-        frame = verify_frame_equations(passed)
+        minus, plus = verify_frame_equations(passed)
         for a in range(seq.t + 1):
-            residuals[f"frame_minus_{a}"] = frame.minus[a]
-            residuals[f"frame_plus_{a}"] = frame.plus[a]
+            residuals[f"frame_minus_{a}"] = minus[a]
+            residuals[f"frame_plus_{a}"] = plus[a]
         for a, v in enumerate(kahler_check(passed)):
             residuals[f"kahler_{a}"] = v
 

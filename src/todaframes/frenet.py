@@ -52,7 +52,6 @@ from .poly import (
 from .wirtinger import memoized  # noqa: F401  bench/selftest.py removes and restores frenet.memoized
 
 __all__ = [
-    "FrameResiduals",
     "FrenetPointData",
     "OsculatingSequence",
     "build_osculating",
@@ -202,19 +201,6 @@ class FrenetPointData:
         )
 
 
-@dataclass(frozen=True)
-class FrameResiduals:
-    """Norms of the frame equation defects, per level, at the points of the
-    frame data."""
-
-    minus: tuple
-    plus: tuple
-
-    @property
-    def max_residual(self):
-        return np.max(np.stack(self.minus + self.plus), axis=0)
-
-
 def build_osculating(xi: PolyMatrix) -> OsculatingSequence:
     """Osculating sequence of a polynomial column set.
 
@@ -361,9 +347,9 @@ def frame_at(
     )
 
 
-def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
-    """Scaled defects of the two frame equations at the points of the data,
-    one block column at a time.
+def verify_frame_equations(data: FrenetPointData) -> tuple[tuple, tuple]:
+    """The pair (minus, plus) of the scaled defects of the two frame
+    equations at the points of the data, one a level, a block column at a time.
 
     d/dz Phi = Phi lambda_minus and d/dzbar Phi = Phi lambda_plus, with the
     coefficients of connection_coefficients: the z derivative of phi_a is
@@ -382,7 +368,7 @@ def verify_frame_equations(data: FrenetPointData) -> FrameResiduals:
         res_minus.append(scaled_defect(phi_dz, terms))
         terms = [data.phis[a - 1][0] @ lam_p[..., blocks[a - 1], s]] if a else []
         res_plus.append(scaled_defect(phi_dzbar, terms))
-    return FrameResiduals(minus=tuple(res_minus), plus=tuple(res_plus))
+    return tuple(res_minus), tuple(res_plus)
 
 
 def induced_metric(betas: Sequence[np.ndarray], b_sub: Sequence[np.ndarray]) -> tuple:

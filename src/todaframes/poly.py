@@ -18,19 +18,19 @@ operations needed to manufacture constant rank column sets:
   spanning the same module, together with the exact polynomial change of
   basis.
 
-All exact elimination runs on one kernel, ``PolyMatrix.det``, fraction free
-(Bareiss) elimination over the Gaussian-integer polynomials, with each
-matrix's denominators cleared once and every division checked.  Every
-other quantity is built from its minors and from Euclid's algorithm.
-Minors come from a generator and are computed only as a decision reads
-them; a gcd stops at the first minor that brings it to degree 0.
+All exact elimination runs on one kernel, ``_eliminate``, fraction free
+(Bareiss) elimination over the Gaussian-integer polynomials with each
+matrix's denominators cleared once and every division checked.
+``PolyMatrix.det`` reads its last pivot; ``_cramer`` eliminates [M | f]
+once and reads a maximal minor of M and its Cramer numerators by back
+substitution (Bareiss 1968).  Everything else is built from minors, read
+lazily from a generator, and Euclid's algorithm.
 
 * constant rank of l columns: the monic gcd of the l by l minors is 1,
   which rules out a common zero anywhere in the plane;
 * a column in the span of a constant rank set: every minor with it
-  appended vanishes, and its coefficients are the Cramer quotients over
-  the first nonzero maximal minor of the set, which must divide exactly
-  (one ``adjoin_columns`` call finds that minor once per base);
+  appended vanishes, and its coefficients, the Cramer quotients of
+  ``_cramer``, must divide exactly;
 * a column that adds rank: the first nonzero minor with it appended
   certifies independence, and the gcd of the minors, read lazily from
   that one on, is its defect.  The correction loop repairs the defect by
@@ -191,6 +191,34 @@ def _exact_quotient(a, b) -> list:
     if r or s != 1:
         raise ValueError("exact polynomial division left a remainder")
     return q
+
+
+def _eliminate(m: list, width: int) -> int:
+    """Fraction free (Bareiss) elimination, in place, of Gaussian-integer
+    rows m on their first width columns, the columns right of each pivot
+    carried along and each division by the previous pivot checked.  Returns
+    the sign of the row swaps, or 0 once the columns show rank below width.
+    """
+    sign, prev = 1, [(1, 0)]
+    for k in range(width):
+        if k == len(m) or not m[k][k]:
+            r = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
+            if r is None:
+                return 0
+            m[k], m[r], sign = m[r], m[k], -sign
+        pivot = m[k][k]
+        for row in m[k + 1:]:
+            lower = _times(row[k], -1)
+            for j in range(k + 1, len(row)):
+                row[j] = _exact_quotient(_add(_mul(row[j], pivot), _mul(lower, m[k][j])), prev)
+        prev = pivot
+    return sign
+
+
+def _cleared(entries) -> tuple[int, list]:
+    """(c, rows of c times the entries), c the lcm of their denominators."""
+    c = lcm(*(e.den for row in entries for e in row))
+    return c, [[_times(e.num, c // e.den) for e in row] for row in entries]
 
 
 class Poly:
@@ -508,32 +536,13 @@ class PolyMatrix:
         return values.view(complex).reshape(np.shape(z) + (self.rows, self.cols))
 
     def det(self) -> Poly:
-        """Exact determinant by fraction free (Bareiss) elimination over the
-        Gaussian integers, on the entries times the lcm c of their
-        denominators: det M = det(cM) / c^n.  Every division is checked."""
+        """Exact determinant by _eliminate on the entries times the lcm c of
+        their denominators: det M = det(cM) / c^n."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non square matrix")
-        n = self.rows
-        c = lcm(*(e.den for row in self.entries for e in row))
-        m = [[_times(e.num, c // e.den) for e in row] for row in self.entries]
-        sign = 1
-        prev = [(1, 0)]
-        for k in range(n - 1):
-            if not m[k][k]:
-                for r in range(k + 1, n):
-                    if m[r][k]:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Poly()
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                lower = _times(m[i][k], -1)
-                for j in range(k + 1, n):
-                    m[i][j] = _exact_quotient(_add(_mul(m[i][j], pivot), _mul(lower, m[k][j])), prev)
-            prev = pivot
-        return Poly._of(_times(m[-1][-1], sign), c**n)
+        c, m = _cleared(self.entries)
+        sign = _eliminate(m, self.rows)
+        return Poly._of(_times(m[-1][-1], sign), c**self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -579,9 +588,8 @@ def factor_zeros(f: PolyMatrix) -> tuple[PolyMatrix, Poly]:
 
 def _maximal_minors(m: PolyMatrix) -> Iterator[tuple[tuple[int, ...], Poly]]:
     """(rows, minor) for every size m.cols minor of m, the row sets in
-    combinations order, each minor computed only when it is read.  The one
-    walk over row sets: the gcd certificate, the pivot of a span solve and
-    the interpolation all read it.  There are none when m is wide."""
+    combinations order, each minor computed only when it is read: the one
+    walk over row sets, with none when m is wide."""
     cols = range(m.cols)
     for rows in combinations(range(m.rows), m.cols):
         yield rows, m.submatrix(rows, cols).det()
@@ -604,35 +612,25 @@ def minor_gcd(columns: Sequence[PolyMatrix]) -> Poly:
     return poly_gcd_many(d for _, d in _maximal_minors(PolyMatrix.from_columns(cols)))
 
 
-def _numerators(m: PolyMatrix, f: PolyMatrix, rows: Sequence[int]) -> list[Poly]:
-    """Cramer numerators on the given rows: for each column b of m, the
-    minor of m on those rows with column b replaced by the column f."""
-    return [
-        PolyMatrix(
-            [[f.entries[i][0] if c == b else m.entries[i][c] for c in range(m.cols)] for i in rows]
-        ).det()
-        for b in range(m.cols)
-    ]
-
-
-def _solve_in_span(m: PolyMatrix, rows: tuple[int, ...], den: Poly, f: PolyMatrix) -> list[Poly]:
-    """Exact coefficients writing f as a combination of the columns of m.
-
-    The caller has certified that f lies in the span (every maximal minor of
-    m with f appended vanishes), so Cramer's rule on the pivot, the first
-    nonzero maximal minor den of m, on rows, gives the unique coefficients.
-    They must divide out to polynomials, which holds whenever the columns
-    form a constant rank set.
+def _cramer(m: PolyMatrix, f: PolyMatrix) -> tuple[Poly, list[Poly]]:
+    """(D, N): D the minor of m on the rows that _eliminate of [m | f] pivots
+    on, or 0 with N empty when m has no nonzero maximal minor, and N[b] that
+    minor with column b replaced by f, both up to one sign; on a square m,
+    exactly det m and the Cramer numerators.  With U and y the pivot rows and
+    their last column, back substitution sets y_b to X_b = (D y_b - sum_{l>b} U_bl X_l) / U_bb.
     """
-    out = []
-    for num in _numerators(m, f, rows):
-        quo, rem = divmod(num, den)
-        if not rem.is_zero:
-            raise NotConstantRank(
-                "combination coefficients are not polynomial; the base set is not constant rank"
-            )
-        out.append(quo)
-    return out
+    j = m.cols
+    c, rows = _cleared([row + frow for row, frow in zip(m.entries, f.entries)])
+    sign = _eliminate(rows, j)
+    if not sign:
+        return Poly(), []
+    d = rows[j - 1][j - 1]
+    for b in range(j - 2, -1, -1):
+        acc = _mul(d, rows[b][j])
+        for l in range(b + 1, j):
+            acc = _add(acc, _times(_mul(rows[b][l], rows[l][j]), -1))
+        rows[b][j] = _exact_quotient(acc, rows[b][b])
+    return Poly._of(_times(d, sign), c**j), [Poly._of(_times(row[j], sign), c**j) for row in rows[:j]]
 
 
 def _xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -664,23 +662,23 @@ def _interpolating_combination(columns, g, modulus):
         d, s, t = _xgcd(h, minor % modulus)
         if d.degree == h.degree:
             continue
-        acc = [(s * a + t * n) % modulus for a, n in zip(acc, _numerators(m, g, rows))]
+        nums = _cramer(m.submatrix(rows, range(m.cols)), g.submatrix(rows, [0]))[1]
+        acc = [(s * a + t * n) % modulus for a, n in zip(acc, nums)]
         h = d
         if h.degree == 0:
             return acc
     raise NotConstantRank("the base minors share a zero with the correction modulus")
 
 
-def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix, pivots: dict):
+def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix):
     """Express f over the constant rank set, extending the set if needed.
 
     Returns (coeffs, g): g is None when f lies in the span, and coeffs are
     its len(columns) polynomial coefficients.  Otherwise g is the new
     column, coeffs ends with its factor, f = sum(columns + [g] times
     coeffs), and the extended set is certified constant rank: the loop
-    below exits only once its minor gcd is 1.  pivots holds the stacked
-    base with its pivot for _solve_in_span by base size, found once per
-    adjoin_columns call.
+    below exits only once its minor gcd is 1.  A column in the span gets
+    the Cramer quotients of _cramer, which must divide exactly.
     """
     j = len(columns)
     if f.is_zero:
@@ -692,13 +690,15 @@ def _adjoin_one(columns: list[PolyMatrix], f: PolyMatrix, pivots: dict):
     minors = (d for _, d in _maximal_minors(PolyMatrix.from_columns(columns + [f])) if not d.is_zero)
     first = next(minors, None)
     if first is None:
-        if j not in pivots:
-            m = PolyMatrix.from_columns(columns)
-            pivot = next(((rows, d) for rows, d in _maximal_minors(m) if not d.is_zero), None)
-            if pivot is None:
-                raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
-            pivots[j] = m, *pivot
-        return _solve_in_span(*pivots[j], f), None
+        den, nums = _cramer(PolyMatrix.from_columns(columns), f)
+        if den.is_zero:
+            raise NotConstantRank("dependent column solve over a base with no nonzero maximal minor")
+        quotients = [divmod(num, den) for num in nums]
+        if any(not rem.is_zero for _, rem in quotients):
+            raise NotConstantRank(
+                "combination coefficients are not polynomial; the base set is not constant rank"
+            )
+        return [quo for quo, _ in quotients], None
     g, d = factor_zeros(f)
     coeffs = [Poly()] * j
     prefix = d
@@ -740,10 +740,9 @@ def adjoin_columns(
     """
     columns = list(base)
     raw = []
-    pivots: dict = {}
     for f in new:
         _require_column(f)
-        coeffs, g = _adjoin_one(columns, f, pivots)
+        coeffs, g = _adjoin_one(columns, f)
         if g is not None:
             columns.append(g)
         raw.append(coeffs)

@@ -486,10 +486,6 @@ class TodaSolution:
     def ok_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.failures) if f is None)
 
-    @property
-    def failure_fraction(self) -> float:
-        return sum(f is not None for f in self.failures) / max(1, len(self.failures))
-
 
 def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> np.ndarray:
     """Jet of Q = mu_plus^-1 mu_minus from the factors' slopes at the point:

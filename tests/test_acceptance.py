@@ -153,8 +153,8 @@ def test_frame_equation_residuals(random_cases, capsys):
         for n, seq in cases:
             h = HermitianMetric.identity(n)
             for z in INTERIOR_POINTS:
-                res = verify_frame_equations(frame_at(seq, h, z))
-                worst = max(worst, res.max_residual)
+                minus, plus = verify_frame_equations(frame_at(seq, h, z))
+                worst = max(worst, np.max(minus + plus))
         assert worst < 1e-10, f"worst frame residual {worst:.3e}"
     elapsed = build_time + (time.perf_counter() - start)
     assert elapsed < 10.0, f"frame criterion took {elapsed:.2f} s with lift construction"
@@ -208,7 +208,8 @@ def test_toda_solution_construction(capsys):
         axis = np.linspace(-half, half, 5)
         grid = [complex(x, y) for y in axis for x in axis]
         sol = solve(problem, seed, grid)
-        assert sol.failure_fraction <= 0.10, f"{sol.failure_fraction:.0%} of points failed"
+        failed = sum(f is not None for f in sol.failures)
+        assert failed <= 0.10 * len(grid), f"{failed} of {len(grid)} points failed"
 
         ok = sol.ok_indices
         herm = max(

@@ -61,10 +61,10 @@ def frenet_side(job):
 
 def frenet_columns(data) -> dict:
     columns = {"b_solve": data.b_solve_residual}
-    frame = verify_frame_equations(data)
+    minus, plus = verify_frame_equations(data)
     for a in range(data.t + 1):
-        columns[f"frame_minus_{a}"] = frame.minus[a]
-        columns[f"frame_plus_{a}"] = frame.plus[a]
+        columns[f"frame_minus_{a}"] = minus[a]
+        columns[f"frame_plus_{a}"] = plus[a]
     for a, v in enumerate(kahler_check(data)):
         columns[f"kahler_{a}"] = v
     return {name: np.asarray(v, dtype=float) for name, v in columns.items()}

@@ -16,6 +16,7 @@ from todaframes.poly import (
     GaussianRational,
     Poly,
     PolyMatrix,
+    _cramer,
     _exact_quotient,
     adjoin_columns,
     constant_rank_reduce,
@@ -282,6 +283,24 @@ class TestPolyMatrix:
             assert m.det() == leibniz_det(m)
         assert all(not m.det().is_zero for m in swaps)
         assert singular.det() == Poly()
+
+    def test_cramer_is_the_determinant_and_its_numerators(self):
+        rng = np.random.default_rng(43)
+        w = GaussianRational(Fraction(2, 5), Fraction(1, 3))
+        matrices = [
+            PolyMatrix([[random_gaussian_poly(rng, int(rng.integers(0, 3))) for _ in range(n)] for _ in range(n)])
+            for n in (1, 2, 3, 4)
+        ]
+        # a zero (1, 1) entry forces a row swap
+        matrices.append(PolyMatrix([[0, Z, 1], [Fraction(1, 3), 1, Z], [w, 0, [1, 0, 1]]]))
+        for m in matrices:
+            f = PolyMatrix.column([random_gaussian_poly(rng, 2) for _ in range(m.rows)])
+            replaced = [
+                PolyMatrix([[f.entry(i, 0) if c == b else m.entry(i, c) for c in range(m.cols)] for i in range(m.rows)])
+                for b in range(m.cols)
+            ]
+            assert _cramer(m, f) == (m.det(), [r.det() for r in replaced])
+            assert not m.det().is_zero
 
     def test_from_columns(self):
         c0, c1 = col(1, Z), col(0, 1)
@@ -566,21 +585,24 @@ class TestAdjoinColumns:
         assert gs[1] == col(0, 0, 1)
 
     def test_dependent_expression_is_polynomial(self):
-        base = [col(1, 0), col(Z, 1)]
-        gs, coeffs = adjoin_columns(base, [col(Poly.of(2), Poly.of(0, 3))])
-        assert gs == base
-        # f = 2 e0 + 3z (e0 z + e1) => coefficients (2 - 3z^2, 3z)
-        assert coeffs[0] == [Poly.of(2, 0, -3), Poly.of(0, 3)]
+        # f = 2 e0 + 3z (e0 z + e1) => coefficients (2 - 3z^2, 3z), also on
+        # a tall copy whose zero first row the elimination pivots below
+        square = ([col(1, 0), col(Z, 1)], col(Poly.of(2), Poly.of(0, 3)))
+        tall = ([col(0, 1, 0, 0), col(0, Z, 1, 0)], col(0, 2, Poly.of(0, 3), 0))
+        for base, f in (square, tall):
+            gs, coeffs = adjoin_columns(base, [f])
+            assert gs == base
+            assert coeffs[0] == [Poly.of(2, 0, -3), Poly.of(0, 3)]
 
     def test_non_polynomial_coefficient_raises(self):
         # col(1, z) = (1/z) col(z, z^2): in the span, but not over the ring
         with pytest.raises(NotConstantRank):
             adjoin_columns([col(Z, Z * Z)], [col(1, Z)])
 
-    def test_base_pivot_is_found_once_per_call(self, monkeypatch):
-        # two dependent columns over a square base: each reads the base's
-        # first nonzero 2 by 2 minor, which the call computes once, plus two
-        # Cramer numerators; the appended 2 by 3 sets have no maximal minors
+    def test_dependent_columns_read_no_determinant(self, monkeypatch):
+        # two dependent columns over a square base: each takes its Cramer
+        # quotients from one elimination, and the appended 2 by 3 sets have
+        # no maximal minors to certify with
         calls = []
         det = PolyMatrix.det
         monkeypatch.setattr(PolyMatrix, "det", lambda m: calls.append(m.shape) or det(m))
@@ -588,7 +610,7 @@ class TestAdjoinColumns:
         gs, coeffs = adjoin_columns(base, [col(2, Poly.of(0, 3)), col(Z, 1)])
         assert gs == base
         assert coeffs == [[Poly.of(2, 0, -3), Poly.of(0, 3)], [Poly(), ONE]]
-        assert calls == [(2, 2)] * 5
+        assert calls == []
 
     def test_base_without_nonzero_maximal_minor_raises(self):
         # the base columns are dependent, so every 2 by 2 minor vanishes and
@@ -596,6 +618,9 @@ class TestAdjoinColumns:
         base = [col(1, Z, 0), col(Z, Z * Z, 0)]
         with pytest.raises(NotConstantRank):
             adjoin_columns(base, [col(1, Z, 0)])
+        # more columns than rows: no maximal minor at all
+        with pytest.raises(NotConstantRank):
+            adjoin_columns([col(1, 0), col(0, 1), col(1, 1)], [col(1, Z)])
 
 
 class TestMinorGcd:

@@ -8,13 +8,17 @@ the column sets of ``test_poly.py``'s constant rank reduction tests.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
+from test_cli import gaussian_integers, pairs
+from test_columns import corpus
 from test_frenet import random_lift
 
+from todaframes.cli import parse_config, run
 from todaframes.frenet import build_osculating
 from todaframes.poly import (
     GaussianRational,
@@ -26,6 +30,7 @@ from todaframes.poly import (
 )
 
 sympy = pytest.importorskip("sympy")
+import mpmath  # noqa: E402  sympy requires it
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 z = sympy.Symbol("z")
@@ -159,3 +164,77 @@ def test_constant_rank_reduce_matches_sympy():
         defect = (to_matrix(PolyMatrix.from_columns(gs)) * to_matrix(d)
                   - to_matrix(PolyMatrix.from_columns(fs))).expand()
         assert defect == sympy.zeros(*defect.shape)
+
+
+# ---------------------------------------------------------------------------
+# the report's g_a and ln_det_beta_a against a 50-digit oracle
+
+
+def oracle_jobs():
+    """Every exact-corpus and frenet-verify curve once, each as the job that
+    first draws it, with h = I, and two of them again under h = G^dagger G."""
+    jobs = {}
+    for workload in ("exact-corpus", "frenet-verify"):
+        for i, job in enumerate(corpus.make_jobs(workload, 0)):
+            jobs.setdefault(json.dumps(job["curve"]), (f"{workload}-{i}", job))
+    params = [pytest.param(job, id=name) for name, job in jobs.values()]
+    # G^dagger G is not real, so it differs from its transpose
+    rng = np.random.default_rng(3)
+    for name, job in (jobs[k] for k in list(jobs)[::6]):
+        n = len(job["curve"])
+        g = gaussian_integers(rng, 2, (n, n)) + 6 * np.eye(n)
+        params.append(pytest.param(dict(job, metric_h=pairs(g.conj().T @ g)), id=f"{name}-metric"))
+    return params
+
+
+def mp_evaluate(m: PolyMatrix, w) -> mpmath.matrix:
+    """The exact entries of m at the point w, in the working precision."""
+    def entry(p: Poly):
+        acc = mpmath.mpc(0)
+        for re, im in reversed(p.num):
+            acc = acc * w + mpmath.mpc(re, im)
+        return acc / p.den
+    return mpmath.matrix([[entry(e) for e in row] for row in m.entries])
+
+
+def oracle_values(seq, h: np.ndarray, z: complex) -> tuple[list, list]:
+    """(g, ln_det_beta) at z from the exact levels and h alone, at 50 digits.
+
+    With M = Xi_{<=a}^dagger h Xi_{<=a} and tau_{a+1} = det M (tau_0 = 1),
+    ln det beta_a = ln tau_{a+1} - ln tau_a and g_a = d dbar ln tau_{a+1}
+    = tr(M^-1 M_{z zbar}) - tr(M^-1 M_zbar M^-1 M_z); the levels are
+    holomorphic, so M_z = Xi^dagger h Xi' and M_{z zbar} = Xi'^dagger h Xi'.
+    """
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z.real, z.imag)
+        x, dx, hm = mp_evaluate(seq.xi, w), mp_evaluate(seq.dxi, w), mpmath.matrix(h.tolist())
+        gram, gram_z, gram_zz = x.H * hm * x, x.H * hm * dx, dx.H * hm * dx
+        g, ln_tau = [], [mpmath.mpf(0)]
+        for a in range(seq.t + 1):
+            k = seq.partition.slice(a).stop
+            inv = mpmath.inverse(gram[:k, :k])
+            ln_tau.append(mpmath.log(mpmath.re(mpmath.det(gram[:k, :k]))))
+            if a < seq.t:
+                m_z, m_zz = gram_z[:k, :k], gram_zz[:k, :k]
+                product = inv * m_zz - inv * m_z.H * inv * m_z
+                g.append(float(mpmath.re(sum(product[i, i] for i in range(k)))))
+        return g, [float(hi - lo) for lo, hi in zip(ln_tau, ln_tau[1:])]
+
+
+@pytest.mark.parametrize("job", oracle_jobs())
+def test_report_values_match_the_50_digit_oracle(job):
+    # h_ij is metric_h[i][j], read here without parse_config
+    cfg = parse_config(job)
+    seq = build_osculating(cfg.curve)
+    h = np.array([[complex(*v) for v in row] for row in job["metric_h"]]) if "metric_h" in job else np.eye(seq.n)
+    # five of the job's nine grid points: its corners and its centre
+    points = run(cfg).points[::2]
+    assert len(points) == 5
+    for p in points:
+        g, ln_det_beta = oracle_values(seq, h, p.z)
+        assert p.ok
+        for a, v in enumerate(g):
+            assert abs(p.values[f"g_{a}"] - v) <= 1e-11 * abs(v)
+        for a, v in enumerate(ln_det_beta):
+            assert abs(p.values[f"ln_det_beta_{a}"] - v) <= 1e-11
+        assert len(p.values) == len(g) + len(ln_det_beta)
