@@ -4,9 +4,10 @@ Matrices are plain numpy arrays of dtype complex128; the jet helpers,
 condition, the defects and gauss_decompose act over the last two axes, so
 they take a stack of matrices as well as one.  The helpers here add the
 pieces numpy does not provide directly: a hermitian metric with its
-Cholesky factor, the block Gauss (block LDU) decomposition with unit
-triangular outer factors, and Survivors, the one failure isolation of the
-stacked computations.
+Cholesky factor, the block Gauss (block LDU) decomposition of a jet's
+value with unit triangular outer factors and the jet of its block
+diagonal factor, and Survivors, the one failure isolation of the stacked
+computations.
 
 A jet is one array whose leading axis of length 4 holds the parts (value,
 d/dz, d/dzbar, d/dz d/dzbar), each a matrix or a stack of matrices: the
@@ -268,12 +269,15 @@ class HermitianMetric:
 
 @dataclass
 class GaussFactors:
-    """Factors of g = n_minus @ eta @ inv(n_plus), over the last two axes.
+    """Factors of q = n_minus @ eta @ inv(n_plus), over the last two axes,
+    with the jet of eta.
 
     n_minus is block lower unit triangular, eta block diagonal and n_plus
     block upper unit triangular, all with respect to the blocks of the
-    decomposition.  failures holds the error of each matrix, in the
-    flattened order of a stack, or None; a failed matrix has NaN factors.
+    decomposition.  eta is a jet, its parts on axis 0 as in the jet it came
+    from; n_minus and n_plus are the plain stacks of its values.  failures
+    holds the error of each matrix, in the flattened order of a stack, or
+    None; a failed matrix has NaN factors.
     """
 
     n_minus: np.ndarray
@@ -282,47 +286,48 @@ class GaussFactors:
     failures: tuple[GaussDecompositionFailed | None, ...]
 
 
-def gauss_decompose(g, blocks: BlockStructure) -> GaussFactors:
-    """Block LDU decomposition g = n_minus eta n_plus^{-1} over the last two
-    axes.
+def gauss_decompose(q_jet, blocks: BlockStructure) -> GaussFactors:
+    """Block LDU decomposition q = n_minus eta n_plus^{-1} of the value q of
+    a jet, over the last two axes, with the jet of eta.
 
-    Runs sequential block elimination, so a failure names the first
-    diagonal block whose Schur complement pivot is singular or has
-    condition number beyond ``COND_LIMIT``.  A failing matrix of a stack leaves it before its pivot
-    is inverted; a single matrix raises its GaussDecompositionFailed.
+    Runs sequential block elimination on the whole jet, so eta's block a is
+    the jet of the Schur complement of the leading a blocks, and a failure
+    names the first diagonal block whose Schur complement pivot is singular
+    or has condition number beyond ``COND_LIMIT``.  The guards, the non
+    finite check and the outer factors read the value part alone, so no
+    derivative part moves a failure or a value.  A failing matrix of a stack
+    leaves it before its pivot is inverted; a single matrix raises its
+    GaussDecompositionFailed.
     """
-    gm = np.asarray(g, dtype=complex)
+    qj = np.asarray(q_jet, dtype=complex)
     n = blocks.n
-    if gm.shape[-2:] != (n, n):
-        raise ValueError(f"matrix shape {gm.shape} does not match blocks (n={n})")
-    if not np.all(np.isfinite(gm)):
+    if qj.shape[-2:] != (n, n):
+        raise ValueError(f"jet shape {qj.shape} does not match blocks (n={n})")
+    if not np.all(np.isfinite(qj[0])):
         raise ValueError("matrix contains non finite entries")
-    alive = Survivors(gm.shape[:-2])
-    t1 = blocks.count
-    s = gm.reshape(-1, n, n).copy()
-    lower = np.broadcast_to(np.eye(n, dtype=complex), s.shape).copy()
+    alive = Survivors(qj.shape[1:-2])
+    s = qj.reshape(4, -1, n, n).copy()
+    lower = np.broadcast_to(np.eye(n, dtype=complex), s.shape[1:]).copy()
     upper = lower.copy()
     eta = np.zeros_like(s)
-    for a in range(t1):
+    for a in range(blocks.count):
         sa = blocks.slice(a)
         keep = alive.guard(
-            s[:, sa, sa], lambda i, c: GaussDecompositionFailed(a, f"pivot condition {c:.3e}")
+            s[0][:, sa, sa], lambda i, c: GaussDecompositionFailed(a, f"pivot condition {c:.3e}")
         )
-        s, lower, upper, eta = take((s, lower, upper, eta), keep)
-        pivot = s[:, sa, sa]
-        pinv = np.linalg.inv(pivot)
-        eta[:, sa, sa] = pivot
-        for b in range(a + 1, t1):
-            lower[:, blocks.slice(b), sa] = s[:, blocks.slice(b), sa] @ pinv
-        for c in range(a + 1, t1):
-            upper[:, sa, blocks.slice(c)] = pinv @ s[:, sa, blocks.slice(c)]
-        for b in range(a + 1, t1):
-            sb = blocks.slice(b)
-            for c in range(a + 1, t1):
-                sc = blocks.slice(c)
-                s[:, sb, sc] -= lower[:, sb, sa] @ pivot @ upper[:, sa, sc]
+        s, eta = take((s, eta), keep, 1)
+        lower, upper = take((lower, upper), keep)
+        eta[..., sa, sa] = s[..., sa, sa]
+        if sa.stop == n:  # the last pivot eliminates nothing
+            break
+        rest = slice(sa.stop, n)
+        pinv = jet_inv(s[..., sa, sa])
+        lower[:, rest, sa] = s[0][:, rest, sa] @ pinv[0]
+        right = jet_mul(pinv, s[..., sa, rest])
+        upper[:, sa, rest] = right[0]
+        s[..., rest, rest] -= jet_mul(s[..., rest, sa], right)
     # upper is unit upper triangular, so LAPACK takes no pivot and the
     # inverse keeps its exact zeros and ones
     n_plus = np.linalg.inv(upper)
-    lower, eta, n_plus = map(alive.full, (lower, eta, n_plus))
-    return GaussFactors(lower, eta, n_plus, tuple(alive.failures))
+    lower, n_plus = map(alive.full, (lower, n_plus))
+    return GaussFactors(lower, alive.full(eta, 1), n_plus, tuple(alive.failures))

@@ -32,10 +32,12 @@ quotient is hermitian positive definite, and the assembled gamma is
 hermitian with phi^dagger h phi = gamma; no other mode has a metric h.
 
 Each factor has an exact derivative at its own endpoint, d mu_minus =
-mu_minus A_minus and dbar mu_plus = mu_plus A_plus, so the quotient, the
-Schur complements that make up its block diagonal factor, and gamma carry
-exact jets (value, d/dz, d/dzbar, d/dz d/dzbar) from the one transport per
-point; the residual checks read those jets and need no neighbouring point.
+mu_minus A_minus and dbar mu_plus = mu_plus A_plus, so the quotient
+carries an exact jet (value, d/dz, d/dzbar, d/dz d/dzbar) from the one
+transport per point.  linalg.gauss_decompose eliminates that jet once, and
+the Schur complements that make up its block diagonal factor come out as
+jets, and with them gamma's; the residual checks read those jets and need
+no neighbouring point.
 
 Transport is the one step no residual check can see, since a factor off
 by a constant, mu -> C mu, is another exact solution at its point:
@@ -495,21 +497,6 @@ def _quotient_jet(q: np.ndarray, a_minus: np.ndarray, a_plus: np.ndarray) -> np.
     return np.stack((q, qa, -a_plus @ q, -a_plus @ qa))
 
 
-def _eta_jet(q_jet: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """Jet of the block diagonal Gauss factor of Q, over the last two axes:
-    its block a is the Schur complement of the leading a blocks of Q."""
-    eta = np.zeros_like(q_jet)
-    for a in range(blocks.count):
-        s = blocks.slice(a)
-        part = q_jet[..., s, s]
-        if s.start:
-            lead = slice(0, s.start)
-            inner = jet_inv(q_jet[..., lead, lead])
-            part = part - jet_mul(jet_mul(q_jet[..., s, lead], inner), q_jet[..., lead, s])
-        eta[..., s, s] = part
-    return eta
-
-
 def _gamma_guard(alive: Survivors, jet, blocks: BlockStructure, z, error, rows):
     """Fail the live points where a diagonal block of gamma, the value of
     the jet over them, is beyond the condition guard, with error(text)
@@ -545,7 +532,7 @@ def solve(
     diagonal blocks there, once: a point where a block is singular fails
     before its leg is integrated, and the slopes of the other points read
     the same values and inverses.  The rest runs once on the stack of
-    points transport reached: one Gauss decomposition of the quotients,
+    points transport reached: one Gauss decomposition of the quotients' jets,
     then gamma with its exact jet, returned as gamma_jet, and, in
     hermitian mode only, phi, built with the inverse of the Cholesky factor
     g0 of the metric, g0^dagger g0 = h, on the left, which makes phi^dagger
@@ -609,15 +596,11 @@ def solve(
             zero,
         ))
     a_plus = _slope(problem.c_plus_at(w), plus_blocks, plus_inv, problem.plus_pattern, blocks)
-    factors = gauss_decompose(quotient, blocks)
+    factors = gauss_decompose(_quotient_jet(quotient, a_minus, a_plus), blocks)
     keep = alive.drop([None if f is None else f"gauss: {f}" for f in factors.failures])
-    mu_m, quotient, eta, n_plus, a_minus, a_plus = take(
-        (mu_m, quotient, factors.eta, factors.n_plus, a_minus, a_plus), keep
-    )
-    gm, gp_inv = take((gm, gp_inv), keep, 1)
-    eta_jet = _eta_jet(_quotient_jet(quotient, a_minus, a_plus), blocks)
-    eta_jet[0] = eta
-    gamma = jet_mul(jet_mul(gp_inv, eta_jet), gm)
+    mu_m, n_plus = take((mu_m, factors.n_plus), keep)
+    gm, gp_inv, eta = take((gm, gp_inv, factors.eta), keep, 1)
+    gamma = jet_mul(jet_mul(gp_inv, eta), gm)
     g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
     phi = None if g0inv is None else g0inv @ mu_m @ n_plus @ gm[0]
     gamma, phi = _gamma_guard(alive, gamma, blocks, z, "SingularBeta: {}".format, phi)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_acceptance import constant_jet
 
 from todaframes.errors import GaussDecompositionFailed
 from todaframes.grading import GradationSpec, degree_of_block
@@ -76,7 +77,22 @@ class TestHermitianMetric:
 
 def recompose(f):
     """The matrix n_minus eta n_plus^-1 that Gauss factors stand for."""
-    return f.n_minus @ f.eta @ np.linalg.inv(f.n_plus)
+    return f.n_minus @ f.eta[0] @ np.linalg.inv(f.n_plus)
+
+
+def schur_jet(q_jet, blocks):
+    """Jet of the block diagonal Gauss factor of Q, each block a the Schur
+    complement of the leading a blocks, from the inverse of their jet."""
+    eta = np.zeros_like(q_jet)
+    for a in range(blocks.count):
+        s = blocks.slice(a)
+        part = q_jet[..., s, s]
+        if s.start:
+            lead = slice(0, s.start)
+            inner = jet_inv(q_jet[..., lead, lead])
+            part = part - jet_mul(jet_mul(q_jet[..., s, lead], inner), q_jet[..., lead, s])
+        eta[..., s, s] = part
+    return eta
 
 
 def _random_gauss_input(rng, bs, cond_cap=1e6):
@@ -188,20 +204,22 @@ class TestStacks:
         bs = BlockStructure((1, 2, 1))
         g = np.stack([_random_gauss_input(rng, bs) for _ in range(5)])
         g[2, 2, :3] = g[2, 0, :3] + g[2, 1, :3]  # a singular leading 3 by 3
-        f = gauss_decompose(g, bs)
+        f = gauss_decompose(constant_jet(g), bs)
         assert [e is None for e in f.failures] == [True, True, False, True, True]
         with pytest.raises(GaussDecompositionFailed) as err:
-            gauss_decompose(g[2], bs)
+            gauss_decompose(constant_jet(g[2]), bs)
         assert err.value.block == f.failures[2].block == 1
         assert str(err.value) == str(f.failures[2])
         for i in range(5):
+            alone = gauss_decompose(constant_jet(g[i]), bs) if i != 2 else None
             for name in ("n_minus", "eta", "n_plus"):
-                got = getattr(f, name)[i]
+                got = getattr(f, name)
+                got = got[:, i] if name == "eta" else got[i]
                 if i == 2:
                     assert np.isnan(got).all()
                 else:
-                    assert np.array_equal(got, getattr(gauss_decompose(g[i], bs), name))
-        assert gauss_decompose(g.reshape(5, 1, 4, 4), bs).eta.shape == (5, 1, 4, 4)
+                    assert np.array_equal(got, getattr(alone, name))
+        assert gauss_decompose(constant_jet(g.reshape(5, 1, 4, 4)), bs).eta.shape == (4, 5, 1, 4, 4)
 
 
 def random_jet(rng, shape):
@@ -268,16 +286,16 @@ class TestJetHelpers:
 class TestGaussDecompose:
     def test_identity(self):
         bs = BlockStructure((1, 1))
-        f = gauss_decompose(np.eye(2), bs)
+        f = gauss_decompose(constant_jet(np.eye(2)), bs)
         assert np.allclose(f.n_minus, np.eye(2))
-        assert np.allclose(f.eta, np.eye(2))
+        assert np.allclose(f.eta[0], np.eye(2))
         assert np.allclose(f.n_plus, np.eye(2))
 
     def test_two_by_two_frozen(self):
         bs = BlockStructure((1, 1))
-        f = gauss_decompose(np.array([[2.0, 1.0], [1.0, 1.0]]), bs)
+        f = gauss_decompose(constant_jet([[2.0, 1.0], [1.0, 1.0]]), bs)
         assert np.allclose(f.n_minus, [[1.0, 0.0], [0.5, 1.0]])
-        assert np.allclose(f.eta, [[2.0, 0.0], [0.0, 0.5]])
+        assert np.allclose(f.eta[0], [[2.0, 0.0], [0.0, 0.5]])
         assert np.allclose(f.n_plus, [[1.0, -0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize(
@@ -291,19 +309,19 @@ class TestGaussDecompose:
     )
     def test_rejects_mis_shaped_and_non_finite(self, g, match):
         with pytest.raises(ValueError, match=match):
-            gauss_decompose(g, BlockStructure((1, 1)))
+            gauss_decompose(constant_jet(g), BlockStructure((1, 1)))
 
     def test_singular_leading_block(self):
         bs = BlockStructure((1, 1))
         with pytest.raises(GaussDecompositionFailed) as err:
-            gauss_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]), bs)
+            gauss_decompose(constant_jet([[0.0, 1.0], [1.0, 0.0]]), bs)
         assert err.value.block == 0
 
     def test_failure_reports_inner_block(self):
         # leading 1x1 minor fine, second pivot (Schur complement) singular
         g = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(GaussDecompositionFailed) as err:
-            gauss_decompose(g, BlockStructure((1, 1, 1)))
+            gauss_decompose(constant_jet(g), BlockStructure((1, 1, 1)))
         assert err.value.block == 1
 
     def test_round_trip_and_structure(self):
@@ -312,7 +330,7 @@ class TestGaussDecompose:
             bs = BlockStructure(sizes)
             for _ in range(25):
                 g = _random_gauss_input(rng, bs)
-                f = gauss_decompose(g, bs)
+                f = gauss_decompose(constant_jet(g), bs)
                 assert np.linalg.norm(recompose(f) - g) < 1e-10 * np.linalg.norm(g)
                 # unit triangular structure of the outer factors
                 for a in range(bs.count):
@@ -321,16 +339,37 @@ class TestGaussDecompose:
                     for b in range(a + 1, bs.count):
                         assert np.max(np.abs(block(f.n_minus, bs, a, b))) < 1e-12
                         assert np.max(np.abs(block(f.n_plus, bs, b, a))) < 1e-12
-                        assert np.max(np.abs(block(f.eta, bs, a, b))) < 1e-12
-                        assert np.max(np.abs(block(f.eta, bs, b, a))) < 1e-12
+                        assert np.max(np.abs(block(f.eta[0], bs, a, b))) < 1e-12
+                        assert np.max(np.abs(block(f.eta[0], bs, b, a))) < 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 1), (2, 2), (1, 1, 1)])
+    def test_schur_complements_of_a_jet(self, sizes):
+        # one elimination on the jet gives the Schur complements of the
+        # leading blocks, as their closed form does; the values and the
+        # failures never read a derivative part
+        rng = np.random.default_rng(31)
+        bs = BlockStructure(sizes)
+        q = random_jet(rng, (6, bs.n, bs.n))
+        q[0] = [_random_gauss_input(rng, bs) for _ in range(6)]
+        q[0, 2, :, : sizes[0]] = 0  # a zero leading pivot fails point 2
+        f = gauss_decompose(q, bs)
+        ok = [e is None for e in f.failures]
+        assert ok == [True, True, False, True, True, True]
+        want = schur_jet(q[:, ok], bs)
+        assert np.linalg.norm(f.eta[:, ok] - want) <= 1e-13 * np.linalg.norm(want)
+        flat = gauss_decompose(constant_jet(q[0]), bs)
+        assert np.array_equal(f.eta[0], flat.eta[0], equal_nan=True)
+        assert np.array_equal(f.n_minus, flat.n_minus, equal_nan=True)
+        assert np.array_equal(f.n_plus, flat.n_plus, equal_nan=True)
+        assert [str(e) for e in f.failures] == [str(e) for e in flat.failures]
 
     def test_uniqueness(self):
         # decomposing a recomposed factorization returns the same factors
         rng = np.random.default_rng(29)
         bs = BlockStructure((2, 1))
         g = _random_gauss_input(rng, bs)
-        f1 = gauss_decompose(g, bs)
-        f2 = gauss_decompose(recompose(f1), bs)
+        f1 = gauss_decompose(constant_jet(g), bs)
+        f2 = gauss_decompose(constant_jet(recompose(f1)), bs)
         assert np.allclose(f1.n_minus, f2.n_minus, atol=1e-10)
         assert np.allclose(f1.eta, f2.eta, atol=1e-10)
         assert np.allclose(f1.n_plus, f2.n_plus, atol=1e-10)
@@ -339,7 +378,7 @@ class TestGaussDecompose:
         # its squared norm overflows; the suite turns any numpy warning
         # into an error, and the exact recomposition still reads 0
         g = np.array([[1e200, 0.0], [0.0, 1.0]])
-        f = gauss_decompose(g, BlockStructure((1, 1)))
+        f = gauss_decompose(constant_jet(g), BlockStructure((1, 1)))
         assert scaled_defect(recompose(f), [g]) == 0.0
 
 

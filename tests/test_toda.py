@@ -716,7 +716,7 @@ class TestJets:
 
         fields = {
             "q": quotient,
-            "eta": lambda w: gauss_decompose(quotient(w), blocks).eta,
+            "eta": lambda w: gauss_decompose(constant_jet(quotient(w)), blocks).eta[0],
             "gamma": lambda w: solved(w).gamma[0],
         }
 
@@ -732,7 +732,7 @@ class TestJets:
                 gp = gamma_plus.evaluate(np.conj(z))
                 a_plus = gp @ p.c_plus_at(z) @ np.linalg.inv(gp)
             q = toda._quotient_jet(quotient(z), a_minus, a_plus)
-            jets = {"q": q, "eta": toda._eta_jet(q, blocks), "gamma": [x[0] for x in solved(z).gamma_jet]}
+            jets = {"q": q, "eta": gauss_decompose(q, blocks).eta, "gamma": [x[0] for x in solved(z).gamma_jet]}
             for name, f in fields.items():
                 jet = jets[name]
                 assert close(jet[0], f(z), 1e-12), name

@@ -22,8 +22,10 @@ was faster) and the median of change / parent over the pairs.
 
 The tool only reports and edits nothing.  CI runs it on one Python
 version, after the corpus report diff, whether or not that diff passed,
-with the parent commit as PARENT, and writes its tables to the step
-summary; no timing fails that step.  It exits 0 when every job of every
+with the parent commit as PARENT, on frenet-verify, toda-general and
+toda-hermitian (the one workload on the hermitian branch of the Toda
+solver), and writes its tables to the step summary; no timing fails that
+step.  It exits 0 when every job of every
 pass exited 0 or 1 (a job whose points fail their checks exits 1), 1 when
 one did not or raised, and 2 on bad arguments.
 """
