@@ -30,7 +30,6 @@ from .frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from .grading import GradationSpec, degree_of_block
 from .linalg import (
     BlockStructure,
     GaussFactors,

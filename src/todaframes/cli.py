@@ -55,7 +55,6 @@ from .frenet import (
     linear_fullness,
     verify_frame_equations,
 )
-from .grading import GradationSpec
 from .linalg import BlockStructure, HermitianMetric
 from .poly import Poly, PolyMatrix
 from .toda import TodaProblem, phi_relation, solve, toda_residual, transport_defect
@@ -98,7 +97,7 @@ class GridSpec:
 class JobConfig:
     mode: str
     curve: PolyMatrix | None = None
-    gradation: GradationSpec | None = None
+    gradation: BlockStructure | None = None
     metric: HermitianMetric | None = None
     grid: GridSpec = field(default_factory=GridSpec)
     residual_tol: float = 1e-5
@@ -290,12 +289,13 @@ def parse_config(raw: dict) -> JobConfig:
         if "sizes" not in gr:
             raise ConfigError("gradation.sizes", "required")
         sizes = _as_ints(gr["sizes"], "gradation.sizes")
-        if "labels" in gr:
-            labels = _as_ints(gr["labels"], "gradation.labels")
-        else:
-            labels = (1,) * (len(sizes) - 1)
+        # the block partition is the gradation, with adjacent blocks one
+        # degree apart: labels, when given, say so
+        ones = [1] * (len(sizes) - 1)
+        if "labels" in gr and list(_as_ints(gr["labels"], "gradation.labels")) != ones:
+            raise ConfigError("gradation.labels", f"expected {ones}, one 1 per adjacent block pair")
         try:
-            cfg.gradation = GradationSpec(BlockStructure(sizes), labels)
+            cfg.gradation = BlockStructure(sizes)
         except ValueError as exc:
             raise ConfigError("gradation", str(exc)) from None
     if "metric_h" in raw:

@@ -1,31 +1,34 @@
-"""Nonabelian Toda systems attached to a block gradation of gl(n).
+"""Nonabelian Toda systems attached to a block partition of n.
 
-The field of the system is the block diagonal matrix gamma, and the data
-consists of a holomorphic matrix c_minus of pure negative degree and an
-antiholomorphic c_plus of the opposite degree.  Antiholomorphic objects
-are stored as polynomial matrices in the conjugate variable: a stored
-matrix q represents the map z -> q(zbar), which keeps every coefficient
-exact and plays well with conjugate transposition of polynomial matrices.
+The partition (k_0, ..., k_t) grades gl(n): block (a, b) has degree b - a,
+the eigenvalue of ad q with q = diag(-a I_{k_a}).  The field of the system
+is the block diagonal matrix gamma, of degree 0, and the data consists of
+a holomorphic matrix c_minus of degree -1, on the block subdiagonal, and an
+antiholomorphic c_plus of degree +1, on the block superdiagonal.
+Antiholomorphic objects are stored as polynomial matrices in the conjugate
+variable: a stored matrix q represents the map z -> q(zbar), which keeps
+every coefficient exact and plays well with conjugate transposition of
+polynomial matrices.
 
 The solution procedure, solve, transports two triangular factors from a
 basepoint, Gauss decomposes their quotient, and assembles gamma, with the
 frame map phi in hermitian mode; it and its check, transport_defect, are
 the only entry points to transport.
 Transport solves the matrix linear ODE mu' = mu A with
-A = gamma c gamma^{-1}.  A has pure nonzero degree, so it is strictly
-block triangular and nilpotent, and the Picard series of mu ends after
-count - 1 terms (count is the number of blocks).  Each term is a nested
-integral along a straight leg, taken on Gauss-Legendre nodes; a leg
+A = gamma c gamma^{-1}.  A has the degree of c, -1 or +1, so it is
+strictly block triangular and nilpotent, and the Picard series of mu ends
+after count - 1 terms (count is the number of blocks).  Each term is a
+nested integral along a straight leg, taken on Gauss-Legendre nodes; a leg
 whose integrand the nodes do not resolve is cut in halves, and a leg
 still unresolved in MAX_PIECES pieces fails its endpoint.  Since gamma is
 block diagonal, A is zero outside the nonzero blocks of c, and its block
 (a, b) is gamma_a c_ab gamma_b^{-1}: the integrand, and solve's slopes, are
 formed on those blocks alone, with gamma's diagonal blocks inverted in
 closed form up to size 2.  The Picard sweep stays on that block pattern:
-a term is kept as its blocks, the next term's block (a, b) sums the
-running integral's block (a, j) times A's block (j, b) over the pairs
-that meet, and each term is added to the factor block by block, so no
-full n by n product is taken along a leg.
+a term is kept as its blocks, A has at most one block in each block row,
+so each block (a, j) of the running integral gives one block of the next
+term, its product with A's block in row j, and each term is added to the
+factor block by block, so no full n by n product is taken along a leg.
 
 In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
@@ -60,7 +63,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument, SingularBeta
-from .grading import GradationSpec, degree_of_block
 from .linalg import (
     BlockStructure,
     HermitianMetric,
@@ -113,66 +115,32 @@ def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
         raise InvalidArgument(name, f"{name} must be block diagonal")
 
 
-def _derive_gap(spec: GradationSpec, found: dict[str, tuple]) -> int | None:
-    """The gap l of the c data, None when both are zero.
-
-    found maps "c_minus" and "c_plus" to their nonzero block positions.  l
-    is read from the first nonzero block of c_minus, or of c_plus when
-    c_minus is zero, and is at least 1; every nonzero block of c_minus must
-    then have degree -l and every one of c_plus degree +l.  The gradation
-    must have no nonzero subspace in 0 < degree < l: label runs are
-    nonnegative, so its smallest positive degree is its smallest positive
-    label.  A band violation names the seed the gap was read from.
-    """
-    sign = {"c_minus": -1, "c_plus": 1}
-    degrees = {name: [(a, b, degree_of_block(spec, a, b)) for a, b in found[name]] for name in sign}
-    source = "c_minus" if degrees["c_minus"] else "c_plus"
-    if not degrees[source]:
-        return None
-    gap = max(1, sign[source] * degrees[source][0][2])
-    for name, entries in degrees.items():
-        for a, b, d in entries:
-            if d != sign[name] * gap:
-                raise InvalidArgument(
-                    name,
-                    f"{name} has a nonzero entry in block ({a}, {b}) of degree {d}, "
-                    f"expected pure degree {sign[name] * gap}",
-                )
-    band = min((s for s in spec.labels if s > 0), default=gap)
-    if band < gap:
-        raise InvalidArgument(
-            source,
-            f"gradation has a nonzero subspace in degree {band}, "
-            f"inside the required trivial band 0 < degree < {gap}",
-        )
-    return gap
-
-
 @dataclass(frozen=True)
 class TodaProblem:
-    """Gradation, the two constant-degree matrices, and the hermitian metric.
+    """Block structure, the two c matrices, and the hermitian metric.
 
-    c_minus is holomorphic (a plain polynomial matrix of z) and purely of
-    degree -gap in the gradation.  c_plus is stored in the conjugate
-    variable: the matrix q kept here acts as z -> q(zbar) and is purely of
-    degree +gap.  The gap is not given but read from the c data (None when
-    both are zero).  The problem is in hermitian mode exactly when c_plus
-    is not given: c_plus is then minus the conjugate transpose of c_minus
-    pointwise, which in the stored representation is an exact polynomial
-    identity, and h (the identity unless given) is the metric of the frame
-    phi.  A given c_plus means general mode, whatever its value; there h is
-    None, and giving one is an error.  minus_pattern and plus_pattern are
-    the nonzero block positions (a, b) of c_minus and of c_plus, in row
-    order, read once here: transport builds its integrand and its Picard
-    sweep on them alone.
+    The block structure is the gradation (see the module docstring).
+    c_minus is holomorphic (a plain polynomial matrix of z) and nonzero
+    only in blocks (a + 1, a), of degree -1.  c_plus is stored in the
+    conjugate variable: the matrix q kept here acts as z -> q(zbar) and is
+    nonzero only in blocks (a, a + 1), of degree +1.  A nonzero block
+    elsewhere raises InvalidArgument naming c_minus or c_plus.  The
+    problem is in hermitian mode exactly when c_plus is not given: c_plus
+    is then minus the conjugate transpose of c_minus pointwise, which in
+    the stored representation is an exact polynomial identity, and h (the
+    identity unless given) is the metric of the frame phi.  A given c_plus
+    means general mode, whatever its value; there h is None, and giving one
+    is an error.  minus_pattern and plus_pattern are the nonzero block
+    positions (a, b) of c_minus and of c_plus, in row order, read once
+    here: transport builds its integrand and its Picard sweep on them
+    alone.
     """
 
-    gradation: GradationSpec
+    blocks: BlockStructure
     c_minus: PolyMatrix
     c_plus: PolyMatrix | None = None
     h: HermitianMetric | None = None
     hermitian_mode: bool = field(init=False)
-    gap: int | None = field(init=False)
     minus_pattern: tuple[tuple[int, int], ...] = field(init=False)
     plus_pattern: tuple[tuple[int, int], ...] = field(init=False)
 
@@ -181,22 +149,24 @@ class TodaProblem:
         object.__setattr__(self, "hermitian_mode", hermitian)
         if hermitian:
             object.__setattr__(self, "c_plus", self.c_minus.conjugate_transpose().scale(-1))
-        blocks = self.gradation.blocks
-        found = {name: _nonzero_blocks(getattr(self, name), blocks, name) for name in ("c_minus", "c_plus")}
-        object.__setattr__(self, "minus_pattern", found["c_minus"])
-        object.__setattr__(self, "plus_pattern", found["c_plus"])
-        object.__setattr__(self, "gap", _derive_gap(self.gradation, found))
+        sides = (("c_minus", "minus_pattern", -1, "sub"), ("c_plus", "plus_pattern", 1, "super"))
+        for name, attribute, degree, side in sides:
+            pattern = _nonzero_blocks(getattr(self, name), self.blocks, name)
+            for a, b in pattern:
+                if b - a != degree:
+                    raise InvalidArgument(
+                        name,
+                        f"{name} has a nonzero entry in block ({a}, {b}) of degree {b - a}, "
+                        f"expected pure degree {degree}, the block {side}diagonal",
+                    )
+            object.__setattr__(self, attribute, pattern)
         if self.h is None:
             if hermitian:
-                object.__setattr__(self, "h", HermitianMetric.identity(self.gradation.n))
+                object.__setattr__(self, "h", HermitianMetric.identity(self.blocks.n))
         elif not hermitian:
             raise InvalidArgument("h", "a metric is read only in hermitian mode")
-        elif self.h.n != self.gradation.n:
-            raise InvalidArgument("h", "metric size does not match the gradation")
-
-    @property
-    def blocks(self) -> BlockStructure:
-        return self.gradation.blocks
+        elif self.h.n != self.blocks.n:
+            raise InvalidArgument("h", "metric size does not match the blocks")
 
     def c_minus_at(self, z: complex | np.ndarray) -> np.ndarray:
         return self.c_minus.evaluate(z)
@@ -359,14 +329,15 @@ def _panels(
     (panels, NODES, r, c), and packed side by side for the node
     contractions, so each panel's contraction is a product of a fixed shape
     whatever the number of panels.  The first term is A itself; each later
-    one is the running integral of the one before times A, formed as the
-    sum over j of its block (a, j) times A's block (j, b) for the pairs
-    that meet, so the term of depth m lives on the blocks of degree m times
-    c's: on the (1, 2, 1) data A has 4 entries and the second term 1, one 1
-    by 2 times 2 by 1 product a node.  The series has count - 1 terms, and
-    ends sooner when a term has no block; an empty pattern transports to
-    the identity.  Each term's integral is added to the factor block by
-    block.
+    one is the running integral of the one before times A.  A has at most
+    one block in each block row j, (j, j - 1) or (j, j + 1), so each block
+    (a, j) of the running integral meets at most one block of A, and their
+    product is one block of the next term; the term of depth m lives on the
+    blocks of degree m times c's: on the (1, 2, 1) data A has 4 entries and
+    the second term 1, one 1 by 2 times 2 by 1 product a node.  The series
+    has count - 1 terms, and ends sooner when a term has no block; an empty
+    pattern transports to the identity.  Each term's integral is added to
+    the factor block by block.
     """
     s, w, integrate, analysis = _rule()
     size = lo.size
@@ -378,19 +349,18 @@ def _panels(
     if not pattern:
         return mu, np.zeros(size, dtype=bool), singular.any(axis=1)
     slope = _slope_blocks(c_rep.evaluate(nodes), _diagonal(gm, blocks), inverses, pattern, blocks)
-    a = term = [(i, j, x * delta[:, None, None, None]) for (i, j), x in zip(pattern, slope)]
-    flat = _packed(a)
+    term = [(i, j, x * delta[:, None, None, None]) for (i, j), x in zip(pattern, slope)]
+    row = {j: (k, y) for j, k, y in term}  # A's one block in block row j
+    flat = _packed(term)
     coeffs = np.abs(analysis @ flat)
     unresolved = coeffs[:, -2:].max(axis=(1, 2)) > TAIL_TOL * coeffs.max(axis=(1, 2))
     for sweep in range(blocks.count - 1):
         if sweep:
-            products = {}
-            for (i, j, _), running in zip(term, _unpacked(integrate @ flat, term)):
-                for jj, k, y in a:
-                    if jj == j:
-                        x = running @ y
-                        products[i, k] = products[i, k] + x if (i, k) in products else x
-            term = [(i, k, x) for (i, k), x in products.items()]
+            term = [
+                (i, row[j][0], running @ row[j][1])
+                for (i, j, _), running in zip(term, _unpacked(integrate @ flat, term))
+                if j in row
+            ]
             if not term:
                 break
             flat = _packed(term)
@@ -463,7 +433,8 @@ class TodaSolution:
     d/dzbar) of gamma, one array with the parts first and the points after,
     as FrenetPointData.gamma_jet is; gamma, phi, mu_minus and mu_plus are n by
     n per point.  phi is built only in hermitian mode and is None
-    elsewhere.  failures[i] is None or the text of what failed point i,
+    elsewhere; mu_plus is transported only outside hermitian mode and is
+    None in it.  failures[i] is None or the text of what failed point i,
     whose gamma and phi are NaN (mu_minus and mu_plus are NaN where
     transport failed).  problem, gamma_minus, gamma_plus (None in hermitian
     mode) and basepoint are what the solution was solved from, which
@@ -477,7 +448,7 @@ class TodaSolution:
     gamma_jet: np.ndarray
     phi: np.ndarray | None
     mu_minus: np.ndarray
-    mu_plus: np.ndarray
+    mu_plus: np.ndarray | None
     failures: tuple[str | None, ...]
 
     @property
@@ -527,7 +498,8 @@ def solve(
     basepoint: mu_minus with the seed gamma_minus, and, outside hermitian
     mode, mu_plus with the block diagonal antiholomorphic seed gamma_plus
     (stored in the conjugate variable) along the conjugated paths; in
-    hermitian mode mu_plus is the inverse conjugate transpose of mu_minus.
+    hermitian mode the plus factor is the inverse conjugate transpose of
+    mu_minus, the quotient is mu_minus^dagger mu_minus, and mu_plus is None.
     Transport evaluates each seed at the grid points and inverts its
     diagonal blocks there, once: a point where a block is singular fails
     before its leg is integrated, and the slopes of the other points read
@@ -555,11 +527,8 @@ def solve(
     minus, failed, gm, gm_inv = _transport_many(
         gamma_minus, problem.c_minus, problem.minus_pattern, blocks, complex(basepoint), z
     )
-    gp = plus_inv = None
-    if problem.hermitian_mode:
-        plus = np.full_like(minus, np.nan)
-        plus[~failed] = np.linalg.inv(dagger(minus[~failed]))
-    else:
+    gp = plus = plus_inv = None
+    if not problem.hermitian_mode:
         plus, failed_plus, gp, plus_inv = _transport_many(
             gamma_plus, problem.c_plus, problem.plus_pattern, blocks, np.conj(complex(basepoint)), z.conj()
         )
@@ -704,7 +673,7 @@ def zero_curvature_check(problem: TodaProblem, gamma_jet, z):
     omega_plus = gamma^{-1} c_plus gamma; its curvature is dbar omega_minus
     - d omega_plus + [omega_plus, omega_minus], with the norm divided by
     max(1, the largest norm among its terms).  It checks nothing that
-    toda_residual does not: its degree +l part cancels for any jet, and its
+    toda_residual does not: its degree +1 part cancels for any jet, and its
     degree 0 part is the Toda equation.  The two differ only off the
     diagonal blocks of gamma's jet, which a solution's gamma never has.
     It is not exported and no report column reads it; the benchmark's

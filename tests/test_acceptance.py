@@ -23,7 +23,7 @@ from todaframes.frenet import (
     kahler_check,
     verify_frame_equations,
 )
-from todaframes.grading import GradationSpec, degree_of_block
+from todaframes.errors import InvalidArgument
 from todaframes.linalg import BlockStructure, HermitianMetric, gauss_decompose
 from todaframes.poly import (
     GaussianRational,
@@ -166,8 +166,7 @@ def test_frame_toda_coincidence(random_cases, capsys):
         worst = 0.0
         for n, seq in cases:
             h = HermitianMetric.identity(n)
-            spec = GradationSpec(seq.partition, (1,) * seq.t)
-            problem = TodaProblem(spec, seq.c_minus_matrix())
+            problem = TodaProblem(seq.partition, seq.c_minus_matrix())
             for z in INTERIOR_POINTS:
                 # gamma = blockdiag(beta_a) with the frame's exact jets
                 jet = frame_at(seq, h, z).gamma_jet
@@ -206,8 +205,7 @@ def test_toda_solution_construction(capsys):
     with criterion("5 Toda solution construction", capsys, budget=30.0):
         rng = np.random.default_rng(77)
         blocks = BlockStructure((2, 2))
-        spec = GradationSpec(blocks, (1,))
-        problem = TodaProblem(spec, subdiagonal_lowering(blocks))
+        problem = TodaProblem(blocks, subdiagonal_lowering(blocks))
         seed = random_gamma_seed(rng, blocks, degree=2)
 
         half = 1.0 / np.sqrt(2.0)
@@ -241,22 +239,36 @@ def test_kahler_identity(random_cases, capsys):
         assert worst < 1e-10, f"worst Kaehler defect {worst:.3e}"
 
 
+def rejected(blocks, c_minus, c_plus):
+    """The argument TodaProblem names when it rejects the general-mode
+    data, or None when it accepts it."""
+    try:
+        TodaProblem(blocks, c_minus, c_plus)
+    except InvalidArgument as exc:
+        return exc.argument
+    return None
+
+
 def test_gradation_correctness(capsys):
     with criterion("7 gradation operators", capsys):
         rng = np.random.default_rng(7)
         for _ in range(20):
             t = int(rng.integers(0, 4))
             sizes = tuple(int(rng.integers(1, 4)) for _ in range(t + 1))
-            labels = tuple(int(rng.integers(1, 4)) for _ in range(t))
-            spec = GradationSpec(BlockStructure(sizes), labels)
-            # the grading operator q, with weight -(s_1 + ... + s_a) on block
-            # a: the commutator with E_ab is its degree times E_ab, exactly
-            q = np.diag(np.repeat(-np.cumsum((0, *labels)), sizes))
-            for a in range(spec.count):
-                for b in range(spec.count):
-                    x = np.zeros((spec.n, spec.n), dtype=int)
-                    x[spec.blocks.slice(a).start, spec.blocks.slice(b).start] = 1
-                    assert np.array_equal(q @ x - x @ q, degree_of_block(spec, a, b) * x)
+            blocks = BlockStructure(sizes)
+            # the grading element q, -a on block a: TodaProblem accepts
+            # c_minus = E_ab exactly where [q, E_ab] = -E_ab, and c_plus =
+            # E_ab exactly where [q, E_ab] = +E_ab
+            q = np.diag(np.repeat(-np.arange(blocks.count), sizes))
+            zero = PolyMatrix.zeros(blocks.n, blocks.n)
+            for a in range(blocks.count):
+                for b in range(blocks.count):
+                    x = np.zeros((blocks.n, blocks.n), dtype=int)
+                    x[blocks.slice(a).start, blocks.slice(b).start] = 1
+                    unit = PolyMatrix(x.tolist())
+                    for name, degree, data in (("c_minus", -1, (unit, zero)), ("c_plus", 1, (zero, unit))):
+                        graded = np.array_equal(q @ x - x @ q, degree * x)
+                        assert rejected(blocks, *data) == (None if graded else name)
 
 
 def test_path_independence(capsys):
@@ -266,8 +278,7 @@ def test_path_independence(capsys):
         worst = 0.0
         for case in range(10):
             blocks = BlockStructure(structures[case % len(structures)])
-            spec = GradationSpec(blocks, (1,) * (blocks.count - 1))
-            problem = TodaProblem(spec, subdiagonal_lowering(blocks))
+            problem = TodaProblem(blocks, subdiagonal_lowering(blocks))
             seed = random_gamma_seed(rng, blocks, degree=2)
             angle = rng.uniform(0, 2 * np.pi, size=3)
             radius = rng.uniform(0.3, 0.8, size=3)

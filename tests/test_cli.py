@@ -876,10 +876,28 @@ class TestMain:
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
         assert "'gap'" in capsys.readouterr().err
 
-    def test_gap_two_without_gap_key_is_exit_0(self, tmp_path, capsys):
-        # labels [2] put c_minus's block (1, 0) in degree -2
+    def test_label_two_is_exit_2(self, tmp_path, capsys):
+        # the block partition is the gradation: adjacent blocks are one
+        # degree apart, and labels may only say so
         cfg = dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [2]})
-        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 0
+        assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "config field 'gradation.labels'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
+    def test_labels_of_ones_change_no_byte(self, tmp_path, capsys, mode):
+        # the three-level chain, c_minus the lowering matrix with a z entry
+        seeds = {
+            "gamma_minus": [[[1, 0.25], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]],
+            "c_minus": [[[0], [0], [0]], [[1], [0], [0]], [[0], [1, 1], [0]]],
+        }
+        reports = []
+        for gradation in ({"sizes": [1, 1, 1]}, {"sizes": [1, 1, 1], "labels": [1, 1]}):
+            out = tmp_path / "report.json"
+            cfg = dict(LINE_TODA, mode=mode, gradation=gradation, seeds=seeds)
+            assert main([mode, "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            report = json.loads(out.read_bytes())
+            reports.append(out.read_bytes().replace(json.dumps(report["generated_at"]).encode(), b""))
+        assert reports[0] == reports[1]
 
     def test_removed_steps_is_exit_2(self, tmp_path, capsys):
         cfg = dict(LINE_TODA, integration={"steps": 400})
@@ -916,8 +934,7 @@ class TestMain:
                 "seeds",
             ),
             # a malformed Toda input is named by its own field
-            # c_minus of degree -2 over labels (1, 1): degree 1 is in the
-            # band its gap 2 requires to be trivial
+            # c_minus in block (2, 0), of degree -2, off the block subdiagonal
             _case(
                 20,
                 dict(
@@ -956,9 +973,11 @@ class TestMain:
             _case(36, {"metric_h": [[1, 0], [0]]}, "metric_h"),
             _case(37, {"metric_h": [[1, 1], [0, 1]]}, "metric_h"),
             _case(38, dict(LINE_TODA, gradation={"labels": [1]}), "gradation.sizes"),
-            _case(39, dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [1, 2]}), "gradation"),
+            _case(39, dict(LINE_TODA, gradation={"sizes": [1, 1], "labels": [1, 2]}), "gradation.labels"),
             _case(40, {"hermitian_mode": 1}, "hermitian_mode"),
             _case(41, {"gap": 0}, "gap"),
+            # the zero label that put block (2, 0) in degree -1
+            _case(50, dict(LINE_TODA, gradation={"sizes": [1, 1, 1], "labels": [1, 0]}), "gradation.labels"),
             # a required input left out
             _case(44, {"curve": None}, "curve"),
             _case(45, dict(LINE_TODA, gradation=None), "gradation"),

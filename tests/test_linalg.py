@@ -5,7 +5,6 @@ import pytest
 from test_acceptance import constant_jet
 
 from todaframes.errors import GaussDecompositionFailed
-from todaframes.grading import GradationSpec, degree_of_block
 from todaframes.linalg import (
     BlockStructure,
     HermitianMetric,
@@ -380,11 +379,3 @@ class TestGaussDecompose:
         g = np.array([[1e200, 0.0], [0.0, 1.0]])
         f = gauss_decompose(constant_jet(g), BlockStructure((1, 1)))
         assert scaled_defect(recompose(f), [g]) == 0.0
-
-
-class TestBlockDegree:
-    def test_degree_antisymmetry(self):
-        spec = GradationSpec(BlockStructure((1, 2, 1, 3)), (2, 1, 3))
-        for a in range(4):
-            for b in range(4):
-                assert degree_of_block(spec, a, b) == -degree_of_block(spec, b, a)

@@ -23,7 +23,6 @@ from test_acceptance import random_gamma_seed, subdiagonal_lowering
 from todaframes import toda
 from todaframes.errors import InvalidArgument, SingularBeta
 from todaframes.frenet import build_osculating, frame_at
-from todaframes.grading import GradationSpec
 from todaframes.linalg import BlockStructure, HermitianMetric, gauss_decompose
 from todaframes.poly import GaussianRational, Poly, PolyMatrix
 from todaframes.toda import (
@@ -36,8 +35,8 @@ from todaframes.toda import (
 from todaframes.wirtinger import d_minus, d_plus, memoized
 
 
-def line_gradation() -> GradationSpec:
-    return GradationSpec(BlockStructure((1, 1)), (1,))
+def line_blocks() -> BlockStructure:
+    return BlockStructure((1, 1))
 
 
 def line_lowering() -> PolyMatrix:
@@ -45,11 +44,17 @@ def line_lowering() -> PolyMatrix:
 
 
 def line_problem(h=None) -> TodaProblem:
-    return TodaProblem(line_gradation(), line_lowering(), h=h)
+    return TodaProblem(line_blocks(), line_lowering(), h=h)
 
 
-def chain_spec() -> GradationSpec:
-    return GradationSpec(BlockStructure((1, 1, 1)), (1, 1))
+def line_general_problem() -> TodaProblem:
+    """The line problem outside hermitian mode, with the c_plus that
+    hermitian mode would derive."""
+    return TodaProblem(line_blocks(), line_lowering(), PolyMatrix([[0, -1], [0, 0]]))
+
+
+def chain_blocks() -> BlockStructure:
+    return BlockStructure((1, 1, 1))
 
 
 def chain_lowering() -> PolyMatrix:
@@ -57,9 +62,10 @@ def chain_lowering() -> PolyMatrix:
 
 
 def transport(p, seed, z, basepoint=0.0, gamma_plus=None):
-    """Both transport factors at z from the basepoint, read off a one-point solve."""
+    """Both transport factors at z from the basepoint, read off a one-point
+    solve; the plus factor is None in hermitian mode, which derives it."""
     sol = solve(p, seed, [z], basepoint=basepoint, gamma_plus=gamma_plus)
-    return sol.mu_minus[0], sol.mu_plus[0]
+    return sol.mu_minus[0], None if sol.mu_plus is None else sol.mu_plus[0]
 
 
 def worst_phi_relation(sol, p) -> float:
@@ -105,7 +111,7 @@ def rng77_problem(hermitian: bool):
     c_minus = subdiagonal_lowering(blocks)
     gamma_minus, gamma_plus = random_gamma_seed(rng, blocks), random_gamma_seed(rng, blocks)
     c_plus = None if hermitian else c_minus.conjugate_transpose().scale(-1)
-    return TodaProblem(GradationSpec(blocks, (1, 1)), c_minus, c_plus), gamma_minus, gamma_plus
+    return TodaProblem(blocks, c_minus, c_plus), gamma_minus, gamma_plus
 
 
 def line_gamma(z: complex) -> np.ndarray:
@@ -143,14 +149,14 @@ class TestProblemValidation:
     def test_hermitian_constructor(self):
         p = line_problem()
         assert p.hermitian_mode
-        assert p.gap == 1
+        assert p.minus_pattern == ((1, 0),) and p.plus_pattern == ((0, 1),)
         np.testing.assert_allclose(p.c_plus_at(2.0), [[0, -1], [0, 0]])
         np.testing.assert_allclose(p.c_minus_at(2.0), [[0, 0], [1, 0]])
 
     def test_c_data_at_an_array_of_points(self):
         # an array of points gives, bit for bit, the values at each point
         c_minus = PolyMatrix([[0, 0, 0], [[1, GaussianRational(0, 1)], 0, 0], [0, [Fraction(1, 3), 0, 2], 0]])
-        p = TodaProblem(chain_spec(), c_minus)
+        p = TodaProblem(chain_blocks(), c_minus)
         zs = np.array([[0.3 - 0.7j, 2.0], [-1.5j, 1 / 3 + 0.25j]])
         for at in (p.c_minus_at, p.c_plus_at):
             grid = at(zs)
@@ -161,44 +167,39 @@ class TestProblemValidation:
     def test_diagonal_entry_rejected(self):
         bad = PolyMatrix([[1, 0], [1, 0]])
         with pytest.raises(ValueError, match="degree"):
-            TodaProblem(line_gradation(), bad)
+            TodaProblem(line_blocks(), bad)
 
     def test_wrong_degree_rejected(self):
         # entry in the raising block is degree +1, not -1
         bad = PolyMatrix([[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="c_minus"):
-            TodaProblem(line_gradation(), bad)
+            TodaProblem(line_blocks(), bad)
 
-    def test_gap_band_must_be_trivial(self):
-        # c_minus only in block (2, 0), of degree -2, over labels (1, 1):
-        # degree 1 is inside the band the gap 2 requires to be trivial
+    def test_c_minus_off_the_subdiagonal_rejected(self):
+        # block (2, 0) has degree -2 in the gradation of the blocks; no
+        # label can move it to -1
         c_minus = PolyMatrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
-        with pytest.raises(ValueError, match="trivial band") as info:
-            TodaProblem(chain_spec(), c_minus)
+        with pytest.raises(InvalidArgument, match=r"block \(2, 0\) of degree -2") as info:
+            TodaProblem(chain_blocks(), c_minus)
         assert info.value.argument == "c_minus"
 
-    def test_gap_two_with_label_two_accepted(self):
-        spec = GradationSpec(BlockStructure((1, 1)), (2,))
-        p = TodaProblem(spec, line_lowering())
-        assert p.gap == 2
-
-    def test_zero_data_has_no_gap(self):
-        assert TodaProblem(chain_spec(), PolyMatrix.zeros(3, 3)).gap is None
-
-    def test_gap_read_from_c_plus_when_c_minus_is_zero(self):
-        spec = GradationSpec(BlockStructure((1, 1)), (2,))
-        p = TodaProblem(
-            gradation=spec,
-            c_minus=PolyMatrix.zeros(2, 2),
-            c_plus=PolyMatrix([[0, 1], [0, 0]]),
-        )
-        assert p.gap == 2
+    def test_c_plus_off_the_superdiagonal_rejected(self):
+        # general mode checks the given c_plus on its own, also where
+        # c_minus is zero: block (0, 1) is accepted, (0, 2) and (1, 0) not
+        zero = PolyMatrix.zeros(3, 3)
+        p = TodaProblem(chain_blocks(), zero, PolyMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        assert p.minus_pattern == () and p.plus_pattern == ((0, 1),)
+        bad = {r"\(0, 2\)": [[0, 0, 1], [0, 0, 0], [0, 0, 0]], r"\(1, 0\)": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]}
+        for block, c_plus in bad.items():
+            with pytest.raises(InvalidArgument, match=f"block {block}") as info:
+                TodaProblem(chain_blocks(), zero, PolyMatrix(c_plus))
+            assert info.value.argument == "c_plus"
 
     def test_mixed_degree_rejected(self):
         # blocks (1, 0) and (2, 0) have degrees -1 and -2
         c_minus = PolyMatrix([[0, 0, 0], [1, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match="expected pure degree -1") as info:
-            TodaProblem(chain_spec(), c_minus)
+            TodaProblem(chain_blocks(), c_minus)
         assert info.value.argument == "c_minus"
 
     def test_mode_is_read_from_c_plus(self):
@@ -206,9 +207,9 @@ class TestProblemValidation:
         # given c_plus, even that same matrix, keeps the problem general
         c = PolyMatrix([[0, 0, 0], [[1, GaussianRational(0, 1)], 0, 0], [0, [Fraction(1, 3), 0, 2], 0]])
         derived = c.conjugate_transpose().scale(-1)
-        p = TodaProblem(chain_spec(), c)
+        p = TodaProblem(chain_blocks(), c)
         assert p.hermitian_mode and p.c_plus == derived
-        general = TodaProblem(chain_spec(), c, derived)
+        general = TodaProblem(chain_blocks(), c, derived)
         assert not general.hermitian_mode and general.c_plus == derived and general.h is None
         with pytest.raises(InvalidArgument, match="required outside hermitian mode") as info:
             solve(general, PolyMatrix.identity(3), [0.5])
@@ -216,11 +217,11 @@ class TestProblemValidation:
 
     def test_metric_size_checked(self):
         with pytest.raises(ValueError, match="metric"):
-            TodaProblem(line_gradation(), line_lowering(), h=HermitianMetric.identity(3))
+            TodaProblem(line_blocks(), line_lowering(), h=HermitianMetric.identity(3))
 
     def test_general_problem_takes_no_metric(self):
         # outside hermitian mode there is no frame for a metric to enter
-        general = {"gradation": line_gradation(), "c_minus": line_lowering(), "c_plus": PolyMatrix([[0, -1], [0, 0]])}
+        general = {"blocks": line_blocks(), "c_minus": line_lowering(), "c_plus": PolyMatrix([[0, -1], [0, 0]])}
         assert TodaProblem(**general).h is None
         assert line_problem().h.matrix.tolist() == np.eye(2).tolist()
         with pytest.raises(InvalidArgument, match="hermitian mode") as info:
@@ -232,18 +233,22 @@ class TestIntegrateMu:
     """Transport of the two factors, read off solve's mu_minus and mu_plus."""
 
     def test_nilpotent_transport_is_exact(self):
-        p = line_problem()
+        # hermitian mode transports mu_minus alone; general mode, on the
+        # c_plus hermitian mode would derive, transports mu_plus as well
         z = 0.7 - 0.4j
-        mu_m, mu_p = transport(p, PolyMatrix.identity(2), z)
+        eye = PolyMatrix.identity(2)
         expected = np.array([[1, 0], [z, 1]], dtype=complex)
-        assert np.linalg.norm(mu_m - expected) < 1e-12
         expected_plus = np.array([[1, -np.conj(z)], [0, 1]], dtype=complex)
+        mu_m, mu_p = transport(line_problem(), eye, z)
+        assert np.linalg.norm(mu_m - expected) < 1e-12 and mu_p is None
+        mu_m, mu_p = transport(line_general_problem(), eye, z, gamma_plus=eye)
+        assert np.linalg.norm(mu_m - expected) < 1e-12
         assert np.linalg.norm(mu_p - expected_plus) < 1e-12
 
     def test_three_level_transport_is_exponential(self):
         # c_minus = N with N^3 = 0: mu_minus = exp(zN) needs the depth two term
         nil = np.diag([1.0, 1.0], -1)
-        p = TodaProblem(chain_spec(), chain_lowering())
+        p = TodaProblem(chain_blocks(), chain_lowering())
         z = 0.8 - 0.6j
         mu_m, _ = transport(p, PolyMatrix.identity(3), z)
         assert np.linalg.norm(mu_m - (np.eye(3) + z * nil + z * z * nil @ nil / 2)) < 1e-14
@@ -252,7 +257,7 @@ class TestIntegrateMu:
         # c_plus = -N^T stored in w = zbar: mu_plus = exp(-zbar N^T)
         up = np.diag([1.0, 1.0], 1)
         p = TodaProblem(
-            gradation=chain_spec(),
+            blocks=chain_blocks(),
             c_minus=chain_lowering(),
             c_plus=PolyMatrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]]),
         )
@@ -270,12 +275,11 @@ class TestIntegrateMu:
         # reaches it from the right in (1, 3), and c_minus in (3, 1)
         rng = np.random.default_rng(77)
         blocks = BlockStructure(sizes)
-        spec = GradationSpec(blocks, (1,) * (blocks.count - 1))
         c_minus = subdiagonal_lowering(blocks)
         gamma_minus = random_gamma_seed(rng, blocks)
         gamma_plus = random_gamma_seed(rng, blocks)
         p = TodaProblem(
-            gradation=spec,
+            blocks=blocks,
             c_minus=c_minus,
             c_plus=c_minus.conjugate_transpose().scale(-1),
         )
@@ -311,8 +315,8 @@ class TestIntegrateMu:
         assert np.linalg.norm(straight - bent) < 1e-8
 
     def test_basepoint_returns_identity(self):
-        p = line_problem()
-        mu_m, mu_p = transport(p, PolyMatrix.identity(2), 0.3, basepoint=0.3)
+        eye = PolyMatrix.identity(2)
+        mu_m, mu_p = transport(line_general_problem(), eye, 0.3, basepoint=0.3, gamma_plus=eye)
         assert np.linalg.norm(mu_m - np.eye(2)) < 1e-14
         assert np.linalg.norm(mu_p - np.eye(2)) < 1e-14
 
@@ -323,11 +327,7 @@ class TestIntegrateMu:
             solve(p, seed, [1.0])
 
     def test_gamma_plus_required_without_hermitian_mode(self):
-        p = TodaProblem(
-            gradation=line_gradation(),
-            c_minus=line_lowering(),
-            c_plus=PolyMatrix([[0, -1], [0, 0]]),
-        )
+        p = line_general_problem()
         with pytest.raises(ValueError, match="gamma_plus"):
             solve(p, PolyMatrix.identity(2), [0.5])
 
@@ -407,13 +407,8 @@ class TestSingularSeed:
         assert np.abs(scaled.mu_minus - solve(p, gamma_minus, grid).mu_minus).max() < 1e-13
 
 
-PATTERN_SHAPES = {
-    "count-4": ((1, 1, 1, 1), (1, 1, 1)),
-    "dense-blocks": ((2, 1, 2), (1, 1)),
-    "gap-two": ((1, 1, 1, 1), (2, 0, 2)),
-    "zero": ((1, 2, 1), (1, 1)),
-}
-PATTERN_BLOCKS = {"dense-blocks": [(1, 0), (2, 1)], "gap-two": [(1, 0), (2, 0), (3, 1), (3, 2)]}
+PATTERN_SIZES = {"count-4": (1, 1, 1, 1), "dense-blocks": (2, 1, 2), "broken-chain": (1, 1, 1, 1), "zero": (1, 2, 1)}
+PATTERN_BLOCKS = {"dense-blocks": [(1, 0), (2, 1)], "broken-chain": [(1, 0), (3, 2)]}
 
 
 def pattern_problem(kind: str):
@@ -423,14 +418,13 @@ def pattern_problem(kind: str):
     count-4: (1, 1, 1, 1) with the lowering c_minus, three Picard terms;
     dense-blocks: (2, 1, 2), every entry of c_minus's blocks (1, 0) and
         (2, 1) a nonzero polynomial;
-    gap-two: (1, 1, 1, 1) with labels (2, 0, 2), c_minus on the four blocks
-        (1, 0), (2, 0), (3, 1), (3, 2) of degree -2, so block (3, 0) of
-        the second term sums two products and the third term has no block;
+    broken-chain: (1, 1, 1, 1) with c_minus on blocks (1, 0) and (3, 2)
+        only, so no block of A meets a block of the first term and the
+        second term has no block;
     zero: (1, 2, 1) with both c zero, the empty pattern.
     """
     rng = np.random.default_rng(77)
-    sizes, labels = PATTERN_SHAPES[kind]
-    blocks = BlockStructure(sizes)
+    blocks = BlockStructure(PATTERN_SIZES[kind])
     if kind == "count-4":
         c_minus = subdiagonal_lowering(blocks)
     else:
@@ -441,7 +435,7 @@ def pattern_problem(kind: str):
                     re, im = (Fraction(int(rng.integers(-4, 5)), 8) for _ in range(2))
                     entries[i][j] = Poly.of(GaussianRational(1, im), re)  # 1 + i im + re z
         c_minus = PolyMatrix(entries)
-    p = TodaProblem(GradationSpec(blocks, labels), c_minus, c_minus.conjugate_transpose().scale(-1))
+    p = TodaProblem(blocks, c_minus, c_minus.conjugate_transpose().scale(-1))
     return p, random_gamma_seed(rng, blocks), random_gamma_seed(rng, blocks)
 
 
@@ -451,16 +445,15 @@ class TestBlockPatterns:
     still match RK4 on the full matrices, and a point must get the same
     bits in a stack as alone."""
 
-    KINDS = ["count-4", "dense-blocks", "gap-two", "zero"]
+    KINDS = list(PATTERN_SIZES)
     ENDS = np.array([0.7 + 0.7j, -0.7 + 0.2j, 0.3 - 0.7j, 2.2 - 1.1j, 0.9])
 
     def test_the_patterns(self):
         assert pattern_problem("count-4")[0].minus_pattern == ((1, 0), (2, 1), (3, 2))
         assert pattern_problem("dense-blocks")[0].plus_pattern == ((0, 1), (1, 2))
-        gap_two = pattern_problem("gap-two")[0]
-        assert gap_two.gap == 2 and gap_two.minus_pattern == ((1, 0), (2, 0), (3, 1), (3, 2))
+        assert pattern_problem("broken-chain")[0].plus_pattern == ((0, 1), (2, 3))
         zero = pattern_problem("zero")[0]
-        assert zero.gap is None and zero.minus_pattern == zero.plus_pattern == ()
+        assert zero.minus_pattern == zero.plus_pattern == ()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_transport_matches_rk4(self, kind):
@@ -595,11 +588,10 @@ class TestSolve:
         # of the frame leaves every bit of gamma's jet as it is
         rng = np.random.default_rng(77)
         blocks = BlockStructure((1, 2, 1))
-        spec = GradationSpec(blocks, (1, 1))
         seed = random_gamma_seed(rng, blocks)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         dense = HermitianMetric(m.conj().T @ m + np.eye(4))
-        problems = [TodaProblem(spec, subdiagonal_lowering(blocks), h=h) for h in (None, dense)]
+        problems = [TodaProblem(blocks, subdiagonal_lowering(blocks), h=h) for h in (None, dense)]
         plain, metric = (solve(p, seed, [0.3 + 0.2j, -0.5 + 0.1j, 0.6j]) for p in problems)
         assert len(plain.gamma_jet) == len(metric.gamma_jet) == 4
         assert all(np.array_equal(u, v) for u, v in zip(plain.gamma_jet, metric.gamma_jet))
@@ -607,7 +599,7 @@ class TestSolve:
         assert worst_phi_relation(metric, problems[1]) < 1e-9
 
     def test_general_solution_has_no_phi(self):
-        p = TodaProblem(gradation=line_gradation(), c_minus=line_lowering(), c_plus=PolyMatrix([[0, -1], [0, 0]]))
+        p = line_general_problem()
         sol = solve(p, PolyMatrix.identity(2), [0.5, 0.2 - 0.6j], gamma_plus=PolyMatrix.identity(2))
         assert sol.phi is None
         with pytest.raises(InvalidArgument, match="hermitian mode") as info:
@@ -615,7 +607,7 @@ class TestSolve:
         assert info.value.argument == "problem"
 
     def test_trivial_data_gives_constants(self):
-        p = TodaProblem(line_gradation(), PolyMatrix.zeros(2, 2))
+        p = TodaProblem(line_blocks(), PolyMatrix.zeros(2, 2))
         sol = solve(p, PolyMatrix.identity(2), [0.0, 0.7 - 0.1j])
         for gamma, phi in zip(sol.gamma, sol.phi):
             assert np.linalg.norm(gamma - np.eye(2)) < 1e-12
@@ -623,11 +615,7 @@ class TestSolve:
 
     def test_non_hermitian_branch_matches_hermitian(self):
         hp = line_problem()
-        nh = TodaProblem(
-            gradation=line_gradation(),
-            c_minus=line_lowering(),
-            c_plus=PolyMatrix([[0, -1], [0, 0]]),
-        )
+        nh = line_general_problem()
         grid = [0.5, 0.2 - 0.6j]
         sol_h = solve(hp, PolyMatrix.identity(2), grid)
         sol_n = solve(nh, PolyMatrix.identity(2), grid, gamma_plus=PolyMatrix.identity(2))
@@ -647,11 +635,7 @@ class TestSolve:
     def test_one_transport_batch_per_factor(self, monkeypatch):
         # a path through the pole of gamma_minus fails its point only, and
         # batching changes no other point
-        p = TodaProblem(
-            gradation=line_gradation(),
-            c_minus=line_lowering(),
-            c_plus=PolyMatrix([[0, -1], [0, 0]]),
-        )
+        p = line_general_problem()
         seed = PolyMatrix([[[1, -2], 0], [0, 1]])  # singular at z = 1/2
         plus = PolyMatrix([[[1, GaussianRational(1, 4)], 0], [0, 1]])
         grid = [0.25, 1.0, -0.3 + 0.2j, 0.6j]
@@ -703,7 +687,7 @@ class TestJets:
         gamma_minus = random_gamma_seed(rng, blocks)
         gamma_plus = None if hermitian else random_gamma_seed(rng, blocks)
         p = TodaProblem(
-            gradation=GradationSpec(blocks, (1, 1)),
+            blocks=blocks,
             c_minus=c_minus,
             c_plus=None if hermitian else c_minus.conjugate_transpose().scale(-1),
         )
@@ -711,8 +695,8 @@ class TestJets:
 
         def quotient(w):
             sol = solved(w)
-            mu_m, mu_p = sol.mu_minus[0], sol.mu_plus[0]
-            return mu_m.conj().T @ mu_m if hermitian else np.linalg.inv(mu_p) @ mu_m
+            mu_m = sol.mu_minus[0]
+            return mu_m.conj().T @ mu_m if hermitian else np.linalg.inv(sol.mu_plus[0]) @ mu_m
 
         fields = {
             "q": quotient,
@@ -753,7 +737,7 @@ class TestJets:
         # times a holomorphic factor on the right has the same residuals.
         seed = PolyMatrix([[[1, Fraction(1, 4)], 0], [0, 1]])
         p = TodaProblem(
-            gradation=line_gradation(),
+            blocks=line_blocks(),
             c_minus=line_lowering(),
             c_plus=None if hermitian else PolyMatrix([[0, -1], [0, 0]]),
         )
@@ -857,7 +841,7 @@ class TestStackedChecks:
     def test_checks_per_point(self):
         rng = np.random.default_rng(11)
         blocks = BlockStructure((2, 2))
-        p = TodaProblem(GradationSpec(blocks, (1,)), subdiagonal_lowering(blocks))
+        p = TodaProblem(blocks, subdiagonal_lowering(blocks))
         z = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.4 - 0.1j])
         sol = solve(p, random_gamma_seed(rng, blocks), z)
         assert sol.failures == (None,) * 4
@@ -906,8 +890,7 @@ class TestStackedChecks:
         if side == "frenet":
             seq = build_osculating(PolyMatrix([[1], [[0, 1]], [[0, 0, 1]]]))
             h = HermitianMetric.identity(3)
-            spec = GradationSpec(seq.partition, (1,) * seq.t)
-            p = TodaProblem(spec, seq.c_minus_matrix())
+            p = TodaProblem(seq.partition, seq.c_minus_matrix())
 
             def gamma_jet(w):
                 return frame_at(seq, h, w).gamma_jet
@@ -917,10 +900,10 @@ class TestStackedChecks:
             rng = np.random.default_rng(5)
             seed = random_gamma_seed(rng, blocks)
             if side == "toda":
-                p, plus = TodaProblem(GradationSpec(blocks, (1, 1)), c_minus), None
+                p, plus = TodaProblem(blocks, c_minus), None
             else:  # general mode: the plus factor is transported with its own seed
                 c_plus = c_minus.conjugate_transpose().scale(-1)
-                p, plus = TodaProblem(GradationSpec(blocks, (1, 1)), c_minus, c_plus), random_gamma_seed(rng, blocks)
+                p, plus = TodaProblem(blocks, c_minus, c_plus), random_gamma_seed(rng, blocks)
 
             def gamma_jet(w):
                 return solve(p, seed, np.atleast_1d(w), gamma_plus=plus).gamma_jet
@@ -948,8 +931,7 @@ class TestFrenetTodaBridge:
         xi = PolyMatrix([[1], [[0, 1]], [[0, 0, 1]]])
         seq = build_osculating(xi)
         h = HermitianMetric.identity(3)
-        spec = GradationSpec(seq.partition, (1,) * seq.t)
-        p = TodaProblem(spec, seq.c_minus_matrix(), h=h)
+        p = TodaProblem(seq.partition, seq.c_minus_matrix(), h=h)
 
         for z in (0.4 + 0.1j, -0.2 + 0.5j):
             jet = frame_at(seq, h, z).gamma_jet
