@@ -297,15 +297,12 @@ def parse_config(raw: dict) -> JobConfig:
         try:
             cfg.gradation = BlockStructure(sizes)
         except ValueError as exc:
-            raise ConfigError("gradation", str(exc)) from None
+            raise ConfigError("gradation.sizes", str(exc)) from None
     if "metric_h" in raw:
         try:
             cfg.metric = HermitianMetric(_as_complex_matrix(raw["metric_h"], "metric_h"))
         except ValueError as exc:
             raise ConfigError("metric_h", str(exc)) from None
-    hermitian = raw.get("hermitian_mode", True)
-    if not isinstance(hermitian, bool):
-        raise ConfigError("hermitian_mode", "expected true or false")
 
     s = _section(raw, "seeds")
     for name in _SECTION_KEYS["seeds"]:
@@ -316,11 +313,15 @@ def parse_config(raw: dict) -> JobConfig:
     for path in _REQUIRED[mode]:
         if getattr(cfg, path.rpartition(".")[2]) is None:
             raise ConfigError(path, f"required in {mode} mode")
-    if mode in ("toda-solve", "verify-toda"):
-        for name in ("c_plus", "gamma_plus"):  # hermitian mode derives both
-            if (getattr(cfg, name) is None) != hermitian:
-                why = "derived in hermitian mode" if hermitian else "required outside hermitian mode"
-                raise ConfigError(f"seeds.{name}", why)
+    # the plus seeds come together; without them the job is in hermitian
+    # mode, which derives both, and hermitian_mode may only say so
+    if (cfg.c_plus is None) != (cfg.gamma_plus is None):
+        missing, given = ("c_plus", "gamma_plus") if cfg.c_plus is None else ("gamma_plus", "c_plus")
+        raise ConfigError(f"seeds.{missing}", f"required with seeds.{given}")
+    hermitian = cfg.c_plus is None
+    if "hermitian_mode" in raw and raw["hermitian_mode"] is not hermitian:
+        why = "without seeds.c_plus the job is in hermitian" if hermitian else "seeds.c_plus puts the job in general"
+        raise ConfigError("hermitian_mode", f"expected {json.dumps(hermitian)} or no key: {why} mode")
     return cfg
 
 
@@ -522,8 +523,8 @@ def _run_toda(cfg: JobConfig) -> tuple[dict, list[PointRecord]]:
     jet = sol.gamma_jet[:, ok]
     gamma = jet[0]
     residuals = {}
-    if problem.hermitian_mode:  # the frame identity of the hermitian side
-        residuals["phi_relation"] = phi_relation(problem, sol.phi[ok], gamma)
+    if sol.phi is not None:  # the frame identity of the hermitian side
+        residuals["phi_relation"] = phi_relation(sol.phi[ok], gamma)
     c = problem.c_minus_at(z)
     b_sub = [c[:, s, r] for r, s in zip(blocks, blocks[1:])]
     betas = [gamma[:, s, s] for s in blocks]

@@ -3,11 +3,10 @@
 Matrices are plain numpy arrays of dtype complex128; the jet helpers,
 condition, the defects and gauss_decompose act over the last two axes, so
 they take a stack of matrices as well as one.  The helpers here add the
-pieces numpy does not provide directly: a hermitian metric with its
-Cholesky factor, the block Gauss (block LDU) decomposition of a jet's
-value with unit triangular outer factors and the jet of its block
-diagonal factor, and Survivors, the one failure isolation of the stacked
-computations.
+pieces numpy does not provide directly: a hermitian metric, the block
+Gauss (block LDU) decomposition of a jet's value with unit triangular
+outer factors and the jet of its block diagonal factor, and Survivors,
+the one failure isolation of the stacked computations.
 
 A jet is one array whose leading axis of length 4 holds the parts (value,
 d/dz, d/dzbar, d/dz d/dzbar), each a matrix or a stack of matrices: the
@@ -257,11 +256,6 @@ class HermitianMetric:
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":
         return cls(np.eye(n, dtype=complex))
-
-    def cholesky_factor(self) -> np.ndarray:
-        """A matrix g with g^dagger g equal to the metric."""
-        lower = np.linalg.cholesky(self.matrix)
-        return lower.conj().T
 
     def __repr__(self):
         return f"HermitianMetric(n={self.n})"

@@ -32,7 +32,9 @@ factor block by block, so no full n by n product is taken along a leg.
 
 In hermitian mode the plus data is derived from the minus data, the
 quotient is hermitian positive definite, and the assembled gamma is
-hermitian with phi^dagger h phi = gamma; no other mode has a metric h.
+hermitian with phi^dagger phi = gamma.  No mode reads a metric: a
+hermitian metric h = g0^dagger g0 on C^n would only multiply phi on the
+left by g0^-1, a change of basis, and leave gamma as it is.
 
 Each factor has an exact derivative at its own endpoint, d mu_minus =
 mu_minus A_minus and dbar mu_plus = mu_plus A_plus, so the quotient
@@ -65,7 +67,6 @@ import numpy as np
 from .errors import InvalidArgument, SingularBeta
 from .linalg import (
     BlockStructure,
-    HermitianMetric,
     Survivors,
     dagger,
     gauss_decompose,
@@ -117,7 +118,7 @@ def _require_block_diagonal(m: PolyMatrix, blocks: BlockStructure, name: str):
 
 @dataclass(frozen=True)
 class TodaProblem:
-    """Block structure, the two c matrices, and the hermitian metric.
+    """Block structure and the two c matrices.
 
     The block structure is the gradation (see the module docstring).
     c_minus is holomorphic (a plain polynomial matrix of z) and nonzero
@@ -127,19 +128,16 @@ class TodaProblem:
     elsewhere raises InvalidArgument naming c_minus or c_plus.  The
     problem is in hermitian mode exactly when c_plus is not given: c_plus
     is then minus the conjugate transpose of c_minus pointwise, which in
-    the stored representation is an exact polynomial identity, and h (the
-    identity unless given) is the metric of the frame phi.  A given c_plus
-    means general mode, whatever its value; there h is None, and giving one
-    is an error.  minus_pattern and plus_pattern are the nonzero block
-    positions (a, b) of c_minus and of c_plus, in row order, read once
-    here: transport builds its integrand and its Picard sweep on them
-    alone.
+    the stored representation is an exact polynomial identity.  A given
+    c_plus means general mode, whatever its value.  minus_pattern and
+    plus_pattern are the nonzero block positions (a, b) of c_minus and of
+    c_plus, in row order, read once here: transport builds its integrand
+    and its Picard sweep on them alone.
     """
 
     blocks: BlockStructure
     c_minus: PolyMatrix
     c_plus: PolyMatrix | None = None
-    h: HermitianMetric | None = None
     hermitian_mode: bool = field(init=False)
     minus_pattern: tuple[tuple[int, int], ...] = field(init=False)
     plus_pattern: tuple[tuple[int, int], ...] = field(init=False)
@@ -160,13 +158,6 @@ class TodaProblem:
                         f"expected pure degree {degree}, the block {side}diagonal",
                     )
             object.__setattr__(self, attribute, pattern)
-        if self.h is None:
-            if hermitian:
-                object.__setattr__(self, "h", HermitianMetric.identity(self.blocks.n))
-        elif not hermitian:
-            raise InvalidArgument("h", "a metric is read only in hermitian mode")
-        elif self.h.n != self.blocks.n:
-            raise InvalidArgument("h", "metric size does not match the blocks")
 
     def c_minus_at(self, z: complex | np.ndarray) -> np.ndarray:
         return self.c_minus.evaluate(z)
@@ -506,9 +497,8 @@ def solve(
     the same values and inverses.  The rest runs once on the stack of
     points transport reached: one Gauss decomposition of the quotients' jets,
     then gamma with its exact jet, returned as gamma_jet, and, in
-    hermitian mode only, phi, built with the inverse of the Cholesky factor
-    g0 of the metric, g0^dagger g0 = h, on the left, which makes phi^dagger
-    h phi = gamma.  A point fails as "integration: ...", "gauss: ..." or
+    hermitian mode only, phi = mu_minus n_plus gamma_minus, with phi^dagger
+    phi = gamma.  A point fails as "integration: ...", "gauss: ..." or
     "SingularBeta: ..." (a diagonal block of gamma beyond the condition
     guard) and leaves the stack there; the other points are unaffected.
     Transport factors along different legs compose by right
@@ -570,8 +560,7 @@ def solve(
     mu_m, n_plus = take((mu_m, factors.n_plus), keep)
     gm, gp_inv, eta = take((gm, gp_inv, factors.eta), keep, 1)
     gamma = jet_mul(jet_mul(gp_inv, eta), gm)
-    g0inv = np.linalg.inv(problem.h.cholesky_factor()) if problem.hermitian_mode else None
-    phi = None if g0inv is None else g0inv @ mu_m @ n_plus @ gm[0]
+    phi = mu_m @ n_plus @ gm[0] if problem.hermitian_mode else None
     gamma, phi = _gamma_guard(alive, gamma, blocks, z, "SingularBeta: {}".format, phi)
 
     return TodaSolution(
@@ -688,9 +677,7 @@ def zero_curvature_check(problem: TodaProblem, gamma_jet, z):
     return alive.full(scaled_defect(lhs, [-(inv[2] @ dg), d_op, om @ op, -(op @ om)]))[()]
 
 
-def phi_relation(problem: TodaProblem, phi: np.ndarray, gamma: np.ndarray):
-    """Scaled defect of phi^dagger h phi = gamma, over the last two axes;
-    the identity, and phi, belong to hermitian mode only."""
-    if not problem.hermitian_mode:
-        raise InvalidArgument("problem", "phi_relation needs a problem in hermitian mode")
-    return scaled_defect(dagger(phi) @ problem.h.matrix @ phi, [gamma])
+def phi_relation(phi: np.ndarray, gamma: np.ndarray):
+    """Scaled defect of phi^dagger phi = gamma, over the last two axes; solve
+    builds phi in hermitian mode only."""
+    return scaled_defect(dagger(phi) @ phi, [gamma])

@@ -220,7 +220,7 @@ def test_toda_solution_construction(capsys):
             np.linalg.norm(g - g.conj().T) / np.linalg.norm(g) for g in (sol.gamma[i] for i in ok)
         )
         assert herm < 1e-8, f"hermiticity defect {herm:.3e}"
-        phi_defect = max(phi_relation(problem, sol.phi[i], sol.gamma[i]) for i in ok)
+        phi_defect = max(phi_relation(sol.phi[i], sol.gamma[i]) for i in ok)
         assert phi_defect < 1e-8, f"phi relation defect {phi_defect:.3e}"
 
         jets = [tuple(x[i] for x in sol.gamma_jet) for i in ok]

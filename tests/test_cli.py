@@ -249,15 +249,17 @@ class TestModeKeys:
 
     @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
     def test_hermitian_job_rejects_gamma_plus(self, tmp_path, capsys, mode):
-        # the plus factor of a hermitian job is derived from the minus one
+        # the plus seeds come together: without c_plus the job is in
+        # hermitian mode, which derives the plus factor from the minus one
         cfg = dict(MODE_JOBS[mode], seeds=dict(LINE_TODA["seeds"], gamma_plus=GENERAL_SEEDS["gamma_plus"]))
         path = tmp_path / "job.json"
         path.write_text(json.dumps(cfg))
         assert main([mode, "--config", str(path)]) == 2
-        assert "config field 'seeds.gamma_plus': derived in hermitian mode" in capsys.readouterr().err
+        assert "config field 'seeds.c_plus': required with seeds.gamma_plus" in capsys.readouterr().err
 
     def test_hermitian_mode_is_a_bool(self):
-        with pytest.raises(ConfigError, match="'hermitian_mode': expected true or false"):
+        # 1 == True in Python, but the key must be the JSON true itself
+        with pytest.raises(ConfigError, match="'hermitian_mode': expected true or no key"):
             parse_config(dict(LINE_TODA, hermitian_mode=1))
 
     def test_malformed_field_named_before_a_missing_one(self):
@@ -521,9 +523,10 @@ class TestTodaModes:
         assert others == [p for k, p in enumerate(clean.points) if k != 1]
 
     def test_c_plus_rejected_in_hermitian_mode(self):
+        # a lone c_plus names the plus seed it lacks
         cfg = dict(LINE_TODA)
         cfg["seeds"] = dict(cfg["seeds"], c_plus=[[[0], [-1]], [[0], [0]]])
-        with pytest.raises(ConfigError, match="c_plus"):
+        with pytest.raises(ConfigError, match=r"'seeds\.gamma_plus': required with seeds\.c_plus"):
             run(cfg)
 
     def test_gamma_minus_required(self):
@@ -561,8 +564,9 @@ class TestTodaModes:
         assert centre.residuals == {} and centre.values == {}
 
     def test_non_hermitian_requires_plus_seeds(self):
+        # the seeds give the mode, and the key may only repeat it
         cfg = dict(LINE_TODA, hermitian_mode=False)
-        with pytest.raises(ConfigError, match="c_plus"):
+        with pytest.raises(ConfigError, match="'hermitian_mode': expected true or no key: without seeds.c_plus"):
             run(cfg)
 
     @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
@@ -899,6 +903,23 @@ class TestMain:
             reports.append(out.read_bytes().replace(json.dumps(report["generated_at"]).encode(), b""))
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("mode", ["toda-solve", "verify-toda"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_hermitian_mode_key_changes_no_byte(self, tmp_path, mode, hermitian):
+        # the seeds give the mode: plus seeds run in general mode with no
+        # hermitian_mode key, and the key, where it agrees, changes no byte
+        cfg = dict(LINE_TODA, mode=mode)
+        if not hermitian:
+            cfg["seeds"] = dict(GENERAL_SEEDS, gamma_minus=[[[1, 0.25], [0]], [[0], [1]]])
+        reports = []
+        for key in ({}, {"hermitian_mode": hermitian}):
+            out = tmp_path / "report.json"
+            assert main([mode, "--config", self.write_config(tmp_path, dict(cfg, **key)), "--out", str(out)]) == 0
+            report = json.loads(out.read_bytes())
+            assert report["summary"]["hermitian_mode"] is hermitian
+            reports.append(out.read_bytes().replace(json.dumps(report["generated_at"]).encode(), b""))
+        assert reports[0] == reports[1]
+
     def test_removed_steps_is_exit_2(self, tmp_path, capsys):
         cfg = dict(LINE_TODA, integration={"steps": 400})
         assert main(["toda-solve", "--config", self.write_config(tmp_path, cfg)]) == 2
@@ -978,6 +999,12 @@ class TestMain:
             _case(41, {"gap": 0}, "gap"),
             # the zero label that put block (2, 0) in degree -1
             _case(50, dict(LINE_TODA, gradation={"sizes": [1, 1, 1], "labels": [1, 0]}), "gradation.labels"),
+            # a list of integers that is no block partition
+            _case(51, dict(LINE_TODA, gradation={"sizes": []}), "gradation.sizes"),
+            _case(52, dict(LINE_TODA, gradation={"sizes": [2, 0]}), "gradation.sizes"),
+            # hermitian_mode against the mode the seeds give, either way
+            _case(53, dict(LINE_TODA, hermitian_mode=False), "hermitian_mode"),
+            _case(54, dict(LINE_TODA, mode="verify-toda", hermitian_mode=True, seeds=GENERAL_SEEDS), "hermitian_mode"),
             # a required input left out
             _case(44, {"curve": None}, "curve"),
             _case(45, dict(LINE_TODA, gradation=None), "gradation"),

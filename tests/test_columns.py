@@ -81,8 +81,8 @@ def toda_side(job):
 def toda_columns(sol, via) -> dict:
     z = np.array(sol.grid)
     columns = {}
-    if sol.problem.hermitian_mode:
-        columns["phi_relation"] = phi_relation(sol.problem, sol.phi, sol.gamma)
+    if sol.phi is not None:
+        columns["phi_relation"] = phi_relation(sol.phi, sol.gamma)
     for a, v in enumerate(toda_residual(sol.problem, sol.gamma_jet, z)):
         columns[f"toda_{a}"] = v
     bent, lost = transport_defect(sol, via)
@@ -225,8 +225,8 @@ def test_curvature_is_the_toda_equation(job, part, size):
 @pytest.mark.parametrize("job", [p for p in SOLUTIONS if p.values[0]["hermitian_mode"]])
 def test_hermiticity_is_within_twice_phi_relation(job):
     # gamma - gamma^dagger is (gamma - P) + (P - P^dagger) + (P^dagger -
-    # gamma^dagger) with P = phi^dagger h phi, whose middle term is rounding
+    # gamma^dagger) with P = phi^dagger phi, whose middle term is rounding
     sol = toda_side(job)[0]
     hermiticity = scaled_defect(dagger(sol.gamma), [sol.gamma])
-    relation = phi_relation(sol.problem, sol.phi, sol.gamma)
+    relation = phi_relation(sol.phi, sol.gamma)
     assert np.all(hermiticity <= 2 * relation + 8 * 2.0**-52)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from test_columns import corpus
 
+from todaframes import poly
 from todaframes.cli import parse_config
 from todaframes.errors import SingularBeta, ZeroFunction
 from todaframes.frenet import (
@@ -124,6 +125,32 @@ class TestBuildOsculating:
         assert seq.rank_drop == Z
         assert seq.reduction is not None
         assert seq.xis[0] @ seq.reduction == xi
+
+    def test_row_sets_that_add_nothing_modulo_the_drop(self, monkeypatch):
+        # the repair of the second column interpolates modulo z: the first
+        # three row sets have minors divisible by z, add nothing to the
+        # Bezout combination and are passed over, and the fourth completes it
+        xi = PolyMatrix.from_columns(
+            [PolyMatrix.column([0, -Z, -Z, 1]), PolyMatrix.column([-Z, 0, 0, Z - 1])]
+        )
+        passed_over = []
+        xgcd = poly._xgcd
+
+        def counting(h, minor):
+            out = xgcd(h, minor)
+            passed_over.append(out[0].degree == h.degree)
+            return out
+
+        monkeypatch.setattr(poly, "_xgcd", counting)
+        with pytest.warns(UserWarning, match="constant rank"):
+            seq = build_checked(xi)
+        assert passed_over == [True, True, True, False]
+        assert seq.partition.sizes == (2, 1)
+        assert seq.rank_drop == Z
+        assert seq.dxi == seq.xi @ seq.b
+        assert seq.xis[0] @ seq.reduction == xi
+        columns = seq.xi.columns()
+        assert all(minor_gcd(columns[:k]) == Poly.one() for k in range(1, len(columns) + 1))
 
     def test_derivative_relation_holds_exactly(self):
         rng = np.random.default_rng(31)

@@ -66,13 +66,6 @@ class TestHermitianMetric:
         with pytest.raises(ValueError):
             HermitianMetric([[1, 0], [0, -1]])
 
-    def test_cholesky_factor_recovers_metric(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = HermitianMetric(a @ a.conj().T + 4 * np.eye(4))
-        g0 = h.cholesky_factor()
-        assert np.allclose(g0.conj().T @ g0, h.matrix, atol=1e-12)
-
 
 def recompose(f):
     """The matrix n_minus eta n_plus^-1 that Gauss factors stand for."""
